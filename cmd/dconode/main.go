@@ -46,9 +46,6 @@ func main() {
 
 		// DHT kernel (see DESIGN.md, "DHT kernel").
 		dhtBackend = flag.String("dht", "", "coordinator substrate: chord or kademlia (empty = $DCO_DHT, then chord)")
-		kadK       = flag.Int("kad-k", 0, "kademlia bucket size / replica-set width k (0 = default 16)")
-		kadAlpha   = flag.Int("kad-alpha", 0, "kademlia lookup parallelism alpha (0 = default 3)")
-		kadRefresh = flag.Duration("kad-refresh", 0, "kademlia bucket refresh period (0 = derive from the stabilize cadence)")
 
 		// Observability (see DESIGN.md, "Observability").
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars.json, /debug/trace and /debug/pprof/ on this address (empty disables)")
@@ -69,11 +66,8 @@ func main() {
 
 		// Gray-failure defense (see DESIGN.md, "Gray failures: hedging,
 		// health scoring & deadline propagation").
-		hedge         = flag.Bool("hedge", true, "hedge slow chunk fetches to the next-best provider, first response wins")
-		hedgeMin      = flag.Duration("hedge-min", 20*time.Millisecond, "floor for the hedge trigger delay derived from the peer's latency EWMA")
-		hedgeMax      = flag.Duration("hedge-max", 300*time.Millisecond, "ceiling for the hedge trigger delay (also used against peers with no history)")
-		healthHalf    = flag.Duration("health-halflife", 5*time.Second, "decay half-life of peer suspicion scores (0 = default)")
-		healthSuspect = flag.Float64("health-suspect", 3, "suspicion score at which a peer counts as suspected and is deprioritized (0 = default)")
+		hedge    = flag.Bool("hedge", true, "hedge slow chunk fetches to the next-best provider, first response wins")
+		hedgeMax = flag.Duration("hedge-max", 300*time.Millisecond, "ceiling for the hedge trigger delay derived from the peer's latency EWMA (also used against peers with no history)")
 
 		// Overload & admission control (see DESIGN.md, "Overload & admission
 		// control").
@@ -82,7 +76,6 @@ func main() {
 		admitBurst    = flag.Int64("admit-burst", 0, "pacer burst allowance in bytes (0 = derive from chunk size and -up-bps)")
 		admitMaxWait  = flag.Duration("admit-max-wait", 600*time.Millisecond, "cap on how long one admitted serve may queue behind the pacer")
 		fetchDeadline = flag.Int("fetch-deadline", 0, "viewer playback horizon in chunk periods; chunks not fetched in time are abandoned (0 = retry forever)")
-		loadReport    = flag.Bool("load-report", true, "piggyback this node's load factor on inserts and chunk responses (steers capacity-weighted selection)")
 
 		// Replication & repair (see DESIGN.md, "Replication & repair").
 		replicas    = flag.Int("replicas", 2, "index replication factor: successors mirroring each coordinator's entries (0 disables)")
@@ -92,13 +85,10 @@ func main() {
 
 		// Ring census & split-brain merge (see DESIGN.md, "Partitions &
 		// ring merge").
-		censusEvery  = flag.Duration("census-every", 2*time.Second, "ring-census period probing cached members outside the ring view (0 disables split-brain detection)")
-		censusProbes = flag.Int("census-probes", 2, "cached members probed per census round")
-		memberCache  = flag.Int("member-cache", 128, "bounded cache of previously-seen ring members feeding the census")
+		censusEvery = flag.Duration("census-every", 2*time.Second, "ring-census period probing cached members outside the ring view (0 disables split-brain detection)")
 
 		// Pollution defense (see DESIGN.md, "Threat model & pollution
 		// defense").
-		manifestWindow      = flag.Int("manifest-window", 0, "verified chunk-manifest rows kept in memory (0 = default 4096)")
 		integrityQuarantine = flag.Float64("integrity-quarantine", 0, "integrity demerits that quarantine a peer; <0 disables quarantine (0 = default 3)")
 		quarantineTTL       = flag.Duration("quarantine-ttl", 0, "how long a quarantined peer stays excluded (0 = default 30s)")
 		insertRate          = flag.Float64("insert-rate", 0, "index registrations accepted per second per holder, burst 2x; <0 disables (0 = default 200)")
@@ -119,9 +109,6 @@ func main() {
 	if *dhtBackend != "" {
 		cfg.DHT = *dhtBackend
 	}
-	cfg.KadK = *kadK
-	cfg.KadAlpha = *kadAlpha
-	cfg.KadRefreshEvery = *kadRefresh
 	cfg.Source = *source
 	cfg.StartSeq = *startSeq
 	cfg.Channel = stream.Params{
@@ -141,26 +128,17 @@ func main() {
 	cfg.IOReadTimeout = *ioReadTimeout
 	cfg.IOWriteTimeout = *ioWriteTimeout
 	cfg.Hedge = *hedge
-	cfg.HedgeMinDelay = *hedgeMin
 	cfg.HedgeMaxDelay = *hedgeMax
-	cfg.HealthHalfLife = *healthHalf
-	cfg.HealthSuspect = *healthSuspect
 	cfg.UpBps = *upBps
 	cfg.AdmitQueue = *admitQueue
 	cfg.AdmitBurst = *admitBurst
 	cfg.AdmitMaxWait = *admitMaxWait
 	cfg.FetchDeadlineChunks = *fetchDeadline
-	cfg.LoadReport = *loadReport
 	cfg.Replicas = *replicas
 	cfg.ReplicateEvery = *replEvery
 	cfg.AntiEntropyEvery = *antiEntropy
 	cfg.IndexTTL = *indexTTL
 	cfg.CensusEvery = *censusEvery
-	cfg.CensusProbes = *censusProbes
-	cfg.MemberCacheSize = *memberCache
-	if *manifestWindow != 0 {
-		cfg.ManifestWindow = *manifestWindow
-	}
 	if *integrityQuarantine != 0 {
 		cfg.QuarantineThreshold = *integrityQuarantine
 	}

@@ -12,15 +12,13 @@ package main
 // generated from.
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"dco/internal/faulty"
 	"dco/internal/live"
-	"dco/internal/telemetry"
 	"dco/internal/transport"
 	"dco/internal/wire"
 )
@@ -63,22 +61,14 @@ type byzantineResult struct {
 }
 
 // runByzantineRun executes the shared scenario on one backend.
-func runByzantineRun(backend string, n int, chunks, seed int64) byzRunResult {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dcosim: byzantine(%s): %s\n", backend, fmt.Sprintf(format, args...))
-		os.Exit(1)
-	}
-
+func runByzantineRun(backend string, n int, chunks, seed int64) (*byzRunResult, error) {
 	cfg := live.DefaultNodeConfig()
+	live.FastLocalTimings(&cfg)
 	cfg.DHT = backend
 	cfg.Channel.Period = 60 * time.Millisecond
 	cfg.Channel.ChunkBits = 8 * 1024
 	cfg.Channel.Count = chunks
-	cfg.StabilizeEvery = 20 * time.Millisecond
-	cfg.FixFingersEvery = 10 * time.Millisecond
 	cfg.LookupWait = 250 * time.Millisecond
-	cfg.CallTimeout = 2 * time.Second
-	cfg.RepublishEvery = 500 * time.Millisecond
 	cfg.Replicas = 2
 	cfg.ReplicateEvery = 25 * time.Millisecond
 	cfg.AntiEntropyEvery = 250 * time.Millisecond
@@ -96,32 +86,13 @@ func runByzantineRun(backend string, n int, chunks, seed int64) byzRunResult {
 	// peer-to-peer serving — the regime pollution defense exists for.
 	cfg.UpBps = 2_000_000
 
-	f := transport.NewFabric()
 	in := faulty.NewInjector(uint64(seed))
-	regs := make([]*telemetry.Registry, 0, n)
-	mkNode := func(c live.Config) *live.Node {
-		reg := telemetry.NewRegistry()
-		c.Telemetry = reg
-		nd, err := live.NewNode(c, func(h transport.Handler) (transport.Transport, error) {
-			m := f.Attach(h)
-			m.SetMetrics(transport.NewMetrics(reg))
-			return in.Wrap(m), nil
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		regs = append(regs, reg)
-		return nd
+	s, err := live.NewSwarm(live.SwarmSpec{N: n, Base: cfg, Crowd: true, Wrap: in.Wrap})
+	if err != nil {
+		return nil, err
 	}
-
-	srcCfg := cfg
-	srcCfg.Source = true
-	src := mkNode(srcCfg)
-	viewers := make([]*live.Node, 0, n-1)
-	for i := 1; i < n; i++ {
-		viewers = append(viewers, mkNode(cfg))
-	}
-	all := append([]*live.Node{src}, viewers...)
+	defer s.Close()
+	viewers, all := s.Viewers(), s.Nodes
 
 	// The adversarial cohort: 25% of n. Five byzantine node roles on the
 	// first viewers in arrival order (deterministic), plus one active index
@@ -129,51 +100,20 @@ func runByzantineRun(backend string, n int, chunks, seed int64) byzRunResult {
 	// honest — it is the only origin of chunks, and a poisoning source
 	// tests chunk scarcity, not pollution defense.
 	if len(viewers) < 8 {
-		fail("n=%d too small for the byzantine cohort", n)
+		return nil, fmt.Errorf("n=%d too small for the byzantine cohort", n)
 	}
-	persistent := []*live.Node{viewers[0], viewers[1]}
-	everyK := []*live.Node{viewers[2], viewers[3]}
-	liar := viewers[4]
-	poisoners := append(append([]*live.Node{}, persistent...), everyK...)
-	for _, p := range persistent {
-		in.SetPoisoner(p.Addr(), 1)
+	poisoners, liar, honest := viewers[:4], viewers[4], viewers[5:]
+	for _, p := range poisoners[:2] {
+		in.SetPoisoner(p.Addr(), 1) // persistent
 	}
-	for _, p := range everyK {
-		in.SetPoisoner(p.Addr(), 3)
+	for _, p := range poisoners[2:] {
+		in.SetPoisoner(p.Addr(), 3) // every 3rd serve
 	}
 	in.SetLoadLiar(liar.Addr(), true)
-	adversarial := map[string]bool{liar.Addr(): true}
-	for _, p := range poisoners {
-		adversarial[p.Addr()] = true
-	}
-	honest := make([]*live.Node, 0, len(viewers))
-	for _, v := range viewers {
-		if !adversarial[v.Addr()] {
-			honest = append(honest, v)
-		}
-	}
 
-	src.Start()
 	start := time.Now()
-	var joinWG sync.WaitGroup
-	joinErr := make(chan error, len(viewers))
-	for _, nd := range viewers {
-		joinWG.Add(1)
-		go func(nd *live.Node) {
-			defer joinWG.Done()
-			if err := nd.Join(src.Addr()); err != nil {
-				joinErr <- err
-			}
-		}(nd)
-	}
-	joinWG.Wait()
-	select {
-	case err := <-joinErr:
-		fail("join: %v", err)
-	default:
-	}
-	for _, nd := range viewers {
-		nd.Start()
+	if err := s.Up(); err != nil {
+		return nil, err
 	}
 
 	// The index spammer: a bare endpoint flooding bogus registrations for
@@ -181,9 +121,13 @@ func runByzantineRun(backend string, n int, chunks, seed int64) byzRunResult {
 	// pays the rate-limit check). One fake holder identity keeps all the
 	// spam inside one token bucket per coordinator, concentrated enough to
 	// blow through the per-holder rate on the owners of popular keys.
-	spamTr := f.Attach(transport.HandlerFunc(func(string, wire.Message) wire.Message {
+	spamTr, err := s.Attach(transport.HandlerFunc(func(string, wire.Message) wire.Message {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "spammer serves nothing"}
 	}))
+	if err != nil {
+		return nil, err
+	}
+	defer spamTr.Close()
 	targets := make([]string, 0, len(all))
 	for _, nd := range all {
 		targets = append(targets, nd.Addr())
@@ -202,59 +146,44 @@ func runByzantineRun(backend string, n int, chunks, seed int64) byzRunResult {
 		})
 	}()
 
-	// Run until every viewer has resolved every chunk — fetched or (past
-	// its playback horizon) abandoned. Adversarial viewers resolve too:
-	// their inbound path is clean, only what they serve is bent.
-	streamDeadline := time.Now().Add(3 * time.Minute)
-	for {
-		done := true
-		for _, v := range viewers {
-			if int64(v.ChunkCount())+int64(v.Stats().ChunksAbandoned) < chunks {
-				done = false
-				break
-			}
-		}
-		if done || time.Now().After(streamDeadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// Adversarial viewers resolve too: their inbound path is clean, only
+	// what they serve is bent.
+	awaitResolved(s, 3*time.Minute, chunks)
 	wall := time.Since(start)
 	close(stopSpam)
 	<-spamDone
 
-	res := byzRunResult{Backend: backend, WallSeconds: wall.Seconds(), PoisonersTotal: len(poisoners)}
-	res.DeliveredPercentHonest = 100
-	for _, v := range honest {
-		p := 100 * float64(v.ChunkCount()) / float64(chunks)
-		if p < res.DeliveredPercentHonest {
-			res.DeliveredPercentHonest = p
-		}
-	}
-	// The absolute gate: nothing polluted in any buffer, anywhere — the
-	// adversarial nodes' own buffers included (they fetch clean bytes; the
-	// injector bends only what they serve).
-	for _, nd := range all {
-		res.PollutedAccepted += nd.VerifyBuffered()
-	}
-	for _, v := range honest {
-		st := v.Stats()
-		res.IntegrityRejects += st.IntegrityRejects
-		res.LoadReportsClamped += st.LoadReportsClamped
-		res.ManifestFetches += st.ManifestFetches
-	}
 	// Coordinator-side state lives wherever the key (or report rendezvous)
 	// owner is — sum over everyone, the quarantine union included: the
 	// adversarial nodes run unmodified coordinator code (the injector only
 	// bends what they serve), so their quarantine verdicts are the honest
 	// defense working, not the adversary's word.
+	tot, honestTot := live.SumStats(all), live.SumStats(honest)
+	fetch := s.Snapshot().Histograms["dco_live_chunk_fetch_seconds"]
+	res := &byzRunResult{
+		Backend:                backend,
+		WallSeconds:            wall.Seconds(),
+		DeliveredPercentHonest: live.MinDelivered(honest, chunks),
+		Fetches:                fetch.Count,
+		FetchP50:               live.HistQuantile(fetch, 0.50),
+		FetchP95:               live.HistQuantile(fetch, 0.95),
+		FetchP99:               live.HistQuantile(fetch, 0.99),
+		IntegrityRejects:       honestTot.IntegrityRejects,
+		PeersQuarantined:       tot.PeersQuarantined,
+		PoisonersTotal:         len(poisoners),
+		InsertsRateLimited:     tot.InsertsRateLimited,
+		InsertsRejected:        tot.InsertsRejected,
+		PollutionReports:       tot.PollutionReportsSeen,
+		LoadReportsClamped:     honestTot.LoadReportsClamped,
+		ManifestFetches:        honestTot.ManifestFetches,
+		Injected:               in.Injected(),
+	}
+	// The absolute gate: nothing polluted in any buffer, anywhere — the
+	// adversarial nodes' own buffers included (they fetch clean bytes; the
+	// injector bends only what they serve).
 	quarUnion := map[string]bool{}
 	for _, nd := range all {
-		st := nd.Stats()
-		res.PeersQuarantined += st.PeersQuarantined
-		res.InsertsRateLimited += st.InsertsRateLimited
-		res.InsertsRejected += st.InsertsRejected
-		res.PollutionReports += st.PollutionReportsSeen
+		res.PollutedAccepted += nd.VerifyBuffered()
 		for _, a := range nd.EverQuarantined() {
 			quarUnion[a] = true
 		}
@@ -263,18 +192,15 @@ func runByzantineRun(backend string, n int, chunks, seed int64) byzRunResult {
 		res.QuarantinedUnion = append(res.QuarantinedUnion, a)
 	}
 	sort.Strings(res.QuarantinedUnion)
-	for _, p := range poisoners {
-		if quarUnion[p.Addr()] {
-			res.PoisonersCaught++
-		}
-	}
-	res.Injected = in.Injected()
 	// Per-poisoner exposure: how many poisoned serves each actually landed
 	// and on how many distinct victims — the raw material for quarantine.
 	// PoisonStats, not History: the soak's call volume floods the bounded
 	// history log with Pass records, evicting early Poisoned entries.
 	stats := in.PoisonStats()
 	for _, p := range poisoners {
+		if quarUnion[p.Addr()] {
+			res.PoisonersCaught++
+		}
 		total := 0
 		for _, k := range stats[p.Addr()] {
 			total += k
@@ -282,37 +208,13 @@ func runByzantineRun(backend string, n int, chunks, seed int64) byzRunResult {
 		fmt.Printf("  poisoner %s: %d poisoned serves to %d distinct victims (quarantined=%v)\n",
 			p.Addr(), total, len(stats[p.Addr()]), quarUnion[p.Addr()])
 	}
-
-	var bounds []float64
-	var counts []uint64
-	for _, reg := range regs {
-		snap := reg.Snapshot()
-		h, ok := snap.Histograms["dco_live_chunk_fetch_seconds"]
-		if !ok {
-			continue
-		}
-		if bounds == nil {
-			bounds = h.Bounds
-			counts = make([]uint64, len(h.Counts))
-		}
-		for i, c := range h.Counts {
-			counts[i] += c
-		}
-		res.Fetches += h.Count
-	}
-	if res.Fetches > 0 {
-		res.FetchP50 = histQuantileInterp(bounds, counts, res.Fetches, 0.50)
-		res.FetchP95 = histQuantileInterp(bounds, counts, res.Fetches, 0.95)
-		res.FetchP99 = histQuantileInterp(bounds, counts, res.Fetches, 0.99)
-	}
-
-	res.WedgedWorkers = closeAllWatched(all, 15*time.Second)
-	return res
+	res.WedgedWorkers = s.Close()
+	return res, nil
 }
 
-// runByzantine executes the pollution soak on both backends and exits the
-// process.
-func runByzantine(n int, chunks, seed int64, jsonOut string) {
+// runByzantine executes the pollution soak on both backends.
+func runByzantine(a liveArgs) (any, error) {
+	n, chunks, seed := a.n, a.chunks, a.seed
 	if n < 24 {
 		fmt.Printf("byzantine: raising n=%d to the scenario floor of 24\n", n)
 		n = 24
@@ -321,7 +223,10 @@ func runByzantine(n int, chunks, seed int64, jsonOut string) {
 	for _, backend := range []string{"chord", "kademlia"} {
 		fmt.Printf("--- backend=%s n=%d chunks=%d (2 persistent poisoners, 2 every-3rd poisoners, 1 load liar, 1 index spammer)\n",
 			backend, n, chunks)
-		r := runByzantineRun(backend, n, chunks, seed)
+		r, err := runByzantineRun(backend, n, chunks, seed)
+		if err != nil {
+			return nil, fmt.Errorf("backend %s: %w", backend, err)
+		}
 		fmt.Printf("wall time:                %v\n", time.Duration(r.WallSeconds*float64(time.Second)).Round(time.Millisecond))
 		fmt.Printf("delivered (min honest):   %.2f%%\n", r.DeliveredPercentHonest)
 		fmt.Printf("fetches:                  %d (p50=%.3fs p95=%.3fs p99=%.3fs)\n", r.Fetches, r.FetchP50, r.FetchP95, r.FetchP99)
@@ -331,55 +236,39 @@ func runByzantine(n int, chunks, seed int64, jsonOut string) {
 			r.InsertsRateLimited, r.InsertsRejected, r.PollutionReports)
 		fmt.Printf("load reports clamped:     %d  manifest fetches: %d\n", r.LoadReportsClamped, r.ManifestFetches)
 		fmt.Printf("wedged workers:           %d  injected: %d\n", r.WedgedWorkers, r.Injected)
-		res.Runs = append(res.Runs, r)
-	}
-
-	if jsonOut != "" {
-		if err := writeJSONAny(jsonOut, res); err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: json: %v\n", err)
-			os.Exit(1)
-		}
+		res.Runs = append(res.Runs, *r)
 	}
 
 	// Acceptance: honest delivery holds, the choke point is absolute,
 	// every poisoner got caught, the hardening visibly fired, and nothing
 	// wedged.
-	bad := false
+	var failed []error
 	for _, r := range res.Runs {
 		if r.DeliveredPercentHonest < 95 {
-			fmt.Fprintf(os.Stderr, "dcosim: byzantine: backend %s honest delivery %.2f%% < 95%%\n", r.Backend, r.DeliveredPercentHonest)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s honest delivery %.2f%% < 95%%", r.Backend, r.DeliveredPercentHonest))
 		}
 		if r.PollutedAccepted != 0 {
-			fmt.Fprintf(os.Stderr, "dcosim: byzantine: backend %s accepted %d polluted chunks into buffers\n", r.Backend, r.PollutedAccepted)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s accepted %d polluted chunks into buffers", r.Backend, r.PollutedAccepted))
 		}
 		if r.PoisonersCaught < r.PoisonersTotal {
-			fmt.Fprintf(os.Stderr, "dcosim: byzantine: backend %s quarantined only %d/%d poisoners\n", r.Backend, r.PoisonersCaught, r.PoisonersTotal)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s quarantined only %d/%d poisoners", r.Backend, r.PoisonersCaught, r.PoisonersTotal))
 		}
 		// No false positives: only the peers that actually served polluted
 		// bytes may be quarantined. The load liar and the spammer degrade
 		// service but never pollute; honest peers must never be slandered
 		// into exclusion.
 		if len(r.QuarantinedUnion) > r.PoisonersCaught {
-			fmt.Fprintf(os.Stderr, "dcosim: byzantine: backend %s quarantined a non-poisoner: %v\n", r.Backend, r.QuarantinedUnion)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s quarantined a non-poisoner: %v", r.Backend, r.QuarantinedUnion))
 		}
 		if r.IntegrityRejects == 0 {
-			fmt.Fprintf(os.Stderr, "dcosim: byzantine: backend %s saw no integrity rejects; the poisoners never fired\n", r.Backend)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s saw no integrity rejects; the poisoners never fired", r.Backend))
 		}
 		if r.InsertsRateLimited == 0 {
-			fmt.Fprintf(os.Stderr, "dcosim: byzantine: backend %s never rate-limited the spammer\n", r.Backend)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s never rate-limited the spammer", r.Backend))
 		}
 		if r.WedgedWorkers != 0 {
-			fmt.Fprintf(os.Stderr, "dcosim: byzantine: backend %s left %d wedged workers\n", r.Backend, r.WedgedWorkers)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s left %d wedged workers", r.Backend, r.WedgedWorkers))
 		}
 	}
-	if bad {
-		os.Exit(1)
-	}
+	return res, errors.Join(failed...)
 }

@@ -12,13 +12,11 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
-	"sync"
 	"time"
 
 	"dco/internal/live"
-	"dco/internal/telemetry"
-	"dco/internal/transport"
 )
 
 // dhtBackendResult is one backend's run. Field names are stable —
@@ -32,7 +30,7 @@ type dhtBackendResult struct {
 	// dco_dht_lookup_hops histogram.
 	Lookups     uint64            `json:"lookups"`
 	HopMean     float64           `json:"hop_mean"`
-	HopP50      float64           `json:"hop_p50"`
+	HopP50      float64           `json:"hop_p50"` // whole hops: the quantile rounded up
 	HopP95      float64           `json:"hop_p95"`
 	HopByBucket map[string]uint64 `json:"hops_by_bucket"`
 
@@ -58,205 +56,80 @@ type dhtCompareResult struct {
 	Backends []dhtBackendResult `json:"backends"`
 }
 
-// histQuantile estimates quantile q from cumulative bucket counts using
-// bucket upper bounds (the Prometheus convention).
-func histQuantile(bounds []float64, counts []uint64, total uint64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			if i < len(bounds) {
-				return bounds[i]
-			}
-			return bounds[len(bounds)-1] // +Inf bucket: report the last bound
-		}
-	}
-	return bounds[len(bounds)-1]
-}
-
-// runDHTBackend executes the shared scenario on one backend.
-func runDHTBackend(backend string, n int, chunks, seed int64) dhtBackendResult {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dcosim: dhtcompare(%s): %s\n", backend, fmt.Sprintf(format, args...))
-		os.Exit(1)
-	}
-	_ = seed // the scenario is deterministic up to scheduling; seed is recorded for provenance
-
+// runDHTBackend executes the shared scenario on one backend. The scenario
+// is deterministic up to scheduling; the seed is recorded for provenance
+// only.
+func runDHTBackend(backend string, n int, chunks int64) (*dhtBackendResult, error) {
 	cfg := live.DefaultNodeConfig()
+	live.FastLocalTimings(&cfg)
 	cfg.DHT = backend
 	cfg.Channel.Period = 60 * time.Millisecond
 	cfg.Channel.ChunkBits = 8 * 1024
 	cfg.Channel.Count = chunks
-	cfg.StabilizeEvery = 20 * time.Millisecond
-	cfg.FixFingersEvery = 10 * time.Millisecond
-	cfg.LookupWait = 500 * time.Millisecond
-	cfg.CallTimeout = 2 * time.Second
-	cfg.RepublishEvery = 500 * time.Millisecond
 	cfg.Replicas = 2
 	cfg.ReplicateEvery = 25 * time.Millisecond
 	cfg.AntiEntropyEvery = 250 * time.Millisecond
 
-	f := transport.NewFabric()
-	regs := make([]*telemetry.Registry, 0, n)
-	mkNode := func(c live.Config) *live.Node {
-		reg := telemetry.NewRegistry()
-		c.Telemetry = reg
-		nd, err := live.NewNode(c, func(h transport.Handler) (transport.Transport, error) {
-			m := f.Attach(h)
-			m.SetMetrics(transport.NewMetrics(reg))
-			return m, nil
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		regs = append(regs, reg)
-		return nd
-	}
-
-	srcCfg := cfg
-	srcCfg.Source = true
-	src := mkNode(srcCfg)
-	viewers := make([]*live.Node, 0, n-1)
-	for i := 1; i < n; i++ {
-		viewers = append(viewers, mkNode(cfg))
-	}
-	all := append([]*live.Node{src}, viewers...)
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
-
 	// Flash-crowd arrival: every viewer joins concurrently.
-	src.Start()
+	s, err := live.NewSwarm(live.SwarmSpec{N: n, Base: cfg, Crowd: true})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 	start := time.Now()
-	var joinWG sync.WaitGroup
-	joinErr := make(chan error, len(viewers))
-	for _, nd := range viewers {
-		joinWG.Add(1)
-		go func(nd *live.Node) {
-			defer joinWG.Done()
-			if err := nd.Join(src.Addr()); err != nil {
-				joinErr <- err
-			}
-		}(nd)
-	}
-	joinWG.Wait()
-	select {
-	case err := <-joinErr:
-		fail("join: %v", err)
-	default:
-	}
-	for _, nd := range viewers {
-		nd.Start()
+	if err := s.Up(); err != nil {
+		return nil, err
 	}
 
 	// Mid-stream coordinator kill: a viewer in the middle of the arrival
 	// order. Recovery is measured by polling a survivor's lookup for the
 	// victim's own ID — the key most certainly inside the victim's range.
 	time.Sleep(time.Duration(chunks) * cfg.Channel.Period / 3)
-	victim := viewers[len(viewers)/2]
-	victimKey := victim.ID()
-	victimAddr := victim.Addr()
-	survivors := make([]*live.Node, 0, len(viewers)-1)
-	for _, v := range viewers {
-		if v != victim {
-			survivors = append(survivors, v)
-		}
-	}
+	victim := s.Viewers()[len(s.Viewers())/2]
+	survivors := live.Without(s.Viewers(), victim)
 	probe := survivors[0]
 	killAt := time.Now()
 	victim.Close()
-	recoveryDeadline := time.Now().Add(60 * time.Second)
-	for {
-		owner, _, err := probe.FindOwner(victimKey)
-		if err == nil && owner.Addr != victimAddr {
-			break
-		}
-		if time.Now().After(recoveryDeadline) {
-			fail("coordinator recovery did not complete within 60s")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := s.WaitUntil(60*time.Second, "a survivor to route the victim's keyspace to a live member", func() bool {
+		owner, _, err := probe.FindOwner(victim.ID())
+		return err == nil && owner.Addr != victim.Addr()
+	}); err != nil {
+		return nil, err
 	}
 	recovery := time.Since(killAt)
 
 	// Run the stream to completion on the survivors.
-	streamDeadline := time.Now().Add(3 * time.Minute)
-	for {
-		done := true
-		for _, v := range survivors {
-			if int64(v.ChunkCount()) < chunks {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		if time.Now().After(streamDeadline) {
-			fmt.Fprintf(os.Stderr, "dcosim: dhtcompare(%s): stream did not complete within the deadline\n", backend)
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := s.WaitUntil(3*time.Minute, "the stream to complete", func() bool {
+		return live.MinDelivered(survivors, chunks) >= 100
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "dcosim: dhtcompare(%s): %v\n", backend, err)
 	}
 	wall := time.Since(start)
 
-	res := dhtBackendResult{
-		Backend:         backend,
-		WallSeconds:     wall.Seconds(),
-		RecoverySeconds: recovery.Seconds(),
-		HopByBucket:     map[string]uint64{},
-	}
-	res.DeliveredPercent = 100
-	for _, v := range survivors {
-		p := 100 * float64(v.ChunkCount()) / float64(chunks)
-		if p < res.DeliveredPercent {
-			res.DeliveredPercent = p
-		}
-	}
-	for _, nd := range all {
-		st := nd.Stats()
-		res.Takeovers += st.IndexTakeovers
-		res.LookupFailures += st.LookupFailures
-	}
-
-	// Fold every node's registry: the hop histogram and the byte split.
-	var bounds []float64
-	var counts []uint64
-	var hopSum float64
-	for _, reg := range regs {
-		snap := reg.Snapshot()
-		if h, ok := snap.Histograms["dco_dht_lookup_hops"]; ok {
-			if bounds == nil {
-				bounds = h.Bounds
-				counts = make([]uint64, len(h.Counts))
-			}
-			for i, c := range h.Counts {
-				counts[i] += c
-			}
-			res.Lookups += h.Count
-			hopSum += h.Sum
-		}
-		total := snap.Counters["dco_transport_bytes_out_total"]
-		data := snap.Counters["dco_transport_data_bytes_out_total"]
-		res.ControlBytes += total - data
-		res.DataBytes += data
+	tot := live.SumStats(s.Nodes)
+	snap := s.Snapshot()
+	hops := snap.Histograms["dco_dht_lookup_hops"]
+	data := snap.Counters["dco_transport_data_bytes_out_total"]
+	res := &dhtBackendResult{
+		Backend:          backend,
+		WallSeconds:      wall.Seconds(),
+		DeliveredPercent: live.MinDelivered(survivors, chunks),
+		Lookups:          hops.Count,
+		HopByBucket:      map[string]uint64{},
+		ControlBytes:     snap.Counters["dco_transport_bytes_out_total"] - data,
+		DataBytes:        data,
+		RecoverySeconds:  recovery.Seconds(),
+		Takeovers:        tot.IndexTakeovers,
+		LookupFailures:   tot.LookupFailures,
 	}
 	if res.Lookups > 0 {
-		res.HopMean = hopSum / float64(res.Lookups)
-		res.HopP50 = histQuantile(bounds, counts, res.Lookups, 0.50)
-		res.HopP95 = histQuantile(bounds, counts, res.Lookups, 0.95)
+		res.HopMean = hops.Sum / float64(res.Lookups)
+		res.HopP50 = math.Ceil(live.HistQuantile(hops, 0.50))
+		res.HopP95 = math.Ceil(live.HistQuantile(hops, 0.95))
 	}
-	for i, c := range counts {
-		if i < len(bounds) {
-			res.HopByBucket[fmt.Sprintf("le_%g", bounds[i])] = c
+	for i, c := range hops.Counts {
+		if i < len(hops.Bounds) {
+			res.HopByBucket[fmt.Sprintf("le_%g", hops.Bounds[i])] = c
 		} else {
 			res.HopByBucket["le_inf"] = c
 		}
@@ -264,35 +137,31 @@ func runDHTBackend(backend string, n int, chunks, seed int64) dhtBackendResult {
 	if res.DataBytes > 0 {
 		res.OverheadRatio = float64(res.ControlBytes) / float64(res.DataBytes)
 	}
-	return res
+	return res, nil
 }
 
-// runDHTCompare executes the head-to-head benchmark and exits the process.
-func runDHTCompare(n int, chunks, seed int64, jsonOut string) {
-	res := dhtCompareResult{Method: "dhtcompare", N: n, Chunks: chunks, Seed: seed}
+// runDHTCompare executes the head-to-head benchmark.
+func runDHTCompare(a liveArgs) (any, error) {
+	res := dhtCompareResult{Method: "dhtcompare", N: a.n, Chunks: a.chunks, Seed: a.seed}
 	for _, backend := range []string{"chord", "kademlia"} {
-		fmt.Printf("--- backend=%s n=%d chunks=%d (flash-crowd join, coordinator kill at t/3)\n", backend, n, chunks)
-		b := runDHTBackend(backend, n, chunks, seed)
+		fmt.Printf("--- backend=%s n=%d chunks=%d (flash-crowd join, coordinator kill at t/3)\n", backend, a.n, a.chunks)
+		b, err := runDHTBackend(backend, a.n, a.chunks)
+		if err != nil {
+			return nil, fmt.Errorf("backend %s: %w", backend, err)
+		}
 		fmt.Printf("wall time:               %v\n", time.Duration(b.WallSeconds*float64(time.Second)).Round(time.Millisecond))
 		fmt.Printf("delivered (min viewer):  %.2f%%\n", b.DeliveredPercent)
 		fmt.Printf("lookups:                 %d (hops mean=%.2f p50=%g p95=%g)\n", b.Lookups, b.HopMean, b.HopP50, b.HopP95)
 		fmt.Printf("control bytes:           %d (data %d, overhead ratio %.3f)\n", b.ControlBytes, b.DataBytes, b.OverheadRatio)
 		fmt.Printf("coordinator recovery:    %v (takeovers %d, lookup failures %d)\n",
 			time.Duration(b.RecoverySeconds*float64(time.Second)).Round(time.Millisecond), b.Takeovers, b.LookupFailures)
-		res.Backends = append(res.Backends, b)
-	}
-
-	if jsonOut != "" {
-		if err := writeJSONAny(jsonOut, res); err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: json: %v\n", err)
-			os.Exit(1)
-		}
+		res.Backends = append(res.Backends, *b)
 	}
 	for _, b := range res.Backends {
 		if b.DeliveredPercent < 95 || b.Lookups == 0 || b.DataBytes == 0 {
-			fmt.Fprintf(os.Stderr, "dcosim: dhtcompare: backend %s failed acceptance (delivered=%.2f lookups=%d data=%d)\n",
+			return res, fmt.Errorf("backend %s failed acceptance (delivered=%.2f lookups=%d data=%d)",
 				b.Backend, b.DeliveredPercent, b.Lookups, b.DataBytes)
-			os.Exit(1)
 		}
 	}
+	return res, nil
 }

@@ -11,11 +11,9 @@ package main
 import (
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"dco/internal/live"
-	"dco/internal/transport"
 )
 
 // flashResult is the -json schema of a flash-crowd run. Field names are
@@ -38,127 +36,69 @@ type flashResult struct {
 	Abandoned        uint64  `json:"chunks_abandoned"`
 }
 
-// runFlashCrowd executes the flash-crowd benchmark and exits the process.
-func runFlashCrowd(n int, chunks, srcUpBps int64, jsonOut string) {
+// runFlashCrowd executes the flash-crowd benchmark.
+func runFlashCrowd(a liveArgs) (any, error) {
 	const chunkBytes = 1024
+	chunks, srcUpBps := a.chunks, a.srcUpBps
 	cfg := live.DefaultNodeConfig()
+	live.FastLocalTimings(&cfg)
 	cfg.Channel.Period = 150 * time.Millisecond
 	cfg.Channel.ChunkBits = chunkBytes * 8
 	cfg.Channel.Count = chunks
-	cfg.StabilizeEvery = 20 * time.Millisecond
-	cfg.FixFingersEvery = 10 * time.Millisecond
-	cfg.LookupWait = 500 * time.Millisecond
-	cfg.CallTimeout = 2 * time.Second
-	cfg.RepublishEvery = 500 * time.Millisecond
 	cfg.FetchDeadlineChunks = 150
 
-	f := transport.NewFabric()
-	attach := func(h transport.Handler) (transport.Transport, error) {
-		return f.Attach(h), nil
-	}
-	srcCfg := cfg
-	srcCfg.Source = true
-	srcCfg.UpBps = srcUpBps
-	srcCfg.AdmitQueue = 8
-	src, err := live.NewNode(srcCfg, attach)
+	// The crowd: every viewer joins the running source at once.
+	s, err := live.NewSwarm(live.SwarmSpec{
+		N: a.n, Base: cfg, Crowd: true,
+		Tune: func(i int, c *live.Config) {
+			if i == 0 {
+				c.UpBps = srcUpBps
+				c.AdmitQueue = 8
+			}
+		},
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcosim: flashcrowd: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	viewers := make([]*live.Node, 0, n-1)
-	for i := 1; i < n; i++ {
-		nd, err := live.NewNode(cfg, attach)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: flashcrowd: %v\n", err)
-			os.Exit(1)
-		}
-		viewers = append(viewers, nd)
-	}
-	all := append([]*live.Node{src}, viewers...)
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
-
-	src.Start()
+	defer s.Close()
 	start := time.Now()
-	// The crowd: every viewer joins and starts fetching concurrently.
-	var wg sync.WaitGroup
-	var joinErr error
-	var joinMu sync.Mutex
-	for _, nd := range viewers {
-		wg.Add(1)
-		go func(nd *live.Node) {
-			defer wg.Done()
-			if err := nd.Join(src.Addr()); err != nil {
-				joinMu.Lock()
-				joinErr = err
-				joinMu.Unlock()
-				return
-			}
-			nd.Start()
-		}(nd)
+	if err := s.Up(); err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	joinDur := time.Since(start)
-	if joinErr != nil {
-		fmt.Fprintf(os.Stderr, "dcosim: flashcrowd: join: %v\n", joinErr)
-		os.Exit(1)
-	}
 
-	deadline := time.Now().Add(3 * time.Minute)
-	want := chunks * 95 / 100
-	for {
-		done := true
-		for _, v := range viewers {
-			if int64(v.ChunkCount()) < want {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "dcosim: flashcrowd: stream did not complete within the deadline\n")
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := s.WaitUntil(3*time.Minute, "the stream to complete", func() bool {
+		return live.MinDelivered(s.Viewers(), chunks) >= 95
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "dcosim: flashcrowd: %v\n", err)
 	}
 	wall := time.Since(start)
 
-	res := flashResult{
-		Method:      "flashcrowd",
-		N:           n,
-		Chunks:      chunks,
-		SourceUpBps: srcUpBps,
-		JoinSeconds: joinDur.Seconds(),
-		WallSeconds: wall.Seconds(),
-	}
-	srcStats := src.Stats()
-	res.SourceServed = srcStats.ChunksServed
-	res.SourceBytes = srcStats.ChunksServed * chunkBytes
+	srcStats := s.Source().Stats()
+	crowd := live.SumStats(s.Viewers())
 	burst := float64(4 * chunkBytes)
 	if q := float64(srcUpBps) / 8 / 4; q > burst {
 		burst = q
 	}
-	res.BudgetBytes = float64(srcUpBps)/8*wall.Seconds() + burst
-	res.Sheds = srcStats.ChunksShedBusy
-	res.PacedServes = srcStats.PacedServes
-	res.DeliveredPercent = 100
-	for _, v := range viewers {
-		p := 100 * float64(v.ChunkCount()) / float64(chunks)
-		if p < res.DeliveredPercent {
-			res.DeliveredPercent = p
-		}
-		st := v.Stats()
-		res.BusyNacks += st.BusyNacksSeen
-		res.HintlessNacks += st.BusyNacksHintless
-		res.Abandoned += st.ChunksAbandoned
+	res := flashResult{
+		Method:           "flashcrowd",
+		N:                a.n,
+		Chunks:           chunks,
+		SourceUpBps:      srcUpBps,
+		JoinSeconds:      joinDur.Seconds(),
+		WallSeconds:      wall.Seconds(),
+		DeliveredPercent: live.MinDelivered(s.Viewers(), chunks),
+		SourceServed:     srcStats.ChunksServed,
+		SourceBytes:      srcStats.ChunksServed * chunkBytes,
+		BudgetBytes:      float64(srcUpBps)/8*wall.Seconds() + burst,
+		Sheds:            srcStats.ChunksShedBusy,
+		PacedServes:      srcStats.PacedServes,
+		BusyNacks:        crowd.BusyNacksSeen,
+		HintlessNacks:    crowd.BusyNacksHintless,
+		Abandoned:        crowd.ChunksAbandoned,
 	}
 
-	fmt.Printf("method=flashcrowd n=%d chunks=%d source_upbps=%d\n", n, chunks, srcUpBps)
+	fmt.Printf("method=flashcrowd n=%d chunks=%d source_upbps=%d\n", a.n, chunks, srcUpBps)
 	fmt.Printf("crowd join time:         %v\n", joinDur.Round(time.Millisecond))
 	fmt.Printf("wall time:               %v\n", wall.Round(time.Millisecond))
 	fmt.Printf("delivered (min viewer):  %.2f%%\n", res.DeliveredPercent)
@@ -168,13 +108,13 @@ func runFlashCrowd(n int, chunks, srcUpBps int64, jsonOut string) {
 	fmt.Printf("busy nacks at viewers:   %d (%d without retry hint)\n", res.BusyNacks, res.HintlessNacks)
 	fmt.Printf("chunks abandoned:        %d\n", res.Abandoned)
 
-	if jsonOut != "" {
-		if err := writeJSONAny(jsonOut, res); err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: json: %v\n", err)
-			os.Exit(1)
-		}
+	switch {
+	case res.DeliveredPercent < 95:
+		return res, fmt.Errorf("delivered %.2f%% < 95%%", res.DeliveredPercent)
+	case res.HintlessNacks > 0:
+		return res, fmt.Errorf("%d Busy nacks carried no retry hint", res.HintlessNacks)
+	case float64(res.SourceBytes) > res.BudgetBytes:
+		return res, fmt.Errorf("source served %d bytes, over its paced budget of %.0f", res.SourceBytes, res.BudgetBytes)
 	}
-	if res.DeliveredPercent < 95 || res.HintlessNacks > 0 || float64(res.SourceBytes) > res.BudgetBytes {
-		os.Exit(1)
-	}
+	return res, nil
 }

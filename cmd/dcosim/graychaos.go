@@ -12,15 +12,12 @@ package main
 // what BENCH_PR9.json is generated from.
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"dco/internal/faulty"
 	"dco/internal/live"
-	"dco/internal/telemetry"
-	"dco/internal/transport"
 )
 
 // grayRunResult is one (backend, hedge) column. Field names are stable —
@@ -60,140 +57,49 @@ type grayChaosResult struct {
 	P99CutPercent map[string]float64 `json:"p99_cut_percent"`
 }
 
-// histQuantileInterp estimates quantile q from cumulative bucket counts
-// with linear interpolation inside the winning bucket (the Prometheus
-// histogram_quantile estimator). The +Inf bucket reports the last finite
-// bound — quantiles cannot exceed what the buckets can resolve.
-func histQuantileInterp(bounds []float64, counts []uint64, total uint64, q float64) float64 {
-	if total == 0 || len(bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		prev := cum
-		cum += c
-		if float64(cum) >= rank {
-			if i >= len(bounds) {
-				return bounds[len(bounds)-1]
+// awaitResolved runs the stream until every viewer has resolved every
+// chunk — fetched or (past its playback horizon) abandoned — or d passes;
+// running out of time is judged by the scenario's delivery gate, not here.
+func awaitResolved(s *live.Swarm, d time.Duration, chunks int64) {
+	_ = s.WaitUntil(d, "every chunk to be fetched or abandoned", func() bool {
+		for _, v := range s.Viewers() {
+			if int64(v.ChunkCount())+int64(v.Stats().ChunksAbandoned) < chunks {
+				return false
 			}
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			if c == 0 {
-				return bounds[i]
-			}
-			frac := (rank - float64(prev)) / float64(c)
-			return lo + frac*(bounds[i]-lo)
 		}
-	}
-	return bounds[len(bounds)-1]
-}
-
-// closeAllWatched closes every node concurrently with a per-node watchdog
-// and returns how many failed to close inside the grace window — each one
-// is a wedged worker (a goroutine stuck past every timeout the defense
-// layer is supposed to enforce).
-func closeAllWatched(nodes []*live.Node, grace time.Duration) int {
-	done := make(chan struct{}, len(nodes))
-	for _, nd := range nodes {
-		go func(nd *live.Node) {
-			nd.Close()
-			done <- struct{}{}
-		}(nd)
-	}
-	closed := 0
-	timer := time.NewTimer(grace)
-	defer timer.Stop()
-	for closed < len(nodes) {
-		select {
-		case <-done:
-			closed++
-		case <-timer.C:
-			return len(nodes) - closed
-		}
-	}
-	return 0
+		return true
+	})
 }
 
 // runGrayRun executes the shared scenario on one backend with hedging on
 // or off.
-func runGrayRun(backend string, hedge bool, n int, chunks, seed int64) grayRunResult {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dcosim: graychaos(%s,hedge=%v): %s\n", backend, hedge, fmt.Sprintf(format, args...))
-		os.Exit(1)
-	}
-
+func runGrayRun(backend string, hedge bool, n int, chunks, seed int64) (*grayRunResult, error) {
 	cfg := live.DefaultNodeConfig()
+	live.FastLocalTimings(&cfg)
 	cfg.DHT = backend
 	cfg.Channel.Period = 60 * time.Millisecond
 	cfg.Channel.ChunkBits = 8 * 1024
 	cfg.Channel.Count = chunks
-	cfg.StabilizeEvery = 20 * time.Millisecond
-	cfg.FixFingersEvery = 10 * time.Millisecond
 	cfg.LookupWait = 250 * time.Millisecond
-	cfg.CallTimeout = 2 * time.Second
-	cfg.RepublishEvery = 500 * time.Millisecond
 	cfg.Replicas = 2
 	cfg.ReplicateEvery = 25 * time.Millisecond
 	cfg.AntiEntropyEvery = 250 * time.Millisecond
 	cfg.Hedge = hedge
-	cfg.HedgeMinDelay = 20 * time.Millisecond
-	cfg.HedgeMaxDelay = 300 * time.Millisecond
 	// A generous playback horizon (200 periods = 12s): deadline propagation
 	// stays live on every call without abandoning chunks a defended fetch
 	// could still land.
 	cfg.FetchDeadlineChunks = 200
 
-	f := transport.NewFabric()
 	in := faulty.NewInjector(uint64(seed))
-	regs := make([]*telemetry.Registry, 0, n)
-	mkNode := func(c live.Config) *live.Node {
-		reg := telemetry.NewRegistry()
-		c.Telemetry = reg
-		nd, err := live.NewNode(c, func(h transport.Handler) (transport.Transport, error) {
-			m := f.Attach(h)
-			m.SetMetrics(transport.NewMetrics(reg))
-			return in.Wrap(m), nil
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		regs = append(regs, reg)
-		return nd
+	s, err := live.NewSwarm(live.SwarmSpec{N: n, Base: cfg, Crowd: true, Wrap: in.Wrap})
+	if err != nil {
+		return nil, err
 	}
-
-	srcCfg := cfg
-	srcCfg.Source = true
-	src := mkNode(srcCfg)
-	viewers := make([]*live.Node, 0, n-1)
-	for i := 1; i < n; i++ {
-		viewers = append(viewers, mkNode(cfg))
-	}
-	all := append([]*live.Node{src}, viewers...)
-
-	src.Start()
+	defer s.Close()
+	viewers := s.Viewers()
 	start := time.Now()
-	var joinWG sync.WaitGroup
-	joinErr := make(chan error, len(viewers))
-	for _, nd := range viewers {
-		joinWG.Add(1)
-		go func(nd *live.Node) {
-			defer joinWG.Done()
-			if err := nd.Join(src.Addr()); err != nil {
-				joinErr <- err
-			}
-		}(nd)
-	}
-	joinWG.Wait()
-	select {
-	case err := <-joinErr:
-		fail("join: %v", err)
-	default:
-	}
-	for _, nd := range viewers {
-		nd.Start()
+	if err := s.Up(); err != nil {
+		return nil, err
 	}
 
 	// Mid-stream, turn a deterministic slice of the viewers gray. The
@@ -201,22 +107,12 @@ func runGrayRun(backend string, hedge bool, n int, chunks, seed int64) grayRunRe
 	// origin tests chunk scarcity, not gray-failure defense. The three sets
 	// are disjoint slices of the arrival order.
 	time.Sleep(time.Duration(chunks) * cfg.Channel.Period / 3)
-	stallN := n / 6
-	if stallN < 3 {
-		stallN = 3
-	}
-	slowN := n / 12
-	if slowN < 2 {
-		slowN = 2
-	}
-	oneN := n / 12
-	if oneN < 2 {
-		oneN = 2
-	}
+	stallN := max(n/6, 3)
+	slowN := max(n/12, 2)
+	oneN := max(n/12, 2)
 	if stallN+slowN+oneN > len(viewers) {
-		fail("n=%d too small for the gray sets (%d needed)", n, stallN+slowN+oneN+1)
+		return nil, fmt.Errorf("n=%d too small for the gray sets (%d needed)", n, stallN+slowN+oneN+1)
 	}
-	grayAt := time.Now()
 	for _, v := range viewers[:stallN] {
 		in.SetMidFrameStall(v.Addr(), true)
 	}
@@ -226,109 +122,64 @@ func runGrayRun(backend string, hedge bool, n int, chunks, seed int64) grayRunRe
 	// One-way: everyone else loses the path TO these viewers while the
 	// viewers' own outbound calls (fetches, republishes — which re-advertise
 	// them as providers nobody can actually reach) keep flowing.
-	others := make([]string, 0, len(all))
-	onewayDst := make([]string, 0, oneN)
-	for _, v := range viewers[stallN+slowN : stallN+slowN+oneN] {
-		onewayDst = append(onewayDst, v.Addr())
-	}
-	for _, nd := range all {
-		skip := false
-		for _, d := range onewayDst {
-			if nd.Addr() == d {
-				skip = true
-				break
-			}
-		}
-		if !skip {
+	var others, onewayDst []string
+	for i, nd := range s.Nodes {
+		if v := i - 1; v >= stallN+slowN && v < stallN+slowN+oneN {
+			onewayDst = append(onewayDst, nd.Addr())
+		} else {
 			others = append(others, nd.Addr())
 		}
 	}
 	in.OneWay(others, onewayDst)
-	_ = grayAt
 
-	// Run the stream until every viewer has resolved every chunk — fetched
-	// or (past its playback horizon) abandoned. Gray viewers count too:
-	// their outbound data path still works.
-	streamDeadline := time.Now().Add(2 * time.Minute)
-	for {
-		done := true
-		for _, v := range viewers {
-			if int64(v.ChunkCount())+int64(v.Stats().ChunksAbandoned) < chunks {
-				done = false
-				break
-			}
-		}
-		if done || time.Now().After(streamDeadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// Gray viewers count too: their outbound data path still works.
+	awaitResolved(s, 2*time.Minute, chunks)
 	wall := time.Since(start)
 
-	res := grayRunResult{Backend: backend, Hedge: hedge, WallSeconds: wall.Seconds()}
-	res.DeliveredPercent = 100
-	for _, v := range viewers {
-		p := 100 * float64(v.ChunkCount()) / float64(chunks)
-		if p < res.DeliveredPercent {
-			res.DeliveredPercent = p
-		}
+	tot := live.SumStats(s.Nodes)
+	fetch := s.Snapshot().Histograms["dco_live_chunk_fetch_seconds"]
+	res := &grayRunResult{
+		Backend:          backend,
+		Hedge:            hedge,
+		WallSeconds:      wall.Seconds(),
+		DeliveredPercent: live.MinDelivered(viewers, chunks),
+		Fetches:          fetch.Count,
+		FetchP50:         live.HistQuantile(fetch, 0.50),
+		FetchP95:         live.HistQuantile(fetch, 0.95),
+		FetchP99:         live.HistQuantile(fetch, 0.99),
+		HedgesLaunched:   tot.HedgesLaunched,
+		HedgeWins:        tot.HedgeWins,
+		HedgesCancelled:  tot.HedgesCancelled,
+		DeadlineSheds:    tot.DeadlineSheds,
+		SuspectedPeers:   tot.SuspectedPeers,
+		LookupFailures:   tot.LookupFailures,
+		ChunksAbandoned:  tot.ChunksAbandoned,
+		Injected:         in.Injected(),
 	}
-	for _, nd := range all {
-		st := nd.Stats()
-		res.HedgesLaunched += st.HedgesLaunched
-		res.HedgeWins += st.HedgeWins
-		res.HedgesCancelled += st.HedgesCancelled
-		res.DeadlineSheds += st.DeadlineSheds
-		res.SuspectedPeers += st.SuspectedPeers
-		res.LookupFailures += st.LookupFailures
-		res.ChunksAbandoned += st.ChunksAbandoned
-	}
-	res.Injected = in.Injected()
-
-	var bounds []float64
-	var counts []uint64
-	for _, reg := range regs {
-		snap := reg.Snapshot()
-		h, ok := snap.Histograms["dco_live_chunk_fetch_seconds"]
-		if !ok {
-			continue
-		}
-		if bounds == nil {
-			bounds = h.Bounds
-			counts = make([]uint64, len(h.Counts))
-		}
-		for i, c := range h.Counts {
-			counts[i] += c
-		}
-		res.Fetches += h.Count
-	}
-	if res.Fetches > 0 {
-		res.FetchP50 = histQuantileInterp(bounds, counts, res.Fetches, 0.50)
-		res.FetchP95 = histQuantileInterp(bounds, counts, res.Fetches, 0.95)
-		res.FetchP99 = histQuantileInterp(bounds, counts, res.Fetches, 0.99)
-	}
-
 	// The wedge check: every node — gray ones included — must close inside
 	// the grace window. A fetch worker stuck past every deadline shows up
 	// here as a hung Close.
-	res.WedgedWorkers = closeAllWatched(all, 15*time.Second)
-	return res
+	res.WedgedWorkers = s.Close()
+	return res, nil
 }
 
-// runGrayChaos executes the gray-failure soak on both backends and exits
-// the process.
-func runGrayChaos(n int, chunks, seed int64, jsonOut string) {
+// runGrayChaos executes the gray-failure soak on both backends.
+func runGrayChaos(a liveArgs) (any, error) {
+	n, chunks, seed := a.n, a.chunks, a.seed
 	if n < 24 {
 		fmt.Printf("graychaos: raising n=%d to the scenario floor of 24\n", n)
 		n = 24
 	}
 	res := grayChaosResult{Method: "graychaos", N: n, Chunks: chunks, Seed: seed, P99CutPercent: map[string]float64{}}
 	for _, backend := range []string{"chord", "kademlia"} {
-		var off, on grayRunResult
+		var off, on *grayRunResult
 		for _, hedge := range []bool{false, true} {
 			fmt.Printf("--- backend=%s hedge=%v n=%d chunks=%d (slow lanes + mid-frame stalls + one-way partitions at t/3)\n",
 				backend, hedge, n, chunks)
-			r := runGrayRun(backend, hedge, n, chunks, seed)
+			r, err := runGrayRun(backend, hedge, n, chunks, seed)
+			if err != nil {
+				return nil, fmt.Errorf("backend %s hedge=%v: %w", backend, hedge, err)
+			}
 			fmt.Printf("wall time:              %v\n", time.Duration(r.WallSeconds*float64(time.Second)).Round(time.Millisecond))
 			fmt.Printf("delivered (min viewer): %.2f%%\n", r.DeliveredPercent)
 			fmt.Printf("fetches:                %d (p50=%.3fs p95=%.3fs p99=%.3fs)\n", r.Fetches, r.FetchP50, r.FetchP95, r.FetchP99)
@@ -341,7 +192,7 @@ func runGrayChaos(n int, chunks, seed int64, jsonOut string) {
 			} else {
 				off = r
 			}
-			res.Runs = append(res.Runs, r)
+			res.Runs = append(res.Runs, *r)
 		}
 		cut := 0.0
 		if off.FetchP99 > 0 {
@@ -352,39 +203,26 @@ func runGrayChaos(n int, chunks, seed int64, jsonOut string) {
 			backend, off.FetchP99, on.FetchP99, cut)
 	}
 
-	if jsonOut != "" {
-		if err := writeJSONAny(jsonOut, res); err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: json: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	// Acceptance: the defended runs deliver, nothing wedges anywhere, the
 	// faults actually fired, hedging actually engaged, and it bought ≥30%
 	// of p99 on both backends.
-	bad := false
+	var failed []error
 	for _, r := range res.Runs {
 		if r.Injected == 0 {
-			fmt.Fprintf(os.Stderr, "dcosim: graychaos: backend %s hedge=%v injected no faults; the run tested nothing\n", r.Backend, r.Hedge)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s hedge=%v injected no faults; the run tested nothing", r.Backend, r.Hedge))
 		}
 		if r.WedgedWorkers != 0 {
-			fmt.Fprintf(os.Stderr, "dcosim: graychaos: backend %s hedge=%v left %d wedged workers\n", r.Backend, r.Hedge, r.WedgedWorkers)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s hedge=%v left %d wedged workers", r.Backend, r.Hedge, r.WedgedWorkers))
 		}
 		if r.Hedge && (r.DeliveredPercent < 95 || r.HedgesLaunched == 0) {
-			fmt.Fprintf(os.Stderr, "dcosim: graychaos: backend %s failed acceptance (delivered=%.2f hedges=%d)\n",
-				r.Backend, r.DeliveredPercent, r.HedgesLaunched)
-			bad = true
+			failed = append(failed, fmt.Errorf("backend %s failed acceptance (delivered=%.2f hedges=%d)",
+				r.Backend, r.DeliveredPercent, r.HedgesLaunched))
 		}
 	}
-	for backend, cut := range res.P99CutPercent {
-		if cut < 30 {
-			fmt.Fprintf(os.Stderr, "dcosim: graychaos: backend %s p99 cut %.1f%% < 30%%\n", backend, cut)
-			bad = true
+	for _, backend := range []string{"chord", "kademlia"} {
+		if cut := res.P99CutPercent[backend]; cut < 30 {
+			failed = append(failed, fmt.Errorf("backend %s p99 cut %.1f%% < 30%%", backend, cut))
 		}
 	}
-	if bad {
-		os.Exit(1)
-	}
+	return res, errors.Join(failed...)
 }

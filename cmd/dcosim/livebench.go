@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"dco/internal/live"
-	"dco/internal/transport"
 )
 
 // liveResult is the -json schema of a live-stack run. Field names are
@@ -36,128 +35,81 @@ type liveResult struct {
 	ReplicateBytes   uint64  `json:"replicate_bytes"`
 	DigestBytes      uint64  `json:"digest_bytes"`
 	// InsertAmplification = (insert + replicate bytes) / insert bytes: how
-	// many times each index byte is written ring-wide. Bounded by r+1 —
-	// each op goes to the owner once and to at most r replicas.
+	// many times each index byte is written ring-wide. Bounded by
+	// amplificationBound.
 	InsertAmplification float64 `json:"insert_amplification"`
 }
 
-// runLive executes the live-stack benchmark and exits the process.
-func runLive(n int, chunks int64, replicas int, kill bool, jsonOut string) {
+// amplificationBound is the most index bytes the ring may write per Insert
+// byte at replication factor r. Each op goes to the owner once and to at
+// most r replicas; a replicated op travels with its seq's 64-byte manifest
+// row, which makes it 121 bytes on the wire against the 78-byte Insert
+// that caused it — under twice the size, hence 2r+1. (Before the manifest
+// rows a replicated op was the smaller message and the bound was r+1.)
+func amplificationBound(r int) float64 { return float64(2*r + 1) }
+
+// runLive executes the live-stack benchmark.
+func runLive(a liveArgs) (any, error) {
+	chunks, replicas := a.chunks, a.replicas
 	cfg := live.DefaultNodeConfig()
+	live.FastLocalTimings(&cfg)
 	cfg.Channel.Period = 30 * time.Millisecond
 	cfg.Channel.ChunkBits = 8 * 1024
 	cfg.Channel.Count = chunks
-	cfg.StabilizeEvery = 20 * time.Millisecond
-	cfg.FixFingersEvery = 10 * time.Millisecond
-	cfg.LookupWait = 500 * time.Millisecond
-	cfg.CallTimeout = 2 * time.Second
-	cfg.RepublishEvery = 500 * time.Millisecond
 	cfg.Replicas = replicas
 	cfg.ReplicateEvery = 25 * time.Millisecond
 	cfg.AntiEntropyEvery = 250 * time.Millisecond
 
-	f := transport.NewFabric()
-	attach := func(h transport.Handler) (transport.Transport, error) {
-		return f.Attach(h), nil
-	}
-	srcCfg := cfg
-	srcCfg.Source = true
-	src, err := live.NewNode(srcCfg, attach)
+	s, err := live.NewSwarm(live.SwarmSpec{N: a.n, Base: cfg})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcosim: live: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	var viewers []*live.Node
-	for i := 1; i < n; i++ {
-		nd, err := live.NewNode(cfg, attach)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: live: %v\n", err)
-			os.Exit(1)
-		}
-		if err := nd.Join(src.Addr()); err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: live: join: %v\n", err)
-			os.Exit(1)
-		}
-		viewers = append(viewers, nd)
-	}
+	defer s.Close()
 	start := time.Now()
-	src.Start()
-	for _, v := range viewers {
-		v.Start()
+	if err := s.Up(); err != nil {
+		return nil, err
 	}
-	all := append([]*live.Node{src}, viewers...)
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
 
 	// Optionally kill one viewer (= one coordinator: every member owns a
 	// slice of the key space) once the stream is under way.
-	watching := viewers
-	var victim *live.Node
-	if kill && len(viewers) > 2 {
+	watching := s.Viewers()
+	killed := a.kill && len(watching) > 2
+	if killed {
 		time.Sleep(time.Duration(chunks) * cfg.Channel.Period / 3)
-		victim = viewers[len(viewers)/2]
+		victim := watching[len(watching)/2]
 		victim.Close()
-		watching = nil
-		for _, v := range viewers {
-			if v != victim {
-				watching = append(watching, v)
-			}
-		}
+		watching = live.Without(watching, victim)
 	}
 
-	deadline := time.Now().Add(3 * time.Minute)
-	for {
-		done := true
-		for _, v := range watching {
-			if int64(v.ChunkCount()) < chunks {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "dcosim: live: stream did not complete within the deadline\n")
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := s.WaitUntil(3*time.Minute, "the stream to complete", func() bool {
+		return live.MinDelivered(watching, chunks) >= 100
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "dcosim: live: %v\n", err)
 	}
 	wall := time.Since(start)
 
+	tot := live.SumStats(s.Nodes)
 	res := liveResult{
-		Method:      "live",
-		N:           n,
-		Chunks:      chunks,
-		Replicas:    replicas,
-		KilledCoord: victim != nil,
-		WallSeconds: wall.Seconds(),
-	}
-	res.DeliveredPercent = 100
-	for _, v := range watching {
-		p := 100 * float64(v.ChunkCount()) / float64(chunks)
-		if p < res.DeliveredPercent {
-			res.DeliveredPercent = p
-		}
-	}
-	for _, nd := range all {
-		st := nd.Stats()
-		res.LookupFailures += st.LookupFailures
-		res.Takeovers += st.IndexTakeovers
-		res.ReplicaOps += st.ReplicaOpsApplied
-		res.DigestRepairs += st.DigestRepairs
-		res.IndexInsertBytes += st.IndexInsertBytes
-		res.ReplicateBytes += st.ReplicateBytes
-		res.DigestBytes += st.DigestBytes
+		Method:           "live",
+		N:                a.n,
+		Chunks:           chunks,
+		Replicas:         replicas,
+		KilledCoord:      killed,
+		WallSeconds:      wall.Seconds(),
+		DeliveredPercent: live.MinDelivered(watching, chunks),
+		LookupFailures:   tot.LookupFailures,
+		Takeovers:        tot.IndexTakeovers,
+		ReplicaOps:       tot.ReplicaOpsApplied,
+		DigestRepairs:    tot.DigestRepairs,
+		IndexInsertBytes: tot.IndexInsertBytes,
+		ReplicateBytes:   tot.ReplicateBytes,
+		DigestBytes:      tot.DigestBytes,
 	}
 	if res.IndexInsertBytes > 0 {
 		res.InsertAmplification = float64(res.IndexInsertBytes+res.ReplicateBytes) / float64(res.IndexInsertBytes)
 	}
 
-	fmt.Printf("method=live n=%d chunks=%d replicas=%d killed=%v\n", n, chunks, replicas, res.KilledCoord)
+	fmt.Printf("method=live n=%d chunks=%d replicas=%d killed=%v\n", a.n, chunks, replicas, res.KilledCoord)
 	fmt.Printf("wall time:               %v\n", wall.Round(time.Millisecond))
 	fmt.Printf("delivered (min viewer):  %.2f%%\n", res.DeliveredPercent)
 	fmt.Printf("lookup failures:         %d\n", res.LookupFailures)
@@ -166,15 +118,13 @@ func runLive(n int, chunks int64, replicas int, kill bool, jsonOut string) {
 	fmt.Printf("index insert bytes:      %d\n", res.IndexInsertBytes)
 	fmt.Printf("replication bytes:       %d\n", res.ReplicateBytes)
 	fmt.Printf("digest bytes:            %d\n", res.DigestBytes)
-	fmt.Printf("insert amplification:    %.2fx (bound: %dx)\n", res.InsertAmplification, replicas+1)
+	fmt.Printf("insert amplification:    %.2fx (bound: %gx)\n", res.InsertAmplification, amplificationBound(replicas))
 
-	if jsonOut != "" {
-		if err := writeJSONAny(jsonOut, res); err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: json: %v\n", err)
-			os.Exit(1)
-		}
+	if res.DeliveredPercent < 100 {
+		return res, fmt.Errorf("delivered %.2f%% < 100%%", res.DeliveredPercent)
 	}
-	if res.DeliveredPercent < 100 || (replicas > 0 && res.InsertAmplification >= float64(replicas+1)) {
-		os.Exit(1)
+	if replicas > 0 && res.InsertAmplification >= amplificationBound(replicas) {
+		return res, fmt.Errorf("insert amplification %.2fx reached its bound of %gx", res.InsertAmplification, amplificationBound(replicas))
 	}
+	return res, nil
 }

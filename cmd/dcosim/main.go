@@ -46,42 +46,20 @@ func main() {
 	)
 	flag.Parse()
 
-	if *method == "live" {
-		// The live method runs the real node stack, not the event kernel; it
-		// reports its own metrics and exits.
-		runLive(*n, *chunks, *replicas, *kill, *jsonOut)
-		return
-	}
-	if *method == "flashcrowd" {
-		// Also the real node stack: the admission-control stress scenario.
-		runFlashCrowd(*n, *chunks, *srcUpBps, *jsonOut)
-		return
-	}
-	if *method == "dhtcompare" {
-		// Also the real node stack: the same flash-crowd + coordinator-kill
-		// scenario run on both DHT backends, reporting lookup hops, control
-		// overhead, and recovery time side by side.
-		runDHTCompare(*n, *chunks, *seed, *jsonOut)
-		return
-	}
-	if *method == "graychaos" {
-		// Also the real node stack: a seeded mix of slow lanes, mid-frame
-		// stalls, and one-way partitions at t/3, on both backends, with
-		// hedging off then on — the gray-failure acceptance scenario.
-		runGrayChaos(*n, *chunks, *seed, *jsonOut)
-		return
-	}
-	if *method == "byzantine" {
-		// Also the real node stack: 25% of the swarm adversarial — chunk
-		// poisoners, a lying load reporter, and an index spammer — on both
-		// backends; the pollution-defense acceptance scenario.
-		runByzantine(*n, *chunks, *seed, *jsonOut)
-		return
-	}
-	if *method == "splitbrain" {
-		// Also the real node stack: partition the swarm mid-stream, heal,
-		// and measure the census-driven ring merge and fill recovery.
-		runSplitBrain(*n, *chunks, *seed, *jsonOut)
+	// The live methods run the real node stack (a live.Swarm), not the event
+	// kernel; each reports its own metrics and judges its own gate.
+	if run, ok := liveMethods[*method]; ok {
+		res, err := run(liveArgs{n: *n, chunks: *chunks, seed: *seed, replicas: *replicas, kill: *kill, srcUpBps: *srcUpBps})
+		if res != nil && *jsonOut != "" {
+			if jerr := writeJSON(*jsonOut, res); jerr != nil {
+				fmt.Fprintf(os.Stderr, "dcosim: json: %v\n", jerr)
+				os.Exit(1)
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dcosim: %s: %v\n", *method, err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -217,9 +195,7 @@ type simResult struct {
 	ReceivedPercent float64 `json:"received_percent"`
 }
 
-func writeJSON(path string, res simResult) error { return writeJSONAny(path, res) }
-
-func writeJSONAny(path string, res any) error {
+func writeJSON(path string, res any) error {
 	w := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
@@ -232,4 +208,26 @@ func writeJSONAny(path string, res any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(res)
+}
+
+// liveArgs are the flags the live methods read.
+type liveArgs struct {
+	n        int
+	chunks   int64
+	seed     int64
+	replicas int
+	kill     bool
+	srcUpBps int64
+}
+
+// liveMethods maps -method to its scenario. A scenario returns its -json
+// result (nil if the swarm could not be stood up) and an error when the
+// run or its gate failed; only main exits.
+var liveMethods = map[string]func(liveArgs) (any, error){
+	"live":       runLive,
+	"flashcrowd": runFlashCrowd,
+	"splitbrain": runSplitBrain,
+	"dhtcompare": runDHTCompare,
+	"graychaos":  runGrayChaos,
+	"byzantine":  runByzantine,
 }

@@ -10,15 +10,13 @@ package main
 // is generated from.
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"sort"
 	"time"
 
 	"dco/internal/faulty"
 	"dco/internal/live"
 	"dco/internal/retry"
-	"dco/internal/transport"
 )
 
 // splitResult is the -json schema of a splitbrain run. Field names are
@@ -39,33 +37,15 @@ type splitResult struct {
 	WallSeconds    float64 `json:"wall_seconds"`
 }
 
-// singleRing reports whether every node's successor is its true clockwise
-// neighbor in the sorted membership — the only check that distinguishes
-// one ring from two internally-consistent ones.
-func singleRing(nodes []*live.Node) bool {
-	sorted := append([]*live.Node(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID() < sorted[j].ID() })
-	for i, nd := range sorted {
-		next := sorted[(i+1)%len(sorted)]
-		if _, succ := nd.Successor(); succ != next.Addr() {
-			return false
-		}
-	}
-	return true
-}
-
-// runSplitBrain executes the split-brain benchmark and exits the process.
-func runSplitBrain(n int, chunks, seed int64, jsonOut string) {
+// runSplitBrain executes the split-brain benchmark.
+func runSplitBrain(a liveArgs) (any, error) {
 	const censusEvery = 100 * time.Millisecond
+	chunks := a.chunks
 	cfg := live.DefaultNodeConfig()
+	live.FastLocalTimings(&cfg)
 	cfg.Channel.Period = 100 * time.Millisecond
 	cfg.Channel.ChunkBits = 8 * 1024
 	cfg.Channel.Count = chunks
-	cfg.StabilizeEvery = 20 * time.Millisecond
-	cfg.FixFingersEvery = 10 * time.Millisecond
-	cfg.LookupWait = 500 * time.Millisecond
-	cfg.CallTimeout = 2 * time.Second
-	cfg.RepublishEvery = 500 * time.Millisecond
 	cfg.Replicas = 2
 	cfg.Retry = retry.Policy{
 		MaxAttempts:    3,
@@ -78,58 +58,24 @@ func runSplitBrain(n int, chunks, seed int64, jsonOut string) {
 	cfg.Breaker = retry.BreakerConfig{Threshold: 5, Cooldown: 500 * time.Millisecond}
 	cfg.ProviderCooldown = 400 * time.Millisecond
 	cfg.CensusEvery = censusEvery
-	cfg.CensusProbes = 2
 
-	f := transport.NewFabric()
-	in := faulty.NewInjector(uint64(seed))
-	attach := func(h transport.Handler) (transport.Transport, error) {
-		return in.Wrap(f.Attach(h)), nil
-	}
-
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dcosim: splitbrain: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
-	srcCfg := cfg
-	srcCfg.Source = true
-	src, err := live.NewNode(srcCfg, attach)
+	in := faulty.NewInjector(uint64(a.seed))
+	s, err := live.NewSwarm(live.SwarmSpec{N: a.n, Base: cfg, Wrap: in.Wrap})
 	if err != nil {
-		fail("%v", err)
+		return nil, err
 	}
-	viewers := make([]*live.Node, 0, n-1)
-	for i := 1; i < n; i++ {
-		nd, err := live.NewNode(cfg, attach)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := nd.Join(src.Addr()); err != nil {
-			fail("join: %v", err)
-		}
-		viewers = append(viewers, nd)
-	}
-	all := append([]*live.Node{src}, viewers...)
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
-	src.Start()
-	for _, nd := range viewers {
-		nd.Start()
+	defer s.Close()
+	if err := s.Up(); err != nil {
+		return nil, err
 	}
 	start := time.Now()
+	all := s.Nodes
 
-	poll := func(d time.Duration, what string, cond func() bool) {
-		deadline := time.Now().Add(d)
-		for !cond() {
-			if time.Now().After(deadline) {
-				fail("timeout waiting for %s", what)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+	if err := s.WaitUntil(30*time.Second, "the initial ring to converge", func() bool {
+		return live.RingCorrect(all)
+	}); err != nil {
+		return nil, err
 	}
-	poll(30*time.Second, "the initial ring to converge", func() bool { return singleRing(all) })
 
 	// Bisect mid-stream: the source and half the viewers on one side, the
 	// rest on the other. Addresses are fixed, so the same seed cuts the
@@ -147,9 +93,11 @@ func runSplitBrain(n int, chunks, seed int64, jsonOut string) {
 	}
 	splitStart := time.Now()
 	in.Partition(groupA, groupB)
-	poll(60*time.Second, "both halves to converge into their own rings", func() bool {
-		return singleRing(sideA) && singleRing(sideB)
-	})
+	if err := s.WaitUntil(60*time.Second, "both halves to converge into their own rings", func() bool {
+		return live.RingCorrect(sideA) && live.RingCorrect(sideB)
+	}); err != nil {
+		return nil, err
+	}
 	splitDur := time.Since(splitStart)
 
 	// Heal and measure the census-driven merge. Nothing calls Join from
@@ -157,63 +105,47 @@ func runSplitBrain(n int, chunks, seed int64, jsonOut string) {
 	// cascade must reunify the ring on their own.
 	healAt := time.Now()
 	in.Heal()
-	poll(60*time.Second, "the census to merge the rings after the heal", func() bool {
-		return singleRing(all)
-	})
+	if err := s.WaitUntil(60*time.Second, "the census to merge the rings after the heal", func() bool {
+		return live.RingCorrect(all)
+	}); err != nil {
+		return nil, err
+	}
 	mergeDur := time.Since(healAt)
 
 	// Let in-flight pre-merge lookups drain, then count exhausted lookups
 	// from here to the end of the run: the merged ring must not lose any.
 	time.Sleep(time.Second)
-	var failsBefore uint64
-	for _, nd := range all {
-		failsBefore += nd.Stats().LookupFailures
-	}
+	failsBefore := live.SumStats(all).LookupFailures
 
 	// Fill recovery: the half cut off from the source catches up on the
 	// full stream through the reunified ring.
-	poll(3*time.Minute, "all viewers to recover the full stream", func() bool {
-		for _, v := range viewers {
-			if int64(v.ChunkCount()) < chunks {
-				return false
-			}
-		}
-		return true
-	})
-	if !singleRing(all) {
-		fail("ring did not stay single after the merge")
+	if err := s.WaitUntil(3*time.Minute, "all viewers to recover the full stream", func() bool {
+		return live.MinDelivered(s.Viewers(), chunks) >= 100
+	}); err != nil {
+		return nil, err
+	}
+	if !live.RingCorrect(all) {
+		return nil, errors.New("ring did not stay single after the merge")
 	}
 
+	tot := live.SumStats(all)
 	res := splitResult{
-		Method:        "splitbrain",
-		N:             n,
-		Chunks:        chunks,
-		Seed:          seed,
-		CensusEveryMs: censusEvery.Milliseconds(),
-		SplitSeconds:  splitDur.Seconds(),
-		MergeSeconds:  mergeDur.Seconds(),
-		CensusRounds:  int64((mergeDur + censusEvery - 1) / censusEvery),
-		WallSeconds:   time.Since(start).Seconds(),
-		FillRatioMin:  1,
-	}
-	for _, nd := range all {
-		st := nd.Stats()
-		res.SplitsDetected += st.SplitsDetected
-		res.RingMerges += st.RingMerges
-		res.PostMergeFails += st.LookupFailures
-	}
-	res.PostMergeFails -= failsBefore
-	for _, v := range viewers {
-		r := float64(v.ChunkCount()) / float64(chunks)
-		if r > 1 {
-			r = 1
-		}
-		if r < res.FillRatioMin {
-			res.FillRatioMin = r
-		}
+		Method:         "splitbrain",
+		N:              a.n,
+		Chunks:         chunks,
+		Seed:           a.seed,
+		CensusEveryMs:  censusEvery.Milliseconds(),
+		SplitSeconds:   splitDur.Seconds(),
+		MergeSeconds:   mergeDur.Seconds(),
+		CensusRounds:   int64((mergeDur + censusEvery - 1) / censusEvery),
+		SplitsDetected: tot.SplitsDetected,
+		RingMerges:     tot.RingMerges,
+		PostMergeFails: tot.LookupFailures - failsBefore,
+		FillRatioMin:   live.MinDelivered(s.Viewers(), chunks) / 100,
+		WallSeconds:    time.Since(start).Seconds(),
 	}
 
-	fmt.Printf("method=splitbrain n=%d chunks=%d seed=%d\n", n, chunks, seed)
+	fmt.Printf("method=splitbrain n=%d chunks=%d seed=%d\n", a.n, chunks, a.seed)
 	fmt.Printf("partition converged in:  %v (two rings)\n", splitDur.Round(time.Millisecond))
 	fmt.Printf("merge after heal:        %v (%d census rounds)\n", mergeDur.Round(time.Millisecond), res.CensusRounds)
 	fmt.Printf("splits detected:         %d (merges completed: %d)\n", res.SplitsDetected, res.RingMerges)
@@ -221,13 +153,13 @@ func runSplitBrain(n int, chunks, seed int64, jsonOut string) {
 	fmt.Printf("fill ratio (min viewer): %.3f\n", res.FillRatioMin)
 	fmt.Printf("wall time:               %v\n", time.Duration(res.WallSeconds*float64(time.Second)).Round(time.Millisecond))
 
-	if jsonOut != "" {
-		if err := writeJSONAny(jsonOut, res); err != nil {
-			fmt.Fprintf(os.Stderr, "dcosim: json: %v\n", err)
-			os.Exit(1)
-		}
+	switch {
+	case res.SplitsDetected == 0 || res.RingMerges == 0:
+		return res, fmt.Errorf("the census never ran a merge (splits detected %d, merges %d)", res.SplitsDetected, res.RingMerges)
+	case res.PostMergeFails > 0:
+		return res, fmt.Errorf("%d lookups exhausted their candidates after the merge", res.PostMergeFails)
+	case res.FillRatioMin < 0.99:
+		return res, fmt.Errorf("fill ratio %.3f < 0.99", res.FillRatioMin)
 	}
-	if res.SplitsDetected == 0 || res.RingMerges == 0 || res.PostMergeFails > 0 || res.FillRatioMin < 0.99 {
-		os.Exit(1)
-	}
+	return res, nil
 }

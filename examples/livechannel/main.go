@@ -11,13 +11,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
 	"dco/internal/live"
 	"dco/internal/stream"
-	"dco/internal/transport"
 )
 
 const (
@@ -27,97 +25,65 @@ const (
 )
 
 func main() {
-	tcp := func(h transport.Handler) (transport.Transport, error) {
-		return transport.ListenTCP("127.0.0.1:0", h)
-	}
-
 	base := live.DefaultNodeConfig()
 	base.Channel = stream.Params{Channel: "DEMO", ChunkBits: chunkSize * 8, Period: 100 * time.Millisecond, Count: chunks}
 	base.StabilizeEvery = 100 * time.Millisecond
 	base.FixFingersEvery = 50 * time.Millisecond
 	base.LookupWait = 2 * time.Second
 
-	// Source.
-	srcCfg := base
-	srcCfg.Source = true
-	src, err := live.NewNode(srcCfg, tcp)
-	if err != nil {
-		log.Fatalf("source: %v", err)
-	}
-	fmt.Printf("source   %s  id=%016x\n", src.Addr(), src.ID())
-
-	// Viewers join through the source.
+	// A source and its viewers, each on a loopback TCP listener; the
+	// viewers join through the source.
 	var mu sync.Mutex
 	received := make(map[string]int)
-	var nodes []*live.Node
-	for i := 0; i < viewers; i++ {
-		cfg := base
-		name := fmt.Sprintf("viewer-%d", i)
+	s, err := live.NewSwarm(live.SwarmSpec{N: 1 + viewers, Base: base, TCP: true, Tune: func(i int, cfg *live.Config) {
+		if i == 0 {
+			return
+		}
+		name := fmt.Sprintf("viewer-%d", i-1)
 		cfg.OnChunk = func(seq int64, data []byte) {
 			mu.Lock()
 			received[name]++
 			mu.Unlock()
 		}
-		nd, err := live.NewNode(cfg, tcp)
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		if err := nd.Join(src.Addr()); err != nil {
-			log.Fatalf("%s join: %v", name, err)
-		}
-		fmt.Printf("%-8s %s  id=%016x\n", name, nd.Addr(), nd.ID())
-		nodes = append(nodes, nd)
+	}})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	src.Start()
-	for _, nd := range nodes {
-		nd.Start()
+	defer s.Close()
+	src, nodes := s.Source(), s.Viewers()
+	fmt.Printf("source   %s  id=%016x\n", src.Addr(), src.ID())
+	for i, nd := range nodes {
+		fmt.Printf("viewer-%d %s  id=%016x\n", i, nd.Addr(), nd.ID())
+	}
+	if err := s.Up(); err != nil {
+		log.Fatal(err)
 	}
 
 	// Wait for everyone to finish the stream (or a deadline).
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		done := 0
-		for _, nd := range nodes {
-			if nd.ChunkCount() >= chunks {
-				done++
-			}
-		}
-		if done == viewers {
-			break
-		}
-		time.Sleep(200 * time.Millisecond)
+	if err := s.WaitUntil(2*time.Minute, "every viewer to finish the stream", func() bool {
+		return live.MinDelivered(nodes, chunks) >= 100
+	}); err != nil {
+		log.Print(err)
 	}
 
 	fmt.Printf("\nper-node results (%d-chunk channel, %d KiB chunks):\n", chunks, chunkSize/1024)
-	var names []string
 	mu.Lock()
-	for name := range received {
-		names = append(names, name)
-	}
-	mu.Unlock()
-	sort.Strings(names)
-	var peerServed, fetched uint64
 	for i, nd := range nodes {
 		st := nd.Stats()
-		peerServed += st.ChunksServed
-		fetched += st.ChunksFetched
-		fmt.Printf("  viewer-%d: buffered %3d/%d  fetched=%d  servedToPeers=%d  retries=%d\n",
-			i, nd.ChunkCount(), chunks, st.ChunksFetched, st.ChunksServed, st.FetchRetries)
+		fmt.Printf("  viewer-%d: buffered %3d/%d  played=%d  fetched=%d  servedToPeers=%d  retries=%d\n",
+			i, nd.ChunkCount(), chunks, received[fmt.Sprintf("viewer-%d", i)], st.ChunksFetched, st.ChunksServed, st.FetchRetries)
 	}
+	mu.Unlock()
+	crowd := live.SumStats(nodes)
 	srcStats := src.Stats()
 	fmt.Printf("  source:   servedToPeers=%d  lookupsServed=%d  insertsServed=%d\n",
 		srcStats.ChunksServed, srcStats.LookupsServed, srcStats.InsertsServed)
 	fmt.Printf("\nswarm efficiency: %d of %d chunk transfers came from peers, not the source\n",
-		peerServed, fetched)
+		crowd.ChunksServed, crowd.ChunksFetched)
 
 	// Graceful teardown: the first viewer leaves politely (index handoff +
-	// ring unlink); the rest just close.
+	// ring unlink); the deferred Close stops the rest.
 	if err := nodes[0].Leave(); err != nil {
 		log.Printf("leave: %v", err)
 	}
-	for _, nd := range nodes[1:] {
-		nd.Close()
-	}
-	src.Close()
 }

@@ -169,13 +169,9 @@ func (p *pacer) queueDepth() int {
 // provider selection (coordinator answer + viewer ordering).
 
 // reportLoadMilli is the load factor this node piggybacks on republish
-// Inserts and ChunkResps (0 when load reporting is disabled).
-func (n *Node) reportLoadMilli() uint32 {
-	if !n.cfg.LoadReport {
-		return 0
-	}
-	return n.pace.loadMilli()
-}
+// Inserts and ChunkResps: what lets coordinators weight provider selection
+// by capacity and viewers prefer the least-loaded provider.
+func (n *Node) reportLoadMilli() uint32 { return n.pace.loadMilli() }
 
 // provLoadTTL bounds how long a heard load factor steers viewer-side
 // provider ordering; past it the provider counts as unknown (idle-equal).

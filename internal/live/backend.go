@@ -50,19 +50,13 @@ func (n *Node) newKernel() (dht.Kernel, error) {
 	switch backend {
 	case "chord":
 		return chordkern.New(chordkern.Config{
-			SuccListSize:    n.cfg.SuccListSize,
+			SuccListSize:    succListSize,
 			StabilizeEvery:  n.cfg.StabilizeEvery,
 			FixFingersEvery: n.cfg.FixFingersEvery,
 		}, opts), nil
 	case "kademlia":
-		refresh := n.cfg.KadRefreshEvery
-		if refresh <= 0 {
-			refresh = 4 * n.cfg.StabilizeEvery
-		}
 		return kademlia.New(kademlia.Config{
-			K:            n.cfg.KadK,
-			Alpha:        n.cfg.KadAlpha,
-			RefreshEvery: refresh,
+			RefreshEvery: 4 * n.cfg.StabilizeEvery,
 			ProbeEvery:   n.cfg.StabilizeEvery,
 		}, opts), nil
 	default:

@@ -121,7 +121,7 @@ func splitSuspected(self string, mine []wire.Entry, peer wire.Entry, theirs []wi
 	return !viewHas(mine, peer.Addr) && !viewHas(theirs, self)
 }
 
-// census is the periodic beacon loop: probe up to CensusProbes cached
+// census is the periodic beacon loop: probe up to censusProbes cached
 // members outside the current membership view and compare views. Probes
 // use the single-shot call path — a failed probe is itself the signal (the
 // member is still unreachable), and its breaker bookkeeping is how a
@@ -140,7 +140,7 @@ func (n *Node) census() {
 		}
 	}
 	var targets []dht.Member
-	k := n.cfg.CensusProbes
+	k := censusProbes
 	if k > len(cands) {
 		k = len(cands)
 	}

@@ -4,52 +4,24 @@ import (
 	"testing"
 	"time"
 
-	"dco/internal/transport"
 	"dco/internal/wire"
 )
 
 // TestRingHealsAfterAbruptFailure kills a mid-ring node and checks the
 // survivors re-link and keep answering index operations.
 func TestRingHealsAfterAbruptFailure(t *testing.T) {
-	f := transport.NewFabric()
-	src, _ := NewNode(fastConfig(true), memAttach(f))
-	var nodes []*Node
-	for i := 0; i < 5; i++ {
-		nd, _ := NewNode(fastConfig(false), memAttach(f))
-		if err := nd.Join(src.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
-	}
-	all := append([]*Node{src}, nodes...)
-	for _, nd := range all {
-		nd.startRingMaint()
-	}
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
-
-	waitFor(t, 5*time.Second, "initial convergence", func() bool {
-		return ringSize(src, all) == len(all)
-	})
+	s := ringOf(t, fastConfig(), 6, (*Node).startRingMaint)
 
 	// Abrupt kill (Close without Leave).
-	victim := nodes[2]
+	victim := s.Viewers()[2]
 	victim.Close()
-	survivors := make([]*Node, 0, len(all)-1)
-	for _, nd := range all {
-		if nd != victim {
-			survivors = append(survivors, nd)
-		}
-	}
-	waitFor(t, 10*time.Second, "ring to heal around the failure", func() bool {
-		return ringSize(src, survivors) == len(survivors)
+	survivors := Without(s.Nodes, victim)
+	await(t, s, 10*time.Second, "ring to heal around the failure", func() bool {
+		return RingCorrect(survivors)
 	})
 
 	// The ring still serves index operations for any key.
-	owner, _, err := src.FindOwner(0xDEADBEEF)
+	owner, _, err := s.Source().FindOwner(0xDEADBEEF)
 	if err != nil {
 		t.Fatalf("routing after failure: %v", err)
 	}
@@ -58,102 +30,43 @@ func TestRingHealsAfterAbruptFailure(t *testing.T) {
 	}
 }
 
-// ringSize measures how much of the membership a walk can see. Chord:
-// walk successor pointers from start and count distinct live members
-// before the walk returns home (or derails). Kademlia (no successor
-// chain): the size of start's membership view when it matches the node
-// set exactly, else 0 — the same all-or-nothing signal the ring walk
-// gives.
-func ringSize(start *Node, nodes []*Node) int {
-	if start.DHTName() != "chord" {
-		if viewsConverged(nodes) {
-			return len(nodes)
-		}
-		return 0
-	}
-	byAddr := map[string]*Node{}
-	for _, nd := range nodes {
-		byAddr[nd.Addr()] = nd
-	}
-	seen := map[string]bool{}
-	cur := start
-	for cur != nil && !seen[cur.Addr()] {
-		seen[cur.Addr()] = true
-		_, succ := cur.Successor()
-		cur = byAddr[succ]
-	}
-	if cur == nil || cur.Addr() != start.Addr() {
-		return 0 // derailed or looped early
-	}
-	return len(seen)
-}
-
 // TestStreamingSurvivesViewerChurn joins/leaves viewers mid-stream and
 // checks remaining viewers still finish.
 func TestStreamingSurvivesViewerChurn(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := fastConfig(true)
+	cfg := fastConfig()
 	cfg.Channel.Count = 40
-	src, _ := NewNode(cfg, memAttach(f))
-	vcfg := fastConfig(false)
-	vcfg.Channel.Count = 40
+	s := upSwarm(t, SwarmSpec{N: 4, Base: cfg})
+	stable := s.Viewers()
 
-	var stable []*Node
-	for i := 0; i < 3; i++ {
-		nd, _ := NewNode(vcfg, memAttach(f))
-		if err := nd.Join(src.Addr()); err != nil {
+	// A transient viewer joins the running stream, watches briefly, leaves
+	// gracefully; another dies abruptly.
+	for i := 4; i < 6; i++ {
+		if err := s.add(i); err != nil {
 			t.Fatal(err)
 		}
-		stable = append(stable, nd)
-	}
-	src.Start()
-	for _, nd := range stable {
-		nd.Start()
-	}
-	defer src.Close()
-	defer func() {
-		for _, nd := range stable {
-			nd.Close()
+		if err := s.Nodes[i].Join(s.Source().Addr()); err != nil {
+			t.Fatal(err)
 		}
-	}()
-
-	// A transient viewer joins, watches briefly, leaves gracefully; another
-	// dies abruptly.
-	transient, _ := NewNode(vcfg, memAttach(f))
-	if err := transient.Join(src.Addr()); err != nil {
-		t.Fatal(err)
+		s.Nodes[i].Start()
 	}
-	transient.Start()
-	abrupt, _ := NewNode(vcfg, memAttach(f))
-	if err := abrupt.Join(src.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	abrupt.Start()
-
+	transient, abrupt := s.Nodes[4], s.Nodes[5]
 	time.Sleep(500 * time.Millisecond)
 	if err := transient.Leave(); err != nil {
 		t.Fatalf("transient leave: %v", err)
 	}
 	abrupt.Close()
 
-	waitFor(t, 30*time.Second, "stable viewers to finish despite churn", func() bool {
-		for _, nd := range stable {
-			if nd.ChunkCount() < 40 {
-				return false
-			}
-		}
-		return true
+	await(t, s, 30*time.Second, "stable viewers to finish despite churn", func() bool {
+		return MinDelivered(stable, cfg.Channel.Count) >= 100
 	})
 }
 
 // TestLookupPendingQueue verifies the live coordinator holds a lookup until
 // the provider registers (the paper's always-answered property).
 func TestLookupPendingQueue(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := fastConfig(true)
+	cfg := fastConfig()
 	cfg.Channel.Count = 0 // no auto-generation; we drive by hand
-	n, _ := NewNode(cfg, memAttach(f))
-	defer n.Close()
+	n := soloNode(t, cfg)
 
 	key := uint64(n.cfg.Channel.Ref(7).ID())
 	start := time.Now()
@@ -181,11 +94,9 @@ func TestLookupPendingQueue(t *testing.T) {
 // TestLookupTimesOutEmpty confirms a lookup with no providers returns empty
 // after MaxWait instead of hanging.
 func TestLookupTimesOutEmpty(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := fastConfig(true)
+	cfg := fastConfig()
 	cfg.Channel.Count = 0
-	n, _ := NewNode(cfg, memAttach(f))
-	defer n.Close()
+	n := soloNode(t, cfg)
 	key := uint64(n.cfg.Channel.Ref(9).ID())
 	start := time.Now()
 	resp := n.onLookup(&wire.Lookup{Key: key, Seq: 9, MaxWait: 200})
@@ -199,22 +110,8 @@ func TestLookupTimesOutEmpty(t *testing.T) {
 
 // TestNotOwnerRejected: index ops for keys outside a node's range bounce.
 func TestNotOwnerRejected(t *testing.T) {
-	f := transport.NewFabric()
-	a, _ := NewNode(fastConfig(false), memAttach(f))
-	b, _ := NewNode(fastConfig(false), memAttach(f))
-	if err := b.Join(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for _, nd := range []*Node{a, b} {
-		nd.startRingMaint()
-	}
-	defer a.Close()
-	defer b.Close()
-	waitFor(t, 5*time.Second, "two-node ring", func() bool {
-		_, sa := a.Successor()
-		_, sb := b.Successor()
-		return sa == b.Addr() && sb == a.Addr()
-	})
+	s := ringOf(t, fastConfig(), 2, (*Node).startRingMaint)
+	a, b := s.Nodes[0], s.Nodes[1]
 	// A key owned by b must be rejected at a.
 	keyForB := uint64(b.ID()) // a key equal to b's ID is owned by b
 	resp := a.serve("test", &wire.Insert{Key: keyForB, Seq: 1, Holder: wire.Entry{ID: 1, Addr: "x"}})
@@ -226,22 +123,11 @@ func TestNotOwnerRejected(t *testing.T) {
 // TestActiveWindowRetention: a bounded active window drops old chunks and
 // withdraws their provider records.
 func TestActiveWindowRetention(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := fastConfig(true)
+	cfg := fastConfig()
 	cfg.Channel.Count = 30
 	cfg.ActiveWindow = 5
-	src, _ := NewNode(cfg, memAttach(f))
-	vcfg := fastConfig(false)
-	vcfg.Channel.Count = 30
-	vcfg.ActiveWindow = 5
-	viewer, _ := NewNode(vcfg, memAttach(f))
-	if err := viewer.Join(src.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	src.Start()
-	viewer.Start()
-	defer src.Close()
-	defer viewer.Close()
+	s := upSwarm(t, SwarmSpec{N: 2, Base: cfg})
+	src, viewer := s.Nodes[0], s.Nodes[1]
 
 	waitFor(t, 30*time.Second, "viewer to reach the stream tail", func() bool {
 		return viewer.HasChunk(29)
@@ -260,27 +146,22 @@ func TestActiveWindowRetention(t *testing.T) {
 // TestLateViewerStartSeq: a viewer that tunes in mid-stream only fetches
 // from its start sequence onward.
 func TestLateViewerStartSeq(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := fastConfig(true)
-	cfg.Channel.Count = 20
-	src, _ := NewNode(cfg, memAttach(f))
+	s := testSwarm(t, SwarmSpec{N: 2, Base: fastConfig(), Tune: func(i int, cfg *Config) {
+		if i == 1 {
+			cfg.StartSeq = 10
+		}
+	}})
+	src, viewer := s.Nodes[0], s.Nodes[1]
 	src.Start()
-	defer src.Close()
 
 	// Wait until the source is halfway through the stream.
 	waitFor(t, 10*time.Second, "source to reach chunk 10", func() bool {
 		return src.LatestGenerated() >= 10
 	})
-
-	vcfg := fastConfig(false)
-	vcfg.Channel.Count = 20
-	vcfg.StartSeq = 10
-	viewer, _ := NewNode(vcfg, memAttach(f))
 	if err := viewer.Join(src.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	viewer.Start()
-	defer viewer.Close()
 
 	waitFor(t, 20*time.Second, "late viewer to finish the tail", func() bool {
 		for seq := int64(10); seq < 20; seq++ {

@@ -1,22 +1,21 @@
 package live
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"dco/internal/retry"
 	"dco/internal/telemetry"
-	"dco/internal/transport"
 	"dco/internal/wire"
 )
 
 // resilientConfig is fastConfig with test-scaled retry/breaker settings,
-// plus full instrumentation (a per-node registry and trace) so every
+// plus a trace (the harness already gives every node a registry) so every
 // failover and fault-matrix scenario runs with telemetry enabled — the
 // observability layer must never perturb recovery behavior.
-func resilientConfig(source bool) Config {
-	cfg := fastConfig(source)
-	cfg.Telemetry = telemetry.NewRegistry()
+func resilientConfig() Config {
+	cfg := fastConfig()
 	cfg.Trace = telemetry.NewTrace(2048)
 	cfg.Retry = retry.Policy{
 		MaxAttempts:    3,
@@ -36,18 +35,11 @@ func resilientConfig(source bool) Config {
 // the join when a live one follows it (the old Join died on the first
 // error).
 func TestJoinAnyFailsOverDeadBootstrap(t *testing.T) {
-	f := transport.NewFabric()
-	alive, err := NewNode(resilientConfig(true), memAttach(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alive.Close()
-	dead, _ := NewNode(resilientConfig(false), memAttach(f))
+	s := testSwarm(t, SwarmSpec{N: 3, Base: resilientConfig()})
+	alive, dead, v := s.Nodes[0], s.Nodes[1], s.Nodes[2]
 	deadAddr := dead.Addr()
 	dead.Close()
 
-	v, _ := NewNode(resilientConfig(false), memAttach(f))
-	defer v.Close()
 	if err := v.JoinAny([]string{deadAddr, alive.Addr()}); err != nil {
 		t.Fatalf("JoinAny with one dead bootstrap failed: %v", err)
 	}
@@ -59,41 +51,27 @@ func TestJoinAnyFailsOverDeadBootstrap(t *testing.T) {
 // TestJoinAllBootstrapsDead: when every bootstrap is unreachable the join
 // fails with an error that names each attempted address.
 func TestJoinAllBootstrapsDead(t *testing.T) {
-	f := transport.NewFabric()
-	d1, _ := NewNode(resilientConfig(false), memAttach(f))
-	d2, _ := NewNode(resilientConfig(false), memAttach(f))
+	s := testSwarm(t, SwarmSpec{N: 3, Base: resilientConfig()})
+	d1, d2, v := s.Nodes[0], s.Nodes[1], s.Nodes[2]
 	a1, a2 := d1.Addr(), d2.Addr()
 	d1.Close()
 	d2.Close()
 
-	v, _ := NewNode(resilientConfig(false), memAttach(f))
-	defer v.Close()
 	err := v.JoinAny([]string{a1, a2})
 	if err == nil {
 		t.Fatal("join via only dead bootstraps succeeded")
 	}
 	for _, addr := range []string{a1, a2} {
-		if !containsStr(err.Error(), addr) {
+		if !strings.Contains(err.Error(), addr) {
 			t.Errorf("join error does not mention attempted bootstrap %s: %v", addr, err)
 		}
 	}
 }
 
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // TestJoinEmptyBootstrapList: no usable address is an immediate, clear
 // error (not a panic or a silent no-op).
 func TestJoinEmptyBootstrapList(t *testing.T) {
-	f := transport.NewFabric()
-	v, _ := NewNode(resilientConfig(false), memAttach(f))
-	defer v.Close()
+	v := soloNode(t, resilientConfig())
 	if err := v.JoinAny([]string{"", v.Addr()}); err == nil {
 		t.Fatal("join with no usable bootstrap succeeded")
 	}
@@ -103,31 +81,10 @@ func TestJoinEmptyBootstrapList(t *testing.T) {
 // died must recover via re-route/failover once the ring has healed —
 // where the pre-resilience single-shot path returned a hard error.
 func TestLookupRecoversAfterCoordinatorDeath(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := resilientConfig(true)
+	cfg := resilientConfig()
 	cfg.Channel.Count = 0 // drive by hand, no generator traffic
-
-	src, _ := NewNode(cfg, memAttach(f))
-	var nodes []*Node
-	for i := 0; i < 4; i++ {
-		nd, _ := NewNode(cfg, memAttach(f))
-		if err := nd.Join(src.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		nodes = append(nodes, nd)
-	}
-	all := append([]*Node{src}, nodes...)
-	for _, nd := range all {
-		nd.startRingMaint()
-	}
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
-	waitFor(t, 5*time.Second, "initial convergence", func() bool {
-		return ringSize(src, all) == len(all)
-	})
+	s := ringOf(t, cfg, 5, (*Node).startRingMaint)
+	src, nodes, all := s.Source(), s.Viewers(), s.Nodes
 
 	// Find the coordinator for seq 7's key — it must not be src, which we
 	// want alive to issue lookups from.
@@ -160,14 +117,9 @@ func TestLookupRecoversAfterCoordinatorDeath(t *testing.T) {
 
 	// Kill the coordinator abruptly and let the ring heal around it.
 	coord.Close()
-	survivors := make([]*Node, 0, len(all)-1)
-	for _, nd := range all {
-		if nd != coord {
-			survivors = append(survivors, nd)
-		}
-	}
-	waitFor(t, 10*time.Second, "ring to heal around the dead coordinator", func() bool {
-		return ringSize(src, survivors) == len(survivors)
+	survivors := Without(all, coord)
+	await(t, s, 10*time.Second, "ring to heal around the dead coordinator", func() bool {
+		return RingCorrect(survivors)
 	})
 
 	// One lookup call must now succeed end-to-end: the resilience layer
@@ -184,10 +136,7 @@ func TestLookupRecoversAfterCoordinatorDeath(t *testing.T) {
 // TestFetchBlacklistsFailingProvider: a provider that fails a transfer is
 // not re-asked within its cooldown.
 func TestFetchBlacklistsFailingProvider(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := resilientConfig(false)
-	n, _ := NewNode(cfg, memAttach(f))
-	defer n.Close()
+	n := soloNode(t, resilientConfig())
 
 	n.blacklistProvider("mem://gone")
 	if n.providerUsable("mem://gone") {
@@ -208,12 +157,10 @@ func TestFetchBlacklistsFailingProvider(t *testing.T) {
 // TestBreakerFailsFastOnDeadPeer: repeated calls to a dead address open
 // its circuit; once open, calls stop hitting the transport.
 func TestBreakerFailsFastOnDeadPeer(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := resilientConfig(false)
+	cfg := resilientConfig()
 	cfg.Breaker = retry.BreakerConfig{Threshold: 3, Cooldown: time.Hour}
-	n, _ := NewNode(cfg, memAttach(f))
-	defer n.Close()
-	dead, _ := NewNode(resilientConfig(false), memAttach(f))
+	s := testSwarm(t, SwarmSpec{N: 2, Base: cfg})
+	n, dead := s.Nodes[0], s.Nodes[1]
 	deadAddr := dead.Addr()
 	dead.Close()
 

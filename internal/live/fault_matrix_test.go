@@ -1,7 +1,6 @@
 package live
 
 import (
-	"sort"
 	"testing"
 	"time"
 
@@ -9,13 +8,6 @@ import (
 	"dco/internal/transport"
 	"dco/internal/wire"
 )
-
-// faultyAttach wires a node onto a fabric through a fault injector.
-func faultyAttach(f *transport.Fabric, in *faulty.Injector) func(transport.Handler) (transport.Transport, error) {
-	return func(h transport.Handler) (transport.Transport, error) {
-		return in.Wrap(f.Attach(h)), nil
-	}
-}
 
 // TestFaultMatrixSwarmConverges is the acceptance scenario: a live swarm
 // on an in-memory transport wrapped in the fault injector, with a seeded
@@ -25,71 +17,29 @@ func faultyAttach(f *transport.Fabric, in *faulty.Injector) func(transport.Handl
 // converged, every node holding the correct successor.
 func TestFaultMatrixSwarmConverges(t *testing.T) {
 	const seed = 20100807
-	f := transport.NewFabric()
 	in := faulty.NewInjector(seed)
 	in.SetDefaultRule(faulty.Rule{Drop: 0.20})
 
-	cfg := resilientConfig(true)
-	cfg.Channel.Count = 20
-	src, err := NewNode(cfg, faultyAttach(f, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vcfg := resilientConfig(false)
-	vcfg.Channel.Count = 20
-	var viewers []*Node
-	for i := 0; i < 5; i++ {
-		nd, err := NewNode(vcfg, faultyAttach(f, in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Under 20% drop a join may need its retry rounds; it must still
-		// land.
-		if err := nd.Join(src.Addr()); err != nil {
-			t.Fatalf("viewer %d join under 20%% drop: %v", i, err)
-		}
-		viewers = append(viewers, nd)
-	}
-	src.Start()
-	for _, v := range viewers {
-		v.Start()
-	}
-	all := append([]*Node{src}, viewers...)
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
+	// Under 20% drop a join may need its retry rounds; it must still land.
+	cfg := resilientConfig()
+	s := upSwarm(t, SwarmSpec{N: 6, Base: cfg, Wrap: in.Wrap})
 
 	// Kill one coordinator mid-stream: every ring member owns a slice of
 	// the chunk-key space, so any viewer is a coordinator for some chunks.
 	// Give the swarm a moment to spread providers first.
 	time.Sleep(600 * time.Millisecond)
-	victim := viewers[2]
+	victim := s.Viewers()[2]
 	victim.Close()
+	survivors := Without(s.Nodes, victim)
+	watching := Without(s.Viewers(), victim)
 
-	survivors := []*Node{src}
-	var watching []*Node
-	for _, v := range viewers {
-		if v != victim {
-			survivors = append(survivors, v)
-			watching = append(watching, v)
-		}
-	}
-
-	want := int(vcfg.Channel.Count)
-	waitFor(t, 60*time.Second, "surviving viewers to complete the stream under 20% drop + dead coordinator", func() bool {
-		for _, v := range watching {
-			if v.ChunkCount() < want {
-				return false
-			}
-		}
-		return true
+	await(t, s, 60*time.Second, "surviving viewers to complete the stream under 20% drop + dead coordinator", func() bool {
+		return MinDelivered(watching, cfg.Channel.Count) >= 100
 	})
 
 	// The surviving ring converges to the correct successor order.
-	waitFor(t, 15*time.Second, "surviving ring to converge", func() bool {
-		return ringCorrect(survivors)
+	await(t, s, 15*time.Second, "surviving ring to converge", func() bool {
+		return RingCorrect(survivors)
 	})
 
 	// The injector really did inject (the run was not accidentally clean),
@@ -97,11 +47,7 @@ func TestFaultMatrixSwarmConverges(t *testing.T) {
 	if in.Injected() == 0 {
 		t.Fatal("fault injector never fired; the scenario tested nothing")
 	}
-	var retries uint64
-	for _, nd := range survivors {
-		retries += nd.Stats().CallRetries
-	}
-	if retries == 0 {
+	if SumStats(survivors).CallRetries == 0 {
 		t.Error("no RPC was ever retried under 20% drop: retry layer inactive")
 	}
 }
@@ -114,31 +60,17 @@ func TestFaultMatrixSwarmConverges(t *testing.T) {
 // buffered verifies.
 func TestFaultMatrixCorruptionDetected(t *testing.T) {
 	const seed = 20260806
-	f := transport.NewFabric()
 	in := faulty.NewInjector(seed)
-
-	cfg := resilientConfig(true)
+	cfg := resilientConfig()
 	cfg.Channel.Count = 12
-	src, err := NewNode(cfg, faultyAttach(f, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vcfg := resilientConfig(false)
-	vcfg.Channel.Count = 12
-	v, err := NewNode(vcfg, faultyAttach(f, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Join(src.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	s := testSwarm(t, SwarmSpec{N: 2, Base: cfg, Wrap: in.Wrap})
+	src, v := s.Nodes[0], s.Nodes[1]
 	// Corruption only mangles ChunkResp payloads, so control traffic
 	// (join, lookups, stabilize) toward the source is unaffected.
 	in.SetRule(src.Addr(), faulty.Rule{Corrupt: 1})
-	src.Start()
-	v.Start()
-	defer src.Close()
-	defer v.Close()
+	if err := s.Up(); err != nil {
+		t.Fatal(err)
+	}
 
 	// The viewer keeps catching corrupt transfers and cooling the source
 	// down; nothing corrupt may land in the buffer.
@@ -161,7 +93,7 @@ func TestFaultMatrixCorruptionDetected(t *testing.T) {
 	// Clear the rule: the blacklist cooldown expires and the stream
 	// completes with intact payloads.
 	in.SetRule(src.Addr(), faulty.Rule{})
-	want := int(vcfg.Channel.Count)
+	want := int(cfg.Channel.Count)
 	waitFor(t, 60*time.Second, "viewer to complete the stream after corruption clears", func() bool {
 		return v.ChunkCount() >= want
 	})
@@ -172,52 +104,6 @@ func TestFaultMatrixCorruptionDetected(t *testing.T) {
 			t.Fatalf("buffered chunk %d fails verification", seq)
 		}
 	}
-}
-
-// ringCorrect is the backend-aware convergence oracle for the given
-// membership. Chord: every node's successor pointer matches the sorted
-// ring order. Kademlia (no ring structure): every node's membership view
-// is exactly the given set — all live members learned, all dead or
-// far-side contacts purged.
-func ringCorrect(nodes []*Node) bool {
-	if len(nodes) == 0 {
-		return true
-	}
-	if nodes[0].DHTName() != "chord" {
-		return viewsConverged(nodes)
-	}
-	sorted := append([]*Node(nil), nodes...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID() < sorted[j].ID() })
-	for i, nd := range sorted {
-		next := sorted[(i+1)%len(sorted)]
-		if _, succ := nd.Successor(); succ != next.Addr() {
-			return false
-		}
-	}
-	return true
-}
-
-// viewsConverged reports whether every node's kernel membership view is
-// exactly the address set of nodes.
-func viewsConverged(nodes []*Node) bool {
-	want := map[string]bool{}
-	for _, nd := range nodes {
-		want[nd.Addr()] = true
-	}
-	for _, nd := range nodes {
-		nd.mu.Lock()
-		view := nd.kern.View()
-		nd.mu.Unlock()
-		if len(view) != len(want) {
-			return false
-		}
-		for _, m := range view {
-			if !want[m.Addr] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestFaultScheduleReproducible asserts the acceptance property directly:
@@ -282,54 +168,24 @@ func TestFaultScheduleReproducible(t *testing.T) {
 // (the documented recovery path) and catches up on the full stream.
 func TestSwarmSurvivesPartition(t *testing.T) {
 	const seed = 99
-	f := transport.NewFabric()
 	in := faulty.NewInjector(seed)
-
-	cfg := resilientConfig(true)
+	cfg := resilientConfig()
 	cfg.Channel.Count = 30
-	src, _ := NewNode(cfg, faultyAttach(f, in))
-	vcfg := resilientConfig(false)
-	vcfg.Channel.Count = 30
-	var viewers []*Node
-	for i := 0; i < 3; i++ {
-		nd, _ := NewNode(vcfg, faultyAttach(f, in))
-		if err := nd.Join(src.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		viewers = append(viewers, nd)
-	}
-	src.Start()
-	for _, v := range viewers {
-		v.Start()
-	}
-	all := append([]*Node{src}, viewers...)
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
+	s := upSwarm(t, SwarmSpec{N: 4, Base: cfg, Wrap: in.Wrap})
+	src, viewers := s.Source(), s.Viewers()
 
 	// Cut one viewer off from everyone.
 	time.Sleep(400 * time.Millisecond)
 	isolated := viewers[2]
-	majority := []*Node{src, viewers[0], viewers[1]}
-	in.Partition(
-		[]string{src.Addr(), viewers[0].Addr(), viewers[1].Addr()},
-		[]string{isolated.Addr()},
-	)
+	majority := Without(s.Nodes, isolated)
+	in.Partition(addrs(majority), addrs([]*Node{isolated}))
 
 	// The majority side streams to completion with the partition up.
-	want := int(vcfg.Channel.Count)
-	waitFor(t, 60*time.Second, "majority viewers to finish during the partition", func() bool {
-		for _, v := range majority[1:] {
-			if v.ChunkCount() < want {
-				return false
-			}
-		}
-		return true
+	await(t, s, 60*time.Second, "majority viewers to finish during the partition", func() bool {
+		return MinDelivered(majority[1:], cfg.Channel.Count) >= 100
 	})
-	waitFor(t, 15*time.Second, "majority ring to converge without the isolated node", func() bool {
-		return ringCorrect(majority)
+	await(t, s, 15*time.Second, "majority ring to converge without the isolated node", func() bool {
+		return RingCorrect(majority)
 	})
 
 	// Heal and re-bootstrap the isolated node; it must catch up fully.
@@ -337,10 +193,19 @@ func TestSwarmSurvivesPartition(t *testing.T) {
 	if err := isolated.JoinAny([]string{viewers[0].Addr(), src.Addr()}); err != nil {
 		t.Fatalf("rejoin after heal: %v", err)
 	}
-	waitFor(t, 60*time.Second, "healed viewer to catch up on the stream", func() bool {
-		return isolated.ChunkCount() >= want
+	await(t, s, 60*time.Second, "healed viewer to catch up on the stream", func() bool {
+		return MinDelivered([]*Node{isolated}, cfg.Channel.Count) >= 100
 	})
-	waitFor(t, 15*time.Second, "full ring to converge after the rejoin", func() bool {
-		return ringCorrect(all)
+	await(t, s, 15*time.Second, "full ring to converge after the rejoin", func() bool {
+		return RingCorrect(s.Nodes)
 	})
+}
+
+// addrs lists the addresses of nodes: a partition group.
+func addrs(nodes []*Node) []string {
+	out := make([]string, len(nodes))
+	for i, nd := range nodes {
+		out[i] = nd.Addr()
+	}
+	return out
 }

@@ -1,13 +1,11 @@
 package live
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"dco/internal/stream"
 	"dco/internal/telemetry"
-	"dco/internal/transport"
 )
 
 // TestFlashCrowdSoak is the PR 4 acceptance scenario: 30 viewers all join
@@ -35,65 +33,27 @@ func TestFlashCrowdSoak(t *testing.T) {
 	)
 	period := 150 * time.Millisecond
 
-	f := transport.NewFabric()
-	mkCfg := func(source bool) Config {
-		cfg := fastConfig(source)
-		cfg.Channel = stream.Params{Channel: "FC", ChunkBits: chunkBytes * 8, Period: period, Count: nChunks}
-		cfg.Telemetry = telemetry.NewRegistry()
-		cfg.Trace = telemetry.NewTrace(4096)
-		cfg.FetchDeadlineChunks = 150 // generous playback horizon; abandonment is the backstop, not the plan
-		if source {
+	cfg := fastConfig()
+	cfg.Channel = stream.Params{Channel: "FC", ChunkBits: chunkBytes * 8, Period: period, Count: nChunks}
+	cfg.Trace = telemetry.NewTrace(4096)
+	cfg.FetchDeadlineChunks = 150 // generous playback horizon; abandonment is the backstop, not the plan
+	cfg.UpBps = 8_000_000
+	s := testSwarm(t, SwarmSpec{N: 1 + nViewers, Base: cfg, Crowd: true, Tune: func(i int, cfg *Config) {
+		if i == 0 {
 			cfg.UpBps = 120_000 // ~2 chunk serves per period: the crowd must share
 			cfg.AdmitQueue = 8
-		} else {
-			cfg.UpBps = 8_000_000
 		}
-		return cfg
-	}
+	}})
+	src, viewers := s.Source(), s.Viewers()
 
-	src, err := NewNode(mkCfg(true), memAttach(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viewers := make([]*Node, nViewers)
-	for i := range viewers {
-		nd, err := NewNode(mkCfg(false), memAttach(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		viewers[i] = nd
-	}
-	all := append([]*Node{src}, viewers...)
-	var closeOnce sync.Once
-	closeAll := func() {
-		closeOnce.Do(func() {
-			for _, nd := range all {
-				nd.Close()
-			}
-		})
-	}
-	t.Cleanup(closeAll)
-
+	// The flash crowd: every viewer joins the running source concurrently.
+	// The arrival guard below measures joins alone — fetch pipelines start
+	// after the guard, so instrumentation overhead (race detector) in the
+	// fetch storm cannot masquerade as slow arrival.
 	src.Start()
 	start := time.Now()
-
-	// The flash crowd: every viewer joins concurrently. The arrival guard
-	// below measures joins alone — fetch pipelines start after the guard,
-	// so instrumentation overhead (race detector) in the fetch storm
-	// cannot masquerade as slow arrival.
-	var joinWG sync.WaitGroup
-	for _, nd := range viewers {
-		joinWG.Add(1)
-		go func(nd *Node) {
-			defer joinWG.Done()
-			if err := nd.Join(src.Addr()); err != nil {
-				t.Errorf("flash-crowd join: %v", err)
-			}
-		}(nd)
-	}
-	joinWG.Wait()
-	if t.Failed() {
-		t.FailNow()
+	if err := s.join(); err != nil {
+		t.Fatalf("flash-crowd join: %v", err)
 	}
 	if d := time.Since(start); d > period {
 		t.Fatalf("crowd took %v to join; the scenario requires arrival inside one period (%v)", d, period)
@@ -103,14 +63,8 @@ func TestFlashCrowdSoak(t *testing.T) {
 	}
 
 	// Delivery: >= 95% of the stream at every viewer.
-	const wantChunks = nChunks * 95 / 100
-	waitFor(t, 120*time.Second, "every viewer to deliver >= 95% of the stream", func() bool {
-		for _, v := range viewers {
-			if v.ChunkCount() < wantChunks {
-				return false
-			}
-		}
-		return true
+	await(t, s, 120*time.Second, "every viewer to deliver >= 95% of the stream", func() bool {
+		return MinDelivered(viewers, nChunks) >= 95
 	})
 	elapsed := time.Since(start)
 
@@ -131,28 +85,19 @@ func TestFlashCrowdSoak(t *testing.T) {
 	if srcStats.ChunksShedBusy == 0 {
 		t.Error("source never shed a request; the flash crowd did not exercise admission control")
 	}
-	var nacksSeen, hintless, abandoned uint64
-	for _, v := range viewers {
-		st := v.Stats()
-		nacksSeen += st.BusyNacksSeen
-		hintless += st.BusyNacksHintless
-		abandoned += st.ChunksAbandoned
-	}
-	if nacksSeen == 0 {
+	crowd := SumStats(viewers)
+	if crowd.BusyNacksSeen == 0 {
 		t.Error("no viewer ever saw a Busy nack despite source sheds")
 	}
-	if hintless != 0 {
-		t.Errorf("%d Busy nacks arrived without a RetryAfterMs hint, want 0", hintless)
+	if crowd.BusyNacksHintless != 0 {
+		t.Errorf("%d Busy nacks arrived without a RetryAfterMs hint, want 0", crowd.BusyNacksHintless)
 	}
 	t.Logf("flash crowd: elapsed=%v source_served=%d sheds=%d paced=%d nacks=%d abandoned=%d",
-		elapsed.Round(time.Millisecond), srcStats.ChunksServed, srcStats.ChunksShedBusy, srcStats.PacedServes, nacksSeen, abandoned)
+		elapsed.Round(time.Millisecond), srcStats.ChunksServed, srcStats.ChunksShedBusy, srcStats.PacedServes,
+		crowd.BusyNacksSeen, crowd.ChunksAbandoned)
 
 	// Shutdown must not wedge: every fetch worker exits promptly.
-	done := make(chan struct{})
-	go func() { closeAll(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("shutdown wedged: a fetch worker failed to exit")
+	if wedged := s.Close(); wedged != 0 {
+		t.Fatalf("shutdown wedged: %d nodes failed to close", wedged)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dco/internal/faulty"
-	"dco/internal/transport"
 	"dco/internal/wire"
 )
 
@@ -15,17 +14,9 @@ import (
 // exactly how FetchChunk uses it after provider selection.
 func grayTrio(t *testing.T, cfg Config, seq int64) (viewer, primary, backup *Node, in *faulty.Injector) {
 	t.Helper()
-	f := transport.NewFabric()
 	in = faulty.NewInjector(20260808)
-	mk := func() *Node {
-		n, err := NewNode(cfg, faultyAttach(f, in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		return n
-	}
-	viewer, primary, backup = mk(), mk(), mk()
+	s := testSwarm(t, SwarmSpec{N: 3, Base: cfg, Wrap: in.Wrap})
+	viewer, primary, backup = s.Nodes[0], s.Nodes[1], s.Nodes[2]
 	data := MakeChunkPayload(cfg.Channel, seq)
 	primary.storeChunk(seq, data, "")
 	backup.storeChunk(seq, data, "")
@@ -38,9 +29,7 @@ func grayTrio(t *testing.T, cfg Config, seq int64) (viewer, primary, backup *Nod
 // (stranger-conservative) HedgeMaxDelay, win from the backup, and return
 // the chunk in a fraction of the stall timeout.
 func TestHedgeRescuesStalledPrimary(t *testing.T) {
-	cfg := fastConfig(false)
-	cfg.Hedge = true
-	cfg.HedgeMinDelay = 20 * time.Millisecond
+	cfg := fastConfig()
 	cfg.HedgeMaxDelay = 80 * time.Millisecond
 	viewer, primary, backup, in := grayTrio(t, cfg, 5)
 	in.SetStalled(primary.Addr(), true)
@@ -81,8 +70,7 @@ func TestHedgeRescuesStalledPrimary(t *testing.T) {
 // latency estimate must never trigger a hedge — hedging is a tail-latency
 // defense, not a default double-send.
 func TestHedgeQuietOnFastPrimary(t *testing.T) {
-	cfg := fastConfig(false)
-	cfg.Hedge = true
+	cfg := fastConfig()
 	viewer, primary, backup, _ := grayTrio(t, cfg, 7)
 
 	resp, from, err := viewer.fetchOnce(7, primary.Addr(), backup.Addr(), time.Time{})
@@ -104,7 +92,7 @@ func TestHedgeQuietOnFastPrimary(t *testing.T) {
 // is single-flight and eats the stall, exactly the pre-hedging behavior the
 // graychaos scenario contrasts against.
 func TestHedgeDisabledWaitsOutStall(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.Hedge = false
 	cfg.CallTimeout = 600 * time.Millisecond
 	viewer, primary, backup, in := grayTrio(t, cfg, 9)
@@ -133,7 +121,7 @@ func TestHedgeDisabledWaitsOutStall(t *testing.T) {
 // the same backlog with only a WaitMs patience sheds without the deadline
 // attribution.
 func TestGetChunkDeadlineShed(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.UpBps = 8 * 1024 // 1 KiB/s drain: one 1 KiB chunk ≈ 1s of budget
 	cfg.AdmitBurst = 512 // half a chunk of burst → every serve projects a wait
 	cfg.AdmitMaxWait = time.Second
@@ -170,7 +158,7 @@ func TestGetChunkDeadlineShed(t *testing.T) {
 // dropped; with every peer neutral the order is exactly the input order
 // (the pre-health property existing tests rely on).
 func TestOrderProvidersHealthAware(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	provs := []wire.Entry{
 		{ID: 1, Addr: "p:a"},
 		{ID: 2, Addr: "p:b"},
@@ -203,7 +191,7 @@ func TestOrderProvidersHealthAware(t *testing.T) {
 // path: a coordinator holding a pending lookup releases it when the
 // requester's DeadlineMs budget — not the larger MaxWait — runs out.
 func TestLookupRespectsDeadlineBudget(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	key := uint64(n.cfg.Channel.Ref(11).ID())
 	start := time.Now()
 	resp := n.onLookup(&wire.Lookup{Key: key, Seq: 11, MaxWait: 5000, DeadlineMs: 120})

@@ -107,11 +107,10 @@ func (n *Node) noteManifestEntry(seq int64, hash, tag []byte) bool {
 // trimManifestLocked ages the oldest rows out once the cache exceeds the
 // configured window. Caller holds manMu.
 func (n *Node) trimManifestLocked() {
-	w := n.cfg.ManifestWindow
-	if w <= 0 || len(n.manifest) <= w {
+	if len(n.manifest) <= manifestWindow {
 		return
 	}
-	cut := n.manHead - int64(w)
+	cut := n.manHead - manifestWindow
 	for seq := range n.manifest {
 		if seq < cut {
 			delete(n.manifest, seq)
@@ -366,7 +365,7 @@ func (n *Node) reportPollution(target string, seq int64) {
 }
 
 // onPollutionReport tallies an accusation against m.Target. Once
-// PollutionReporters distinct reporters accuse the same peer within the
+// pollutionReporters distinct reporters accuse the same peer within the
 // quarantine window, the coordinator force-quarantines it and scrubs its
 // provider rows from the owned index (with unregister ops replicated, so
 // the scrub survives failover). Reporter identities are unauthenticated —
@@ -416,7 +415,7 @@ func (n *Node) onPollutionReport(m *wire.PollutionReport) wire.Message {
 		}
 	}
 	distinct := len(reporters)
-	trip := distinct >= n.cfg.PollutionReporters && !n.health.Quarantined(m.Target.Addr)
+	trip := distinct >= pollutionReporters && !n.health.Quarantined(m.Target.Addr)
 	var scrubbed int
 	if trip {
 		scrubbed = n.scrubProviderLocked(m.Target.Addr)

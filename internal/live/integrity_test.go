@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dco/internal/faulty"
-	"dco/internal/transport"
 	"dco/internal/wire"
 )
 
@@ -13,8 +12,8 @@ import (
 // source minted folds in anywhere, while any bit of tampering — hash, tag,
 // or seq reassignment — is rejected before the row can shadow verification.
 func TestManifestTagAuthenticatesRows(t *testing.T) {
-	src := soloNode(t, fastConfig(true))
-	peer := soloNode(t, fastConfig(false))
+	src := soloNode(t, fastConfig())
+	peer := soloNode(t, fastConfig())
 	data := MakeChunkPayload(src.cfg.Channel, 7)
 	src.addManifestEntrySource(7, data)
 	rec, ok := src.manifestLookup(7)
@@ -48,7 +47,7 @@ func TestManifestTagAuthenticatesRows(t *testing.T) {
 // choke point: a polluted payload never enters the buffer (manifest-covered
 // or not), is counted, and charges the serving peer.
 func TestStoreChunkChokePointRejectsPollution(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	good := MakeChunkPayload(n.cfg.Channel, 3)
 	bad := append([]byte(nil), good...)
 	bad[42] ^= 0xFF
@@ -69,7 +68,7 @@ func TestStoreChunkChokePointRejectsPollution(t *testing.T) {
 	// Manifest-covered seq: the manifest hash is authoritative, so even a
 	// payload that passes the generator check is refused when it does not
 	// match the row (and vice versa the row authenticates an exact match).
-	src := soloNode(t, fastConfig(true))
+	src := soloNode(t, fastConfig())
 	d4 := MakeChunkPayload(n.cfg.Channel, 4)
 	src.addManifestEntrySource(4, d4)
 	rec, _ := src.manifestLookup(4)
@@ -94,7 +93,7 @@ func TestStoreChunkChokePointRejectsPollution(t *testing.T) {
 // threshold, the peer drops out of provider usability, and the permanent
 // log records it.
 func TestPunishPoisonerQuarantines(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.QuarantineThreshold = 3
 	cfg.QuarantineTTL = 200 * time.Millisecond
 	n := soloNode(t, cfg)
@@ -142,7 +141,7 @@ func TestPunishPoisonerQuarantines(t *testing.T) {
 // through its burst and gets retryable Busy nacks, while a different
 // holder's bucket is untouched.
 func TestInsertRateLimit(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.InsertRate = 5 // burst 10
 	n := soloNode(t, cfg)
 	key := uint64(n.cfg.Channel.Ref(1).ID())
@@ -180,7 +179,7 @@ func TestInsertRateLimit(t *testing.T) {
 // verified head around seq 100, registrations claiming chunks far past the
 // edge are terminal-rejected while near-edge ones pass.
 func TestInsertHorizonRejectsFutureSeqs(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.InsertHorizon = 50
 	n := soloNode(t, cfg)
 	// Give the node a verified head: an authenticated manifest row at 100.
@@ -211,7 +210,7 @@ func TestInsertHorizonRejectsFutureSeqs(t *testing.T) {
 // TestInsertProviderCap pins the per-entry growth bound: a full entry
 // refuses new providers but keeps refreshing registered ones.
 func TestInsertProviderCap(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.MaxProvidersPerSeq = 2
 	n := soloNode(t, cfg)
 	key := uint64(n.cfg.Channel.Ref(5).ID())
@@ -236,7 +235,7 @@ func TestInsertProviderCap(t *testing.T) {
 // TestInsertQuarantinedHolderRejected: a quarantined peer cannot
 // re-register itself into the index, but can still be unregistered.
 func TestInsertQuarantinedHolderRejected(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	evil := wire.Entry{ID: 9, Addr: "evil:1"}
 	key := uint64(n.cfg.Channel.Ref(3).ID())
 	n.health.ForceQuarantine(evil.Addr)
@@ -255,7 +254,7 @@ func TestInsertQuarantinedHolderRejected(t *testing.T) {
 // reporter never count twice; self-accusations are malformed; and the
 // coordinator never quarantines itself on hearsay.
 func TestPollutionReportsScrubAndQuarantine(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	evil := wire.Entry{ID: 66, Addr: "evil:1"}
 	key := uint64(n.cfg.Channel.Ref(8).ID())
 	if _, ok := n.onInsert(&wire.Insert{Key: key, Seq: 8, Holder: evil}).(*wire.Ack); !ok {
@@ -308,7 +307,7 @@ func TestPollutionReportsScrubAndQuarantine(t *testing.T) {
 // providers are quarantined answers like an empty one instead of handing
 // out known poisoners.
 func TestLookupParksWhenAllProvidersQuarantined(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	evil := wire.Entry{ID: 66, Addr: "evil:1"}
 	key := uint64(n.cfg.Channel.Ref(2).ID())
 	if _, ok := n.onInsert(&wire.Insert{Key: key, Seq: 2, Holder: evil}).(*wire.Ack); !ok {
@@ -326,7 +325,7 @@ func TestLookupParksWhenAllProvidersQuarantined(t *testing.T) {
 // observed latency towers over the cohort's best is discounted to
 // saturated and sorts behind an honestly-loaded fast peer.
 func TestLatencyContradictionClampsLyingLoad(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	liar := wire.Entry{ID: 1, Addr: "liar:1"}
 	honest := wire.Entry{ID: 2, Addr: "honest:1"}
 	// Observed reality: the liar's serves take 120ms, the honest peer 4ms.
@@ -354,30 +353,16 @@ func TestLatencyContradictionClampsLyingLoad(t *testing.T) {
 // quarantine lapses — complete the stream with a fully verified buffer.
 func TestPoisonerQuarantinedEndToEnd(t *testing.T) {
 	const seed = 20260808
-	f := transport.NewFabric()
 	in := faulty.NewInjector(seed)
-
-	cfg := resilientConfig(true)
+	cfg := resilientConfig()
 	cfg.Channel.Count = 12
-	src, err := NewNode(cfg, faultyAttach(f, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vcfg := resilientConfig(false)
-	vcfg.Channel.Count = 12
-	vcfg.QuarantineTTL = 2 * time.Second
-	v, err := NewNode(vcfg, faultyAttach(f, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Join(src.Addr()); err != nil {
-		t.Fatal(err)
-	}
+	cfg.QuarantineTTL = 2 * time.Second
+	s := testSwarm(t, SwarmSpec{N: 2, Base: cfg, Wrap: in.Wrap})
+	src, v := s.Nodes[0], s.Nodes[1]
 	in.SetPoisoner(src.Addr(), 1)
-	src.Start()
-	v.Start()
-	defer src.Close()
-	defer v.Close()
+	if err := s.Up(); err != nil {
+		t.Fatal(err)
+	}
 
 	waitFor(t, 30*time.Second, "poisoned transfers to quarantine the source", func() bool {
 		s := v.Stats()
@@ -399,7 +384,7 @@ func TestPoisonerQuarantinedEndToEnd(t *testing.T) {
 	// Poison stops; quarantine and blacklist lapse; the stream completes
 	// and everything buffered verifies.
 	in.SetPoisoner(src.Addr(), 0)
-	want := int(vcfg.Channel.Count)
+	want := int(cfg.Channel.Count)
 	waitFor(t, 60*time.Second, "viewer to complete the stream after the poison clears", func() bool {
 		return v.ChunkCount() >= want
 	})

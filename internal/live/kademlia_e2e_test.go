@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dco/internal/telemetry"
-	"dco/internal/transport"
 )
 
 // TestKademliaSwarmScrapeMidStream is the Kademlia twin of
@@ -19,40 +18,21 @@ import (
 // satellite: if a metric is renamed or silently stops moving, this
 // fails, not a dashboard.
 func TestKademliaSwarmScrapeMidStream(t *testing.T) {
-	f := transport.NewFabric()
-
-	mkCfg := func(source bool) Config {
-		cfg := fastConfig(source)
-		cfg.DHT = "kademlia"
-		cfg.Channel.Count = 40
-		cfg.Telemetry = telemetry.NewRegistry()
-		cfg.Trace = telemetry.NewTrace(1024)
-		return cfg
-	}
-
-	scfg := mkCfg(true)
-	src, err := NewNode(scfg, meteredAttach(f, scfg.Telemetry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	cfg := fastConfig()
+	cfg.DHT = "kademlia"
+	cfg.Channel.Count = 40
+	vtr := telemetry.NewTrace(1024)
+	s := upSwarm(t, SwarmSpec{N: 2, Base: cfg, Tune: func(i int, cfg *Config) {
+		if i == 1 {
+			cfg.Trace = vtr
+		}
+	}})
+	src, viewer := s.Nodes[0], s.Nodes[1]
 	if got := src.DHTName(); got != "kademlia" {
 		t.Fatalf("DHTName() = %q, want kademlia", got)
 	}
 
-	vcfg := mkCfg(false)
-	viewer, err := NewNode(vcfg, meteredAttach(f, vcfg.Telemetry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viewer.Close()
-	if err := viewer.Join(src.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	src.Start()
-	viewer.Start()
-
-	srv := httptest.NewServer(telemetry.Handler(vcfg.Telemetry, vcfg.Trace))
+	srv := httptest.NewServer(telemetry.Handler(s.Registry(1), vtr))
 	defer srv.Close()
 
 	waitFor(t, 30*time.Second, "kademlia viewer to buffer a few chunks", func() bool {
@@ -95,7 +75,7 @@ func TestKademliaSwarmScrapeMidStream(t *testing.T) {
 	}
 
 	// The trace recorded the kernel's routing decisions.
-	if vcfg.Trace.Count("lookup.route") == 0 {
+	if vtr.Count("lookup.route") == 0 {
 		t.Fatal("trace has no lookup.route events from the kademlia kernel")
 	}
 }

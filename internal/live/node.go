@@ -45,28 +45,15 @@ type Config struct {
 	// DCO_DHT environment variable, then falls back to "chord".
 	DHT string
 
-	// SuccListSize is the Chord successor-list length.
-	SuccListSize int
-
 	// Maintenance cadence. Chord runs stabilize/fix-fingers at these
-	// periods; Kademlia derives its probe cadence from StabilizeEvery.
+	// periods; Kademlia probes at StabilizeEvery and refreshes one bucket
+	// every 4 x StabilizeEvery.
 	StabilizeEvery  time.Duration
 	FixFingersEvery time.Duration
 
-	// KadK and KadAlpha tune the Kademlia backend: bucket capacity /
-	// closest-set size and lookup parallelism. 0 derives 16 and 3.
-	KadK     int
-	KadAlpha int
-
-	// KadRefreshEvery is the Kademlia bucket-refresh cadence (one bucket
-	// per tick). 0 derives 4 x StabilizeEvery.
-	KadRefreshEvery time.Duration
-
 	// Fetching.
-	LookupWait         time.Duration // server-side pending-queue wait per lookup
-	CallTimeout        time.Duration
-	FetchWorkers       int
-	MaxServeConcurrent int // provider-side admission limit (feeds the default AdmitQueue)
+	LookupWait  time.Duration // server-side pending-queue wait per lookup
+	CallTimeout time.Duration
 
 	// UpBps is advertised in inserts (paper Fig. 3's bandwidth column) and
 	// — since the admission layer — enforced on the chunk serve path: a
@@ -76,7 +63,7 @@ type Config struct {
 
 	// AdmitQueue bounds how many admitted chunk serves may wait out their
 	// pace delay at once; requests beyond it are shed with Busy +
-	// RetryAfterMs. 0 derives 2 x MaxServeConcurrent.
+	// RetryAfterMs. 0 derives 16.
 	AdmitQueue int
 
 	// AdmitBurst is the pacer's burst allowance in bytes — how far ahead
@@ -98,18 +85,10 @@ type Config struct {
 	// behavior, fine for bounded archival pulls).
 	FetchDeadlineChunks int
 
-	// LoadReport piggybacks this node's upload load factor on republish
-	// Inserts and every ChunkResp, which is what lets coordinators do
-	// capacity-weighted provider selection and viewers prefer the
-	// least-loaded provider. Disabling it reports 0 everywhere (selection
-	// degrades to fair rotation).
-	LoadReport bool
-
 	// RepublishEvery re-inserts a few of this node's chunk indices (DHT
 	// soft state): a coordinator that dies abruptly takes its index table
 	// with it, and republication is what restores availability.
 	RepublishEvery time.Duration
-	RepublishBatch int
 
 	// Replicas is the index replication factor r: every Insert/Unregister
 	// a coordinator accepts is asynchronously batch-replicated to its
@@ -134,7 +113,7 @@ type Config struct {
 	// refreshes it; a provider that dies without unregistering ages out
 	// of lookup answers once the lease lapses. It must comfortably exceed
 	// the republish rotation period (RepublishEvery × registered chunks /
-	// RepublishBatch) or live providers expire between refreshes. Zero
+	// 4 per tick) or live providers expire between refreshes. Zero
 	// disables leases (registrations live until unregistered).
 	IndexTTL time.Duration
 
@@ -145,18 +124,6 @@ type Config struct {
 	// Zero disables the census — and with it automatic partition healing
 	// and lone-node re-bootstrap.
 	CensusEvery time.Duration
-
-	// CensusProbes is how many cached members one census round probes.
-	// Low by design: the census is a background safety net, not a gossip
-	// protocol. 0 derives 2.
-	CensusProbes int
-
-	// MemberCacheSize bounds the member cache feeding the census: members
-	// seen in successor lists, lookups, and replication traffic, retained
-	// even after they become unreachable (an unreachable member may be on
-	// the far side of a partition — exactly who the census must probe).
-	// 0 derives 128.
-	MemberCacheSize int
 
 	// ActiveWindow bounds how many chunks a node retains (and advertises);
 	// older chunks are dropped and unregistered as the stream moves on —
@@ -190,28 +157,11 @@ type Config struct {
 	// DefaultNodeConfig turns it on.
 	Hedge bool
 
-	// HedgeMinDelay / HedgeMaxDelay clamp the hedge trigger delay derived
-	// from the primary provider's latency EWMA. Peers with no latency
-	// history hedge at HedgeMaxDelay (conservative against strangers).
-	// 0 derives 20ms / 300ms.
-	HedgeMinDelay time.Duration
+	// HedgeMaxDelay is the ceiling of the hedge trigger delay derived from
+	// the primary provider's latency EWMA (the floor is 20ms). Peers with
+	// no latency history hedge at HedgeMaxDelay (conservative against
+	// strangers). 0 derives 300ms.
 	HedgeMaxDelay time.Duration
-
-	// HealthHalfLife is the decay half-life of peer suspicion scores
-	// (internal/health): how fast a degraded peer ages back to neutral
-	// with no fresh evidence. 0 derives 5s.
-	HealthHalfLife time.Duration
-
-	// HealthSuspect is the suspicion score at which a peer counts as
-	// suspected and is deprioritized in provider/coordinator selection
-	// (one conclusive error contributes 1.0). 0 derives 3.
-	HealthSuspect float64
-
-	// ManifestWindow bounds how many chunk-manifest rows this node caches
-	// (integrity.go): the source mints a row per generated chunk; every
-	// node folds in rows learned from ManifestResps and replication.
-	// 0 derives 4096. Rows age out oldest-first as the stream advances.
-	ManifestWindow int
 
 	// QuarantineThreshold is the integrity demerit score (one unit per
 	// chunk that failed verification) at which a peer is quarantined from
@@ -222,12 +172,6 @@ type Config struct {
 	// QuarantineTTL is how long a quarantined peer stays excluded. 0
 	// derives 30s.
 	QuarantineTTL time.Duration
-
-	// IntegrityHalfLife is the time-decay half-life of integrity demerits.
-	// Unlike suspicion, good responses never decay integrity — only time
-	// does, so selective poisoners cannot launder their record. 0 derives
-	// 30s.
-	IntegrityHalfLife time.Duration
 
 	// InsertRate caps how many index Inserts per second a coordinator
 	// accepts from one holder address (token bucket, burst 2x) — the
@@ -245,12 +189,6 @@ type Config struct {
 	// inserts beyond it are rejected (a spammer cannot grow an entry
 	// without bound). 0 derives 128; negative disables the cap.
 	MaxProvidersPerSeq int
-
-	// PollutionReporters is how many distinct reporters must accuse a
-	// peer of serving polluted chunks before the coordinator quarantines
-	// it and scrubs its index entries — one slanderer is never enough.
-	// 0 derives 2.
-	PollutionReporters int
 
 	// IOReadTimeout / IOWriteTimeout override the transport's server-side
 	// per-exchange read deadline and reply write deadline when the
@@ -282,37 +220,48 @@ type Config struct {
 // DefaultNodeConfig returns sane settings for LAN/localhost deployments.
 func DefaultNodeConfig() Config {
 	return Config{
-		Channel:            stream.Params{Channel: "LIVE", ChunkBits: 64 * 8 * 1024, Period: 250 * time.Millisecond, Count: 0},
-		DHT:                defaultDHT(),
-		SuccListSize:       8,
-		StabilizeEvery:     300 * time.Millisecond,
-		FixFingersEvery:    100 * time.Millisecond,
-		LookupWait:         2 * time.Second,
-		CallTimeout:        5 * time.Second,
-		FetchWorkers:       3,
-		MaxServeConcurrent: 8,
-		UpBps:              10_000_000,
-		AdmitQueue:         16,
-		AdmitMaxWait:       600 * time.Millisecond,
-		LoadReport:         true,
-		RepublishEvery:     time.Second,
-		RepublishBatch:     4,
-		Replicas:           2,
-		ReplicateEvery:     150 * time.Millisecond,
-		AntiEntropyEvery:   3 * time.Second,
-		IndexTTL:           45 * time.Second,
-		CensusEvery:        2 * time.Second,
-		CensusProbes:       2,
-		MemberCacheSize:    128,
-		Retry:              retry.DefaultPolicy(),
-		Breaker:            retry.DefaultBreakerConfig(),
-		ProviderCooldown:   2 * time.Second,
-		Hedge:              true,
-		HedgeMinDelay:      20 * time.Millisecond,
-		HedgeMaxDelay:      300 * time.Millisecond,
-		JoinAttempts:       3,
+		Channel:          stream.Params{Channel: "LIVE", ChunkBits: 64 * 8 * 1024, Period: 250 * time.Millisecond, Count: 0},
+		DHT:              defaultDHT(),
+		StabilizeEvery:   300 * time.Millisecond,
+		FixFingersEvery:  100 * time.Millisecond,
+		LookupWait:       2 * time.Second,
+		CallTimeout:      5 * time.Second,
+		UpBps:            10_000_000,
+		AdmitQueue:       defaultAdmitQueue,
+		AdmitMaxWait:     defaultAdmitMaxWait,
+		RepublishEvery:   time.Second,
+		Replicas:         2,
+		ReplicateEvery:   150 * time.Millisecond,
+		AntiEntropyEvery: 3 * time.Second,
+		IndexTTL:         45 * time.Second,
+		CensusEvery:      2 * time.Second,
+		Retry:            retry.DefaultPolicy(),
+		Breaker:          retry.DefaultBreakerConfig(),
+		ProviderCooldown: 2 * time.Second,
+		Hedge:            true,
+		HedgeMaxDelay:    defaultHedgeMaxDelay,
+		JoinAttempts:     3,
 	}
 }
+
+// Parameters of the live node that are not configuration: nothing in the
+// repository ever ran them at another value (DESIGN.md, "Configuration").
+// The health tracker's half-lives and suspicion threshold and Kademlia's
+// k and alpha are likewise their packages' own defaults.
+const (
+	succListSize       = 8    // Chord successor-list length
+	fetchWorkers       = 3    // concurrent chunk fetches per viewer
+	republishBatch     = 4    // chunk indices re-inserted per republish tick
+	censusProbes       = 2    // cached members probed per census round: a safety net, not gossip
+	memberCacheSize    = 128  // members remembered for the census, reachable or not
+	manifestWindow     = 4096 // verified manifest rows cached, oldest aged out first
+	pollutionReporters = 2    // distinct accusers that quarantine a peer: one slanderer is never enough
+	hedgeMinDelay      = 20 * time.Millisecond
+
+	defaultAdmitQueue    = 16
+	defaultAdmitMaxWait  = 600 * time.Millisecond
+	defaultHedgeMaxDelay = 300 * time.Millisecond
+)
 
 // Node is a live DCO participant.
 type Node struct {
@@ -538,26 +487,11 @@ var errNotOwner = errors.New("live: not the key owner")
 // with the node's handler and must return the listening transport (this
 // inversion lets the caller pick TCP or an in-memory fabric).
 func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, error)) (*Node, error) {
-	if cfg.SuccListSize <= 0 {
-		cfg.SuccListSize = 8
-	}
-	if cfg.FetchWorkers <= 0 {
-		cfg.FetchWorkers = 2
-	}
-	if cfg.MaxServeConcurrent <= 0 {
-		cfg.MaxServeConcurrent = 8
-	}
 	if cfg.AdmitQueue <= 0 {
-		cfg.AdmitQueue = 2 * cfg.MaxServeConcurrent
+		cfg.AdmitQueue = defaultAdmitQueue
 	}
 	if cfg.AdmitMaxWait <= 0 {
-		cfg.AdmitMaxWait = 600 * time.Millisecond
-	}
-	if cfg.CensusProbes <= 0 {
-		cfg.CensusProbes = 2
-	}
-	if cfg.MemberCacheSize <= 0 {
-		cfg.MemberCacheSize = 128
+		cfg.AdmitMaxWait = defaultAdmitMaxWait
 	}
 	burst := cfg.AdmitBurst
 	if burst <= 0 {
@@ -573,9 +507,6 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 			burst = quarter
 		}
 	}
-	if cfg.ManifestWindow == 0 {
-		cfg.ManifestWindow = 4096
-	}
 	if cfg.InsertRate == 0 {
 		cfg.InsertRate = 200
 	}
@@ -584,9 +515,6 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	}
 	if cfg.MaxProvidersPerSeq == 0 {
 		cfg.MaxProvidersPerSeq = 128
-	}
-	if cfg.PollutionReporters <= 0 {
-		cfg.PollutionReporters = 2
 	}
 	n := &Node{
 		cfg:        cfg,
@@ -611,9 +539,6 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	n.tr = tr
 	n.self = dht.Member{ID: dht.IDOf(tr.Addr()), Addr: tr.Addr()}
 	n.health = health.NewTracker(health.Config{
-		HalfLife:            cfg.HealthHalfLife,
-		SuspectThreshold:    cfg.HealthSuspect,
-		IntegrityHalfLife:   cfg.IntegrityHalfLife,
 		QuarantineThreshold: cfg.QuarantineThreshold,
 		QuarantineTTL:       cfg.QuarantineTTL,
 	})
@@ -633,7 +558,7 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 			io.SetIOTimeouts(cfg.IOReadTimeout, cfg.IOWriteTimeout)
 		}
 	}
-	n.members = dht.NewMemberCache(n.self.Addr, cfg.MemberCacheSize)
+	n.members = dht.NewMemberCache(n.self.Addr, memberCacheSize)
 	seed := cfg.RetrySeed
 	if seed == 0 {
 		// Stable per-address seed: same deployment, same jitter schedule.
@@ -753,15 +678,22 @@ func (n *Node) startRingMaint() {
 	}
 }
 
-// Start launches the maintenance loops and, for sources, the generator;
-// viewers also start their fetch pipeline.
-func (n *Node) Start() {
+// startMaint launches what keeps a member's ring position and index alive
+// — kernel maintenance, republication, replication — but neither the
+// census nor the stream.
+func (n *Node) startMaint() {
 	n.startRingMaint()
 	n.loop(n.cfg.RepublishEvery, n.republish)
 	if n.cfg.Replicas > 0 {
 		n.loop(n.cfg.ReplicateEvery, n.replicateFlush)
 		n.loop(n.cfg.AntiEntropyEvery, n.antiEntropy)
 	}
+}
+
+// Start launches the maintenance loops and, for sources, the generator;
+// viewers also start their fetch pipeline.
+func (n *Node) Start() {
+	n.startMaint()
 	n.loop(n.cfg.CensusEvery, n.census)
 	if n.cfg.Source {
 		n.wg.Add(1)

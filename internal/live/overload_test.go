@@ -5,27 +5,14 @@ import (
 	"testing"
 	"time"
 
-	"dco/internal/transport"
 	"dco/internal/wire"
 )
-
-// soloNode builds an unstarted single node on a fresh fabric: it owns every
-// key, so coordinator handlers can be driven directly.
-func soloNode(t *testing.T, cfg Config) *Node {
-	t.Helper()
-	n, err := NewNode(cfg, memAttach(transport.NewFabric()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	return n
-}
 
 // TestLookupPendingQueueMaxWaitExpiry pins the pending queue's timeout arm:
 // a lookup for a chunk nobody provides parks for MaxWait and then returns
 // an empty answer — not early, and not an error.
 func TestLookupPendingQueueMaxWaitExpiry(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	key := uint64(n.cfg.Channel.Ref(5).ID())
 	start := time.Now()
 	resp := n.onLookup(&wire.Lookup{Key: key, Seq: 5, MaxWait: 80})
@@ -45,7 +32,7 @@ func TestLookupPendingQueueMaxWaitExpiry(t *testing.T) {
 // released by a concurrent Insert well before MaxWait, and the answer holds
 // exactly the provider that registered.
 func TestLookupPendingQueueWokenByInsert(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	key := uint64(n.cfg.Channel.Ref(6).ID())
 	prov := wire.Entry{ID: 1, Addr: "prov:1"}
 	done := make(chan []wire.Entry, 1)
@@ -74,7 +61,7 @@ func TestLookupPendingQueueWokenByInsert(t *testing.T) {
 // race, hanging or panicking is not. Run with -race, this also proves the
 // wake-channel replacement in wakeLocked is sound.
 func TestLookupPendingQueueRace(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	var wg sync.WaitGroup
 	for i := 0; i < 24; i++ {
 		seq := int64(100 + i)
@@ -99,7 +86,7 @@ func TestLookupPendingQueueRace(t *testing.T) {
 // provider is unusable for exactly ProviderCooldown, then usable again —
 // and the expired row is lazily removed, not leaked.
 func TestProviderCooldownExpiry(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.ProviderCooldown = 60 * time.Millisecond
 	n := soloNode(t, cfg)
 	const peer = "peer:9"
@@ -124,7 +111,7 @@ func TestProviderCooldownExpiry(t *testing.T) {
 // TestGetChunkMissCounted: a GetChunk for a chunk this node never buffered
 // is a miss — counted, not Busy, and still carrying the load report.
 func TestGetChunkMissCounted(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	cr, ok := n.onGetChunk(&wire.GetChunk{Seq: 42}).(*wire.ChunkResp)
 	if !ok {
 		t.Fatal("miss did not answer with a ChunkResp")
@@ -141,7 +128,7 @@ func TestGetChunkMissCounted(t *testing.T) {
 // checks the shed contract: Busy=true, a nonzero RetryAfterMs hint, a
 // saturated load report, and the shed counted.
 func TestGetChunkShedsWithRetryHint(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.UpBps = 8_000     // 1000 B/s
 	cfg.AdmitBurst = 1024 // exactly one chunk of burst
 	cfg.AdmitMaxWait = 50 * time.Millisecond
@@ -275,7 +262,7 @@ func TestSelectExplorationEscapesIdleCohort(t *testing.T) {
 // for a chunk nobody can provide gives up at the horizon (counted, so the
 // worker rejoins the live edge) instead of retrying forever.
 func TestFetchDeadlineAbandons(t *testing.T) {
-	cfg := fastConfig(false)
+	cfg := fastConfig()
 	cfg.FetchDeadlineChunks = 3 // 120ms horizon at the 40ms test period
 	n := soloNode(t, cfg)
 	errCh := make(chan error, 1)
@@ -296,7 +283,7 @@ func TestFetchDeadlineAbandons(t *testing.T) {
 // TestSleepBusyAbortsOnClose: a Busy backoff must never outlive the node —
 // sleepBusy returns false promptly once the node closes.
 func TestSleepBusyAbortsOnClose(t *testing.T) {
-	n := soloNode(t, fastConfig(false))
+	n := soloNode(t, fastConfig())
 	done := make(chan bool, 1)
 	go func() { done <- n.sleepBusy("peer:1", 60_000, time.Time{}) }()
 	time.Sleep(20 * time.Millisecond)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dco/internal/chord"
-	"dco/internal/transport"
 	"dco/internal/wire"
 )
 
@@ -15,7 +14,7 @@ import (
 // flush and anti-entropy cadences, republication disabled so that what
 // the tests observe is the replication layer and nothing else.
 func replConfig() Config {
-	cfg := resilientConfig(false)
+	cfg := resilientConfig()
 	cfg.Channel.Count = 0
 	cfg.Replicas = 2
 	cfg.ReplicateEvery = 25 * time.Millisecond
@@ -23,49 +22,6 @@ func replConfig() Config {
 	cfg.IndexTTL = 30 * time.Second
 	cfg.RepublishEvery = 0
 	return cfg
-}
-
-// startMaint launches the maintenance loops the way Start() would,
-// without the generate/fetch pipelines (these tests drive index ops by
-// hand).
-func startMaint(nd *Node) {
-	nd.startRingMaint()
-	nd.loop(nd.cfg.RepublishEvery, nd.republish)
-	if nd.cfg.Replicas > 0 {
-		nd.loop(nd.cfg.ReplicateEvery, nd.replicateFlush)
-		nd.loop(nd.cfg.AntiEntropyEvery, nd.antiEntropy)
-	}
-}
-
-// buildRing assembles and converges an n-node ring of cfg-shaped nodes.
-func buildRing(t *testing.T, f *transport.Fabric, cfg Config, count int) []*Node {
-	t.Helper()
-	var nodes []*Node
-	for i := 0; i < count; i++ {
-		nd, err := NewNode(cfg, memAttach(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 {
-			if err := nd.Join(nodes[0].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		nodes = append(nodes, nd)
-	}
-	for _, nd := range nodes {
-		startMaint(nd)
-	}
-	waitFor(t, 10*time.Second, "ring convergence", func() bool {
-		return ringCorrect(nodes)
-	})
-	return nodes
-}
-
-func closeAll(nodes []*Node) {
-	for _, nd := range nodes {
-		nd.Close()
-	}
 }
 
 // ownerOf locates the ring member owning seq's chunk key.
@@ -120,9 +76,7 @@ func countReplicaHolders(nodes []*Node, ownerAddr string, seq int64, provAddr st
 // TestInsertsReplicateToSuccessors: an accepted Insert shows up at the
 // owner's first r successors within a few flush periods.
 func TestInsertsReplicateToSuccessors(t *testing.T) {
-	f := transport.NewFabric()
-	nodes := buildRing(t, f, replConfig(), 5)
-	defer closeAll(nodes)
+	nodes := ringOf(t, replConfig(), 5, (*Node).startMaint).Nodes
 
 	const seq = 7
 	owner, key := ownerOf(t, nodes, seq)
@@ -147,9 +101,7 @@ func TestInsertsReplicateToSuccessors(t *testing.T) {
 // not lose its index — the first live successor promotes the replicated
 // entries and answers lookups from them.
 func TestTakeoverAfterCoordinatorDeath(t *testing.T) {
-	f := transport.NewFabric()
-	nodes := buildRing(t, f, replConfig(), 5)
-	defer closeAll(nodes)
+	nodes := ringOf(t, replConfig(), 5, (*Node).startMaint).Nodes
 
 	const seq = 11
 	owner, key := ownerOf(t, nodes, seq)
@@ -163,14 +115,9 @@ func TestTakeoverAfterCoordinatorDeath(t *testing.T) {
 	})
 
 	owner.Close()
-	var survivors []*Node
-	for _, nd := range nodes {
-		if nd != owner {
-			survivors = append(survivors, nd)
-		}
-	}
+	survivors := Without(nodes, owner)
 	waitFor(t, 15*time.Second, "ring to heal around the dead coordinator", func() bool {
-		return ringCorrect(survivors)
+		return RingCorrect(survivors)
 	})
 
 	// The lookup is answered from the promoted replica — no republication
@@ -206,9 +153,7 @@ func TestTakeoverAfterCoordinatorDeath(t *testing.T) {
 // the next republish the entries were simply gone. Replication sends the
 // handed-off range past the new owner, whose death now promotes it.
 func TestGracefulLeaveSurvivesSuccessorDeath(t *testing.T) {
-	f := transport.NewFabric()
-	nodes := buildRing(t, f, replConfig(), 5)
-	defer closeAll(nodes)
+	nodes := ringOf(t, replConfig(), 5, (*Node).startMaint).Nodes
 
 	const seq = 13
 	owner, key := ownerOf(t, nodes, seq)
@@ -229,32 +174,23 @@ func TestGracefulLeaveSurvivesSuccessorDeath(t *testing.T) {
 	if err := owner.Leave(); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
+	survivors := Without(nodes, owner)
 	var heir *Node
-	var survivors []*Node
-	for _, nd := range nodes {
-		if nd == owner {
-			continue
-		}
-		survivors = append(survivors, nd)
+	for _, nd := range survivors {
 		if nd.Addr() == succAddr {
 			heir = nd
 		}
 	}
 	waitFor(t, 10*time.Second, "ring to settle after the leave", func() bool {
-		return ringCorrect(survivors)
+		return RingCorrect(survivors)
 	})
 
 	// Now the sole handoff successor dies abruptly — the pre-replication
 	// stack lost the entry here with RepublishEvery disabled.
 	heir.Close()
-	var remaining []*Node
-	for _, nd := range survivors {
-		if nd != heir {
-			remaining = append(remaining, nd)
-		}
-	}
+	remaining := Without(survivors, heir)
 	waitFor(t, 15*time.Second, "ring to heal around the dead heir", func() bool {
-		return ringCorrect(remaining)
+		return RingCorrect(remaining)
 	})
 
 	asker := remaining[0]
@@ -273,9 +209,7 @@ func TestGracefulLeaveSurvivesSuccessorDeath(t *testing.T) {
 func TestAntiEntropyRepairsMissedReplication(t *testing.T) {
 	cfg := replConfig()
 	cfg.ReplicateEvery = time.Hour // batches never flush; only digests run
-	f := transport.NewFabric()
-	nodes := buildRing(t, f, cfg, 5)
-	defer closeAll(nodes)
+	nodes := ringOf(t, cfg, 5, (*Node).startMaint).Nodes
 
 	const seq = 17
 	owner, key := ownerOf(t, nodes, seq)
@@ -309,16 +243,11 @@ func TestAntiEntropyRepairsMissedReplication(t *testing.T) {
 // TestIndexLeaseExpiry: a provider that stops republishing ages out of
 // lookup answers once its lease lapses (satellite: coordinator-side TTL).
 func TestIndexLeaseExpiry(t *testing.T) {
-	f := transport.NewFabric()
-	cfg := fastConfig(true)
+	cfg := fastConfig()
 	cfg.Channel.Count = 0
 	cfg.Replicas = 0
 	cfg.IndexTTL = 250 * time.Millisecond
-	n, err := NewNode(cfg, memAttach(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	n := soloNode(t, cfg)
 
 	key := uint64(n.cfg.Channel.Ref(3).ID())
 	n.onInsert(&wire.Insert{Key: key, Seq: 3, Holder: wire.Entry{ID: 1, Addr: "mem://dead"}, UpBps: 1})
@@ -401,12 +330,11 @@ func TestProviderHashSemantics(t *testing.T) {
 // geometry and the sorted-ring oracle are Chord invariants, so this test
 // pins the chord backend regardless of DCO_DHT.
 func TestConcurrentJoinsOwnershipTransfer(t *testing.T) {
-	f := transport.NewFabric()
 	cfg := replConfig()
 	cfg.DHT = "chord"
 	cfg.RepublishEvery = 500 * time.Millisecond // production repair path stays on
-	nodes := buildRing(t, f, cfg, 3)
-	defer closeAll(nodes)
+	s := ringOf(t, cfg, 3, (*Node).startMaint)
+	nodes := s.Nodes[:3]
 
 	// Addresses are deterministic (mem://N in attach order) and node IDs
 	// derive from the address alone, so future IDs are computable before
@@ -439,10 +367,10 @@ func TestConcurrentJoinsOwnershipTransfer(t *testing.T) {
 	// in-gap nodes join, the rest are closed unused.
 	var joiners []*Node
 	for range slots {
-		nd, err := NewNode(cfg, memAttach(f))
-		if err != nil {
+		if err := s.add(len(s.Nodes)); err != nil {
 			t.Fatal(err)
 		}
+		nd := s.Nodes[len(s.Nodes)-1]
 		if chord.InOO(chord.ID(gapLo), chord.ID(nd.ID()), chord.ID(gapHi)) {
 			joiners = append(joiners, nd)
 		} else {
@@ -501,12 +429,11 @@ func TestConcurrentJoinsOwnershipTransfer(t *testing.T) {
 		}
 	}
 	for _, nd := range joiners {
-		startMaint(nd)
+		nd.startMaint()
 	}
 	all := append(append([]*Node{}, nodes...), joiners...)
-	defer closeAll(joiners)
 	waitFor(t, 15*time.Second, "5-node ring to converge after concurrent joins", func() bool {
-		return ringCorrect(all)
+		return RingCorrect(all)
 	})
 	time.Sleep(300 * time.Millisecond) // a few more insert rounds post-convergence
 	close(stop)

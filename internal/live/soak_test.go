@@ -7,7 +7,6 @@ import (
 
 	"dco/internal/faulty"
 	"dco/internal/telemetry"
-	"dco/internal/transport"
 )
 
 // soakScale returns (viewers, chunks): the quick in-tree profile by
@@ -39,48 +38,19 @@ func TestReplicatedSoakCoordinatorKill(t *testing.T) {
 	const seed = 20260806
 	nViewers, nChunks := soakScale()
 
-	f := transport.NewFabric()
 	in := faulty.NewInjector(seed)
 	in.SetDefaultRule(faulty.Rule{Drop: 0.10})
 
-	// Per-node registries: the gauge assertions below read each survivor's
-	// own fill_ratio, so registries must not be shared.
-	mkCfg := func(source bool) Config {
-		cfg := resilientConfig(source)
-		cfg.Telemetry = telemetry.NewRegistry()
-		cfg.Trace = telemetry.NewTrace(4096)
-		cfg.Channel.Count = int64(nChunks)
-		cfg.Replicas = 3
-		cfg.ReplicateEvery = 25 * time.Millisecond
-		cfg.AntiEntropyEvery = 250 * time.Millisecond
-		return cfg
-	}
-
-	src, err := NewNode(mkCfg(true), faultyAttach(f, in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viewers []*Node
-	for i := 0; i < nViewers; i++ {
-		nd, err := NewNode(mkCfg(false), faultyAttach(f, in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nd.Join(src.Addr()); err != nil {
-			t.Fatalf("viewer %d join under 10%% drop: %v", i, err)
-		}
-		viewers = append(viewers, nd)
-	}
-	src.Start()
-	for _, v := range viewers {
-		v.Start()
-	}
-	all := append([]*Node{src}, viewers...)
-	defer func() {
-		for _, nd := range all {
-			nd.Close()
-		}
-	}()
+	// The gauge assertions below read each survivor's own fill_ratio from
+	// the registry the harness gave it.
+	cfg := resilientConfig()
+	cfg.Trace = telemetry.NewTrace(4096)
+	cfg.Channel.Count = int64(nChunks)
+	cfg.Replicas = 3
+	cfg.ReplicateEvery = 25 * time.Millisecond
+	cfg.AntiEntropyEvery = 250 * time.Millisecond
+	s := upSwarm(t, SwarmSpec{N: 1 + nViewers, Base: cfg, Wrap: in.Wrap})
+	src, viewers := s.Source(), s.Viewers()
 
 	// Let providers and replicas spread, then pick the victim: the
 	// coordinator owning a mid-stream chunk key. It must be a viewer — the
@@ -101,37 +71,21 @@ func TestReplicatedSoakCoordinatorKill(t *testing.T) {
 		t.Skipf("mid-stream key owner is the source; cannot kill it in this scenario")
 	}
 
-	survivors := []*Node{src}
-	var watching []*Node
-	for _, v := range viewers {
-		if v != victim {
-			survivors = append(survivors, v)
-			watching = append(watching, v)
-		}
-	}
+	survivors := Without(s.Nodes, victim)
+	watching := Without(viewers, victim)
 
 	// Partition the victim away first (the swarm sees an unreachable
 	// coordinator before a dead one), then kill it and heal the cut.
-	var rest []string
-	for _, nd := range survivors {
-		rest = append(rest, nd.Addr())
-	}
-	in.Partition(rest, []string{victim.Addr()})
+	in.Partition(addrs(survivors), addrs([]*Node{victim}))
 	time.Sleep(200 * time.Millisecond)
 	victim.Close()
 	in.Heal()
 
-	want := nChunks
-	waitFor(t, 120*time.Second, "surviving viewers to complete the stream through the coordinator kill", func() bool {
-		for _, v := range watching {
-			if v.ChunkCount() < want {
-				return false
-			}
-		}
-		return true
+	await(t, s, 120*time.Second, "surviving viewers to complete the stream through the coordinator kill", func() bool {
+		return MinDelivered(watching, cfg.Channel.Count) >= 100
 	})
-	waitFor(t, 30*time.Second, "surviving ring to converge", func() bool {
-		return ringCorrect(survivors)
+	await(t, s, 30*time.Second, "surviving ring to converge", func() bool {
+		return RingCorrect(survivors)
 	})
 
 	if in.Injected() == 0 {
@@ -139,13 +93,11 @@ func TestReplicatedSoakCoordinatorKill(t *testing.T) {
 	}
 
 	// Acceptance: zero exhausted lookups across every survivor.
-	var failures, takeovers uint64
+	var takeovers uint64
 	for _, nd := range survivors {
-		st := nd.Stats()
-		failures += st.LookupFailures
 		takeovers += nd.lm.takeoverEntries.Value()
 	}
-	if failures != 0 {
+	if failures := SumStats(survivors).LookupFailures; failures != 0 {
 		t.Fatalf("%d lookups exhausted their candidates; replication must make the kill invisible", failures)
 	}
 	// The takeover path actually ran (the victim owned at least midKey).

@@ -79,13 +79,9 @@ func (n *Node) republish() {
 	if len(seqs) == 0 {
 		return
 	}
-	batch := n.cfg.RepublishBatch
-	if batch <= 0 {
-		batch = 1
-	}
 	// A rotating window over the registered set covers everything without
 	// randomness (simpler to reason about; order does not matter here).
-	for i := 0; i < batch && i < len(seqs); i++ {
+	for i := 0; i < republishBatch && i < len(seqs); i++ {
 		n.mu.Lock()
 		idx := int(n.republishCursor % uint64(len(seqs)))
 		n.republishCursor++
@@ -137,13 +133,13 @@ func (n *Node) insertIndex(seq int64) {
 	// The republish loop will retry later.
 }
 
-// fetchLoop drives a viewer: FetchWorkers goroutines consume sequence
+// fetchLoop drives a viewer: fetchWorkers goroutines consume sequence
 // numbers in order and run the lookup → get → register cycle for each.
 func (n *Node) fetchLoop() {
 	defer n.wg.Done()
 	seqs := make(chan int64)
 	done := make(chan struct{})
-	for i := 0; i < n.cfg.FetchWorkers; i++ {
+	for i := 0; i < fetchWorkers; i++ {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
@@ -317,7 +313,7 @@ func (n *Node) getChunkOnce(addr string, seq int64, deadline time.Time) (wire.Me
 // fetchOnce fetches seq from primary, hedging to backup (when hedging is
 // on and a distinct usable provider exists): if the primary has not
 // answered within its health-derived p95-ish latency estimate (clamped to
-// [HedgeMinDelay, HedgeMaxDelay]), one duplicate request is launched at
+// [hedgeMinDelay, HedgeMaxDelay]), one duplicate request is launched at
 // backup and the first response wins. An in-flight RPC cannot be
 // cancelled, so the loser delivers into a buffered channel and is
 // discarded — counted as cancelled, never leaked. Returns the winning
@@ -382,15 +378,11 @@ func (n *Node) fetchOnce(seq int64, primary, backup string, deadline time.Time) 
 	return nil, lastAddr, lastErr
 }
 
-// hedgeDelays returns the configured hedge-trigger clamps with defaults
-// derived.
+// hedgeDelays returns the hedge-trigger clamps.
 func (n *Node) hedgeDelays() (min, max time.Duration) {
-	min, max = n.cfg.HedgeMinDelay, n.cfg.HedgeMaxDelay
-	if min <= 0 {
-		min = 20 * time.Millisecond
-	}
+	min, max = hedgeMinDelay, n.cfg.HedgeMaxDelay
 	if max <= 0 {
-		max = 300 * time.Millisecond
+		max = defaultHedgeMaxDelay
 	}
 	if max < min {
 		max = min

@@ -12,19 +12,7 @@ import (
 	"time"
 
 	"dco/internal/telemetry"
-	"dco/internal/transport"
 )
-
-// meteredAttach attaches nodes to the fabric with transport metrics wired
-// to the node's registry — the in-process equivalent of dconode's
-// -metrics-addr plumbing.
-func meteredAttach(f *transport.Fabric, reg *telemetry.Registry) func(transport.Handler) (transport.Transport, error) {
-	return func(h transport.Handler) (transport.Transport, error) {
-		m := f.Attach(h)
-		m.SetMetrics(transport.NewMetrics(reg))
-		return m, nil
-	}
-}
 
 // scrape fetches and parses a Prometheus text page into name -> value
 // (labeled series keep their label string in the name).
@@ -62,34 +50,17 @@ func scrape(t *testing.T, url string) map[string]float64 {
 // swarm streams over the fabric while an HTTP scrape of one viewer's
 // registry — mid-stream — shows the paper's metrics with sane values.
 func TestSwarmScrapeMidStream(t *testing.T) {
-	f := transport.NewFabric()
-
-	scfg := fastConfig(true)
-	scfg.Channel.Count = 40
-	scfg.Telemetry = telemetry.NewRegistry()
-	scfg.Trace = telemetry.NewTrace(1024)
-	src, err := NewNode(scfg, meteredAttach(f, scfg.Telemetry))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-
-	vreg := telemetry.NewRegistry()
+	// The harness wires each node's registry to its transport's metrics —
+	// the in-process equivalent of dconode's -metrics-addr plumbing.
+	cfg := fastConfig()
+	cfg.Channel.Count = 40
 	vtr := telemetry.NewTrace(1024)
-	vcfg := fastConfig(false)
-	vcfg.Channel.Count = 40
-	vcfg.Telemetry = vreg
-	vcfg.Trace = vtr
-	viewer, err := NewNode(vcfg, meteredAttach(f, vreg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viewer.Close()
-	if err := viewer.Join(src.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	src.Start()
-	viewer.Start()
+	s := upSwarm(t, SwarmSpec{N: 2, Base: cfg, Tune: func(i int, cfg *Config) {
+		if i == 1 {
+			cfg.Trace = vtr
+		}
+	}})
+	viewer, vreg := s.Nodes[1], s.Registry(1)
 
 	srv := httptest.NewServer(telemetry.Handler(vreg, vtr))
 	defer srv.Close()
@@ -155,36 +126,5 @@ func TestSwarmScrapeMidStream(t *testing.T) {
 	if st.ChunksFetched != snap.Counters["dco_live_chunks_fetched_total"] &&
 		st.ChunksFetched < 5 {
 		t.Fatalf("Stats() snapshot diverged: %+v", st)
-	}
-}
-
-// TestStatsWithoutRegistry: a node with no configured telemetry still
-// counts via its private registry — Stats() must keep working unchanged.
-func TestStatsWithoutRegistry(t *testing.T) {
-	f := transport.NewFabric()
-	scfg := fastConfig(true)
-	scfg.Channel.Count = 10
-	src, err := NewNode(scfg, memAttach(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	vcfg := fastConfig(false)
-	vcfg.Channel.Count = 10
-	v, err := NewNode(vcfg, memAttach(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	if err := v.Join(src.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	src.Start()
-	v.Start()
-	waitFor(t, 30*time.Second, "uninstrumented viewer to fetch chunks", func() bool {
-		return v.Stats().ChunksFetched >= 5
-	})
-	if src.Stats().InsertsServed == 0 && v.Stats().InsertsServed == 0 {
-		t.Fatal("no inserts counted anywhere")
 	}
 }
