@@ -6,11 +6,13 @@ package live
 // the integrity layer closing it:
 //
 //   - Chunk manifests: the source mints a (seq → SHA-256, tag) row per
-//     generated chunk. Rows travel on demand (ManifestReq/ManifestResp),
-//     ride replication batches with the chunk index, and their coverage is
-//     advertised cheaply via ManifestHead/ManifestDigest piggybacked on
-//     Insert and ChunkResp. The tag authenticates a row against the
-//     channel parameters, so any peer can relay rows it did not mint.
+//     generated chunk. A row travels with its chunk (every ChunkResp
+//     carries the provider's row for that seq), rides replication batches
+//     with the chunk index, and can be asked for (ManifestReq/ManifestResp)
+//     by a viewer whose provider had none; coverage is advertised cheaply
+//     via ManifestHead/ManifestDigest piggybacked on Insert and ChunkResp.
+//     The tag authenticates a row against the channel parameters, so any
+//     peer can relay rows it did not mint.
 //   - One verification choke point: storeChunk refuses any payload that
 //     fails manifest (or, uncovered, generator) verification — nothing
 //     enters the buffer map or gets re-served unverified.
@@ -81,9 +83,10 @@ func (n *Node) addManifestEntrySource(seq int64, data []byte) {
 	n.manMu.Unlock()
 }
 
-// noteManifestEntry folds in a row learned from a peer (ManifestResp or a
-// replication batch), verifying its tag first. Returns false for rows that
-// fail authentication — the caller decides whether that is chargeable.
+// noteManifestEntry folds in a row learned from a peer (a ChunkResp, a
+// ManifestResp or a replication batch), verifying its tag first. Returns
+// false for rows that fail authentication — the caller decides whether
+// that is chargeable.
 func (n *Node) noteManifestEntry(seq int64, hash, tag []byte) bool {
 	if seq < 0 || len(hash) != sha256.Size || len(tag) != sha256.Size {
 		return false
@@ -132,6 +135,10 @@ func (n *Node) manifestLookup(seq int64) (manifestRec, bool) {
 func (n *Node) manifestAd() (head int64, digest uint64) {
 	n.manMu.Lock()
 	defer n.manMu.Unlock()
+	return n.manifestAdLocked()
+}
+
+func (n *Node) manifestAdLocked() (head int64, digest uint64) {
 	if n.manHead == 0 {
 		return 0, 0
 	}
@@ -143,9 +150,19 @@ func (n *Node) manifestAd() (head int64, digest uint64) {
 	return n.manHead, digest
 }
 
-// stampManifestAd fills a ChunkResp's coverage advertisement in place.
-func (n *Node) stampManifestAd(cr *wire.ChunkResp) *wire.ChunkResp {
-	cr.ManifestHead, cr.ManifestDigest = n.manifestAd()
+// stampManifest fills a ChunkResp's manifest fields in place: the coverage
+// advertisement always, and on a served chunk this node's row for that
+// seq, so the viewer can authenticate the payload without a second
+// exchange.
+func (n *Node) stampManifest(cr *wire.ChunkResp) *wire.ChunkResp {
+	n.manMu.Lock()
+	defer n.manMu.Unlock()
+	cr.ManifestHead, cr.ManifestDigest = n.manifestAdLocked()
+	if cr.OK {
+		if rec, ok := n.manifest[cr.Seq]; ok {
+			cr.ManifestHash, cr.ManifestTag = rec.hash[:], rec.tag[:]
+		}
+	}
 	return cr
 }
 
@@ -189,15 +206,8 @@ func (n *Node) noteManifestAd(addr string, head int64) {
 	}
 	// Untracked goroutine (fetchOnce precedent): call-timeout bounded.
 	go func() {
-		resp, err := n.call(addr, &wire.ManifestReq{FromSeq: from, Max: manifestReqMax})
-		if err != nil {
-			return
-		}
-		if mr, ok := resp.(*wire.ManifestResp); ok {
-			n.lm.manifestFetches.Inc()
-			for _, e := range mr.Entries {
-				n.noteManifestEntry(e.Seq, e.Hash, e.Tag)
-			}
+		if resp, err := n.call(addr, &wire.ManifestReq{FromSeq: from, Max: manifestReqMax}); err == nil {
+			n.noteManifestResp(resp)
 		}
 	}()
 }
@@ -227,50 +237,58 @@ func (n *Node) onManifestReq(m *wire.ManifestReq) wire.Message {
 }
 
 // ensureManifest makes a best-effort attempt to cover seq with a manifest
-// row before verification, asking the serving provider first (it just
-// proved it has the chunk; it usually has the row too) and the chunk's
-// coordinator as fallback. Verification does not depend on success — the
-// generator check covers uncovered seqs — so one round each is plenty.
-func (n *Node) ensureManifest(seq int64, provider string) {
+// row before cr's payload is verified. The row normally arrives with the
+// chunk; a provider that sent none (or one whose tag does not verify,
+// which is ignored, not charged: the payload check decides who pays) is
+// asked for its rows, and only if that leaves seq uncovered is the chunk's
+// coordinator routed to and asked. Verification does not depend on
+// success — the generator check covers uncovered seqs — so one round each
+// is plenty.
+func (n *Node) ensureManifest(seq int64, cr *wire.ChunkResp, provider string) {
 	if _, ok := n.manifestLookup(seq); ok {
 		return
 	}
-	from := seq - 64
-	if from < 0 {
-		from = 0
+	if n.noteManifestEntry(seq, cr.ManifestHash, cr.ManifestTag) {
+		return
+	}
+	// Ask from this node's verified head, so the reply carries only rows it
+	// lacks — unless seq lies outside the window that would return.
+	n.manMu.Lock()
+	from := n.manHead
+	n.manMu.Unlock()
+	if seq < from || seq >= from+manifestReqMax {
+		from = seq
 	}
 	req := &wire.ManifestReq{FromSeq: from, Max: manifestReqMax}
-	for _, addr := range n.manifestSources(seq, provider) {
+	covered := func(addr string) bool {
 		resp, err := n.call(addr, req)
 		if err != nil {
-			continue
+			return false
 		}
-		mr, ok := resp.(*wire.ManifestResp)
-		if !ok {
-			continue
-		}
-		n.lm.manifestFetches.Inc()
-		for _, e := range mr.Entries {
-			n.noteManifestEntry(e.Seq, e.Hash, e.Tag)
-		}
-		if _, ok := n.manifestLookup(seq); ok {
-			return
-		}
+		n.noteManifestResp(resp)
+		_, ok := n.manifestLookup(seq)
+		return ok
 	}
-}
-
-// manifestSources lists who to ask for manifest rows covering seq: the
-// serving provider, then the chunk's coordinator.
-func (n *Node) manifestSources(seq int64, provider string) []string {
-	var out []string
-	if provider != "" && provider != n.Addr() {
-		out = append(out, provider)
+	if provider != "" && provider != n.Addr() && covered(provider) {
+		return
 	}
 	key := uint64(n.cfg.Channel.Ref(seq).ID())
 	if owner, _, err := n.FindOwner(key); err == nil && owner.Addr != n.Addr() && owner.Addr != provider {
-		out = append(out, owner.Addr)
+		covered(owner.Addr)
 	}
-	return out
+}
+
+// noteManifestResp folds the rows of a ManifestResp in (any other reply is
+// ignored) and counts the fetch.
+func (n *Node) noteManifestResp(resp wire.Message) {
+	mr, ok := resp.(*wire.ManifestResp)
+	if !ok {
+		return
+	}
+	n.lm.manifestFetches.Inc()
+	for _, e := range mr.Entries {
+		n.noteManifestEntry(e.Seq, e.Hash, e.Tag)
+	}
 }
 
 // chunkOK is the verification predicate behind the buffer choke point:

@@ -1,10 +1,13 @@
 package live
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 	"time"
 
 	"dco/internal/faulty"
+	"dco/internal/transport"
 	"dco/internal/wire"
 )
 
@@ -390,5 +393,183 @@ func TestPoisonerQuarantinedEndToEnd(t *testing.T) {
 	})
 	if bad := v.VerifyBuffered(); bad != 0 {
 		t.Fatalf("%d polluted chunks in the final buffer", bad)
+	}
+}
+
+// rowTrio is a converged, unstarted three-node ring with replication off —
+// so a manifest row can reach the viewer only in a ChunkResp or in answer
+// to its own ManifestReq — and a seq whose coordinator is neither the
+// viewer nor the provider. The provider holds and has registered the
+// chunk; withRow says whether it also holds the chunk's manifest row.
+func rowTrio(t *testing.T, withRow bool, wrap func(transport.Transport) transport.Transport) (viewer, provider, coord *Node, seq int64) {
+	t.Helper()
+	cfg := fastConfig()
+	cfg.Replicas = 0
+	s := testSwarm(t, SwarmSpec{N: 3, Base: cfg, Wrap: wrap})
+	if err := s.up((*Node).startRingMaint); err != nil {
+		t.Fatal(err)
+	}
+	await(t, s, 10*time.Second, "ring convergence", func() bool { return RingCorrect(s.Nodes) })
+	coord, viewer, provider = s.Nodes[0], s.Nodes[1], s.Nodes[2]
+	for seq = 0; ; seq++ {
+		if seq == 256 {
+			t.Fatal("no seq in 256 whose coordinator is the third node")
+		}
+		owner, _, err := viewer.FindOwner(uint64(cfg.Channel.Ref(seq).ID()))
+		if err == nil && owner.Addr == coord.Addr() {
+			break
+		}
+	}
+	data := MakeChunkPayload(cfg.Channel, seq)
+	if withRow {
+		provider.addManifestEntrySource(seq, data)
+	}
+	if !provider.storeChunk(seq, data, "") {
+		t.Fatal("provider refused a clean chunk")
+	}
+	provider.registerChunk(seq)
+	return viewer, provider, coord, seq
+}
+
+// TestManifestRowRidesWithChunk: one GetChunk brings the payload and the
+// row that authenticates it; the viewer stores the chunk without having
+// sent a single ManifestReq.
+func TestManifestRowRidesWithChunk(t *testing.T) {
+	viewer, provider, _, seq := rowTrio(t, true, nil)
+	if err := viewer.FetchChunk(seq); err != nil {
+		t.Fatal(err)
+	}
+	if !viewer.HasChunk(seq) {
+		t.Fatal("chunk not stored")
+	}
+	want, _ := provider.manifestLookup(seq)
+	if got, ok := viewer.manifestLookup(seq); !ok || got != want {
+		t.Fatal("the viewer did not learn the row from the chunk response")
+	}
+	if got := viewer.Stats().ManifestFetches; got != 0 {
+		t.Fatalf("viewer issued %d ManifestReqs with the row riding along, want 0", got)
+	}
+}
+
+// TestManifestFallbackWhenProviderHasNoRow: a provider without the row
+// answers without one, so the viewer asks it, then — only then — the
+// coordinator, and stores the chunk on the generator check.
+func TestManifestFallbackWhenProviderHasNoRow(t *testing.T) {
+	viewer, provider, coord, seq := rowTrio(t, false, nil)
+	if err := viewer.FetchChunk(seq); err != nil {
+		t.Fatal(err)
+	}
+	if !viewer.HasChunk(seq) {
+		t.Fatal("chunk not stored")
+	}
+	if p, c := provider.Stats().ManifestServes, coord.Stats().ManifestServes; p != 1 || c != 1 {
+		t.Fatalf("ManifestReqs served: provider %d, coordinator %d; want 1 and 1", p, c)
+	}
+	if got := viewer.Stats().ManifestFetches; got != 2 {
+		t.Fatalf("viewer ManifestFetches = %d, want 2", got)
+	}
+}
+
+// forgeRowTags flips a bit in the tag of every manifest row that arrives
+// in a ChunkResp. The reply is the caller's own decoded copy.
+type forgeRowTags struct{ transport.Transport }
+
+func (f forgeRowTags) Call(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
+	resp, err := f.Transport.Call(addr, req, timeout)
+	if cr, ok := resp.(*wire.ChunkResp); ok && len(cr.ManifestTag) > 0 {
+		cr.ManifestTag[0] ^= 1
+	}
+	return resp, err
+}
+
+// TestForgedPiggybackedRowIsIgnored: a row whose tag does not verify is
+// dropped, nobody is charged for it, and the fallback finds the authentic
+// row at the provider — so the coordinator is never asked.
+func TestForgedPiggybackedRowIsIgnored(t *testing.T) {
+	viewer, provider, coord, seq := rowTrio(t, true, func(tr transport.Transport) transport.Transport {
+		return forgeRowTags{tr}
+	})
+	if err := viewer.FetchChunk(seq); err != nil {
+		t.Fatal(err)
+	}
+	if !viewer.HasChunk(seq) {
+		t.Fatal("chunk not stored")
+	}
+	want, _ := provider.manifestLookup(seq)
+	if got, ok := viewer.manifestLookup(seq); !ok || got != want {
+		t.Fatal("the viewer does not hold the authentic row")
+	}
+	st := viewer.Stats()
+	if st.IntegrityRejects != 0 || st.ProvidersBlacklisted != 0 || st.PeersQuarantined != 0 || st.PollutionReportsSent != 0 {
+		t.Fatalf("somebody was charged for a forged row: %+v", st)
+	}
+	if st.ManifestFetches != 1 {
+		t.Fatalf("fallback: viewer ManifestFetches = %d, want 1 (the provider)", st.ManifestFetches)
+	}
+	if got := coord.Stats().ManifestServes; got != 0 {
+		t.Fatalf("the coordinator was asked %d times although the provider had the row", got)
+	}
+}
+
+// TestProviderServesStoredSliceToConcurrentCallers: storeChunk keeps the
+// very slice it was given and onGetChunk serves that slice, unmodified, to
+// eight TCP callers at once (the race detector watches it) — each of whom
+// gets the payload and its row in one exchange.
+func TestProviderServesStoredSliceToConcurrentCallers(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Channel.ChunkBits = 64 * 1024 * 8
+	cfg.UpBps = 0
+	n, err := NewNode(cfg, func(h transport.Handler) (transport.Transport, error) {
+		return transport.ListenTCP("127.0.0.1:0", h)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	const seq = 5
+	data := MakeChunkPayload(cfg.Channel, seq)
+	n.addManifestEntrySource(seq, data)
+	if !n.storeChunk(seq, data, "") {
+		t.Fatal("clean chunk rejected")
+	}
+	rec, _ := n.manifestLookup(seq)
+
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		cli, err := transport.ListenTCP("127.0.0.1:0", transport.HandlerFunc(func(string, wire.Message) wire.Message { return nil }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				resp, err := cli.Call(n.Addr(), &wire.GetChunk{Seq: seq}, 5*time.Second)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cr, ok := resp.(*wire.ChunkResp)
+				if !ok || !cr.OK || !VerifyChunkPayload(cfg.Channel, seq, cr.Data) {
+					t.Errorf("damaged reply: %T", resp)
+					return
+				}
+				if !bytes.Equal(cr.ManifestHash, rec.hash[:]) || !bytes.Equal(cr.ManifestTag, rec.tag[:]) {
+					t.Error("reply carries no (or a wrong) manifest row")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n.mu.Lock()
+	stored := n.chunks[seq]
+	n.mu.Unlock()
+	if &stored[0] != &data[0] {
+		t.Fatal("storeChunk copied the payload instead of keeping the slice it was given")
+	}
+	if bad := n.VerifyBuffered(); bad != 0 {
+		t.Fatal("serving modified the stored chunk")
 	}
 }

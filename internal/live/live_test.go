@@ -99,6 +99,32 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifyChunkPayloadInPlace: the generator check compares block by
+// block against the received bytes — no second payload is built — and
+// still catches a flip in the last, partial keystream block and any
+// length other than the channel's.
+func TestVerifyChunkPayloadInPlace(t *testing.T) {
+	for _, size := range []int64{8, 9, 40, 1000, 1001, 64 * 1024} {
+		p := stream.Params{Channel: "X", ChunkBits: 8 * size, Period: time.Second}
+		data := MakeChunkPayload(p, 3)
+		if !VerifyChunkPayload(p, 3, data) {
+			t.Fatalf("size %d: payload failed its own verification", size)
+		}
+		if VerifyChunkPayload(p, 3, data[:len(data)-1]) || VerifyChunkPayload(p, 3, append(data[:len(data):len(data)], 0)) {
+			t.Fatalf("size %d: wrong-length payload verified", size)
+		}
+		data[len(data)-1] ^= 0x80
+		if VerifyChunkPayload(p, 3, data) {
+			t.Fatalf("size %d: flip in the last byte verified", size)
+		}
+	}
+	p := stream.Params{Channel: "X", ChunkBits: 8 * 64 * 1024, Period: time.Second}
+	data := MakeChunkPayload(p, 7)
+	if allocs := testing.AllocsPerRun(20, func() { VerifyChunkPayload(p, 7, data) }); allocs != 0 {
+		t.Fatalf("VerifyChunkPayload allocates %.0f objects per 64 KiB chunk, want 0", allocs)
+	}
+}
+
 func TestRingFormsOverFabric(t *testing.T) {
 	// The overlay converges (chord: every successor is the clockwise
 	// neighbour; kademlia: every table has exactly the live membership).

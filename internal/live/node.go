@@ -10,6 +10,7 @@
 package live
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -133,6 +134,8 @@ type Config struct {
 
 	// OnChunk, if set, is invoked for every chunk received or generated
 	// (after it is buffered), in seq order per worker but not globally.
+	// data is the buffered slice itself, which later callers are served
+	// from: read it, do not modify it.
 	OnChunk func(seq int64, data []byte)
 
 	// Retry shapes the backoff loop idempotent RPCs run under (routing
@@ -269,8 +272,16 @@ type Node struct {
 	tr   transport.Transport
 	self dht.Member // immutable after NewNode
 
-	mu         sync.Mutex
-	kern       dht.Kernel // nil only during NewNode (serve nacks until set)
+	// kern is set once, by NewNode. The transport serves from the moment it
+	// attaches, before the kernel exists; ready is what publishes kern to
+	// those goroutines (serve nacks until it is set).
+	kern  dht.Kernel
+	ready atomic.Bool
+
+	mu sync.Mutex
+	// chunks holds every buffered payload. A stored slice is immutable: it
+	// is the slice the wire decoder allocated (or the generator made), and
+	// onGetChunk hands that same slice to every caller.
 	chunks     map[int64][]byte
 	registered map[int64]bool
 	index      map[int64]*indexEntry
@@ -572,12 +583,10 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		_ = tr.Close()
 		return nil, err
 	}
-	// The transport is already serving: publish the kernel under the lock
-	// serve reads it through (requests racing construction get a retryable
-	// "starting" nack instead of a nil dispatch).
-	n.mu.Lock()
+	// The transport is already serving: requests racing construction get a
+	// retryable "starting" nack instead of a nil dispatch.
 	n.kern = kern
-	n.mu.Unlock()
+	n.ready.Store(true)
 	n.registerGauges()
 	n.hookResilience()
 	return n, nil
@@ -1001,35 +1010,39 @@ func (n *Node) noteCallFailure(addr string, err error) {
 // MakeChunkPayload builds the synthetic chunk body for seq: an 8-byte
 // big-endian seq header followed by SHA-256 keystream bytes.
 func MakeChunkPayload(p stream.Params, seq int64) []byte {
-	size := int(p.ChunkBits / 8)
-	if size < 8 {
-		size = 8
-	}
-	out := make([]byte, size)
+	out := make([]byte, payloadSize(p))
 	binary.BigEndian.PutUint64(out, uint64(seq))
-	var counter uint64
-	for off := 8; off < size; off += sha256.Size {
-		var block [16]byte
-		binary.BigEndian.PutUint64(block[:8], uint64(seq))
-		binary.BigEndian.PutUint64(block[8:], counter)
-		sum := sha256.Sum256(block[:])
-		copy(out[off:], sum[:])
-		counter++
+	for off := 8; off < len(out); off += sha256.Size {
+		block := keystreamBlock(seq, off)
+		copy(out[off:], block[:])
 	}
 	return out
 }
 
-// VerifyChunkPayload checks a received body against the generator.
+// payloadSize is the byte length of every chunk of the channel: the seq
+// header at least.
+func payloadSize(p stream.Params) int {
+	return max(int(p.ChunkBits/8), 8)
+}
+
+// keystreamBlock is the 32-byte block of seq's payload that starts at
+// offset off (the last one may be cut short by the payload's end).
+func keystreamBlock(seq int64, off int) [sha256.Size]byte {
+	var in [16]byte
+	binary.BigEndian.PutUint64(in[:8], uint64(seq))
+	binary.BigEndian.PutUint64(in[8:], uint64(off-8)/sha256.Size)
+	return sha256.Sum256(in[:])
+}
+
+// VerifyChunkPayload checks a received body against the generator, block
+// by block and in place: nothing is allocated.
 func VerifyChunkPayload(p stream.Params, seq int64, data []byte) bool {
-	if len(data) < 8 || int64(binary.BigEndian.Uint64(data)) != seq {
+	if len(data) != payloadSize(p) || int64(binary.BigEndian.Uint64(data)) != seq {
 		return false
 	}
-	want := MakeChunkPayload(p, seq)
-	if len(want) != len(data) {
-		return false
-	}
-	for i := range want {
-		if want[i] != data[i] {
+	for off := 8; off < len(data); off += sha256.Size {
+		block := keystreamBlock(seq, off)
+		if got := data[off:min(off+sha256.Size, len(data))]; !bytes.Equal(got, block[:len(got)]) {
 			return false
 		}
 	}

@@ -11,21 +11,18 @@ import (
 // serve dispatches one inbound RPC: kernel protocol messages (routing,
 // ring/bucket maintenance, graceful leaves) go to the DHT backend first,
 // everything else is the live data plane. It runs on transport
-// goroutines, so everything it touches is guarded by n.mu; blocking waits
-// (the lookup pending queue) happen outside the lock.
+// goroutines, so the handlers guard what they touch with n.mu; blocking
+// waits (the lookup pending queue) happen outside the lock.
 func (n *Node) serve(from string, req wire.Message) wire.Message {
 	if _, ok := req.(*wire.Ping); ok {
 		return &wire.Pong{}
 	}
-	n.mu.Lock()
-	kern := n.kern
-	n.mu.Unlock()
-	if kern == nil {
+	if !n.ready.Load() {
 		// NewNode has not finished wiring the kernel; a retryable nack is
 		// better than racing construction.
 		return &wire.Error{Code: wire.CodeShutdown, Msg: "starting"}
 	}
-	if resp, ok := kern.HandleRPC(from, req); ok {
+	if resp, ok := n.kern.HandleRPC(from, req); ok {
 		return resp
 	}
 	switch m := req.(type) {
@@ -178,7 +175,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 	if !ok {
 		n.lm.chunksMissed.Inc()
 		n.traceEvent("chunk.miss", seqDetail(m.Seq))
-		return n.stampManifestAd(&wire.ChunkResp{Seq: m.Seq, LoadMilli: n.reportLoadMilli()})
+		return n.stampManifest(&wire.ChunkResp{Seq: m.Seq, LoadMilli: n.reportLoadMilli()})
 	}
 	// The requester declares its patience; zero (old clients, direct
 	// callers) means "the server's default". Clamp to AdmitMaxWait so a
@@ -207,7 +204,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 			n.lm.deadlineSheds.Inc()
 		}
 		n.traceEvent("chunk.shed", fmt.Sprintf("seq=%d retry=%s", m.Seq, retry))
-		return n.stampManifestAd(&wire.ChunkResp{
+		return n.stampManifest(&wire.ChunkResp{
 			Seq:          m.Seq,
 			Busy:         true,
 			RetryAfterMs: uint32((retry + time.Millisecond - 1) / time.Millisecond),
@@ -227,7 +224,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 	}
 	n.lm.chunksServed.Inc()
 	n.traceEvent("chunk.serve", seqDetail(m.Seq))
-	return n.stampManifestAd(&wire.ChunkResp{Seq: m.Seq, OK: true, Data: data, LoadMilli: n.reportLoadMilli()})
+	return n.stampManifest(&wire.ChunkResp{Seq: m.Seq, OK: true, Data: data, LoadMilli: n.reportLoadMilli()})
 }
 
 func (n *Node) onHandoff(m *wire.Handoff) wire.Message {

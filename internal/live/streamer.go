@@ -257,8 +257,8 @@ func (n *Node) FetchChunk(seq int64) error {
 				n.lm.loadReportsClamped.Inc()
 			}
 			n.noteProviderLoad(from, load)
-			n.noteManifestAd(from, cr.ManifestHead)
 			if !cr.OK {
+				n.noteManifestAd(from, cr.ManifestHead)
 				if cr.Busy {
 					// Busy is an admission nack from a live provider: honor
 					// its RetryAfterMs hint (jittered, so viewers shed
@@ -273,11 +273,15 @@ func (n *Node) FetchChunk(seq int64) error {
 				}
 				continue
 			}
-			// Cover seq with a manifest row if possible (best effort — the
-			// generator check backstops uncovered seqs), then push the
-			// payload through the buffer choke point: storeChunk verifies,
-			// and a polluted payload charges the provider (integrity.go).
-			n.ensureManifest(seq, from)
+			// Cover seq with the manifest row that came with the chunk (best
+			// effort — the generator check backstops uncovered seqs), then
+			// push the payload through the buffer choke point: storeChunk
+			// verifies, and a polluted payload charges the provider
+			// (integrity.go).
+			n.ensureManifest(seq, cr, from)
+			// The coverage ad is read after the row is folded in: a provider
+			// at the same live edge then advertises nothing new.
+			n.noteManifestAd(from, cr.ManifestHead)
 			if !n.storeChunk(seq, cr.Data, from) {
 				lastErr = fmt.Errorf("live: chunk %d failed verification", seq)
 				continue

@@ -5,6 +5,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -92,6 +93,7 @@ func clampIOTimeout(d, def time.Duration) time.Duration {
 // TCP is the production transport.
 type TCP struct {
 	ln      net.Listener
+	addr    string // ln's address, rendered once: Addr is on hot paths
 	handler Handler
 
 	// maxFrame bounds the length prefix accepted from peers (and in
@@ -129,7 +131,7 @@ func ListenTCP(addr string, h Handler) (*TCP, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &TCP{ln: ln, handler: h, pools: make(map[string][]net.Conn), active: make(map[net.Conn]bool)}
+	t := &TCP{ln: ln, addr: ln.Addr().String(), handler: h, pools: make(map[string][]net.Conn), active: make(map[net.Conn]bool)}
 	t.maxFrame.Store(wire.MaxFrame)
 	t.readTimeout.Store(int64(DefaultReadTimeout))
 	t.writeTimeout.Store(int64(DefaultWriteTimeout))
@@ -139,7 +141,7 @@ func ListenTCP(addr string, h Handler) (*TCP, error) {
 }
 
 // Addr returns the bound address.
-func (t *TCP) Addr() string { return t.ln.Addr().String() }
+func (t *TCP) Addr() string { return t.addr }
 
 // SetMaxFrameSize lowers the largest frame (type byte + payload) this
 // transport accepts on reads. Values of 0 or above wire.MaxFrame clamp
@@ -250,6 +252,7 @@ func (t *TCP) Call(addr string, req wire.Message, timeout time.Duration) (wire.M
 		conn.Close()
 		fresh, _, err2 := t.dial(addr, time.Until(deadline))
 		if err2 != nil {
+			t.metrics.Load().noteCall(start, err2)
 			t.observe(addr, start, err2)
 			return nil, err2
 		}
@@ -493,30 +496,24 @@ func (m *Mem) Close() error {
 	return nil
 }
 
+// memFrames holds the buffers roundTrip frames into; like wire's own
+// scratch, one that grew past wire.MaxPooledBuffer is not kept.
+var memFrames = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func roundTrip(msg wire.Message) (wire.Message, int, error) {
-	var buf memBuffer
-	n, err := wire.WriteMessageN(&buf, msg)
+	buf := memFrames.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= wire.MaxPooledBuffer {
+			buf.Reset()
+			memFrames.Put(buf)
+		}
+	}()
+	n, err := wire.WriteMessageN(buf, msg)
 	if err != nil {
 		return nil, 0, err
 	}
-	out, err := wire.ReadMessage(&buf)
+	out, err := wire.ReadMessage(buf)
 	return out, n, err
-}
-
-type memBuffer struct{ b []byte }
-
-func (m *memBuffer) Write(p []byte) (int, error) {
-	m.b = append(m.b, p...)
-	return len(p), nil
-}
-
-func (m *memBuffer) Read(p []byte) (int, error) {
-	if len(m.b) == 0 {
-		return 0, errors.New("EOF")
-	}
-	n := copy(p, m.b)
-	m.b = m.b[n:]
-	return n, nil
 }
 
 var (

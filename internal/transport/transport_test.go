@@ -1,11 +1,16 @@
 package transport
 
 import (
+	"bytes"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"dco/internal/israce"
+	"dco/internal/telemetry"
 	"dco/internal/wire"
 )
 
@@ -158,6 +163,31 @@ func TestTCPStaleConnRetry(t *testing.T) {
 	}
 }
 
+// TestTCPStaleConnRedialFailureIsCounted: a call that finds its pooled
+// connection stale and then cannot redial is still a call, and a failed
+// one — exactly the calls made to restarted or dead peers.
+func TestTCPStaleConnRedialFailureIsCounted(t *testing.T) {
+	srv, _ := ListenTCP("127.0.0.1:0", HandlerFunc(echoHandler))
+	cli, _ := ListenTCP("127.0.0.1:0", HandlerFunc(echoHandler))
+	defer cli.Close()
+	m := NewMetrics(telemetry.NewRegistry())
+	cli.SetMetrics(m)
+	addr := srv.Addr()
+	if _, err := cli.Call(addr, &wire.Ping{}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if _, err := cli.Call(addr, &wire.Ping{}, 300*time.Millisecond); err == nil {
+		t.Fatal("call to closed server succeeded")
+	}
+	if m.PoolHits.Value() != 1 {
+		t.Fatalf("pool hits = %d: the failed call did not start on the pooled connection", m.PoolHits.Value())
+	}
+	if calls, errs := m.Calls.Value(), m.CallErrors.Value(); calls != 2 || errs != 1 {
+		t.Fatalf("calls = %d, call errors = %d; want 2 and 1", calls, errs)
+	}
+}
+
 // TestTCPStaleConnRecoversAfterPeerRestart is the regression test for the
 // stale-pool bug: a pooled connection whose peer restarted must be
 // discarded and the call retried on a fresh dial — and the *fresh*
@@ -211,13 +241,14 @@ func TestTCPOversizedFramePrefixRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// 4 GiB - 1 declared length; far beyond wire.MaxFrame.
-	if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+	// A whole frame header (length, kind) declaring 4 GiB - 1; far beyond
+	// wire.MaxFrame.
+	if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(wire.KindPing)}); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := wire.ReadMessage(conn); err == nil {
-		t.Fatal("server answered an oversized frame instead of dropping it")
+	if _, err := wire.ReadMessage(conn); err != io.EOF {
+		t.Fatalf("server did not drop the connection on an oversized frame: %v", err)
 	}
 
 	// The server survives and keeps serving well-formed peers.
@@ -406,5 +437,93 @@ func TestTCPReadTimeoutReclaimsIdleConn(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("idle connection lingered %v, want ~%v", elapsed, MinIOTimeout)
+	}
+}
+
+// TestTCPAllocationBudgets holds a whole TCP call — both endpoints, which
+// share this process — to its budget: a ping allocates no frame buffers
+// (no header array, no frame slice, no decoder state), and a 64 KiB chunk
+// costs the one exact-size payload the caller keeps, the server sending
+// its stored slice as it is.
+func TestTCPAllocationBudgets(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	chunk := &wire.ChunkResp{Seq: 1, OK: true, Data: make([]byte, 64*1024)}
+	pong := &wire.Pong{}
+	srv, err := ListenTCP("127.0.0.1:0", HandlerFunc(func(_ string, req wire.Message) wire.Message {
+		if _, ok := req.(*wire.GetChunk); ok {
+			return chunk
+		}
+		return pong
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, _ := ListenTCP("127.0.0.1:0", HandlerFunc(echoHandler))
+	defer cli.Close()
+
+	addr := srv.Addr()
+	perCall := func(req wire.Message) (bytesPerOp, objsPerOp float64) {
+		call := func() {
+			if _, err := cli.Call(addr, req, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // dial, and warm the pools
+		const runs = 200
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / runs, float64(m1.Mallocs-m0.Mallocs) / runs
+	}
+	if b, objs := perCall(&wire.Ping{}); b > 64 || objs >= 1 {
+		t.Errorf("TCP ping call: %.0f B in %.1f objects; budget: nothing", b, objs)
+	}
+	if b, objs := perCall(&wire.GetChunk{Seq: 1}); b > 70_000 || objs >= 5 {
+		t.Errorf("TCP 64 KiB chunk call: %.0f B in %.1f objects; budget 70,000 B (one payload)", b, objs)
+	}
+}
+
+// TestTCPServesOneSliceToConcurrentCallers: the handler answers every
+// caller with the same Data slice and the transport writes it to eight
+// sockets at once without copying or touching it (the race detector
+// watches the slice); every caller gets its own intact copy.
+func TestTCPServesOneSliceToConcurrentCallers(t *testing.T) {
+	stored := bytes.Repeat([]byte{0xA5}, 64*1024)
+	srv, _ := ListenTCP("127.0.0.1:0", HandlerFunc(func(_ string, req wire.Message) wire.Message {
+		return &wire.ChunkResp{Seq: req.(*wire.GetChunk).Seq, OK: true, Data: stored}
+	}))
+	defer srv.Close()
+	cli, _ := ListenTCP("127.0.0.1:0", HandlerFunc(echoHandler))
+	defer cli.Close()
+
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				resp, err := cli.Call(srv.Addr(), &wire.GetChunk{Seq: int64(c)}, 5*time.Second)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				cr := resp.(*wire.ChunkResp)
+				if cr.Seq != int64(c) || !bytes.Equal(cr.Data, stored) {
+					t.Errorf("caller %d: reply damaged", c)
+					return
+				}
+				cr.Data[i] ^= 0xFF // the caller's copy is its own to change
+			}
+		}(c)
+	}
+	wg.Wait()
+	if !bytes.Equal(stored, bytes.Repeat([]byte{0xA5}, 64*1024)) {
+		t.Fatal("serving modified the stored slice")
 	}
 }

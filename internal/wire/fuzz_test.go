@@ -37,6 +37,8 @@ func FuzzReadMessage(f *testing.F) {
 		&KadFindNodeResp{From: e, Closest: []Entry{e}},
 		&Insert{Key: 5, Seq: 6, Holder: e, UpBps: 7, ManifestHead: 80, ManifestDigest: 0x1234},
 		&ChunkResp{Seq: 10, OK: true, Data: []byte{1, 2}, ManifestHead: 81, ManifestDigest: 0x5678},
+		&ChunkResp{Seq: 10, OK: true, Data: []byte{1, 2}, ManifestHead: 81,
+			ManifestHash: bytes.Repeat([]byte{5}, 32), ManifestTag: bytes.Repeat([]byte{4}, 32)},
 		&ReplicateBatch{Owner: e, Ops: []ReplicaOp{{Key: 1, Seq: 2, Holder: e,
 			ManifestHash: bytes.Repeat([]byte{9}, 32), ManifestTag: bytes.Repeat([]byte{8}, 32)}}},
 		&ManifestReq{FromSeq: 4, Max: 128},
@@ -49,6 +51,10 @@ func FuzzReadMessage(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	// The ChunkResp layout has lengths that must agree with each other.
+	for _, frame := range malformedChunkFrames() {
+		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadMessage(bytes.NewReader(data))

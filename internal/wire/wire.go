@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 )
 
 // Kind tags a message.
@@ -56,9 +58,14 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 	ErrTruncated     = errors.New("wire: truncated message")
 	ErrUnknownKind   = errors.New("wire: unknown message kind")
+	ErrMalformed     = errors.New("wire: malformed message")
 )
 
-// Message is anything that can travel in a frame.
+// Message is anything that can travel in a frame. encode appends the
+// message's fields to b; decode reads them back and must copy out every
+// byte it keeps — the slice behind r is pooled scratch that the next frame
+// overwrites. A ChunkResp's Data is the one field neither touches: the
+// framing code moves it (see WriteMessageN, ReadMessageLimitN).
 type Message interface {
 	Kind() Kind
 	encode(b []byte) []byte
@@ -223,6 +230,12 @@ type GetChunk struct {
 // provider's current upload load factor in thousandths; Busy sheds also
 // carry RetryAfterMs, the provider's estimate of when its pacer could
 // admit the transfer (always nonzero on a shed).
+//
+// Data is the frame's bulk tail. The writer hands the slice to the socket
+// as it is and never modifies it, so a provider serves one stored slice to
+// every caller; the reader allocates exactly len(Data) bytes that the
+// decoded message alone owns (cap == len, no other message aliases them).
+// Only an OK response may carry Data.
 type ChunkResp struct {
 	Seq          int64
 	OK           bool
@@ -235,6 +248,12 @@ type ChunkResp struct {
 	// from the responses they are already receiving.
 	ManifestHead   int64
 	ManifestDigest uint64
+	// ManifestHash/ManifestTag are the provider's manifest row for Seq (see
+	// ManifestEntry; both nil when it holds none), so the chunk and what
+	// authenticates it arrive in one exchange. The receiver verifies the
+	// tag before trusting the row, exactly as for a ManifestResp row.
+	ManifestHash []byte
+	ManifestTag  []byte
 }
 
 // HandoffEntry is one chunk's index rows in a Handoff.
@@ -388,7 +407,59 @@ type KadFindNodeResp struct {
 // ---------------------------------------------------------------------------
 // Framing.
 
-// WriteMessage frames and writes m: uint32 length, kind byte, payload.
+// A frame is a big-endian uint32 length n, then n bytes: the kind byte and
+// the message's fields. A ChunkResp frame states the length of its Data
+// right after the kind byte and carries Data last:
+//
+//	control:   n | kind | fields
+//	ChunkResp: n | kind | len(Data) | fields | Data
+//
+// so everything before Data (the head) is small and Data can be written
+// from, and read into, a buffer of its own.
+
+// frameHeader is the length prefix plus the kind byte.
+const frameHeader = 5
+
+// MaxPooledBuffer bounds the scratch buffers kept for reuse between
+// frames; a larger one is dropped after the frame that needed it, so one
+// big batch does not pin its size class for the life of the process.
+const MaxPooledBuffer = 64 << 10
+
+// scratch is per-frame working memory: b holds an outgoing or incoming
+// head, rd decodes from it, and vec backs the two-buffer vectored write of
+// a frame with a tail.
+type scratch struct {
+	b    []byte
+	rd   reader
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+var scratchPool = sync.Pool{New: func() any { return &scratch{b: make([]byte, 0, 1024)} }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch returns s to the pool. Clearing vec (which bufs is a window
+// onto) drops the reference to a written Data: a pooled scratch must not
+// keep a chunk payload alive.
+func putScratch(s *scratch) {
+	if cap(s.b) > MaxPooledBuffer {
+		return
+	}
+	s.vec = [2][]byte{}
+	scratchPool.Put(s)
+}
+
+// sized returns s.b resized to n bytes, contents unspecified.
+func (s *scratch) sized(n int) []byte {
+	if cap(s.b) < n {
+		s.b = make([]byte, n)
+	}
+	s.b = s.b[:n]
+	return s.b
+}
+
+// WriteMessage frames and writes m.
 func WriteMessage(w io.Writer, m Message) error {
 	_, err := WriteMessageN(w, m)
 	return err
@@ -396,22 +467,33 @@ func WriteMessage(w io.Writer, m Message) error {
 
 // WriteMessageN is WriteMessage returning the number of bytes put on the
 // wire (header included), so transports can meter traffic without
-// encoding the message twice.
+// encoding the message twice. Header and fields are encoded into pooled
+// scratch and leave in one Write; a ChunkResp's Data follows from the
+// caller's own slice — one vectored write on a TCP connection — and is
+// neither copied nor modified.
 func WriteMessageN(w io.Writer, m Message) (int, error) {
-	payload := m.encode(nil)
-	if len(payload)+1 > MaxFrame {
+	s := getScratch()
+	defer putScratch(s)
+	b := append(s.b[:0], 0, 0, 0, 0, byte(m.Kind()))
+	var tail []byte
+	if cr, ok := m.(*ChunkResp); ok {
+		tail = cr.Data
+		b = putU32(b, uint32(len(tail)))
+	}
+	b = m.encode(b)
+	s.b = b
+	n := len(b) - 4 + len(tail)
+	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = byte(m.Kind())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
+	binary.BigEndian.PutUint32(b, uint32(n))
+	if len(tail) == 0 {
+		return w.Write(b)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return len(hdr), err
-	}
-	return len(hdr) + len(payload), nil
+	s.vec[0], s.vec[1] = b, tail
+	s.bufs = s.vec[:]
+	nw, err := s.bufs.WriteTo(w)
+	return int(nw), err
 }
 
 // ReadMessage reads one framed message, bounded by MaxFrame.
@@ -429,36 +511,85 @@ func ReadMessageLimit(r io.Reader, limit uint32) (Message, error) {
 }
 
 // ReadMessageLimitN is ReadMessageLimit returning the number of bytes the
-// frame occupied on the wire (header included).
+// frame occupied on the wire (header included; 0 with an error). Header
+// and fields are read into pooled scratch, which the returned message does
+// not reference; a ChunkResp's Data is read from r straight into a slice
+// of exactly its length. After an error r is not positioned at a frame
+// boundary.
 func ReadMessageLimitN(r io.Reader, limit uint32) (Message, int, error) {
 	if limit == 0 || limit > MaxFrame {
 		limit = MaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, kind, err := readHeader(r, limit)
+	if err != nil {
 		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, len(hdr), ErrTruncated
-	}
-	if n > limit {
-		return nil, len(hdr), ErrFrameTooLarge
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, len(hdr), err
-	}
-	size := len(hdr) + int(n)
-	m, err := New(Kind(buf[0]))
+	m, err := New(kind)
 	if err != nil {
-		return nil, size, err
+		return nil, 0, err
 	}
-	rd := &reader{b: buf[1:]}
-	if err := m.decode(rd); err != nil {
-		return nil, size, err
+	s := getScratch()
+	defer putScratch(s)
+	head, tail := int(n)-1, 0
+	if kind == KindChunkResp {
+		if head < 4 {
+			return nil, 0, ErrTruncated
+		}
+		if _, err := io.ReadFull(r, s.sized(4)); err != nil {
+			return nil, 0, err
+		}
+		head -= 4
+		// n passed the limit check above, so tail <= head bounds what a
+		// forged tail length can make this allocate.
+		t := binary.BigEndian.Uint32(s.b)
+		if t > uint32(head) {
+			return nil, 0, ErrTruncated
+		}
+		tail = int(t)
+		head -= tail
 	}
-	return m, size, nil
+	if _, err := io.ReadFull(r, s.sized(head)); err != nil {
+		return nil, 0, err
+	}
+	s.rd = reader{b: s.b}
+	if err := m.decode(&s.rd); err != nil {
+		return nil, 0, err
+	}
+	if tail > 0 {
+		cr := m.(*ChunkResp)
+		if !cr.OK {
+			return nil, 0, ErrMalformed
+		}
+		cr.Data = make([]byte, tail)
+		if _, err := io.ReadFull(r, cr.Data); err != nil {
+			return nil, 0, err
+		}
+	}
+	return m, 4 + int(n), nil
+}
+
+// headerPool holds frame-header buffers apart from the scratch pool: the
+// header read is the one that blocks — an idle connection's server sits in
+// it until the next request — and what it pins meanwhile should be these
+// five bytes, not a scratch buffer.
+var headerPool = sync.Pool{New: func() any { return new([frameHeader]byte) }}
+
+// readHeader reads a frame's length and kind, judging the length against
+// limit as soon as it is complete (with or without the kind byte).
+func readHeader(r io.Reader, limit uint32) (n uint32, kind Kind, err error) {
+	hdr := headerPool.Get().(*[frameHeader]byte)
+	defer headerPool.Put(hdr)
+	got, err := io.ReadFull(r, hdr[:])
+	if got >= 4 {
+		n = binary.BigEndian.Uint32(hdr[:])
+		if n == 0 {
+			return 0, 0, ErrTruncated
+		}
+		if n > limit {
+			return 0, 0, ErrFrameTooLarge
+		}
+	}
+	return n, Kind(hdr[4]), err
 }
 
 // New returns a zero message of the given kind.
@@ -624,8 +755,8 @@ func (r *reader) bytes() []byte {
 
 func (r *reader) str() string { return string(r.bytes()) }
 
-// bytesCopy is bytes() with an owned copy, for fields retained past the
-// frame buffer's lifetime (nil when empty, so round-trips DeepEqual).
+// bytesCopy is bytes() with an owned copy, for fields a message keeps (nil
+// when empty, so round-trips DeepEqual).
 func (r *reader) bytesCopy() []byte {
 	v := r.bytes()
 	if len(v) == 0 {
@@ -796,15 +927,19 @@ func (m *GetChunk) decode(r *reader) error {
 }
 
 func (m *ChunkResp) Kind() Kind { return KindChunkResp }
+
+// encode appends everything but Data and its length: the framing code puts
+// the length before these fields and Data after them (see WriteMessageN).
 func (m *ChunkResp) encode(b []byte) []byte {
 	b = putI64(b, m.Seq)
 	b = putBool(b, m.OK)
 	b = putBool(b, m.Busy)
 	b = putU32(b, m.RetryAfterMs)
 	b = putU32(b, m.LoadMilli)
-	b = putBytes(b, m.Data)
 	b = putI64(b, m.ManifestHead)
-	return putU64(b, m.ManifestDigest)
+	b = putU64(b, m.ManifestDigest)
+	b = putBytes(b, m.ManifestHash)
+	return putBytes(b, m.ManifestTag)
 }
 func (m *ChunkResp) decode(r *reader) error {
 	m.Seq = r.i64()
@@ -812,9 +947,10 @@ func (m *ChunkResp) decode(r *reader) error {
 	m.Busy = r.boolean()
 	m.RetryAfterMs = r.u32()
 	m.LoadMilli = r.u32()
-	m.Data = append([]byte(nil), r.bytes()...)
 	m.ManifestHead = r.i64()
 	m.ManifestDigest = r.u64()
+	m.ManifestHash = r.bytesCopy()
+	m.ManifestTag = r.bytesCopy()
 	return r.err
 }
 

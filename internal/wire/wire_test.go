@@ -2,10 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"dco/internal/israce"
 )
 
 func roundTrip(t *testing.T, m Message) Message {
@@ -21,10 +25,12 @@ func roundTrip(t *testing.T, m Message) Message {
 	return out
 }
 
-func TestRoundTripAllKinds(t *testing.T) {
+// sampleMessages is at least one message of every kind, empty and
+// populated collections both.
+func sampleMessages() []Message {
 	e1 := Entry{ID: 0xDEADBEEF, Addr: "10.0.0.1:4000"}
 	e2 := Entry{ID: 42, Addr: "peer.example:9"}
-	msgs := []Message{
+	return []Message{
 		&Error{Msg: "boom"},
 		&Error{Code: CodeBusy, Msg: "overloaded"},
 		&Error{Code: CodeNotOwner, Msg: "moved"},
@@ -83,13 +89,53 @@ func TestRoundTripAllKinds(t *testing.T) {
 			{Seq: 199, Hash: bytes.Repeat([]byte{3}, 32), Tag: bytes.Repeat([]byte{4}, 32)},
 		}},
 		&ManifestResp{Head: -1},
+		&ChunkResp{Seq: 5, OK: true, Data: []byte{1, 2, 3}, ManifestHead: 6,
+			ManifestHash: bytes.Repeat([]byte{0xC1}, 32), ManifestTag: bytes.Repeat([]byte{0xC2}, 32)},
+		&ChunkResp{Seq: 5, OK: true,
+			ManifestHash: bytes.Repeat([]byte{0xC3}, 32), ManifestTag: bytes.Repeat([]byte{0xC4}, 32)},
 		&PollutionReport{From: e1, Key: 9, Seq: 10, Target: e2},
 		&PollutionReport{},
 	}
-	for _, m := range msgs {
+}
+
+func TestRoundTripAllKinds(t *testing.T) {
+	seen := make(map[Kind]bool)
+	for _, m := range sampleMessages() {
+		seen[m.Kind()] = true
 		got := roundTrip(t, m)
 		if !reflect.DeepEqual(m, got) {
 			t.Errorf("%T round-trip mismatch:\n  sent %#v\n  got  %#v", m, m, got)
+		}
+	}
+	for k := KindError; k <= KindPollutionReport; k++ {
+		if !seen[k] {
+			t.Errorf("no sample message of kind %d", k)
+		}
+	}
+}
+
+// TestDecodersCopyOutOfScratch pins the invariant the pooled read path
+// rests on: a decoded message references none of the bytes it was decoded
+// from, so the scratch buffer can be reused for the next frame.
+func TestDecodersCopyOutOfScratch(t *testing.T) {
+	for _, m := range sampleMessages() {
+		fields := m.encode(nil)
+		got, err := New(m.Kind())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.decode(&reader{b: fields}); err != nil {
+			t.Fatalf("decode %T: %v", m, err)
+		}
+		for i := range fields {
+			fields[i] = 0xFF
+		}
+		if cr, ok := m.(*ChunkResp); ok {
+			// Data is not a field the decoder sees: the framing moves it.
+			got.(*ChunkResp).Data = cr.Data
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Errorf("%T aliases its input buffer:\n  sent %#v\n  got  %#v", m, m, got)
 		}
 	}
 }
@@ -264,20 +310,187 @@ func TestReadMessageLimit(t *testing.T) {
 	}
 }
 
-func TestChunkRespDataIsCopied(t *testing.T) {
-	var buf bytes.Buffer
-	_ = WriteMessage(&buf, &ChunkResp{Seq: 1, OK: true, Data: []byte{1, 2, 3}})
-	raw := buf.Bytes()
-	m, err := ReadMessage(bytes.NewReader(raw))
-	if err != nil {
+// TestChunkRespDataIsOwned pins who owns a decoded payload: the message
+// alone. Data is exactly as long as the payload (cap == len: no larger
+// frame buffer is retained behind it), survives later reads on the same
+// stream and the reuse of pooled scratch, and can be mutated without
+// touching any other message — faulty.corrupt and poisonChunk flip bytes
+// of a reply in place and rely on exactly that.
+func TestChunkRespDataIsOwned(t *testing.T) {
+	row := func(b byte) []byte { return bytes.Repeat([]byte{b}, 32) }
+	sent := []*ChunkResp{
+		{Seq: 1, OK: true, Data: bytes.Repeat([]byte{0x11}, 1000), ManifestHash: row(1), ManifestTag: row(2)},
+		{Seq: 2, OK: true, Data: bytes.Repeat([]byte{0x22}, 64*1024), ManifestHash: row(3), ManifestTag: row(4)},
+		{Seq: 3, OK: true, Data: bytes.Repeat([]byte{0x33}, 1000)},
+	}
+	var stream bytes.Buffer
+	for _, m := range sent {
+		if err := WriteMessage(&stream, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Control frames between and after: each read borrows pooled scratch.
+	if err := WriteMessage(&stream, &Error{Msg: string(bytes.Repeat([]byte{0xEE}, 2000))}); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the source buffer must not affect the decoded payload.
+	raw := stream.Bytes()
+
+	var got []*ChunkResp
+	for range sent {
+		m, err := ReadMessage(&stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr := m.(*ChunkResp)
+		if cap(cr.Data) != len(cr.Data) {
+			t.Fatalf("seq %d: cap(Data) = %d, len = %d: a frame buffer is retained behind the payload",
+				cr.Seq, cap(cr.Data), len(cr.Data))
+		}
+		got = append(got, cr)
+	}
+	if _, err := ReadMessage(&stream); err != nil {
+		t.Fatal(err)
+	}
+	// The stream's own bytes and every pooled buffer may now change.
 	for i := range raw {
 		raw[i] = 0xFF
 	}
-	if got := m.(*ChunkResp).Data; got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("decoded data aliases the input buffer: %v", got)
+	for i := 0; i < 4; i++ {
+		roundTrip(t, &Error{Msg: string(bytes.Repeat([]byte{0xDD}, 4000))})
+	}
+	for i, cr := range got {
+		if !reflect.DeepEqual(cr, sent[i]) {
+			t.Fatalf("seq %d changed after later reads and buffer reuse", cr.Seq)
+		}
+	}
+	// Mutating one decoded payload touches no other message.
+	for i := range got[0].Data {
+		got[0].Data[i] ^= 0xFF
+	}
+	got[0].ManifestTag[0] ^= 0xFF
+	for i, cr := range got[1:] {
+		if !reflect.DeepEqual(cr, sent[i+1]) {
+			t.Fatalf("mutating seq 1 changed seq %d", cr.Seq)
+		}
+	}
+}
+
+// writeLog records the slices a writer was handed.
+type writeLog struct{ writes [][]byte }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, p)
+	return len(p), nil
+}
+
+// TestWriteShape pins what reaches the writer: a control message is one
+// Write (length prefix included), and a ChunkResp is its head followed by
+// the caller's Data slice itself — not a copy — left unmodified.
+func TestWriteShape(t *testing.T) {
+	var ctl writeLog
+	n, err := WriteMessageN(&ctl, &Insert{Key: 1, Seq: 2, Holder: Entry{ID: 3, Addr: "a:1"}})
+	if err != nil || len(ctl.writes) != 1 || n != len(ctl.writes[0]) {
+		t.Fatalf("control message: %d writes, n=%d, err=%v; want one write of n bytes", len(ctl.writes), n, err)
+	}
+
+	data := bytes.Repeat([]byte{7}, 4096)
+	var bulk writeLog
+	n, err = WriteMessageN(&bulk, &ChunkResp{Seq: 1, OK: true, Data: data})
+	if err != nil || len(bulk.writes) != 2 {
+		t.Fatalf("chunk response: %d writes, err=%v; want head then data", len(bulk.writes), err)
+	}
+	if tail := bulk.writes[1]; len(tail) != len(data) || &tail[0] != &data[0] {
+		t.Fatal("chunk data reached the writer as a copy, not the caller's slice")
+	}
+	if want := len(bulk.writes[0]) + len(data); n != want {
+		t.Fatalf("WriteMessageN = %d, want %d", n, want)
+	}
+	if !bytes.Equal(data, bytes.Repeat([]byte{7}, 4096)) {
+		t.Fatal("writing modified the caller's data")
+	}
+}
+
+// chunkFrame hand-builds a ChunkResp frame: n and tail as declared, the
+// fields with the given OK and Busy and no manifest row, then body.
+func chunkFrame(n, tail uint32, ok, busy bool, body []byte) []byte {
+	f := []byte{0, 0, 0, 0, byte(KindChunkResp)}
+	binary.BigEndian.PutUint32(f, n)
+	f = putU32(f, tail)
+	f = (&ChunkResp{Seq: 9, OK: ok, Busy: busy}).encode(f)
+	return append(f, body...)
+}
+
+// malformedChunkFrames are ChunkResp frames the reader must reject, each
+// before it allocates the tail the frame declares.
+func malformedChunkFrames() map[string][]byte {
+	// The encoded size of the kind byte, the tail length and the fields.
+	fixed := uint32(len(chunkFrame(0, 0, true, false, nil)) - 4)
+	return map[string][]byte{
+		"tail longer than the frame":   chunkFrame(fixed+4, 1<<20, true, false, []byte{1, 2, 3, 4}),
+		"tail longer than any frame":   chunkFrame(fixed, 0xFFFFFFFF, true, false, nil),
+		"data on a busy nack":          chunkFrame(fixed+4, 4, false, true, []byte{1, 2, 3, 4}),
+		"data on a miss":               chunkFrame(fixed+4, 4, false, false, []byte{1, 2, 3, 4}),
+		"stream ends inside the tail":  chunkFrame(fixed+100, 100, true, false, make([]byte, 40)),
+		"tail leaves the fields short": chunkFrame(fixed, 8, true, false, nil),
+		"frame too short for its tail": chunkFrame(3, 0, true, false, nil)[:8],
+	}
+}
+
+func TestMalformedChunkFramesRejected(t *testing.T) {
+	for name, frame := range malformedChunkFrames() {
+		if m, err := ReadMessage(bytes.NewReader(frame)); err == nil {
+			t.Errorf("%s: accepted as %#v", name, m)
+		}
+	}
+	// The frame limit is judged on the length prefix alone, before the
+	// tail length is even read.
+	big := chunkFrame(1<<20, 1<<19, true, false, nil)
+	if _, err := ReadMessageLimit(bytes.NewReader(big), 64*1024); err != ErrFrameTooLarge {
+		t.Fatalf("1 MiB chunk frame under a 64 KiB limit: %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// allocsPerOp runs f runs times and returns heap bytes and objects
+// allocated per run, process-wide.
+func allocsPerOp(runs int, f func()) (bytesPerOp, objsPerOp float64) {
+	f() // warm the pools
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs), float64(m1.Mallocs-m0.Mallocs) / float64(runs)
+}
+
+// TestAllocationBudgets holds the codec to what a hop is allowed to cost:
+// a 64 KiB chunk response crosses encode and decode with one payload-sized
+// allocation (the reader's exact-size Data) and small change, and a
+// fixed-size control message allocates its decoded struct and nothing
+// for framing.
+func TestAllocationBudgets(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	var buf bytes.Buffer
+	trip := func(m Message) func() {
+		return func() {
+			buf.Reset()
+			if err := WriteMessage(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadMessage(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	chunk := &ChunkResp{Seq: 42, OK: true, Data: make([]byte, 64*1024),
+		ManifestHash: make([]byte, 32), ManifestTag: make([]byte, 32)}
+	if b, objs := allocsPerOp(200, trip(chunk)); b > 70_000 || objs >= 5 {
+		t.Errorf("64 KiB ChunkResp round-trip: %.0f B in %.1f objects; budget 70,000 B (one payload) in 4: struct, hash, tag, data", b, objs)
+	}
+	if b, objs := allocsPerOp(200, trip(&GetChunk{Seq: 1, WaitMs: 2, DeadlineMs: 3})); objs >= 2 || b > 64 {
+		t.Errorf("GetChunk round-trip: %.0f B in %.1f objects; budget: the decoded struct", b, objs)
 	}
 }
 
