@@ -281,14 +281,22 @@ func (k *Kernel) Stats() dht.Stats {
 
 // FindOwner routes iteratively from this node to the owner of key. A dead
 // hop is purged by the Caller's failure handling and the route restarts, so
-// routing self-heals in step with stabilization. fallbacks are the owner's
-// successor list — the members that inherit the key if the owner dies.
-func (k *Kernel) FindOwner(key uint64) (dht.Member, []dht.Member, error) {
-	owner, succs, _, _, err := k.findOwner(key)
+// routing self-heals in step with stabilization. Fallbacks are the owner's
+// successor list — the members that inherit the key if the owner dies —
+// and the answer reaches as far as the owner's own range, (pred, owner]:
+// the final reply carries the predecessor. An owner that names none (or,
+// mid-bootstrap, one whose range does not hold the key) vouches for the
+// key alone.
+func (k *Kernel) FindOwner(key uint64) (dht.Route, error) {
+	owner, succs, pred, predOK, err := k.findOwner(key)
 	if err != nil {
-		return dht.Member{}, nil, err
+		return dht.Route{}, err
 	}
-	return dht.FromWire(owner), membersFromWire(succs), nil
+	r := dht.Route{Owner: dht.FromWire(owner), Fallbacks: membersFromWire(succs), Lo: key - 1, Hi: key}
+	if predOK && chord.InOC(chord.ID(pred.ID), chord.ID(key), chord.ID(owner.ID)) {
+		r.Lo, r.Hi = pred.ID, owner.ID
+	}
+	return r, nil
 }
 
 // FindOwnerFrom is FindOwner routed through start's tables instead of this
@@ -348,7 +356,9 @@ func (k *Kernel) findOwnerFrom(start string, key uint64) (owner wire.Entry, succ
 			return wire.Entry{}, nil, wire.Entry{}, false, errUnexpected
 		}
 		if fs.Done {
-			k.traceEvent("lookup.route", fmt.Sprintf("key=%016x hops=%d owner=%s", key, hops+1, fs.Owner.Addr))
+			if k.trace != nil {
+				k.traceEvent("lookup.route", fmt.Sprintf("key=%016x hops=%d owner=%s", key, hops+1, fs.Owner.Addr))
+			}
 			k.lookups.Inc()
 			k.lookupHops.Add(uint64(hops + 1))
 			k.hopHist.Observe(float64(hops + 1))

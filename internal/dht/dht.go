@@ -55,6 +55,23 @@ func IDOf(addr string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
+// Route is a routing answer: who owns a key, whom to try when the owner is
+// unreachable, and how far the answer reaches.
+type Route struct {
+	Owner Member
+	// Fallbacks are nearest-responsibility first (Chord: the owner's
+	// successor list; Kademlia: the next closest members of the lookup
+	// shortlist).
+	Fallbacks []Member
+	// Lo and Hi bound the proof: when the answer was given, every key of
+	// the clockwise arc (Lo, Hi] belonged to Owner. Lo == Hi is the whole
+	// key space (a ring of one); Lo == Hi-1 is the routed key alone, which
+	// is all a backend without contiguous ranges (Kademlia), or a Chord
+	// owner that does not know its predecessor, can vouch for. An ArcCache
+	// answers later keys of the arc without routing.
+	Lo, Hi uint64
+}
+
 // Caller is the RPC seam the host node supplies. Both calls block until a
 // reply, an error, or the host's timeout; the host's failure handling
 // (breaker accounting, conclusive-death condemnation feeding back into
@@ -148,11 +165,10 @@ type Kernel interface {
 	// entries into its own index. Pure read.
 	OwnsSettled(key uint64) bool
 
-	// FindOwner routes from this node to key's owner. fallbacks are the
-	// members to try if the owner is unreachable, nearest-responsibility
-	// first (Chord: the owner's successor list; Kademlia: the next
-	// closest members from the lookup shortlist). Performs RPCs.
-	FindOwner(key uint64) (owner Member, fallbacks []Member, err error)
+	// FindOwner routes from this node to key's owner and reports, with the
+	// answer, the range of keys it was proved for (see Route). Performs
+	// RPCs.
+	FindOwner(key uint64) (Route, error)
 
 	// FindOwnerFrom is FindOwner routed through start instead of this
 	// node's own tables — the census uses it to probe a foreign network

@@ -15,6 +15,9 @@
 //     (the replication layer's fan-out set).
 //   - Lookups from every member converge on the claimant, including
 //     after churn kills members (the lookup is how index ops route).
+//   - A lookup's reported arc (Route.Lo, Route.Hi] is sound: on a settled
+//     network every key inside it routes to the same owner from every
+//     member (what lets the host's ArcCache answer without routing).
 //   - FindOwnerFrom through any member of the same network lands back on
 //     the asking node for its own ID (the census split-confirmation
 //     soundness property).
@@ -247,13 +250,41 @@ func Run(t *testing.T, factory Factory) {
 				t.Fatalf("key %016x has no unique owner", key)
 			}
 			for _, h := range hosts {
-				got, _, err := h.kern.FindOwner(key)
+				got, err := h.kern.FindOwner(key)
 				if err != nil {
 					t.Fatalf("FindOwner(%016x) from %s: %v", key, h.tr.Addr(), err)
 				}
-				if got.Addr != owner.tr.Addr() {
+				if got.Owner.Addr != owner.tr.Addr() {
 					t.Fatalf("FindOwner(%016x) from %s = %s, owner claims %s",
-						key, h.tr.Addr(), got.Addr, owner.tr.Addr())
+						key, h.tr.Addr(), got.Owner.Addr, owner.tr.Addr())
+				}
+			}
+		}
+	})
+
+	t.Run("ReportedArcsRouteToOneOwner", func(t *testing.T) {
+		hosts := cluster(t, factory)
+		for _, key := range sampleKeys()[:16] {
+			r, err := hosts[0].kern.FindOwner(key)
+			if err != nil {
+				t.Fatalf("FindOwner(%016x): %v", key, err)
+			}
+			// The ends of the arc, its middle and the routed key itself;
+			// Hi-Lo wraps to the arc's length (0 = the whole key space).
+			span := r.Hi - r.Lo
+			for _, probe := range []uint64{key, r.Lo + 1, r.Lo + 1 + (span-1)/2, r.Hi} {
+				if inside := probe - r.Lo; span != 0 && (inside == 0 || inside > span) {
+					t.Fatalf("FindOwner(%016x) reported (%016x, %016x], which does not hold %016x", key, r.Lo, r.Hi, probe)
+				}
+				for _, h := range hosts {
+					got, err := h.kern.FindOwner(probe)
+					if err != nil {
+						t.Fatalf("FindOwner(%016x) from %s: %v", probe, h.tr.Addr(), err)
+					}
+					if got.Owner.Addr != r.Owner.Addr {
+						t.Fatalf("key %016x lies in the arc (%016x, %016x] reported for %s, but routes to %s from %s",
+							probe, r.Lo, r.Hi, r.Owner.Addr, got.Owner.Addr, h.tr.Addr())
+					}
 				}
 			}
 		}
@@ -276,13 +307,13 @@ func Run(t *testing.T, factory Factory) {
 				t.Fatalf("key %016x has no unique owner after churn", key)
 			}
 			for _, h := range survivors {
-				var got dht.Member
+				var got dht.Route
 				var err error
 				// Routing may still be mid-repair on individual survivors;
 				// what must hold is that every survivor converges.
 				waitFor(t, 10*time.Second, fmt.Sprintf("lookup of %016x from %s to converge", key, h.tr.Addr()), func() bool {
-					got, _, err = h.kern.FindOwner(key)
-					return err == nil && got.Addr == owner.tr.Addr()
+					got, err = h.kern.FindOwner(key)
+					return err == nil && got.Owner.Addr == owner.tr.Addr()
 				})
 			}
 		}

@@ -533,9 +533,11 @@ func (k *Kernel) lookup(key uint64, seeds []lkCand, refresh bool) ([]dht.Member,
 }
 
 // FindOwner routes to key's owner: an iterative lookup seeded from the
-// local table, with self an eligible owner. fallbacks are the next-closest
-// survivors — the members whose tables are densest around the key.
-func (k *Kernel) FindOwner(key uint64) (dht.Member, []dht.Member, error) {
+// local table, with self an eligible owner. Fallbacks are the next-closest
+// survivors — the members whose tables are densest around the key. XOR
+// ownership has no contiguous range a lookup could prove, so the answer
+// vouches for the key alone.
+func (k *Kernel) FindOwner(key uint64) (dht.Route, error) {
 	k.mu.Lock()
 	seedMs := k.closestLocked(key, k.cfg.K)
 	k.mu.Unlock()
@@ -546,15 +548,17 @@ func (k *Kernel) FindOwner(key uint64) (dht.Member, []dht.Member, error) {
 	}
 	ranked, rounds := k.lookup(key, seeds, false)
 	if len(ranked) == 0 {
-		return dht.Member{}, nil, fmt.Errorf("%w (kademlia: every candidate failed)", dht.ErrNoRoute)
+		return dht.Route{}, fmt.Errorf("%w (kademlia: every candidate failed)", dht.ErrNoRoute)
 	}
 	k.lookups.Inc()
 	if rounds > 0 {
 		k.lookupHops.Add(uint64(rounds))
 		k.hopHist.Observe(float64(rounds))
 	}
-	k.traceEvent("lookup.route", fmt.Sprintf("key=%016x hops=%d owner=%s", key, rounds, ranked[0].Addr))
-	return ranked[0], ranked[1:], nil
+	if k.trace != nil {
+		k.traceEvent("lookup.route", fmt.Sprintf("key=%016x hops=%d owner=%s", key, rounds, ranked[0].Addr))
+	}
+	return dht.Route{Owner: ranked[0], Fallbacks: ranked[1:], Lo: key - 1, Hi: key}, nil
 }
 
 // FindOwnerFrom routes to key's owner through start's network only: the
@@ -653,7 +657,7 @@ func (k *Kernel) Join(bootstrap string) error {
 			case <-time.After(j):
 			}
 		}
-		_, _, _ = k.FindOwner(k.self.ID)
+		_, _ = k.FindOwner(k.self.ID)
 	}()
 	return nil
 }
@@ -685,7 +689,7 @@ func (k *Kernel) Merge(target dht.Member, others []dht.Member) {
 		}
 	}
 	k.mu.Unlock()
-	_, _, _ = k.FindOwner(k.self.ID)
+	_, _ = k.FindOwner(k.self.ID)
 }
 
 // ---------------------------------------------------------------------------

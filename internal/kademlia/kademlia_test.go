@@ -254,15 +254,18 @@ func TestIterativeLookupConverges(t *testing.T) {
 			kerns[i].Observe(member(ids[i+1]))
 		}
 	}
-	owner, fallbacks, err := kerns[0].FindOwner(0xF1)
+	r, err := kerns[0].FindOwner(0xF1)
 	if err != nil {
 		t.Fatalf("FindOwner: %v", err)
 	}
-	if owner.ID != 0xF0 {
-		t.Fatalf("owner = %#x, want 0xF0 (XOR-closest to 0xF1)", owner.ID)
+	if r.Owner.ID != 0xF0 {
+		t.Fatalf("owner = %#x, want 0xF0 (XOR-closest to 0xF1)", r.Owner.ID)
 	}
-	if len(fallbacks) == 0 {
+	if len(r.Fallbacks) == 0 {
 		t.Fatal("no fallbacks returned")
+	}
+	if r.Lo != 0xF0 || r.Hi != 0xF1 {
+		t.Fatalf("answer reaches (%#x, %#x], want the routed key alone", r.Lo, r.Hi)
 	}
 	// The iterative walk verified responders along the way: the starting
 	// kernel's table must now hold contacts it was never told about.
@@ -291,15 +294,15 @@ func TestLookupRoutesAroundFailures(t *testing.T) {
 	c.mu.Lock()
 	c.dead[member(0x90).Addr] = true
 	c.mu.Unlock()
-	owner, _, err := kerns[0].FindOwner(0x91)
+	r, err := kerns[0].FindOwner(0x91)
 	if err != nil {
 		t.Fatalf("FindOwner with one dead candidate: %v", err)
 	}
-	if owner.ID == 0x90 {
+	if r.Owner.ID == 0x90 {
 		t.Fatal("lookup returned the dead candidate as owner")
 	}
-	if owner.ID != 0x90 && owner.ID != 0xA0 && owner.ID != 0x80 {
-		t.Fatalf("owner = %#x, want a live near contact", owner.ID)
+	if r.Owner.ID != 0x90 && r.Owner.ID != 0xA0 && r.Owner.ID != 0x80 {
+		t.Fatalf("owner = %#x, want a live near contact", r.Owner.ID)
 	}
 }
 

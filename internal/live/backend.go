@@ -2,11 +2,14 @@ package live
 
 // backend.go is the one place the live node names a DHT backend type:
 // the Config.DHT -> dht.Kernel factory, the Caller adapter that routes
-// kernel RPCs through the node's retry/breaker stack, and the Events
+// kernel RPCs through the node's retry/breaker stack, the Events
 // handlers that feed kernel membership activity back into the census
-// cache, the index handoff path, and the replica store.
+// cache, the index handoff path, and the replica store — and the
+// owner-arc cache every index request of this node consults before it
+// asks the kernel to route (DESIGN.md, "Owner-arc cache").
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -77,10 +80,87 @@ func (c nodeCaller) CallIdem(addr string, req wire.Message) (wire.Message, error
 	return c.n.callIdem(addr, req)
 }
 
+// routeCacheSize bounds the owner-arc cache: how many coordinators (Chord:
+// one arc each) or chunk keys (Kademlia: single-key arcs) a node remembers
+// the way to.
+const routeCacheSize = 256
+
+// routeTo routes key through the kernel — never the cache — and stores the
+// arc the answer proved, unless it is this node's own: what a node owns is
+// the kernel's to say each time (Chord says it from local state), and a
+// lookup this node serves itself keeps its second-opinion check.
+func (n *Node) routeTo(key uint64) (dht.Route, error) {
+	r, err := n.kern.FindOwner(key)
+	if err == nil && r.Owner.Addr != n.self.Addr {
+		n.routes.Store(r)
+	}
+	return r, err
+}
+
+// cachedOwner returns key's owner when a cached arc covers it.
+func (n *Node) cachedOwner(key uint64) (dht.Member, bool) {
+	owner, ok := n.routes.Owner(key)
+	if ok {
+		n.lm.routeHits.Inc()
+	} else {
+		n.lm.routeMisses.Inc()
+	}
+	return owner, ok
+}
+
+// ownerOf resolves key's coordinator for requests that any node would
+// serve, so that a stale arc needs no handling: manifest fetches,
+// pollution reports.
+func (n *Node) ownerOf(key uint64) (dht.Member, error) {
+	if owner, ok := n.cachedOwner(key); ok {
+		return owner, nil
+	}
+	r, err := n.routeTo(key)
+	return r.Owner, err
+}
+
+// ownerGone reports whether err, from a request sent to a key's supposed
+// owner, says that the node is not that: it disowned the key, is shutting
+// down, or did not answer. Any other error is the owner's verdict on the
+// request.
+func ownerGone(err error) bool {
+	if err == nil {
+		return false
+	}
+	var we *wire.Error
+	return !errors.As(err, &we) || we.Code == wire.CodeNotOwner || we.Code == wire.CodeShutdown
+}
+
+// bounced reports whether a cached owner turned a request away (ownerGone).
+// If so its arc is forgotten, the redirect counted, and the caller routes.
+func (n *Node) bounced(owner string, err error) bool {
+	if !ownerGone(err) {
+		return false
+	}
+	n.routes.Drop(owner)
+	n.lm.routeRedirects.Inc()
+	return true
+}
+
+// askOwner sends an index request to a coordinator — in process when that
+// is this node — with a wire.Error reply folded into err, as the transport
+// folds a remote one.
+func (n *Node) askOwner(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
+	if addr != n.self.Addr {
+		return n.callIdemTimeout(addr, req, timeout)
+	}
+	resp := n.serve(addr, req)
+	if e, ok := resp.(*wire.Error); ok {
+		return nil, e
+	}
+	return resp, nil
+}
+
 // onKernSeen feeds members the kernel sighted in protocol traffic into
-// the census member cache. The kernel already observed them itself, so
-// only the cache is updated here.
+// the census member cache, and trims any cached arc one of them sits
+// inside. The kernel already observed them itself.
 func (n *Node) onKernSeen(ms ...dht.Member) {
+	n.routes.Trim(ms...)
 	now := time.Now()
 	n.mu.Lock()
 	for _, m := range ms {
@@ -122,8 +202,9 @@ func (n *Node) onKernRangeChanged(newOwner dht.Member) {
 // "gone for good" signal (abrupt unreachability may be a partition). The
 // leaver handed its index to its heir, so whatever slice of it was
 // replicated here is stale; drop it rather than promote it later, and
-// forget the member in the census cache.
+// forget the member in the census cache and the arc it owned.
 func (n *Node) onKernDeparted(m dht.Member) {
+	n.routes.Drop(m.Addr)
 	n.mu.Lock()
 	delete(n.replicas, m.Addr)
 	n.members.Forget(m.Addr)

@@ -304,7 +304,7 @@ func (n *Node) reconcile() {
 			return
 		default:
 		}
-		n.insertIndex(seq)
+		n.insertIndex(seq, true) // a repair path, like republish: route, and re-prove the arc
 	}
 	n.traceEvent("ring.reconcile", fmt.Sprintf("inserts=%d", len(seqs)))
 }

@@ -273,7 +273,7 @@ func (n *Node) ensureManifest(seq int64, cr *wire.ChunkResp, provider string) {
 		return
 	}
 	key := uint64(n.cfg.Channel.Ref(seq).ID())
-	if owner, _, err := n.FindOwner(key); err == nil && owner.Addr != n.Addr() && owner.Addr != provider {
+	if owner, err := n.ownerOf(key); err == nil && owner.Addr != n.Addr() && owner.Addr != provider {
 		covered(owner.Addr)
 	}
 }
@@ -365,7 +365,7 @@ func (n *Node) reportPollution(target string, seq int64) {
 	go func() {
 		sent := make(map[string]bool, 3)
 		deliver := func(k uint64) {
-			owner, _, err := n.FindOwner(k)
+			owner, err := n.ownerOf(k)
 			if err != nil || sent[owner.Addr] || owner.Addr == target {
 				return
 			}

@@ -61,6 +61,15 @@ type liveMetrics struct {
 	republishes    *telemetry.Counter
 	handoffEntries *telemetry.Counter
 
+	// Owner-arc cache (backend.go): index requests sent along a cached arc,
+	// requests that had to route first, requests a cached owner bounced (a
+	// stale arc: one extra round trip) — and index inserts given up on
+	// after both attempts.
+	routeHits           *telemetry.Counter
+	routeMisses         *telemetry.Counter
+	routeRedirects      *telemetry.Counter
+	indexInsertFailures *telemetry.Counter
+
 	// Replication layer (replication.go): batch/op volume out, ops folded
 	// in, takeover promotions, anti-entropy repair volume, lease expiry,
 	// and the byte meters the write-amplification benchmark reads.
@@ -160,6 +169,11 @@ func newLiveMetrics(reg *telemetry.Registry, tr *telemetry.Trace) *liveMetrics {
 
 		republishes:    reg.Counter("dco_live_republishes_total"),
 		handoffEntries: reg.Counter("dco_live_handoff_entries_total"),
+
+		routeHits:           reg.Counter("dco_live_route_cache_hits_total"),
+		routeMisses:         reg.Counter("dco_live_route_cache_misses_total"),
+		routeRedirects:      reg.Counter("dco_live_route_cache_redirects_total"),
+		indexInsertFailures: reg.Counter("dco_live_index_insert_failures_total"),
 
 		replicateOps:      reg.Counter("dco_live_replicate_ops_total"),
 		replicateBatches:  reg.Counter("dco_live_replicate_batches_total"),
@@ -329,3 +343,19 @@ func (n *Node) traceEvent(kind, detail string) {
 }
 
 func seqDetail(seq int64) string { return "seq=" + strconv.FormatInt(seq, 10) }
+
+// traceSeq and traceSeqPeer record the per-chunk events of the fetch and
+// serve paths — "seq=N" and "seq=N role=peer". They build the detail only
+// when a trace is attached: an untraced node must not pay an allocation per
+// chunk for strings nobody reads.
+func (n *Node) traceSeq(kind string, seq int64) {
+	if n.lm.trace != nil {
+		n.traceEvent(kind, seqDetail(seq))
+	}
+}
+
+func (n *Node) traceSeqPeer(kind string, seq int64, role, peer string) {
+	if n.lm.trace != nil {
+		n.traceEvent(kind, seqDetail(seq)+" "+role+"="+peer)
+	}
+}

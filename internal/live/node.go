@@ -278,6 +278,11 @@ type Node struct {
 	kern  dht.Kernel
 	ready atomic.Bool
 
+	// routes is the owner-arc cache (backend.go): which member owned which
+	// arc of the key space when a lookup was last routed there. It has its
+	// own lock; n.mu never guards it.
+	routes *dht.ArcCache
+
 	mu sync.Mutex
 	// chunks holds every buffered payload. A stored slice is immutable: it
 	// is the slice the wire decoder allocated (or the generator made), and
@@ -390,6 +395,11 @@ type Stats struct {
 	DigestRepairs     uint64 // index ops re-sent after a digest mismatch
 	ProvidersExpired  uint64 // provider leases aged out of the owned index
 	LookupFailures    uint64 // lookups that exhausted every candidate coordinator
+	// Owner-arc cache counters (backend.go).
+	RouteCacheHits      uint64 // index requests sent along a cached arc
+	RouteCacheMisses    uint64 // index requests that routed because no arc covered the key
+	RouteCacheRedirects uint64 // requests a cached owner bounced: one extra round trip each
+	IndexInsertFailures uint64 // index inserts given up on: the chunk is registered nowhere until republished
 	// Ring-census counters (census.go).
 	CensusProbes   uint64 // census probes sent to members outside the ring view
 	SplitsDetected uint64 // confirmed split-brain detections
@@ -540,6 +550,7 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		pollution:  make(map[string]map[string]time.Time),
 		quarLog:    make(map[string]bool),
 		pace:       newPacer(cfg.UpBps, burst, cfg.AdmitQueue),
+		routes:     dht.NewArcCache(routeCacheSize),
 		closed:     make(chan struct{}),
 		latestGen:  -1,
 	}
@@ -631,6 +642,10 @@ func (n *Node) Stats() Stats {
 		DigestRepairs:        n.lm.digestRepairOps.Value(),
 		ProvidersExpired:     n.lm.indexExpired.Value(),
 		LookupFailures:       n.lm.lookupFailures.Value(),
+		RouteCacheHits:       n.lm.routeHits.Value(),
+		RouteCacheMisses:     n.lm.routeMisses.Value(),
+		RouteCacheRedirects:  n.lm.routeRedirects.Value(),
+		IndexInsertFailures:  n.lm.indexInsertFailures.Value(),
 		CensusProbes:         n.lm.censusProbes.Value(),
 		SplitsDetected:       n.lm.splitsDetected.Value(),
 		RingMerges:           n.lm.ringMerges.Value(),
@@ -704,11 +719,16 @@ func (n *Node) startMaint() {
 func (n *Node) Start() {
 	n.startMaint()
 	n.loop(n.cfg.CensusEvery, n.census)
+	n.startStream()
+}
+
+// startStream launches the generator on a source, the fetch pipeline on a
+// viewer.
+func (n *Node) startStream() {
+	n.wg.Add(1)
 	if n.cfg.Source {
-		n.wg.Add(1)
 		go n.generateLoop()
 	} else {
-		n.wg.Add(1)
 		go n.fetchLoop()
 	}
 }
@@ -993,6 +1013,7 @@ func (n *Node) noteCallFailure(addr string, err error) {
 	if !n.peerCondemned(addr, err) {
 		return
 	}
+	n.routes.Drop(addr)
 	n.mu.Lock()
 	n.kern.PeerFailed(addr)
 	promoted := n.promoteReplicasLocked(addr)

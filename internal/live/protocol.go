@@ -174,7 +174,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 	n.mu.Unlock()
 	if !ok {
 		n.lm.chunksMissed.Inc()
-		n.traceEvent("chunk.miss", seqDetail(m.Seq))
+		n.traceSeq("chunk.miss", m.Seq)
 		return n.stampManifest(&wire.ChunkResp{Seq: m.Seq, LoadMilli: n.reportLoadMilli()})
 	}
 	// The requester declares its patience; zero (old clients, direct
@@ -203,7 +203,9 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 			// shed specifically because the answer could not arrive in time.
 			n.lm.deadlineSheds.Inc()
 		}
-		n.traceEvent("chunk.shed", fmt.Sprintf("seq=%d retry=%s", m.Seq, retry))
+		if n.lm.trace != nil {
+			n.traceEvent("chunk.shed", fmt.Sprintf("seq=%d retry=%s", m.Seq, retry))
+		}
 		return n.stampManifest(&wire.ChunkResp{
 			Seq:          m.Seq,
 			Busy:         true,
@@ -223,7 +225,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 		}
 	}
 	n.lm.chunksServed.Inc()
-	n.traceEvent("chunk.serve", seqDetail(m.Seq))
+	n.traceSeq("chunk.serve", m.Seq)
 	return n.stampManifest(&wire.ChunkResp{Seq: m.Seq, OK: true, Data: data, LoadMilli: n.reportLoadMilli()})
 }
 
@@ -261,15 +263,15 @@ func (n *Node) onHandoff(m *wire.Handoff) wire.Message {
 
 // FindOwner routes from this node to key's owner via the configured DHT
 // backend, returning the owner plus the fallback members to try when the
-// owner is unreachable.
+// owner is unreachable. It always routes — it is the oracle tests, dcosim
+// and the bench probe compare against, so it must say what the ring says
+// now, not what the owner-arc cache remembers — and refreshes the cache
+// with what it learned.
 func (n *Node) FindOwner(key uint64) (owner dht.Member, fallbacks []dht.Member, err error) {
-	return n.kern.FindOwner(key)
+	r, err := n.routeTo(key)
+	return r.Owner, r.Fallbacks, err
 }
 
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
-
 func errUnexpected(m wire.Message) error {
-	return errorString("live: unexpected response kind")
+	return fmt.Errorf("live: unexpected response kind %T", m)
 }

@@ -396,7 +396,7 @@ func TestConcurrentJoinsOwnershipTransfer(t *testing.T) {
 				return
 			default:
 			}
-			inserter.insertIndex(seq)
+			inserter.insertIndex(seq, false)
 			insMu.Lock()
 			inserted = append(inserted, seq)
 			insMu.Unlock()

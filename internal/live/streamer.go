@@ -3,9 +3,9 @@ package live
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
+	"dco/internal/dht"
 	"dco/internal/wire"
 )
 
@@ -63,12 +63,14 @@ func (n *Node) registerChunk(seq int64) {
 	}
 	n.registered[seq] = true
 	n.mu.Unlock()
-	n.insertIndex(seq)
+	n.insertIndex(seq, false)
 }
 
 // republish re-inserts a few random registered indices (soft state): when a
 // coordinator fails, the entries it held reappear at the key's new owner
-// within a couple of periods.
+// within a couple of periods. Its inserts are always routed, never sent
+// along a cached arc: the repair path is what re-proves the arcs the rest
+// of the node's traffic rides on.
 func (n *Node) republish() {
 	n.mu.Lock()
 	seqs := make([]int64, 0, len(n.registered))
@@ -87,19 +89,19 @@ func (n *Node) republish() {
 		n.republishCursor++
 		n.mu.Unlock()
 		n.lm.republishes.Inc()
-		n.insertIndex(seqs[idx])
+		n.insertIndex(seqs[idx], true)
 	}
 }
 
-// insertIndex performs one routed Insert of this node's index for seq.
-func (n *Node) insertIndex(seq int64) {
+// insertIndex registers this node as a provider of seq at the chunk's
+// coordinator; routed forces a fresh route (see sendInsert).
+func (n *Node) insertIndex(seq int64, routed bool) {
 	n.mu.Lock()
 	bufCount := int64(len(n.chunks))
 	n.mu.Unlock()
 
-	key := uint64(n.cfg.Channel.Ref(seq).ID())
 	msg := &wire.Insert{
-		Key:      key,
+		Key:      uint64(n.cfg.Channel.Ref(seq).ID()),
 		Seq:      seq,
 		Holder:   n.wireSelf(),
 		UpBps:    n.cfg.UpBps,
@@ -112,17 +114,9 @@ func (n *Node) insertIndex(seq int64) {
 	// coordinators learn the current window without extra round-trips.
 	msg.ManifestHead, msg.ManifestDigest = n.manifestAd()
 	for attempt := 0; attempt < 2; attempt++ {
-		owner, _, err := n.FindOwner(key)
-		if err == nil {
-			if owner.Addr == n.Addr() {
-				n.onInsert(msg)
-				n.lm.indexInsertBytes.Add(frameBytes(msg))
-				return
-			}
-			if _, err = n.callIdem(owner.Addr, msg); err == nil {
-				n.lm.indexInsertBytes.Add(frameBytes(msg))
-				return
-			}
+		if n.sendInsert(msg, routed) == nil {
+			n.lm.indexInsertBytes.Add(frameBytes(msg))
+			return
 		}
 		select {
 		case <-n.closed:
@@ -130,7 +124,34 @@ func (n *Node) insertIndex(seq int64) {
 		case <-time.After(200 * time.Millisecond):
 		}
 	}
-	// The republish loop will retry later.
+	// The republish loop will retry later; until then nobody can find this
+	// copy of the chunk, which is worth a counter.
+	n.lm.indexInsertFailures.Inc()
+}
+
+// sendInsert delivers an index op to its key's coordinator: along the
+// cached arc when one covers the key and routed is false, and — when the
+// cached owner bounces it, or there is none — to the freshly routed owner,
+// in the same call. A stale arc therefore costs one extra round trip and
+// none of the caller's attempts. Any other error is the coordinator's own
+// verdict on the op (rate limit, horizon, provider cap).
+func (n *Node) sendInsert(msg *wire.Insert, routed bool) error {
+	if !routed {
+		if owner, ok := n.cachedOwner(msg.Key); ok {
+			_, err := n.askOwner(owner.Addr, msg, n.cfg.CallTimeout)
+			if !n.bounced(owner.Addr, err) {
+				return err
+			}
+		}
+	}
+	r, err := n.routeTo(msg.Key)
+	if err != nil {
+		return err
+	}
+	if _, err = n.askOwner(r.Owner.Addr, msg, n.cfg.CallTimeout); ownerGone(err) {
+		n.routes.Drop(r.Owner.Addr) // ownership is still moving: do not keep what was just stored
+	}
+	return err
 }
 
 // fetchLoop drives a viewer: fetchWorkers goroutines consume sequence
@@ -240,7 +261,7 @@ func (n *Node) FetchChunk(seq int64) error {
 				// for ProviderCooldown and the fetch moves to the next
 				// provider rather than retrying the same one.
 				lastErr = err
-				n.traceEvent("chunk.timeout", seqDetail(seq)+" peer="+from)
+				n.traceSeqPeer("chunk.timeout", seq, "peer", from)
 				n.blacklistProvider(from)
 				continue
 			}
@@ -288,7 +309,7 @@ func (n *Node) FetchChunk(seq int64) error {
 			}
 			n.registerChunk(seq)
 			n.lm.chunkFetchSeconds.Observe(time.Since(start).Seconds())
-			n.traceEvent("chunk.fetch", seqDetail(seq)+" peer="+from)
+			n.traceSeqPeer("chunk.fetch", seq, "peer", from)
 			return nil
 		}
 		n.bumpRetry()
@@ -352,7 +373,9 @@ func (n *Node) fetchOnce(seq int64, primary, backup string, deadline time.Time) 
 	}
 	// The primary ran past its estimate — the gray-failure signature.
 	n.lm.hedgesLaunched.Inc()
-	n.traceEvent("chunk.hedge", seqDetail(seq)+" primary="+primary+" hedge="+backup)
+	if n.lm.trace != nil {
+		n.traceEvent("chunk.hedge", seqDetail(seq)+" primary="+primary+" hedge="+backup)
+	}
 	go func() {
 		r, e := n.getChunkOnce(backup, seq, deadline)
 		ch <- result{r, e, backup}
@@ -401,7 +424,7 @@ func pastDeadline(d time.Time) bool { return !d.IsZero() && time.Now().After(d) 
 // abandonChunk gives up on a chunk whose playback horizon passed.
 func (n *Node) abandonChunk(seq int64, lastErr error) error {
 	n.lm.chunksAbandoned.Inc()
-	n.traceEvent("chunk.abandon", seqDetail(seq))
+	n.traceSeq("chunk.abandon", seq)
 	return fmt.Errorf("live: chunk %d abandoned past playback horizon (last error: %v)", seq, lastErr)
 }
 
@@ -510,14 +533,18 @@ func (n *Node) providerUsable(addr string) bool {
 	return false
 }
 
-// lookupProviders asks the chunk's coordinator for providers. When the
-// coordinator is dead, the lookup fails over along its successor list:
-// the successor inherits the key range once stabilization settles, so
-// asking it is the fastest route to the surviving index. A not-the-owner
-// rejection means ownership is still moving — re-route and try again.
-// The coordinator-side pending-queue wait is clamped to the remaining
-// playback horizon (zero deadline = no clamp): parking a lookup past the
-// point where the answer is useless just occupies the pending queue.
+// lookupProviders asks the chunk's coordinator for providers: the cached
+// owner of the key's arc when there is one, else the routed owner. A cached
+// owner that bounces the request (not the owner any more, shutting down,
+// unreachable) costs one redirect: its arc is dropped and the same attempt
+// goes on to route. When the routed coordinator is dead, the lookup fails
+// over along its successor list: the successor inherits the key range once
+// stabilization settles, so asking it is the fastest route to the surviving
+// index. A not-the-owner rejection of a routed lookup means ownership is
+// still moving — settle, re-route and try again. The coordinator-side
+// pending-queue wait is clamped to the remaining playback horizon (zero
+// deadline = no clamp): parking a lookup past the point where the answer is
+// useless just occupies the pending queue.
 func (n *Node) lookupProviders(key uint64, seq int64, deadline time.Time) ([]wire.Entry, error) {
 	start := time.Now()
 	maxWait := n.cfg.LookupWait
@@ -550,82 +577,113 @@ func (n *Node) lookupProviders(key uint64, seq int64, deadline time.Time) ([]wir
 			case <-time.After(100 * time.Millisecond):
 			}
 		}
-		owner, fallbacks, err := n.FindOwner(key)
+		if owner, ok := n.cachedOwner(key); ok {
+			lr, err := n.lookupAt(owner.Addr, req, deadline, timeout)
+			if err == nil {
+				if len(lr.Providers) == 0 {
+					// An empty answer is only as good as the arc it came
+					// through: a superseded owner that still believes in its
+					// range (the asymmetric-partition case, see
+					// emptySecondOpinion) answers exactly this. Let the
+					// fetch's retry route.
+					n.routes.Drop(owner.Addr)
+				}
+				return n.lookupAnswered(start, lr), nil
+			}
+			lastErr = err
+			if !n.bounced(owner.Addr, err) {
+				continue
+			}
+		}
+		r, err := n.routeTo(key)
 		if err != nil {
 			lastErr = err
 			continue
-		}
-		candidates := make([]wire.Entry, 0, 1+len(fallbacks))
-		candidates = append(candidates, owner.Wire())
-		for _, f := range fallbacks {
-			candidates = append(candidates, f.Wire())
 		}
 		// The owner must stay first — it is the one node whose answer is
 		// authoritative — but the failover order among its successors is
 		// ours to choose: least-suspected first, so a failover lands on a
 		// healthy coordinator instead of the next degraded one.
-		if rest := candidates[1:]; len(rest) > 1 {
-			sort.SliceStable(rest, func(a, b int) bool {
-				return n.health.Suspicion(rest[a].Addr) < n.health.Suspicion(rest[b].Addr)
-			})
+		var cand [1 + succListSize]dht.Member
+		var susp [len(cand)]float64
+		cand[0] = r.Owner
+		nc := 1
+	fallbacks:
+		for _, f := range r.Fallbacks {
+			if nc == len(cand) {
+				break
+			}
+			if f.Addr == "" {
+				continue
+			}
+			for _, c := range cand[:nc] {
+				if c.Addr == f.Addr {
+					continue fallbacks
+				}
+			}
+			// Insertion sort, stable: a handful of entries at most.
+			sf := n.health.Suspicion(f.Addr)
+			i := nc
+			for ; i > 1 && susp[i-1] > sf; i-- {
+				cand[i], susp[i] = cand[i-1], susp[i-1]
+			}
+			cand[i], susp[i] = f, sf
+			nc++
 		}
-		tried := make(map[string]bool, len(candidates))
-		reroute := false
-		for ci := 0; ci < len(candidates) && !reroute; ci++ {
-			c := candidates[ci]
-			if c.Addr == "" || tried[c.Addr] {
-				continue
-			}
-			tried[c.Addr] = true
-			// Restamp the relative deadline budget at each send (the TTL
-			// convention: absolute times never cross the wire).
-			req.DeadlineMs = deadlineMs(deadline)
-			var resp wire.Message
-			if c.Addr == n.Addr() {
-				resp = n.onLookup(req)
-			} else {
-				resp, err = n.callIdemTimeout(c.Addr, req, timeout)
-				if err != nil {
-					if wire.IsNotOwner(err) {
-						// Ownership moved under us: routing is stale.
-						reroute = true
-					}
-					lastErr = err
-					continue // dead coordinator: fail over to the next successor
+		for ci, c := range cand[:nc] {
+			lr, err := n.lookupAt(c.Addr, req, deadline, timeout)
+			if err != nil {
+				lastErr = err
+				if wire.IsNotOwner(err) {
+					// Ownership moved under us: routing is stale, and so is
+					// the arc it just proved.
+					n.routes.Drop(c.Addr)
+					break
 				}
-			}
-			lr, ok := resp.(*wire.LookupResp)
-			if !ok {
-				if e, isErr := resp.(*wire.Error); isErr && e.Code == wire.CodeNotOwner {
-					reroute = true
-					lastErr = e
-					continue
-				}
-				lastErr = errUnexpected(resp)
-				continue
+				continue // dead coordinator: fail over to the next successor
 			}
 			if len(lr.Providers) == 0 && c.Addr == n.Addr() {
-				if ps := n.emptySecondOpinion(candidates[ci+1:], key, seq, deadline, timeout); len(ps) > 0 {
-					n.lm.lookupSeconds.Observe(time.Since(start).Seconds())
-					n.noteMembers(ps...)
-					return ps, nil
+				if ps := n.emptySecondOpinion(cand[ci+1:nc], key, seq, deadline, timeout); len(ps) > 0 {
+					lr.Providers = ps
 				}
 			}
 			if ci > 0 {
 				n.lm.lookupFailovers.Inc()
-				n.traceEvent("lookup.failover", seqDetail(seq)+" coordinator="+c.Addr)
+				n.traceSeqPeer("lookup.failover", seq, "coordinator", c.Addr)
 			}
-			n.lm.lookupSeconds.Observe(time.Since(start).Seconds())
-			n.noteMembers(lr.Providers...)
-			return lr.Providers, nil
+			return n.lookupAnswered(start, lr), nil
 		}
 	}
 	// Every candidate coordinator (owner plus its successor list) failed
 	// across every re-route attempt: this is the outage replication exists
 	// to prevent, so it gets its own counter (soak tests assert zero).
 	n.lm.lookupFailures.Inc()
-	n.traceEvent("lookup.fail", seqDetail(seq))
+	n.traceSeq("lookup.fail", seq)
 	return nil, lastErr
+}
+
+// lookupAt sends req to one coordinator, restamping the relative deadline
+// budget at the send (the TTL convention: absolute times never cross the
+// wire).
+func (n *Node) lookupAt(addr string, req *wire.Lookup, deadline time.Time, timeout time.Duration) (*wire.LookupResp, error) {
+	req.DeadlineMs = deadlineMs(deadline)
+	resp, err := n.askOwner(addr, req, timeout)
+	if err != nil {
+		return nil, err
+	}
+	lr, ok := resp.(*wire.LookupResp)
+	if !ok {
+		return nil, errUnexpected(resp)
+	}
+	return lr, nil
+}
+
+// lookupAnswered closes the books on an answered lookup and returns its
+// providers.
+func (n *Node) lookupAnswered(start time.Time, lr *wire.LookupResp) []wire.Entry {
+	n.lm.lookupSeconds.Observe(time.Since(start).Seconds())
+	n.noteMembers(lr.Providers...)
+	return lr.Providers
 }
 
 // emptySecondOpinion double-checks an empty answer from this node's own
@@ -637,18 +695,14 @@ func (n *Node) lookupProviders(key uint64, seq int64, deadline time.Time) ([]wir
 // node used to own. The probe does not park (MaxWait 0): when the local
 // empty is genuine (the live edge), the fallback answers with a fast
 // not-the-owner rejection and the empty stands, costing one round-trip.
-func (n *Node) emptySecondOpinion(fallbacks []wire.Entry, key uint64, seq int64, deadline time.Time, timeout time.Duration) []wire.Entry {
+func (n *Node) emptySecondOpinion(fallbacks []dht.Member, key uint64, seq int64, deadline time.Time, timeout time.Duration) []wire.Entry {
 	for _, c := range fallbacks {
-		if c.Addr == "" || c.Addr == n.Addr() {
+		if c.Addr == n.Addr() {
 			continue
 		}
-		probe := &wire.Lookup{Key: key, Seq: seq, DeadlineMs: deadlineMs(deadline)}
-		resp, err := n.callIdemTimeout(c.Addr, probe, timeout)
-		if err != nil {
-			return nil
-		}
-		if lr, ok := resp.(*wire.LookupResp); ok && len(lr.Providers) > 0 {
-			n.traceEvent("lookup.secondopinion", seqDetail(seq)+" coordinator="+c.Addr)
+		lr, err := n.lookupAt(c.Addr, &wire.Lookup{Key: key, Seq: seq}, deadline, timeout)
+		if err == nil && len(lr.Providers) > 0 {
+			n.traceSeqPeer("lookup.secondopinion", seq, "coordinator", c.Addr)
 			return lr.Providers
 		}
 		return nil
@@ -665,7 +719,7 @@ func (n *Node) emptySecondOpinion(fallbacks []wire.Entry, key uint64, seq int64,
 func (n *Node) storeChunk(seq int64, data []byte, from string) bool {
 	if !n.chunkOK(seq, data) {
 		n.lm.integrityRejects.Inc()
-		n.traceEvent("chunk.reject", seqDetail(seq)+" peer="+from)
+		n.traceSeqPeer("chunk.reject", seq, "peer", from)
 		if from != "" {
 			n.punishPoisoner(from, seq)
 		}
@@ -714,18 +768,13 @@ func (n *Node) trimActiveWindowLocked() []int64 {
 // duty, applied to the sliding window).
 func (n *Node) unregisterExpired(seqs []int64) {
 	for _, seq := range seqs {
-		seq := seq
-		key := uint64(n.cfg.Channel.Ref(seq).ID())
-		owner, _, err := n.FindOwner(key)
-		if err != nil {
-			continue // best effort; a stale entry only costs a nack later
-		}
-		msg := &wire.Insert{Key: key, Seq: seq, Holder: n.wireSelf(), Unregister: true}
-		if owner.Addr == n.Addr() {
-			n.onInsert(msg)
-			continue
-		}
-		_, _ = n.callIdem(owner.Addr, msg)
+		// Best effort; a stale entry only costs a nack later.
+		_ = n.sendInsert(&wire.Insert{
+			Key:        uint64(n.cfg.Channel.Ref(seq).ID()),
+			Seq:        seq,
+			Holder:     n.wireSelf(),
+			Unregister: true,
+		}, false)
 	}
 }
 
