@@ -22,7 +22,7 @@ import (
 	"dco/internal/overlay"
 	"dco/internal/sim"
 	"dco/internal/simnet"
-	"dco/internal/trace"
+	"dco/internal/telemetry"
 )
 
 func main() {
@@ -81,10 +81,9 @@ func main() {
 		cfg.Hierarchy.Enabled = *hier
 		cfg.Hierarchy.InitialCoordinators = *coords
 		s := core.NewSystem(k, cfg, *n)
-		var rec *trace.Recorder
 		if *showTrace {
-			rec = trace.New(4096)
-			s.Trace = rec
+			s.Trace = telemetry.NewTrace(4096)
+			s.Trace.SetClock(func() time.Time { return time.Unix(0, 0).Add(k.Now()) })
 		}
 		if *doChurn {
 			s.DisableCompletionStop()
@@ -100,9 +99,12 @@ func main() {
 		end = s.Run(*horizon)
 		log, net, received = s.Log, s.Net, s.ReceivedTotal()
 		fmt.Printf("coordinators: %d  dropped-routes: %d\n", len(s.Coordinators()), s.DroppedRoutes())
-		if rec != nil {
+		if s.Trace != nil {
 			fmt.Println("protocol events:")
-			rec.Summary(os.Stdout)
+			counts := s.Trace.Counts()
+			for _, kind := range telemetry.KindsByCount(counts) {
+				fmt.Printf("%10d  %s\n", counts[kind], kind)
+			}
 		}
 	case "pull", "push", "tree":
 		kind := overlay.Pull

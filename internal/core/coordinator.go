@@ -91,7 +91,9 @@ func (p *Peer) coordLookup(seq int64, origin simnet.NodeID) {
 			e.pendingSet[origin] = true
 			e.pending = append(e.pending, origin)
 			p.sys.Counters.PendingQueued++
-			p.sys.Trace.Recordf(p.sys.K.Now(), int64(p.id), "lookup.queued", "seq=%d origin=%d", seq, origin)
+			if p.sys.Trace != nil {
+				p.tracef("lookup.queued", "seq=%d origin=%d", seq, origin)
+			}
 		}
 		// Ack the queue position so the requester parks instead of
 		// re-routing the whole lookup on its short timeout.
@@ -143,7 +145,9 @@ func (p *Peer) onFail(m *failMsg) {
 		}
 	} else {
 		e.removeProvider(m.Provider)
-		p.sys.Trace.Recordf(p.sys.K.Now(), int64(p.id), "provider.fail", "seq=%d provider=%d", m.Seq, m.Provider)
+		if p.sys.Trace != nil {
+			p.tracef("provider.fail", "seq=%d provider=%d", m.Seq, m.Provider)
+		}
 	}
 	if a, ok := e.assignedTo[m.Origin]; ok {
 		delete(e.assignedTo, m.Origin)

@@ -6,6 +6,7 @@ import (
 
 	"dco/internal/churn"
 	"dco/internal/sim"
+	"dco/internal/telemetry"
 )
 
 func smallConfig() Config {
@@ -16,17 +17,34 @@ func smallConfig() Config {
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() (int64, uint64, time.Duration) {
+	run := func(tr *telemetry.Trace) (int64, uint64, time.Duration) {
 		cfg := smallConfig()
 		k := sim.NewKernel(123)
 		s := NewSystem(k, cfg, 48)
+		if tr != nil {
+			tr.SetClock(func() time.Time { return time.Unix(0, 0).Add(k.Now()) })
+			s.Trace = tr
+		}
 		end := s.Run(200 * time.Second)
 		return s.ReceivedTotal(), s.Net.Overhead(), end
 	}
-	r1, o1, e1 := run()
-	r2, o2, e2 := run()
+	r1, o1, e1 := run(nil)
+	r2, o2, e2 := run(nil)
 	if r1 != r2 || o1 != o2 || e1 != e2 {
 		t.Fatalf("same seed diverged: (%d,%d,%v) vs (%d,%d,%v)", r1, o1, e1, r2, o2, e2)
+	}
+	// A trace observes the run — every delivery, in virtual time — and
+	// changes nothing about it.
+	tr := telemetry.NewTrace(16)
+	if r3, o3, e3 := run(tr); r3 != r1 || o3 != o1 || e3 != e1 {
+		t.Fatalf("tracing changed the run: (%d,%d,%v) vs (%d,%d,%v)", r3, o3, e3, r1, o1, e1)
+	}
+	if got := tr.Count("fetch.done"); got != uint64(r1) {
+		t.Fatalf("trace counted %d fetch.done events for %d deliveries", got, r1)
+	}
+	events := tr.Events()
+	if at := events[len(events)-1].At.Sub(time.Unix(0, 0)); at <= 0 || at > e1 {
+		t.Fatalf("last event stamped %v, outside the run's virtual time (0, %v]", at, e1)
 	}
 }
 

@@ -92,7 +92,9 @@ func (p *Peer) onVolunteer(m *volunteerMsg) {
 	if !p.overloaded || !p.inDHT {
 		return
 	}
-	p.sys.Trace.Recordf(p.sys.K.Now(), int64(p.id), "coord.promote", "client=%d longevity=%.2f", m.From.Addr, m.Longevity)
+	if p.sys.Trace != nil {
+		p.tracef("coord.promote", "client=%d longevity=%.2f", m.From.Addr, m.Longevity)
+	}
 	p.send(m.From.Addr, kPromote, &promoteMsg{Sponsor: p.entry()})
 	// Clear the flag so one overload burst promotes one client, not all.
 	p.overloaded = false

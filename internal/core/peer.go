@@ -322,7 +322,9 @@ func (p *Peer) onFetchTimeout(seq int64) {
 	}
 	p.ft.Record(true)
 	p.sys.Counters.FetchTimeouts++
-	p.sys.Trace.Recordf(p.sys.K.Now(), int64(p.id), "fetch.timeout", "seq=%d provider=%d", seq, f.provider)
+	if p.sys.Trace != nil {
+		p.tracef("fetch.timeout", "seq=%d provider=%d", seq, f.provider)
+	}
 	// A first timeout usually means congestion (the chunk is queued behind
 	// other transfers), so report "busy" and try another provider without
 	// evicting this one; a repeat timeout means the provider is dead.
@@ -389,7 +391,9 @@ func (p *Peer) onChunk(from simnet.NodeID, c *chunkMsg) {
 	if first {
 		p.sys.Log.Received(p.id, c.Seq, p.sys.K.Now())
 		p.sys.noteReceived()
-		p.sys.Trace.Recordf(p.sys.K.Now(), int64(p.id), "fetch.done", "seq=%d from=%d", c.Seq, from)
+		if p.sys.Trace != nil {
+			p.tracef("fetch.done", "seq=%d from=%d", c.Seq, from)
+		}
 		p.register(c.Seq)
 		// Immediately pull the next window entry rather than waiting a tick.
 		p.tick()

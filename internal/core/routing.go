@@ -120,7 +120,9 @@ func (p *Peer) completeJoin(r *findResp) {
 	}
 	p.joined = true
 	p.inDHT = true
-	p.sys.Trace.Recordf(p.sys.K.Now(), int64(p.id), "peer.join", "ring=%s", p.cs.Self.ID)
+	if p.sys.Trace != nil {
+		p.tracef("peer.join", "ring=%s", p.cs.Self.ID)
+	}
 	if p.coordinator != simnet.Invalid {
 		// A promoted client no longer proxies through its old coordinator.
 		p.send(p.coordinator, kDetach, nil)
@@ -305,7 +307,9 @@ func (p *Peer) Depart(graceful bool) {
 	}
 	p.fetches = make(map[int64]*fetch)
 	p.sys.Log.NodeLeft(p.id, p.sys.K.Now())
-	p.sys.Trace.Recordf(p.sys.K.Now(), int64(p.id), "peer.depart", "graceful=%v", graceful)
+	if p.sys.Trace != nil {
+		p.tracef("peer.depart", "graceful=%v", graceful)
+	}
 	p.sys.Net.Kill(p.id)
 	p.sys.peerDeparted(p)
 }

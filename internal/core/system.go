@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"dco/internal/chord"
@@ -10,7 +11,7 @@ import (
 	"dco/internal/sim"
 	"dco/internal/simnet"
 	"dco/internal/stable"
-	"dco/internal/trace"
+	"dco/internal/telemetry"
 )
 
 // System wires a DCO deployment onto the simulator: one streaming server,
@@ -36,8 +37,16 @@ type System struct {
 
 	// Trace, when set (before or after NewSystem), receives structured
 	// protocol events: fetch.done, fetch.timeout, provider.fail,
-	// peer.join, peer.depart, coord.promote, lookup.queued.
-	Trace *trace.Recorder
+	// peer.join, peer.depart, coord.promote, lookup.queued. Give it the
+	// kernel's clock (Trace.SetClock) to stamp them in virtual time.
+	Trace *telemetry.Trace
+}
+
+// tracef records a protocol event attributed to p. Call sites check
+// p.sys.Trace != nil first: the arguments of a variadic call are boxed
+// before a nil receiver can turn it away, and these fire per delivery.
+func (p *Peer) tracef(kind, format string, args ...any) {
+	p.sys.Trace.Recordf(kind, strconv.FormatInt(int64(p.id), 10), format, args...)
 }
 
 // Counters aggregates protocol-event tallies across all peers; tests and

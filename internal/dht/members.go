@@ -2,6 +2,7 @@ package dht
 
 import (
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -14,12 +15,12 @@ import (
 // members — an unreachable entry is exactly the breadcrumb the census
 // needs to rediscover the other half once the partition heals.
 //
-// It is pure local bookkeeping with no I/O and no locking; the caller
-// (internal/live) guards it with the node's mutex and feeds it passively
-// from the kernel's Seen events.
+// It is pure local bookkeeping with no I/O, safe for concurrent use; the
+// host (internal/live) feeds it passively from the kernel's Seen events.
 type MemberCache struct {
 	self string
 	cap  int
+	mu   sync.Mutex
 	recs map[string]*memberRec
 }
 
@@ -41,7 +42,11 @@ func NewMemberCache(self string, capacity int) *MemberCache {
 func (c *MemberCache) Cap() int { return c.cap }
 
 // Len returns the number of cached members.
-func (c *MemberCache) Len() int { return len(c.recs) }
+func (c *MemberCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.recs)
+}
 
 // Note records (or refreshes) a sighting of m at time now. Entries dedupe
 // by address — a re-noted member updates its ID and last-seen stamp instead
@@ -51,6 +56,8 @@ func (c *MemberCache) Note(m Member, now time.Time) {
 	if m.Addr == "" || m.Addr == c.self {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if rec, ok := c.recs[m.Addr]; ok {
 		rec.m = m
 		if now.After(rec.seen) {
@@ -81,15 +88,21 @@ func (c *MemberCache) evictOldest() {
 // Forget drops addr from the cache. Used when a member departs for good
 // (graceful leave) — abrupt failures are deliberately NOT forgotten, since
 // an unreachable member may just be on the far side of a partition.
-func (c *MemberCache) Forget(addr string) { delete(c.recs, addr) }
+func (c *MemberCache) Forget(addr string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.recs, addr)
+}
 
 // Members returns the cached members sorted by ID (deterministic iteration
 // for probe rotation and tests).
 func (c *MemberCache) Members() []Member {
+	c.mu.Lock()
 	out := make([]Member, 0, len(c.recs))
 	for _, rec := range c.recs {
 		out = append(out, rec.m)
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -1,0 +1,490 @@
+// Package index is the coordinator's index table (paper Fig. 3): chunk
+// sequence number → provider rows of address, bandwidth, load and lease,
+// driven by Upsert (the paper's Insert) and Select (its Lookup). A node
+// keeps one Table for the keys it owns and one per owner whose index it
+// replicates; they are the same records held for another owner, so they are
+// the same type.
+//
+// A Table is transport-free and clock-free: every call that needs the time
+// is handed it. It has its own mutex and calls nothing under it except the
+// keep/owns/exclude predicates it is handed, so callers must not hold a lock
+// those predicates take.
+//
+// The one lease rule, applied by every path that adds a row: the longer
+// lease wins and a zero deadline (no lease) beats any finite one. A holder's
+// own re-Insert at now+TTL is a special case of it.
+package index
+
+import (
+	"sort"
+	"sync"
+	"time"
+
+	"dco/internal/wire"
+)
+
+// LoadSaturatedMilli is the load factor (thousandths) at which a provider
+// counts as saturated: its advertised upload budget is fully committed.
+// Select skips saturated providers while any unsaturated one exists.
+const LoadSaturatedMilli = 1000
+
+// LoadUnknown as a Row's LoadMilli says the row is hearsay (a replica op, a
+// handoff) that carries no load report: Upsert keeps the stored one.
+const LoadUnknown = ^uint32(0)
+
+// cohortSpreadMilli defines the low-load cohort: providers within this much
+// of the least-loaded report. Rotating inside the cohort spreads a flash
+// crowd across comparably idle providers instead of herding every viewer
+// onto the single best report.
+const cohortSpreadMilli = 300
+
+// Row is one provider registration: the provider's identity, its advertised
+// upload bandwidth, its freshest load report (thousandths; refreshed by
+// republish Inserts) and its lease deadline (zero = no lease, the
+// registration lives until removed).
+type Row struct {
+	Ent       wire.Entry
+	UpBps     int64
+	LoadMilli uint32
+	Expire    time.Time
+}
+
+func (r Row) expired(now time.Time) bool { return !r.Expire.IsZero() && now.After(r.Expire) }
+
+// Entry is a snapshot of one seq's record, as Get and Take export it.
+type Entry struct {
+	Key  uint64
+	Seq  int64
+	Rows []Row
+}
+
+// Op is row as the replication op that re-creates it at another node. Leases
+// cross the wire as the milliseconds remaining at now, never as a time.
+func Op(key uint64, seq int64, r Row, now time.Time) wire.ReplicaOp {
+	return wire.ReplicaOp{Key: key, Seq: seq, Holder: r.Ent, UpBps: r.UpBps, TTLMillis: TTLMillis(r.Expire, now)}
+}
+
+// Ops is the entry as replication ops, one per row.
+func (e Entry) Ops(now time.Time) []wire.ReplicaOp {
+	ops := make([]wire.ReplicaOp, len(e.Rows))
+	for i, r := range e.Rows {
+		ops[i] = Op(e.Key, e.Seq, r, now)
+	}
+	return ops
+}
+
+// Handoff is the entry as a handoff record (addresses only: the receiver
+// stamps its own lease).
+func (e Entry) Handoff() wire.HandoffEntry {
+	he := wire.HandoffEntry{Key: e.Key, Seq: e.Seq, Providers: make([]wire.Entry, len(e.Rows))}
+	for i, r := range e.Rows {
+		he.Providers[i] = r.Ent
+	}
+	return he
+}
+
+// TTLMillis converts a deadline to the wire's relative form: the
+// milliseconds remaining at now (0 = none). Receivers Restamp against their
+// own clock, so absolute times never cross the wire.
+func TTLMillis(deadline, now time.Time) uint32 {
+	if deadline.IsZero() {
+		return 0
+	}
+	// Expired in flight still says "there was a deadline": the minimum.
+	ms := int64(deadline.Sub(now) / time.Millisecond)
+	return uint32(min(max(ms, 1), 1<<31))
+}
+
+// Restamp converts a wire-relative TTL back to a local deadline.
+func Restamp(ttlMs uint32, now time.Time) time.Time {
+	if ttlMs == 0 {
+		return time.Time{}
+	}
+	return now.Add(time.Duration(ttlMs) * time.Millisecond)
+}
+
+type entry struct {
+	key  uint64
+	rows []Row
+	rr   int // Select's rotation cursor
+	// wake is non-nil while a lookup is parked on the entry; it is closed
+	// (and forgotten) when a new provider registers.
+	wake   chan struct{}
+	parked int
+}
+
+// find is the one provider-by-address search.
+func (e *entry) find(addr string) int {
+	for i := range e.rows {
+		if e.rows[i].Ent.Addr == addr {
+			return i
+		}
+	}
+	return -1
+}
+
+func (e *entry) remove(i int) { e.rows = append(e.rows[:i], e.rows[i+1:]...) }
+
+func (e *entry) wakeParked() {
+	if e.wake != nil {
+		close(e.wake)
+		e.wake = nil
+	}
+}
+
+// prune drops rows whose lease lapsed, returning how many.
+func (e *entry) prune(now time.Time) int {
+	kept := e.rows[:0]
+	for _, r := range e.rows {
+		if !r.expired(now) {
+			kept = append(kept, r)
+		}
+	}
+	dropped := len(e.rows) - len(kept)
+	e.rows = kept
+	return dropped
+}
+
+// Table is a set of index entries keyed by seq. Safe for concurrent use.
+type Table struct {
+	mu      sync.Mutex
+	maxRows int
+	entries map[int64]*entry
+}
+
+// New returns an empty table whose entries hold at most maxRows provider
+// rows each (<= 0: no cap).
+func New(maxRows int) *Table {
+	return &Table{maxRows: maxRows, entries: make(map[int64]*entry)}
+}
+
+// Len returns the number of entries.
+func (t *Table) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.entries)
+}
+
+// dropIdle forgets an entry nothing refers to: no rows, no parked lookup.
+func (t *Table) dropIdle(seq int64, e *entry) {
+	if len(e.rows) == 0 && e.parked == 0 {
+		delete(t.entries, seq)
+	}
+}
+
+// Upsert registers r as a provider of seq, or refreshes its row by the lease
+// rule (a nonzero UpBps and a known LoadMilli replace the stored ones). A new
+// row wakes the lookups parked on seq. It reports whether a row was added and
+// whether r is in the table at all: a row already expired at now is refused,
+// and so is a new row for an entry at the cap — a refresh never is.
+func (t *Table) Upsert(key uint64, seq int64, r Row, now time.Time) (added, ok bool) {
+	if r.expired(now) {
+		return false, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[seq]
+	if e == nil {
+		e = &entry{}
+		t.entries[seq] = e
+	}
+	e.key = key
+	if i := e.find(r.Ent.Addr); i >= 0 {
+		have := &e.rows[i]
+		if r.Expire.IsZero() || (!have.Expire.IsZero() && r.Expire.After(have.Expire)) {
+			have.Expire = r.Expire
+		}
+		if r.UpBps != 0 {
+			have.UpBps = r.UpBps
+		}
+		if r.LoadMilli != LoadUnknown {
+			have.LoadMilli = r.LoadMilli
+		}
+		return false, true
+	}
+	if t.maxRows > 0 && len(e.rows) >= t.maxRows {
+		return false, false
+	}
+	if r.LoadMilli == LoadUnknown {
+		r.LoadMilli = 0
+	}
+	e.rows = append(e.rows, r)
+	e.wakeParked()
+	return true, true
+}
+
+// Remove drops addr's row for seq, reporting whether there was one.
+func (t *Table) Remove(seq int64, addr string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[seq]
+	if e == nil {
+		return false
+	}
+	i := e.find(addr)
+	if i >= 0 {
+		e.remove(i)
+		t.dropIdle(seq, e)
+	}
+	return i >= 0
+}
+
+// Scrub removes every row addr holds, returning the unregister ops that
+// repeat the scrub at the replicas.
+func (t *Table) Scrub(addr string) []wire.ReplicaOp {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var ops []wire.ReplicaOp
+	for seq, e := range t.entries {
+		if i := e.find(addr); i >= 0 {
+			ops = append(ops, wire.ReplicaOp{Key: e.key, Seq: seq, Holder: e.rows[i].Ent, Unregister: true})
+			e.remove(i)
+			t.dropIdle(seq, e)
+		}
+	}
+	return ops
+}
+
+// Delete drops seq's record (a lookup parked on it stays parked).
+func (t *Table) Delete(seq int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.entries[seq]; e != nil {
+		e.rows = nil
+		t.dropIdle(seq, e)
+	}
+}
+
+// Prune drops every lapsed lease and every entry left idle, returning the
+// number of rows dropped.
+func (t *Table) Prune(now time.Time) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	dropped := 0
+	for seq, e := range t.entries {
+		dropped += e.prune(now)
+		t.dropIdle(seq, e)
+	}
+	return dropped
+}
+
+// Get returns a copy of seq's record (no rows when there is none).
+func (t *Table) Get(seq int64) Entry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := Entry{Seq: seq}
+	if e := t.entries[seq]; e != nil {
+		out.Key = e.key
+		out.Rows = append([]Row(nil), e.rows...)
+	}
+	return out
+}
+
+// Take exports and deletes every entry whose key keep rejects (nil: every
+// entry) — a leave, a key range that moved away, a takeover. A lookup parked
+// on a taken entry stays parked, and answers empty when its wait runs out.
+func (t *Table) Take(keep func(key uint64) bool) []Entry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []Entry
+	for seq, e := range t.entries {
+		if keep != nil && keep(e.key) {
+			continue
+		}
+		if len(e.rows) > 0 {
+			out = append(out, Entry{Key: e.key, Seq: seq, Rows: e.rows})
+			e.rows = nil
+		}
+		t.dropIdle(seq, e)
+	}
+	return out
+}
+
+// Digests summarizes the entries whose key owns accepts, in seq order, for
+// the anti-entropy exchange.
+func (t *Table) Digests(owns func(key uint64) bool) []wire.SeqDigest {
+	t.mu.Lock()
+	var out []wire.SeqDigest
+	for seq, e := range t.entries {
+		if len(e.rows) > 0 && owns(e.key) {
+			out = append(out, wire.SeqDigest{Key: e.key, Seq: seq, Hash: hashRows(e.rows)})
+		}
+	}
+	t.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// Reconcile is the replica's half of anti-entropy: drop what the owner's
+// digests no longer mention, and return the seqs whose record here is
+// missing or differs, for the owner to send again in full.
+func (t *Table) Reconcile(digests []wire.SeqDigest, now time.Time) (need []int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	mentioned := make(map[int64]bool, len(digests))
+	for _, d := range digests {
+		mentioned[d.Seq] = true
+		e := t.entries[d.Seq]
+		if e != nil {
+			e.prune(now)
+		}
+		if e == nil || e.key != d.Key || hashRows(e.rows) != d.Hash {
+			need = append(need, d.Seq)
+		}
+	}
+	for seq, e := range t.entries {
+		if !mentioned[seq] {
+			e.rows = nil
+			t.dropIdle(seq, e)
+		}
+	}
+	return need
+}
+
+// hashRows digests a provider set: the sum of the FNV-1a hashes of its
+// addresses, so that row order does not matter. Leases are deliberately left
+// out: every republish refresh would otherwise change the hash and force a
+// repair.
+func hashRows(rows []Row) (sum uint64) {
+	for _, r := range rows {
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(r.Ent.Addr); i++ {
+			h = (h ^ uint64(r.Ent.Addr[i])) * 1099511628211
+		}
+		sum += h
+	}
+	return sum
+}
+
+// Select answers a lookup for seq with up to max providers (see pick for
+// what it promises), dropping the entry's lapsed leases first and reporting
+// how many. With nothing to offer it parks the caller instead: wake is
+// non-nil, is closed when a new provider registers for seq, and the caller
+// must call Unpark once it stops waiting.
+func (t *Table) Select(key uint64, seq int64, max int, now time.Time, exclude func(addr string) bool) (provs []wire.Entry, expired int, wake <-chan struct{}) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[seq]
+	if e != nil {
+		expired = e.prune(now)
+		if provs = e.pick(max, exclude); len(provs) > 0 {
+			return provs, expired, nil
+		}
+	} else {
+		e = &entry{key: key}
+		t.entries[seq] = e
+	}
+	if e.wake == nil {
+		e.wake = make(chan struct{})
+	}
+	e.parked++
+	return nil, expired, e.wake
+}
+
+// Unpark ends a wait Select started.
+func (t *Table) Unpark(seq int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e := t.entries[seq]; e != nil {
+		e.parked--
+		t.dropIdle(seq, e)
+	}
+}
+
+// pick is the capacity-weighted provider selection: saturated providers are
+// skipped while any unsaturated one exists, the answer is drawn round-robin
+// from the low-load cohort, and backfilled with the next-least-loaded
+// candidates. When every provider is saturated the least-loaded ones are
+// returned anyway — a degraded answer beats an empty one. When more
+// providers are registered than the answer carries, the last slot is an
+// exploration pick from outside the chosen set (see below). exclude (nil =
+// none) drops providers outright — quarantined peers never appear in
+// answers, even degraded ones.
+func (e *entry) pick(max int, exclude func(addr string) bool) []wire.Entry {
+	if len(e.rows) == 0 || max <= 0 {
+		return nil
+	}
+	usable := func(i int) bool {
+		return exclude == nil || !exclude(e.rows[i].Ent.Addr)
+	}
+	cand := make([]int, 0, len(e.rows))
+	for i := range e.rows {
+		if e.rows[i].LoadMilli < LoadSaturatedMilli && usable(i) {
+			cand = append(cand, i)
+		}
+	}
+	if len(cand) == 0 {
+		for i := range e.rows {
+			if usable(i) {
+				cand = append(cand, i)
+			}
+		}
+	}
+	if len(cand) == 0 {
+		return nil
+	}
+	sort.SliceStable(cand, func(a, b int) bool {
+		pa, pb := &e.rows[cand[a]], &e.rows[cand[b]]
+		if pa.LoadMilli != pb.LoadMilli {
+			return pa.LoadMilli < pb.LoadMilli
+		}
+		return pa.UpBps > pb.UpBps // ties: bigger pipes first
+	})
+	floor := e.rows[cand[0]].LoadMilli
+	cohort := cand
+	for i, ci := range cand {
+		if e.rows[ci].LoadMilli > floor+cohortSpreadMilli {
+			cohort = cand[:i]
+			break
+		}
+	}
+	// Exploration slot (gray-failure defense): a peer that accepts work but
+	// never finishes it keeps honestly advertising itself idle, so a few
+	// such zombies can capture the entire low-load cohort — and with it
+	// every answer, starving viewers of reachable providers no matter how
+	// many are registered. When the index knows more providers than the
+	// answer carries, the last slot is therefore rotated across the
+	// *unchosen* remainder instead of drawn from the cohort, so no cohort
+	// can permanently capture an answer.
+	fill := max
+	explore := max >= 2 && len(cand) > max
+	if explore {
+		fill = max - 1
+	}
+	out := make([]wire.Entry, 0, max)
+	picked := make(map[int]bool, fill)
+	start := e.rr % len(cohort)
+	for i := 0; i < len(cohort) && len(out) < fill; i++ {
+		ci := cohort[(start+i)%len(cohort)]
+		out = append(out, e.rows[ci].Ent)
+		picked[ci] = true
+	}
+	for i := len(cohort); i < len(cand) && len(out) < fill; i++ {
+		out = append(out, e.rows[cand[i]].Ent)
+		picked[cand[i]] = true
+	}
+	if explore {
+		// Prefer exploring outside the cohort — that is where a reachable
+		// provider a stale-idle cohort is hiding will be — falling back to
+		// unchosen cohort members when the cohort is the whole candidate set.
+		remOut := make([]int, 0, len(cand))
+		remIn := make([]int, 0, len(cohort))
+		for i, ci := range cand {
+			if picked[ci] {
+				continue
+			}
+			if i < len(cohort) {
+				remIn = append(remIn, ci)
+			} else {
+				remOut = append(remOut, ci)
+			}
+		}
+		rem := remOut
+		if len(rem) == 0 {
+			rem = remIn
+		}
+		out = append(out, e.rows[rem[e.rr%len(rem)]].Ent)
+	}
+	e.rr++
+	return out
+}

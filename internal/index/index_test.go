@@ -1,0 +1,470 @@
+package index
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"dco/internal/wire"
+)
+
+var t0 = time.Unix(1_000_000, 0)
+
+func row(addr string, lease time.Duration) Row {
+	r := Row{Ent: wire.Entry{Addr: addr}}
+	if lease != 0 {
+		r.Expire = t0.Add(lease)
+	}
+	return r
+}
+
+func addrs(rows []Row) (out []string) {
+	for _, r := range rows {
+		out = append(out, r.Ent.Addr)
+	}
+	return out
+}
+
+// TestTableLeaseMerge pins the one lease rule every ingestion path shares:
+// the longer lease wins, zero (no lease) beats any finite one, and a row
+// that expired in flight is refused.
+func TestTableLeaseMerge(t *testing.T) {
+	const forever = time.Duration(0)
+	cases := []struct {
+		name       string
+		have, next time.Duration // leases relative to t0; 0 = none
+		at         time.Duration // when next is upserted
+		want       time.Duration
+		refused    bool
+	}{
+		{"longer lease replaces shorter", 10 * time.Second, 20 * time.Second, 0, 20 * time.Second, false},
+		{"shorter lease never shortens", 20 * time.Second, 10 * time.Second, 0, 20 * time.Second, false},
+		{"zero beats finite", 20 * time.Second, forever, 0, forever, false},
+		{"finite never replaces zero", forever, 20 * time.Second, 0, forever, false},
+		{"refresh at now+TTL is the rule's special case", 45 * time.Second, 50 * time.Second, 5 * time.Second, 50 * time.Second, false},
+		{"expired in flight is refused", 20 * time.Second, 3 * time.Second, 5 * time.Second, 20 * time.Second, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := New(0)
+			if added, ok := tb.Upsert(1, 7, row("a", tc.have), t0); !added || !ok {
+				t.Fatalf("first upsert: added=%v ok=%v", added, ok)
+			}
+			added, ok := tb.Upsert(1, 7, row("a", tc.next), t0.Add(tc.at))
+			if added || ok == tc.refused {
+				t.Fatalf("second upsert: added=%v ok=%v, want added=false ok=%v", added, ok, !tc.refused)
+			}
+			rows := tb.Get(7).Rows
+			if len(rows) != 1 {
+				t.Fatalf("rows = %v, want exactly one", addrs(rows))
+			}
+			if want := row("a", tc.want).Expire; !rows[0].Expire.Equal(want) {
+				t.Fatalf("lease = %v, want %v", rows[0].Expire, want)
+			}
+		})
+	}
+	// A new row that is already expired never enters, and leaves no entry.
+	tb := New(0)
+	if _, ok := tb.Upsert(1, 7, row("a", time.Second), t0.Add(2*time.Second)); ok || tb.Len() != 0 {
+		t.Fatalf("expired new row: ok=%v entries=%d", ok, tb.Len())
+	}
+}
+
+// TestTableRefreshKeepsWhatHearsayLacks: a first-hand refresh replaces
+// bandwidth and load; hearsay (UpBps 0, LoadUnknown) keeps both.
+func TestTableRefreshKeepsWhatHearsayLacks(t *testing.T) {
+	tb := New(0)
+	tb.Upsert(1, 7, Row{Ent: wire.Entry{Addr: "a"}, UpBps: 100, LoadMilli: 400}, t0)
+	tb.Upsert(1, 7, Row{Ent: wire.Entry{Addr: "a"}, LoadMilli: LoadUnknown}, t0)
+	if r := tb.Get(7).Rows[0]; r.UpBps != 100 || r.LoadMilli != 400 {
+		t.Fatalf("hearsay overwrote the row: %+v", r)
+	}
+	tb.Upsert(1, 7, Row{Ent: wire.Entry{Addr: "a"}, UpBps: 200, LoadMilli: 0}, t0)
+	if r := tb.Get(7).Rows[0]; r.UpBps != 200 || r.LoadMilli != 0 {
+		t.Fatalf("first-hand refresh not taken: %+v", r)
+	}
+	tb.Upsert(1, 8, Row{Ent: wire.Entry{Addr: "b"}, LoadMilli: LoadUnknown}, t0)
+	if r := tb.Get(8).Rows[0]; r.LoadMilli != 0 {
+		t.Fatalf("a new hearsay row stored load %d, want 0", r.LoadMilli)
+	}
+}
+
+// TestTableCap: the per-entry cap refuses growth on every path, never a
+// refresh, and never another entry.
+func TestTableCap(t *testing.T) {
+	tb := New(2)
+	for _, a := range []string{"a", "b"} {
+		if added, ok := tb.Upsert(1, 7, row(a, 0), t0); !added || !ok {
+			t.Fatalf("%s refused under the cap", a)
+		}
+	}
+	if added, ok := tb.Upsert(1, 7, row("c", 0), t0); added || ok {
+		t.Fatal("third row accepted past cap 2")
+	}
+	if added, ok := tb.Upsert(1, 7, row("a", time.Hour), t0); added || !ok {
+		t.Fatalf("refresh at the cap: added=%v ok=%v, want false true", added, ok)
+	}
+	if added, ok := tb.Upsert(2, 8, row("c", 0), t0); !added || !ok {
+		t.Fatal("the cap leaked across entries")
+	}
+}
+
+// TestTableRemoveScrubPrune: rows leave by holder, by holder everywhere and
+// by lease, and an entry nothing refers to leaves with its last row.
+func TestTableRemoveScrubPrune(t *testing.T) {
+	tb := New(0)
+	tb.Upsert(10, 1, row("a", 0), t0)
+	tb.Upsert(10, 1, row("b", 0), t0)
+	tb.Upsert(20, 2, row("a", 0), t0)
+	tb.Upsert(30, 3, row("c", time.Second), t0)
+
+	if tb.Remove(1, "zz") || tb.Remove(99, "a") {
+		t.Fatal("Remove reported a row that was never there")
+	}
+	if !tb.Remove(1, "b") || tb.Len() != 3 {
+		t.Fatalf("Remove(1,b): entries=%d, want 3", tb.Len())
+	}
+	ops := tb.Scrub("a")
+	if len(ops) != 2 {
+		t.Fatalf("Scrub(a) returned %d ops, want 2", len(ops))
+	}
+	for _, op := range ops {
+		if !op.Unregister || op.Holder.Addr != "a" || op.Key != uint64(op.Seq)*10 {
+			t.Fatalf("scrub op %+v", op)
+		}
+	}
+	if tb.Len() != 1 {
+		t.Fatalf("scrubbed entries not dropped: %d left, want 1", tb.Len())
+	}
+	if n := tb.Prune(t0.Add(500 * time.Millisecond)); n != 0 || tb.Len() != 1 {
+		t.Fatalf("Prune before the lease lapsed dropped %d rows", n)
+	}
+	if n := tb.Prune(t0.Add(2 * time.Second)); n != 1 || tb.Len() != 0 {
+		t.Fatalf("Prune after the lease lapsed: dropped %d, entries %d", n, tb.Len())
+	}
+}
+
+// TestTableTake: Take exports and deletes exactly the entries keep
+// rejects, rows and keys intact.
+func TestTableTake(t *testing.T) {
+	tb := New(0)
+	for seq := int64(1); seq <= 6; seq++ {
+		tb.Upsert(uint64(seq), seq, Row{Ent: wire.Entry{Addr: "a"}, UpBps: seq, Expire: t0.Add(time.Minute)}, t0)
+	}
+	taken := tb.Take(func(key uint64) bool { return key%2 == 0 })
+	if len(taken) != 3 || tb.Len() != 3 {
+		t.Fatalf("took %d, left %d; want 3 and 3", len(taken), tb.Len())
+	}
+	for _, e := range taken {
+		if e.Key%2 == 0 || e.Key != uint64(e.Seq) || len(e.Rows) != 1 || e.Rows[0].UpBps != e.Seq {
+			t.Fatalf("taken entry %+v", e)
+		}
+		ops := e.Ops(t0)
+		if len(ops) != 1 || ops[0].TTLMillis != 60_000 || ops[0].Key != e.Key || ops[0].Holder.Addr != "a" {
+			t.Fatalf("ops %+v", ops)
+		}
+		if he := e.Handoff(); he.Seq != e.Seq || len(he.Providers) != 1 {
+			t.Fatalf("handoff %+v", he)
+		}
+	}
+	if rest := tb.Take(nil); len(rest) != 3 || tb.Len() != 0 {
+		t.Fatalf("Take(nil) took %d, left %d", len(rest), tb.Len())
+	}
+}
+
+// TestTableParkAndWake: a lookup parks on an empty (or fully excluded)
+// entry; only a new provider wakes it, not a refresh; and the entry a
+// timed-out lookup made leaves with it.
+func TestTableParkAndWake(t *testing.T) {
+	woken := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	tb := New(0)
+	provs, _, wake := tb.Select(1, 7, 3, t0, nil)
+	if len(provs) != 0 || wake == nil || tb.Len() != 1 {
+		t.Fatalf("empty select: provs=%v wake=%v entries=%d", provs, wake, tb.Len())
+	}
+	if n := tb.Prune(t0); n != 0 || tb.Len() != 1 {
+		t.Fatal("Prune dropped an entry with a parked lookup")
+	}
+	tb.Unpark(7)
+	if tb.Len() != 0 {
+		t.Fatal("the entry outlived its only (timed-out) lookup")
+	}
+
+	_, _, wake = tb.Select(1, 7, 3, t0, nil)
+	_, _, wake2 := tb.Select(1, 7, 3, t0, nil)
+	tb.Upsert(1, 7, row("a", 0), t0)
+	if !woken(wake) || !woken(wake2) {
+		t.Fatal("the first provider did not wake every parked lookup")
+	}
+	tb.Unpark(7)
+	tb.Unpark(7)
+
+	// Everything registered is excluded: park like an empty entry.
+	_, _, wake = tb.Select(1, 7, 3, t0, func(string) bool { return true })
+	if wake == nil {
+		t.Fatal("a fully excluded entry did not park")
+	}
+	tb.Upsert(1, 7, row("a", time.Hour), t0)
+	if woken(wake) {
+		t.Fatal("a refresh woke the parked lookup")
+	}
+	tb.Upsert(1, 7, row("b", 0), t0)
+	if !woken(wake) {
+		t.Fatal("a new provider did not wake the parked lookup")
+	}
+	tb.Unpark(7)
+	if provs, _, wake := tb.Select(1, 7, 3, t0, nil); len(provs) != 2 || wake != nil {
+		t.Fatalf("select after registrations: provs=%v wake=%v", provs, wake)
+	}
+
+	// A lookup parked on an entry that is taken away stays parked, and its
+	// entry leaves with it.
+	tb.Upsert(2, 8, row("a", 0), t0)
+	_, _, wake = tb.Select(2, 8, 3, t0, func(string) bool { return true })
+	if taken := tb.Take(nil); len(taken) != 2 || woken(wake) || tb.Len() != 1 {
+		t.Fatalf("take: %d taken, woken=%v, entries=%d; want 2, false, the parked one", len(taken), woken(wake), tb.Len())
+	}
+	tb.Unpark(8)
+	if tb.Len() != 0 {
+		t.Fatalf("%d entries left", tb.Len())
+	}
+}
+
+// TestTableSelectPrunesLapsedLeases: a lapsed lease never appears in an
+// answer, and the drop is reported.
+func TestTableSelectPrunesLapsedLeases(t *testing.T) {
+	tb := New(0)
+	tb.Upsert(1, 7, row("dead", time.Second), t0)
+	tb.Upsert(1, 7, row("alive", time.Minute), t0)
+	provs, expired, _ := tb.Select(1, 7, 3, t0.Add(2*time.Second), nil)
+	if expired != 1 || len(provs) != 1 || provs[0].Addr != "alive" {
+		t.Fatalf("provs=%v expired=%d", provs, expired)
+	}
+}
+
+// TestTableDigestsAndReconcile: a replica that reconciles against the
+// owner's digests drops what they no longer mention and asks for what is
+// missing or differs — and for nothing once it matches.
+func TestTableDigestsAndReconcile(t *testing.T) {
+	owner, replica := New(0), New(0)
+	owner.Upsert(1, 1, row("a", 0), t0)
+	owner.Upsert(2, 2, row("a", 0), t0)
+	owner.Upsert(2, 2, row("b", 0), t0)
+	owner.Upsert(3, 3, row("c", 0), t0) // not owned: never digested
+	replica.Upsert(1, 1, row("a", time.Hour), t0)
+	replica.Upsert(2, 2, row("a", 0), t0) // diverged: b is missing
+	replica.Upsert(9, 9, row("z", 0), t0) // the owner dropped it
+
+	digests := owner.Digests(func(key uint64) bool { return key != 3 })
+	if len(digests) != 2 || digests[0].Seq != 1 || digests[1].Seq != 2 {
+		t.Fatalf("digests %+v, want seqs 1 and 2 in order", digests)
+	}
+	need := replica.Reconcile(digests, t0)
+	if len(need) != 1 || need[0] != 2 {
+		t.Fatalf("need %v, want [2]", need)
+	}
+	if len(replica.Get(9).Rows) != 0 {
+		t.Fatal("an entry the owner no longer mentions survived")
+	}
+	for _, op := range owner.Get(2).Ops(t0) {
+		replica.Upsert(op.Key, op.Seq, Row{Ent: op.Holder, Expire: Restamp(op.TTLMillis, t0)}, t0)
+	}
+	if need := replica.Reconcile(digests, t0); len(need) != 0 {
+		t.Fatalf("still need %v after the repair", need)
+	}
+}
+
+// TestTableHashSemantics pins the digest hash: order-insensitive,
+// lease-insensitive, membership-sensitive.
+func TestTableHashSemantics(t *testing.T) {
+	a := Row{Ent: wire.Entry{ID: 1, Addr: "mem://a"}, Expire: t0}
+	b := Row{Ent: wire.Entry{ID: 2, Addr: "mem://b"}}
+	h1 := hashRows([]Row{a, b})
+	if hashRows([]Row{b, a}) != h1 {
+		t.Fatal("hash is order-sensitive")
+	}
+	a2 := a
+	a2.Expire = t0.Add(time.Hour)
+	if hashRows([]Row{a2, b}) != h1 {
+		t.Fatal("hash is lease-sensitive: every refresh would force a repair")
+	}
+	if hashRows([]Row{a}) == h1 {
+		t.Fatal("hash ignores membership")
+	}
+	// Concatenations stay apart: {"ab"} vs {"a","b"}.
+	x := hashRows([]Row{{Ent: wire.Entry{Addr: "ab"}}})
+	y := hashRows([]Row{{Ent: wire.Entry{Addr: "a"}}, {Ent: wire.Entry{Addr: "b"}}})
+	if x == y {
+		t.Fatal("hash is concatenation-ambiguous")
+	}
+}
+
+// TestTableTTLWireRoundTrip pins the relative-TTL discipline: deadlines
+// never cross the wire as absolute times, and zero means no lease in both
+// directions.
+func TestTableTTLWireRoundTrip(t *testing.T) {
+	if got := TTLMillis(time.Time{}, t0); got != 0 {
+		t.Fatalf("zero deadline -> ttl %d, want 0", got)
+	}
+	if got := Restamp(0, t0); !got.IsZero() {
+		t.Fatalf("ttl 0 -> deadline %v, want zero", got)
+	}
+	if ttl := TTLMillis(t0.Add(5*time.Second), t0); ttl != 5000 || !Restamp(ttl, t0).Equal(t0.Add(5*time.Second)) {
+		t.Fatalf("5s lease -> ttl %dms -> %v", ttl, Restamp(ttl, t0))
+	}
+	if got := TTLMillis(t0.Add(-time.Second), t0); got != 1 {
+		t.Fatalf("expired-in-flight lease -> ttl %d, want 1", got)
+	}
+	if got := TTLMillis(t0.Add(1000*time.Hour), t0); got != 1<<31 {
+		t.Fatalf("far deadline -> ttl %d, want the 1<<31 clamp", got)
+	}
+}
+
+// TestTableConcurrentUse drives every method from several goroutines at
+// once; the race detector is the oracle.
+func TestTableConcurrentUse(t *testing.T) {
+	tb := New(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			addr := fmt.Sprintf("p%d", g)
+			for i := 0; i < 300; i++ {
+				seq := int64(i % 16)
+				now := t0.Add(time.Duration(i) * time.Millisecond)
+				switch (g + i) % 8 {
+				case 0, 1:
+					tb.Upsert(uint64(seq), seq, row(addr, time.Second), now)
+				case 2:
+					_, _, wake := tb.Select(uint64(seq), seq, 3, now, func(a string) bool { return a == "p3" })
+					if wake != nil {
+						tb.Unpark(seq)
+					}
+				case 3:
+					tb.Remove(seq, addr)
+				case 4:
+					tb.Prune(now)
+					tb.Scrub(addr)
+				case 5:
+					tb.Take(func(key uint64) bool { return key%4 != 0 })
+				case 6:
+					tb.Reconcile(tb.Digests(func(uint64) bool { return true }), now)
+				case 7:
+					tb.Get(seq)
+					tb.Delete(seq)
+					tb.Len()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	tb.Take(nil)
+	if tb.Len() != 0 {
+		t.Fatalf("%d entries left after everything was taken and every lookup unparked", tb.Len())
+	}
+}
+
+// TestTableSelectSkipsSaturatedProviders: while any provider is under the
+// saturation threshold, saturated ones must not appear in the answer.
+func TestTableSelectSkipsSaturatedProviders(t *testing.T) {
+	e := &entry{}
+	e.rows = []Row{
+		{Ent: wire.Entry{Addr: "idle:1"}, LoadMilli: 100},
+		{Ent: wire.Entry{Addr: "busy:1"}, LoadMilli: 2000},
+		{Ent: wire.Entry{Addr: "idle:2"}, LoadMilli: 150},
+	}
+	got := e.pick(3, nil)
+	if len(got) != 2 {
+		t.Fatalf("selected %d providers, want the 2 unsaturated ones: %v", len(got), got)
+	}
+	for _, pr := range got {
+		if pr.Addr == "busy:1" {
+			t.Fatal("saturated provider selected while unsaturated ones exist")
+		}
+	}
+}
+
+// TestTableSelectAllSaturatedDegrades: when every provider is saturated, the
+// least-loaded ones are returned anyway — a degraded answer beats none.
+func TestTableSelectAllSaturatedDegrades(t *testing.T) {
+	e := &entry{}
+	e.rows = []Row{
+		{Ent: wire.Entry{Addr: "busy:1"}, LoadMilli: 3000},
+		{Ent: wire.Entry{Addr: "busy:2"}, LoadMilli: 1500},
+	}
+	got := e.pick(3, nil)
+	if len(got) != 2 {
+		t.Fatalf("selected %d providers, want 2", len(got))
+	}
+	if got[0].Addr != "busy:2" {
+		t.Fatalf("least-loaded saturated provider not first: %v", got)
+	}
+}
+
+// TestTableSelectCohortRotation: comparably idle providers are rotated through
+// across successive lookups, so a flash crowd is spread instead of herded
+// onto one report.
+func TestTableSelectCohortRotation(t *testing.T) {
+	e := &entry{}
+	e.rows = []Row{
+		{Ent: wire.Entry{Addr: "a"}},
+		{Ent: wire.Entry{Addr: "b"}},
+		{Ent: wire.Entry{Addr: "c"}},
+	}
+	seen := make(map[string]bool)
+	for i := 0; i < 3; i++ {
+		got := e.pick(1, nil)
+		if len(got) != 1 {
+			t.Fatalf("selected %d providers, want 1", len(got))
+		}
+		seen[got[0].Addr] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("3 single-provider answers landed on %d distinct providers, want 3 (rotation)", len(seen))
+	}
+}
+
+// TestTableSelectExplorationEscapesIdleCohort: when stale-idle providers (the
+// gray-failure zombie shape: accept work, never finish it, keep honestly
+// advertising load 0) fill the low-load cohort, the answer's last slot
+// must still rotate across the rest of the registered set — otherwise
+// three zombies capture every answer forever.
+func TestTableSelectExplorationEscapesIdleCohort(t *testing.T) {
+	e := &entry{}
+	e.rows = []Row{
+		{Ent: wire.Entry{Addr: "zombie:1"}},
+		{Ent: wire.Entry{Addr: "zombie:2"}},
+		{Ent: wire.Entry{Addr: "zombie:3"}},
+		{Ent: wire.Entry{Addr: "healthy:1"}, LoadMilli: 800},
+		{Ent: wire.Entry{Addr: "healthy:2"}, LoadMilli: 800},
+	}
+	seenHealthy := make(map[string]bool)
+	for i := 0; i < 4; i++ {
+		got := e.pick(3, nil)
+		if len(got) != 3 {
+			t.Fatalf("selected %d providers, want 3: %v", len(got), got)
+		}
+		for _, pr := range got[:2] {
+			if pr.Addr == "healthy:1" || pr.Addr == "healthy:2" {
+				t.Fatalf("cohort slots leaked outside the idle cohort: %v", got)
+			}
+		}
+		a := got[2].Addr
+		if a != "healthy:1" && a != "healthy:2" {
+			t.Fatalf("exploration slot stayed inside the idle cohort: %v", got)
+		}
+		seenHealthy[a] = true
+	}
+	if len(seenHealthy) != 2 {
+		t.Fatalf("4 answers explored %d distinct loaded providers, want both", len(seenHealthy))
+	}
+}

@@ -17,14 +17,14 @@ import (
 	"sync"
 	"time"
 
+	"dco/internal/index"
 	"dco/internal/wire"
 )
 
 // loadSaturatedMilli is the load factor (thousandths) at which a provider
-// counts as saturated: its advertised upload budget is fully committed.
-// Coordinators skip saturated providers in Lookup answers while any
-// unsaturated one exists.
-const loadSaturatedMilli = 1000
+// counts as saturated — the coordinator's threshold, which the pacer's
+// report is scaled to.
+const loadSaturatedMilli = index.LoadSaturatedMilli
 
 // loadCeilingMilli caps the reported load factor; beyond 10x the budget
 // the exact depth of the backlog carries no extra signal.
@@ -177,6 +177,13 @@ func (n *Node) reportLoadMilli() uint32 { return n.pace.loadMilli() }
 // provider ordering; past it the provider counts as unknown (idle-equal).
 const provLoadTTL = 3 * time.Second
 
+// provLoadRec is a viewer-side cache row: the load factor last heard from
+// a provider (any ChunkResp carries one) and when it was heard.
+type provLoadRec struct {
+	loadMilli uint32
+	at        time.Time
+}
+
 // noteProviderLoad caches the load factor a ChunkResp carried from addr.
 func (n *Node) noteProviderLoad(addr string, load uint32) {
 	n.provLoadMu.Lock()
@@ -272,108 +279,3 @@ func (n *Node) orderProvidersByLoad(provs []wire.Entry) []wire.Entry {
 // latency-contradiction clamp can trip — below it the peer is fast enough
 // that its load claim is unfalsifiable (and harmless).
 const loadLieLatencyFloor = 20 * time.Millisecond
-
-// cohortSpreadMilli defines the coordinator's low-load cohort: providers
-// within this much of the least-loaded report. Rotating inside the cohort
-// spreads a flash crowd across comparably idle providers instead of
-// herding every viewer onto the single best report.
-const cohortSpreadMilli = 300
-
-// selectLocked is the coordinator's capacity-weighted provider selection
-// (replaces blind round-robin): saturated providers are skipped while any
-// unsaturated one exists, the answer is drawn round-robin from the
-// low-load cohort, and backfilled with the next-least-loaded candidates.
-// When every provider is saturated the least-loaded ones are returned
-// anyway — a degraded answer beats an empty one. When more providers are
-// registered than the answer carries, the last slot is an exploration
-// pick from outside the chosen set (see below). exclude (nil = none)
-// drops providers outright — quarantined peers never appear in answers,
-// even degraded ones (integrity.go). Caller holds n.mu.
-func (e *indexEntry) selectLocked(max int, exclude func(addr string) bool) []wire.Entry {
-	if len(e.providers) == 0 || max <= 0 {
-		return nil
-	}
-	usable := func(i int) bool {
-		return exclude == nil || !exclude(e.providers[i].ent.Addr)
-	}
-	cand := make([]int, 0, len(e.providers))
-	for i := range e.providers {
-		if e.providers[i].loadMilli < loadSaturatedMilli && usable(i) {
-			cand = append(cand, i)
-		}
-	}
-	if len(cand) == 0 {
-		for i := range e.providers {
-			if usable(i) {
-				cand = append(cand, i)
-			}
-		}
-	}
-	if len(cand) == 0 {
-		return nil
-	}
-	sort.SliceStable(cand, func(a, b int) bool {
-		pa, pb := &e.providers[cand[a]], &e.providers[cand[b]]
-		if pa.loadMilli != pb.loadMilli {
-			return pa.loadMilli < pb.loadMilli
-		}
-		return pa.upBps > pb.upBps // ties: bigger pipes first
-	})
-	floor := e.providers[cand[0]].loadMilli
-	cohort := cand
-	for i, ci := range cand {
-		if e.providers[ci].loadMilli > floor+cohortSpreadMilli {
-			cohort = cand[:i]
-			break
-		}
-	}
-	// Exploration slot (gray-failure defense): a peer that accepts work but
-	// never finishes it keeps honestly advertising itself idle, so a few
-	// such zombies can capture the entire low-load cohort — and with it
-	// every answer, starving viewers of reachable providers no matter how
-	// many are registered. When the index knows more providers than the
-	// answer carries, the last slot is therefore rotated across the
-	// *unchosen* remainder instead of drawn from the cohort, so no cohort
-	// can permanently capture an answer.
-	fill := max
-	explore := max >= 2 && len(cand) > max
-	if explore {
-		fill = max - 1
-	}
-	out := make([]wire.Entry, 0, max)
-	picked := make(map[int]bool, fill)
-	start := e.rr % len(cohort)
-	for i := 0; i < len(cohort) && len(out) < fill; i++ {
-		ci := cohort[(start+i)%len(cohort)]
-		out = append(out, e.providers[ci].ent)
-		picked[ci] = true
-	}
-	for i := len(cohort); i < len(cand) && len(out) < fill; i++ {
-		out = append(out, e.providers[cand[i]].ent)
-		picked[cand[i]] = true
-	}
-	if explore {
-		// Prefer exploring outside the cohort — that is where a reachable
-		// provider a stale-idle cohort is hiding will be — falling back to
-		// unchosen cohort members when the cohort is the whole candidate set.
-		remOut := make([]int, 0, len(cand))
-		remIn := make([]int, 0, len(cohort))
-		for i, ci := range cand {
-			if picked[ci] {
-				continue
-			}
-			if i < len(cohort) {
-				remIn = append(remIn, ci)
-			} else {
-				remOut = append(remOut, ci)
-			}
-		}
-		rem := remOut
-		if len(rem) == 0 {
-			rem = remIn
-		}
-		out = append(out, e.providers[rem[e.rr%len(rem)]].ent)
-	}
-	e.rr++
-	return out
-}

@@ -16,6 +16,7 @@ import (
 
 	"dco/internal/chordkern"
 	"dco/internal/dht"
+	"dco/internal/index"
 	"dco/internal/kademlia"
 	"dco/internal/wire"
 )
@@ -162,40 +163,29 @@ func (n *Node) askOwner(addr string, req wire.Message, timeout time.Duration) (w
 func (n *Node) onKernSeen(ms ...dht.Member) {
 	n.routes.Trim(ms...)
 	now := time.Now()
-	n.mu.Lock()
 	for _, m := range ms {
 		n.members.Note(m, now)
 	}
-	n.mu.Unlock()
 }
 
 // onKernRangeChanged hands off index entries this node no longer owns
 // after part of its key range moved to newOwner (Chord: a Notify adopted
 // a closer predecessor; Kademlia: a closer contact joined). The transfer
 // is asynchronous and retried — handoff merges are idempotent, and a lost
-// handoff only delays re-registration.
+// handoff only delays re-registration. It is sent even when nothing moved:
+// the call is also this node's check that the member it cedes the range to
+// can be reached. One that cannot (the far end of a one-way partition that
+// keeps announcing itself) is condemned by the failing call, and the range
+// comes back instead of answering not-the-owner for as long as it lingers.
 func (n *Node) onKernRangeChanged(newOwner dht.Member) {
 	if newOwner.Addr == "" || newOwner.Addr == n.self.Addr {
 		return
 	}
-	n.mu.Lock()
 	var moved []wire.HandoffEntry
-	for seq, e := range n.index {
-		key := uint64(n.cfg.Channel.Ref(seq).ID())
-		if n.kern.Owns(key) {
-			continue
-		}
-		he := wire.HandoffEntry{Key: key, Seq: seq}
-		for _, p := range e.providers {
-			he.Providers = append(he.Providers, p.ent)
-		}
-		moved = append(moved, he)
-		delete(n.index, seq)
+	for _, e := range n.idx.Take(n.kern.Owns) {
+		moved = append(moved, e.Handoff())
 	}
-	n.mu.Unlock()
-	if len(moved) > 0 {
-		go func() { _, _ = n.callIdem(newOwner.Addr, &wire.Handoff{Entries: moved}) }()
-	}
+	go func() { _, _ = n.callIdem(newOwner.Addr, &wire.Handoff{Entries: moved}) }()
 }
 
 // onKernDeparted reacts to a member's graceful leave — the one conclusive
@@ -205,8 +195,6 @@ func (n *Node) onKernRangeChanged(newOwner dht.Member) {
 // forget the member in the census cache and the arc it owned.
 func (n *Node) onKernDeparted(m dht.Member) {
 	n.routes.Drop(m.Addr)
-	n.mu.Lock()
-	delete(n.replicas, m.Addr)
+	n.replicas.update(m.Addr, func(slice *index.Table) { slice.Take(nil) }) // emptied, so forgotten
 	n.members.Forget(m.Addr)
-	n.mu.Unlock()
 }

@@ -40,36 +40,23 @@ import (
 // reconciliation re-sends; the republish rotation covers the remainder.
 const maxReconcileInserts = 512
 
-// noteMembersLocked records sightings of overlay members in the census
-// member cache. Deliberately NOT fed to the kernel: live-plane entries
-// (insert holders, census views) are third-party claims, and a Kademlia
-// routing table only admits contacts it heard from directly — its own
-// protocol traffic, lookup answers, and the confirmed Merge path. Letting
-// unverified claims shift XOR ownership would bounce in-flight index ops
-// off fabricated or stale members. Caller holds n.mu; handlers already
-// under the lock use this variant, everything else goes through
-// noteMembers.
-func (n *Node) noteMembersLocked(es ...wire.Entry) {
+// noteMembers records sightings of overlay members in the census member
+// cache. Deliberately NOT fed to the kernel: live-plane entries (insert
+// holders, census views) are third-party claims, and a Kademlia routing
+// table only admits contacts it heard from directly — its own protocol
+// traffic, lookup answers, and the confirmed Merge path. Letting unverified
+// claims shift XOR ownership would bounce in-flight index ops off
+// fabricated or stale members.
+func (n *Node) noteMembers(es ...wire.Entry) {
 	now := time.Now()
 	for _, e := range es {
-		if e.Addr == "" {
-			continue
-		}
 		n.members.Note(dht.FromWire(e), now)
 	}
 }
 
-// noteMembers is noteMembersLocked for call sites not holding n.mu.
-func (n *Node) noteMembers(es ...wire.Entry) {
-	n.mu.Lock()
-	n.noteMembersLocked(es...)
-	n.mu.Unlock()
-}
-
-// ringViewLocked is this node's current membership view on the wire: the
-// kernel's View (self always first). Caller holds n.mu (View is a pure
-// read). A view of size one means a lone node.
-func (n *Node) ringViewLocked() []wire.Entry {
+// ringView is this node's current membership view on the wire: the
+// kernel's View (self always first). A view of size one means a lone node.
+func (n *Node) ringView() []wire.Entry {
 	view := n.kern.View()
 	out := make([]wire.Entry, 0, len(view))
 	for _, m := range view {
@@ -78,8 +65,19 @@ func (n *Node) ringViewLocked() []wire.Entry {
 	return out
 }
 
+// foreignMembers lists the cached members outside view.
+func (n *Node) foreignMembers(view []wire.Entry) []dht.Member {
+	var out []dht.Member
+	for _, m := range n.members.Members() {
+		if !viewHas(view, m.Addr) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // ringDigest hashes a membership view: FNV-1a over the member addresses in
-// view order (ringViewLocked's output is deterministic for a given state,
+// view order (ringView's output is deterministic for a given state,
 // so equal views digest equally). Probe and response carry it so unchanged
 // views compare in O(1).
 func ringDigest(view []wire.Entry) uint64 {
@@ -127,36 +125,17 @@ func splitSuspected(self string, mine []wire.Entry, peer wire.Entry, theirs []wi
 // member is still unreachable), and its breaker bookkeeping is how a
 // healed peer's circuit resets the moment a probe gets through.
 func (n *Node) census() {
-	n.mu.Lock()
-	view := n.ringViewLocked()
-	inView := make(map[string]bool, len(view))
-	for _, e := range view {
-		inView[e.Addr] = true
-	}
-	var cands []dht.Member
-	for _, m := range n.members.Members() {
-		if !inView[m.Addr] {
-			cands = append(cands, m)
-		}
-	}
-	var targets []dht.Member
-	k := censusProbes
-	if k > len(cands) {
-		k = len(cands)
-	}
-	for i := 0; i < k; i++ {
-		targets = append(targets, cands[int(n.censusCursor%uint64(len(cands)))])
-		n.censusCursor++
-	}
-	self := n.wireSelfLocked()
-	n.mu.Unlock()
-	if len(targets) == 0 {
+	view := n.ringView()
+	cands := n.foreignMembers(view)
+	if len(cands) == 0 {
 		return
 	}
+	self := n.wireSelf()
 	digest := ringDigest(view)
 	lone := len(view) == 1
 	probe := &wire.CensusProbe{From: self, Digest: digest, Members: view}
-	for _, t := range targets {
+	for i := 0; i < min(censusProbes, len(cands)); i++ {
+		t := cands[(n.censusCursor.Add(1)-1)%uint64(len(cands))]
 		n.lm.censusProbes.Inc()
 		resp, err := n.call(t.Addr, probe)
 		if err != nil {
@@ -196,12 +175,10 @@ func (n *Node) census() {
 // idempotent per backend, which is what makes the simultaneous merges
 // safe).
 func (n *Node) onCensusProbe(m *wire.CensusProbe) wire.Message {
-	n.mu.Lock()
-	view := n.ringViewLocked()
-	n.noteMembersLocked(m.From)
-	n.noteMembersLocked(m.Members...)
-	self := n.wireSelfLocked()
-	n.mu.Unlock()
+	view := n.ringView()
+	n.noteMembers(m.From)
+	n.noteMembers(m.Members...)
+	self := n.wireSelf()
 	digest := ringDigest(view)
 	lone := len(view) == 1
 	if m.From.Addr != self.Addr && m.Digest != digest {
@@ -283,9 +260,7 @@ func (n *Node) maybeMerge(foreign wire.Entry, theirs []wire.Entry, lone bool) {
 // repair within the merge instead of the next republish window.
 func (n *Node) reconcile() {
 	n.replicateFlush()
-	if n.cfg.Replicas > 0 {
-		n.antiEntropy()
-	}
+	n.antiEntropy()
 	n.mu.Lock()
 	seqs := make([]int64, 0, len(n.registered))
 	for seq := range n.registered {
@@ -313,25 +288,7 @@ func (n *Node) reconcile() {
 // membership view (tests, the dco_live_foreign_members gauge). After a
 // merge completes and views converge, this returns toward zero for a
 // healthy cache — every cached member is in view again.
-func (n *Node) ForeignMembers() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	inView := map[string]bool{}
-	for _, e := range n.ringViewLocked() {
-		inView[e.Addr] = true
-	}
-	c := 0
-	for _, m := range n.members.Members() {
-		if !inView[m.Addr] {
-			c++
-		}
-	}
-	return c
-}
+func (n *Node) ForeignMembers() int { return len(n.foreignMembers(n.ringView())) }
 
 // MemberCacheLen reports the member-cache size (tests, gauge).
-func (n *Node) MemberCacheLen() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.members.Len()
-}
+func (n *Node) MemberCacheLen() int { return n.members.Len() }

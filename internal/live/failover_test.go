@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dco/internal/index"
 	"dco/internal/retry"
 	"dco/internal/telemetry"
 	"dco/internal/wire"
@@ -109,10 +110,7 @@ func TestLookupRecoversAfterCoordinatorDeath(t *testing.T) {
 	// the key range can answer.
 	provider := wire.Entry{ID: 12345, Addr: src.Addr()}
 	for _, nd := range all {
-		nd.mu.Lock()
-		e := nd.indexEntryLocked(seq)
-		e.providers = append(e.providers, provRec{ent: provider})
-		nd.mu.Unlock()
+		nd.idx.Upsert(key, seq, index.Row{Ent: provider}, time.Now())
 	}
 
 	// Kill the coordinator abruptly and let the ring heal around it.

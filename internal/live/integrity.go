@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"time"
 
 	"dco/internal/dht"
@@ -320,9 +321,9 @@ func (n *Node) punishPoisoner(addr string, seq int64) {
 func (n *Node) noteQuarantined(addr, why string) {
 	n.lm.peersQuarantined.Inc()
 	n.traceEvent("peer.quarantine", "peer="+addr+" why="+why)
-	n.mu.Lock()
-	n.quarLog[addr] = true
-	n.mu.Unlock()
+	n.guard.mu.Lock()
+	n.guard.quarLog[addr] = true
+	n.guard.mu.Unlock()
 }
 
 // pollutionReportCooldown bounds how often this node re-accuses the same
@@ -341,16 +342,14 @@ const pollutionReportCooldown = 5 * time.Second
 // (the reporter already protects itself via demerits); losing one costs
 // nothing but time.
 func (n *Node) reportPollution(target string, seq int64) {
-	n.mu.Lock()
-	if at, ok := n.reportedAt[target]; ok && time.Since(at) < pollutionReportCooldown {
-		n.mu.Unlock()
+	g := &n.guard
+	g.mu.Lock()
+	if at, ok := g.reportedAt[target]; ok && time.Since(at) < pollutionReportCooldown {
+		g.mu.Unlock()
 		return
 	}
-	if n.reportedAt == nil {
-		n.reportedAt = make(map[string]time.Time)
-	}
-	n.reportedAt[target] = time.Now()
-	n.mu.Unlock()
+	g.reportedAt[target] = time.Now()
+	g.mu.Unlock()
 
 	key := uint64(n.cfg.Channel.Ref(seq).ID())
 	msg := &wire.PollutionReport{
@@ -404,15 +403,16 @@ func (n *Node) onPollutionReport(m *wire.PollutionReport) wire.Message {
 		window = 30 * time.Second
 	}
 	now := time.Now()
-	n.mu.Lock()
-	reporters := n.pollution[m.Target.Addr]
+	g := &n.guard
+	g.mu.Lock()
+	reporters := g.pollution[m.Target.Addr]
 	if reporters == nil {
 		reporters = make(map[string]time.Time)
-		n.pollution[m.Target.Addr] = reporters
+		g.pollution[m.Target.Addr] = reporters
 		// Bound the tally table: a reporter-spammer must not grow it
 		// without limit. Dropping the oldest tallies only delays justice.
-		if len(n.pollution) > 1024 {
-			for a, rs := range n.pollution {
+		if len(g.pollution) > 1024 {
+			for a, rs := range g.pollution {
 				stale := true
 				for _, at := range rs {
 					if now.Sub(at) < window {
@@ -421,7 +421,7 @@ func (n *Node) onPollutionReport(m *wire.PollutionReport) wire.Message {
 					}
 				}
 				if stale && a != m.Target.Addr {
-					delete(n.pollution, a)
+					delete(g.pollution, a)
 				}
 			}
 		}
@@ -433,40 +433,44 @@ func (n *Node) onPollutionReport(m *wire.PollutionReport) wire.Message {
 		}
 	}
 	distinct := len(reporters)
-	trip := distinct >= pollutionReporters && !n.health.Quarantined(m.Target.Addr)
-	var scrubbed int
-	if trip {
-		scrubbed = n.scrubProviderLocked(m.Target.Addr)
-	}
-	n.mu.Unlock()
-	if trip {
+	g.mu.Unlock()
+	if distinct >= pollutionReporters && !n.health.Quarantined(m.Target.Addr) {
 		n.health.ForceQuarantine(m.Target.Addr)
-		n.noteQuarantined(m.Target.Addr, fmt.Sprintf("reports=%d scrubbed=%d", distinct, scrubbed))
+		// Scrub the target's rows from the owned index, with the unregisters
+		// replicated so that the scrub survives coordinator failover.
+		scrubbed := n.idx.Scrub(m.Target.Addr)
+		for _, op := range scrubbed {
+			n.enqueueReplica(op)
+		}
+		n.noteQuarantined(m.Target.Addr, fmt.Sprintf("reports=%d scrubbed=%d", distinct, len(scrubbed)))
 	}
 	return &wire.Ack{}
 }
 
-// scrubProviderLocked removes every provider row addr holds in the owned
-// index, replicating unregisters so the scrub survives coordinator
-// failover. Returns how many rows were removed. Caller holds n.mu.
-func (n *Node) scrubProviderLocked(addr string) int {
-	scrubbed := 0
-	for seq, e := range n.index {
-		for i, pr := range e.providers {
-			if pr.ent.Addr == addr {
-				e.providers = append(e.providers[:i], e.providers[i+1:]...)
-				key := uint64(n.cfg.Channel.Ref(seq).ID())
-				n.enqueueReplicaLocked(key, seq, pr.ent, 0, time.Time{}, true)
-				scrubbed++
-				break
-			}
-		}
-	}
-	return scrubbed
-}
-
 // ---------------------------------------------------------------------------
 // Index hardening: what onInsert checks before accepting a registration.
+
+// pollutionGuard is the bookkeeping of the index-pollution defense, under a
+// lock of its own: per-holder insert token buckets, the pollution-report
+// tally per accused peer, when this node last accused whom, and the set of
+// peers it ever quarantined (soak oracles read it; quarantines expire, the
+// log does not).
+type pollutionGuard struct {
+	mu         sync.Mutex
+	insRate    map[string]*insertBucket
+	pollution  map[string]map[string]time.Time
+	reportedAt map[string]time.Time
+	quarLog    map[string]bool
+}
+
+func newPollutionGuard() pollutionGuard {
+	return pollutionGuard{
+		insRate:    make(map[string]*insertBucket),
+		pollution:  make(map[string]map[string]time.Time),
+		reportedAt: make(map[string]time.Time),
+		quarLog:    make(map[string]bool),
+	}
+}
 
 // insertBucket is one holder's insert token bucket.
 type insertBucket struct {
@@ -474,39 +478,43 @@ type insertBucket struct {
 	last   time.Time
 }
 
-// insertAllowedLocked vets one Insert against the pollution defenses:
-// quarantined holders are refused, per-holder insert rates are capped
-// (token bucket, burst 2x), registrations past the live-edge horizon are
-// rejected, and full entries accept no new providers. nil = allowed.
-// Unregisters only pay the rate limit — removing rows is never refused
-// for capacity reasons. Caller holds n.mu.
-func (n *Node) insertAllowedLocked(m *wire.Insert, e *indexEntry) *wire.Error {
-	if rate := n.cfg.InsertRate; rate > 0 {
-		now := time.Now()
-		b := n.insRate[m.Holder.Addr]
-		if b == nil {
-			// Bound the bucket table like the other per-peer maps.
-			if len(n.insRate) > 4096 {
-				cutoff := now.Add(-10 * time.Second)
-				for a, ob := range n.insRate {
-					if ob.last.Before(cutoff) {
-						delete(n.insRate, a)
-					}
+// takeInsertToken charges holder's bucket (rate per second, burst 2x) for
+// one insert, reporting whether it had a token.
+func (g *pollutionGuard) takeInsertToken(holder string, rate float64, now time.Time) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	b := g.insRate[holder]
+	if b == nil {
+		// Bound the bucket table like the other per-peer maps.
+		if len(g.insRate) > 4096 {
+			cutoff := now.Add(-10 * time.Second)
+			for a, ob := range g.insRate {
+				if ob.last.Before(cutoff) {
+					delete(g.insRate, a)
 				}
 			}
-			b = &insertBucket{tokens: 2 * rate, last: now}
-			n.insRate[m.Holder.Addr] = b
 		}
-		b.tokens += now.Sub(b.last).Seconds() * rate
-		if max := 2 * rate; b.tokens > max {
-			b.tokens = max
-		}
-		b.last = now
-		if b.tokens < 1 {
-			n.lm.insertsRateLimited.Inc()
-			return &wire.Error{Code: wire.CodeBusy, Msg: "live: insert rate limited"}
-		}
-		b.tokens--
+		b = &insertBucket{tokens: 2 * rate, last: now}
+		g.insRate[holder] = b
+	}
+	b.tokens = min(b.tokens+now.Sub(b.last).Seconds()*rate, 2*rate)
+	b.last = now
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+// insertAllowed vets one Insert against the pollution defenses: quarantined
+// holders are refused, per-holder insert rates are capped, and registrations
+// past the live-edge horizon are rejected (the provider cap per entry is
+// index.Table's). nil = allowed. Unregisters only pay the rate limit —
+// removing rows is never refused.
+func (n *Node) insertAllowed(m *wire.Insert) *wire.Error {
+	if rate := n.cfg.InsertRate; rate > 0 && !n.guard.takeInsertToken(m.Holder.Addr, rate, time.Now()) {
+		n.lm.insertsRateLimited.Inc()
+		return &wire.Error{Code: wire.CodeBusy, Msg: "live: insert rate limited"}
 	}
 	if m.Unregister {
 		return nil
@@ -516,23 +524,11 @@ func (n *Node) insertAllowedLocked(m *wire.Insert, e *indexEntry) *wire.Error {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: holder quarantined"}
 	}
 	if horizon := n.cfg.InsertHorizon; horizon > 0 {
-		edge := n.latestGen
-		if mh := n.manifestHeadEstimate(); mh > edge {
-			edge = mh
-		}
+		edge := max(n.LatestGenerated(), n.manifestHeadEstimate())
 		if edge >= 0 && m.Seq > edge+int64(horizon) {
 			n.lm.insertsRejected.Inc()
 			return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: seq beyond live-edge horizon"}
 		}
-	}
-	if lim := n.cfg.MaxProvidersPerSeq; lim > 0 && len(e.providers) >= lim {
-		for i := range e.providers {
-			if e.providers[i].ent.Addr == m.Holder.Addr {
-				return nil // refresh of an existing row, not growth
-			}
-		}
-		n.lm.insertsRejected.Inc()
-		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: provider cap reached"}
 	}
 	return nil
 }
@@ -562,10 +558,10 @@ func (n *Node) VerifyBuffered() int {
 // EverQuarantined lists every peer this node quarantined at any point
 // (quarantines expire; this log does not — soak gates read it).
 func (n *Node) EverQuarantined() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.quarLog))
-	for a := range n.quarLog {
+	n.guard.mu.Lock()
+	defer n.guard.mu.Unlock()
+	out := make([]string, 0, len(n.guard.quarLog))
+	for a := range n.guard.quarLog {
 		out = append(out, a)
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dco/internal/index"
 	"dco/internal/stream"
 	"dco/internal/transport"
 )
@@ -170,10 +171,7 @@ func TestGracefulLeaveHandsOffIndex(t *testing.T) {
 	src, a, b := s.Nodes[0], s.Nodes[1], s.Nodes[2]
 
 	// Give node a an index entry by force.
-	a.mu.Lock()
-	e := a.indexEntryLocked(999)
-	e.providers = append(e.providers, provRec{ent: a.wireSelfLocked()})
-	a.mu.Unlock()
+	a.idx.Upsert(uint64(a.cfg.Channel.Ref(999).ID()), 999, index.Row{Ent: a.wireSelf()}, time.Now())
 
 	if err := a.Leave(); err != nil {
 		t.Fatalf("leave: %v", err)
@@ -181,10 +179,7 @@ func TestGracefulLeaveHandsOffIndex(t *testing.T) {
 	// The successor (src or b) must now hold entry 999.
 	waitFor(t, 3*time.Second, "handoff to land", func() bool {
 		for _, nd := range []*Node{src, b} {
-			nd.mu.Lock()
-			_, ok := nd.index[999]
-			nd.mu.Unlock()
-			if ok {
+			if len(nd.idx.Get(999).Rows) > 0 {
 				return true
 			}
 		}

@@ -254,14 +254,12 @@ func (n *Node) registerGauges() {
 		return float64(n.pace.queueDepth())
 	})
 	reg.GaugeFunc("dco_live_index_entries", func() float64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(len(n.index))
+		return float64(n.idx.Len())
 	})
 	reg.GaugeFunc("dco_live_blacklist_size", func() float64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return float64(len(n.blacklist))
+		n.cooldown.mu.Lock()
+		defer n.cooldown.mu.Unlock()
+		return float64(len(n.cooldown.until))
 	})
 	reg.GaugeFunc("dco_live_suspected_peers", func() float64 {
 		return float64(n.health.SuspectedCount())

@@ -22,6 +22,7 @@ import (
 
 	"dco/internal/dht"
 	"dco/internal/health"
+	"dco/internal/index"
 	"dco/internal/retry"
 	"dco/internal/stream"
 	"dco/internal/telemetry"
@@ -279,22 +280,28 @@ type Node struct {
 	ready atomic.Bool
 
 	// routes is the owner-arc cache (backend.go): which member owned which
-	// arc of the key space when a lookup was last routed there. It has its
-	// own lock; n.mu never guards it.
+	// arc of the key space when a lookup was last routed there.
 	routes *dht.ArcCache
 
+	// mu guards exactly the buffer: chunks, registered, latestGen and
+	// republishCursor. Everything else a request touches has a lock of its
+	// own (idx, replicas, replq, guard, cooldown, members, routes, manMu), and
+	// no path holds mu together with any of them.
 	mu sync.Mutex
 	// chunks holds every buffered payload. A stored slice is immutable: it
 	// is the slice the wire decoder allocated (or the generator made), and
 	// onGetChunk hands that same slice to every caller.
-	chunks     map[int64][]byte
-	registered map[int64]bool
-	index      map[int64]*indexEntry
-	latestGen  int64 // source: newest generated seq
+	chunks          map[int64][]byte
+	registered      map[int64]bool
+	latestGen       int64 // source: newest generated seq
+	republishCursor int64 // newest seq the republish rotation re-inserted
 
-	republishCursor uint64
-	retrier         *retry.Retrier
-	blacklist       map[string]time.Time // failing providers, cooling down
+	// idx is the coordinator's index table for the keys this node owns
+	// (internal/index; DESIGN.md "Index table").
+	idx *index.Table
+
+	retrier  *retry.Retrier
+	cooldown cooldowns // failing providers, cooling down (streamer.go)
 
 	// health scores every peer this node calls (internal/health), fed by
 	// the transport observer hook: latency EWMAs drive hedge trigger
@@ -318,39 +325,30 @@ type Node struct {
 	provLoadMu sync.Mutex
 	provLoad   map[string]provLoadRec
 
-	// Replication state (replication.go): ops accepted but not yet
-	// flushed to the replica set, and the slices of other owners' indices
-	// replicated here, keyed by owner address.
-	replPending []wire.ReplicaOp
-	replSince   time.Time // enqueue time of the oldest pending op
-	replicas    map[string]*replicaSet
+	// Replication state (replication.go): ops accepted but not yet flushed
+	// to the replica set, and the slices of other owners' indices
+	// replicated here.
+	replq    replQueue
+	replicas replicaStore
 
 	// Ring census state (census.go): the bounded memory of previously-seen
-	// members (guarded by n.mu, like the index) and the probe-rotation
-	// cursor. merging serializes split-brain merge attempts — detection can
-	// fire concurrently from the census loop and inbound probes.
+	// members and the probe-rotation cursor. merging serializes split-brain
+	// merge attempts — detection can fire concurrently from the census loop
+	// and inbound probes.
 	members      *dht.MemberCache
-	censusCursor uint64
+	censusCursor atomic.Uint64
 	merging      atomic.Bool
 
 	// Manifest cache (integrity.go): the source-anchored seq → payload
-	// hash rows every received chunk is verified against. Guarded by
-	// manMu, not n.mu — verification runs on the hot fetch path. Lock
-	// order: n.mu may be taken before manMu, never the reverse.
+	// hash rows every received chunk is verified against. manMu is a leaf
+	// lock: nothing else is taken under it.
 	manMu      sync.Mutex
 	manifest   map[int64]manifestRec
 	manHead    int64     // exclusive upper bound of verified coverage
 	manFetchAt time.Time // last ad-triggered background fetch
 
-	// Index-pollution defense state (integrity.go), guarded by n.mu like
-	// the index it protects: per-holder insert token buckets, the
-	// pollution-report tally per accused peer, and the set of peers this
-	// node ever quarantined (soak oracles read it; quarantines expire,
-	// the log does not).
-	insRate    map[string]*insertBucket
-	pollution  map[string]map[string]time.Time
-	reportedAt map[string]time.Time
-	quarLog    map[string]bool
+	// guard is the index-pollution defense state (integrity.go).
+	guard pollutionGuard
 
 	closed  chan struct{}
 	closeMu sync.Once
@@ -423,83 +421,6 @@ type Stats struct {
 	ManifestServes       uint64 // ManifestReqs this node answered
 }
 
-// provRec is one provider registration in an index entry: the provider's
-// identity plus its advertised upload bandwidth, its freshest load report
-// (thousandths; refreshed by republish Inserts) and lease deadline (zero
-// deadline = no lease, the registration lives until unregistered).
-type provRec struct {
-	ent       wire.Entry
-	upBps     int64
-	loadMilli uint32
-	expire    time.Time
-}
-
-// provLoadRec is a viewer-side cache row: the load factor last heard from
-// a provider (any ChunkResp carries one) and when it was heard.
-type provLoadRec struct {
-	loadMilli uint32
-	at        time.Time
-}
-
-type indexEntry struct {
-	providers []provRec
-	rr        int
-	wake      chan struct{} // closed and replaced whenever a provider registers
-}
-
-// wakeLocked releases pending lookups waiting on this entry. Caller holds
-// the node's mutex.
-func (e *indexEntry) wakeLocked() {
-	close(e.wake)
-	e.wake = make(chan struct{})
-}
-
-// pruneLocked drops providers whose lease lapsed, returning how many.
-// Caller holds the node's mutex.
-func (e *indexEntry) pruneLocked(now time.Time) int {
-	var dropped int
-	e.providers, dropped = pruneRecs(e.providers, now)
-	if dropped > 0 && len(e.providers) > 0 {
-		e.rr %= len(e.providers)
-	}
-	return dropped
-}
-
-// pruneRecs filters expired leases out of a provider set in place.
-func pruneRecs(recs []provRec, now time.Time) ([]provRec, int) {
-	kept := recs[:0]
-	dropped := 0
-	for _, p := range recs {
-		if !p.expire.IsZero() && now.After(p.expire) {
-			dropped++
-			continue
-		}
-		kept = append(kept, p)
-	}
-	return kept, dropped
-}
-
-// ttlMillis converts a lease deadline to the wire's relative TTL: the
-// remaining milliseconds at send time (0 = no lease). Receivers restamp
-// against their own clock, so absolute times never cross the wire.
-func ttlMillis(expire, now time.Time) uint32 {
-	if expire.IsZero() {
-		return 0
-	}
-	d := expire.Sub(now)
-	if d <= 0 {
-		return 1 // expired in flight: minimal lease, ages out immediately
-	}
-	ms := int64(d / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	if ms > 1<<31 {
-		ms = 1 << 31
-	}
-	return uint32(ms)
-}
-
 // errNotOwner is returned (over the wire as wire.Error) when an index op
 // reaches a node that does not own the key; callers re-route.
 var errNotOwner = errors.New("live: not the key owner")
@@ -538,21 +459,20 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		cfg.MaxProvidersPerSeq = 128
 	}
 	n := &Node{
-		cfg:        cfg,
-		chunks:     make(map[int64][]byte),
-		registered: make(map[int64]bool),
-		index:      make(map[int64]*indexEntry),
-		replicas:   make(map[string]*replicaSet),
-		blacklist:  make(map[string]time.Time),
-		provLoad:   make(map[string]provLoadRec),
-		manifest:   make(map[int64]manifestRec),
-		insRate:    make(map[string]*insertBucket),
-		pollution:  make(map[string]map[string]time.Time),
-		quarLog:    make(map[string]bool),
-		pace:       newPacer(cfg.UpBps, burst, cfg.AdmitQueue),
-		routes:     dht.NewArcCache(routeCacheSize),
-		closed:     make(chan struct{}),
-		latestGen:  -1,
+		cfg:             cfg,
+		chunks:          make(map[int64][]byte),
+		registered:      make(map[int64]bool),
+		idx:             index.New(cfg.MaxProvidersPerSeq),
+		replicas:        replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
+		cooldown:        cooldowns{until: make(map[string]time.Time)},
+		provLoad:        make(map[string]provLoadRec),
+		manifest:        make(map[int64]manifestRec),
+		guard:           newPollutionGuard(),
+		pace:            newPacer(cfg.UpBps, burst, cfg.AdmitQueue),
+		routes:          dht.NewArcCache(routeCacheSize),
+		closed:          make(chan struct{}),
+		latestGen:       -1,
+		republishCursor: -1,
 	}
 	tr, err := attach(transport.HandlerFunc(n.serve))
 	if err != nil {
@@ -703,15 +623,16 @@ func (n *Node) startRingMaint() {
 }
 
 // startMaint launches what keeps a member's ring position and index alive
-// — kernel maintenance, republication, replication — but neither the
-// census nor the stream.
+// — kernel maintenance, republication, replication, and the anti-entropy
+// round that also ages out lapsed leases (so it runs unreplicated too) —
+// but neither the census nor the stream.
 func (n *Node) startMaint() {
 	n.startRingMaint()
 	n.loop(n.cfg.RepublishEvery, n.republish)
 	if n.cfg.Replicas > 0 {
 		n.loop(n.cfg.ReplicateEvery, n.replicateFlush)
-		n.loop(n.cfg.AntiEntropyEvery, n.antiEntropy)
 	}
+	n.loop(n.cfg.AntiEntropyEvery, n.antiEntropy)
 }
 
 // Start launches the maintenance loops and, for sources, the generator;
@@ -788,7 +709,9 @@ func (n *Node) JoinAny(bootstraps []string) error {
 			if b == "" || b == n.Addr() {
 				continue
 			}
-			if err := n.joinVia(b); err != nil {
+			// The kernel runs the backend's attach protocol and reports
+			// everyone it met through the Seen event (the census cache).
+			if err := n.kern.Join(b); err != nil {
 				errs = append(errs, fmt.Errorf("live: join via %s: %w", b, err))
 				continue
 			}
@@ -803,13 +726,6 @@ func (n *Node) JoinAny(bootstraps []string) error {
 	return errors.Join(errs...)
 }
 
-// joinVia performs one join attempt through bootstrap. The kernel runs
-// the backend's attach protocol and reports everyone it met through the
-// Seen event, which feeds the census member cache.
-func (n *Node) joinVia(bootstrap string) error {
-	return n.kern.Join(bootstrap)
-}
-
 // Leave departs gracefully: index handoff to the heir — the member that
 // inherits this node's key range — replicated past it (so the handoff
 // survives the heir dying too), then the backend's own departure protocol
@@ -817,31 +733,13 @@ func (n *Node) joinVia(bootstrap string) error {
 // shutdown.
 func (n *Node) Leave() error {
 	heir, heirOK := n.kern.Heir()
-	n.mu.Lock()
 	now := time.Now()
 	var entries []wire.HandoffEntry
 	var ops []wire.ReplicaOp
-	for seq, e := range n.index {
-		key := uint64(n.cfg.Channel.Ref(seq).ID())
-		he := wire.HandoffEntry{Key: key, Seq: seq}
-		for _, p := range e.providers {
-			he.Providers = append(he.Providers, p.ent)
-			ops = append(ops, wire.ReplicaOp{
-				Key: key, Seq: seq, Holder: p.ent, UpBps: p.upBps,
-				TTLMillis: ttlMillis(p.expire, now),
-			})
-		}
-		entries = append(entries, he)
-		delete(n.index, seq)
+	for _, e := range n.idx.Take(nil) {
+		entries = append(entries, e.Handoff())
+		ops = append(ops, e.Ops(now)...)
 	}
-	var spares []dht.Member
-	if heirOK {
-		// Members past the heir, for replicating the handed-off range: ask
-		// for one extra so skipping the heir itself still leaves Replicas.
-		spares = n.kern.ReplicaSet(heir.ID, n.cfg.Replicas+1)
-	}
-	n.mu.Unlock()
-
 	if heirOK && heir.Addr != n.Addr() {
 		if len(entries) > 0 {
 			_, _ = n.callIdem(heir.Addr, &wire.Handoff{Entries: entries})
@@ -853,7 +751,9 @@ func (n *Node) Leave() error {
 		if n.cfg.Replicas > 0 && len(ops) > 0 {
 			batch := &wire.ReplicateBatch{Owner: heir.Wire(), Full: true, Ops: ops}
 			sent := 0
-			for _, s := range spares {
+			// Members past the heir: ask for one extra, so that skipping the
+			// heir itself still leaves Replicas.
+			for _, s := range n.kern.ReplicaSet(heir.ID, n.cfg.Replicas+1) {
 				if s.Addr == n.Addr() || s.Addr == heir.Addr {
 					continue
 				}
@@ -871,10 +771,6 @@ func (n *Node) Leave() error {
 }
 
 func (n *Node) wireSelf() wire.Entry { return n.self.Wire() }
-
-// wireSelfLocked is wireSelf; self is immutable, so no lock is actually
-// needed — the name survives for the call sites written under n.mu.
-func (n *Node) wireSelfLocked() wire.Entry { return n.self.Wire() }
 
 // rpcClassify maps the wire error taxonomy onto the retry layer: remote
 // wire.Errors retry only when their code says so, and never count toward
@@ -941,25 +837,9 @@ func (n *Node) deadlineTimeout(deadline time.Time) time.Duration {
 const minDeadlineTimeout = 50 * time.Millisecond
 
 // deadlineMs converts the remaining playback horizon into the wire's
-// relative DeadlineMs budget (0 = unbounded, like TTLMillis the receiver
-// restamps against its own clock).
-func deadlineMs(deadline time.Time) uint32 {
-	if deadline.IsZero() {
-		return 0
-	}
-	d := time.Until(deadline)
-	if d <= 0 {
-		return 1 // expired in flight: minimal budget, server sheds immediately
-	}
-	ms := int64(d / time.Millisecond)
-	if ms < 1 {
-		ms = 1
-	}
-	if ms > 1<<31 {
-		ms = 1 << 31
-	}
-	return uint32(ms)
-}
+// relative DeadlineMs budget (0 = unbounded; expired in flight = 1, so the
+// server sheds immediately), the same convention as a lease's TTLMillis.
+func deadlineMs(deadline time.Time) uint32 { return index.TTLMillis(deadline, time.Now()) }
 
 // callIdem performs a retried RPC for idempotent requests (every DCO
 // request except the maintenance probes is idempotent by construction:
@@ -1007,19 +887,16 @@ func (n *Node) peerCondemned(addr string, err error) bool {
 // failure evidence is conclusive; maintenance re-adds the peer if it was
 // only a hiccup after all. A condemned peer whose key range fell to this
 // node triggers index takeover: its replicated entries are promoted to
-// owned state on the spot (promoteReplicasLocked checks Owns per key, so
-// a dead peer whose range went elsewhere promotes nothing).
+// owned state on the spot (promoteReplicas checks Owns per key, so a dead
+// peer whose range went elsewhere promotes nothing).
 func (n *Node) noteCallFailure(addr string, err error) {
 	if !n.peerCondemned(addr, err) {
 		return
 	}
 	n.routes.Drop(addr)
-	n.mu.Lock()
 	n.kern.PeerFailed(addr)
-	promoted := n.promoteReplicasLocked(addr)
-	n.mu.Unlock()
 	n.traceEvent("ring.purge", "peer="+addr)
-	if promoted > 0 {
+	if promoted := n.promoteReplicas(addr); promoted > 0 {
 		n.traceEvent("replica.takeover", fmt.Sprintf("owner=%s entries=%d", addr, promoted))
 	}
 }

@@ -100,9 +100,9 @@ func TestProviderCooldownExpiry(t *testing.T) {
 	waitFor(t, 2*time.Second, "provider cooldown to expire", func() bool {
 		return n.providerUsable(peer)
 	})
-	n.mu.Lock()
-	_, still := n.blacklist[peer]
-	n.mu.Unlock()
+	n.cooldown.mu.Lock()
+	_, still := n.cooldown.until[peer]
+	n.cooldown.mu.Unlock()
 	if still {
 		t.Fatal("expired blacklist entry was not cleaned up")
 	}
@@ -159,102 +159,6 @@ func TestGetChunkShedsWithRetryHint(t *testing.T) {
 	}
 	if got := n.Stats().ChunksShedBusy; got != 1 {
 		t.Fatalf("ChunksShedBusy = %d, want 1", got)
-	}
-}
-
-// TestSelectSkipsSaturatedProviders: while any provider is under the
-// saturation threshold, saturated ones must not appear in the answer.
-func TestSelectSkipsSaturatedProviders(t *testing.T) {
-	e := &indexEntry{wake: make(chan struct{})}
-	e.providers = []provRec{
-		{ent: wire.Entry{Addr: "idle:1"}, loadMilli: 100},
-		{ent: wire.Entry{Addr: "busy:1"}, loadMilli: 2000},
-		{ent: wire.Entry{Addr: "idle:2"}, loadMilli: 150},
-	}
-	got := e.selectLocked(3, nil)
-	if len(got) != 2 {
-		t.Fatalf("selected %d providers, want the 2 unsaturated ones: %v", len(got), got)
-	}
-	for _, pr := range got {
-		if pr.Addr == "busy:1" {
-			t.Fatal("saturated provider selected while unsaturated ones exist")
-		}
-	}
-}
-
-// TestSelectAllSaturatedDegrades: when every provider is saturated, the
-// least-loaded ones are returned anyway — a degraded answer beats none.
-func TestSelectAllSaturatedDegrades(t *testing.T) {
-	e := &indexEntry{wake: make(chan struct{})}
-	e.providers = []provRec{
-		{ent: wire.Entry{Addr: "busy:1"}, loadMilli: 3000},
-		{ent: wire.Entry{Addr: "busy:2"}, loadMilli: 1500},
-	}
-	got := e.selectLocked(3, nil)
-	if len(got) != 2 {
-		t.Fatalf("selected %d providers, want 2", len(got))
-	}
-	if got[0].Addr != "busy:2" {
-		t.Fatalf("least-loaded saturated provider not first: %v", got)
-	}
-}
-
-// TestSelectCohortRotation: comparably idle providers are rotated through
-// across successive lookups, so a flash crowd is spread instead of herded
-// onto one report.
-func TestSelectCohortRotation(t *testing.T) {
-	e := &indexEntry{wake: make(chan struct{})}
-	e.providers = []provRec{
-		{ent: wire.Entry{Addr: "a"}},
-		{ent: wire.Entry{Addr: "b"}},
-		{ent: wire.Entry{Addr: "c"}},
-	}
-	seen := make(map[string]bool)
-	for i := 0; i < 3; i++ {
-		got := e.selectLocked(1, nil)
-		if len(got) != 1 {
-			t.Fatalf("selected %d providers, want 1", len(got))
-		}
-		seen[got[0].Addr] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("3 single-provider answers landed on %d distinct providers, want 3 (rotation)", len(seen))
-	}
-}
-
-// TestSelectExplorationEscapesIdleCohort: when stale-idle providers (the
-// gray-failure zombie shape: accept work, never finish it, keep honestly
-// advertising load 0) fill the low-load cohort, the answer's last slot
-// must still rotate across the rest of the registered set — otherwise
-// three zombies capture every answer forever.
-func TestSelectExplorationEscapesIdleCohort(t *testing.T) {
-	e := &indexEntry{wake: make(chan struct{})}
-	e.providers = []provRec{
-		{ent: wire.Entry{Addr: "zombie:1"}},
-		{ent: wire.Entry{Addr: "zombie:2"}},
-		{ent: wire.Entry{Addr: "zombie:3"}},
-		{ent: wire.Entry{Addr: "healthy:1"}, loadMilli: 800},
-		{ent: wire.Entry{Addr: "healthy:2"}, loadMilli: 800},
-	}
-	seenHealthy := make(map[string]bool)
-	for i := 0; i < 4; i++ {
-		got := e.selectLocked(3, nil)
-		if len(got) != 3 {
-			t.Fatalf("selected %d providers, want 3: %v", len(got), got)
-		}
-		for _, pr := range got[:2] {
-			if pr.Addr == "healthy:1" || pr.Addr == "healthy:2" {
-				t.Fatalf("cohort slots leaked outside the idle cohort: %v", got)
-			}
-		}
-		a := got[2].Addr
-		if a != "healthy:1" && a != "healthy:2" {
-			t.Fatalf("exploration slot stayed inside the idle cohort: %v", got)
-		}
-		seenHealthy[a] = true
-	}
-	if len(seenHealthy) != 2 {
-		t.Fatalf("4 answers explored %d distinct loaded providers, want both", len(seenHealthy))
 	}
 }
 

@@ -5,14 +5,16 @@ import (
 	"time"
 
 	"dco/internal/dht"
+	"dco/internal/index"
 	"dco/internal/wire"
 )
 
 // serve dispatches one inbound RPC: kernel protocol messages (routing,
 // ring/bucket maintenance, graceful leaves) go to the DHT backend first,
-// everything else is the live data plane. It runs on transport
-// goroutines, so the handlers guard what they touch with n.mu; blocking
-// waits (the lookup pending queue) happen outside the lock.
+// everything else is the live data plane. It runs on transport goroutines;
+// each handler takes only the lock of the state it touches (the buffer's
+// n.mu for GetChunk, the index table's own for Lookup/Insert, ...), and
+// blocking waits (the lookup pending queue) happen outside every lock.
 func (n *Node) serve(from string, req wire.Message) wire.Message {
 	if _, ok := req.(*wire.Ping); ok {
 		return &wire.Pong{}
@@ -60,107 +62,92 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 		waitMs = m.DeadlineMs
 	}
 	deadline := time.Now().Add(time.Duration(waitMs) * time.Millisecond)
-	for {
-		n.mu.Lock()
+	for first := true; ; first = false {
 		if !n.kern.Owns(m.Key) {
-			n.mu.Unlock()
 			return &wire.Error{Code: wire.CodeNotOwner, Msg: errNotOwner.Error()}
 		}
-		n.lm.lookupsServed.Inc()
-		e := n.indexEntryLocked(m.Seq)
-		if dropped := e.pruneLocked(time.Now()); dropped > 0 {
-			n.lm.indexExpired.Add(uint64(dropped))
+		if first {
+			n.lm.lookupsServed.Inc()
 		}
-		if len(e.providers) == 0 {
-			// The owned entry is empty but a replica slice may hold it —
-			// e.g. both the old owner and its first successor died before
-			// any takeover or anti-entropy round reached this node.
-			n.promoteReplicaSeqLocked(m.Key, m.Seq, e)
+		// Capacity-weighted selection (index.Table.Select): skip saturated
+		// providers, rotate through the low-load cohort; quarantined
+		// providers are excluded outright (integrity.go). An entry whose
+		// every provider is quarantined parks like an empty one — a clean
+		// provider may register before the deadline.
+		providers, expired, wake := n.idx.Select(m.Key, m.Seq, 3, time.Now(), n.health.Quarantined)
+		if expired > 0 {
+			n.lm.indexExpired.Add(uint64(expired))
 		}
-		if len(e.providers) > 0 {
-			// Capacity-weighted selection (admission.go): skip saturated
-			// providers, rotate through the low-load cohort; quarantined
-			// providers are excluded outright (integrity.go).
-			providers := e.selectLocked(3, n.health.Quarantined)
-			if len(providers) > 0 {
-				resp := &wire.LookupResp{Seq: m.Seq, Providers: providers}
-				n.mu.Unlock()
-				return resp
+		if len(providers) > 0 {
+			return &wire.LookupResp{Seq: m.Seq, Providers: providers}
+		}
+		// Nothing owned to offer, but a replica slice may hold the entry —
+		// e.g. both the old owner and its first successor died before any
+		// takeover or anti-entropy round reached this node.
+		woken := n.promoteReplicaSeq(m.Key, m.Seq)
+		if remain := time.Until(deadline); !woken && remain > 0 {
+			select {
+			case <-wake:
+				woken = true
+			case <-time.After(remain):
+			case <-n.closed:
+				n.idx.Unpark(m.Seq)
+				return &wire.Error{Code: wire.CodeShutdown, Msg: "shutting down"}
 			}
-			// Every registered provider is quarantined: park like an
-			// empty entry — a clean one may register before the deadline.
 		}
-		wake := e.wake
-		n.mu.Unlock()
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		n.idx.Unpark(m.Seq)
+		if !woken {
 			return &wire.LookupResp{Seq: m.Seq}
 		}
-		select {
-		case <-wake:
-		case <-time.After(remain):
-			return &wire.LookupResp{Seq: m.Seq}
-		case <-n.closed:
-			return &wire.Error{Code: wire.CodeShutdown, Msg: "shutting down"}
-		}
 	}
-}
-
-func (n *Node) indexEntryLocked(seq int64) *indexEntry {
-	e := n.index[seq]
-	if e == nil {
-		e = &indexEntry{wake: make(chan struct{})}
-		n.index[seq] = e
-	}
-	return e
 }
 
 func (n *Node) onInsert(m *wire.Insert) wire.Message {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.kern.Owns(m.Key) {
 		return &wire.Error{Code: wire.CodeNotOwner, Msg: errNotOwner.Error()}
 	}
 	n.lm.insertsServed.Inc()
-	n.noteMembersLocked(m.Holder)
-	e := n.indexEntryLocked(m.Seq)
-	// Index hardening (integrity.go): rate limits, quarantined holders,
-	// the live-edge horizon, and the per-entry provider cap all run before
-	// the index mutates.
-	if werr := n.insertAllowedLocked(m, e); werr != nil {
+	n.noteMembers(m.Holder)
+	// Index hardening (integrity.go): rate limits, quarantined holders and
+	// the live-edge horizon run before the index mutates; the per-entry
+	// provider cap is the table's own.
+	if werr := n.insertAllowed(m); werr != nil {
 		return werr
 	}
 	n.noteManifestAd(m.Holder.Addr, m.ManifestHead)
 	if m.Unregister {
-		for i, pr := range e.providers {
-			if pr.ent.Addr == m.Holder.Addr {
-				e.providers = append(e.providers[:i], e.providers[i+1:]...)
-				n.enqueueReplicaLocked(m.Key, m.Seq, m.Holder, 0, time.Time{}, true)
-				break
-			}
+		if n.idx.Remove(m.Seq, m.Holder.Addr) {
+			n.enqueueReplica(wire.ReplicaOp{Key: m.Key, Seq: m.Seq, Holder: m.Holder, Unregister: true})
 		}
 		return &wire.Ack{}
 	}
-	var expire time.Time
-	if n.cfg.IndexTTL > 0 {
-		expire = time.Now().Add(n.cfg.IndexTTL)
+	// A re-insert of a known provider refreshes its row: republication is
+	// the lease heartbeat, and the piggybacked load report keeps selection
+	// current between republishes.
+	now := time.Now()
+	row := index.Row{Ent: m.Holder, UpBps: m.UpBps, LoadMilli: m.LoadMilli, Expire: n.leaseFrom(now)}
+	if _, ok := n.register(m.Key, m.Seq, row, now); !ok {
+		n.lm.insertsRejected.Inc()
+		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: provider cap reached"}
 	}
-	for i := range e.providers {
-		if e.providers[i].ent.Addr == m.Holder.Addr {
-			// Re-insert of a known provider: republication is the lease
-			// heartbeat, so refresh rather than duplicate. The piggybacked
-			// load report keeps selection current between republishes.
-			e.providers[i].expire = expire
-			e.providers[i].upBps = m.UpBps
-			e.providers[i].loadMilli = m.LoadMilli
-			n.enqueueReplicaLocked(m.Key, m.Seq, m.Holder, m.UpBps, expire, false)
-			return &wire.Ack{}
-		}
-	}
-	e.providers = append(e.providers, provRec{ent: m.Holder, upBps: m.UpBps, loadMilli: m.LoadMilli, expire: expire})
-	e.wakeLocked() // release pending lookups
-	n.enqueueReplicaLocked(m.Key, m.Seq, m.Holder, m.UpBps, expire, false)
 	return &wire.Ack{}
+}
+
+// register upserts row into the owned index and, when the index then holds
+// it, queues it for this node's replicas.
+func (n *Node) register(key uint64, seq int64, row index.Row, now time.Time) (added, ok bool) {
+	if added, ok = n.idx.Upsert(key, seq, row, now); ok {
+		n.enqueueReplica(index.Op(key, seq, row, now))
+	}
+	return added, ok
+}
+
+// leaseFrom is the deadline of a lease granted at now (zero: leases are off).
+func (n *Node) leaseFrom(now time.Time) time.Time {
+	if n.cfg.IndexTTL <= 0 {
+		return time.Time{}
+	}
+	return now.Add(n.cfg.IndexTTL)
 }
 
 func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
@@ -232,30 +219,14 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 func (n *Node) onHandoff(m *wire.Handoff) wire.Message {
 	n.lm.handoffEntries.Add(uint64(len(m.Entries)))
 	n.traceEvent("handoff.recv", fmt.Sprintf("entries=%d", len(m.Entries)))
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var expire time.Time
-	if n.cfg.IndexTTL > 0 {
-		// Handoffs carry no leases; restamp so inherited entries age out
-		// unless their providers keep republishing.
-		expire = time.Now().Add(n.cfg.IndexTTL)
-	}
+	// Handoffs carry no leases; restamp so inherited entries age out unless
+	// their providers keep republishing.
+	now := time.Now()
+	row := index.Row{LoadMilli: index.LoadUnknown, Expire: n.leaseFrom(now)}
 	for _, he := range m.Entries {
-		e := n.indexEntryLocked(he.Seq)
-		added := 0
-	outer:
 		for _, pr := range he.Providers {
-			for _, have := range e.providers {
-				if have.ent.Addr == pr.Addr {
-					continue outer
-				}
-			}
-			e.providers = append(e.providers, provRec{ent: pr, expire: expire})
-			n.enqueueReplicaLocked(he.Key, he.Seq, pr, 0, expire, false)
-			added++
-		}
-		if added > 0 && len(e.providers) > 0 {
-			e.wakeLocked()
+			row.Ent = pr
+			n.register(he.Key, he.Seq, row, now)
 		}
 	}
 	return &wire.Ack{}

@@ -14,9 +14,11 @@ package live
 import (
 	"fmt"
 	"io"
-	"sort"
+	"sync"
 	"time"
 
+	"dco/internal/dht"
+	"dco/internal/index"
 	"dco/internal/wire"
 )
 
@@ -28,83 +30,107 @@ const (
 	maxBatchOps = 2048
 )
 
-// replicaEntry is one replicated index entry: the chunk key plus the
-// owner's provider set as of the last batch or digest that mentioned it.
-type replicaEntry struct {
-	key       uint64
-	providers []provRec
+// replQueue holds the index ops accepted but not yet flushed to the replica
+// set, under a lock of its own.
+type replQueue struct {
+	mu    sync.Mutex
+	ops   []wire.ReplicaOp
+	since time.Time // enqueue time of the oldest pending op
 }
 
-// replicaSet is the slice of one owner's index replicated at this node.
-type replicaSet struct {
-	owner   wire.Entry
-	entries map[int64]*replicaEntry
-}
-
-func (n *Node) replicaSetLocked(owner wire.Entry) *replicaSet {
-	rs := n.replicas[owner.Addr]
-	if rs == nil {
-		rs = &replicaSet{entries: make(map[int64]*replicaEntry)}
-		n.replicas[owner.Addr] = rs
+// push appends op, dropping the oldest op of a full queue.
+func (q *replQueue) push(op wire.ReplicaOp) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.ops) == 0 {
+		q.since = time.Now()
 	}
-	rs.owner = owner
-	return rs
+	if len(q.ops) >= maxReplPending {
+		q.ops = q.ops[1:]
+	}
+	q.ops = append(q.ops, op)
+}
+
+// drain empties the queue.
+func (q *replQueue) drain() (ops []wire.ReplicaOp, since time.Time) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	ops, q.ops = q.ops, nil
+	return ops, q.since
+}
+
+// replicaStore holds the slices of other owners' indices replicated at this
+// node, keyed by owner address: each one an index.Table, like the owned
+// index. Its lock is taken before a table's, never after.
+type replicaStore struct {
+	mu      sync.Mutex
+	maxRows int
+	slices  map[string]*index.Table
+}
+
+// update runs fn on owner's slice (made if need be) under the store's lock,
+// and forgets the slice if fn leaves it empty.
+func (s *replicaStore) update(owner string, fn func(slice *index.Table)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slice := s.slices[owner]
+	if slice == nil {
+		slice = index.New(s.maxRows)
+		s.slices[owner] = slice
+	}
+	fn(slice)
+	if slice.Len() == 0 {
+		delete(s.slices, owner)
+	}
+}
+
+// each runs fn on every slice under the store's lock, and forgets the
+// slices it leaves empty.
+func (s *replicaStore) each(fn func(slice *index.Table)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for owner, slice := range s.slices {
+		fn(slice)
+		if slice.Len() == 0 {
+			delete(s.slices, owner)
+		}
+	}
 }
 
 // ReplicaCounts reports how many owners this node replicates for and the
 // total replica entries held (tests, gauges).
 func (n *Node) ReplicaCounts() (owners, entries int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, rs := range n.replicas {
+	n.replicas.each(func(slice *index.Table) {
 		owners++
-		entries += len(rs.entries)
-	}
+		entries += slice.Len()
+	})
 	return owners, entries
 }
 
-// enqueueReplicaLocked queues one accepted index op for the next flush.
-// Caller holds n.mu.
-func (n *Node) enqueueReplicaLocked(key uint64, seq int64, holder wire.Entry, upBps int64, expire time.Time, unregister bool) {
+// enqueueReplica queues one accepted index op for the next flush.
+func (n *Node) enqueueReplica(op wire.ReplicaOp) {
 	if n.cfg.Replicas <= 0 {
 		return
 	}
-	if len(n.replPending) == 0 {
-		n.replSince = time.Now()
-	}
-	if len(n.replPending) >= maxReplPending {
-		n.replPending = n.replPending[1:]
-	}
-	op := wire.ReplicaOp{
-		Key: key, Seq: seq, Holder: holder, UpBps: upBps,
-		TTLMillis: ttlMillis(expire, time.Now()), Unregister: unregister,
-	}
 	// Piggyback the seq's manifest row (integrity.go) so manifests
 	// replicate with the chunk index and survive coordinator failover.
-	// Lock order n.mu → manMu is the sanctioned direction.
-	if !unregister {
-		if rec, ok := n.manifestLookup(seq); ok {
+	if !op.Unregister {
+		if rec, ok := n.manifestLookup(op.Seq); ok {
 			op.ManifestHash = append([]byte(nil), rec.hash[:]...)
 			op.ManifestTag = append([]byte(nil), rec.tag[:]...)
 		}
 	}
-	n.replPending = append(n.replPending, op)
+	n.replq.push(op)
 }
 
-// replTargetsLocked returns up to Replicas distinct live members that
-// should mirror this node's index (the replica set), from the kernel
-// (Chord: the first live successors; Kademlia: the closest contacts).
-// Caller holds n.mu.
-func (n *Node) replTargetsLocked() []wire.Entry {
-	r := n.cfg.Replicas
-	if r <= 0 {
+// replTargets returns up to Replicas distinct live members that should
+// mirror this node's index (the replica set), from the kernel (Chord: the
+// first live successors; Kademlia: the closest contacts).
+func (n *Node) replTargets() []dht.Member {
+	if n.cfg.Replicas <= 0 {
 		return nil
 	}
-	var out []wire.Entry
-	for _, m := range n.kern.ReplicaSet(n.self.ID, r) {
-		out = append(out, m.Wire())
-	}
-	return out
+	return n.kern.ReplicaSet(n.self.ID, n.cfg.Replicas)
 }
 
 // replicateFlush drains the pending-op queue into ReplicateBatch frames
@@ -112,26 +138,16 @@ func (n *Node) replTargetsLocked() []wire.Entry {
 // the next anti-entropy round, so per-target failures are not retried
 // beyond what callIdem already does.
 func (n *Node) replicateFlush() {
-	n.mu.Lock()
-	if len(n.replPending) == 0 {
-		n.mu.Unlock()
+	ops, since := n.replq.drain()
+	if len(ops) == 0 {
 		return
 	}
-	ops := n.replPending
-	n.replPending = nil
-	since := n.replSince
-	targets := n.replTargetsLocked()
-	self := n.wireSelfLocked()
-	n.mu.Unlock()
+	targets := n.replTargets()
 	if len(targets) == 0 {
 		return // ring of one: nobody to replicate to yet
 	}
 	for start := 0; start < len(ops); start += maxBatchOps {
-		end := start + maxBatchOps
-		if end > len(ops) {
-			end = len(ops)
-		}
-		batch := &wire.ReplicateBatch{Owner: self, Ops: ops[start:end]}
+		batch := &wire.ReplicateBatch{Owner: n.wireSelf(), Ops: ops[start:min(start+maxBatchOps, len(ops))]}
 		size := frameBytes(batch)
 		for _, t := range targets {
 			if _, err := n.callIdem(t.Addr, batch); err != nil {
@@ -150,258 +166,126 @@ func (n *Node) replicateFlush() {
 // the tail of a takeover, a graceful leave, or the sender's stale view),
 // in which case the op folds straight into the owned index.
 func (n *Node) onReplicateBatch(m *wire.ReplicateBatch) wire.Message {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if m.Owner.Addr == n.self.Addr {
 		return &wire.Ack{}
 	}
-	n.noteMembersLocked(m.Owner)
+	n.noteMembers(m.Owner)
 	now := time.Now()
-	var rs *replicaSet
-	var reset map[int64]bool
-	for i := range m.Ops {
-		op := &m.Ops[i]
-		// Fold in the piggybacked manifest row first (tag-verified inside;
-		// a bogus row is simply ignored) — replicas learn manifest coverage
-		// with the index rows they mirror.
-		if len(op.ManifestHash) > 0 {
-			n.noteManifestEntry(op.Seq, op.ManifestHash, op.ManifestTag)
-		}
-		// OwnsSettled, not Owns: ownership here requires positive routing
-		// evidence — a freshly joined node with empty tables would
-		// otherwise claim every key it sees.
-		if n.kern.OwnsSettled(op.Key) {
-			n.applyOwnedOpLocked(op, now)
-			continue
-		}
-		if rs == nil {
-			rs = n.replicaSetLocked(m.Owner)
-		}
-		if m.Full {
-			if reset == nil {
-				reset = make(map[int64]bool)
+	n.replicas.update(m.Owner.Addr, func(slice *index.Table) {
+		for i := range m.Ops {
+			op := &m.Ops[i]
+			// Fold in the piggybacked manifest row first (tag-verified inside;
+			// a bogus row is simply ignored) — replicas learn manifest coverage
+			// with the index rows they mirror.
+			if len(op.ManifestHash) > 0 {
+				n.noteManifestEntry(op.Seq, op.ManifestHash, op.ManifestTag)
 			}
-			// Full batches carry the complete record for every seq they
-			// mention: replace the replica's set, don't merge into it.
-			if !reset[op.Seq] {
-				reset[op.Seq] = true
-				delete(rs.entries, op.Seq)
+			// OwnsSettled, not Owns: ownership here requires positive routing
+			// evidence — a freshly joined node with empty tables would
+			// otherwise claim every key it sees.
+			if n.kern.OwnsSettled(op.Key) {
+				// Lookups see it immediately, and it is passed on to this
+				// node's own replicas (with this node's manifest row).
+				if applyOp(n.idx, op, now) {
+					fwd := *op
+					fwd.ManifestHash, fwd.ManifestTag = nil, nil
+					n.enqueueReplica(fwd)
+				}
+				continue
 			}
+			// Full batches carry the complete record, rows together, for
+			// every seq they mention: replace the replica's set, don't merge
+			// into it.
+			if m.Full && (i == 0 || m.Ops[i-1].Seq != op.Seq) {
+				slice.Delete(op.Seq)
+			}
+			applyOp(slice, op, now)
 		}
-		applyReplicaOp(rs, op, now)
-	}
+	})
 	n.lm.replicaOpsApplied.Add(uint64(len(m.Ops)))
 	return &wire.Ack{}
 }
 
-// applyOwnedOpLocked folds a replicated op into the owned index (lookups
-// see it immediately) and re-replicates it to this node's own successors.
-// Caller holds n.mu.
-func (n *Node) applyOwnedOpLocked(op *wire.ReplicaOp, now time.Time) {
-	e := n.indexEntryLocked(op.Seq)
+// applyOp folds a replicated op into a table — the owned index or a replica
+// slice — and reports whether the table holds what the op says.
+func applyOp(t *index.Table, op *wire.ReplicaOp, now time.Time) bool {
 	if op.Unregister {
-		for i := range e.providers {
-			if e.providers[i].ent.Addr == op.Holder.Addr {
-				e.providers = append(e.providers[:i], e.providers[i+1:]...)
-				break
-			}
-		}
-		n.enqueueReplicaLocked(op.Key, op.Seq, op.Holder, 0, time.Time{}, true)
-		return
+		return t.Remove(op.Seq, op.Holder.Addr)
 	}
-	expire := restamp(op.TTLMillis, now)
-	n.mergeProvidersLocked(e, []provRec{{ent: op.Holder, upBps: op.UpBps, expire: expire}}, now)
-	n.enqueueReplicaLocked(op.Key, op.Seq, op.Holder, op.UpBps, expire, false)
+	// A replica op carries no load report.
+	row := index.Row{Ent: op.Holder, UpBps: op.UpBps, LoadMilli: index.LoadUnknown, Expire: index.Restamp(op.TTLMillis, now)}
+	_, ok := t.Upsert(op.Key, op.Seq, row, now)
+	return ok
 }
 
-// applyReplicaOp upserts one op into a replica slice.
-func applyReplicaOp(rs *replicaSet, op *wire.ReplicaOp, now time.Time) {
-	re := rs.entries[op.Seq]
-	if op.Unregister {
-		if re == nil {
-			return
-		}
-		for i := range re.providers {
-			if re.providers[i].ent.Addr == op.Holder.Addr {
-				re.providers = append(re.providers[:i], re.providers[i+1:]...)
-				break
-			}
-		}
-		if len(re.providers) == 0 {
-			delete(rs.entries, op.Seq)
-		}
-		return
-	}
-	if re == nil {
-		re = &replicaEntry{key: op.Key}
-		rs.entries[op.Seq] = re
-	}
-	re.key = op.Key
-	expire := restamp(op.TTLMillis, now)
-	for i := range re.providers {
-		if re.providers[i].ent.Addr == op.Holder.Addr {
-			re.providers[i].expire = expire
-			re.providers[i].upBps = op.UpBps
-			return
-		}
-	}
-	re.providers = append(re.providers, provRec{ent: op.Holder, upBps: op.UpBps, expire: expire})
-}
-
-// restamp converts a wire-relative TTL back to a local lease deadline.
-func restamp(ttlMs uint32, now time.Time) time.Time {
-	if ttlMs == 0 {
-		return time.Time{}
-	}
-	return now.Add(time.Duration(ttlMs) * time.Millisecond)
-}
-
-// mergeProvidersLocked upserts providers into an owned index entry,
-// waking pending lookups when anyone new appears, and returns how many
-// were added. Lease refreshes keep the longer deadline (zero = forever
-// wins). Caller holds n.mu.
-func (n *Node) mergeProvidersLocked(e *indexEntry, provs []provRec, now time.Time) int {
-	added := 0
-	for _, p := range provs {
-		if !p.expire.IsZero() && now.After(p.expire) {
-			continue
-		}
-		found := false
-		for i := range e.providers {
-			if e.providers[i].ent.Addr != p.ent.Addr {
-				continue
-			}
-			found = true
-			ex := &e.providers[i]
-			if p.expire.IsZero() {
-				ex.expire = time.Time{}
-			} else if !ex.expire.IsZero() && p.expire.After(ex.expire) {
-				ex.expire = p.expire
-			}
-			if p.upBps != 0 {
-				ex.upBps = p.upBps
-			}
-			break
-		}
-		if !found {
-			e.providers = append(e.providers, p)
-			added++
-		}
-	}
-	if added > 0 {
-		e.wakeLocked()
-	}
-	return added
-}
-
-// promoteReplicasLocked is the takeover step: the dead owner's replica
-// slice folds into this node's own index for every key it now owns, and
-// the promoted entries are re-replicated onward. Entries outside this
-// node's range stay in the slice (a farther successor owns them) until
-// their leases lapse. Caller holds n.mu; returns entries promoted.
-func (n *Node) promoteReplicasLocked(deadAddr string) int {
-	rs := n.replicas[deadAddr]
-	if rs == nil {
-		return 0
-	}
+// adopt folds entries taken from replica slices into the owned index,
+// replicating them onward, and returns how many gained a provider.
+func (n *Node) adopt(taken []index.Entry) (promoted int) {
 	now := time.Now()
-	promoted := 0
-	for seq, re := range rs.entries {
-		if !n.kern.Owns(re.key) {
-			continue
+	for _, e := range taken {
+		gained := false
+		for _, r := range e.Rows {
+			r.LoadMilli = index.LoadUnknown // a replica never heard the load
+			added, _ := n.register(e.Key, e.Seq, r, now)
+			gained = gained || added
 		}
-		delete(rs.entries, seq)
-		e := n.indexEntryLocked(seq)
-		if n.mergeProvidersLocked(e, re.providers, now) == 0 {
-			continue
-		}
-		promoted++
-		for _, p := range e.providers {
-			n.enqueueReplicaLocked(re.key, seq, p.ent, p.upBps, p.expire, false)
+		if gained {
+			promoted++
 		}
 	}
-	if len(rs.entries) == 0 {
-		delete(n.replicas, deadAddr)
-	}
+	n.lm.takeoverEntries.Add(uint64(promoted))
+	return promoted
+}
+
+// promoteReplicas is the takeover step: the dead owner's replica slice
+// folds into this node's own index for every key it now owns, and the
+// promoted entries are re-replicated onward. Entries outside this node's
+// range stay in the slice (a farther successor owns them) until their
+// leases lapse. Returns entries promoted.
+func (n *Node) promoteReplicas(deadAddr string) int {
+	var taken []index.Entry
+	n.replicas.update(deadAddr, func(slice *index.Table) {
+		taken = slice.Take(func(key uint64) bool { return !n.kern.Owns(key) })
+	})
+	promoted := n.adopt(taken)
 	if promoted > 0 {
 		n.lm.takeovers.Inc()
-		n.lm.takeoverEntries.Add(uint64(promoted))
 	}
 	return promoted
 }
 
-// promoteReplicaSeqLocked is the lookup-path fallback: this node owns the
-// key, its owned entry is empty, but a replica slice may hold it — e.g.
-// both the old owner and its first successor died before any takeover or
-// anti-entropy round reached us. Caller holds n.mu.
-func (n *Node) promoteReplicaSeqLocked(key uint64, seq int64, e *indexEntry) {
-	now := time.Now()
-	merged := 0
-	for addr, rs := range n.replicas {
-		re := rs.entries[seq]
-		if re == nil || re.key != key {
-			continue
+// promoteReplicaSeq is the lookup-path fallback: this node owns the key and
+// has no provider for it, but a replica slice may. It reports whether the
+// owned entry gained one.
+func (n *Node) promoteReplicaSeq(key uint64, seq int64) bool {
+	var taken []index.Entry
+	n.replicas.each(func(slice *index.Table) {
+		if e := slice.Get(seq); len(e.Rows) > 0 && e.Key == key {
+			taken = append(taken, e)
+			slice.Delete(seq)
 		}
-		merged += n.mergeProvidersLocked(e, re.providers, now)
-		delete(rs.entries, seq)
-		if len(rs.entries) == 0 {
-			delete(n.replicas, addr)
-		}
-	}
-	if merged > 0 {
-		n.lm.takeoverEntries.Add(uint64(merged))
-		for _, p := range e.providers {
-			n.enqueueReplicaLocked(key, seq, p.ent, p.upBps, p.expire, false)
-		}
-	}
+	})
+	return n.adopt(taken) > 0
 }
 
-// antiEntropy is the owner-side repair round: prune lapsed leases, digest
-// the owned index, and send the digest to every replica target. Replicas
-// answer with the seqs whose provider set is missing or diverged; those
-// are re-sent as a Full batch. The digest is sent even when the index is
-// empty so replicas drop entries the owner no longer holds.
+// antiEntropy is the repair round. Both roles' housekeeping first: lapsed
+// leases (and the entries they leave idle) age out of the owned index and
+// of every replica slice. Then the owner side: digest the owned index and
+// send the digest to every replica target. Replicas answer with the seqs
+// whose provider set is missing or diverged; those are re-sent as a Full
+// batch. The digest is sent even when the index is empty so replicas drop
+// entries the owner no longer holds.
 func (n *Node) antiEntropy() {
 	now := time.Now()
-	n.mu.Lock()
-	expired := 0
-	var digests []wire.SeqDigest
-	for seq, e := range n.index {
-		expired += e.pruneLocked(now)
-		if len(e.providers) == 0 {
-			continue
-		}
-		key := uint64(n.cfg.Channel.Ref(seq).ID())
-		if !n.kern.Owns(key) {
-			continue
-		}
-		digests = append(digests, wire.SeqDigest{Key: key, Seq: seq, Hash: providerHash(e.providers)})
-	}
-	// Replica-side housekeeping rides along: leases age out of replica
-	// slices here too, and empty slices (owner long gone, entries all
-	// expired) are garbage-collected.
-	for addr, rs := range n.replicas {
-		for seq, re := range rs.entries {
-			re.providers, _ = pruneRecs(re.providers, now)
-			if len(re.providers) == 0 {
-				delete(rs.entries, seq)
-			}
-		}
-		if len(rs.entries) == 0 {
-			delete(n.replicas, addr)
-		}
-	}
-	targets := n.replTargetsLocked()
-	self := n.wireSelfLocked()
-	n.mu.Unlock()
-	if expired > 0 {
+	if expired := n.idx.Prune(now); expired > 0 {
 		n.lm.indexExpired.Add(uint64(expired))
 	}
+	n.replicas.each(func(slice *index.Table) { slice.Prune(now) })
+	targets := n.replTargets()
 	if len(targets) == 0 {
 		return
 	}
-	sort.Slice(digests, func(i, j int) bool { return digests[i].Seq < digests[j].Seq })
-	req := &wire.DigestReq{Owner: self, Digests: digests}
+	req := &wire.DigestReq{Owner: n.wireSelf(), Digests: n.idx.Digests(n.kern.Owns)}
 	reqSize := frameBytes(req)
 	n.lm.digestRounds.Inc()
 	for _, t := range targets {
@@ -414,8 +298,15 @@ func (n *Node) antiEntropy() {
 		if !ok || len(dr.Need) == 0 {
 			continue
 		}
-		repair := n.buildRepairBatch(self, dr.Need)
-		if repair == nil {
+		// A Full batch for the seqs the replica reported missing or
+		// divergent.
+		repair := &wire.ReplicateBatch{Owner: req.Owner, Full: true}
+		for _, seq := range dr.Need {
+			if repair.Ops = append(repair.Ops, n.idx.Get(seq).Ops(now)...); len(repair.Ops) >= maxBatchOps {
+				break
+			}
+		}
+		if len(repair.Ops) == 0 {
 			continue
 		}
 		if _, err := n.callIdem(t.Addr, repair); err == nil {
@@ -426,97 +317,18 @@ func (n *Node) antiEntropy() {
 	}
 }
 
-// buildRepairBatch assembles a Full batch for the seqs a replica reported
-// missing or divergent.
-func (n *Node) buildRepairBatch(self wire.Entry, need []int64) *wire.ReplicateBatch {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	now := time.Now()
-	batch := &wire.ReplicateBatch{Owner: self, Full: true}
-	for _, seq := range need {
-		e := n.index[seq]
-		if e == nil || len(e.providers) == 0 {
-			continue
-		}
-		key := uint64(n.cfg.Channel.Ref(seq).ID())
-		for _, p := range e.providers {
-			batch.Ops = append(batch.Ops, wire.ReplicaOp{
-				Key: key, Seq: seq, Holder: p.ent, UpBps: p.upBps,
-				TTLMillis: ttlMillis(p.expire, now),
-			})
-		}
-		if len(batch.Ops) >= maxBatchOps {
-			break
-		}
-	}
-	if len(batch.Ops) == 0 {
-		return nil
-	}
-	return batch
-}
-
 // onDigestReq answers an owner's anti-entropy digest: drop whatever the
 // owner no longer mentions, then report the seqs whose provider set is
 // missing or diverged so the owner re-sends them as a Full batch.
 func (n *Node) onDigestReq(m *wire.DigestReq) wire.Message {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if m.Owner.Addr == n.self.Addr {
-		return &wire.DigestResp{}
+	resp := &wire.DigestResp{}
+	if m.Owner.Addr != n.self.Addr {
+		n.noteMembers(m.Owner)
+		n.replicas.update(m.Owner.Addr, func(slice *index.Table) {
+			resp.Need = slice.Reconcile(m.Digests, time.Now())
+		})
 	}
-	n.noteMembersLocked(m.Owner)
-	now := time.Now()
-	rs := n.replicaSetLocked(m.Owner)
-	mentioned := make(map[int64]bool, len(m.Digests))
-	for _, d := range m.Digests {
-		mentioned[d.Seq] = true
-	}
-	for seq := range rs.entries {
-		if !mentioned[seq] {
-			delete(rs.entries, seq)
-		}
-	}
-	var need []int64
-	for _, d := range m.Digests {
-		re := rs.entries[d.Seq]
-		if re == nil {
-			need = append(need, d.Seq)
-			continue
-		}
-		re.providers, _ = pruneRecs(re.providers, now)
-		if re.key != d.Key || providerHash(re.providers) != d.Hash {
-			need = append(need, d.Seq)
-		}
-	}
-	if len(rs.entries) == 0 && len(need) == 0 {
-		delete(n.replicas, m.Owner.Addr)
-	}
-	return &wire.DigestResp{Need: need}
-}
-
-// providerHash digests a provider set: FNV-1a over the sorted provider
-// addresses. Lease deadlines are deliberately excluded — every republish
-// refresh would otherwise diverge the hash and force a repair per round.
-func providerHash(provs []provRec) uint64 {
-	addrs := make([]string, 0, len(provs))
-	for _, p := range provs {
-		addrs = append(addrs, p.ent.Addr)
-	}
-	sort.Strings(addrs)
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, a := range addrs {
-		for i := 0; i < len(a); i++ {
-			h ^= uint64(a[i])
-			h *= prime64
-		}
-		h ^= 0xff // record separator: addresses must not concatenate ambiguously
-		h *= prime64
-	}
-	return h
+	return resp
 }
 
 // frameBytes returns a message's encoded frame size without sending it

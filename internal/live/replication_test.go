@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dco/internal/chord"
+	"dco/internal/index"
 	"dco/internal/wire"
 )
 
@@ -41,21 +42,22 @@ func ownerOf(t *testing.T, nodes []*Node, seq int64) (*Node, uint64) {
 	return nil, 0
 }
 
+// replicaSlice returns nd's replica of ownerAddr's index (nil: none).
+func replicaSlice(nd *Node, ownerAddr string) *index.Table {
+	nd.replicas.mu.Lock()
+	defer nd.replicas.mu.Unlock()
+	return nd.replicas.slices[ownerAddr]
+}
+
 // replicaHolds reports whether nd replicates (ownerAddr, seq) with
 // provAddr among the providers.
 func replicaHolds(nd *Node, ownerAddr string, seq int64, provAddr string) bool {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	rs := nd.replicas[ownerAddr]
-	if rs == nil {
+	slice := replicaSlice(nd, ownerAddr)
+	if slice == nil {
 		return false
 	}
-	re := rs.entries[seq]
-	if re == nil {
-		return false
-	}
-	for _, p := range re.providers {
-		if p.ent.Addr == provAddr {
+	for _, r := range slice.Get(seq).Rows {
+		if r.Ent.Addr == provAddr {
 			return true
 		}
 	}
@@ -232,9 +234,9 @@ func TestAntiEntropyRepairsMissedReplication(t *testing.T) {
 			break
 		}
 	}
-	replica.mu.Lock()
-	replica.replicas[owner.Addr()].entries[seq].providers = nil
-	replica.mu.Unlock()
+	if !replicaSlice(replica, owner.Addr()).Remove(seq, prov.Addr) {
+		t.Fatal("the replica's row vanished before it was corrupted")
+	}
 	waitFor(t, 10*time.Second, "diverged replica to be repaired", func() bool {
 		return replicaHolds(replica, owner.Addr(), seq, prov.Addr)
 	})
@@ -270,56 +272,6 @@ func TestIndexLeaseExpiry(t *testing.T) {
 	lr := n.onLookup(&wire.Lookup{Key: key, Seq: 5, MaxWait: 0}).(*wire.LookupResp)
 	if len(lr.Providers) != 1 {
 		t.Fatalf("refreshed registration: got %v, want exactly one provider", lr.Providers)
-	}
-}
-
-// TestLeaseTTLWireRoundTrip pins the relative-TTL discipline: deadlines
-// never cross the wire as absolute times, and zero means no lease in both
-// directions.
-func TestLeaseTTLWireRoundTrip(t *testing.T) {
-	now := time.Now()
-	if got := ttlMillis(time.Time{}, now); got != 0 {
-		t.Fatalf("zero deadline -> ttl %d, want 0", got)
-	}
-	if got := restamp(0, now); !got.IsZero() {
-		t.Fatalf("ttl 0 -> deadline %v, want zero", got)
-	}
-	ttl := ttlMillis(now.Add(5*time.Second), now)
-	if ttl < 4900 || ttl > 5100 {
-		t.Fatalf("5s lease -> ttl %dms", ttl)
-	}
-	back := restamp(ttl, now)
-	if d := back.Sub(now); d < 4*time.Second || d > 6*time.Second {
-		t.Fatalf("restamped lease %v from now", d)
-	}
-	if got := ttlMillis(now.Add(-time.Second), now); got != 1 {
-		t.Fatalf("expired-in-flight lease -> ttl %d, want 1", got)
-	}
-}
-
-// TestProviderHashSemantics pins the digest hash: order-insensitive,
-// lease-insensitive, membership-sensitive.
-func TestProviderHashSemantics(t *testing.T) {
-	a := provRec{ent: wire.Entry{ID: 1, Addr: "mem://a"}, expire: time.Now()}
-	b := provRec{ent: wire.Entry{ID: 2, Addr: "mem://b"}}
-	h1 := providerHash([]provRec{a, b})
-	h2 := providerHash([]provRec{b, a})
-	if h1 != h2 {
-		t.Fatal("hash is order-sensitive")
-	}
-	a2 := a
-	a2.expire = time.Now().Add(time.Hour)
-	if providerHash([]provRec{a2, b}) != h1 {
-		t.Fatal("hash is lease-sensitive: every refresh would force a repair")
-	}
-	if providerHash([]provRec{a}) == h1 {
-		t.Fatal("hash ignores membership")
-	}
-	// The separator keeps concatenations apart: {"ab"} vs {"a","b"}.
-	x := providerHash([]provRec{{ent: wire.Entry{Addr: "ab"}}})
-	y := providerHash([]provRec{{ent: wire.Entry{Addr: "a"}}, {ent: wire.Entry{Addr: "b"}}})
-	if x == y {
-		t.Fatal("hash is concatenation-ambiguous")
 	}
 }
 

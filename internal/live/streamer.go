@@ -3,6 +3,8 @@ package live
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"dco/internal/dht"
@@ -29,16 +31,7 @@ func (n *Node) generateLoop() {
 		// Mint the chunk's manifest row before the chunk is visible
 		// anywhere: no consumer should ever see a chunk its row lags.
 		n.addManifestEntrySource(seq, data)
-		n.mu.Lock()
-		n.chunks[seq] = data
-		n.latestGen = seq
-		cb := n.cfg.OnChunk
-		expired := n.trimActiveWindowLocked()
-		n.mu.Unlock()
-		if cb != nil {
-			cb(seq, data)
-		}
-		n.unregisterExpired(expired)
+		n.buffer(seq, data)
 		n.registerChunk(seq)
 		seq++
 	}
@@ -66,46 +59,46 @@ func (n *Node) registerChunk(seq int64) {
 	n.insertIndex(seq, false)
 }
 
-// republish re-inserts a few random registered indices (soft state): when a
+// republish re-inserts a few registered indices (soft state): when a
 // coordinator fails, the entries it held reappear at the key's new owner
-// within a couple of periods. Its inserts are always routed, never sent
-// along a cached arc: the repair path is what re-proves the arcs the rest
-// of the node's traffic rides on.
+// within a couple of periods. The cursor walks the registered seqs in
+// ascending order and wraps, so a set of m registrations is covered in
+// ⌈m/republishBatch⌉ ticks whichever of them the sliding window replaces
+// meanwhile. Its inserts are always routed, never sent along a cached arc:
+// the repair path is what re-proves the arcs the rest of the node's traffic
+// rides on.
 func (n *Node) republish() {
 	n.mu.Lock()
 	seqs := make([]int64, 0, len(n.registered))
 	for seq := range n.registered {
 		seqs = append(seqs, seq)
 	}
+	cursor := n.republishCursor
 	n.mu.Unlock()
 	if len(seqs) == 0 {
 		return
 	}
-	// A rotating window over the registered set covers everything without
-	// randomness (simpler to reason about; order does not matter here).
-	for i := 0; i < republishBatch && i < len(seqs); i++ {
-		n.mu.Lock()
-		idx := int(n.republishCursor % uint64(len(seqs)))
-		n.republishCursor++
-		n.mu.Unlock()
+	slices.Sort(seqs) // outside n.mu: the serve path must not wait for it
+	next, _ := slices.BinarySearch(seqs, cursor+1)
+	for i := 0; i < min(republishBatch, len(seqs)); i++ {
+		cursor = seqs[(next+i)%len(seqs)]
 		n.lm.republishes.Inc()
-		n.insertIndex(seqs[idx], true)
+		n.insertIndex(cursor, true)
 	}
+	n.mu.Lock()
+	n.republishCursor = cursor
+	n.mu.Unlock()
 }
 
 // insertIndex registers this node as a provider of seq at the chunk's
 // coordinator; routed forces a fresh route (see sendInsert).
 func (n *Node) insertIndex(seq int64, routed bool) {
-	n.mu.Lock()
-	bufCount := int64(len(n.chunks))
-	n.mu.Unlock()
-
 	msg := &wire.Insert{
 		Key:      uint64(n.cfg.Channel.Ref(seq).ID()),
 		Seq:      seq,
 		Holder:   n.wireSelf(),
 		UpBps:    n.cfg.UpBps,
-		BufCount: bufCount,
+		BufCount: int64(n.ChunkCount()),
 		// Piggybacked load report: republication doubles as the load
 		// heartbeat coordinators weight provider selection by.
 		LoadMilli: n.reportLoadMilli(),
@@ -500,15 +493,22 @@ func (n *Node) sleepBusy(addr string, retryAfterMs uint32, deadline time.Time) b
 	}
 }
 
+// cooldowns is the provider blacklist: addresses not to ask for chunks
+// again before a deadline, under a lock of its own.
+type cooldowns struct {
+	mu    sync.Mutex
+	until map[string]time.Time
+}
+
 // blacklistProvider puts addr on fetch cooldown after a failed or corrupt
 // chunk transfer.
 func (n *Node) blacklistProvider(addr string) {
 	if n.cfg.ProviderCooldown <= 0 {
 		return
 	}
-	n.mu.Lock()
-	n.blacklist[addr] = time.Now().Add(n.cfg.ProviderCooldown)
-	n.mu.Unlock()
+	n.cooldown.mu.Lock()
+	n.cooldown.until[addr] = time.Now().Add(n.cfg.ProviderCooldown)
+	n.cooldown.mu.Unlock()
 	n.lm.providersBlacklisted.Inc()
 	n.traceEvent("provider.blacklist", "peer="+addr)
 }
@@ -520,17 +520,15 @@ func (n *Node) providerUsable(addr string) bool {
 	if n.health.Quarantined(addr) {
 		return false
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	until, ok := n.blacklist[addr]
-	if !ok {
-		return true
+	c := &n.cooldown
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	until, ok := c.until[addr]
+	if ok && time.Now().After(until) {
+		delete(c.until, addr)
+		ok = false
 	}
-	if time.Now().After(until) {
-		delete(n.blacklist, addr)
-		return true
-	}
-	return false
+	return !ok
 }
 
 // lookupProviders asks the chunk's coordinator for providers: the cached
@@ -725,23 +723,29 @@ func (n *Node) storeChunk(seq int64, data []byte, from string) bool {
 		}
 		return false
 	}
+	if n.buffer(seq, data) {
+		n.lm.chunksFetched.Inc()
+	}
+	return true
+}
+
+// buffer is the one writer of the chunk map: it stores a generated or
+// verified chunk (reporting false for one already held), slides the active
+// window, and runs OnChunk and the window's unregistrations outside n.mu.
+func (n *Node) buffer(seq int64, data []byte) (stored bool) {
 	n.mu.Lock()
 	_, dup := n.chunks[seq]
 	if !dup {
 		n.chunks[seq] = data
-		n.lm.chunksFetched.Inc()
-		if seq > n.latestGen {
-			n.latestGen = seq
-		}
+		n.latestGen = max(n.latestGen, seq)
 	}
-	cb := n.cfg.OnChunk
 	expired := n.trimActiveWindowLocked()
 	n.mu.Unlock()
-	if !dup && cb != nil {
+	if cb := n.cfg.OnChunk; !dup && cb != nil {
 		cb(seq, data)
 	}
 	n.unregisterExpired(expired)
-	return true
+	return !dup
 }
 
 // trimActiveWindowLocked drops chunks that fell out of the active window

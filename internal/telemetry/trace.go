@@ -34,7 +34,7 @@ type Trace struct {
 	wrapped bool
 	total   uint64
 	kinds   map[string]uint64
-	clock   func() time.Time // test seam; time.Now when nil
+	clock   func() time.Time // SetClock; time.Now when nil
 }
 
 // NewTrace returns a trace retaining the last capacity events (minimum 1).
@@ -44,6 +44,10 @@ func NewTrace(capacity int) *Trace {
 	}
 	return &Trace{buf: make([]Event, 0, capacity), kinds: make(map[string]uint64)}
 }
+
+// SetClock makes the trace stamp events with clock instead of time.Now —
+// the simulator's virtual time. Call it before the first Record.
+func (t *Trace) SetClock(clock func() time.Time) { t.clock = clock }
 
 func (t *Trace) now() time.Time {
 	if t.clock != nil {
@@ -132,30 +136,32 @@ func (t *Trace) Counts() map[string]uint64 {
 	return out
 }
 
+// KindsByCount orders the kinds of a Counts map for a summary: most frequent
+// first, ties by name.
+func KindsByCount(counts map[string]uint64) []string {
+	kinds := make([]string, 0, len(counts))
+	for kind := range counts {
+		kinds = append(kinds, kind)
+	}
+	sort.Slice(kinds, func(i, j int) bool {
+		if ci, cj := counts[kinds[i]], counts[kinds[j]]; ci != cj {
+			return ci > cj
+		}
+		return kinds[i] < kinds[j]
+	})
+	return kinds
+}
+
 // Dump writes a human-readable listing: per-kind totals (most frequent
 // first), then the retained events oldest first.
 func (t *Trace) Dump(w io.Writer) {
 	if t == nil {
 		return
 	}
-	type kc struct {
-		kind string
-		n    uint64
-	}
-	counts := t.Counts()
-	rows := make([]kc, 0, len(counts))
-	for k, n := range counts {
-		rows = append(rows, kc{k, n})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].kind < rows[j].kind
-	})
 	fmt.Fprintf(w, "# %d events total, %d retained\n", t.Total(), len(t.Events()))
-	for _, row := range rows {
-		fmt.Fprintf(w, "# %10d  %s\n", row.n, row.kind)
+	counts := t.Counts()
+	for _, kind := range KindsByCount(counts) {
+		fmt.Fprintf(w, "# %10d  %s\n", counts[kind], kind)
 	}
 	for _, e := range t.Events() {
 		fmt.Fprintf(w, "%s node=%s %-24s %s\n", e.At.Format(time.RFC3339Nano), e.Node, e.Kind, e.Detail)
