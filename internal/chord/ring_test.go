@@ -2,6 +2,7 @@ package chord
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -132,5 +133,69 @@ func TestCheckRingDetectsCorruption(t *testing.T) {
 	}
 	if problems := CheckRing(states); len(problems) == 0 {
 		t.Fatal("corrupted ring passed CheckRing")
+	}
+}
+
+// Property: on a converged ring LocalSuccessor answers exactly the finger
+// starts the successor list spans, and answers them as a routed lookup
+// would — BuildRing's finger i is the brute-force successor of start i.
+func TestLocalSuccessorMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{16, 64} {
+		for _, succSize := range []int{4, 8} {
+			answered := 0
+			for _, st := range BuildRing(randomMembers(rng, n), succSize) {
+				list := st.SuccessorList()
+				span := Dist(st.Self.ID, list[len(list)-1].ID)
+				for i := 0; i < M; i++ {
+					start := FingerStart(st.Self.ID, i)
+					got, ok := st.LocalSuccessor(start)
+					if inSpan := Dist(st.Self.ID, start) <= span; ok != inSpan {
+						t.Fatalf("n=%d: node %d finger %d: answered=%v, start inside the list's span=%v", n, st.Self.Addr, i, ok, inSpan)
+					}
+					if ok {
+						answered++
+						if want := st.Finger(i); got != want {
+							t.Fatalf("n=%d: node %d finger %d: local answer %v, successor is %v", n, st.Self.Addr, i, got, want)
+						}
+					}
+				}
+			}
+			if answered < n*(M-8) {
+				t.Fatalf("n=%d list=%d: only %d of %d finger starts resolved locally", n, succSize, answered, n*M)
+			}
+		}
+	}
+}
+
+func TestLocalSuccessorRingOfOne(t *testing.T) {
+	st := NewState(e(100, 1), 4)
+	for i := 0; i < M; i++ {
+		if got, ok := st.LocalSuccessor(FingerStart(100, i)); ok {
+			t.Fatalf("a ring of one answered finger %d with %v", i, got)
+		}
+	}
+}
+
+// The per-round paths of ring maintenance — adopting the list the successor
+// already had, reading it — must not allocate.
+func TestSettledMaintenanceDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	states := BuildRing(randomMembers(rng, 16), 8)
+	st := states[0]
+	succ := states[st.Successor().Addr]
+	list := succ.SuccessorList()
+	start := FingerStart(st.Self.ID, 3)
+	st.AdoptSuccessorList(succ.Self, list)
+	before := st.SuccessorList()
+	if a := testing.AllocsPerRun(100, func() {
+		st.AdoptSuccessorList(succ.Self, list)
+		st.LocalSuccessor(start)
+		_ = st.Successors()
+	}); a != 0 {
+		t.Fatalf("a settled round allocates %.0f times", a)
+	}
+	if after := st.SuccessorList(); !slices.Equal(after, before) {
+		t.Fatalf("re-adopting the same list changed it: %v -> %v", before, after)
 	}
 }

@@ -62,6 +62,11 @@ func (s *State[A]) SuccessorList() []Entry[A] {
 	return out
 }
 
+// Successors returns the successor list itself, for reading in place under
+// whatever lock guards the state: the slice is only valid until the next
+// call that changes the state, and must not be modified.
+func (s *State[A]) Successors() []Entry[A] { return s.succ }
+
 // SuccessorListSize returns the configured capacity.
 func (s *State[A]) SuccessorListSize() int { return s.succSize }
 
@@ -88,15 +93,23 @@ func (s *State[A]) SetSuccessor(e Entry[A]) {
 		return
 	}
 	s.succChanges++
-	s.succ = append([]Entry[A]{e}, s.succ...)
+	s.succ = append(s.succ, e) // room for one more; then shift up, in place
+	copy(s.succ[1:], s.succ)
+	s.succ[0] = e
 	s.dedupeSucc()
 }
 
 // AdoptSuccessorList installs succ's own successor list after a stabilize
-// round: our list becomes [succ, succ.list...] truncated to capacity.
+// round: our list becomes [succ, succ.list...] truncated to capacity. It is
+// built in the held list's own array — a round that changes nothing
+// allocates nothing — so list must not be a view of this state's list
+// (Successors); a copy (SuccessorList) or another node's list is fine.
 func (s *State[A]) AdoptSuccessorList(succ Entry[A], list []Entry[A]) {
 	oldHead := s.Successor().Addr
-	merged := make([]Entry[A], 0, s.succSize)
+	merged := s.succ[:0]
+	if cap(merged) < s.succSize {
+		merged = make([]Entry[A], 0, s.succSize)
+	}
 	merged = append(merged, succ)
 	for _, e := range list {
 		if len(merged) >= s.succSize {
@@ -112,10 +125,10 @@ func (s *State[A]) AdoptSuccessorList(succ Entry[A], list []Entry[A]) {
 }
 
 func (s *State[A]) dedupeSucc() {
-	seen := make(map[A]bool, len(s.succ))
 	out := s.succ[:0]
 	for _, e := range s.succ {
-		if !e.OK || seen[e.Addr] {
+		// out holds every address kept so far, and the list is short.
+		if !e.OK || hasAddr(out, e.Addr) {
 			continue
 		}
 		// Never list ourselves behind other nodes; self only belongs on a
@@ -123,7 +136,6 @@ func (s *State[A]) dedupeSucc() {
 		if e.Addr == s.Self.Addr && len(out) > 0 {
 			continue
 		}
-		seen[e.Addr] = true
 		out = append(out, e)
 		if len(out) >= s.succSize {
 			break
@@ -133,6 +145,15 @@ func (s *State[A]) dedupeSucc() {
 		out = append(out, s.Self)
 	}
 	s.succ = out
+}
+
+func hasAddr[A comparable](es []Entry[A], addr A) bool {
+	for _, e := range es {
+		if e.Addr == addr {
+			return true
+		}
+	}
+	return false
 }
 
 // Notify implements Chord's notify rule: candidate thinks it might be our
@@ -213,6 +234,26 @@ func (s *State[A]) NextHopUsing(k ID, useFingers bool) (hop Entry[A], done bool)
 		return succ, true
 	}
 	return s.closestPreceding(k, useFingers), false
+}
+
+// LocalSuccessor answers successor(k) from the successor list alone, when
+// the list reaches that far: walking clockwise from self, the first entry e
+// with k in (previous entry, e] owns k, by the same argument as NextHop's
+// base case one link further on. false means k lies beyond the list's
+// span (or the ring is a ring of one) and has to be routed. fix_fingers
+// uses it: a finger whose start the list already covers needs no RPC.
+func (s *State[A]) LocalSuccessor(k ID) (Entry[A], bool) {
+	prev := s.Self
+	for _, e := range s.succ {
+		if e.Addr == s.Self.Addr {
+			break
+		}
+		if InOC(prev.ID, k, e.ID) {
+			return e, true
+		}
+		prev = e
+	}
+	return Entry[A]{}, false
 }
 
 // ClosestPreceding returns the finger or successor-list entry whose ID most

@@ -99,15 +99,33 @@ func fromEntry(e entryT) dht.Member { return dht.Member{ID: uint64(e.ID), Addr: 
 
 func wireEntry(e entryT) wire.Entry { return wire.Entry{ID: uint64(e.ID), Addr: e.Addr} }
 
+func wireEntries(es []entryT) []wire.Entry {
+	out := make([]wire.Entry, len(es))
+	for i, e := range es {
+		out[i] = wireEntry(e)
+	}
+	return out
+}
+
 func (k *Kernel) selfWire() wire.Entry { return wire.Entry{ID: k.self.ID, Addr: k.self.Addr} }
 
-// seen fires the host's Seen callback for wire entries sighted in traffic.
-func (k *Kernel) seen(es ...wire.Entry) {
-	if k.ev.Seen == nil || len(es) == 0 {
+// seenScratch recycles the member slices seen hands to the host: a
+// sighting batch per routing answer and per stabilize reply is otherwise
+// an allocation each, and the host only reads the slice during the call.
+var seenScratch = sync.Pool{New: func() any { return new([]dht.Member) }}
+
+// seen fires the host's Seen callback for the entry (if it names anyone)
+// and the entries sighted in one reply.
+func (k *Kernel) seen(one wire.Entry, more []wire.Entry) {
+	if k.ev.Seen == nil {
 		return
 	}
-	ms := make([]dht.Member, 0, len(es))
-	for _, e := range es {
+	buf := seenScratch.Get().(*[]dht.Member)
+	ms := (*buf)[:0]
+	if one.Addr != "" {
+		ms = append(ms, dht.FromWire(one))
+	}
+	for _, e := range more {
 		if e.Addr != "" {
 			ms = append(ms, dht.FromWire(e))
 		}
@@ -115,6 +133,8 @@ func (k *Kernel) seen(es ...wire.Entry) {
 	if len(ms) > 0 {
 		k.ev.Seen(ms...)
 	}
+	*buf = ms
+	seenScratch.Put(buf)
 }
 
 func (k *Kernel) traceEvent(kind, detail string) {
@@ -177,7 +197,7 @@ func (k *Kernel) ReplicaSet(_ uint64, r int) []dht.Member {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	var out []dht.Member
-	for _, s := range k.cs.SuccessorList() {
+	for _, s := range k.cs.Successors() {
 		if !s.OK || s.Addr == k.self.Addr {
 			continue
 		}
@@ -214,7 +234,7 @@ func (k *Kernel) View() []dht.Member {
 		out = append(out, fromEntry(e))
 	}
 	add(k.cs.Self)
-	for _, e := range k.cs.SuccessorList() {
+	for _, e := range k.cs.Successors() {
 		add(e)
 	}
 	add(k.cs.Predecessor())
@@ -345,8 +365,14 @@ func (k *Kernel) findOwner(key uint64) (owner wire.Entry, succs []wire.Entry, pr
 // is retried by the Caller (routing reads are idempotent); a hop that stays
 // dead surfaces as an error and findOwner re-routes around it.
 func (k *Kernel) findOwnerFrom(start string, key uint64) (owner wire.Entry, succs []wire.Entry, pred wire.Entry, predOK bool, err error) {
+	// The last few hops, to fail at the first one a route comes back to: a
+	// route through half-merged pointers (a partition, two rings merging)
+	// goes round in a small circle, and would otherwise do so until the hop
+	// bound.
+	var visited [16]string
 	cur := start
 	for hops := 0; hops < 2*chord.M; hops++ {
+		visited[hops%len(visited)] = cur
 		resp, cerr := k.call.CallIdem(cur, &wire.FindSuccessor{Key: key})
 		if cerr != nil {
 			return wire.Entry{}, nil, wire.Entry{}, false, cerr
@@ -362,12 +388,16 @@ func (k *Kernel) findOwnerFrom(start string, key uint64) (owner wire.Entry, succ
 			k.lookups.Inc()
 			k.lookupHops.Add(uint64(hops + 1))
 			k.hopHist.Observe(float64(hops + 1))
-			k.seen(fs.Owner)
-			k.seen(fs.Succs...)
+			k.seen(fs.Owner, fs.Succs)
 			return fs.Owner, fs.Succs, fs.Pred, fs.OK, nil
 		}
-		if fs.Owner.Addr == "" || fs.Owner.Addr == cur {
+		if fs.Owner.Addr == "" {
 			return wire.Entry{}, nil, wire.Entry{}, false, fmt.Errorf("%w (chord: no progress at %s)", dht.ErrNoRoute, cur)
+		}
+		for _, v := range visited[:min(hops+1, len(visited))] {
+			if v == fs.Owner.Addr {
+				return wire.Entry{}, nil, wire.Entry{}, false, fmt.Errorf("%w (chord: routing loop through %s)", dht.ErrNoRoute, v)
+			}
 		}
 		cur = fs.Owner.Addr
 	}
@@ -401,7 +431,7 @@ func (k *Kernel) Join(bootstrap string) error {
 	}
 	k.mu.Unlock()
 	if predOK {
-		k.seen(pred)
+		k.seen(pred, nil)
 	}
 	// The first notify is best-effort: stabilization re-notifies every
 	// cycle, so a dropped message must not fail an otherwise good join.
@@ -418,10 +448,7 @@ func (k *Kernel) Leave() {
 	k.mu.Lock()
 	succ := k.cs.Successor()
 	pred := k.cs.Predecessor()
-	var succList []wire.Entry
-	for _, e := range k.cs.SuccessorList() {
-		succList = append(succList, wireEntry(e))
-	}
+	succList := wireEntries(k.cs.Successors())
 	k.mu.Unlock()
 	if !succ.OK || succ.Addr == k.self.Addr {
 		return
@@ -493,54 +520,67 @@ func (k *Kernel) stabilize() {
 		return
 	}
 	k.mu.Unlock()
-	if !succ.OK {
-		return
+	// One exchange with the successor is the whole round. A second follows
+	// only when the first names a closer successor: that one is notified in
+	// the same round, and its reply already brings its list.
+	for exchanges := 0; exchanges < 2 && succ.OK; exchanges++ {
+		closer, ok := k.notifySuccessor(succ)
+		if !ok {
+			return
+		}
+		succ = closer
 	}
-	resp, err := k.call.Call(succ.Addr, &wire.GetState{})
+}
+
+// notifySuccessor is stabilize's exchange: tell succ we may be its
+// predecessor and read its predecessor and successor list, as they stand
+// after it applied the notify, from the reply. If the reply names us, or
+// nobody between us and succ, we keep succ and adopt its list; if it names
+// a member inside (self, succ), the notify was declined in that member's
+// favour, and it is adopted as successor and returned. ok=false means
+// the call failed: the Caller already fed the breaker and invoked
+// PeerFailed if the evidence was conclusive; a lone drop just waits for
+// the next tick.
+func (k *Kernel) notifySuccessor(succ entryT) (closer entryT, ok bool) {
+	resp, err := k.call.Call(succ.Addr, &wire.Notify{From: k.selfWire()})
 	if err != nil {
-		// The Caller already fed the breaker and invoked PeerFailed if the
-		// evidence was conclusive; a lone drop just waits for next tick.
-		return
+		return entryT{}, false
 	}
 	st, ok := resp.(*wire.GetStateResp)
 	if !ok {
-		return
+		return entryT{}, false
 	}
 	k.mu.Lock()
-	cur := k.cs.Successor()
-	if cur.Addr == succ.Addr {
+	if k.cs.Successor().Addr == succ.Addr {
 		if st.PredOK && st.Pred.Addr != k.self.Addr && !k.quarantinedLocked(st.Pred.Addr) &&
 			chord.InOO(k.cs.Self.ID, chord.ID(st.Pred.ID), succ.ID) {
-			k.cs.SetSuccessor(entryT{ID: chord.ID(st.Pred.ID), Addr: st.Pred.Addr, OK: true})
+			closer = entryT{ID: chord.ID(st.Pred.ID), Addr: st.Pred.Addr, OK: true}
+			k.cs.SetSuccessor(closer)
 		} else {
-			var list []entryT
+			list := make([]entryT, 0, len(st.Succs))
 			for _, e := range st.Succs {
-				if k.quarantinedLocked(e.Addr) {
-					continue
+				if !k.quarantinedLocked(e.Addr) {
+					list = append(list, entryT{ID: chord.ID(e.ID), Addr: e.Addr, OK: true})
 				}
-				list = append(list, entryT{ID: chord.ID(e.ID), Addr: e.Addr, OK: true})
 			}
 			k.cs.AdoptSuccessorList(succ, list)
 		}
 	}
-	target := k.cs.Successor()
 	k.mu.Unlock()
 	// Passive sightings: every stabilize answer names live ring members
 	// worth remembering for the census.
-	if st.PredOK {
-		k.seen(st.Pred)
-	}
-	k.seen(st.Succs...)
-	if target.OK && target.Addr != k.self.Addr {
-		_, _ = k.call.Call(target.Addr, &wire.Notify{From: k.selfWire()})
-	}
+	k.seen(st.Pred, st.Succs)
+	return closer, true
 }
 
 // checkPredecessor is Chord's check_predecessor: ping the predecessor so a
 // dead one accumulates conclusive failure evidence. The Caller's
 // condemnation path invokes PeerFailed, which clears the predecessor —
 // without this probe, a dead predecessor is forever re-advertised to the
-// node behind it and the ring never heals.
+// node behind it and the ring never heals. The predecessor's own Notify
+// arriving every round is no substitute: it proves the predecessor can
+// reach us, not that we can reach it, and a one-way partition is exactly
+// the case where the two differ (see peerQuarantine).
 func (k *Kernel) checkPredecessor() {
 	k.mu.Lock()
 	pred := k.cs.Predecessor()
@@ -551,18 +591,27 @@ func (k *Kernel) checkPredecessor() {
 	_, _ = k.call.Call(pred.Addr, &wire.Ping{})
 }
 
+// fixFinger refreshes one finger per tick. A start the successor list
+// reaches is answered from the list (chord.State.LocalSuccessor): only a
+// finger beyond the list's span is worth a routed lookup.
 func (k *Kernel) fixFinger() {
 	k.mu.Lock()
 	i, start := k.cs.NextFingerToFix()
+	local, ok := k.cs.LocalSuccessor(start)
+	if ok {
+		k.cs.SetFinger(i, local)
+	}
 	k.mu.Unlock()
-	owner, _, _, _, err := k.findOwner(uint64(start))
-	if err != nil {
-		return
+	if !ok {
+		owner, _, _, _, err := k.findOwner(uint64(start))
+		if err != nil {
+			return
+		}
+		k.mu.Lock()
+		k.cs.SetFinger(i, entryT{ID: chord.ID(owner.ID), Addr: owner.Addr, OK: true})
+		k.mu.Unlock()
 	}
 	k.fingerFixes.Inc()
-	k.mu.Lock()
-	k.cs.SetFinger(i, entryT{ID: chord.ID(owner.ID), Addr: owner.Addr, OK: true})
-	k.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -574,7 +623,7 @@ func (k *Kernel) HandleRPC(from string, req wire.Message) (wire.Message, bool) {
 	switch m := req.(type) {
 	case *wire.FindSuccessor:
 		return k.onFindSuccessor(m), true
-	case *wire.GetState:
+	case *wire.GetState: // nothing sends it any more; the frame set is frozen
 		return k.getState(), true
 	case *wire.Notify:
 		return k.onNotify(m), true
@@ -594,9 +643,7 @@ func (k *Kernel) onFindSuccessor(m *wire.FindSuccessor) wire.Message {
 		Owner: wireEntry(hop),
 	}
 	if resp.Done {
-		for _, e := range k.cs.SuccessorList() {
-			resp.Succs = append(resp.Succs, wireEntry(e))
-		}
+		resp.Succs = wireEntries(k.cs.Successors())
 		if p := k.cs.Predecessor(); p.OK {
 			resp.Pred = wireEntry(p)
 			resp.OK = true
@@ -611,17 +658,24 @@ func (k *Kernel) onFindSuccessor(m *wire.FindSuccessor) wire.Message {
 func (k *Kernel) getState() *wire.GetStateResp {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	resp := &wire.GetStateResp{}
+	return k.stateLocked()
+}
+
+// stateLocked is this node's predecessor and successor list. Caller holds
+// k.mu.
+func (k *Kernel) stateLocked() *wire.GetStateResp {
+	resp := &wire.GetStateResp{Succs: wireEntries(k.cs.Successors())}
 	if p := k.cs.Predecessor(); p.OK {
 		resp.Pred = wireEntry(p)
 		resp.PredOK = true
 	}
-	for _, e := range k.cs.SuccessorList() {
-		resp.Succs = append(resp.Succs, wireEntry(e))
-	}
 	return resp
 }
 
+// onNotify applies the notify rule and answers with the state that results:
+// the sender reads from it whether it was adopted (the reply names it),
+// who was preferred to it, and the successor list — stabilize's whole
+// exchange in one call.
 func (k *Kernel) onNotify(m *wire.Notify) wire.Message {
 	cand := entryT{ID: chord.ID(m.From.ID), Addr: m.From.Addr, OK: true}
 	k.mu.Lock()
@@ -629,14 +683,15 @@ func (k *Kernel) onNotify(m *wire.Notify) wire.Message {
 	if !k.quarantinedLocked(cand.Addr) {
 		adopted = k.cs.Notify(cand)
 	}
+	st := k.stateLocked()
 	k.mu.Unlock()
-	k.seen(m.From)
+	k.seen(m.From, nil)
 	if adopted && k.ev.RangeChanged != nil {
 		// Part of our range now belongs to the new predecessor; the host
 		// hands off the index entries it no longer owns.
 		k.ev.RangeChanged(dht.FromWire(m.From))
 	}
-	return &wire.Ack{}
+	return st
 }
 
 func (k *Kernel) onLeave(m *wire.Leave) wire.Message {

@@ -1,0 +1,280 @@
+package chordkern
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"dco/internal/chord"
+	"dco/internal/dht"
+	"dco/internal/israce"
+	"dco/internal/wire"
+)
+
+// testNet joins kernels by direct calls: one goroutine, no clock, ticks run
+// when the test runs them — so "within two stabilize rounds" means exactly
+// that, and every call is counted by kind.
+type testNet struct {
+	kerns map[string]*Kernel
+	calls map[wire.Kind]int
+}
+
+// endpoint is one kernel's dht.Caller on a testNet.
+type endpoint struct {
+	net  *testNet
+	self string
+}
+
+func (e endpoint) Call(addr string, req wire.Message) (wire.Message, error) {
+	e.net.calls[req.Kind()]++
+	k := e.net.kerns[addr]
+	if k == nil {
+		return nil, fmt.Errorf("testNet: no endpoint at %s", addr)
+	}
+	if _, ok := req.(*wire.Ping); ok {
+		return &wire.Pong{}, nil
+	}
+	resp, ok := k.HandleRPC(e.self, req)
+	if !ok {
+		return nil, fmt.Errorf("testNet: %s does not serve %T", addr, req)
+	}
+	return resp, nil
+}
+
+func (e endpoint) CallIdem(addr string, req wire.Message) (wire.Message, error) {
+	return e.Call(addr, req)
+}
+
+func (tn *testNet) add(t *testing.T, id uint64, succListSize int, bootstrap string) *Kernel {
+	t.Helper()
+	addr := fmt.Sprintf("n%x", id)
+	k := New(Config{SuccListSize: succListSize}, dht.Options{
+		Self:   dht.Member{ID: id, Addr: addr},
+		Caller: endpoint{tn, addr},
+	})
+	tn.kerns[addr] = k
+	if bootstrap != "" {
+		if err := k.Join(bootstrap); err != nil {
+			t.Fatalf("join %s: %v", addr, err)
+		}
+	}
+	return k
+}
+
+// round runs one stabilize tick on every member, in ring order.
+func (tn *testNet) round(members []*Kernel) {
+	for _, k := range members {
+		k.stabilize()
+	}
+}
+
+// settledRing builds n members evenly spaced round the circle (member i at
+// i·2^64/n + 1), joined one by one through member 0 and stabilized until
+// every successor list is exact.
+func settledRing(t *testing.T, n, succListSize int) (*testNet, []*Kernel) {
+	t.Helper()
+	tn := &testNet{kerns: map[string]*Kernel{}, calls: map[wire.Kind]int{}}
+	step := ^uint64(0)/uint64(n) + 1
+	var members []*Kernel
+	for i := 0; i < n; i++ {
+		bootstrap := ""
+		if i > 0 {
+			bootstrap = members[0].self.Addr
+		}
+		members = append(members, tn.add(t, uint64(i)*step+1, succListSize, bootstrap))
+		tn.round(members)
+	}
+	for r := 0; r < 2*n && !exact(members); r++ {
+		tn.round(members)
+	}
+	if !exact(members) {
+		t.Fatal("the ring did not settle")
+	}
+	return tn, members
+}
+
+// exact reports whether every member (given in ring order) holds its true
+// predecessor and the longest true successor list its capacity allows.
+func exact(members []*Kernel) bool {
+	n := len(members)
+	for i, k := range members {
+		if p := k.cs.Predecessor(); !p.OK || p.Addr != members[(i+n-1)%n].self.Addr {
+			return false
+		}
+		list := k.cs.Successors()
+		if len(list) != min(k.cfg.SuccListSize, n-1) {
+			return false
+		}
+		for j, e := range list {
+			if e.Addr != members[(i+1+j)%n].self.Addr {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestStabilizeIsOneExchange pins what a round costs and how fast it
+// converges. Settled: one Ping to the predecessor and one Notify to the
+// successor per member, nothing else. A member joining between two others:
+// the member behind it learns of it from the reply to its own Notify, adopts
+// it, and notifies it in the same round — and has the newcomer's list from
+// that second reply, where ask-then-notify needed another round for it.
+func TestStabilizeIsOneExchange(t *testing.T) {
+	const n, listSize = 8, 4
+	tn, members := settledRing(t, n, listSize)
+
+	tn.calls = map[wire.Kind]int{}
+	tn.round(members)
+	if got, want := fmt.Sprint(tn.calls), fmt.Sprint(map[wire.Kind]int{wire.KindPing: n, wire.KindNotify: n}); got != want {
+		t.Fatalf("a settled round of %d members made calls %v, want %v", n, got, want)
+	}
+	if !exact(members) {
+		t.Fatal("a settled round changed the ring")
+	}
+
+	before, after := members[3], members[4]
+	mid := tn.add(t, before.self.ID+(after.self.ID-before.self.ID)/2, listSize, members[0].self.Addr)
+	tn.calls = map[wire.Kind]int{}
+	before.stabilize()
+	if got := tn.calls[wire.KindNotify]; got != 2 {
+		t.Fatalf("the round that finds a closer successor made %d Notify calls, want 2 (old successor, new successor)", got)
+	}
+	if tn.calls[wire.KindGetState] != 0 {
+		t.Fatalf("stabilize sent GetState: %v", tn.calls)
+	}
+	list := before.cs.Successors()
+	if len(list) < 2 || list[0].Addr != mid.self.Addr || list[1].Addr != after.self.Addr {
+		t.Fatalf("one round after the join, the member behind the newcomer holds %v, want the newcomer and then its successor", list)
+	}
+	if p := mid.cs.Predecessor(); p.Addr != before.self.Addr {
+		t.Fatalf("the newcomer's predecessor is %v, want %s", p, before.self.Addr)
+	}
+	if p := after.cs.Predecessor(); p.Addr != mid.self.Addr {
+		t.Fatalf("the newcomer's successor has predecessor %v, want the newcomer", p)
+	}
+
+	with := append(append(append([]*Kernel{}, members[:4]...), mid), members[4:]...)
+	for r := 0; r < listSize; r++ { // the newcomer moves one member further back in the lists each round
+		tn.round(with)
+	}
+	if !exact(with) {
+		t.Fatalf("%d rounds after a join between two members the ring is not exact again", listSize)
+	}
+}
+
+// TestFixFingerAnswersFromTheList: a finger start inside the successor
+// list's span is installed with no call; one beyond it is routed; both are
+// the start's true successor.
+func TestFixFingerAnswersFromTheList(t *testing.T) {
+	const n, listSize = 16, 4
+	tn, members := settledRing(t, n, listSize)
+	k := members[0]
+	span := chord.Dist(k.cs.Self.ID, k.cs.Successors()[listSize-1].ID)
+
+	tn.calls = map[wire.Kind]int{}
+	routed := 0
+	for i := 0; i < chord.M; i++ {
+		start := chord.FingerStart(k.cs.Self.ID, i)
+		callsBefore := tn.calls[wire.KindFindSuccessor]
+		k.fixFinger()
+		want := members[0]
+		for _, m := range members { // the first member at or after start
+			if chord.Dist(start, chord.ID(m.self.ID)) < chord.Dist(start, chord.ID(want.self.ID)) {
+				want = m
+			}
+		}
+		if got := k.cs.Finger(i); got.Addr != want.self.Addr {
+			t.Fatalf("finger %d is %v, want %s", i, got, want.self.Addr)
+		}
+		made := tn.calls[wire.KindFindSuccessor] - callsBefore
+		if inSpan := chord.Dist(k.cs.Self.ID, start) <= span; inSpan && made != 0 {
+			t.Fatalf("finger %d starts inside the successor list's span and cost %d routing calls", i, made)
+		} else if !inSpan && made == 0 {
+			t.Fatalf("finger %d starts beyond the successor list's span and was not routed", i)
+		}
+		routed += made
+	}
+	if routed == 0 {
+		t.Fatal("no finger of this ring starts beyond the list's span: the routed case went untested")
+	}
+	if got := k.fingerFixes.Value(); got != chord.M {
+		t.Fatalf("dco_ring_finger_fixes_total is %d after %d fixes: local fixes count too", got, chord.M)
+	}
+}
+
+func TestUpkeepAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	_, members := settledRing(t, 8, 4) // every finger start lies inside four of eight evenly spaced members
+	k := members[0]
+	if a := testing.AllocsPerRun(2*chord.M, k.fixFinger); a != 0 {
+		t.Errorf("a locally resolved fix_fingers tick allocates %.0f times", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { k.getState() }); a > 2 {
+		t.Errorf("getState allocates %.0f times, budget 2 (the reply and its list)", a)
+	}
+}
+
+// scriptedCaller answers FindSuccessor from a table: next[addr] is where
+// addr redirects to, "" means addr owns the key.
+type scriptedCaller struct {
+	next  map[string]string
+	calls int
+}
+
+func (c *scriptedCaller) Call(addr string, req wire.Message) (wire.Message, error) {
+	c.calls++
+	to, ok := c.next[addr]
+	if !ok {
+		return nil, fmt.Errorf("scriptedCaller: no endpoint at %s", addr)
+	}
+	if to == "" {
+		return &wire.FindSuccessorResp{Done: true, Owner: wire.Entry{ID: 1, Addr: addr}}, nil
+	}
+	return &wire.FindSuccessorResp{Owner: wire.Entry{ID: 1, Addr: to}}, nil
+}
+
+func (c *scriptedCaller) CallIdem(addr string, req wire.Message) (wire.Message, error) {
+	return c.Call(addr, req)
+}
+
+// TestFindOwnerLoopFailsFast: a route that comes back to a member it has
+// been through fails there, not at the 128-hop bound; a route that keeps
+// making progress is left alone, however long.
+func TestFindOwnerLoopFailsFast(t *testing.T) {
+	chain := func(hops int) map[string]string {
+		next := map[string]string{}
+		for i := 0; i < hops-1; i++ {
+			next[fmt.Sprint("h", i)] = fmt.Sprint("h", i+1)
+		}
+		next[fmt.Sprint("h", hops-1)] = ""
+		return next
+	}
+	for _, tc := range []struct {
+		name     string
+		next     map[string]string
+		maxCalls int
+		loops    bool
+	}{
+		{"three-member cycle", map[string]string{"h0": "h1", "h1": "h2", "h2": "h0"}, 4, true},
+		{"cycle entered after two hops", map[string]string{"h0": "h1", "h1": "h2", "h2": "h3", "h3": "h4", "h4": "h2"}, 6, true},
+		{"a member that names itself", map[string]string{"h0": "h0"}, 1, true},
+		{"six-hop route", chain(6), 6, false},
+		{"route longer than the visited window", chain(40), 40, false},
+	} {
+		c := &scriptedCaller{next: tc.next}
+		k := New(Config{}, dht.Options{Self: dht.Member{ID: 7, Addr: "self"}, Caller: c})
+		owner, _, err := k.FindOwnerFrom("h0", 42)
+		switch {
+		case tc.loops && !errors.Is(err, dht.ErrNoRoute):
+			t.Errorf("%s: err = %v, want dht.ErrNoRoute", tc.name, err)
+		case !tc.loops && (err != nil || tc.next[owner.Addr] != ""):
+			t.Errorf("%s: owner %v, err %v", tc.name, owner, err)
+		}
+		if c.calls > tc.maxCalls {
+			t.Errorf("%s: %d calls, want at most %d", tc.name, c.calls, tc.maxCalls)
+		}
+	}
+}

@@ -93,6 +93,7 @@ type Caller interface {
 type Events struct {
 	// Seen reports members sighted in protocol traffic (routing answers,
 	// notifies, joins). The host feeds its census member cache from it.
+	// ms is the kernel's scratch: read it during the call, do not keep it.
 	Seen func(ms ...Member)
 	// RangeChanged reports that part of this node's key range now belongs
 	// to newOwner (a closer member appeared). The host hands off index
