@@ -37,7 +37,7 @@ func main() {
 		join      = flag.String("join", "", "comma-separated bootstrap addresses of ring members (omit for the first node)")
 		source    = flag.Bool("source", false, "act as the stream source")
 		channel   = flag.String("channel", "LIVE", "channel name")
-		chunks    = flag.Int64("chunks", 0, "stream length (0 = endless)")
+		chunks    = flag.Int64("chunks", 0, "stream length (0 = endless: the node then keeps only the newest 4096 chunks)")
 		chunkKB   = flag.Int64("chunk-kb", 64, "chunk size in KiB")
 		period    = flag.Duration("period", 500*time.Millisecond, "chunk period")
 		startSeq  = flag.Int64("start", 0, "first chunk to fetch (viewers)")

@@ -8,8 +8,8 @@ package main
 // deliver (≥95%), not one polluted chunk is accepted into any buffer
 // (the choke point is absolute), every poisoner ends up quarantined by
 // the honest swarm, and the index hardening visibly fired (integrity
-// rejects, rate-limited inserts). This is what BENCH_PR10.json is
-// generated from.
+// rejects, rate-limited inserts). This is what
+// `dcosim -method byzantine -json <file>` writes.
 
 import (
 	"errors"
@@ -24,7 +24,7 @@ import (
 )
 
 // byzRunResult is one backend column. Field names are stable —
-// BENCH_PR10.json and CI trend checks parse them.
+// reports written with -json and CI trend checks parse them.
 type byzRunResult struct {
 	Backend                string  `json:"backend"`
 	WallSeconds            float64 `json:"wall_seconds"`

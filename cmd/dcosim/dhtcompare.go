@@ -8,7 +8,7 @@ package main
 // byte overhead (total transport bytes minus chunk payload bytes), and
 // the coordinator recovery time (kill -> a surviving node's lookup for
 // the victim's keyspace resolves to a survivor). This is what
-// BENCH_PR7.json is generated from.
+// `dcosim -method dhtcompare -json <file>` writes.
 
 import (
 	"fmt"
@@ -20,7 +20,7 @@ import (
 )
 
 // dhtBackendResult is one backend's run. Field names are stable —
-// BENCH_PR7.json and CI trend checks parse them.
+// reports written with -json and CI trend checks parse them.
 type dhtBackendResult struct {
 	Backend          string  `json:"backend"`
 	WallSeconds      float64 `json:"wall_seconds"`

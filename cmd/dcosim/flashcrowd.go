@@ -6,7 +6,7 @@ package main
 // serves per period. The run reports how the overload was absorbed —
 // source bytes vs its paced budget, sheds and the retry hints they
 // carried, and the delivered percentage the crowd still reached by feeding
-// itself. This is what BENCH_PR4.json is generated from.
+// itself. This is what `dcosim -method flashcrowd -json <file>` writes.
 
 import (
 	"fmt"
@@ -17,7 +17,7 @@ import (
 )
 
 // flashResult is the -json schema of a flash-crowd run. Field names are
-// stable — BENCH_PR4.json and CI trend checks parse them.
+// stable — reports written with -json and CI trend checks parse them.
 type flashResult struct {
 	Method           string  `json:"method"`
 	N                int     `json:"n"`

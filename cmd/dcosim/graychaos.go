@@ -9,7 +9,7 @@ package main
 // the gray-failure invariants: the swarm still delivers (≥95%), no fetch
 // worker wedges (every node closes promptly), and hedging cuts the p99
 // chunk-fetch latency by at least 30% against the undefended run. This is
-// what BENCH_PR9.json is generated from.
+// what `dcosim -method graychaos -json <file>` writes.
 
 import (
 	"errors"
@@ -21,7 +21,7 @@ import (
 )
 
 // grayRunResult is one (backend, hedge) column. Field names are stable —
-// BENCH_PR9.json and CI trend checks parse them.
+// reports written with -json and CI trend checks parse them.
 type grayRunResult struct {
 	Backend          string  `json:"backend"`
 	Hedge            bool    `json:"hedge"`

@@ -6,8 +6,9 @@ package main
 // one coordinator mid-stream, and the run reports the replication layer's
 // cost and effect — index-insert bytes vs replication bytes (write
 // amplification), digest traffic, takeovers, and lookup failures. This is
-// what BENCH_PR3.json is generated from: an r=0 run is the PR 2 baseline,
-// an r>0 run shows the overhead replication adds and the outage it removes.
+// what `dcosim -method live -json <file>` writes: an r=0 run is the PR 2
+// baseline, an r>0 run shows the overhead replication adds and the outage
+// it removes.
 
 import (
 	"fmt"
@@ -18,7 +19,7 @@ import (
 )
 
 // liveResult is the -json schema of a live-stack run. Field names are
-// stable — BENCH_PR3.json and CI trend checks parse them.
+// stable — reports written with -json and CI trend checks parse them.
 type liveResult struct {
 	Method           string  `json:"method"`
 	N                int     `json:"n"`

@@ -176,7 +176,7 @@ func main() {
 
 // simResult is the -json output schema: the paper's four metrics plus the
 // run parameters that produced them. Field names are stable — external
-// tooling (BENCH_PR2.json, CI trend checks) parses them.
+// tooling (consumers of -json reports, CI trend checks) parses them.
 type simResult struct {
 	Method          string  `json:"method"`
 	N               int     `json:"n"`

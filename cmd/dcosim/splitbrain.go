@@ -6,8 +6,8 @@ package main
 // rings, then healed. The run measures how long the census takes to merge
 // the halves back into a single ring — with no manual rejoin anywhere —
 // and whether the data plane fully recovers afterward (no exhausted
-// lookups post-merge, fill ratio back at 1). This is what BENCH_PR5.json
-// is generated from.
+// lookups post-merge, fill ratio back at 1). This is what
+// `dcosim -method splitbrain -json <file>` writes.
 
 import (
 	"errors"
@@ -20,7 +20,7 @@ import (
 )
 
 // splitResult is the -json schema of a splitbrain run. Field names are
-// stable — BENCH_PR5.json and CI trend checks parse them.
+// stable — reports written with -json and CI trend checks parse them.
 type splitResult struct {
 	Method         string  `json:"method"`
 	N              int     `json:"n"`

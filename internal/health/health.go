@@ -1,22 +1,22 @@
-// Package health scores peer liveness on a spectrum instead of the
-// breaker's binary verdict. The circuit breaker (internal/retry) trips
-// only on conclusive transport errors — a peer that is alive yet degraded
-// (answering slowly, stalling mid-frame, reachable in only one direction)
-// never opens a circuit, yet it can pin chunk fetches for whole call
-// timeouts. The Tracker keeps, per address, a latency EWMA with a running
-// deviation estimate and a phi-accrual-style suspicion score: errors and
-// abnormally slow responses raise it, timely responses and the passage of
-// time decay it back toward neutral. Consumers use the score to
-// *deprioritize* — never to purge: purging stays the breaker's job, on
-// conclusive evidence only.
+// Package health is a live node's one per-peer table: everything the node
+// believes about how good an address is, keyed by that address, under one
+// lock. A row holds a latency EWMA with a running deviation and a
+// phi-accrual-style suspicion score (errors and abnormally slow responses
+// raise it, timely responses and time decay it), the peer's circuit
+// (consecutive transport failures, open / half-open with a single probe),
+// its integrity demerits and quarantine, its fetch cooldown, and the last
+// load factor it reported. Suspicion only *deprioritizes*: a peer that is
+// alive yet degraded never opens a circuit, but it sinks in Rank. Exclusion
+// takes conclusive evidence: an open circuit, a quarantine, a cooldown.
 //
-// The tracker is fed from transport observer hooks (one observation per
-// outbound call attempt, injected faults included), so it sees exactly
-// the latency a caller experienced — not the latency the peer intended.
+// Observe is the only liveness feed: one observation per outbound call
+// attempt, made by the caller around its transport call (injected faults
+// included), so the table sees exactly the latency a caller experienced.
 package health
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 )
@@ -56,6 +56,20 @@ type Config struct {
 	// starts from a clean integrity slate (repeat offenses re-accumulate).
 	// 0 derives 30s.
 	QuarantineTTL time.Duration
+
+	// CircuitThreshold is how many consecutive transport failures open a
+	// peer's circuit. Values below 1 disable circuits (Allow is always
+	// true, Open always false).
+	CircuitThreshold int
+
+	// CircuitCooldown is how long an open circuit rejects calls before it
+	// admits one half-open probe.
+	CircuitCooldown time.Duration
+
+	// OnCircuit, if set, is called after a circuit opens (opened=true) or
+	// closes again after having been open (opened=false) — the telemetry
+	// seam. It runs outside the table's lock but must be fast.
+	OnCircuit func(addr string, opened bool)
 }
 
 func (c Config) withDefaults() Config {
@@ -96,23 +110,67 @@ const (
 	// slowSigma is how many deviations past the EWMA a response must land
 	// to count as slow evidence at all.
 	slowSigma = 4.0
+
+	// loadSaturated is a load factor of 1.0 in the thousandths LoadMilli is
+	// reported in: the provider's committed backlog fills its burst.
+	loadSaturated = 1000
+
+	// loadTTL bounds how long a heard load factor steers Rank; past it the
+	// peer counts as unknown (idle-equal).
+	loadTTL = 3 * time.Second
+
+	// loadLieFloor is the latency EWMA (seconds) below which a peer's load
+	// claim is never second-guessed: sub-ms LAN jitter must not trip the
+	// latency-contradiction clamp.
+	loadLieFloor = 0.020
+
+	// MaxRank is how many providers of one lookup answer Rank considers (a
+	// coordinator hands out three).
+	MaxRank = 8
 )
 
-// peer is one address's rolling state. Latencies are kept in seconds.
+// phase is a circuit's state.
+type phase uint8
+
+const (
+	closed phase = iota
+	open
+	halfOpen
+)
+
+// peer is one address's row. Latencies are kept in seconds. Each group
+// names who writes it and which decision reads it.
 type peer struct {
+	// Observe writes; Rank, HedgeAfter, ExpectedLatency and the coordinator
+	// failover order (Suspicion) read.
 	ewma    float64 // latency EWMA
 	dev     float64 // EWMA of |sample - ewma| (mean absolute deviation)
 	susp    float64 // suspicion score at the time of `at`
 	samples uint64
 	at      time.Time // last observation (decay reference + LRU eviction)
 
+	// The circuit. Observe writes (Allow only admits the half-open probe);
+	// the retried call's gate (Allow) and peer condemnation (Open) read.
+	fails    int // consecutive transport failures
+	phase    phase
+	openedAt time.Time
+	probing  bool // the one half-open probe is in flight
+
+	// IntegrityDemerit and ForceQuarantine write; Rank and the coordinator's
+	// provider selection and insert gate (Quarantined) read.
 	integ     float64   // integrity demerit score at the time of integAt
 	integAt   time.Time // integrity decay reference
 	quarUntil time.Time // quarantined while now < quarUntil
+
+	// The fetch path writes (Cool after a failed or corrupt transfer,
+	// NoteLoad from every ChunkResp); Rank reads.
+	coolUntil time.Time // not asked for chunks while now < coolUntil
+	load      uint32    // last LoadMilli heard, lying-load clamp applied
+	loadAt    time.Time
 }
 
-// Tracker scores peers by address. All methods are safe for concurrent
-// use; a nil *Tracker is a valid no-op that reports every peer neutral.
+// Tracker is the per-peer table. All methods are safe for concurrent use;
+// a nil *Tracker is a valid no-op that reports every peer neutral.
 type Tracker struct {
 	cfg Config
 
@@ -137,25 +195,44 @@ func (p *peer) decayedLocked(t time.Time, halfLife time.Duration) float64 {
 	return p.susp * math.Exp2(-float64(dt)/float64(halfLife))
 }
 
+// rowLocked returns addr's row, adding it when missing — in place of the
+// least recently observed one when the table is full. Caller holds t.mu.
+func (t *Tracker) rowLocked(addr string, now time.Time) *peer {
+	p := t.peers[addr]
+	if p != nil {
+		return p
+	}
+	if len(t.peers) >= t.cfg.MaxPeers {
+		var oldestAddr string
+		var oldest time.Time
+		for a, q := range t.peers {
+			if oldestAddr == "" || q.at.Before(oldest) {
+				oldestAddr, oldest = a, q.at
+			}
+		}
+		delete(t.peers, oldestAddr)
+	}
+	p = &peer{at: now, integAt: now}
+	t.peers[addr] = p
+	return p
+}
+
 // Observe records one call attempt's outcome against addr. ok=false means
 // the attempt failed conclusively (transport error, injected fault,
 // timeout); ok=true covers any answered call — including application-level
 // rejections, which prove the peer alive. rtt is the attempt's round-trip
 // wall time and feeds the latency EWMA only on answered calls (a timeout's
-// rtt measures the caller's patience, not the peer).
+// rtt measures the caller's patience, not the peer). The same observation
+// moves the circuit: a failure counts toward opening it (and re-opens it
+// when it was the half-open probe), an answer closes it and resets the
+// count.
 func (t *Tracker) Observe(addr string, rtt time.Duration, ok bool) {
 	if t == nil || addr == "" {
 		return
 	}
 	now := t.now()
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.peers[addr]
-	if p == nil {
-		p = &peer{at: now}
-		t.peers[addr] = p
-		t.evictLocked()
-	}
+	p := t.rowLocked(addr, now)
 	susp := p.decayedLocked(now, t.cfg.HalfLife)
 	if !ok {
 		susp += errBump
@@ -186,22 +263,62 @@ func (t *Tracker) Observe(addr string, rtt time.Duration, ok bool) {
 	}
 	p.susp = susp
 	p.at = now
-}
-
-// evictLocked drops the least recently observed peer when the table is
-// over budget. Caller holds t.mu.
-func (t *Tracker) evictLocked() {
-	if len(t.peers) <= t.cfg.MaxPeers {
-		return
-	}
-	var oldestAddr string
-	var oldest time.Time
-	for a, p := range t.peers {
-		if oldestAddr == "" || p.at.Before(oldest) {
-			oldestAddr, oldest = a, p.at
+	moved, opened := false, false
+	if ok {
+		moved = p.phase != closed
+		p.phase, p.fails, p.probing = closed, 0, false
+	} else if t.cfg.CircuitThreshold >= 1 {
+		p.fails++
+		p.probing = false
+		if p.phase == halfOpen || p.fails >= t.cfg.CircuitThreshold {
+			moved, opened = p.phase != open, true
+			p.phase, p.openedAt, p.fails = open, now, 0
 		}
 	}
-	delete(t.peers, oldestAddr)
+	t.mu.Unlock()
+	if moved && t.cfg.OnCircuit != nil {
+		t.cfg.OnCircuit(addr, opened)
+	}
+}
+
+// Allow reports whether a call to addr may proceed. While the circuit is
+// open it returns false until CircuitCooldown has elapsed, then admits
+// exactly one half-open probe; the probe's observation decides whether the
+// circuit closes again or re-opens.
+func (t *Tracker) Allow(addr string) bool {
+	if t == nil {
+		return true
+	}
+	now := t.now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p := t.peers[addr]
+	if p == nil || p.phase == closed {
+		return true
+	}
+	if p.phase == open {
+		if now.Sub(p.openedAt) < t.cfg.CircuitCooldown {
+			return false
+		}
+		p.phase = halfOpen
+	}
+	if p.probing {
+		return false // one probe at a time
+	}
+	p.probing = true
+	return true
+}
+
+// Open reports whether addr's circuit is currently open (rejecting).
+func (t *Tracker) Open(addr string) bool {
+	if t == nil {
+		return false
+	}
+	now := t.now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p := t.peers[addr]
+	return p != nil && p.phase == open && now.Sub(p.openedAt) < t.cfg.CircuitCooldown
 }
 
 // Suspicion returns addr's current suspicion score, decayed to now
@@ -276,34 +393,31 @@ func (t *Tracker) HedgeAfter(addr string, min, max time.Duration) time.Duration 
 // capped at 16000. Selection multiplies a peer's reported load factor by
 // this, so degraded peers sink in capacity-weighted ordering without ever
 // being excluded outright.
-func (t *Tracker) FactorMilli(addr string) uint32 {
-	if t == nil {
-		return 1000
-	}
-	s := t.Suspicion(addr)
-	f := 1000 * (1 + s)
-	if f > 16000 {
-		f = 16000
-	}
-	return uint32(f)
-}
+func (t *Tracker) FactorMilli(addr string) uint32 { return factorMilli(t.Suspicion(addr)) }
 
-// SuspectedCount returns how many tracked peers are currently at or above
-// the suspicion threshold (gauges).
-func (t *Tracker) SuspectedCount() int {
+func factorMilli(susp float64) uint32 { return uint32(min(1000*(1+susp), 16000)) }
+
+// Counts returns how many tracked peers are currently at or above the
+// suspicion threshold, quarantined, and on fetch cooldown (gauges).
+func (t *Tracker) Counts() (suspected, quarantined, cooling int) {
 	if t == nil {
-		return 0
+		return 0, 0, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
-	c := 0
 	for _, p := range t.peers {
 		if p.decayedLocked(now, t.cfg.HalfLife) >= t.cfg.SuspectThreshold {
-			c++
+			suspected++
+		}
+		if now.Before(p.quarUntil) {
+			quarantined++
+		}
+		if now.Before(p.coolUntil) {
+			cooling++
 		}
 	}
-	return c
+	return suspected, quarantined, cooling
 }
 
 // Len returns how many peers the tracker holds state for.
@@ -350,12 +464,7 @@ func (t *Tracker) IntegrityDemerit(addr string) (quarantined bool) {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.peers[addr]
-	if p == nil {
-		p = &peer{at: now, integAt: now}
-		t.peers[addr] = p
-		t.evictLocked()
-	}
+	p := t.rowLocked(addr, now)
 	integ := p.integLocked(now, t.cfg.IntegrityHalfLife) + 1
 	p.integAt = now
 	if t.cfg.QuarantineThreshold > 0 && integ >= t.cfg.QuarantineThreshold && now.After(p.quarUntil) {
@@ -377,12 +486,7 @@ func (t *Tracker) ForceQuarantine(addr string) {
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.peers[addr]
-	if p == nil {
-		p = &peer{at: now, integAt: now}
-		t.peers[addr] = p
-		t.evictLocked()
-	}
+	p := t.rowLocked(addr, now)
 	p.quarUntil = now.Add(t.cfg.QuarantineTTL)
 	p.integ = 0
 }
@@ -432,24 +536,6 @@ func (t *Tracker) MaxIntegrityScore() float64 {
 	return max
 }
 
-// QuarantinedCount returns how many tracked peers are currently
-// quarantined (gauges).
-func (t *Tracker) QuarantinedCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := t.now()
-	c := 0
-	for _, p := range t.peers {
-		if now.Before(p.quarUntil) {
-			c++
-		}
-	}
-	return c
-}
-
 // QuarantinedPeers lists the addresses currently under quarantine.
 func (t *Tracker) QuarantinedPeers() []string {
 	if t == nil {
@@ -465,4 +551,114 @@ func (t *Tracker) QuarantinedPeers() []string {
 		}
 	}
 	return out
+}
+
+// ---------------------------------------------------------------------------
+// Provider choice: the fetch blacklist, the load reports, and the one
+// ranking that reads them together with quarantine, latency and suspicion.
+
+// Cool takes addr out of Rank's answers for d — the fetch blacklist a
+// failed or corrupt chunk transfer earns.
+func (t *Tracker) Cool(addr string, d time.Duration) {
+	if t == nil || addr == "" {
+		return
+	}
+	now := t.now()
+	t.mu.Lock()
+	t.rowLocked(addr, now).coolUntil = now.Add(d)
+	t.mu.Unlock()
+}
+
+// NoteLoad records the load factor a ChunkResp from addr carried. busy says
+// the reply was a Busy nack: a provider shedding for load while advertising
+// itself below saturation contradicts its own nack, so it is recorded as
+// saturated (and reported as clamped) — the lie cannot buy it traffic.
+func (t *Tracker) NoteLoad(addr string, loadMilli uint32, busy bool) (clamped bool) {
+	if t == nil || addr == "" {
+		return false
+	}
+	if clamped = busy && loadMilli < loadSaturated; clamped {
+		loadMilli = loadSaturated
+	}
+	now := t.now()
+	t.mu.Lock()
+	p := t.rowLocked(addr, now)
+	p.load, p.loadAt = loadMilli, now
+	t.mu.Unlock()
+	return clamped
+}
+
+// Rank returns the providers of one lookup answer that may be asked for a
+// chunk, in the order to ask them: order[:n]. Self, quarantined and cooling
+// peers are left out (integrity failures are categorical, a cooldown is
+// the blacklist). The rest sort by effective load, least first — the
+// CoolStreaming move of rotating requests toward the partner with spare
+// capacity: the freshest load factor heard (stale or never heard = idle, so
+// new providers still get traffic), scaled by the suspicion factor so a
+// degraded peer sinks without ever being excluded (when every provider is
+// degraded, fetches still have somewhere to go). The sort is stable: the
+// coordinator's own rotation survives among equals.
+//
+// Latency-contradiction clamp (the other half of the lying-load defense): a
+// provider advertising itself near-idle while its observed latency is over
+// loadLieFloor and 4x the best of the answer's cohort is either lying or
+// measuring wrong — its report is discounted to saturated. clamped counts
+// those. Only the first MaxRank distinct addresses are considered.
+func (t *Tracker) Rank(self string, addrs []string) (order [MaxRank]string, n, clamped int) {
+	if t == nil {
+		for _, a := range addrs {
+			if n < MaxRank && a != self {
+				order[n] = a
+				n++
+			}
+		}
+		return order, n, 0
+	}
+	var load, factor [MaxRank]uint64
+	var lat [MaxRank]float64 // latency EWMA, 0 = no answered call yet
+	best, known := 0.0, 0    // the cohort's lowest EWMA, and how many have one
+	now := t.now()
+	t.mu.Lock()
+	for _, a := range addrs {
+		p := t.peers[a]
+		if p != nil && p.samples > 0 {
+			if known == 0 || p.ewma < best {
+				best = p.ewma
+			}
+			known++
+		}
+		if n == MaxRank || a == self || slices.Contains(order[:n], a) {
+			continue
+		}
+		factor[n] = 1000
+		if p != nil {
+			if now.Before(p.quarUntil) || now.Before(p.coolUntil) {
+				continue
+			}
+			if now.Sub(p.loadAt) < loadTTL {
+				load[n] = uint64(p.load)
+			}
+			if p.samples > 0 {
+				lat[n] = p.ewma
+			}
+			factor[n] = uint64(factorMilli(p.decayedLocked(now, t.cfg.HalfLife)))
+		}
+		order[n] = a
+		n++
+	}
+	t.mu.Unlock()
+	for i := 0; i < n; i++ {
+		if known >= 2 && load[i] < loadSaturated/2 && lat[i] >= loadLieFloor && lat[i] > 4*best {
+			load[i] = loadSaturated
+			clamped++
+		}
+		// +1 so an idle (load 0) suspected peer still ranks behind an idle
+		// healthy one.
+		load[i] = (load[i] + 1) * factor[i]
+		for j := i; j > 0 && load[j] < load[j-1]; j-- {
+			load[j], load[j-1] = load[j-1], load[j]
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return order, n, clamped
 }

@@ -187,8 +187,8 @@ func TestSuspectedCount(t *testing.T) {
 	tr.Observe("bad", 0, false)
 	tr.Observe("bad", 0, false)
 	tr.Observe("good", time.Millisecond, true)
-	if c := tr.SuspectedCount(); c != 1 {
-		t.Fatalf("SuspectedCount = %d, want 1", c)
+	if c, _, _ := tr.Counts(); c != 1 {
+		t.Fatalf("suspected count = %d, want 1", c)
 	}
 }
 
@@ -236,8 +236,8 @@ func TestIntegrityDemeritAccrualAndQuarantineEntry(t *testing.T) {
 	if s := tr.IntegrityScore("p"); s != 0 {
 		t.Fatalf("score must reset on quarantine entry, got %v", s)
 	}
-	if c := tr.QuarantinedCount(); c != 1 {
-		t.Fatalf("QuarantinedCount = %d, want 1", c)
+	if _, c, _ := tr.Counts(); c != 1 {
+		t.Fatalf("quarantined count = %d, want 1", c)
 	}
 	if qs := tr.QuarantinedPeers(); len(qs) != 1 || qs[0] != "p" {
 		t.Fatalf("QuarantinedPeers = %v, want [p]", qs)
@@ -333,7 +333,7 @@ func TestQuarantineDisabledByNegativeThreshold(t *testing.T) {
 func TestNilTrackerIntegrityNeutral(t *testing.T) {
 	var tr *Tracker
 	if tr.IntegrityDemerit("a") || tr.Quarantined("a") || tr.IntegrityScore("a") != 0 ||
-		tr.MaxIntegrityScore() != 0 || tr.QuarantinedCount() != 0 || tr.QuarantinedPeers() != nil {
+		tr.MaxIntegrityScore() != 0 || tr.QuarantinedPeers() != nil {
 		t.Fatal("nil tracker must be neutral for integrity APIs")
 	}
 	tr.ForceQuarantine("a")

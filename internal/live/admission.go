@@ -13,12 +13,10 @@ package live
 // load ignores per-node outbound budgets, applied to a pull mesh.
 
 import (
-	"sort"
 	"sync"
 	"time"
 
 	"dco/internal/index"
-	"dco/internal/wire"
 )
 
 // loadSaturatedMilli is the load factor (thousandths) at which a provider
@@ -165,117 +163,10 @@ func (p *pacer) queueDepth() int {
 }
 
 // ---------------------------------------------------------------------------
-// Node-side glue: what goes on the wire, and both halves of load-aware
-// provider selection (coordinator answer + viewer ordering).
+// Node-side glue: what goes on the wire. The coordinator weighs its answer
+// by it (index.Table.Select), the viewer its fetch order (health.Rank).
 
 // reportLoadMilli is the load factor this node piggybacks on republish
 // Inserts and ChunkResps: what lets coordinators weight provider selection
 // by capacity and viewers prefer the least-loaded provider.
 func (n *Node) reportLoadMilli() uint32 { return n.pace.loadMilli() }
-
-// provLoadTTL bounds how long a heard load factor steers viewer-side
-// provider ordering; past it the provider counts as unknown (idle-equal).
-const provLoadTTL = 3 * time.Second
-
-// provLoadRec is a viewer-side cache row: the load factor last heard from
-// a provider (any ChunkResp carries one) and when it was heard.
-type provLoadRec struct {
-	loadMilli uint32
-	at        time.Time
-}
-
-// noteProviderLoad caches the load factor a ChunkResp carried from addr.
-func (n *Node) noteProviderLoad(addr string, load uint32) {
-	n.provLoadMu.Lock()
-	n.provLoad[addr] = provLoadRec{loadMilli: load, at: time.Now()}
-	// The cache tracks the handful of providers this viewer actually talks
-	// to; bound it anyway so a long-lived node cannot accumulate rows for
-	// every peer that ever served it.
-	if len(n.provLoad) > 4096 {
-		cutoff := time.Now().Add(-provLoadTTL)
-		for a, r := range n.provLoad {
-			if r.at.Before(cutoff) {
-				delete(n.provLoad, a)
-			}
-		}
-	}
-	n.provLoadMu.Unlock()
-}
-
-// orderProvidersByLoad returns a lookup answer reordered by the freshest
-// load factor heard from each provider, least-loaded first — the
-// CoolStreaming move of rotating requests toward the partner with spare
-// capacity. Providers never heard from (or heard from too long ago) rank
-// equal with idle ones, so new providers still get traffic. The sort is
-// stable: the coordinator's own rotation survives among equals.
-//
-// Health multiplies the effective load (gray-failure defense): a peer's
-// suspicion score scales its load factor up (FactorMilli: 1000 = neutral,
-// one error's worth of suspicion doubles it), so a degraded provider
-// sinks toward the back of the order without ever being excluded — when
-// every provider is degraded, fetches still have somewhere to go. With
-// all peers neutral the ordering is exactly the pre-health one.
-func (n *Node) orderProvidersByLoad(provs []wire.Entry) []wire.Entry {
-	if len(provs) < 2 {
-		return provs
-	}
-	now := time.Now()
-	loads := make([]uint64, len(provs))
-	n.provLoadMu.Lock()
-	for i, pr := range provs {
-		if rec, ok := n.provLoad[pr.Addr]; ok && now.Sub(rec.at) < provLoadTTL {
-			loads[i] = uint64(rec.loadMilli)
-		}
-	}
-	n.provLoadMu.Unlock()
-	// Latency-contradiction clamp (the other half of the lying-load
-	// defense): a provider advertising itself near-idle while its observed
-	// serve latency towers over the cohort's best is either lying or
-	// measuring wrong — discount its report to saturated so the claim
-	// cannot capture the order. The floor keeps sub-ms LAN jitter from
-	// ever tripping it, and the 4x ratio demands a real contradiction.
-	ewmas := make([]time.Duration, len(provs))
-	var minEwma time.Duration
-	known := 0
-	for i, pr := range provs {
-		if d, ok := n.health.ExpectedLatency(pr.Addr); ok {
-			ewmas[i] = d
-			if known == 0 || d < minEwma {
-				minEwma = d
-			}
-			known++
-		}
-	}
-	if known >= 2 {
-		for i := range provs {
-			if loads[i] < loadSaturatedMilli/2 && ewmas[i] >= loadLieLatencyFloor && ewmas[i] > 4*minEwma {
-				loads[i] = loadSaturatedMilli
-				n.lm.loadReportsClamped.Inc()
-			}
-		}
-	}
-	for i, pr := range provs {
-		// +1 so an idle (load 0) suspected peer still ranks behind an idle
-		// healthy one.
-		loads[i] = (loads[i] + 1) * uint64(n.health.FactorMilli(pr.Addr))
-	}
-	type pair struct {
-		e wire.Entry
-		l uint64
-	}
-	pairs := make([]pair, len(provs))
-	for i := range provs {
-		pairs[i] = pair{provs[i], loads[i]}
-	}
-	sort.SliceStable(pairs, func(a, b int) bool { return pairs[a].l < pairs[b].l })
-	out := make([]wire.Entry, len(pairs))
-	for i := range pairs {
-		out[i] = pairs[i].e
-	}
-	return out
-}
-
-// loadLieLatencyFloor is the minimum observed latency EWMA before the
-// latency-contradiction clamp can trip — below it the peer is fast enough
-// that its load claim is unfalsifiable (and harmless).
-const loadLieLatencyFloor = 20 * time.Millisecond

@@ -2,7 +2,7 @@ package live
 
 // backend.go is the one place the live node names a DHT backend type:
 // the Config.DHT -> dht.Kernel factory, the Caller adapter that routes
-// kernel RPCs through the node's retry/breaker stack, the Events
+// kernel RPCs through the node's retry stack and peer table, the Events
 // handlers that feed kernel membership activity back into the census
 // cache, the index handoff path, and the replica store — and the
 // owner-arc cache every index request of this node consults before it
@@ -33,7 +33,7 @@ func defaultDHT() string {
 
 // newKernel builds the configured DHT backend. Called once from NewNode,
 // after the transport, metrics, and retrier exist (the kernel shares the
-// node's registry and calls through its breaker).
+// node's registry and calls through its one transport call site).
 func (n *Node) newKernel() (dht.Kernel, error) {
 	opts := dht.Options{
 		Self:   n.self,
@@ -69,16 +69,16 @@ func (n *Node) newKernel() (dht.Kernel, error) {
 }
 
 // nodeCaller adapts the node's RPC stack to the dht.Caller seam: kernel
-// calls get the same timeouts, retries, breaker accounting, and failure
+// calls get the same timeouts, retries, circuit accounting, and failure
 // condemnation (feeding Kernel.PeerFailed) as the node's own traffic.
 type nodeCaller struct{ n *Node }
 
 func (c nodeCaller) Call(addr string, req wire.Message) (wire.Message, error) {
-	return c.n.call(addr, req)
+	return c.n.call(addr, req, c.n.cfg.CallTimeout)
 }
 
 func (c nodeCaller) CallIdem(addr string, req wire.Message) (wire.Message, error) {
-	return c.n.callIdem(addr, req)
+	return c.n.callIdem(addr, req, c.n.cfg.CallTimeout)
 }
 
 // routeCacheSize bounds the owner-arc cache: how many coordinators (Chord:
@@ -148,7 +148,7 @@ func (n *Node) bounced(owner string, err error) bool {
 // folds a remote one.
 func (n *Node) askOwner(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
 	if addr != n.self.Addr {
-		return n.callIdemTimeout(addr, req, timeout)
+		return n.callIdem(addr, req, timeout)
 	}
 	resp := n.serve(addr, req)
 	if e, ok := resp.(*wire.Error); ok {
@@ -185,7 +185,7 @@ func (n *Node) onKernRangeChanged(newOwner dht.Member) {
 	for _, e := range n.idx.Take(n.kern.Owns) {
 		moved = append(moved, e.Handoff())
 	}
-	go func() { _, _ = n.callIdem(newOwner.Addr, &wire.Handoff{Entries: moved}) }()
+	go func() { _, _ = n.callIdem(newOwner.Addr, &wire.Handoff{Entries: moved}, n.cfg.CallTimeout) }()
 }
 
 // onKernDeparted reacts to a member's graceful leave — the one conclusive

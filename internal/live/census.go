@@ -122,7 +122,7 @@ func splitSuspected(self string, mine []wire.Entry, peer wire.Entry, theirs []wi
 // census is the periodic beacon loop: probe up to censusProbes cached
 // members outside the current membership view and compare views. Probes
 // use the single-shot call path — a failed probe is itself the signal (the
-// member is still unreachable), and its breaker bookkeeping is how a
+// member is still unreachable), and its observation is how a
 // healed peer's circuit resets the moment a probe gets through.
 func (n *Node) census() {
 	view := n.ringView()
@@ -137,7 +137,7 @@ func (n *Node) census() {
 	for i := 0; i < min(censusProbes, len(cands)); i++ {
 		t := cands[(n.censusCursor.Add(1)-1)%uint64(len(cands))]
 		n.lm.censusProbes.Inc()
-		resp, err := n.call(t.Addr, probe)
+		resp, err := n.call(t.Addr, probe, n.cfg.CallTimeout)
 		if err != nil {
 			continue
 		}

@@ -1,6 +1,11 @@
 package live
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -137,19 +142,44 @@ func TestFetchBlacklistsFailingProvider(t *testing.T) {
 	n := soloNode(t, resilientConfig())
 
 	n.blacklistProvider("mem://gone")
-	if n.providerUsable("mem://gone") {
-		t.Fatal("blacklisted provider still usable")
-	}
-	if !n.providerUsable("mem://fine") {
-		t.Fatal("unrelated provider blacklisted")
+	if got := fetchOrder(n, "mem://gone", "mem://fine"); !slices.Equal(got, []string{"mem://fine"}) {
+		t.Fatalf("fetch order %v, want only the provider that is not blacklisted", got)
 	}
 	if got := n.Stats().ProvidersBlacklisted; got != 1 {
 		t.Fatalf("ProvidersBlacklisted = %d, want 1", got)
 	}
 	// The cooldown expires.
 	waitFor(t, 5*time.Second, "cooldown to expire", func() bool {
-		return n.providerUsable("mem://gone")
+		return len(fetchOrder(n, "mem://gone")) == 1
 	})
+}
+
+// TestPeerStateStaysBounded: peers that die for good do not accumulate.
+// Every address-keyed fact a viewer keeps — circuit, blacklist entry, load
+// report — is a row of the one LRU-bounded peer table (the parent commit
+// kept 5,000 breaker states and 5,000 cooldown entries here).
+func TestPeerStateStaysBounded(t *testing.T) {
+	cfg := resilientConfig()
+	cfg.ProviderCooldown = time.Hour
+	n := soloNode(t, cfg)
+	const maxPeers = 1024 // health.Config.MaxPeers' default
+	for i := 0; i < 5000; i++ {
+		addr := fmt.Sprintf("mem://dead-%d", i)
+		for f := 0; f < cfg.Breaker.Threshold; f++ {
+			_, _ = n.call(addr, &wire.Ping{}, cfg.CallTimeout)
+		}
+		n.blacklistProvider(addr)
+	}
+	if got := n.Stats().BreakerOpens; got != 5000 {
+		t.Fatalf("BreakerOpens = %d, want one per dead peer", got)
+	}
+	if rows := n.health.Len(); rows > maxPeers {
+		t.Fatalf("peer table holds %d rows, want <= %d", rows, maxPeers)
+	}
+	size := n.lm.reg.Snapshot().Gauges["dco_live_blacklist_size"]
+	if size < 1 || size > maxPeers {
+		t.Fatalf("dco_live_blacklist_size = %v, want in [1, %d]", size, maxPeers)
+	}
 }
 
 // TestBreakerFailsFastOnDeadPeer: repeated calls to a dead address open
@@ -163,20 +193,53 @@ func TestBreakerFailsFastOnDeadPeer(t *testing.T) {
 	dead.Close()
 
 	for i := 0; i < 3; i++ {
-		_, _ = n.callIdem(deadAddr, &wire.Ping{})
+		_, _ = n.callIdem(deadAddr, &wire.Ping{}, cfg.CallTimeout)
 	}
 	if got := n.Stats().BreakerOpens; got == 0 {
 		t.Fatal("circuit never opened against a dead peer")
 	}
-	if !n.retrier.Breaker().Open(deadAddr) {
-		t.Fatal("breaker reports closed for the dead address")
+	if !n.health.Open(deadAddr) {
+		t.Fatal("peer table reports a closed circuit for the dead address")
 	}
 	start := time.Now()
-	_, err := n.callIdem(deadAddr, &wire.Ping{})
+	_, err := n.callIdem(deadAddr, &wire.Ping{}, cfg.CallTimeout)
 	if err == nil {
 		t.Fatal("call to dead peer with open circuit succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("open circuit did not fail fast: %v", elapsed)
+	}
+}
+
+// TestPeerStateLivesInThePeerTable keeps the next feature from growing its
+// own address-keyed map of deadlines or load again (the provider blacklist
+// and the load cache were two), and the circuit from moving back into the
+// retry package: a viewer's per-peer state is a row of health.Tracker. The
+// pollution guard (integrity.go) is the one exemption: its maps are a
+// coordinator's ledger of accusations, not a verdict on how good a peer is.
+func TestPeerStateLivesInThePeerTable(t *testing.T) {
+	perPeerMap := regexp.MustCompile(`map\[string\](time\.Time|\*?\w*([lL]oad|[cC]ool|[bB]reaker)\w*)`)
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || name == "integrity.go" {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := perPeerMap.Find(src); m != nil {
+			t.Errorf("%s declares %q: per-peer state belongs to health.Tracker", name, m)
+		}
+	}
+	src, err := os.ReadFile("../retry/retry.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := regexp.MustCompile(`(?m)^type Breaker\b`).Find(src); m != nil {
+		t.Errorf("internal/retry declares %q again: the circuit is a row of health.Tracker", m)
 	}
 }

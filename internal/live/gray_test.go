@@ -1,6 +1,7 @@
 package live
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -159,31 +160,58 @@ func TestGetChunkDeadlineShed(t *testing.T) {
 // (the pre-health property existing tests rely on).
 func TestOrderProvidersHealthAware(t *testing.T) {
 	n := soloNode(t, fastConfig())
-	provs := []wire.Entry{
-		{ID: 1, Addr: "p:a"},
-		{ID: 2, Addr: "p:b"},
-		{ID: 3, Addr: "p:c"},
-	}
+	provs := []string{"p:a", "mem://dead", "p:c"}
 	// All neutral: stable, order preserved.
-	got := n.orderProvidersByLoad(provs)
-	for i := range provs {
-		if got[i].Addr != provs[i].Addr {
-			t.Fatalf("neutral ordering changed: %v", got)
-		}
+	if got := fetchOrder(n, provs...); !slices.Equal(got, provs) {
+		t.Fatalf("neutral ordering changed: %v", got)
 	}
-	// p:b accumulates errors (conclusive failures bump suspicion hardest).
+	// The middle provider fails calls — the node's own, through the one
+	// call site that feeds the table (conclusive failures bump suspicion
+	// hardest), though too few to open its circuit.
 	for i := 0; i < 3; i++ {
-		n.health.Observe("p:b", 50*time.Millisecond, false)
+		_, _ = n.call("mem://dead", &wire.Ping{}, n.cfg.CallTimeout)
 	}
-	got = n.orderProvidersByLoad(provs)
-	if len(got) != 3 {
-		t.Fatalf("provider dropped from order: %v", got)
+	if got := fetchOrder(n, provs...); !slices.Equal(got, []string{"p:a", "p:c", "mem://dead"}) {
+		t.Fatalf("fetch order %v: want the suspected provider last, never dropped, the healthy ones as they were", got)
 	}
-	if got[2].Addr != "p:b" {
-		t.Fatalf("suspected provider not deprioritized: %v", got)
-	}
-	if got[0].Addr != "p:a" || got[1].Addr != "p:c" {
-		t.Fatalf("healthy providers reordered: %v", got)
+}
+
+// TestDeadlineTimeoutClampOrder pins the one timeout rule of the fetch path
+// (lookups and chunk requests both): deadline-derived, never shorter than
+// the server-side wait plus 250ms of slack, never longer than CallTimeout —
+// in that order, so the cap wins over the slack.
+func TestDeadlineTimeoutClampOrder(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		callTimeout time.Duration
+		remaining   time.Duration // 0 = no deadline
+		serverWait  time.Duration
+		want        time.Duration
+	}{
+		{"no deadline: CallTimeout", 2000 * ms, 0, 0, 2000 * ms},
+		{"no deadline, long server wait: capped at CallTimeout", 2000 * ms, 0, 5000 * ms, 2000 * ms},
+		{"remaining budget under CallTimeout", 2000 * ms, 1000 * ms, 0, 1000 * ms},
+		{"remaining budget over CallTimeout", 2000 * ms, 5000 * ms, 0, 2000 * ms},
+		{"nearly expired: the slack is the floor", 2000 * ms, 5 * ms, 0, 250 * ms},
+		{"expired: the slack is the floor", 2000 * ms, -1000 * ms, 0, 250 * ms},
+		{"server wait plus slack wins over a shorter budget", 2000 * ms, 300 * ms, 600 * ms, 850 * ms},
+		{"and loses to CallTimeout", 500 * ms, 300 * ms, 600 * ms, 500 * ms},
+		{"CallTimeout below the slack: the cap still wins", 100 * ms, 0, 0, 100 * ms},
+		{"no CallTimeout, no deadline: server wait plus slack", 0, 0, 600 * ms, 850 * ms},
+		{"no CallTimeout: the remaining budget, uncapped", 0, 9000 * ms, 600 * ms, 9000 * ms},
+		{"negative CallTimeout counts as none", -1, 1000 * ms, 0, 1000 * ms},
+	} {
+		n := &Node{cfg: Config{CallTimeout: tc.callTimeout}}
+		var deadline time.Time
+		if tc.remaining != 0 {
+			deadline = time.Now().Add(tc.remaining)
+		}
+		got := n.deadlineTimeout(deadline, tc.serverWait)
+		// A deadline-derived answer shrinks by however long the call took.
+		if got > tc.want || got < tc.want-50*ms {
+			t.Errorf("%s: deadlineTimeout = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

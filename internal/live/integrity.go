@@ -207,7 +207,7 @@ func (n *Node) noteManifestAd(addr string, head int64) {
 	}
 	// Untracked goroutine (fetchOnce precedent): call-timeout bounded.
 	go func() {
-		if resp, err := n.call(addr, &wire.ManifestReq{FromSeq: from, Max: manifestReqMax}); err == nil {
+		if resp, err := n.call(addr, &wire.ManifestReq{FromSeq: from, Max: manifestReqMax}, n.cfg.CallTimeout); err == nil {
 			n.noteManifestResp(resp)
 		}
 	}()
@@ -262,7 +262,7 @@ func (n *Node) ensureManifest(seq int64, cr *wire.ChunkResp, provider string) {
 	}
 	req := &wire.ManifestReq{FromSeq: from, Max: manifestReqMax}
 	covered := func(addr string) bool {
-		resp, err := n.call(addr, req)
+		resp, err := n.call(addr, req, n.cfg.CallTimeout)
 		if err != nil {
 			return false
 		}
@@ -373,7 +373,7 @@ func (n *Node) reportPollution(target string, seq int64) {
 				n.onPollutionReport(msg)
 				return
 			}
-			_, _ = n.call(owner.Addr, msg)
+			_, _ = n.call(owner.Addr, msg, n.cfg.CallTimeout)
 		}
 		deliver(key)
 		deliver(dht.IDOf("pollution/1/" + target))

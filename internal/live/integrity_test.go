@@ -116,7 +116,7 @@ func TestPunishPoisonerQuarantines(t *testing.T) {
 	if !n.health.Quarantined(evil) {
 		t.Fatal("4 demerits did not quarantine at threshold 3")
 	}
-	if n.providerUsable(evil) {
+	if len(fetchOrder(n, evil)) != 0 {
 		t.Fatal("quarantined peer still usable as provider")
 	}
 	if n.Stats().PeersQuarantined == 0 {
@@ -329,23 +329,22 @@ func TestLookupParksWhenAllProvidersQuarantined(t *testing.T) {
 // saturated and sorts behind an honestly-loaded fast peer.
 func TestLatencyContradictionClampsLyingLoad(t *testing.T) {
 	n := soloNode(t, fastConfig())
-	liar := wire.Entry{ID: 1, Addr: "liar:1"}
-	honest := wire.Entry{ID: 2, Addr: "honest:1"}
+	const liar, honest = "liar:1", "honest:1"
 	// Observed reality: the liar's serves take 120ms, the honest peer 4ms.
 	for i := 0; i < 8; i++ {
-		n.health.Observe(liar.Addr, 120*time.Millisecond, true)
-		n.health.Observe(honest.Addr, 4*time.Millisecond, true)
+		n.health.Observe(liar, 120*time.Millisecond, true)
+		n.health.Observe(honest, 4*time.Millisecond, true)
 	}
 	// Claimed load: liar says idle, honest admits 800/1000.
-	n.noteProviderLoad(liar.Addr, 0)
-	n.noteProviderLoad(honest.Addr, 800)
+	n.health.NoteLoad(liar, 0, false)
+	n.health.NoteLoad(honest, 800, false)
 
-	got := n.orderProvidersByLoad([]wire.Entry{liar, honest})
-	if got[0].Addr != honest.Addr {
-		t.Fatalf("lying idle claim captured the order: %v", got)
+	order, _, clamped := n.health.Rank(n.Addr(), []string{liar, honest})
+	if order[0] != honest {
+		t.Fatalf("lying idle claim captured the order: %v", order[:2])
 	}
-	if n.Stats().LoadReportsClamped == 0 {
-		t.Fatal("contradiction clamp not counted")
+	if clamped != 1 {
+		t.Fatalf("clamped = %d, want the liar's report counted once", clamped)
 	}
 }
 

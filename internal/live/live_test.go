@@ -82,6 +82,39 @@ func soloNode(t *testing.T, cfg Config) *Node {
 	return n
 }
 
+// fetchOrder is the order n's peer table would ask addrs for a chunk in:
+// the usable ones, best first.
+func fetchOrder(n *Node, addrs ...string) []string {
+	order, usable, _ := n.health.Rank(n.Addr(), addrs)
+	return order[:usable]
+}
+
+// TestActiveWindowDerivedForEndlessStreams: a node on an endless channel
+// that was given no window gets the manifest window instead of buffering
+// every chunk forever; a counted stream keeps everything, and a window
+// that was set stays.
+func TestActiveWindowDerivedForEndlessStreams(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		count        int64
+		window, want int
+	}{
+		{"endless", 0, 0, manifestWindow},
+		{"counted", 20, 0, 0},
+		{"endless, explicit window", 0, 64, 64},
+		{"counted, explicit window", 20, 64, 64},
+	} {
+		cfg := fastConfig()
+		cfg.Channel.Count, cfg.ActiveWindow = tc.count, tc.window
+		if got := soloNode(t, cfg).cfg.ActiveWindow; got != tc.want {
+			t.Errorf("%s: ActiveWindow = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	if manifestWindow != 4096 {
+		t.Errorf("manifestWindow = %d; README and dconode -h say 4096", manifestWindow)
+	}
+}
+
 func TestPayloadRoundTrip(t *testing.T) {
 	p := stream.Params{Channel: "X", ChunkBits: 8 * 1024, Period: time.Second}
 	data := MakeChunkPayload(p, 7)

@@ -257,15 +257,16 @@ func (n *Node) registerGauges() {
 		return float64(n.idx.Len())
 	})
 	reg.GaugeFunc("dco_live_blacklist_size", func() float64 {
-		n.cooldown.mu.Lock()
-		defer n.cooldown.mu.Unlock()
-		return float64(len(n.cooldown.until))
+		_, _, cooling := n.health.Counts()
+		return float64(cooling)
 	})
 	reg.GaugeFunc("dco_live_suspected_peers", func() float64 {
-		return float64(n.health.SuspectedCount())
+		suspected, _, _ := n.health.Counts()
+		return float64(suspected)
 	})
 	reg.GaugeFunc("dco_live_quarantined_peers", func() float64 {
-		return float64(n.health.QuarantinedCount())
+		_, quarantined, _ := n.health.Counts()
+		return float64(quarantined)
 	})
 	// The registry has no labels, so the per-peer integrity demerit gauge
 	// is surfaced as the worst score across peers — enough to alarm on.
@@ -311,26 +312,24 @@ func (n *Node) fillState() (have, want int64) {
 	return have, want
 }
 
-// hookResilience wires the retry/breaker layers' observer seams into the
-// node's counters and trace.
-func (n *Node) hookResilience() {
-	self := n.Addr()
-	n.retrier.SetOnRetry(func(addr string, attempt int, pause time.Duration, err error) {
-		n.lm.rpcRetries.Inc()
-		n.lm.retryBackoffNs.Add(uint64(pause))
-		if n.lm.trace != nil {
-			n.lm.trace.Record("rpc.retry", self, fmt.Sprintf("peer=%s attempt=%d pause=%s err=%v", addr, attempt, pause, err))
-		}
-	})
-	n.retrier.Breaker().SetOnTransition(func(addr string, opened bool) {
-		if opened {
-			n.lm.breakerOpens.Inc()
-			n.lm.trace.Record("breaker.open", self, addr)
-		} else {
-			n.lm.breakerCloses.Inc()
-			n.lm.trace.Record("breaker.close", self, addr)
-		}
-	})
+// onRetry and onCircuit are the retrier's and the peer table's observer
+// seams: retries and circuit transitions, counted and traced.
+func (n *Node) onRetry(addr string, attempt int, pause time.Duration, err error) {
+	n.lm.rpcRetries.Inc()
+	n.lm.retryBackoffNs.Add(uint64(pause))
+	if n.lm.trace != nil {
+		n.traceEvent("rpc.retry", fmt.Sprintf("peer=%s attempt=%d pause=%s err=%v", addr, attempt, pause, err))
+	}
+}
+
+func (n *Node) onCircuit(addr string, opened bool) {
+	if opened {
+		n.lm.breakerOpens.Inc()
+		n.traceEvent("breaker.open", addr)
+	} else {
+		n.lm.breakerCloses.Inc()
+		n.traceEvent("breaker.close", addr)
+	}
 }
 
 // traceEvent records a protocol event attributed to this node.

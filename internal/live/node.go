@@ -130,7 +130,9 @@ type Config struct {
 	// ActiveWindow bounds how many chunks a node retains (and advertises);
 	// older chunks are dropped and unregistered as the stream moves on —
 	// the paper's sliding active-chunk window (§III-A1). Zero keeps
-	// everything (fine for bounded streams; do not use with endless ones).
+	// everything on a counted stream; on an endless one (Channel.Count == 0)
+	// it derives the manifest window, 4096 chunks — an older chunk cannot be
+	// checked against a manifest row anyway.
 	ActiveWindow int
 
 	// OnChunk, if set, is invoked for every chunk received or generated
@@ -285,7 +287,7 @@ type Node struct {
 
 	// mu guards exactly the buffer: chunks, registered, latestGen and
 	// republishCursor. Everything else a request touches has a lock of its
-	// own (idx, replicas, replq, guard, cooldown, members, routes, manMu), and
+	// own (idx, replicas, replq, guard, health, members, routes, manMu), and
 	// no path holds mu together with any of them.
 	mu sync.Mutex
 	// chunks holds every buffered payload. A stored slice is immutable: it
@@ -300,12 +302,13 @@ type Node struct {
 	// (internal/index; DESIGN.md "Index table").
 	idx *index.Table
 
-	retrier  *retry.Retrier
-	cooldown cooldowns // failing providers, cooling down (streamer.go)
+	retrier *retry.Retrier
 
-	// health scores every peer this node calls (internal/health), fed by
-	// the transport observer hook: latency EWMAs drive hedge trigger
-	// delays, suspicion scores deprioritize degraded peers in selection.
+	// health is the node's one address-keyed peer table (internal/health;
+	// DESIGN.md "Peer table"), fed by attempt, the one place this node calls
+	// its transport: latency and suspicion, the circuit the retrier's gate
+	// and peerCondemned ask, quarantine, the fetch blacklist and the load
+	// reports that rank a lookup answer's providers.
 	health *health.Tracker
 
 	// pace is the upload admission pacer enforcing UpBps on the chunk
@@ -317,13 +320,6 @@ type Node struct {
 	// so equal seeds give equal schedules.
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
-
-	// provLoad caches the freshest load factor heard from each provider
-	// (piggybacked on ChunkResps), so fetches prefer the least-loaded
-	// provider among a lookup answer. Guarded by provLoadMu, not n.mu —
-	// it is touched on every fetch.
-	provLoadMu sync.Mutex
-	provLoad   map[string]provLoadRec
 
 	// Replication state (replication.go): ops accepted but not yet flushed
 	// to the replica set, and the slices of other owners' indices
@@ -458,14 +454,16 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	if cfg.MaxProvidersPerSeq == 0 {
 		cfg.MaxProvidersPerSeq = 128
 	}
+	if cfg.Channel.Count == 0 && cfg.ActiveWindow == 0 {
+		// An endless stream with no window would buffer every chunk forever.
+		cfg.ActiveWindow = manifestWindow
+	}
 	n := &Node{
 		cfg:             cfg,
 		chunks:          make(map[int64][]byte),
 		registered:      make(map[int64]bool),
 		idx:             index.New(cfg.MaxProvidersPerSeq),
 		replicas:        replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
-		cooldown:        cooldowns{until: make(map[string]time.Time)},
-		provLoad:        make(map[string]provLoadRec),
 		manifest:        make(map[int64]manifestRec),
 		guard:           newPollutionGuard(),
 		pace:            newPacer(cfg.UpBps, burst, cfg.AdmitQueue),
@@ -480,19 +478,14 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	}
 	n.tr = tr
 	n.self = dht.Member{ID: dht.IDOf(tr.Addr()), Addr: tr.Addr()}
+	n.lm = newLiveMetrics(cfg.Telemetry, cfg.Trace)
 	n.health = health.NewTracker(health.Config{
 		QuarantineThreshold: cfg.QuarantineThreshold,
 		QuarantineTTL:       cfg.QuarantineTTL,
+		CircuitThreshold:    cfg.Breaker.Threshold,
+		CircuitCooldown:     cfg.Breaker.Cooldown,
+		OnCircuit:           n.onCircuit,
 	})
-	// Feed health scoring from the transport's per-call observer hook when
-	// the transport (or its fault-injecting decorator) offers one. The
-	// observer reports application-level rejections with err == nil — a
-	// peer that answered, even with a nack, is alive.
-	if os, ok := tr.(transport.ObserverSetter); ok {
-		os.SetObserver(func(addr string, rtt time.Duration, err error) {
-			n.health.Observe(addr, rtt, err == nil)
-		})
-	}
 	if cfg.IOReadTimeout > 0 || cfg.IOWriteTimeout > 0 {
 		if io, ok := tr.(interface {
 			SetIOTimeouts(read, write time.Duration)
@@ -506,9 +499,8 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		// Stable per-address seed: same deployment, same jitter schedule.
 		seed = int64(n.self.ID)
 	}
-	n.retrier = retry.New(cfg.Retry, retry.NewBreaker(cfg.Breaker), seed)
+	n.retrier = retry.New(cfg.Retry, n.health.Allow, seed)
 	n.jitter = rand.New(rand.NewSource(seed ^ 0x6a69747465726a69)) // distinct stream from the retrier's
-	n.lm = newLiveMetrics(cfg.Telemetry, cfg.Trace)
 	kern, err := n.newKernel()
 	if err != nil {
 		_ = tr.Close()
@@ -519,7 +511,7 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	n.kern = kern
 	n.ready.Store(true)
 	n.registerGauges()
-	n.hookResilience()
+	n.retrier.SetOnRetry(n.onRetry)
 	return n, nil
 }
 
@@ -535,6 +527,7 @@ func (n *Node) DHTName() string { return n.kern.Name() }
 // Stats returns a snapshot of the node's counters, assembled lock-free
 // from the telemetry registry (and the retrier's own accounting).
 func (n *Node) Stats() Stats {
+	suspected, quarantined, _ := n.health.Counts()
 	return Stats{
 		LookupsServed:        n.lm.lookupsServed.Value(),
 		InsertsServed:        n.lm.insertsServed.Value(),
@@ -549,14 +542,14 @@ func (n *Node) Stats() Stats {
 		BusyNacksHintless:    n.lm.busyNacksHintless.Value(),
 		PacedServes:          n.lm.pacedServes.Value(),
 		CallRetries:          n.retrier.Retries(),
-		BreakerOpens:         n.retrier.Breaker().Opens(),
+		BreakerOpens:         n.lm.breakerOpens.Value(),
 		LookupFailovers:      n.lm.lookupFailovers.Value(),
 		ProvidersBlacklisted: n.lm.providersBlacklisted.Value(),
 		HedgesLaunched:       n.lm.hedgesLaunched.Value(),
 		HedgeWins:            n.lm.hedgeWins.Value(),
 		HedgesCancelled:      n.lm.hedgesCancelled.Value(),
 		DeadlineSheds:        n.lm.deadlineSheds.Value(),
-		SuspectedPeers:       uint64(n.health.SuspectedCount()),
+		SuspectedPeers:       uint64(suspected),
 		ReplicaOpsApplied:    n.lm.replicaOpsApplied.Value(),
 		IndexTakeovers:       n.lm.takeovers.Value(),
 		DigestRepairs:        n.lm.digestRepairOps.Value(),
@@ -574,7 +567,7 @@ func (n *Node) Stats() Stats {
 		DigestBytes:          n.lm.digestBytes.Value(),
 		IntegrityRejects:     n.lm.integrityRejects.Value(),
 		PeersQuarantined:     n.lm.peersQuarantined.Value(),
-		QuarantinedPeers:     uint64(n.health.QuarantinedCount()),
+		QuarantinedPeers:     uint64(quarantined),
 		InsertsRateLimited:   n.lm.insertsRateLimited.Value(),
 		InsertsRejected:      n.lm.insertsRejected.Value(),
 		PollutionReportsSent: n.lm.pollutionReportsSent.Value(),
@@ -742,7 +735,7 @@ func (n *Node) Leave() error {
 	}
 	if heirOK && heir.Addr != n.Addr() {
 		if len(entries) > 0 {
-			_, _ = n.callIdem(heir.Addr, &wire.Handoff{Entries: entries})
+			_, _ = n.callIdem(heir.Addr, &wire.Handoff{Entries: entries}, n.cfg.CallTimeout)
 		}
 		// Replicate the handed-off range past the new owner on its behalf:
 		// if the sole handoff target dies before republication kicks in,
@@ -757,7 +750,7 @@ func (n *Node) Leave() error {
 				if s.Addr == n.Addr() || s.Addr == heir.Addr {
 					continue
 				}
-				if _, err := n.callIdem(s.Addr, batch); err == nil {
+				if _, err := n.callIdem(s.Addr, batch, n.cfg.CallTimeout); err == nil {
 					sent++
 				}
 				if sent == n.cfg.Replicas {
@@ -772,93 +765,52 @@ func (n *Node) Leave() error {
 
 func (n *Node) wireSelf() wire.Entry { return n.self.Wire() }
 
-// rpcClassify maps the wire error taxonomy onto the retry layer: remote
-// wire.Errors retry only when their code says so, and never count toward
-// the circuit breaker (the peer answered — it is alive).
-var rpcClassify = retry.Classify{
-	Retryable: wire.Retryable,
-	BreakerFailure: func(err error) bool {
-		var we *wire.Error
-		return !errors.As(err, &we)
-	},
+// remoteReply reports whether err is a peer's own wire.Error reply — an
+// answer, which proves the peer alive — and not a transport failure.
+func remoteReply(err error) bool {
+	var we *wire.Error
+	return errors.As(err, &we)
+}
+
+// attempt is the one place this node calls its transport, and so the peer
+// table's only liveness feed: every attempt, whichever loop or retry made
+// it, is observed once — latency, suspicion and the circuit together.
+func (n *Node) attempt(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
+	start := time.Now()
+	resp, err := n.tr.Call(addr, req, timeout)
+	n.health.Observe(addr, time.Since(start), err == nil || remoteReply(err))
+	return resp, err
 }
 
 // call performs one single-shot RPC: no retry. This is the right shape
 // for the maintenance loops, where a failure IS the signal (stabilize and
 // check_predecessor exist to detect dead peers, and they run again on the
-// next tick). Each outcome feeds the per-address breaker, so repeated
-// probe failures accumulate into the conclusive evidence that finally
-// purges the peer.
-func (n *Node) call(addr string, req wire.Message) (wire.Message, error) {
-	return n.callTimeout(addr, req, n.cfg.CallTimeout)
-}
-
-// callTimeout is call with an explicit per-call timeout — the deadline
-// propagation seam: fetch paths derive the timeout from the chunk's
-// remaining playback horizon instead of always paying the full
-// CallTimeout against a stalled peer.
-func (n *Node) callTimeout(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
-	resp, err := n.tr.Call(addr, req, timeout)
-	br := n.retrier.Breaker()
-	if err == nil {
-		br.Success(addr)
-		return resp, nil
+// next tick): repeated probe failures accumulate in the peer's circuit
+// into the conclusive evidence that finally purges it. timeout is the
+// deadline propagation seam: fetch paths derive it from the chunk's
+// remaining playback horizon (deadlineTimeout) instead of always paying the
+// full CallTimeout against a stalled peer.
+func (n *Node) call(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
+	resp, err := n.attempt(addr, req, timeout)
+	if err != nil {
+		n.noteCallFailure(addr, err)
 	}
-	if rpcClassify.BreakerFailure(err) {
-		br.Failure(addr)
-	} else {
-		br.Success(addr)
-	}
-	n.noteCallFailure(addr, err)
 	return resp, err
 }
-
-// deadlineTimeout derives a per-call transport timeout from the remaining
-// playback horizon: CallTimeout when no deadline applies, otherwise the
-// remaining budget clamped to [minDeadlineTimeout, CallTimeout]. The floor
-// keeps a nearly expired fetch from dialing with a timeout too small to
-// ever succeed — the fetch loop's own deadline check abandons it instead.
-func (n *Node) deadlineTimeout(deadline time.Time) time.Duration {
-	t := n.cfg.CallTimeout
-	if deadline.IsZero() {
-		return t
-	}
-	r := time.Until(deadline)
-	if t <= 0 || r < t {
-		t = r
-	}
-	if t < minDeadlineTimeout {
-		t = minDeadlineTimeout
-	}
-	return t
-}
-
-// minDeadlineTimeout floors deadline-derived call timeouts.
-const minDeadlineTimeout = 50 * time.Millisecond
-
-// deadlineMs converts the remaining playback horizon into the wire's
-// relative DeadlineMs budget (0 = unbounded; expired in flight = 1, so the
-// server sheds immediately), the same convention as a lease's TTLMillis.
-func deadlineMs(deadline time.Time) uint32 { return index.TTLMillis(deadline, time.Now()) }
 
 // callIdem performs a retried RPC for idempotent requests (every DCO
 // request except the maintenance probes is idempotent by construction:
 // inserts dedupe by address, lookups and fetches are reads, notify and
-// handoff are merges). Transient failures are absorbed by jittered
-// backoff; a per-address circuit breaker fails fast once the peer looks
-// dead, and only the final failure purges it from the routing tables.
-func (n *Node) callIdem(addr string, req wire.Message) (wire.Message, error) {
-	return n.callIdemTimeout(addr, req, n.cfg.CallTimeout)
-}
-
-// callIdemTimeout is callIdem with an explicit per-attempt timeout (the
-// deadline-propagation seam for retried RPCs).
-func (n *Node) callIdemTimeout(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
+// handoff are merges), timeout applying to each attempt. Transient
+// failures are absorbed by jittered backoff; the peer's circuit fails the
+// loop fast once the peer looks dead, and only the final failure purges it
+// from the routing tables. Remote wire.Errors retry only when their code
+// says so.
+func (n *Node) callIdem(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
 	var resp wire.Message
-	err := n.retrier.Do(n.closed, addr, rpcClassify, func() error {
-		var cerr error
-		resp, cerr = n.tr.Call(addr, req, timeout)
-		return cerr
+	err := n.retrier.Do(n.closed, addr, wire.Retryable, func() (err error) {
+		resp, err = n.attempt(addr, req, timeout)
+		return err
 	})
 	if err != nil {
 		n.noteCallFailure(addr, err)
@@ -867,20 +819,47 @@ func (n *Node) callIdemTimeout(addr string, req wire.Message, timeout time.Durat
 	return resp, nil
 }
 
+// deadlineTimeout derives a call's transport timeout from the remaining
+// playback horizon and the time the server may legitimately hold the
+// request (a lookup parked in the pending queue, a serve queued behind the
+// pacer): the remaining budget when a deadline applies and is the shorter,
+// else CallTimeout; then never shorter than serverWait plus 250ms of slack,
+// so a legitimate hold is not cut off mid-wait (and a nearly expired fetch
+// never dials with a timeout too small to ever succeed — the fetch loop's
+// own deadline check abandons it instead); then, last, never longer than
+// CallTimeout when one is set.
+func (n *Node) deadlineTimeout(deadline time.Time, serverWait time.Duration) time.Duration {
+	ct := n.cfg.CallTimeout
+	t := ct
+	if !deadline.IsZero() {
+		if r := time.Until(deadline); ct <= 0 || r < ct {
+			t = r
+		}
+	}
+	t = max(t, serverWait+250*time.Millisecond)
+	if ct > 0 {
+		t = min(t, ct)
+	}
+	return t
+}
+
+// deadlineMs converts the remaining playback horizon into the wire's
+// relative DeadlineMs budget (0 = unbounded; expired in flight = 1, so the
+// server sheds immediately), the same convention as a lease's TTLMillis.
+func deadlineMs(deadline time.Time) uint32 { return index.TTLMillis(deadline, time.Now()) }
+
 // peerCondemned reports whether err against addr is conclusive evidence
 // that the peer is down, as opposed to a transient hiccup. A remote
-// application reply proves the peer alive. With a breaker configured, a
+// application reply proves the peer alive. With circuits configured, a
 // lone transport error is presumed transient — only addr's circuit
 // opening (threshold consecutive failures) condemns it; under lossy
 // links this is what keeps live successors from being purged on every
-// dropped probe. Without a breaker, any transport failure condemns.
+// dropped probe. Without them, any transport failure condemns.
 func (n *Node) peerCondemned(addr string, err error) bool {
-	var we *wire.Error
-	if errors.As(err, &we) {
+	if remoteReply(err) {
 		return false
 	}
-	br := n.retrier.Breaker()
-	return !br.Enabled() || br.Open(addr) || errors.Is(err, retry.ErrOpen)
+	return n.cfg.Breaker.Threshold < 1 || n.health.Open(addr) || errors.Is(err, retry.ErrOpen)
 }
 
 // noteCallFailure purges addr from the kernel's routing tables once the

@@ -84,27 +84,37 @@ func TestLookupPendingQueueRace(t *testing.T) {
 
 // TestProviderCooldownExpiry pins the blacklist lifecycle: a failed
 // provider is unusable for exactly ProviderCooldown, then usable again —
-// and the expired row is lazily removed, not leaked.
+// and the blacklist gauge follows it back to zero (the entry is a deadline
+// in the peer's row of the bounded peer table: nothing is left to leak).
 func TestProviderCooldownExpiry(t *testing.T) {
 	cfg := fastConfig()
 	cfg.ProviderCooldown = 60 * time.Millisecond
 	n := soloNode(t, cfg)
 	const peer = "peer:9"
-	if !n.providerUsable(peer) {
+	blacklisted := func() float64 { return n.lm.reg.Snapshot().Gauges["dco_live_blacklist_size"] }
+	if len(fetchOrder(n, peer)) != 1 {
 		t.Fatal("fresh peer unusable")
 	}
 	n.blacklistProvider(peer)
-	if n.providerUsable(peer) {
+	if len(fetchOrder(n, peer)) != 0 {
 		t.Fatal("blacklisted peer usable inside its cooldown")
 	}
+	if got := blacklisted(); got != 1 {
+		t.Fatalf("dco_live_blacklist_size = %v inside the cooldown, want 1", got)
+	}
 	waitFor(t, 2*time.Second, "provider cooldown to expire", func() bool {
-		return n.providerUsable(peer)
+		return len(fetchOrder(n, peer)) == 1
 	})
-	n.cooldown.mu.Lock()
-	_, still := n.cooldown.until[peer]
-	n.cooldown.mu.Unlock()
-	if still {
-		t.Fatal("expired blacklist entry was not cleaned up")
+	if got := blacklisted(); got != 0 {
+		t.Fatalf("dco_live_blacklist_size = %v after the cooldown, want 0", got)
+	}
+
+	// ProviderCooldown 0 disables the blacklist altogether.
+	cfg.ProviderCooldown = 0
+	n = soloNode(t, cfg)
+	n.blacklistProvider(peer)
+	if len(fetchOrder(n, peer)) != 1 || n.Stats().ProvidersBlacklisted != 0 {
+		t.Fatal("a zero ProviderCooldown still blacklisted the provider")
 	}
 }
 

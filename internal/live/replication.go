@@ -150,7 +150,7 @@ func (n *Node) replicateFlush() {
 		batch := &wire.ReplicateBatch{Owner: n.wireSelf(), Ops: ops[start:min(start+maxBatchOps, len(ops))]}
 		size := frameBytes(batch)
 		for _, t := range targets {
-			if _, err := n.callIdem(t.Addr, batch); err != nil {
+			if _, err := n.callIdem(t.Addr, batch, n.cfg.CallTimeout); err != nil {
 				continue
 			}
 			n.lm.replicateBatches.Inc()
@@ -289,7 +289,7 @@ func (n *Node) antiEntropy() {
 	reqSize := frameBytes(req)
 	n.lm.digestRounds.Inc()
 	for _, t := range targets {
-		resp, err := n.callIdem(t.Addr, req)
+		resp, err := n.callIdem(t.Addr, req, n.cfg.CallTimeout)
 		if err != nil {
 			continue
 		}
@@ -309,7 +309,7 @@ func (n *Node) antiEntropy() {
 		if len(repair.Ops) == 0 {
 			continue
 		}
-		if _, err := n.callIdem(t.Addr, repair); err == nil {
+		if _, err := n.callIdem(t.Addr, repair, n.cfg.CallTimeout); err == nil {
 			n.lm.digestRepairOps.Add(uint64(len(repair.Ops)))
 			n.lm.replicateBytes.Add(frameBytes(repair))
 			n.traceEvent("replica.repair", fmt.Sprintf("peer=%s ops=%d", t.Addr, len(repair.Ops)))

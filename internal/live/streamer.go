@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"dco/internal/dht"
+	"dco/internal/health"
 	"dco/internal/wire"
 )
 
@@ -220,17 +220,22 @@ func (n *Node) FetchChunk(seq int64) error {
 			n.bumpRetry()
 			continue
 		}
-		// Prefer the least-loaded provider among the coordinator's answer,
-		// by the freshest load factor heard on previous ChunkResps (scaled
-		// by health suspicion, so degraded providers sink in the order).
-		ordered := n.orderProvidersByLoad(providers)
-		for pi, pr := range ordered {
-			if pr.Addr == n.Addr() {
-				continue
-			}
-			// Rotate past providers on cooldown instead of re-asking them;
-			// the coordinator's rotation supplies alternatives.
-			if !n.providerUsable(pr.Addr) {
+		// The peer table turns the coordinator's answer into the fetch order:
+		// providers on cooldown or in quarantine are rotated past (the
+		// coordinator's rotation supplies alternatives), the rest come
+		// least-loaded first, degraded ones last (health.Rank).
+		var cand [health.MaxRank]string
+		nc := 0
+		for ; nc < len(providers) && nc < len(cand); nc++ {
+			cand[nc] = providers[nc].Addr
+		}
+		order, usable, clamped := n.health.Rank(n.Addr(), cand[:nc])
+		n.lm.loadReportsClamped.Add(uint64(clamped))
+		// cooled is the provider this pass blacklisted last: only a hedge's
+		// backup — the next in the order — can be one still ahead.
+		cooled := ""
+		for pi, addr := range order[:usable] {
+			if addr == cooled {
 				continue
 			}
 			if pastDeadline(deadline) {
@@ -239,13 +244,10 @@ func (n *Node) FetchChunk(seq int64) error {
 			// The hedge target is the next-best usable provider in the
 			// order — the peer this fetch would have failed over to anyway.
 			backup := ""
-			for _, alt := range ordered[pi+1:] {
-				if alt.Addr != n.Addr() && alt.Addr != pr.Addr && n.providerUsable(alt.Addr) {
-					backup = alt.Addr
-					break
-				}
+			if pi+1 < usable {
+				backup = order[pi+1]
 			}
-			resp, from, err := n.fetchOnce(seq, pr.Addr, backup, deadline)
+			resp, from, err := n.fetchOnce(seq, addr, backup, deadline)
 			if err != nil {
 				if errors.Is(err, errNodeClosed) {
 					return fmt.Errorf("live: node closed (last error: %v)", lastErr)
@@ -256,21 +258,16 @@ func (n *Node) FetchChunk(seq int64) error {
 				lastErr = err
 				n.traceSeqPeer("chunk.timeout", seq, "peer", from)
 				n.blacklistProvider(from)
+				cooled = from
 				continue
 			}
 			cr, ok := resp.(*wire.ChunkResp)
 			if !ok {
 				continue
 			}
-			// Busy-contradiction clamp: a provider shedding for load while
-			// advertising itself near-idle is contradicting its own nack —
-			// cache it as saturated so the lie cannot buy it traffic.
-			load := cr.LoadMilli
-			if cr.Busy && load < loadSaturatedMilli {
-				load = loadSaturatedMilli
-				n.lm.loadReportsClamped.Inc()
+			if n.health.NoteLoad(from, cr.LoadMilli, cr.Busy) {
+				n.lm.loadReportsClamped.Inc() // Busy-contradiction clamp
 			}
-			n.noteProviderLoad(from, load)
 			if !cr.OK {
 				n.noteManifestAd(from, cr.ManifestHead)
 				if cr.Busy {
@@ -298,6 +295,7 @@ func (n *Node) FetchChunk(seq int64) error {
 			n.noteManifestAd(from, cr.ManifestHead)
 			if !n.storeChunk(seq, cr.Data, from) {
 				lastErr = fmt.Errorf("live: chunk %d failed verification", seq)
+				cooled = from // punished at the choke point
 				continue
 			}
 			n.registerChunk(seq)
@@ -318,14 +316,7 @@ var errNodeClosed = errors.New("live: node closed")
 // legitimately queued behind the pacer is not cut off mid-wait).
 func (n *Node) getChunkOnce(addr string, seq int64, deadline time.Time) (wire.Message, error) {
 	req := &wire.GetChunk{Seq: seq, WaitMs: n.fetchPatienceMs(deadline), DeadlineMs: deadlineMs(deadline)}
-	timeout := n.deadlineTimeout(deadline)
-	if t := time.Duration(req.WaitMs)*time.Millisecond + 250*time.Millisecond; timeout < t {
-		timeout = t
-	}
-	if ct := n.cfg.CallTimeout; ct > 0 && timeout > ct {
-		timeout = ct
-	}
-	return n.callTimeout(addr, req, timeout)
+	return n.call(addr, req, n.deadlineTimeout(deadline, time.Duration(req.WaitMs)*time.Millisecond))
 }
 
 // fetchOnce fetches seq from primary, hedging to backup (when hedging is
@@ -394,7 +385,7 @@ func (n *Node) fetchOnce(seq int64, primary, backup string, deadline time.Time) 
 			return nil, primary, errNodeClosed
 		}
 	}
-	// Both legs failed; each already fed the breaker and health tracker.
+	// Both legs failed; each was observed into the peer table already.
 	return nil, lastAddr, lastErr
 }
 
@@ -493,42 +484,16 @@ func (n *Node) sleepBusy(addr string, retryAfterMs uint32, deadline time.Time) b
 	}
 }
 
-// cooldowns is the provider blacklist: addresses not to ask for chunks
-// again before a deadline, under a lock of its own.
-type cooldowns struct {
-	mu    sync.Mutex
-	until map[string]time.Time
-}
-
 // blacklistProvider puts addr on fetch cooldown after a failed or corrupt
-// chunk transfer.
+// chunk transfer: the peer table leaves it out of fetch orders until
+// ProviderCooldown has passed.
 func (n *Node) blacklistProvider(addr string) {
 	if n.cfg.ProviderCooldown <= 0 {
 		return
 	}
-	n.cooldown.mu.Lock()
-	n.cooldown.until[addr] = time.Now().Add(n.cfg.ProviderCooldown)
-	n.cooldown.mu.Unlock()
+	n.health.Cool(addr, n.cfg.ProviderCooldown)
 	n.lm.providersBlacklisted.Inc()
 	n.traceEvent("provider.blacklist", "peer="+addr)
-}
-
-// providerUsable reports whether addr may be asked for chunks (expired
-// cooldowns are cleaned up lazily here). Quarantined peers are never
-// usable — integrity failures are categorical, not a cooldown.
-func (n *Node) providerUsable(addr string) bool {
-	if n.health.Quarantined(addr) {
-		return false
-	}
-	c := &n.cooldown
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	until, ok := c.until[addr]
-	if ok && time.Now().After(until) {
-		delete(c.until, addr)
-		ok = false
-	}
-	return !ok
 }
 
 // lookupProviders asks the chunk's coordinator for providers: the cached
@@ -555,15 +520,7 @@ func (n *Node) lookupProviders(key uint64, seq int64, deadline time.Time) ([]wir
 		}
 	}
 	req := &wire.Lookup{Key: key, Seq: seq, MaxWait: uint32(maxWait / time.Millisecond)}
-	// Transport timeout: deadline-derived, but always with slack past the
-	// coordinator's legitimate pending-queue hold, capped at CallTimeout.
-	timeout := n.deadlineTimeout(deadline)
-	if t := maxWait + 250*time.Millisecond; timeout < t {
-		timeout = t
-	}
-	if ct := n.cfg.CallTimeout; ct > 0 && timeout > ct {
-		timeout = ct
-	}
+	timeout := n.deadlineTimeout(deadline, maxWait)
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {

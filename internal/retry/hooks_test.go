@@ -21,7 +21,7 @@ func TestRetrierOnRetryHook(t *testing.T) {
 		seen = append(seen, retryEvt{addr, attempt, pause})
 	})
 	calls := 0
-	err := r.Do(nil, "peer-a", Classify{}, func() error {
+	err := r.Do(nil, "peer-a", nil, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -42,54 +42,4 @@ func TestRetrierOnRetryHook(t *testing.T) {
 	if r.BackoffTotal() < seen[0].pause+seen[1].pause {
 		t.Fatalf("BackoffTotal %v < sum of hook pauses", r.BackoffTotal())
 	}
-}
-
-func TestBreakerTransitionHook(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Millisecond})
-	type transition struct {
-		addr   string
-		opened bool
-	}
-	var seen []transition
-	b.SetOnTransition(func(addr string, opened bool) {
-		seen = append(seen, transition{addr, opened})
-	})
-
-	b.Failure("x")
-	if len(seen) != 0 {
-		t.Fatal("hook fired before the threshold")
-	}
-	b.Failure("x") // opens
-	if len(seen) != 1 || !seen[0].opened || seen[0].addr != "x" {
-		t.Fatalf("after open: %+v", seen)
-	}
-	b.Failure("x") // already open: no transition
-	if len(seen) != 1 {
-		t.Fatalf("re-failure of an open circuit fired the hook: %+v", seen)
-	}
-
-	time.Sleep(2 * time.Millisecond)
-	if !b.Allow("x") {
-		t.Fatal("half-open probe not admitted after cooldown")
-	}
-	b.Success("x") // closes
-	if len(seen) != 2 || seen[1].opened {
-		t.Fatalf("after close: %+v", seen)
-	}
-	if b.Opens() != 1 || b.Closes() != 1 {
-		t.Fatalf("opens=%d closes=%d, want 1/1", b.Opens(), b.Closes())
-	}
-
-	// Success on a clean (never-tripped) peer is not a close transition.
-	b.Success("y")
-	if len(seen) != 2 || b.Closes() != 1 {
-		t.Fatalf("clean success counted as a close: %+v closes=%d", seen, b.Closes())
-	}
-}
-
-func TestNilBreakerHookSafe(t *testing.T) {
-	var b *Breaker
-	b.SetOnTransition(func(string, bool) {}) // must not panic
-	b.Failure("x")
-	b.Success("x")
 }

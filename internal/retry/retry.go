@@ -1,10 +1,10 @@
 // Package retry gives the live DCO stack its failure discipline: jittered
-// exponential backoff with a per-operation budget, and a per-address
-// circuit breaker that stops hammering peers that keep failing. The
-// simulator models churn recovery structurally (dead-hop re-picks, busy
-// nacks); this package is the equivalent machinery for the real-network
-// path, where failures are timeouts and refused connections rather than
-// scripted events.
+// exponential backoff with a per-operation budget, behind a per-address
+// gate that stops hammering peers that keep failing (the circuit itself is
+// a row of the node's peer table, internal/health). The simulator models
+// churn recovery structurally (dead-hop re-picks, busy nacks); this package
+// is the equivalent machinery for the real-network path, where failures
+// are timeouts and refused connections rather than scripted events.
 //
 // Reproducibility: the jitter source is seeded, so a node constructed with
 // the same seed produces the same backoff schedule — matching the repo's
@@ -88,9 +88,10 @@ func (p Policy) backoff(n int, rng *rand.Rand) time.Duration {
 }
 
 // ---------------------------------------------------------------------------
-// Circuit breaker.
+// Circuit parameters. The circuit's state lives in the peer table
+// (internal/health), fed by every call attempt; the Retrier only asks it.
 
-// BreakerConfig parameterizes the per-address circuit breaker.
+// BreakerConfig parameterizes the per-address circuit.
 type BreakerConfig struct {
 	// Threshold is how many consecutive failures open the circuit.
 	// Values below 1 disable the breaker (always closed).
@@ -107,194 +108,18 @@ func DefaultBreakerConfig() BreakerConfig {
 	return BreakerConfig{Threshold: 5, Cooldown: 2 * time.Second}
 }
 
-// ErrOpen is returned when the breaker rejects a call without trying the
+// ErrOpen is returned when the gate rejects a call without trying the
 // network. Callers should treat it like a fast connection failure and
 // fail over to another address.
 var ErrOpen = errors.New("retry: circuit open")
 
-type breakerPhase uint8
-
-const (
-	phaseClosed breakerPhase = iota
-	phaseOpen
-	phaseHalfOpen
-)
-
-type breakerState struct {
-	phase    breakerPhase
-	failures int
-	openedAt time.Time
-	probing  bool
-}
-
-// Breaker tracks consecutive failures per address and short-circuits
-// calls to addresses that keep failing. All methods are safe for
-// concurrent use.
-type Breaker struct {
-	cfg BreakerConfig
-	now func() time.Time
-
-	mu     sync.Mutex
-	states map[string]*breakerState
-	opens  uint64
-	closes uint64
-	hook   func(addr string, opened bool)
-}
-
-// NewBreaker returns a breaker with cfg.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg, now: time.Now, states: make(map[string]*breakerState)}
-}
-
-// SetOnTransition installs a hook invoked after a circuit opens
-// (opened=true) or closes again after having been open (opened=false) —
-// the telemetry seam for breaker events. The hook runs outside the
-// breaker's lock but must still be fast and must not block.
-func (b *Breaker) SetOnTransition(fn func(addr string, opened bool)) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.hook = fn
-	b.mu.Unlock()
-}
-
-// Allow reports whether a call to addr may proceed. In the open phase it
-// returns false until Cooldown has elapsed, then admits exactly one
-// half-open probe; the probe's Success or Failure decides whether the
-// circuit closes again or re-opens.
-func (b *Breaker) Allow(addr string) bool {
-	if b == nil || b.cfg.Threshold < 1 {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := b.states[addr]
-	if s == nil {
-		return true
-	}
-	switch s.phase {
-	case phaseClosed:
-		return true
-	case phaseOpen:
-		if b.now().Sub(s.openedAt) < b.cfg.Cooldown {
-			return false
-		}
-		s.phase = phaseHalfOpen
-		s.probing = true
-		return true
-	default: // half-open
-		if s.probing {
-			return false // one probe at a time
-		}
-		s.probing = true
-		return true
-	}
-}
-
-// Success records a successful call to addr and closes its circuit.
-func (b *Breaker) Success(addr string) {
-	if b == nil || b.cfg.Threshold < 1 {
-		return
-	}
-	b.mu.Lock()
-	s := b.states[addr]
-	closed := s != nil && s.phase != phaseClosed
-	if closed {
-		b.closes++
-	}
-	delete(b.states, addr)
-	hook := b.hook
-	b.mu.Unlock()
-	if closed && hook != nil {
-		hook(addr, false)
-	}
-}
-
-// Failure records a failed call to addr; enough consecutive failures open
-// the circuit, and a failed half-open probe re-opens it.
-func (b *Breaker) Failure(addr string) {
-	if b == nil || b.cfg.Threshold < 1 {
-		return
-	}
-	b.mu.Lock()
-	s := b.states[addr]
-	if s == nil {
-		s = &breakerState{}
-		b.states[addr] = s
-	}
-	s.failures++
-	s.probing = false
-	opened := false
-	if s.phase == phaseHalfOpen || s.failures >= b.cfg.Threshold {
-		if s.phase != phaseOpen {
-			b.opens++
-			opened = true
-		}
-		s.phase = phaseOpen
-		s.openedAt = b.now()
-		s.failures = 0
-	}
-	hook := b.hook
-	b.mu.Unlock()
-	if opened && hook != nil {
-		hook(addr, true)
-	}
-}
-
-// Enabled reports whether the breaker can ever trip (a nil breaker or a
-// zero threshold means failures are never accumulated).
-func (b *Breaker) Enabled() bool { return b != nil && b.cfg.Threshold >= 1 }
-
-// Open reports whether addr's circuit is currently open (rejecting).
-func (b *Breaker) Open(addr string) bool {
-	if b == nil || b.cfg.Threshold < 1 {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := b.states[addr]
-	return s != nil && s.phase == phaseOpen && b.now().Sub(s.openedAt) < b.cfg.Cooldown
-}
-
-// Opens returns how many times any circuit transitioned to open.
-func (b *Breaker) Opens() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
-}
-
-// Closes returns how many times an open (or half-open) circuit closed
-// again after a successful call.
-func (b *Breaker) Closes() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.closes
-}
-
-// Forget drops all state for addr (e.g. the peer left the ring).
-func (b *Breaker) Forget(addr string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.states, addr)
-}
-
 // ---------------------------------------------------------------------------
-// Retrier: policy + breaker + seeded jitter.
+// Retrier: policy + gate + seeded jitter.
 
-// Retrier executes operations under a Policy with an optional Breaker.
+// Retrier executes operations under a Policy behind an optional gate.
 type Retrier struct {
-	policy  Policy
-	breaker *Breaker
+	policy Policy
+	allow  func(addr string) bool
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -303,14 +128,12 @@ type Retrier struct {
 	onRetry  func(addr string, attempt int, pause time.Duration, err error)
 }
 
-// New builds a Retrier. breaker may be nil. seed fixes the jitter
-// sequence; equal seeds give equal backoff schedules.
-func New(policy Policy, breaker *Breaker, seed int64) *Retrier {
-	return &Retrier{policy: policy, breaker: breaker, rng: rand.New(rand.NewSource(seed))}
+// New builds a Retrier. allow is the gate Do consults before every attempt
+// (whether addr's circuit admits a call); nil admits everything. seed fixes
+// the jitter sequence; equal seeds give equal backoff schedules.
+func New(policy Policy, allow func(addr string) bool, seed int64) *Retrier {
+	return &Retrier{policy: policy, allow: allow, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Breaker exposes the retrier's breaker (may be nil).
-func (r *Retrier) Breaker() *Breaker { return r.breaker }
 
 // Retries returns the total number of retry attempts performed (attempts
 // beyond each operation's first try).
@@ -347,23 +170,13 @@ func (r *Retrier) pause(n int) time.Duration {
 	return d
 }
 
-// Classify tells Do how to treat op errors.
-type Classify struct {
-	// Retryable reports whether the error is worth retrying at the same
-	// address. nil means every error retries.
-	Retryable func(error) bool
-	// BreakerFailure reports whether the error indicates the peer is
-	// unreachable (counts toward opening its circuit). nil means every
-	// error counts. Remote application-level errors should return false:
-	// a peer that answered — even with a rejection — is alive.
-	BreakerFailure func(error) bool
-}
-
-// Do runs op against addr until it succeeds, exhausts the policy, hits a
-// non-retryable error, or done closes. The breaker is consulted before
-// each attempt and updated after it: when the circuit for addr is open,
-// Do fails fast with ErrOpen so the caller can fail over.
-func (r *Retrier) Do(done <-chan struct{}, addr string, c Classify, op func() error) error {
+// Do runs op against addr until it succeeds, exhausts the policy, hits an
+// error retryable rejects (nil retries every error), or done closes. The
+// gate is consulted before each attempt: when it turns addr away, Do fails
+// fast with ErrOpen so the caller can fail over. Do feeds the gate nothing:
+// op reports each attempt's outcome to whatever backs it, so a circuit an
+// attempt trips turns the next one away.
+func (r *Retrier) Do(done <-chan struct{}, addr string, retryable func(error) bool, op func() error) error {
 	attempts := r.policy.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -374,7 +187,7 @@ func (r *Retrier) Do(done <-chan struct{}, addr string, c Classify, op func() er
 	}
 	var err error
 	for n := 1; ; n++ {
-		if r.breaker != nil && !r.breaker.Allow(addr) {
+		if r.allow != nil && !r.allow(addr) {
 			if err != nil {
 				return fmt.Errorf("%w (last error: %v)", ErrOpen, err)
 			}
@@ -382,21 +195,9 @@ func (r *Retrier) Do(done <-chan struct{}, addr string, c Classify, op func() er
 		}
 		err = op()
 		if err == nil {
-			if r.breaker != nil {
-				r.breaker.Success(addr)
-			}
 			return nil
 		}
-		if r.breaker != nil {
-			if c.BreakerFailure == nil || c.BreakerFailure(err) {
-				r.breaker.Failure(addr)
-			} else {
-				// The peer responded (application-level error): it is
-				// reachable, so reset its consecutive-failure count.
-				r.breaker.Success(addr)
-			}
-		}
-		if c.Retryable != nil && !c.Retryable(err) {
+		if retryable != nil && !retryable(err) {
 			return err
 		}
 		if n >= attempts {

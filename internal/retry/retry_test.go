@@ -2,10 +2,11 @@ package retry
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
+
+	"dco/internal/health"
 )
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
@@ -53,7 +54,7 @@ func TestBackoffJitterSeeded(t *testing.T) {
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	r := New(Policy{MaxAttempts: 5, InitialBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}, nil, 1)
 	calls := 0
-	err := r.Do(nil, "a", Classify{}, func() error {
+	err := r.Do(nil, "a", nil, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -69,7 +70,7 @@ func TestDoStopsOnTerminalError(t *testing.T) {
 	terminal := errors.New("terminal")
 	r := New(Policy{MaxAttempts: 5, InitialBackoff: time.Millisecond}, nil, 1)
 	calls := 0
-	err := r.Do(nil, "a", Classify{Retryable: func(err error) bool { return !errors.Is(err, terminal) }}, func() error {
+	err := r.Do(nil, "a", func(err error) bool { return !errors.Is(err, terminal) }, func() error {
 		calls++
 		return terminal
 	})
@@ -82,7 +83,7 @@ func TestDoRespectsAttemptCap(t *testing.T) {
 	r := New(Policy{MaxAttempts: 3, InitialBackoff: time.Millisecond}, nil, 1)
 	calls := 0
 	fail := errors.New("nope")
-	if err := r.Do(nil, "a", Classify{}, func() error { calls++; return fail }); !errors.Is(err, fail) {
+	if err := r.Do(nil, "a", nil, func() error { calls++; return fail }); !errors.Is(err, fail) {
 		t.Fatalf("err=%v", err)
 	}
 	if calls != 3 {
@@ -94,7 +95,7 @@ func TestDoRespectsBudget(t *testing.T) {
 	r := New(Policy{MaxAttempts: 100, InitialBackoff: 50 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, Budget: 60 * time.Millisecond}, nil, 1)
 	calls := 0
 	start := time.Now()
-	_ = r.Do(nil, "a", Classify{}, func() error { calls++; return errors.New("x") })
+	_ = r.Do(nil, "a", nil, func() error { calls++; return errors.New("x") })
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("budget ignored: ran %v", elapsed)
 	}
@@ -109,191 +110,61 @@ func TestDoAbortsWhenDoneCloses(t *testing.T) {
 	r := New(Policy{MaxAttempts: 100, InitialBackoff: time.Hour}, nil, 1)
 	calls := 0
 	start := time.Now()
-	_ = r.Do(done, "a", Classify{}, func() error { calls++; return errors.New("x") })
+	_ = r.Do(done, "a", nil, func() error { calls++; return errors.New("x") })
 	if calls != 1 || time.Since(start) > time.Second {
 		t.Fatalf("calls=%d elapsed=%v; done should abort before the pause", calls, time.Since(start))
 	}
 }
 
-func TestBreakerOpensAndProbes(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Hour})
-	now := time.Unix(0, 0)
-	b.now = func() time.Time { return now }
+// The circuit itself is a row of the peer table (internal/health, where its
+// state machine is tested); these tests run the Retrier behind that table's
+// gate, each op reporting its attempt to the table as the live node's does.
 
-	for i := 0; i < 2; i++ {
-		b.Failure("x")
-		if !b.Allow("x") {
-			t.Fatalf("breaker opened after %d failures, threshold 3", i+1)
+func TestDoGateIgnoresApplicationErrors(t *testing.T) {
+	// An answered call (the peer replied, it just said no) must never open
+	// the circuit, however often it repeats.
+	tr := health.NewTracker(health.Config{CircuitThreshold: 2, CircuitCooldown: time.Hour})
+	r := New(Policy{MaxAttempts: 1}, tr.Allow, 1)
+	appErr := errors.New("rejected")
+	rejected := func() error { tr.Observe("x", time.Millisecond, true); return appErr }
+	for i := 0; i < 10; i++ {
+		if err := r.Do(nil, "x", nil, rejected); !errors.Is(err, appErr) {
+			t.Fatalf("err=%v, want the application error", err)
 		}
 	}
-	b.Failure("x")
-	if b.Allow("x") {
-		t.Fatal("breaker still closed after threshold failures")
-	}
-	if !b.Open("x") {
-		t.Fatal("Open() disagrees with Allow()")
-	}
-	if b.Opens() != 1 {
-		t.Fatalf("opens=%d", b.Opens())
-	}
-
-	// After cooldown: exactly one half-open probe.
-	now = now.Add(2 * time.Hour)
-	if !b.Allow("x") {
-		t.Fatal("no probe admitted after cooldown")
-	}
-	if b.Allow("x") {
-		t.Fatal("second concurrent probe admitted in half-open")
-	}
-	// Failed probe re-opens immediately.
-	b.Failure("x")
-	if b.Allow("x") {
-		t.Fatal("breaker closed after failed probe")
-	}
-	// Next probe succeeds → closed again.
-	now = now.Add(2 * time.Hour)
-	if !b.Allow("x") {
-		t.Fatal("no probe after second cooldown")
-	}
-	b.Success("x")
-	if !b.Allow("x") || !b.Allow("x") {
-		t.Fatal("breaker not closed after successful probe")
-	}
-}
-
-func TestBreakerIsPerAddress(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	b.Failure("dead")
-	if b.Allow("dead") {
-		t.Fatal("dead address allowed")
-	}
-	if !b.Allow("alive") {
-		t.Fatal("unrelated address rejected")
-	}
-}
-
-func TestDoBreakerIgnoresApplicationErrors(t *testing.T) {
-	// An error classified as non-breaker (the peer answered, it just said
-	// no) must never open the circuit, however often it repeats.
-	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Hour})
-	r := New(Policy{MaxAttempts: 1}, b, 1)
-	appErr := errors.New("rejected")
-	c := Classify{BreakerFailure: func(err error) bool { return !errors.Is(err, appErr) }}
-	for i := 0; i < 10; i++ {
-		_ = r.Do(nil, "x", c, func() error { return appErr })
-	}
-	if !b.Allow("x") {
+	if !tr.Allow("x") {
 		t.Fatal("application-level rejections opened the circuit")
 	}
 	// And an application answer resets prior transport failures.
-	b.Failure("x")
-	_ = r.Do(nil, "x", c, func() error { return appErr })
-	b.Failure("x")
-	if !b.Allow("x") {
+	tr.Observe("x", 0, false)
+	_ = r.Do(nil, "x", nil, rejected)
+	tr.Observe("x", 0, false)
+	if !tr.Allow("x") {
 		t.Fatal("consecutive-failure count not reset by an application answer")
 	}
 }
 
 func TestDoFailsFastWhenOpen(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	r := New(Policy{MaxAttempts: 3, InitialBackoff: time.Millisecond}, b, 1)
+	tr := health.NewTracker(health.Config{CircuitThreshold: 1, CircuitCooldown: time.Hour})
+	r := New(Policy{MaxAttempts: 3, InitialBackoff: time.Millisecond}, tr.Allow, 1)
 	calls := 0
-	_ = r.Do(nil, "x", Classify{}, func() error { calls++; return errors.New("down") })
+	down := errors.New("down")
+	err := r.Do(nil, "x", nil, func() error { calls++; tr.Observe("x", 0, false); return down })
 	if calls != 1 {
-		t.Fatalf("calls=%d; breaker (threshold 1) should stop retries", calls)
+		t.Fatalf("calls=%d; the circuit (threshold 1) should stop retries", calls)
 	}
-	err := r.Do(nil, "x", Classify{}, func() error { calls++; return nil })
+	if !errors.Is(err, ErrOpen) || !strings.Contains(err.Error(), "down") {
+		t.Fatalf("err=%v, want ErrOpen carrying the last error", err)
+	}
+	err = r.Do(nil, "x", nil, func() error { calls++; return nil })
 	if !errors.Is(err, ErrOpen) {
 		t.Fatalf("err=%v, want ErrOpen", err)
 	}
 	if calls != 1 {
 		t.Fatal("open circuit still let the op run")
 	}
-}
-
-func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Hour})
-	var mu sync.Mutex
-	now := time.Unix(0, 0)
-	b.now = func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	b.Failure("x")
-	if b.Allow("x") {
-		t.Fatal("circuit should be open")
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Hour)
-	mu.Unlock()
-
-	// A stampede of callers races for the half-open slot: exactly one
-	// probe is admitted, every loser is rejected deterministically (no
-	// queueing, no second probe).
-	const racers = 32
-	var wg sync.WaitGroup
-	var admitted atomic.Int64
-	start := make(chan struct{})
-	for i := 0; i < racers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if b.Allow("x") {
-				admitted.Add(1)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if got := admitted.Load(); got != 1 {
-		t.Fatalf("half-open admitted %d concurrent probes, want exactly 1", got)
-	}
-
-	// While the probe is outstanding, later callers keep losing.
-	if b.Allow("x") {
-		t.Fatal("second probe admitted while the first is outstanding")
-	}
-
-	// Probe failure re-opens: everyone is rejected until the next cooldown.
-	b.Failure("x")
-	var rejected int
-	for i := 0; i < racers; i++ {
-		if !b.Allow("x") {
-			rejected++
-		}
-	}
-	if rejected != racers {
-		t.Fatalf("re-opened circuit admitted %d callers, want 0", racers-rejected)
-	}
-
-	// Next cooldown: again exactly one winner, and its success closes the
-	// circuit for everyone.
-	mu.Lock()
-	now = now.Add(2 * time.Hour)
-	mu.Unlock()
-	admitted.Store(0)
-	start = make(chan struct{})
-	for i := 0; i < racers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if b.Allow("x") {
-				admitted.Add(1)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if got := admitted.Load(); got != 1 {
-		t.Fatalf("second half-open round admitted %d probes, want exactly 1", got)
-	}
-	b.Success("x")
-	for i := 0; i < racers; i++ {
-		if !b.Allow("x") {
-			t.Fatal("closed circuit rejected a caller")
-		}
+	// Circuits are per address: another peer's calls go through.
+	if err := r.Do(nil, "y", nil, func() error { calls++; return nil }); err != nil || calls != 2 {
+		t.Fatalf("err=%v calls=%d; an unrelated address was gated", err, calls)
 	}
 }
