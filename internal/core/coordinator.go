@@ -45,7 +45,7 @@ func (p *Peer) indexEntry(seq int64) *indexEntry {
 	if e == nil {
 		e = &indexEntry{
 			seq:        seq,
-			key:        p.sys.Cfg.Stream.Ref(seq).ID(),
+			key:        p.sys.chunkKey(seq),
 			pendingSet: make(map[simnet.NodeID]bool),
 			assignedTo: make(map[simnet.NodeID]*assignment),
 		}

@@ -361,3 +361,15 @@ func TestMaxHopsDropsRunawayRoutes(t *testing.T) {
 		t.Fatal("hop limit of 1 should drop some routed messages in a 64-node ring")
 	}
 }
+
+func TestSimAllocationBudgets(t *testing.T) {
+	cfg := smallConfig()
+	s := NewSystem(sim.NewKernel(1), cfg, 4)
+	seq := cfg.Stream.Count - 1
+	if s.chunkKey(seq) != cfg.Stream.Ref(seq).ID() {
+		t.Fatal("memoized chunk key differs from Stream.Ref(seq).ID()")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.chunkKey(seq) }); allocs != 0 {
+		t.Errorf("memoized chunk key: %.1f allocations after first use, budget 0", allocs)
+	}
+}

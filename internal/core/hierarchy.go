@@ -32,13 +32,13 @@ func (p *Peer) onAttachOK(from simnet.NodeID) {
 // client as origin, so the owning coordinator answers the client directly.
 func (p *Peer) onProxyLookup(m *proxyLookup) {
 	p.opsThisSec++
-	p.routeLookup(&lookupMsg{Key: p.sys.Cfg.Stream.Ref(m.Seq).ID(), Seq: m.Seq, Origin: m.Origin})
+	p.routeLookup(&lookupMsg{Key: p.sys.chunkKey(m.Seq), Seq: m.Seq, Origin: m.Origin})
 }
 
 func (p *Peer) onProxyInsert(m *proxyInsert) {
 	p.opsThisSec++
 	p.routeInsert(&insertMsg{
-		Key:        p.sys.Cfg.Stream.Ref(m.Seq).ID(),
+		Key:        p.sys.chunkKey(m.Seq),
 		Seq:        m.Seq,
 		Index:      m.Index,
 		Unregister: m.Unregister,

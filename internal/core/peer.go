@@ -239,7 +239,7 @@ func (p *Peer) sendLookup(f *fetch) {
 	p.sys.Counters.Lookups++
 	cfg := &p.sys.Cfg
 	if p.inDHT {
-		msg := &lookupMsg{Key: cfg.Stream.Ref(f.seq).ID(), Seq: f.seq, Origin: p.id}
+		msg := &lookupMsg{Key: p.sys.chunkKey(f.seq), Seq: f.seq, Origin: p.id}
 		p.routeLookup(msg)
 	} else {
 		if p.coordinator == simnet.Invalid {
@@ -410,7 +410,7 @@ func (p *Peer) register(seq int64) {
 	p.registered[seq] = true
 	idx := ChunkIndex{Holder: p.id, UpBps: p.upBps, BufferCount: p.buf.Count()}
 	if p.inDHT {
-		p.routeInsert(&insertMsg{Key: p.sys.Cfg.Stream.Ref(seq).ID(), Seq: seq, Index: idx})
+		p.routeInsert(&insertMsg{Key: p.sys.chunkKey(seq), Seq: seq, Index: idx})
 	} else if p.coordinator != simnet.Invalid {
 		p.send(p.coordinator, kProxyInsert, &proxyInsert{Seq: seq, Index: idx})
 	}
@@ -420,7 +420,7 @@ func (p *Peer) register(seq int64) {
 func (p *Peer) unregister(seq int64) {
 	idx := ChunkIndex{Holder: p.id}
 	if p.inDHT {
-		p.routeInsert(&insertMsg{Key: p.sys.Cfg.Stream.Ref(seq).ID(), Seq: seq, Index: idx, Unregister: true})
+		p.routeInsert(&insertMsg{Key: p.sys.chunkKey(seq), Seq: seq, Index: idx, Unregister: true})
 	} else if p.coordinator != simnet.Invalid {
 		p.send(p.coordinator, kProxyInsert, &proxyInsert{Seq: seq, Index: idx, Unregister: true})
 	}

@@ -268,7 +268,7 @@ func (p *Peer) republishTick() {
 	idx := ChunkIndex{Holder: p.id, UpBps: p.upBps, BufferCount: p.buf.Count()}
 	for _, seq := range picks {
 		if p.inDHT {
-			p.routeInsert(&insertMsg{Key: p.sys.Cfg.Stream.Ref(seq).ID(), Seq: seq, Index: idx})
+			p.routeInsert(&insertMsg{Key: p.sys.chunkKey(seq), Seq: seq, Index: idx})
 		} else if p.coordinator != simnet.Invalid {
 			p.send(p.coordinator, kProxyInsert, &proxyInsert{Seq: seq, Index: idx})
 		}

@@ -28,6 +28,7 @@ type System struct {
 	alivePeers int
 	rr         int
 	nameSeq    int
+	keys       []chord.ID // chunkKey memo, indexed by seq
 
 	droppedRoutes uint64
 	received      int64
@@ -160,6 +161,15 @@ func NewSystem(k *sim.Kernel, cfg Config, n int) *System {
 		s.startTickers(p)
 	}
 	return s
+}
+
+// chunkKey returns chunk seq's DHT key, Stream.Ref(seq).ID(). A key is a
+// SHA-1 over a formatted name and never changes, so each is computed once.
+func (s *System) chunkKey(seq int64) chord.ID {
+	for int64(len(s.keys)) <= seq {
+		s.keys = append(s.keys, s.Cfg.Stream.Ref(int64(len(s.keys))).ID())
+	}
+	return s.keys[seq]
 }
 
 // freshChordID derives a collision-free ring ID from a process-unique name.

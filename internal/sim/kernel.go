@@ -1,27 +1,35 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel owns a virtual clock and a priority queue of scheduled events.
-// All simulated components schedule closures at absolute or relative virtual
-// times; Run drains the queue in time order. Two events at the same instant
+// The kernel owns a virtual clock and a priority queue of scheduled actions.
+// All simulated components schedule work at absolute or relative virtual
+// times; Run drains the queue in time order. Two actions at the same instant
 // fire in scheduling order (a monotonically increasing sequence number breaks
 // ties), so a simulation with a fixed seed is fully reproducible.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
 )
 
-// Event is a scheduled closure. Fire runs at the event's virtual time.
-type Event struct {
-	at    time.Duration
-	seq   uint64
-	fn    func()
-	index int // heap index; -1 once popped or canceled
-	dead  bool
+// Action is anything the kernel can fire at a scheduled instant. A caller
+// that never cancels can schedule its own record (Schedule) instead of a
+// closure wrapped in an Event, and pay one allocation instead of two.
+type Action interface {
+	Fire()
 }
+
+// Event is a scheduled closure, the Action of At and After. Its handle
+// lets the caller cancel it.
+type Event struct {
+	at   time.Duration
+	fn   func()
+	dead bool
+}
+
+// Fire runs the event's closure.
+func (e *Event) Fire() { e.fn() }
 
 // Cancel prevents a pending event from firing. Canceling an event that has
 // already fired (or was already canceled) is a no-op.
@@ -34,40 +42,41 @@ func (e *Event) Cancel() {
 // At reports the virtual time the event is scheduled for.
 func (e *Event) At() time.Duration { return e.at }
 
-type eventQueue []*Event
+// entry is one queued action. The queue holds entries by value, so pushing
+// one allocates nothing once the backing array has grown.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	act Action
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the queue's total order: time, then scheduling order.
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// dead reports whether the entry's action was canceled or stopped. Dead
+// entries stay queued until they reach the front and are dropped there,
+// without moving the clock or the fired count.
+func (a *entry) dead() bool {
+	switch act := a.act.(type) {
+	case *Event:
+		return act.dead
+	case *Ticker:
+		return act.stopped
 	}
-	return q[i].seq < q[j].seq
+	return false
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
+
+// arity is the fan-out of the queue's d-ary heap: a shallower tree than a
+// binary heap, and the four children of a node share a cache line or two.
+const arity = 4
 
 // Kernel is the simulation engine. It is not safe for concurrent use; a
 // simulation runs on a single goroutine by design.
 type Kernel struct {
 	now     time.Duration
-	queue   eventQueue
+	queue   []entry // d-ary min-heap under entry.before
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -90,15 +99,20 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Fired reports how many events have executed so far.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// At schedules fn at absolute virtual time t. Scheduling in the past (t <
+// Schedule queues a at absolute virtual time t. Scheduling in the past (t <
 // now) panics: it would silently reorder causality.
-func (k *Kernel) At(t time.Duration, fn func()) *Event {
+func (k *Kernel) Schedule(t time.Duration, a Action) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v which is before now %v", t, k.now))
 	}
-	k.seq++
-	e := &Event{at: t, seq: k.seq, fn: fn}
-	heap.Push(&k.queue, e)
+	k.push(t, a)
+}
+
+// At schedules fn at absolute virtual time t and returns its handle.
+// Scheduling in the past (t < now) panics.
+func (k *Kernel) At(t time.Duration, fn func()) *Event {
+	e := &Event{at: t, fn: fn}
+	k.Schedule(t, e)
 	return e
 }
 
@@ -117,34 +131,29 @@ func (k *Kernel) Every(d, period time.Duration, fn func()) *Ticker {
 		panic("sim: non-positive ticker period")
 	}
 	t := &Ticker{k: k, period: period, fn: fn}
-	t.ev = k.After(d, t.tick)
+	k.push(k.now+max(d, 0), t)
 	return t
 }
 
-// Ticker re-arms a periodic event. Stop cancels future ticks.
+// Ticker is a periodic Action: each time it fires it runs its function and
+// queues itself again one period later. Stop cancels future ticks.
 type Ticker struct {
 	k       *Kernel
 	period  time.Duration
 	fn      func()
-	ev      *Event
 	stopped bool
 }
 
-func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
+// Fire runs one tick and re-arms the ticker unless the tick stopped it.
+func (t *Ticker) Fire() {
 	t.fn()
 	if !t.stopped {
-		t.ev = t.k.After(t.period, t.tick)
+		t.k.push(t.k.now+t.period, t)
 	}
 }
 
 // Stop cancels the ticker. Safe to call multiple times.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.ev.Cancel()
-}
+func (t *Ticker) Stop() { t.stopped = true }
 
 // Stop halts Run after the currently executing event returns.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -154,21 +163,21 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) SetHorizon(t time.Duration) { k.limit = t }
 
 // Run executes events in time order until the queue empties, Stop is called,
-// or the horizon passes. It returns the final virtual time.
+// or the horizon passes. It returns the final virtual time. The first live
+// event past the horizon stays queued for a later Run.
 func (k *Kernel) Run() time.Duration {
 	k.stopped = false
 	for len(k.queue) > 0 && !k.stopped {
-		e := heap.Pop(&k.queue).(*Event)
-		if e.dead {
+		e := &k.queue[0]
+		if e.dead() {
+			k.pop()
 			continue
 		}
 		if k.limit > 0 && e.at > k.limit {
 			k.now = k.limit
 			return k.now
 		}
-		k.now = e.at
-		k.fired++
-		e.fn()
+		k.fire()
 	}
 	return k.now
 }
@@ -178,17 +187,15 @@ func (k *Kernel) Run() time.Duration {
 func (k *Kernel) RunUntil(t time.Duration) {
 	k.stopped = false
 	for len(k.queue) > 0 && !k.stopped {
-		e := k.queue[0]
+		e := &k.queue[0]
 		if e.at > t {
 			break
 		}
-		heap.Pop(&k.queue)
-		if e.dead {
+		if e.dead() {
+			k.pop()
 			continue
 		}
-		k.now = e.at
-		k.fired++
-		e.fn()
+		k.fire()
 	}
 	if k.now < t {
 		k.now = t
@@ -197,3 +204,61 @@ func (k *Kernel) RunUntil(t time.Duration) {
 
 // Pending reports the number of queued (possibly canceled) events.
 func (k *Kernel) Pending() int { return len(k.queue) }
+
+// fire pops the front entry, which must be live, and runs it.
+func (k *Kernel) fire() {
+	e := k.pop()
+	k.now = e.at
+	k.fired++
+	e.act.Fire()
+}
+
+func (k *Kernel) push(t time.Duration, a Action) {
+	k.seq++
+	e := entry{at: t, seq: k.seq, act: a}
+	k.queue = append(k.queue, e)
+	q := k.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / arity
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+}
+
+func (k *Kernel) pop() entry {
+	q := k.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{} // drop the action reference for the collector
+	q = q[:n]
+	k.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+arity && j < n; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	return top
+}

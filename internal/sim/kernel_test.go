@@ -218,3 +218,33 @@ func TestBadTickerPeriodPanics(t *testing.T) {
 	}()
 	k.Every(0, 0, func() {})
 }
+
+func TestRunKeepsFirstEventPastHorizon(t *testing.T) {
+	k := NewKernel(1)
+	var got []time.Duration
+	k.At(time.Second, func() { got = append(got, k.Now()) })
+	k.At(time.Minute, func() { got = append(got, k.Now()) })
+	k.SetHorizon(30 * time.Second)
+	if end := k.Run(); end != 30*time.Second {
+		t.Fatalf("first run ended at %v, want the 30s horizon", end)
+	}
+	if k.Pending() != 1 || k.Fired() != 1 {
+		t.Fatalf("after the first run: pending %d fired %d, want 1 and 1", k.Pending(), k.Fired())
+	}
+	k.SetHorizon(2 * time.Minute)
+	if end := k.Run(); end != time.Minute {
+		t.Fatalf("second run ended at %v, want 1m (queue drained)", end)
+	}
+	if len(got) != 2 || got[1] != time.Minute || k.Pending() != 0 {
+		t.Fatalf("the 1m event was lost at the horizon: fired at %v, pending %d", got, k.Pending())
+	}
+}
+
+func TestSimAllocationBudgets(t *testing.T) {
+	k := NewKernel(1)
+	k.Every(time.Second, time.Second, func() {})
+	k.RunUntil(time.Second) // first tick
+	if a := testing.AllocsPerRun(1000, func() { k.RunUntil(k.Now() + time.Second) }); a != 0 {
+		t.Errorf("ticker re-arm: %.1f allocations per tick, budget 0", a)
+	}
+}

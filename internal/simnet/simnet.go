@@ -262,15 +262,24 @@ func (n *Network) send(src, dst NodeID, kind string, payload any, bits int64, da
 		n.overheadSeries[int64(now/time.Second)]++
 	}
 
-	m := &Message{From: src, To: dst, Kind: kind, Payload: payload, Bits: bits, Data: data, SentAt: now}
-	n.K.At(arrive, func() {
-		dd := n.nodes[dst]
-		if !dd.alive || dd.handler == nil {
-			n.dropDead++
-			return
-		}
-		dd.handler.HandleMessage(m)
-	})
+	n.K.Schedule(arrive, &delivery{net: n, m: Message{From: src, To: dst, Kind: kind, Payload: payload, Bits: bits, Data: data, SentAt: now}})
+}
+
+// delivery is one message in flight and the kernel action that hands it
+// over on arrival: one allocation per send, the handler's *Message included.
+type delivery struct {
+	net *Network
+	m   Message
+}
+
+// Fire delivers the message, or drops it if the destination died meanwhile.
+func (d *delivery) Fire() {
+	dd := d.net.nodes[d.m.To]
+	if !dd.alive || dd.handler == nil {
+		d.net.dropDead++
+		return
+	}
+	dd.handler.HandleMessage(&d.m)
 }
 
 // Overhead returns the total extra-overhead units accrued so far.

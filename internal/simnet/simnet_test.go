@@ -244,3 +244,22 @@ func TestTrySend(t *testing.T) {
 		t.Fatal("dead sender accounting wrong")
 	}
 }
+
+type discard struct{}
+
+func (discard) HandleMessage(*Message) {}
+
+func TestSimAllocationBudgets(t *testing.T) {
+	k, n := newNet(t)
+	a := n.AddNode(1e6, 1e6)
+	b := n.AddNode(1e6, 1e6)
+	n.SetHandler(b, discard{})
+	send := func() {
+		n.Send(a, b, "ping", nil)
+		k.Run()
+	}
+	send() // the queue's backing array and the overhead maps' first rows
+	if allocs := testing.AllocsPerRun(1000, send); allocs > 1 {
+		t.Errorf("Send plus its delivery: %.1f allocations, budget 1 (the in-flight record)", allocs)
+	}
+}
