@@ -2,7 +2,17 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"net"
+	"os"
+	"reflect"
+	"regexp"
+	"strconv"
 	"testing"
+	"time"
+
+	"dco/internal/live"
 )
 
 func TestOrderedSinkReorders(t *testing.T) {
@@ -39,5 +49,71 @@ func TestOrderedSinkStartOffset(t *testing.T) {
 	s.put(12, []byte("c"))
 	if buf.String() != "abc" {
 		t.Fatalf("offset stream wrong: %q", buf.String())
+	}
+}
+
+// parse runs parseFlags on a fresh flag set.
+func parse(t *testing.T, args ...string) (live.Config, options, *flag.FlagSet) {
+	t.Helper()
+	fs := flag.NewFlagSet("dconode", flag.ContinueOnError)
+	cfg, o, err := parseFlags(fs, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, o, fs
+}
+
+// TestFlagDefaultsAreDefaultNodeConfig: parsing no arguments leaves
+// DefaultNodeConfig as it is, save dconode's chunk period, and the flag
+// count is the one DESIGN.md states.
+func TestFlagDefaultsAreDefaultNodeConfig(t *testing.T) {
+	cfg, _, fs := parse(t)
+	want := live.DefaultNodeConfig()
+	want.Channel.Period = defaultPeriod
+	if !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("no flags give\n%+v\nwant DefaultNodeConfig\n%+v", cfg, want)
+	}
+
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile("`dconode` has (\\d+) flags").FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("DESIGN.md does not state dconode's flag count")
+	}
+	flags := 0
+	fs.VisitAll(func(*flag.Flag) { flags++ })
+	if stated, _ := strconv.Atoi(string(m[1])); flags != stated {
+		t.Errorf("dconode has %d flags, DESIGN.md says %d", flags, stated)
+	}
+}
+
+// TestIOReadTimeoutSurvivesFaultInjection: -io-read-timeout reaches the TCP
+// listener even when a -fault-* flag wraps it, so an idle connection is
+// reclaimed after a second instead of the transport's two-minute default.
+func TestIOReadTimeoutSurvivesFaultInjection(t *testing.T) {
+	cfg, o, _ := parse(t, "-fault-drop", "0.1", "-io-read-timeout", "1s")
+	node, err := live.NewNode(cfg, o.attach(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+
+	conn, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	_ = conn.SetReadDeadline(start.Add(10 * time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	elapsed := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("idle connection still open after %v: the read timeout never reached the listener", elapsed)
+	}
+	if err == nil || elapsed < 500*time.Millisecond || elapsed > 5*time.Second {
+		t.Fatalf("idle connection ended after %v (err %v), want about 1s", elapsed, err)
 	}
 }

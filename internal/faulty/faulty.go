@@ -36,10 +36,8 @@
 package faulty
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dco/internal/transport"
@@ -550,9 +548,8 @@ func roll(seed uint64, key string, seq uint64, lane uint64) float64 {
 
 // faultTransport applies the injector's schedule to outbound calls.
 type faultTransport struct {
-	in       *Injector
-	inner    transport.Transport
-	observer atomic.Pointer[transport.Observer]
+	in    *Injector
+	inner transport.Transport
 }
 
 // Addr returns the wrapped transport's address.
@@ -561,39 +558,9 @@ func (f *faultTransport) Addr() string { return f.inner.Addr() }
 // Close closes the wrapped transport.
 func (f *faultTransport) Close() error { return f.inner.Close() }
 
-// SetObserver attaches a per-call observer at the decorator, timing
-// around the whole faulted call — injected delays, stalls, and slow lanes
-// included — so health scoring sees the latency a caller actually
-// experienced, not the latency the inner transport intended. It is NOT
-// forwarded to the inner transport (that would double-count every call
-// with fault-free timings).
-func (f *faultTransport) SetObserver(o transport.Observer) {
-	if o == nil {
-		f.observer.Store(nil)
-		return
-	}
-	f.observer.Store(&o)
-}
-
 // Call applies one scheduled decision, then delegates to the inner
 // transport (zero, one, or two times).
 func (f *faultTransport) Call(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
-	start := time.Now()
-	resp, err := f.call(addr, req, timeout)
-	if o := f.observer.Load(); o != nil {
-		oerr := err
-		var we *wire.Error
-		if errors.As(oerr, &we) {
-			// Application-level rejection: the peer answered, matching what
-			// the TCP observer reports.
-			oerr = nil
-		}
-		(*o)(addr, time.Since(start), oerr)
-	}
-	return resp, err
-}
-
-func (f *faultTransport) call(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
 	req = f.in.bendRequest(f.inner.Addr(), addr, req)
 	resp, err := f.inject(addr, req, timeout)
 	if err != nil {

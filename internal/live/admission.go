@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"dco/internal/index"
+	"dco/internal/stream"
 )
 
 // loadSaturatedMilli is the load factor (thousandths) at which a provider
@@ -46,16 +47,17 @@ type pacer struct {
 	now func() time.Time
 }
 
+// admitBurst is a node's pacer burst allowance in bytes: four chunks of
+// slack or a quarter-second of the upload budget, whichever is larger —
+// enough to absorb a startup spike without defeating the steady-state cap.
+func admitBurst(ch stream.Params, upBps int64) int64 {
+	return max(4*max(ch.ChunkBits/8, 1), upBps/8/4)
+}
+
 // newPacer builds a pacer enforcing upBps (bits per second) with the given
 // burst allowance in bytes and waiter-queue bound. upBps <= 0 returns an
 // unlimited pacer (admit always succeeds instantly, load reads 0).
 func newPacer(upBps int64, burstBytes int64, maxQueue int) *pacer {
-	if maxQueue <= 0 {
-		maxQueue = 16
-	}
-	if burstBytes <= 0 {
-		burstBytes = 64 * 1024
-	}
 	return &pacer{
 		rate:     float64(upBps) / 8,
 		burst:    float64(burstBytes),

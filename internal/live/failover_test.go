@@ -33,7 +33,6 @@ func resilientConfig() Config {
 	}
 	cfg.Breaker = retry.BreakerConfig{Threshold: 5, Cooldown: 500 * time.Millisecond}
 	cfg.ProviderCooldown = 400 * time.Millisecond
-	cfg.JoinAttempts = 2
 	return cfg
 }
 

@@ -27,11 +27,10 @@ func grayTrio(t *testing.T, cfg Config, seq int64) (viewer, primary, backup *Nod
 // TestHedgeRescuesStalledPrimary is the gray-failure headline: the primary
 // provider accepts the connection and then stalls mid-request — no error,
 // no data, the failure a breaker cannot see. The hedge must fire after the
-// (stranger-conservative) HedgeMaxDelay, win from the backup, and return
+// (stranger-conservative) hedgeMaxDelay, win from the backup, and return
 // the chunk in a fraction of the stall timeout.
 func TestHedgeRescuesStalledPrimary(t *testing.T) {
 	cfg := fastConfig()
-	cfg.HedgeMaxDelay = 80 * time.Millisecond
 	viewer, primary, backup, in := grayTrio(t, cfg, 5)
 	in.SetStalled(primary.Addr(), true)
 
@@ -124,13 +123,15 @@ func TestHedgeDisabledWaitsOutStall(t *testing.T) {
 func TestGetChunkDeadlineShed(t *testing.T) {
 	cfg := fastConfig()
 	cfg.UpBps = 8 * 1024 // 1 KiB/s drain: one 1 KiB chunk ≈ 1s of budget
-	cfg.AdmitBurst = 512 // half a chunk of burst → every serve projects a wait
-	cfg.AdmitMaxWait = time.Second
 	n := soloNode(t, cfg)
 	data := MakeChunkPayload(cfg.Channel, 3)
 	n.storeChunk(3, data, "")
+	// Commit the whole burst: every serve now projects a ~1s wait.
+	if _, _, ok := n.pace.admit(int(n.pace.burst), 0); !ok {
+		t.Fatal("burst-sized reservation refused")
+	}
 
-	// Deadline-bound: 100ms of budget against a ~500ms projected wait.
+	// Deadline-bound: 100ms of budget against a ~1s projected wait.
 	resp := n.onGetChunk(&wire.GetChunk{Seq: 3, DeadlineMs: 100})
 	cr, ok := resp.(*wire.ChunkResp)
 	if !ok || !cr.Busy {

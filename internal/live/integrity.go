@@ -344,9 +344,14 @@ const pollutionReportCooldown = 5 * time.Second
 func (n *Node) reportPollution(target string, seq int64) {
 	g := &n.guard
 	g.mu.Lock()
-	if at, ok := g.reportedAt[target]; ok && time.Since(at) < pollutionReportCooldown {
+	at, ok := g.reportedAt[target]
+	if ok && time.Since(at) < pollutionReportCooldown {
 		g.mu.Unlock()
 		return
+	}
+	if !ok {
+		// Forgetting the oldest accusation costs at most one early repeat.
+		evictOldest(g.reportedAt, accusationLedger, func(t time.Time) time.Time { return t })
 	}
 	g.reportedAt[target] = time.Now()
 	g.mu.Unlock()
@@ -398,37 +403,20 @@ func (n *Node) onPollutionReport(m *wire.PollutionReport) wire.Message {
 		// bytes, so these are either slander or a corrupting link.
 		return &wire.Ack{}
 	}
-	window := n.cfg.QuarantineTTL
-	if window <= 0 {
-		window = 30 * time.Second
-	}
 	now := time.Now()
 	g := &n.guard
 	g.mu.Lock()
 	reporters := g.pollution[m.Target.Addr]
 	if reporters == nil {
+		// A reporter-spammer must not grow the tally table without limit.
+		// Dropping the oldest tally only delays justice.
+		evictOldest(g.pollution, accusationLedger, newestReport)
 		reporters = make(map[string]time.Time)
 		g.pollution[m.Target.Addr] = reporters
-		// Bound the tally table: a reporter-spammer must not grow it
-		// without limit. Dropping the oldest tallies only delays justice.
-		if len(g.pollution) > 1024 {
-			for a, rs := range g.pollution {
-				stale := true
-				for _, at := range rs {
-					if now.Sub(at) < window {
-						stale = false
-						break
-					}
-				}
-				if stale && a != m.Target.Addr {
-					delete(g.pollution, a)
-				}
-			}
-		}
 	}
 	reporters[m.From.Addr] = now
 	for a, at := range reporters {
-		if now.Sub(at) >= window {
+		if now.Sub(at) >= quarantineTTL {
 			delete(reporters, a)
 		}
 	}
@@ -472,6 +460,40 @@ func newPollutionGuard() pollutionGuard {
 	}
 }
 
+// Bounds on the guard's address-keyed tables: at one, the entry touched
+// longest ago makes room for the new address.
+const (
+	insertBuckets    = 4096 // per-holder insert buckets; a forgotten one starts full
+	accusationLedger = 1024 // tallies of accusations heard, and this node's own accusations
+)
+
+// evictOldest makes room for one more entry in m once it holds max: the
+// entry whose age reads oldest goes.
+func evictOldest[V any](m map[string]V, max int, age func(V) time.Time) {
+	if len(m) < max {
+		return
+	}
+	var oldest string
+	var oldestAt time.Time
+	first := true
+	for k, v := range m {
+		if at := age(v); first || at.Before(oldestAt) {
+			oldest, oldestAt, first = k, at, false
+		}
+	}
+	delete(m, oldest)
+}
+
+// newestReport is a tally's age: when its latest accusation arrived.
+func newestReport(reporters map[string]time.Time) (newest time.Time) {
+	for _, at := range reporters {
+		if at.After(newest) {
+			newest = at
+		}
+	}
+	return newest
+}
+
 // insertBucket is one holder's insert token bucket.
 type insertBucket struct {
 	tokens float64
@@ -485,15 +507,7 @@ func (g *pollutionGuard) takeInsertToken(holder string, rate float64, now time.T
 	defer g.mu.Unlock()
 	b := g.insRate[holder]
 	if b == nil {
-		// Bound the bucket table like the other per-peer maps.
-		if len(g.insRate) > 4096 {
-			cutoff := now.Add(-10 * time.Second)
-			for a, ob := range g.insRate {
-				if ob.last.Before(cutoff) {
-					delete(g.insRate, a)
-				}
-			}
-		}
+		evictOldest(g.insRate, insertBuckets, func(b *insertBucket) time.Time { return b.last })
 		b = &insertBucket{tokens: 2 * rate, last: now}
 		g.insRate[holder] = b
 	}
@@ -523,12 +537,9 @@ func (n *Node) insertAllowed(m *wire.Insert) *wire.Error {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: holder quarantined"}
 	}
-	if horizon := n.cfg.InsertHorizon; horizon > 0 {
-		edge := max(n.LatestGenerated(), n.manifestHeadEstimate())
-		if edge >= 0 && m.Seq > edge+int64(horizon) {
-			n.lm.insertsRejected.Inc()
-			return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: seq beyond live-edge horizon"}
-		}
+	if edge := max(n.LatestGenerated(), n.manifestHeadEstimate()); edge >= 0 && m.Seq > edge+insertHorizon {
+		n.lm.insertsRejected.Inc()
+		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: seq beyond live-edge horizon"}
 	}
 	return nil
 }

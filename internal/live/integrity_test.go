@@ -2,7 +2,9 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,10 +98,8 @@ func TestStoreChunkChokePointRejectsPollution(t *testing.T) {
 // threshold, the peer drops out of provider usability, and the permanent
 // log records it.
 func TestPunishPoisonerQuarantines(t *testing.T) {
-	cfg := fastConfig()
-	cfg.QuarantineThreshold = 3
-	cfg.QuarantineTTL = 200 * time.Millisecond
-	n := soloNode(t, cfg)
+	n := soloNode(t, fastConfig())
+	skew := skewHealthClock(n)
 	good := MakeChunkPayload(n.cfg.Channel, 1)
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 1
@@ -132,12 +132,22 @@ func TestPunishPoisonerQuarantines(t *testing.T) {
 		t.Fatalf("EverQuarantined missing %s: %v", evil, n.EverQuarantined())
 	}
 	// Quarantine expires; the permanent log does not.
-	waitFor(t, 2*time.Second, "quarantine expiry", func() bool {
-		return !n.health.Quarantined(evil)
-	})
+	skew.Store(int64(quarantineTTL))
+	if n.health.Quarantined(evil) {
+		t.Fatalf("still quarantined %v later", quarantineTTL)
+	}
 	if len(n.EverQuarantined()) == 0 {
 		t.Fatal("quarantine log forgot the offender after expiry")
 	}
+}
+
+// skewHealthClock gives n's peer table a clock running the returned offset
+// ahead of the wall clock: a test moves it past a quarantine instead of
+// waiting one out. Install it before n carries traffic.
+func skewHealthClock(n *Node) *atomic.Int64 {
+	var skew atomic.Int64
+	n.health.SetNow(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
+	return &skew
 }
 
 // TestInsertRateLimit pins the per-holder token bucket: a spammer blows
@@ -179,32 +189,31 @@ func TestInsertRateLimit(t *testing.T) {
 }
 
 // TestInsertHorizonRejectsFutureSeqs pins the live-edge horizon: with a
-// verified head around seq 100, registrations claiming chunks far past the
-// edge are terminal-rejected while near-edge ones pass.
+// verified head at seq 100, a registration insertHorizon chunks past the
+// edge passes and one a chunk further is terminal-rejected.
 func TestInsertHorizonRejectsFutureSeqs(t *testing.T) {
-	cfg := fastConfig()
-	cfg.InsertHorizon = 50
-	n := soloNode(t, cfg)
+	n := soloNode(t, fastConfig())
 	// Give the node a verified head: an authenticated manifest row at 100.
 	n.addManifestEntrySource(100, MakeChunkPayload(n.cfg.Channel, 100))
 	holder := wire.Entry{ID: 1, Addr: "prov:1"}
 	key := uint64(n.cfg.Channel.Ref(1).ID())
+	const far = 100 + insertHorizon + 1
 
-	resp := n.onInsert(&wire.Insert{Key: key, Seq: 120, Holder: holder})
+	resp := n.onInsert(&wire.Insert{Key: key, Seq: far - 1, Holder: holder})
 	if _, ok := resp.(*wire.Ack); !ok {
-		t.Fatalf("near-edge insert rejected: %v", resp)
+		t.Fatalf("insert at the horizon rejected: %v", resp)
 	}
-	resp = n.onInsert(&wire.Insert{Key: key, Seq: 300, Holder: holder})
+	resp = n.onInsert(&wire.Insert{Key: key, Seq: far, Holder: holder})
 	werr, ok := resp.(*wire.Error)
 	if !ok || werr.Code != wire.CodeBadRequest {
-		t.Fatalf("seq 300 past horizon accepted: %v", resp)
+		t.Fatalf("seq %d past the horizon accepted: %v", far, resp)
 	}
 	if n.Stats().InsertsRejected == 0 {
 		t.Fatal("horizon rejection not counted")
 	}
 	// Unregisters are never capacity-checked: removing the bogus row (had
 	// it landed) must work even past the horizon.
-	resp = n.onInsert(&wire.Insert{Key: key, Seq: 300, Holder: holder, Unregister: true})
+	resp = n.onInsert(&wire.Insert{Key: key, Seq: far, Holder: holder, Unregister: true})
 	if _, ok := resp.(*wire.Ack); !ok {
 		t.Fatalf("unregister past horizon rejected: %v", resp)
 	}
@@ -306,6 +315,32 @@ func TestPollutionReportsScrubAndQuarantine(t *testing.T) {
 	}
 }
 
+// TestAccusationLedgerStaysBounded: a flood of accusations against distinct
+// addresses — made by this node and heard from others — leaves each of the
+// pollution guard's ledgers at its bound, the newest accusation kept.
+func TestAccusationLedgerStaysBounded(t *testing.T) {
+	n := soloNode(t, fastConfig())
+	reporter := wire.Entry{ID: 1, Addr: "reporter:1"}
+	const accused = 5000
+	for i := 0; i < accused; i++ {
+		target := fmt.Sprintf("accused:%d", i)
+		n.reportPollution(target, int64(i))
+		n.onPollutionReport(&wire.PollutionReport{From: reporter, Seq: int64(i), Target: wire.Entry{Addr: target}})
+	}
+	g := &n.guard
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if got := len(g.reportedAt); got > accusationLedger {
+		t.Errorf("%d accusations remembered after accusing %d peers, bound %d", got, accused, accusationLedger)
+	}
+	if got := len(g.pollution); got > accusationLedger {
+		t.Errorf("%d tallies kept after reports against %d peers, bound %d", got, accused, accusationLedger)
+	}
+	if _, ok := g.reportedAt[fmt.Sprintf("accused:%d", accused-1)]; !ok {
+		t.Error("the newest accusation was evicted")
+	}
+}
+
 // TestLookupParksWhenAllProvidersQuarantined: an entry whose only
 // providers are quarantined answers like an empty one instead of handing
 // out known poisoners.
@@ -358,9 +393,9 @@ func TestPoisonerQuarantinedEndToEnd(t *testing.T) {
 	in := faulty.NewInjector(seed)
 	cfg := resilientConfig()
 	cfg.Channel.Count = 12
-	cfg.QuarantineTTL = 2 * time.Second
 	s := testSwarm(t, SwarmSpec{N: 2, Base: cfg, Wrap: in.Wrap})
 	src, v := s.Nodes[0], s.Nodes[1]
+	skew := skewHealthClock(v)
 	in.SetPoisoner(src.Addr(), 1)
 	if err := s.Up(); err != nil {
 		t.Fatal(err)
@@ -383,9 +418,11 @@ func TestPoisonerQuarantinedEndToEnd(t *testing.T) {
 		t.Fatalf("quarantine log %v does not name the poisoner %s", v.EverQuarantined(), src.Addr())
 	}
 
-	// Poison stops; quarantine and blacklist lapse; the stream completes
-	// and everything buffered verifies.
+	// Poison stops; quarantine and blacklist lapse (the viewer's peer table
+	// jumps a quarantine ahead); the stream completes and everything
+	// buffered verifies.
 	in.SetPoisoner(src.Addr(), 0)
+	skew.Store(int64(quarantineTTL))
 	want := int(cfg.Channel.Count)
 	waitFor(t, 60*time.Second, "viewer to complete the stream after the poison clears", func() bool {
 		return v.ChunkCount() >= want

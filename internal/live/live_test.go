@@ -1,6 +1,10 @@
 package live
 
 import (
+	"os"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,6 +116,36 @@ func TestActiveWindowDerivedForEndlessStreams(t *testing.T) {
 	}
 	if manifestWindow != 4096 {
 		t.Errorf("manifestWindow = %d; README and dconode -h say 4096", manifestWindow)
+	}
+}
+
+// TestConfigTableMatchesDesign keeps Config and DESIGN.md's "Configuration"
+// table in step, a row per field and a field per row: a knob cannot land
+// without a row saying who sets it to something other than its default.
+func TestConfigTableMatchesDesign(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## Configuration\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "Configuration" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^\\| `(\\w+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = true
+	}
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		name := ct.Field(i).Name
+		if !rows[name] {
+			t.Errorf("Config.%s has no row in DESIGN.md's Configuration table", name)
+		}
+		delete(rows, name)
+	}
+	for name := range rows {
+		t.Errorf("DESIGN.md's Configuration table has a row for %s, which is not a Config field", name)
 	}
 }
 

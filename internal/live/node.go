@@ -65,19 +65,8 @@ type Config struct {
 
 	// AdmitQueue bounds how many admitted chunk serves may wait out their
 	// pace delay at once; requests beyond it are shed with Busy +
-	// RetryAfterMs. 0 derives 16.
+	// RetryAfterMs. 0 takes DefaultNodeConfig's.
 	AdmitQueue int
-
-	// AdmitBurst is the pacer's burst allowance in bytes — how far ahead
-	// of the steady-state budget a serve burst may run. 0 derives
-	// max(4 chunks, 250ms of UpBps).
-	AdmitBurst int64
-
-	// AdmitMaxWait caps how long one admitted serve may be queued behind
-	// the pacer regardless of the requester's declared patience, so a
-	// slow-draining backlog cannot hold transport goroutines for whole
-	// call timeouts. 0 derives 600ms.
-	AdmitMaxWait time.Duration
 
 	// FetchDeadlineChunks is a viewer's playback horizon in chunk periods:
 	// a chunk not acquired within Channel.Period x this depth is abandoned
@@ -110,14 +99,6 @@ type Config struct {
 	// coordinator summarizes its owned index to its replicas so that
 	// missed batches, partitions, and ownership moves get repaired.
 	AntiEntropyEvery time.Duration
-
-	// IndexTTL is the lease on a provider registration. Republication
-	// refreshes it; a provider that dies without unregistering ages out
-	// of lookup answers once the lease lapses. It must comfortably exceed
-	// the republish rotation period (RepublishEvery × registered chunks /
-	// 4 per tick) or live providers expire between refreshes. Zero
-	// disables leases (registrations live until unregistered).
-	IndexTTL time.Duration
 
 	// CensusEvery is the ring-census cadence (census.go): how often this
 	// node probes a few previously-seen members *outside* its current ring
@@ -163,49 +144,17 @@ type Config struct {
 	// DefaultNodeConfig turns it on.
 	Hedge bool
 
-	// HedgeMaxDelay is the ceiling of the hedge trigger delay derived from
-	// the primary provider's latency EWMA (the floor is 20ms). Peers with
-	// no latency history hedge at HedgeMaxDelay (conservative against
-	// strangers). 0 derives 300ms.
-	HedgeMaxDelay time.Duration
-
-	// QuarantineThreshold is the integrity demerit score (one unit per
-	// chunk that failed verification) at which a peer is quarantined from
-	// provider selection entirely. 0 derives 3; negative disables
-	// quarantine (demerits are still counted).
-	QuarantineThreshold float64
-
-	// QuarantineTTL is how long a quarantined peer stays excluded. 0
-	// derives 30s.
-	QuarantineTTL time.Duration
-
 	// InsertRate caps how many index Inserts per second a coordinator
 	// accepts from one holder address (token bucket, burst 2x) — the
-	// index-spam defense. 0 derives 200; negative disables the limit.
+	// index-spam defense. 0 takes DefaultNodeConfig's; negative disables
+	// the limit.
 	InsertRate float64
-
-	// InsertHorizon rejects provider registrations for seqs further than
-	// this many chunks past the coordinator's best live-edge estimate
-	// (its own latest generated/verified-manifest seq): nobody can hold a
-	// chunk the source has not produced. 0 derives 1024; negative
-	// disables the check.
-	InsertHorizon int
 
 	// MaxProvidersPerSeq caps the provider rows one index entry holds;
 	// inserts beyond it are rejected (a spammer cannot grow an entry
-	// without bound). 0 derives 128; negative disables the cap.
+	// without bound). 0 takes DefaultNodeConfig's; negative disables the
+	// cap.
 	MaxProvidersPerSeq int
-
-	// IOReadTimeout / IOWriteTimeout override the transport's server-side
-	// per-exchange read deadline and reply write deadline when the
-	// transport supports it (transport.TCP does). Zero keeps the
-	// transport's defaults (2m read / 30s write).
-	IOReadTimeout  time.Duration
-	IOWriteTimeout time.Duration
-
-	// JoinAttempts is how many rounds JoinAny makes over the bootstrap
-	// list before giving up.
-	JoinAttempts int
 
 	// RetrySeed fixes the backoff-jitter schedule (reproducibility).
 	// Zero derives a stable seed from the node's address.
@@ -226,34 +175,33 @@ type Config struct {
 // DefaultNodeConfig returns sane settings for LAN/localhost deployments.
 func DefaultNodeConfig() Config {
 	return Config{
-		Channel:          stream.Params{Channel: "LIVE", ChunkBits: 64 * 8 * 1024, Period: 250 * time.Millisecond, Count: 0},
-		DHT:              defaultDHT(),
-		StabilizeEvery:   300 * time.Millisecond,
-		FixFingersEvery:  100 * time.Millisecond,
-		LookupWait:       2 * time.Second,
-		CallTimeout:      5 * time.Second,
-		UpBps:            10_000_000,
-		AdmitQueue:       defaultAdmitQueue,
-		AdmitMaxWait:     defaultAdmitMaxWait,
-		RepublishEvery:   time.Second,
-		Replicas:         2,
-		ReplicateEvery:   150 * time.Millisecond,
-		AntiEntropyEvery: 3 * time.Second,
-		IndexTTL:         45 * time.Second,
-		CensusEvery:      2 * time.Second,
-		Retry:            retry.DefaultPolicy(),
-		Breaker:          retry.DefaultBreakerConfig(),
-		ProviderCooldown: 2 * time.Second,
-		Hedge:            true,
-		HedgeMaxDelay:    defaultHedgeMaxDelay,
-		JoinAttempts:     3,
+		Channel:            stream.Params{Channel: "LIVE", ChunkBits: 64 * 8 * 1024, Period: 250 * time.Millisecond, Count: 0},
+		DHT:                defaultDHT(),
+		StabilizeEvery:     300 * time.Millisecond,
+		FixFingersEvery:    100 * time.Millisecond,
+		LookupWait:         2 * time.Second,
+		CallTimeout:        5 * time.Second,
+		UpBps:              10_000_000,
+		AdmitQueue:         16,
+		RepublishEvery:     time.Second,
+		Replicas:           2,
+		ReplicateEvery:     150 * time.Millisecond,
+		AntiEntropyEvery:   3 * time.Second,
+		CensusEvery:        2 * time.Second,
+		Retry:              retry.DefaultPolicy(),
+		Breaker:            retry.DefaultBreakerConfig(),
+		ProviderCooldown:   2 * time.Second,
+		Hedge:              true,
+		InsertRate:         200,
+		MaxProvidersPerSeq: 128,
 	}
 }
 
 // Parameters of the live node that are not configuration: nothing in the
 // repository ever ran them at another value (DESIGN.md, "Configuration").
-// The health tracker's half-lives and suspicion threshold and Kademlia's
-// k and alpha are likewise their packages' own defaults.
+// The health tracker's half-lives, suspicion threshold and quarantine
+// threshold and Kademlia's k and alpha are likewise their packages' own
+// defaults.
 const (
 	succListSize       = 8    // Chord successor-list length
 	fetchWorkers       = 3    // concurrent chunk fetches per viewer
@@ -262,11 +210,30 @@ const (
 	memberCacheSize    = 128  // members remembered for the census, reachable or not
 	manifestWindow     = 4096 // verified manifest rows cached, oldest aged out first
 	pollutionReporters = 2    // distinct accusers that quarantine a peer: one slanderer is never enough
-	hedgeMinDelay      = 20 * time.Millisecond
+	insertHorizon      = 1024 // chunks past the live edge a registration may claim: nobody holds what the source has not produced
+	joinAttempts       = 3    // rounds JoinAny makes over the bootstrap list
 
-	defaultAdmitQueue    = 16
-	defaultAdmitMaxWait  = 600 * time.Millisecond
-	defaultHedgeMaxDelay = 300 * time.Millisecond
+	// The hedge trigger is the primary's latency estimate clamped to
+	// [hedgeMinDelay, hedgeMaxDelay]; a peer with no history hedges at the
+	// ceiling (conservative against strangers).
+	hedgeMinDelay = 20 * time.Millisecond
+	hedgeMaxDelay = 300 * time.Millisecond
+
+	// admitMaxWait caps how long one admitted serve may queue behind the
+	// pacer whatever the requester's declared patience, so a slow-draining
+	// backlog cannot hold transport goroutines for whole call timeouts.
+	admitMaxWait = 600 * time.Millisecond
+
+	// indexTTL is the lease on a provider registration. Republication
+	// refreshes it; a provider that dies without unregistering ages out of
+	// lookup answers once it lapses. It must comfortably exceed the
+	// republish rotation period (RepublishEvery × registered chunks /
+	// republishBatch) or live providers expire between refreshes.
+	indexTTL = 45 * time.Second
+
+	// quarantineTTL is how long a quarantined peer stays excluded, and the
+	// window in which pollution reports against one peer add up.
+	quarantineTTL = 30 * time.Second
 )
 
 // Node is a live DCO participant.
@@ -425,34 +392,16 @@ var errNotOwner = errors.New("live: not the key owner")
 // with the node's handler and must return the listening transport (this
 // inversion lets the caller pick TCP or an in-memory fabric).
 func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, error)) (*Node, error) {
+	// A hand-built Config's zero values take DefaultNodeConfig's.
+	def := DefaultNodeConfig()
 	if cfg.AdmitQueue <= 0 {
-		cfg.AdmitQueue = defaultAdmitQueue
-	}
-	if cfg.AdmitMaxWait <= 0 {
-		cfg.AdmitMaxWait = defaultAdmitMaxWait
-	}
-	burst := cfg.AdmitBurst
-	if burst <= 0 {
-		// Default burst: a few chunks of slack or a quarter-second of the
-		// budget, whichever is larger — enough to absorb a startup spike
-		// without defeating the steady-state cap.
-		chunkBytes := cfg.Channel.ChunkBits / 8
-		if chunkBytes < 1 {
-			chunkBytes = 1
-		}
-		burst = 4 * chunkBytes
-		if quarter := cfg.UpBps / 8 / 4; quarter > burst {
-			burst = quarter
-		}
+		cfg.AdmitQueue = def.AdmitQueue
 	}
 	if cfg.InsertRate == 0 {
-		cfg.InsertRate = 200
-	}
-	if cfg.InsertHorizon == 0 {
-		cfg.InsertHorizon = 1024
+		cfg.InsertRate = def.InsertRate
 	}
 	if cfg.MaxProvidersPerSeq == 0 {
-		cfg.MaxProvidersPerSeq = 128
+		cfg.MaxProvidersPerSeq = def.MaxProvidersPerSeq
 	}
 	if cfg.Channel.Count == 0 && cfg.ActiveWindow == 0 {
 		// An endless stream with no window would buffer every chunk forever.
@@ -466,7 +415,7 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		replicas:        replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
 		manifest:        make(map[int64]manifestRec),
 		guard:           newPollutionGuard(),
-		pace:            newPacer(cfg.UpBps, burst, cfg.AdmitQueue),
+		pace:            newPacer(cfg.UpBps, admitBurst(cfg.Channel, cfg.UpBps), cfg.AdmitQueue),
 		routes:          dht.NewArcCache(routeCacheSize),
 		closed:          make(chan struct{}),
 		latestGen:       -1,
@@ -480,19 +429,11 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	n.self = dht.Member{ID: dht.IDOf(tr.Addr()), Addr: tr.Addr()}
 	n.lm = newLiveMetrics(cfg.Telemetry, cfg.Trace)
 	n.health = health.NewTracker(health.Config{
-		QuarantineThreshold: cfg.QuarantineThreshold,
-		QuarantineTTL:       cfg.QuarantineTTL,
-		CircuitThreshold:    cfg.Breaker.Threshold,
-		CircuitCooldown:     cfg.Breaker.Cooldown,
-		OnCircuit:           n.onCircuit,
+		QuarantineTTL:    quarantineTTL,
+		CircuitThreshold: cfg.Breaker.Threshold,
+		CircuitCooldown:  cfg.Breaker.Cooldown,
+		OnCircuit:        n.onCircuit,
 	})
-	if cfg.IOReadTimeout > 0 || cfg.IOWriteTimeout > 0 {
-		if io, ok := tr.(interface {
-			SetIOTimeouts(read, write time.Duration)
-		}); ok {
-			io.SetIOTimeouts(cfg.IOReadTimeout, cfg.IOWriteTimeout)
-		}
-	}
 	n.members = dht.NewMemberCache(n.self.Addr, memberCacheSize)
 	seed := cfg.RetrySeed
 	if seed == 0 {
@@ -681,16 +622,12 @@ func (n *Node) Close() error {
 func (n *Node) Join(bootstrap string) error { return n.JoinAny([]string{bootstrap}) }
 
 // JoinAny attaches the node to the ring via the first reachable address
-// in bootstraps, making Config.JoinAttempts rounds over the whole list
-// (with backoff between rounds) before giving up. A single dead or
-// partitioned bootstrap no longer kills the join.
+// in bootstraps, making joinAttempts rounds over the whole list (with
+// backoff between rounds) before giving up. A single dead or partitioned
+// bootstrap no longer kills the join.
 func (n *Node) JoinAny(bootstraps []string) error {
-	rounds := n.cfg.JoinAttempts
-	if rounds < 1 {
-		rounds = 1
-	}
 	var errs []error
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < joinAttempts; round++ {
 		if round > 0 {
 			select {
 			case <-n.closed:
@@ -712,7 +649,7 @@ func (n *Node) JoinAny(bootstraps []string) error {
 			return nil
 		}
 	}
-	n.traceEvent("join.fail", fmt.Sprintf("bootstraps=%d rounds=%d", len(bootstraps), rounds))
+	n.traceEvent("join.fail", fmt.Sprintf("bootstraps=%d rounds=%d", len(bootstraps), joinAttempts))
 	if len(errs) == 0 {
 		return errors.New("live: no usable bootstrap address")
 	}

@@ -139,9 +139,7 @@ func TestGetChunkMissCounted(t *testing.T) {
 // saturated load report, and the shed counted.
 func TestGetChunkShedsWithRetryHint(t *testing.T) {
 	cfg := fastConfig()
-	cfg.UpBps = 8_000     // 1000 B/s
-	cfg.AdmitBurst = 1024 // exactly one chunk of burst
-	cfg.AdmitMaxWait = 50 * time.Millisecond
+	cfg.UpBps = 8_000 // 1000 B/s
 	n := soloNode(t, cfg)
 	data := MakeChunkPayload(n.cfg.Channel, 1) // 1024 bytes
 	n.mu.Lock()
@@ -149,12 +147,15 @@ func TestGetChunkShedsWithRetryHint(t *testing.T) {
 	n.chunks[2] = data
 	n.mu.Unlock()
 
-	first, _ := n.onGetChunk(&wire.GetChunk{Seq: 1}).(*wire.ChunkResp)
+	first, _ := n.onGetChunk(&wire.GetChunk{Seq: 1, WaitMs: 50}).(*wire.ChunkResp)
 	if first == nil || !first.OK {
 		t.Fatalf("burst-covered serve failed: %+v", first)
 	}
-	// The burst is now fully committed; the next serve would need ~1s of
+	// Commit the rest of the burst; the next serve would need ~1s of
 	// refill against 10ms of patience.
+	if _, _, ok := n.pace.admit(int(n.pace.burst)-len(data), 0); !ok {
+		t.Fatal("reservation of the rest of the burst refused")
+	}
 	second, _ := n.onGetChunk(&wire.GetChunk{Seq: 2, WaitMs: 10}).(*wire.ChunkResp)
 	if second == nil || !second.Busy {
 		t.Fatalf("saturated serve not shed: %+v", second)

@@ -125,7 +125,7 @@ func (n *Node) onInsert(m *wire.Insert) wire.Message {
 	// the lease heartbeat, and the piggybacked load report keeps selection
 	// current between republishes.
 	now := time.Now()
-	row := index.Row{Ent: m.Holder, UpBps: m.UpBps, LoadMilli: m.LoadMilli, Expire: n.leaseFrom(now)}
+	row := index.Row{Ent: m.Holder, UpBps: m.UpBps, LoadMilli: m.LoadMilli, Expire: now.Add(indexTTL)}
 	if _, ok := n.register(m.Key, m.Seq, row, now); !ok {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: provider cap reached"}
@@ -140,14 +140,6 @@ func (n *Node) register(key uint64, seq int64, row index.Row, now time.Time) (ad
 		n.enqueueReplica(index.Op(key, seq, row, now))
 	}
 	return added, ok
-}
-
-// leaseFrom is the deadline of a lease granted at now (zero: leases are off).
-func (n *Node) leaseFrom(now time.Time) time.Time {
-	if n.cfg.IndexTTL <= 0 {
-		return time.Time{}
-	}
-	return now.Add(n.cfg.IndexTTL)
 }
 
 func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
@@ -165,11 +157,11 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 		return n.stampManifest(&wire.ChunkResp{Seq: m.Seq, LoadMilli: n.reportLoadMilli()})
 	}
 	// The requester declares its patience; zero (old clients, direct
-	// callers) means "the server's default". Clamp to AdmitMaxWait so a
+	// callers) means "the server's default". Clamp to admitMaxWait so a
 	// serve never sleeps past what the caller's RPC timeout can survive,
 	// and to the propagated per-call deadline budget so the provider sheds
 	// work whose reply could not arrive in time anyway.
-	patience := n.cfg.AdmitMaxWait
+	patience := admitMaxWait
 	if m.WaitMs > 0 {
 		if p := time.Duration(m.WaitMs) * time.Millisecond; p < patience {
 			patience = p
@@ -222,7 +214,7 @@ func (n *Node) onHandoff(m *wire.Handoff) wire.Message {
 	// Handoffs carry no leases; restamp so inherited entries age out unless
 	// their providers keep republishing.
 	now := time.Now()
-	row := index.Row{LoadMilli: index.LoadUnknown, Expire: n.leaseFrom(now)}
+	row := index.Row{LoadMilli: index.LoadUnknown, Expire: now.Add(indexTTL)}
 	for _, he := range m.Entries {
 		for _, pr := range he.Providers {
 			row.Ent = pr

@@ -20,7 +20,6 @@ func replConfig() Config {
 	cfg.Replicas = 2
 	cfg.ReplicateEvery = 25 * time.Millisecond
 	cfg.AntiEntropyEvery = 200 * time.Millisecond
-	cfg.IndexTTL = 30 * time.Second
 	cfg.RepublishEvery = 0
 	return cfg
 }
@@ -244,34 +243,46 @@ func TestAntiEntropyRepairsMissedReplication(t *testing.T) {
 
 // TestIndexLeaseExpiry: a provider that stops republishing ages out of
 // lookup answers once its lease lapses (satellite: coordinator-side TTL).
+// Registrations are backdated through the index table's clock argument
+// instead of waiting out indexTTL.
 func TestIndexLeaseExpiry(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Channel.Count = 0
 	cfg.Replicas = 0
-	cfg.IndexTTL = 250 * time.Millisecond
 	n := soloNode(t, cfg)
-
 	key := uint64(n.cfg.Channel.Ref(3).ID())
-	n.onInsert(&wire.Insert{Key: key, Seq: 3, Holder: wire.Entry{ID: 1, Addr: "mem://dead"}, UpBps: 1})
-	if lr := n.onLookup(&wire.Lookup{Key: key, Seq: 3, MaxWait: 0}).(*wire.LookupResp); len(lr.Providers) == 0 {
+	lookup := func(seq int64) []wire.Entry {
+		return n.onLookup(&wire.Lookup{Key: key, Seq: seq, MaxWait: 0}).(*wire.LookupResp).Providers
+	}
+
+	// An Insert is granted an indexTTL lease.
+	dead, alive := wire.Entry{ID: 1, Addr: "mem://dead"}, wire.Entry{ID: 2, Addr: "mem://alive"}
+	before := time.Now()
+	n.onInsert(&wire.Insert{Key: key, Seq: 3, Holder: dead, UpBps: 1})
+	if exp := n.idx.Get(3).Rows[0].Expire; exp.Before(before.Add(indexTTL)) || exp.After(time.Now().Add(indexTTL)) {
+		t.Fatalf("lease runs %v, want %v", exp.Sub(before), indexTTL)
+	}
+	if len(lookup(3)) == 0 {
 		t.Fatal("fresh registration not served")
 	}
-	time.Sleep(400 * time.Millisecond)
-	if lr := n.onLookup(&wire.Lookup{Key: key, Seq: 3, MaxWait: 0}).(*wire.LookupResp); len(lr.Providers) != 0 {
-		t.Fatalf("expired registration still served: %v", lr.Providers)
+
+	// A registration granted indexTTL ago has lapsed: not served, counted.
+	then := time.Now().Add(-indexTTL - time.Millisecond)
+	n.register(key, 4, index.Row{Ent: dead, Expire: then.Add(indexTTL)}, then)
+	if p := lookup(4); len(p) != 0 {
+		t.Fatalf("expired registration still served: %v", p)
 	}
 	if n.Stats().ProvidersExpired == 0 {
 		t.Fatal("expiry not counted")
 	}
 
-	// A re-insert refreshes the lease rather than duplicating the record.
-	n.onInsert(&wire.Insert{Key: key, Seq: 5, Holder: wire.Entry{ID: 2, Addr: "mem://alive"}, UpBps: 1})
-	time.Sleep(150 * time.Millisecond)
-	n.onInsert(&wire.Insert{Key: key, Seq: 5, Holder: wire.Entry{ID: 2, Addr: "mem://alive"}, UpBps: 1})
-	time.Sleep(150 * time.Millisecond) // 300ms after first insert, 150ms after refresh
-	lr := n.onLookup(&wire.Lookup{Key: key, Seq: 5, MaxWait: 0}).(*wire.LookupResp)
-	if len(lr.Providers) != 1 {
-		t.Fatalf("refreshed registration: got %v, want exactly one provider", lr.Providers)
+	// A re-insert refreshes the lease rather than duplicating the record:
+	// past the first lease, inside the second, there is one provider.
+	then = time.Now().Add(-indexTTL / 2)
+	n.register(key, 5, index.Row{Ent: alive, Expire: then.Add(indexTTL)}, then)
+	n.onInsert(&wire.Insert{Key: key, Seq: 5, Holder: alive, UpBps: 1})
+	if p, _, _ := n.idx.Select(key, 5, 3, then.Add(indexTTL+time.Second), n.health.Quarantined); len(p) != 1 {
+		t.Fatalf("refreshed registration: got %v, want exactly one provider", p)
 	}
 }
 

@@ -322,7 +322,7 @@ func (n *Node) getChunkOnce(addr string, seq int64, deadline time.Time) (wire.Me
 // fetchOnce fetches seq from primary, hedging to backup (when hedging is
 // on and a distinct usable provider exists): if the primary has not
 // answered within its health-derived p95-ish latency estimate (clamped to
-// [hedgeMinDelay, HedgeMaxDelay]), one duplicate request is launched at
+// [hedgeMinDelay, hedgeMaxDelay]), one duplicate request is launched at
 // backup and the first response wins. An in-flight RPC cannot be
 // cancelled, so the loser delivers into a buffered channel and is
 // discarded — counted as cancelled, never leaked. Returns the winning
@@ -333,7 +333,6 @@ func (n *Node) fetchOnce(seq int64, primary, backup string, deadline time.Time) 
 		resp, err = n.getChunkOnce(primary, seq, deadline)
 		return resp, primary, err
 	}
-	minD, maxD := n.hedgeDelays()
 	type result struct {
 		resp wire.Message
 		err  error
@@ -344,7 +343,7 @@ func (n *Node) fetchOnce(seq int64, primary, backup string, deadline time.Time) 
 		r, e := n.getChunkOnce(primary, seq, deadline)
 		ch <- result{r, e, primary}
 	}()
-	t := time.NewTimer(n.health.HedgeAfter(primary, minD, maxD))
+	t := time.NewTimer(n.health.HedgeAfter(primary, hedgeMinDelay, hedgeMaxDelay))
 	defer t.Stop()
 	select {
 	case r := <-ch:
@@ -389,18 +388,6 @@ func (n *Node) fetchOnce(seq int64, primary, backup string, deadline time.Time) 
 	return nil, lastAddr, lastErr
 }
 
-// hedgeDelays returns the hedge-trigger clamps.
-func (n *Node) hedgeDelays() (min, max time.Duration) {
-	min, max = hedgeMinDelay, n.cfg.HedgeMaxDelay
-	if max <= 0 {
-		max = defaultHedgeMaxDelay
-	}
-	if max < min {
-		max = min
-	}
-	return min, max
-}
-
 // pastDeadline reports whether the playback horizon d has passed (zero d =
 // no deadline).
 func pastDeadline(d time.Time) bool { return !d.IsZero() && time.Now().After(d) }
@@ -412,11 +399,11 @@ func (n *Node) abandonChunk(seq int64, lastErr error) error {
 	return fmt.Errorf("live: chunk %d abandoned past playback horizon (last error: %v)", seq, lastErr)
 }
 
-// fetchPatienceMs is the patience a viewer declares on a GetChunk: the
-// admission queue default, never past the chunk's remaining playback
-// horizon (waiting longer than the horizon buys nothing).
+// fetchPatienceMs is the patience a viewer declares on a GetChunk:
+// admitMaxWait, never past the chunk's remaining playback horizon (waiting
+// longer than the horizon buys nothing).
 func (n *Node) fetchPatienceMs(deadline time.Time) uint32 {
-	p := n.cfg.AdmitMaxWait
+	p := admitMaxWait
 	if !deadline.IsZero() {
 		if r := time.Until(deadline); r < p {
 			p = r

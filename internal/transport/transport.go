@@ -38,17 +38,13 @@ type Transport interface {
 	Close() error
 }
 
-// Observer receives one observation per outbound call attempt: the
-// destination, the attempt's round-trip wall time, and its error (nil on
-// success). This is the seam peer-health scoring hangs off — unlike
-// Metrics it carries the address, so per-peer latency EWMAs and suspicion
-// scores can be maintained. Implementations must be fast and non-blocking;
-// they run on the calling goroutine.
+// Observer and ObserverSetter are a per-call timing seam no transport hosts
+// any more: the live node times every call attempt itself. They stay
+// declared because the benchmark module's tracing decorator (bench/span.go)
+// still names them.
 type Observer func(addr string, rtt time.Duration, err error)
 
-// ObserverSetter is implemented by transports that can host an Observer.
-// All transports in this package (and the fault-injecting decorator in
-// internal/faulty) implement it.
+// ObserverSetter: see Observer.
 type ObserverSetter interface {
 	SetObserver(Observer)
 }
@@ -104,10 +100,6 @@ type TCP struct {
 	// metrics, when set, meters every frame and call (telemetry).
 	metrics atomic.Pointer[Metrics]
 
-	// observer, when set, receives one (addr, rtt, err) per outbound call
-	// attempt (health scoring).
-	observer atomic.Pointer[Observer]
-
 	// Server-side I/O deadlines (ns): the per-exchange read deadline that
 	// keeps dead peers from pinning serve goroutines, and the reply write
 	// deadline. Defaults DefaultReadTimeout / DefaultWriteTimeout;
@@ -157,16 +149,6 @@ func (t *TCP) SetMaxFrameSize(n uint32) {
 // concurrently with traffic; frames in flight during the switch may be
 // attributed to either set.
 func (t *TCP) SetMetrics(m *Metrics) { t.metrics.Store(m) }
-
-// SetObserver attaches (or detaches, with nil) a per-call observer. Safe
-// to call concurrently with traffic.
-func (t *TCP) SetObserver(o Observer) {
-	if o == nil {
-		t.observer.Store(nil)
-		return
-	}
-	t.observer.Store(&o)
-}
 
 // SetIOTimeouts adjusts the server-side per-exchange read deadline and
 // the reply write deadline. Zero restores a default; nonzero values clamp
@@ -241,7 +223,6 @@ func (t *TCP) Call(addr string, req wire.Message, timeout time.Duration) (wire.M
 	conn, pooled, err := t.getConn(addr, timeout)
 	if err != nil {
 		t.metrics.Load().noteCall(start, err)
-		t.observe(addr, start, err)
 		return nil, err
 	}
 	resp, err := t.exchange(conn, req, deadline)
@@ -253,14 +234,12 @@ func (t *TCP) Call(addr string, req wire.Message, timeout time.Duration) (wire.M
 		fresh, _, err2 := t.dial(addr, time.Until(deadline))
 		if err2 != nil {
 			t.metrics.Load().noteCall(start, err2)
-			t.observe(addr, start, err2)
 			return nil, err2
 		}
 		conn = fresh
 		resp, err = t.exchange(conn, req, deadline)
 	}
 	t.metrics.Load().noteCall(start, err)
-	t.observe(addr, start, err)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -270,13 +249,6 @@ func (t *TCP) Call(addr string, req wire.Message, timeout time.Duration) (wire.M
 		return nil, e
 	}
 	return resp, nil
-}
-
-// observe feeds the attached Observer, if any.
-func (t *TCP) observe(addr string, start time.Time, err error) {
-	if o := t.observer.Load(); o != nil {
-		(*o)(addr, time.Since(start), err)
-	}
 }
 
 func (t *TCP) exchange(conn net.Conn, req wire.Message, deadline time.Time) (wire.Message, error) {
@@ -374,28 +346,17 @@ func NewFabric() *Fabric { return &Fabric{nodes: make(map[string]*Mem)} }
 
 // Mem is one endpoint on a Fabric.
 type Mem struct {
-	fabric   *Fabric
-	addr     string
-	handler  Handler
-	metrics  atomic.Pointer[Metrics]
-	observer atomic.Pointer[Observer]
-	closed   bool
-	mu       sync.Mutex
+	fabric  *Fabric
+	addr    string
+	handler Handler
+	metrics atomic.Pointer[Metrics]
+	closed  bool
+	mu      sync.Mutex
 }
 
 // SetMetrics attaches (or detaches, with nil) a metric set, mirroring
 // (*TCP).SetMetrics so tests meter the same way production does.
 func (m *Mem) SetMetrics(ms *Metrics) { m.metrics.Store(ms) }
-
-// SetObserver attaches (or detaches, with nil) a per-call observer,
-// mirroring (*TCP).SetObserver.
-func (m *Mem) SetObserver(o Observer) {
-	if o == nil {
-		m.observer.Store(nil)
-		return
-	}
-	m.observer.Store(&o)
-}
 
 // Attach registers a new endpoint serving h.
 func (f *Fabric) Attach(h Handler) *Mem {
@@ -416,23 +377,7 @@ func (m *Mem) Call(addr string, req wire.Message, timeout time.Duration) (wire.M
 	mm := m.metrics.Load()
 	resp, err := m.call(addr, req, mm)
 	mm.noteCall(start, err)
-	m.observe(addr, start, err)
 	return resp, err
-}
-
-// observe feeds the attached Observer, if any. An application-level
-// *wire.Error counts as an answered call (the TCP observer never sees
-// those as transport errors either).
-func (m *Mem) observe(addr string, start time.Time, err error) {
-	o := m.observer.Load()
-	if o == nil {
-		return
-	}
-	var we *wire.Error
-	if errors.As(err, &we) {
-		err = nil
-	}
-	(*o)(addr, time.Since(start), err)
 }
 
 func (m *Mem) call(addr string, req wire.Message, mm *Metrics) (wire.Message, error) {

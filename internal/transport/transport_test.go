@@ -317,86 +317,6 @@ func TestFabricUsesWireEncoding(t *testing.T) {
 	}
 }
 
-func TestTCPObserverSeesCalls(t *testing.T) {
-	srv, _ := ListenTCP("127.0.0.1:0", HandlerFunc(echoHandler))
-	defer srv.Close()
-	cli, _ := ListenTCP("127.0.0.1:0", HandlerFunc(echoHandler))
-	defer cli.Close()
-
-	type obs struct {
-		addr string
-		rtt  time.Duration
-		err  error
-	}
-	var mu sync.Mutex
-	var seen []obs
-	cli.SetObserver(func(addr string, rtt time.Duration, err error) {
-		mu.Lock()
-		seen = append(seen, obs{addr, rtt, err})
-		mu.Unlock()
-	})
-
-	if _, err := cli.Call(srv.Addr(), &wire.Ping{}, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// A call to a dead address must be observed with a non-nil error.
-	dead, _ := net.Listen("tcp", "127.0.0.1:0")
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	cli.Call(deadAddr, &wire.Ping{}, 200*time.Millisecond)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 2 {
-		t.Fatalf("observer saw %d calls, want 2", len(seen))
-	}
-	if seen[0].addr != srv.Addr() || seen[0].err != nil || seen[0].rtt <= 0 {
-		t.Fatalf("good call observed as %+v", seen[0])
-	}
-	if seen[1].addr != deadAddr || seen[1].err == nil {
-		t.Fatalf("dead call observed as %+v", seen[1])
-	}
-}
-
-func TestMemObserverTreatsWireErrorAsAnswered(t *testing.T) {
-	f := NewFabric()
-	srv := f.Attach(HandlerFunc(func(from string, req wire.Message) wire.Message {
-		return &wire.Error{Code: wire.CodeBadRequest, Msg: "nope"}
-	}))
-	defer srv.Close()
-	cli := f.Attach(HandlerFunc(echoHandler))
-	defer cli.Close()
-
-	var mu sync.Mutex
-	var errs []error
-	cli.SetObserver(func(addr string, rtt time.Duration, err error) {
-		mu.Lock()
-		errs = append(errs, err)
-		mu.Unlock()
-	})
-
-	if _, err := cli.Call(srv.Addr(), &wire.Ping{}, time.Second); err == nil {
-		t.Fatal("expected the wire.Error to surface to the caller")
-	}
-	dead := f.Attach(HandlerFunc(echoHandler))
-	dead.Close()
-	if _, err := cli.Call(dead.Addr(), &wire.Ping{}, time.Second); err == nil {
-		t.Fatal("expected a dead endpoint to fail")
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(errs) != 2 {
-		t.Fatalf("observer saw %d calls, want 2", len(errs))
-	}
-	if errs[0] != nil {
-		t.Fatalf("wire.Error reply should observe as answered (nil), got %v", errs[0])
-	}
-	if errs[1] == nil {
-		t.Fatal("dead endpoint should observe as an error")
-	}
-}
-
 func TestTCPSetIOTimeoutsClamps(t *testing.T) {
 	srv, _ := ListenTCP("127.0.0.1:0", HandlerFunc(echoHandler))
 	defer srv.Close()
