@@ -39,9 +39,20 @@ type Kernel struct {
 	trace *telemetry.Trace
 	done  <-chan struct{}
 
+	// notify is the one Notify this node sends: its identity never
+	// changes, and no transport modifies a request.
+	notify *wire.Notify
+
 	mu          sync.Mutex
 	cs          *chord.State[string]
 	quarantined map[string]time.Time
+	// state is the last answer stateLocked built. It is never modified:
+	// a change to the predecessor or the list builds a new one, so a reply
+	// already handed to a transport stays what it was.
+	state *wire.GetStateResp
+	// adopt is notifySuccessor's scratch for the list it adopts;
+	// AdoptSuccessorList copies out of it.
+	adopt []entryT
 
 	stabilizeRuns *telemetry.Counter
 	fingerFixes   *telemetry.Counter
@@ -75,6 +86,7 @@ func New(cfg Config, opts dht.Options) *Kernel {
 		lookupHops:    reg.Counter("dco_dht_lookup_hops_total"),
 		hopHist:       reg.Histogram("dco_dht_lookup_hops", dht.HopBuckets),
 	}
+	k.notify = &wire.Notify{From: k.selfWire()}
 	k.cs = chord.NewState(toEntry(opts.Self), cfg.SuccListSize)
 	reg.GaugeFunc("dco_ring_successor_changes", func() float64 {
 		k.mu.Lock()
@@ -436,7 +448,7 @@ func (k *Kernel) Join(bootstrap string) error {
 	// The first notify is best-effort: stabilization re-notifies every
 	// cycle, so a dropped message must not fail an otherwise good join.
 	if owner.Addr != k.self.Addr {
-		_, _ = k.call.CallIdem(owner.Addr, &wire.Notify{From: k.selfWire()})
+		_, _ = k.call.CallIdem(owner.Addr, k.notify)
 	}
 	return nil
 }
@@ -484,10 +496,10 @@ func (k *Kernel) Merge(target dht.Member, others []dht.Member) {
 	succ := k.cs.Successor()
 	k.mu.Unlock()
 	if succ.OK && succ.Addr != k.self.Addr {
-		_, _ = k.call.Call(succ.Addr, &wire.Notify{From: k.selfWire()})
+		_, _ = k.call.Call(succ.Addr, k.notify)
 	}
 	if target.Addr != succ.Addr && target.Addr != k.self.Addr {
-		_, _ = k.call.Call(target.Addr, &wire.Notify{From: k.selfWire()})
+		_, _ = k.call.Call(target.Addr, k.notify)
 	}
 }
 
@@ -542,7 +554,7 @@ func (k *Kernel) stabilize() {
 // PeerFailed if the evidence was conclusive; a lone drop just waits for
 // the next tick.
 func (k *Kernel) notifySuccessor(succ entryT) (closer entryT, ok bool) {
-	resp, err := k.call.Call(succ.Addr, &wire.Notify{From: k.selfWire()})
+	resp, err := k.call.Call(succ.Addr, k.notify)
 	if err != nil {
 		return entryT{}, false
 	}
@@ -557,13 +569,14 @@ func (k *Kernel) notifySuccessor(succ entryT) (closer entryT, ok bool) {
 			closer = entryT{ID: chord.ID(st.Pred.ID), Addr: st.Pred.Addr, OK: true}
 			k.cs.SetSuccessor(closer)
 		} else {
-			list := make([]entryT, 0, len(st.Succs))
+			list := k.adopt[:0]
 			for _, e := range st.Succs {
 				if !k.quarantinedLocked(e.Addr) {
 					list = append(list, entryT{ID: chord.ID(e.ID), Addr: e.Addr, OK: true})
 				}
 			}
 			k.cs.AdoptSuccessorList(succ, list)
+			k.adopt = list
 		}
 	}
 	k.mu.Unlock()
@@ -643,11 +656,8 @@ func (k *Kernel) onFindSuccessor(m *wire.FindSuccessor) wire.Message {
 		Owner: wireEntry(hop),
 	}
 	if resp.Done {
-		resp.Succs = wireEntries(k.cs.Successors())
-		if p := k.cs.Predecessor(); p.OK {
-			resp.Pred = wireEntry(p)
-			resp.OK = true
-		}
+		st := k.stateLocked()
+		resp.Succs, resp.Pred, resp.OK = st.Succs, st.Pred, st.PredOK
 	} else if done {
 		// The successor owns the key: the caller should finish there.
 		resp.Done = false
@@ -661,15 +671,33 @@ func (k *Kernel) getState() *wire.GetStateResp {
 	return k.stateLocked()
 }
 
-// stateLocked is this node's predecessor and successor list. Caller holds
-// k.mu.
+// stateLocked is this node's predecessor and successor list: k.state,
+// rebuilt only when either differs from it. The result is shared — with
+// every reply that carries it and every caller of getState — and must not
+// be modified. Caller holds k.mu.
 func (k *Kernel) stateLocked() *wire.GetStateResp {
-	resp := &wire.GetStateResp{Succs: wireEntries(k.cs.Successors())}
-	if p := k.cs.Predecessor(); p.OK {
-		resp.Pred = wireEntry(p)
-		resp.PredOK = true
+	p, succs := k.cs.Predecessor(), k.cs.Successors()
+	var pred wire.Entry // zero when unknown
+	if p.OK {
+		pred = wireEntry(p)
 	}
-	return resp
+	if st := k.state; st != nil && st.PredOK == p.OK && st.Pred == pred && sameEntries(st.Succs, succs) {
+		return st
+	}
+	k.state = &wire.GetStateResp{Pred: pred, PredOK: p.OK, Succs: wireEntries(succs)}
+	return k.state
+}
+
+func sameEntries(ws []wire.Entry, es []entryT) bool {
+	if len(ws) != len(es) {
+		return false
+	}
+	for i, e := range es {
+		if ws[i] != wireEntry(e) {
+			return false
+		}
+	}
+	return true
 }
 
 // onNotify applies the notify rule and answers with the state that results:

@@ -212,8 +212,58 @@ func TestUpkeepAllocations(t *testing.T) {
 	if a := testing.AllocsPerRun(2*chord.M, k.fixFinger); a != 0 {
 		t.Errorf("a locally resolved fix_fingers tick allocates %.0f times", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { k.getState() }); a > 2 {
-		t.Errorf("getState allocates %.0f times, budget 2 (the reply and its list)", a)
+	if a := testing.AllocsPerRun(100, func() { k.getState() }); a != 0 {
+		t.Errorf("getState on a settled ring allocates %.0f times: the cached reply was rebuilt", a)
+	}
+	// A settled exchange changes neither end's state, so neither end builds
+	// anything: the callee answers with its cached reply, the caller adopts
+	// the list through its scratch. (Over a real transport the codec adds
+	// the decoded Notify and the decoded reply with its list.)
+	succ := k.cs.Successor()
+	if a := testing.AllocsPerRun(100, func() { k.notifySuccessor(succ) }); a != 0 {
+		t.Errorf("a settled notifySuccessor exchange allocates %.0f times, budget 0", a)
+	}
+	if !exact(members) {
+		t.Fatal("settled exchanges changed the ring")
+	}
+}
+
+// TestSharedStateIsNeverModified: the reply stateLocked caches is handed out
+// to every caller, so a change of predecessor or list must build a new one
+// and leave every reply already handed out as it was.
+func TestSharedStateIsNeverModified(t *testing.T) {
+	tn, members := settledRing(t, 8, 4)
+	k := members[0]
+	before := k.getState()
+	want := fmt.Sprint(*before)
+	if again := k.getState(); again != before {
+		t.Fatal("an unchanged ring rebuilt the cached reply")
+	}
+	found := k.onFindSuccessor(&wire.FindSuccessor{Key: k.self.ID}).(*wire.FindSuccessorResp)
+	if !found.Done || &found.Succs[0] != &before.Succs[0] {
+		t.Fatalf("the owner's FindSuccessor reply does not share the cached list: %+v", found)
+	}
+
+	// A member joins right behind k: k's predecessor changes.
+	last := members[len(members)-1]
+	mid := tn.add(t, last.self.ID+(k.self.ID-last.self.ID)/2, 4, members[1].self.Addr)
+	mid.stabilize()
+	after := k.getState()
+	if after == before || after.Pred.Addr != mid.self.Addr {
+		t.Fatalf("after a new predecessor notified, getState returned %+v (same object: %v)", after, after == before)
+	}
+	if got := fmt.Sprint(*before); got != want {
+		t.Fatalf("a reply already handed out changed from %s to %s", want, got)
+	}
+
+	// k's successor dies: the list changes.
+	wantAfter := fmt.Sprint(*after)
+	k.PeerFailed(members[1].self.Addr)
+	if next := k.getState(); next == after || next.Succs[0].Addr == members[1].self.Addr {
+		t.Fatalf("after the successor failed, getState returned %+v (same object: %v)", next, next == after)
+	}
+	if got := fmt.Sprint(*after); got != wantAfter {
+		t.Fatalf("a reply already handed out changed from %s to %s", wantAfter, got)
 	}
 }
 

@@ -56,6 +56,16 @@ func FuzzReadMessage(f *testing.F) {
 	for _, frame := range malformedChunkFrames() {
 		f.Add(frame)
 	}
+	// Count prefixes the frame cannot back, and entries that contend for
+	// one intern slot.
+	for _, frame := range forgedCountFrames() {
+		f.Add(frame)
+	}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, &LookupResp{Seq: 1, Providers: collidingEntries()}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadMessage(bytes.NewReader(data))
 		if err != nil {

@@ -12,6 +12,8 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Kind tags a message.
@@ -72,7 +74,9 @@ type Message interface {
 	decode(r *reader) error
 }
 
-// Entry mirrors chord.Entry[string] on the wire.
+// Entry mirrors chord.Entry[string] on the wire. A decoded Addr may be the
+// very string an earlier decode returned (see internAddr); strings are
+// immutable, so sharing one across messages is invisible to their holders.
 type Entry struct {
 	ID   uint64
 	Addr string
@@ -765,24 +769,85 @@ func (r *reader) bytesCopy() []byte {
 	return append([]byte(nil), v...)
 }
 
+// count reads a collection's length prefix and rejects one that claims
+// more items than the rest of the frame can hold at minSize bytes each, so
+// a decoder never allocates room for items the frame does not carry.
+func (r *reader) count(minSize int) int {
+	n := r.u32()
+	if r.err != nil || uint64(n) > uint64(len(r.b)/minSize) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// entry decodes an Entry. Its Addr comes from the intern table when the
+// table already holds that ID with those bytes, so the few dozen peers a
+// node talks to are materialised once, not once per frame.
 func (r *reader) entry() Entry {
-	return Entry{ID: r.u64(), Addr: r.str()}
+	id := r.u64()
+	return Entry{ID: id, Addr: internAddr(id, r.bytes())}
 }
 
 func (r *reader) entries() []Entry {
-	n := r.u32()
-	if r.err != nil || n > MaxFrame/9 { // each entry is >= 12 bytes encoded
-		r.fail()
-		return nil
-	}
+	n := r.count(12) // an ID and an address length
 	if n == 0 {
 		return nil
 	}
 	out := make([]Entry, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, r.entry())
 	}
 	return out
+}
+
+// The intern table for decoded entry addresses: direct-mapped by ID, one
+// immutable record per slot, replaced whole on a miss. It never grows, so
+// a peer that sends unique or colliding addresses makes every decode a miss
+// and costs one allocation per address, as a plain string copy would.
+const (
+	internBits    = 10 // 1,024 slots
+	maxInternAddr = 64 // longer addresses are copied, never stored
+)
+
+// interned is one slot's record. addr views buf, which is never written
+// after the record is published, so the string stays valid and immutable
+// for as long as anyone holds it.
+type interned struct {
+	id  uint64
+	n   uint8
+	buf [maxInternAddr]byte
+}
+
+func (e *interned) addr() string { return unsafe.String(&e.buf[0], int(e.n)) }
+
+var internTable [1 << internBits]atomic.Pointer[interned]
+
+// internSlot spreads IDs over the table by Fibonacci hashing, so IDs that
+// differ only in their high bits (evenly spaced ring positions) or only in
+// their low bits land apart.
+func internSlot(id uint64) *atomic.Pointer[interned] {
+	return &internTable[(id*0x9E3779B97F4A7C15)>>(64-internBits)]
+}
+
+// internAddr returns b as a string, shared with earlier decodes of the same
+// ID and address. A slot hits only when both match; the comparison does
+// not allocate.
+func internAddr(id uint64, b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > maxInternAddr {
+		return string(b)
+	}
+	slot := internSlot(id)
+	if e := slot.Load(); e != nil && e.id == id && e.addr() == string(b) {
+		return e.addr()
+	}
+	e := &interned{id: id, n: uint8(len(b))}
+	copy(e.buf[:], b)
+	slot.Store(e)
+	return e.addr()
 }
 
 func (r *reader) fail() {
@@ -965,13 +1030,12 @@ func (m *Handoff) encode(b []byte) []byte {
 	return b
 }
 func (m *Handoff) decode(r *reader) error {
-	n := r.u32()
-	if r.err != nil || n > MaxFrame/17 {
-		r.fail()
+	n := r.count(20) // key, seq and a provider count
+	if r.err != nil {
 		return r.err
 	}
 	m.Entries = make([]HandoffEntry, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		var e HandoffEntry
 		e.Key = r.u64()
 		e.Seq = r.i64()
@@ -1016,16 +1080,12 @@ func (m *ReplicateBatch) encode(b []byte) []byte {
 func (m *ReplicateBatch) decode(r *reader) error {
 	m.Owner = r.entry()
 	m.Full = r.boolean()
-	n := r.u32()
-	if r.err != nil || n > MaxFrame/49 { // each op is >= 49 bytes encoded
-		r.fail()
-		return r.err
-	}
+	n := r.count(49) // an op with an empty address and no manifest row
 	if n == 0 {
 		return r.err
 	}
 	m.Ops = make([]ReplicaOp, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		var op ReplicaOp
 		op.Key = r.u64()
 		op.Seq = r.i64()
@@ -1053,16 +1113,12 @@ func (m *DigestReq) encode(b []byte) []byte {
 }
 func (m *DigestReq) decode(r *reader) error {
 	m.Owner = r.entry()
-	n := r.u32()
-	if r.err != nil || n > MaxFrame/24 { // each digest is 24 bytes encoded
-		r.fail()
-		return r.err
-	}
+	n := r.count(24) // key, seq, hash
 	if n == 0 {
 		return r.err
 	}
 	m.Digests = make([]SeqDigest, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		var d SeqDigest
 		d.Key = r.u64()
 		d.Seq = r.i64()
@@ -1081,16 +1137,12 @@ func (m *DigestResp) encode(b []byte) []byte {
 	return b
 }
 func (m *DigestResp) decode(r *reader) error {
-	n := r.u32()
-	if r.err != nil || n > MaxFrame/8 {
-		r.fail()
-		return r.err
-	}
+	n := r.count(8)
 	if n == 0 {
 		return r.err
 	}
 	m.Need = make([]int64, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		m.Need = append(m.Need, r.i64())
 	}
 	return r.err
@@ -1170,16 +1222,12 @@ func (m *ManifestResp) encode(b []byte) []byte {
 }
 func (m *ManifestResp) decode(r *reader) error {
 	m.Head = r.i64()
-	n := r.u32()
-	if r.err != nil || n > MaxFrame/80 { // each entry is >= 80 bytes encoded
-		r.fail()
-		return r.err
-	}
+	n := r.count(16) // a seq and two empty byte fields
 	if n == 0 {
 		return r.err
 	}
 	m.Entries = make([]ManifestEntry, 0, n)
-	for i := uint32(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		var e ManifestEntry
 		e.Seq = r.i64()
 		e.Hash = r.bytesCopy()

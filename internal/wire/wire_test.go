@@ -3,10 +3,13 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"dco/internal/israce"
@@ -491,6 +494,151 @@ func TestAllocationBudgets(t *testing.T) {
 	}
 	if b, objs := allocsPerOp(200, trip(&GetChunk{Seq: 1, WaitMs: 2, DeadlineMs: 3})); objs >= 2 || b > 64 {
 		t.Errorf("GetChunk round-trip: %.0f B in %.1f objects; budget: the decoded struct", b, objs)
+	}
+	// allocsPerOp's warm-up run decodes every member once; after that each
+	// address comes from the intern table.
+	ms := members(9)
+	if _, objs := allocsPerOp(200, trip(&GetStateResp{Pred: ms[0], PredOK: true, Succs: ms[1:]})); objs > 2 {
+		t.Errorf("GetStateResp of 9 seen members round-trip: %.1f objects; budget 2: the struct and its list", objs)
+	}
+}
+
+// members returns n entries with distinct IDs and addresses shaped like
+// the live stack's.
+func members(n int) []Entry {
+	es := make([]Entry, n)
+	for i := range es {
+		es[i] = Entry{ID: uint64(i+1) * 0x9E3779B97F4A7C15, Addr: fmt.Sprintf("127.0.0.1:%d", 7000+i)}
+	}
+	return es
+}
+
+// collidingEntries contend for one intern slot: two share an ID and differ
+// in address, a third has another ID that maps to the same slot.
+func collidingEntries() []Entry {
+	other := uint64(8)
+	for internSlot(other) != internSlot(7) {
+		other++
+	}
+	return []Entry{{ID: 7, Addr: "a.example:1"}, {ID: 7, Addr: "b.example:2"}, {ID: other, Addr: "c.example:3"}}
+}
+
+// TestInternCollisions: entries that contend for one slot — one ID with two
+// addresses, two IDs in one slot — each decode to their own address, frame
+// after frame.
+func TestInternCollisions(t *testing.T) {
+	es := collidingEntries()
+	for i := 0; i < 4; i++ {
+		sent := &LookupResp{Seq: int64(i), Providers: []Entry{es[i%3], es[(i+1)%3], es[(i+2)%3], es[i%3]}}
+		if got := roundTrip(t, sent); !reflect.DeepEqual(got, sent) {
+			t.Fatalf("frame %d:\n  sent %#v\n  got  %#v", i, sent, got)
+		}
+	}
+}
+
+// TestInternSkipsLongAddrs: an address over the cap round-trips and is not
+// stored; one at the cap is.
+func TestInternSkipsLongAddrs(t *testing.T) {
+	for _, n := range []int{maxInternAddr, maxInternAddr + 1} {
+		e := Entry{ID: uint64(1000 + n), Addr: strings.Repeat("x", n)}
+		if got := roundTrip(t, &Notify{From: e}).(*Notify); got.From != e {
+			t.Fatalf("%d-byte address: sent %v, got %v", n, e, got.From)
+		}
+		rec := internSlot(e.ID).Load()
+		if stored := rec != nil && rec.id == e.ID; stored != (n <= maxInternAddr) {
+			t.Errorf("%d-byte address (cap %d): stored = %v", n, maxInternAddr, stored)
+		}
+	}
+}
+
+// TestInternTableStaysFixed decodes 100k distinct addresses: every message
+// comes back as it was sent, and what stays behind is at most one record a
+// slot — not the 8 MB the records of 100k addresses take.
+func TestInternTableStaysFixed(t *testing.T) {
+	const total, perFrame = 100_000, 100
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for base := 0; base < total; base += perFrame {
+		sent := &LookupResp{Seq: int64(base), Providers: make([]Entry, perFrame)}
+		for i := range sent.Providers {
+			id := uint64(base + i)
+			sent.Providers[i] = Entry{ID: id * 0xD6E8FEB86659FD93, Addr: fmt.Sprintf("10.%d.%d.%d:7000", id>>16, id>>8&0xFF, id&0xFF)}
+		}
+		if got := roundTrip(t, sent); !reflect.DeepEqual(got, sent) {
+			t.Fatalf("frame at %d came back changed", base)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	if grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); grew > 1<<20 {
+		t.Fatalf("decoding 100k distinct addresses left the live heap %d B larger; the table is %d slots", grew, len(internTable))
+	}
+}
+
+// TestInternConcurrentDecodes: eight goroutines decode overlapping and
+// colliding entries at once (run it under -race).
+func TestInternConcurrentDecodes(t *testing.T) {
+	pool := append(members(16), collidingEntries()...)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf bytes.Buffer
+			for i := 0; i < 300; i++ {
+				sent := &GetStateResp{Pred: pool[(g+i)%len(pool)], PredOK: true}
+				for j := 0; j < 8; j++ {
+					sent.Succs = append(sent.Succs, pool[(g*3+i+j*5)%len(pool)])
+				}
+				buf.Reset()
+				if err := WriteMessage(&buf, sent); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := ReadMessage(&buf)
+				if err != nil || !reflect.DeepEqual(got, sent) {
+					t.Errorf("goroutine %d frame %d: sent %v, got %v (%v)", g, i, sent, got, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// forgedCountFrames are frames whose count prefix claims as many items as
+// MaxFrame could hold and whose body carries none of them.
+func forgedCountFrames() map[string][]byte {
+	frame := func(kind Kind, fields []byte) []byte {
+		f := binary.BigEndian.AppendUint32(nil, uint32(1+len(fields)))
+		return append(append(f, byte(kind)), fields...)
+	}
+	owner := putEntry(nil, Entry{})
+	return map[string][]byte{
+		"LookupResp providers":          frame(KindLookupResp, putU32(putI64(nil, 1), MaxFrame/9)),
+		"Handoff entries":               frame(KindHandoff, putU32(nil, MaxFrame/17)),
+		"ReplicateBatch ops":            frame(KindReplicateBatch, putU32(putBool(owner, false), MaxFrame/49)),
+		"DigestReq digests":             frame(KindDigestReq, putU32(owner, MaxFrame/24)),
+		"DigestResp seqs":               frame(KindDigestResp, putU32(nil, MaxFrame/8)),
+		"ManifestResp rows":             frame(KindManifestResp, putU32(putI64(nil, 1), MaxFrame/80)),
+		"Handoff one entry's providers": frame(KindHandoff, putU32(putI64(putU64(putU32(nil, 1), 2), 3), MaxFrame/9)),
+	}
+}
+
+// TestForgedCountsAllocateNothing: a count prefix is checked against the
+// bytes left in the frame before anything is allocated for it — a 17-byte
+// LookupResp claiming MaxFrame/9 providers once cost 11 MB.
+func TestForgedCountsAllocateNothing(t *testing.T) {
+	for name, frame := range forgedCountFrames() {
+		var err error
+		b, _ := allocsPerOp(10, func() { _, err = ReadMessage(bytes.NewReader(frame)) })
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if b >= 4096 {
+			t.Errorf("%s (%d-byte frame): rejecting it allocated %.0f B, budget 4 KiB", name, len(frame), b)
+		}
 	}
 }
 
