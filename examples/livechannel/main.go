@@ -81,8 +81,9 @@ func main() {
 	fmt.Printf("\nswarm efficiency: %d of %d chunk transfers came from peers, not the source\n",
 		crowd.ChunksServed, crowd.ChunksFetched)
 
-	// Graceful teardown: the first viewer leaves politely (index handoff +
-	// ring unlink); the deferred Close stops the rest.
+	// Graceful teardown: the first viewer leaves politely (its index goes to
+	// its replica set, then the ring unlink); the deferred Close stops the
+	// rest.
 	if err := nodes[0].Leave(); err != nil {
 		log.Printf("leave: %v", err)
 	}

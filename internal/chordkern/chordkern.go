@@ -186,18 +186,6 @@ func (k *Kernel) Successor() dht.Member {
 	return fromEntry(k.cs.Successor())
 }
 
-// Heir is the member that inherits this node's range on departure: the
-// immediate successor.
-func (k *Kernel) Heir() (dht.Member, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	succ := k.cs.Successor()
-	if !succ.OK || succ.Addr == k.self.Addr {
-		return dht.Member{}, false
-	}
-	return fromEntry(succ), true
-}
-
 // ReplicaSet returns the first r distinct live successors (never self).
 // Chord's replica placement is range-based, so the key argument is unused:
 // only the owner's own successors can be computed locally, which is exactly
@@ -253,25 +241,22 @@ func (k *Kernel) View() []dht.Member {
 	return out
 }
 
-// peerQuarantine is how long a conclusively failed peer is barred from
-// passive re-adoption (Notify, stabilize gossip). Without it, a one-way
-// partitioned peer — unreachable, but with working outbound — re-inserts
-// itself into its successor's tables every stabilize tick via Notify,
-// gets condemned again by check_predecessor, and the pointer flap keeps
-// mis-routing lookups for the peer's arc indefinitely. Active merge
-// traffic bypasses the quarantine: a census probe that just reached the
-// peer is fresh evidence the partition healed.
-const peerQuarantine = 2 * time.Second
-
 // PeerFailed purges a conclusively dead peer from the ring tables and
-// quarantines it against passive re-adoption.
+// quarantines it against passive re-adoption (Notify, stabilize gossip)
+// for dht.PeerQuarantine. Without it, a one-way partitioned peer —
+// unreachable, but with working outbound — re-inserts itself into its
+// successor's tables every stabilize tick via Notify, gets condemned again
+// by check_predecessor, and the pointer flap keeps mis-routing lookups for
+// the peer's arc indefinitely. Active merge traffic bypasses the
+// quarantine: a census probe that just reached the peer is fresh evidence
+// the partition healed.
 func (k *Kernel) PeerFailed(addr string) {
 	k.mu.Lock()
 	k.cs.RemoveFailed(addr)
 	if k.quarantined == nil {
 		k.quarantined = make(map[string]time.Time)
 	}
-	k.quarantined[addr] = time.Now().Add(peerQuarantine)
+	k.quarantined[addr] = time.Now().Add(dht.PeerQuarantine)
 	k.mu.Unlock()
 }
 
@@ -455,7 +440,8 @@ func (k *Kernel) Join(bootstrap string) error {
 
 // Leave runs the ring-unlink half of a graceful departure: tell the
 // successor who its new predecessor is and the predecessor what its new
-// successor list is. Index handoff is the host's job (it goes to Heir).
+// successor list is. The index is the host's: it has already sent it to
+// the successors, and the successor's Departed event promotes it.
 func (k *Kernel) Leave() {
 	k.mu.Lock()
 	succ := k.cs.Successor()
@@ -593,7 +579,7 @@ func (k *Kernel) notifySuccessor(succ entryT) (closer entryT, ok bool) {
 // node behind it and the ring never heals. The predecessor's own Notify
 // arriving every round is no substitute: it proves the predecessor can
 // reach us, not that we can reach it, and a one-way partition is exactly
-// the case where the two differ (see peerQuarantine).
+// the case where the two differ (see PeerFailed).
 func (k *Kernel) checkPredecessor() {
 	k.mu.Lock()
 	pred := k.cs.Predecessor()
@@ -716,7 +702,7 @@ func (k *Kernel) onNotify(m *wire.Notify) wire.Message {
 	k.seen(m.From, nil)
 	if adopted && k.ev.RangeChanged != nil {
 		// Part of our range now belongs to the new predecessor; the host
-		// hands off the index entries it no longer owns.
+		// sends it the index entries it no longer owns.
 		k.ev.RangeChanged(dht.FromWire(m.From))
 	}
 	return st
@@ -747,7 +733,7 @@ func (k *Kernel) onLeave(m *wire.Leave) wire.Message {
 	k.mu.Unlock()
 	if k.ev.Departed != nil {
 		// Graceful departure is the one conclusive "gone for good" signal;
-		// the host drops the leaver's replica slice and forgets it.
+		// the host takes over what of the leaver's index it now owns.
 		k.ev.Departed(dht.FromWire(m.From))
 	}
 	return &wire.Ack{}

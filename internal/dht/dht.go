@@ -16,7 +16,7 @@
 //
 // Locking contract (what keeps the host's mutex and the kernel's internal
 // mutex from deadlocking): kernel methods the host may call while holding
-// its own lock — Self, Owns, View, ReplicaSet, Heir, Stats — are pure
+// its own lock — Self, Owns, View, ReplicaSet, Stats — are pure
 // local reads that never block, never call the Caller, and never fire
 // Events. Methods that do I/O (Join, Leave, FindOwner*, Merge, the Ticks)
 // and HandleRPC may fire Events and use the Caller, but never while
@@ -96,11 +96,13 @@ type Events struct {
 	// ms is the kernel's scratch: read it during the call, do not keep it.
 	Seen func(ms ...Member)
 	// RangeChanged reports that part of this node's key range now belongs
-	// to newOwner (a closer member appeared). The host hands off index
+	// to newOwner (a closer member appeared). The host sends it the index
 	// entries it no longer owns.
 	RangeChanged func(newOwner Member)
 	// Departed reports a member's graceful leave — the one conclusive
 	// "gone for good" signal (abrupt unreachability may be a partition).
+	// It fires after the kernel has dropped the member, so ownership
+	// already says who inherits its keys.
 	Departed func(m Member)
 }
 
@@ -137,6 +139,13 @@ type Options struct {
 	// nil means never.
 	Done <-chan struct{}
 }
+
+// PeerQuarantine is how long a member found conclusively failed stays
+// barred from passive re-adoption into a kernel's tables (Chord: Notify and
+// stabilize gossip; Kademlia has no such bar), and so how long a host's
+// census declines to merge again with the member it last merged with: until
+// the bar lapses, a barred member keeps re-confirming the split.
+const PeerQuarantine = 2 * time.Second
 
 // HopBuckets are the shared dco_dht_lookup_hops histogram bounds: routing
 // path lengths, not latencies. Both backends register the histogram with
@@ -188,13 +197,9 @@ type Kernel interface {
 
 	// Leave runs the backend's graceful-departure protocol (Chord:
 	// re-link neighbors; Kademlia: best-effort goodbye so buckets drop
-	// this node early). The host hands off its index separately, to Heir.
-	// Performs RPCs.
+	// this node early), whose receivers get the Departed event. The host
+	// sends its index to its replica set first. Performs RPCs.
 	Leave()
-
-	// Heir returns the member that inherits this node's key range when it
-	// departs (ok=false on a lone node). Pure read.
-	Heir() (m Member, ok bool)
 
 	// PeerFailed purges a conclusively dead peer from the routing tables.
 	// The host calls it from its failure-condemnation path; maintenance

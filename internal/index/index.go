@@ -28,8 +28,8 @@ import (
 // Select skips saturated providers while any unsaturated one exists.
 const LoadSaturatedMilli = 1000
 
-// LoadUnknown as a Row's LoadMilli says the row is hearsay (a replica op, a
-// handoff) that carries no load report: Upsert keeps the stored one.
+// LoadUnknown as a Row's LoadMilli says the row is hearsay (a replica op)
+// that carries no load report: Upsert keeps the stored one.
 const LoadUnknown = ^uint32(0)
 
 // cohortSpreadMilli defines the low-load cohort: providers within this much
@@ -71,16 +71,6 @@ func (e Entry) Ops(now time.Time) []wire.ReplicaOp {
 		ops[i] = Op(e.Key, e.Seq, r, now)
 	}
 	return ops
-}
-
-// Handoff is the entry as a handoff record (addresses only: the receiver
-// stamps its own lease).
-func (e Entry) Handoff() wire.HandoffEntry {
-	he := wire.HandoffEntry{Key: e.Key, Seq: e.Seq, Providers: make([]wire.Entry, len(e.Rows))}
-	for i, r := range e.Rows {
-		he.Providers[i] = r.Ent
-	}
-	return he
 }
 
 // TTLMillis converts a deadline to the wire's relative form: the

@@ -164,9 +164,6 @@ func TestTableTake(t *testing.T) {
 		if len(ops) != 1 || ops[0].TTLMillis != 60_000 || ops[0].Key != e.Key || ops[0].Holder.Addr != "a" {
 			t.Fatalf("ops %+v", ops)
 		}
-		if he := e.Handoff(); he.Seq != e.Seq || len(he.Providers) != 1 {
-			t.Fatalf("handoff %+v", he)
-		}
 	}
 	if rest := tb.Take(nil); len(rest) != 3 || tb.Len() != 0 {
 		t.Fatalf("Take(nil) took %d, left %d", len(rest), tb.Len())

@@ -343,18 +343,6 @@ func (k *Kernel) ReplicaSet(key uint64, r int) []dht.Member {
 	return k.closestLocked(key, r)
 }
 
-// Heir is the contact nearest self — the member that becomes closest to
-// most of this node's keys once it departs.
-func (k *Kernel) Heir() (dht.Member, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	cs := k.closestLocked(k.self.ID, 1)
-	if len(cs) == 0 {
-		return dht.Member{}, false
-	}
-	return cs[0], true
-}
-
 // View is self plus the K contacts nearest self. Size one means a lone
 // node (the census's re-bootstrap trigger, same as a Chord ring of one).
 func (k *Kernel) View() []dht.Member {
@@ -664,7 +652,8 @@ func (k *Kernel) Join(bootstrap string) error {
 
 // Leave is a best-effort goodbye to the K contacts nearest self, so their
 // buckets drop this node immediately instead of after probe timeouts. The
-// host hands off its index separately (to Heir) before calling this.
+// host has already sent its index to the contacts nearest self, and each
+// contact's Departed event promotes the keys that contact now owns.
 func (k *Kernel) Leave() {
 	k.mu.Lock()
 	targets := k.closestLocked(k.self.ID, k.cfg.K)
@@ -790,7 +779,7 @@ func (k *Kernel) onFindNode(m *wire.KadFindNode) wire.Message {
 	if inserted && k.ev.RangeChanged != nil {
 		// A brand-new contact may be XOR-closer than self to keys this
 		// node's host currently indexes (the Kademlia analogue of Chord
-		// adopting a closer predecessor on Notify): let the host hand off
+		// adopting a closer predecessor on Notify): let the host send on
 		// whatever it no longer owns. The host re-checks ownership per
 		// key, so a contact that takes nothing costs one cheap scan.
 		k.ev.RangeChanged(caller)

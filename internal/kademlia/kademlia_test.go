@@ -215,11 +215,13 @@ func TestClosestOrderingAndReplicaSet(t *testing.T) {
 	}
 }
 
+// TestHeirAndView: the heir — the contact nearest self, ReplicaSet(self,
+// 1) — and the view of self plus the K nearest.
 func TestHeirAndView(t *testing.T) {
 	c := newStubCaller()
 	k := newTestKernel(c, member(8), Config{K: 2})
-	if _, ok := k.Heir(); ok {
-		t.Fatal("lone node has no heir")
+	if h := k.ReplicaSet(8, 1); len(h) != 0 {
+		t.Fatalf("lone node has heir %v", h)
 	}
 	if v := k.View(); len(v) != 1 || v[0].ID != 8 {
 		t.Fatalf("lone view = %v", v)
@@ -227,9 +229,8 @@ func TestHeirAndView(t *testing.T) {
 	k.Observe(member(9))  // distance 1
 	k.Observe(member(12)) // distance 4
 	k.Observe(member(40)) // distance 32
-	h, ok := k.Heir()
-	if !ok || h.ID != 9 {
-		t.Fatalf("heir = %v ok=%v, want member 9", h, ok)
+	if h := k.ReplicaSet(8, 1); len(h) != 1 || h[0].ID != 9 {
+		t.Fatalf("heir = %v, want member 9", h)
 	}
 	v := k.View()
 	if len(v) != 3 || v[0].ID != 8 || v[1].ID != 9 || v[2].ID != 12 {
@@ -333,7 +334,7 @@ func TestJoinPopulatesBothSides(t *testing.T) {
 	if err := joiner.Join(boot.self.Addr); err != nil {
 		t.Fatalf("Join: %v", err)
 	}
-	if _, ok := joiner.Heir(); !ok {
+	if len(joiner.View()) == 1 {
 		t.Fatal("joiner learned nobody")
 	}
 	boot.mu.Lock()
@@ -367,8 +368,8 @@ func TestLeaveNotifiesNeighbors(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("Leave never reached the neighbor")
 	}
-	if _, ok := b.Heir(); ok {
-		t.Fatal("leaver still in the neighbor's table")
+	if v := b.View(); len(v) != 1 {
+		t.Fatalf("leaver still in the neighbor's table: view %v", v)
 	}
 }
 

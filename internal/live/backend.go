@@ -4,7 +4,7 @@ package live
 // the Config.DHT -> dht.Kernel factory, the Caller adapter that routes
 // kernel RPCs through the node's retry stack and peer table, the Events
 // handlers that feed kernel membership activity back into the census
-// cache, the index handoff path, and the replica store — and the
+// cache, the ceded range and the departed member's takeover — and the
 // owner-arc cache every index request of this node consults before it
 // asks the kernel to route (DESIGN.md, "Owner-arc cache").
 
@@ -16,7 +16,6 @@ import (
 
 	"dco/internal/chordkern"
 	"dco/internal/dht"
-	"dco/internal/index"
 	"dco/internal/kademlia"
 	"dco/internal/wire"
 )
@@ -168,33 +167,36 @@ func (n *Node) onKernSeen(ms ...dht.Member) {
 	}
 }
 
-// onKernRangeChanged hands off index entries this node no longer owns
-// after part of its key range moved to newOwner (Chord: a Notify adopted
-// a closer predecessor; Kademlia: a closer contact joined). The transfer
-// is asynchronous and retried — handoff merges are idempotent, and a lost
-// handoff only delays re-registration. It is sent even when nothing moved:
-// the call is also this node's check that the member it cedes the range to
-// can be reached. One that cannot (the far end of a one-way partition that
-// keeps announcing itself) is condemned by the failing call, and the range
-// comes back instead of answering not-the-owner for as long as it lingers.
+// onKernRangeChanged sends the index entries this node no longer owns to
+// newOwner, after part of its key range moved there (Chord: a Notify
+// adopted a closer predecessor; Kademlia: a closer contact joined): a Full
+// batch, leases and all. The transfer is asynchronous and retried — the
+// receiver merges by the lease rule, and a lost batch only delays
+// re-registration. It is sent even when nothing moved: the call is also
+// this node's check that the member it cedes the range to can be reached.
+// One that cannot (the far end of a one-way partition that keeps announcing
+// itself) is condemned by the failing call, and the range comes back
+// instead of answering not-the-owner for as long as it lingers.
 func (n *Node) onKernRangeChanged(newOwner dht.Member) {
 	if newOwner.Addr == "" || newOwner.Addr == n.self.Addr {
 		return
 	}
-	var moved []wire.HandoffEntry
+	now := time.Now()
+	var moved []wire.ReplicaOp
 	for _, e := range n.idx.Take(n.kern.Owns) {
-		moved = append(moved, e.Handoff())
+		moved = append(moved, e.Ops(now)...)
 	}
-	go func() { _, _ = n.callIdem(newOwner.Addr, &wire.Handoff{Entries: moved}, n.cfg.CallTimeout) }()
+	go n.sendOps(newOwner.Addr, true, moved)
 }
 
 // onKernDeparted reacts to a member's graceful leave — the one conclusive
 // "gone for good" signal (abrupt unreachability may be a partition). The
-// leaver handed its index to its heir, so whatever slice of it was
-// replicated here is stale; drop it rather than promote it later, and
-// forget the member in the census cache and the arc it owned.
+// leaver sent its index here beforehand, so this is the takeover an abrupt
+// death gets (promoteReplicas); the rows this node does not own stay in the
+// slice, a backup for their owner, until their leases lapse. The member is
+// forgotten in the census cache, and so is the arc it owned.
 func (n *Node) onKernDeparted(m dht.Member) {
 	n.routes.Drop(m.Addr)
-	n.replicas.update(m.Addr, func(slice *index.Table) { slice.Take(nil) }) // emptied, so forgotten
+	n.promoteReplicas(m.Addr)
 	n.members.Forget(m.Addr)
 }

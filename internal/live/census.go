@@ -230,6 +230,9 @@ func (n *Node) maybeMerge(foreign wire.Entry, theirs []wire.Entry, lone bool) {
 		}
 		target = owner
 	}
+	if target.Addr == n.lastMerge && time.Since(n.lastMergeAt) < dht.PeerQuarantine {
+		return // merged with it already; the next census round looks again
+	}
 	n.lm.splitsDetected.Inc()
 	n.traceEvent("ring.split", fmt.Sprintf("via=%s owner=%s lone=%v", foreign.Addr, target.Addr, lone))
 
@@ -245,6 +248,7 @@ func (n *Node) maybeMerge(foreign wire.Entry, theirs []wire.Entry, lone bool) {
 		others = append(others, dht.FromWire(e))
 	}
 	n.kern.Merge(target, others)
+	n.lastMerge, n.lastMergeAt = target.Addr, time.Now()
 	n.lm.ringMerges.Inc()
 	n.lm.mergeSeconds.Observe(time.Since(start).Seconds())
 	n.traceEvent("ring.merge", fmt.Sprintf("target=%s lone=%v", target.Addr, lone))

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,7 +12,6 @@ import (
 
 	"dco/internal/dht"
 	"dco/internal/index"
-	"dco/internal/telemetry"
 	"dco/internal/wire"
 )
 
@@ -66,26 +66,35 @@ func TestParkedLookupCountedOnce(t *testing.T) {
 	}
 }
 
-// TestHandoffRespectsProviderCap: a Handoff frame cannot grow an entry
-// past MaxProvidersPerSeq, and what it filled still refreshes.
-func TestHandoffRespectsProviderCap(t *testing.T) {
+// TestFullBatchRespectsProviderCap: a Full batch of 1,000 rows for one seq
+// cannot grow the replica past MaxProvidersPerSeq, nor the owned entry when
+// the replica is promoted, and what it filled still refreshes.
+func TestFullBatchRespectsProviderCap(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxProvidersPerSeq = 8
 	n := soloNode(t, cfg)
 	key := uint64(n.cfg.Channel.Ref(5).ID())
-	he := wire.HandoffEntry{Key: key, Seq: 5}
+	owner := wire.Entry{ID: 1, Addr: "mem://leaver"}
+	batch := &wire.ReplicateBatch{Owner: owner, Full: true}
 	for i := 0; i < 1000; i++ {
-		he.Providers = append(he.Providers, wire.Entry{ID: uint64(i), Addr: "mem://spam/" + string(rune('a'+i%26)) + string(rune('0'+i/26%10)) + string(rune('0'+i/260))})
+		holder := wire.Entry{ID: uint64(i), Addr: fmt.Sprintf("mem://spam/%d", i)}
+		batch.Ops = append(batch.Ops, wire.ReplicaOp{Key: key, Seq: 5, Holder: holder, TTLMillis: 45_000})
 	}
-	if _, ok := n.onHandoff(&wire.Handoff{Entries: []wire.HandoffEntry{he}}).(*wire.Ack); !ok {
-		t.Fatal("handoff not acknowledged")
+	// A node that has never had a predecessor or a contact owns no key for
+	// replication purposes: the batch lands in the owner's replica slice.
+	if _, ok := n.onReplicateBatch(batch).(*wire.Ack); !ok {
+		t.Fatal("batch not acknowledged")
 	}
+	if rows := replicaSlice(n, owner.Addr).Get(5).Rows; len(rows) != cfg.MaxProvidersPerSeq {
+		t.Fatalf("the replica holds %d rows, want the cap %d", len(rows), cfg.MaxProvidersPerSeq)
+	}
+	n.promoteReplicas(owner.Addr)
 	rows := n.idx.Get(5).Rows
 	if len(rows) != cfg.MaxProvidersPerSeq {
-		t.Fatalf("handoff left %d rows, want the cap %d", len(rows), cfg.MaxProvidersPerSeq)
+		t.Fatalf("promotion left %d rows, want the cap %d", len(rows), cfg.MaxProvidersPerSeq)
 	}
 	if _, ok := n.onInsert(&wire.Insert{Key: key, Seq: 5, Holder: rows[0].Ent, UpBps: 1}).(*wire.Ack); !ok {
-		t.Fatal("refresh of a handed-off provider refused at the cap")
+		t.Fatal("refresh of a promoted provider refused at the cap")
 	}
 	if _, ok := n.onInsert(&wire.Insert{Key: key, Seq: 5, Holder: wire.Entry{Addr: "mem://new"}}).(*wire.Error); !ok {
 		t.Fatal("new provider accepted past the cap")
@@ -203,24 +212,24 @@ func TestProviderRowsLiveInTheIndexPackage(t *testing.T) {
 	}
 }
 
-// TestRangeChangeHandoffIsSentEvenEmpty: ceding a range calls the new owner
+// TestRangeChangeBatchIsSentEvenEmpty: ceding a range calls the new owner
 // whether or not an entry moved — the call is what finds out that a member
-// announcing itself cannot actually be reached.
-func TestRangeChangeHandoffIsSentEvenEmpty(t *testing.T) {
-	tr := telemetry.NewTrace(16)
-	s := testSwarm(t, SwarmSpec{N: 2, Base: fastConfig(), Tune: func(i int, cfg *Config) {
-		if i == 1 {
-			cfg.Trace = tr
-		}
-	}})
+// announcing itself cannot actually be reached — and the empty batch leaves
+// the new owner holding nothing for the sender.
+func TestRangeChangeBatchIsSentEvenEmpty(t *testing.T) {
+	s := testSwarm(t, SwarmSpec{N: 2, Base: fastConfig()})
 	a, b := s.Nodes[0], s.Nodes[1]
 	a.onKernRangeChanged(dht.Member{ID: b.ID(), Addr: b.Addr()})
-	waitFor(t, 5*time.Second, "the empty handoff to arrive", func() bool { return tr.Count("handoff.recv") == 1 })
+	// Neither node runs maintenance: the one batch a delivered is this one.
+	waitFor(t, 5*time.Second, "the empty batch to be acknowledged", func() bool { return a.lm.replicateBatches.Value() == 1 })
+	if owners, _ := b.ReplicaCounts(); owners != 0 || replicaSlice(b, a.Addr()) != nil {
+		t.Fatalf("the empty batch left %d replica slices at the new owner", owners)
+	}
 
 	// To a member that cannot be reached, the call fails — which is the
 	// evidence the breaker and the kernel's purge act on.
 	a.onKernRangeChanged(dht.Member{ID: 1, Addr: "mem://unreachable"})
-	waitFor(t, 5*time.Second, "the handoff to the unreachable owner to be tried and retried", func() bool {
+	waitFor(t, 5*time.Second, "the batch to the unreachable owner to be tried and retried", func() bool {
 		return a.Stats().CallRetries > 0
 	})
 }

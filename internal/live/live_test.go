@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"regexp"
@@ -8,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"dco/internal/index"
 	"dco/internal/stream"
 	"dco/internal/transport"
+	"dco/internal/wire"
 )
 
 // fastConfig is DefaultNodeConfig at in-process cadences, streaming a
@@ -233,23 +234,67 @@ func TestEndToEndStreamingOverFabric(t *testing.T) {
 	}
 }
 
+// TestGracefulLeaveHandsOffIndex: every seq a leaver coordinated is still
+// answered, from every survivor, once it has left. Republication is off, so
+// the rows the leaver sent ahead of its departure are the only copy.
 func TestGracefulLeaveHandsOffIndex(t *testing.T) {
-	s := ringOf(t, fastConfig(), 3, (*Node).startRingMaint)
-	src, a, b := s.Nodes[0], s.Nodes[1], s.Nodes[2]
+	for _, backend := range []string{"chord", "kademlia"} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := fastConfig()
+			cfg.DHT = backend
+			cfg.RepublishEvery = 0
+			s := ringOf(t, cfg, 4, (*Node).startMaint)
+			leaver, holder := s.Nodes[1], s.Nodes[0]
 
-	// Give node a an index entry by force.
-	a.idx.Upsert(uint64(a.cfg.Channel.Ref(999).ID()), 999, index.Row{Ent: a.wireSelf()}, time.Now())
+			var owned []int64
+			for seq := int64(0); len(owned) < 3 && seq < 1000; seq++ {
+				if nd, key := ownerOf(t, s.Nodes, seq); nd == leaver {
+					if _, ok := leaver.onInsert(&wire.Insert{Key: key, Seq: seq, Holder: holder.wireSelf(), UpBps: 1}).(*wire.Ack); !ok {
+						t.Fatalf("the leaver refused seq %d", seq)
+					}
+					owned = append(owned, seq)
+				}
+			}
+			if len(owned) == 0 {
+				t.Fatal("the leaver owns none of the first 1000 seqs")
+			}
 
-	if err := a.Leave(); err != nil {
+			if err := leaver.Leave(); err != nil {
+				t.Fatalf("leave: %v", err)
+			}
+			survivors := Without(s.Nodes, leaver)
+			for _, asker := range survivors {
+				for _, seq := range owned {
+					key := uint64(cfg.Channel.Ref(seq).ID())
+					waitFor(t, 10*time.Second, fmt.Sprintf("%s to find seq %d", asker.Addr(), seq), func() bool {
+						providers, err := asker.lookupProviders(key, seq, time.Time{})
+						return err == nil && len(providers) > 0 && providers[0].Addr == holder.Addr()
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestGracefulLeaveWithEmptyIndexSendsNothing: a leaver that indexes nothing
+// has nothing to announce, so it makes no call before the backend's
+// departure — one toward an unreachable member would hold Leave for the
+// whole retry budget.
+func TestGracefulLeaveWithEmptyIndexSendsNothing(t *testing.T) {
+	cfg := fastConfig()
+	cfg.DHT = "chord" // no maintenance runs, so no range change sends a batch either
+	s := testSwarm(t, SwarmSpec{N: 2, Base: cfg})
+	if err := s.join(); err != nil {
+		t.Fatal(err)
+	}
+	leaver := s.Nodes[1]
+	if len(leaver.kern.ReplicaSet(leaver.ID(), 1)) == 0 {
+		t.Fatal("the leaver has no replica target")
+	}
+	if err := leaver.Leave(); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	// The successor (src or b) must now hold entry 999.
-	waitFor(t, 3*time.Second, "handoff to land", func() bool {
-		for _, nd := range []*Node{src, b} {
-			if len(nd.idx.Get(999).Rows) > 0 {
-				return true
-			}
-		}
-		return false
-	})
+	if sent := leaver.lm.replicateBatches.Value(); sent != 0 {
+		t.Fatalf("an empty leave sent %d batches", sent)
+	}
 }

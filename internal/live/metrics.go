@@ -58,8 +58,7 @@ type liveMetrics struct {
 	breakerOpens         *telemetry.Counter
 	breakerCloses        *telemetry.Counter
 
-	republishes    *telemetry.Counter
-	handoffEntries *telemetry.Counter
+	republishes *telemetry.Counter
 
 	// Owner-arc cache (backend.go): index requests sent along a cached arc,
 	// requests that had to route first, requests a cached owner bounced (a
@@ -167,8 +166,7 @@ func newLiveMetrics(reg *telemetry.Registry, tr *telemetry.Trace) *liveMetrics {
 		breakerOpens:         reg.Counter("dco_breaker_opens_total"),
 		breakerCloses:        reg.Counter("dco_breaker_closes_total"),
 
-		republishes:    reg.Counter("dco_live_republishes_total"),
-		handoffEntries: reg.Counter("dco_live_handoff_entries_total"),
+		republishes: reg.Counter("dco_live_republishes_total"),
 
 		routeHits:           reg.Counter("dco_live_route_cache_hits_total"),
 		routeMisses:         reg.Counter("dco_live_route_cache_misses_total"),

@@ -297,10 +297,12 @@ type Node struct {
 	// Ring census state (census.go): the bounded memory of previously-seen
 	// members and the probe-rotation cursor. merging serializes split-brain
 	// merge attempts — detection can fire concurrently from the census loop
-	// and inbound probes.
+	// and inbound probes — and guards the last merge's target and time.
 	members      *dht.MemberCache
 	censusCursor atomic.Uint64
 	merging      atomic.Bool
+	lastMerge    string
+	lastMergeAt  time.Time
 
 	// Manifest cache (integrity.go): the source-anchored seq → payload
 	// hash rows every received chunk is verified against. manMu is a leaf
@@ -535,15 +537,15 @@ func (n *Node) ChunkCount() int {
 }
 
 // Successor exposes the next member along the key space (tests,
-// debugging): Chord's ring successor, or the backend's heir when the
-// kernel has no explicit successor pointer.
+// debugging): Chord's ring successor, or the first member of this node's
+// replica set when the kernel has no explicit successor pointer.
 func (n *Node) Successor() (id uint64, addr string) {
 	if s, ok := n.kern.(interface{ Successor() dht.Member }); ok {
 		m := s.Successor()
 		return m.ID, m.Addr
 	}
-	if h, ok := n.kern.Heir(); ok {
-		return h.ID, h.Addr
+	if rs := n.kern.ReplicaSet(n.self.ID, 1); len(rs) > 0 {
+		return rs[0].ID, rs[0].Addr
 	}
 	return n.self.ID, n.self.Addr
 }
@@ -656,47 +658,24 @@ func (n *Node) JoinAny(bootstraps []string) error {
 	return errors.Join(errs...)
 }
 
-// Leave departs gracefully: index handoff to the heir — the member that
-// inherits this node's key range — replicated past it (so the handoff
-// survives the heir dying too), then the backend's own departure protocol
-// (Chord: ring unlink; Kademlia: goodbye to the neighborhood), then
-// shutdown.
+// Leave departs gracefully, as a takeover announced in advance: the owned
+// index, if not empty, goes as a Full batch to the replica set (one member
+// at least), then the backend's departure protocol (Chord: ring unlink;
+// Kademlia: goodbye to the neighborhood; nothing on a lone node) has each
+// receiver promote what it now owns, as after an abrupt death
+// (onKernDeparted), and keep the rest as a replica. Then shutdown.
 func (n *Node) Leave() error {
-	heir, heirOK := n.kern.Heir()
 	now := time.Now()
-	var entries []wire.HandoffEntry
 	var ops []wire.ReplicaOp
 	for _, e := range n.idx.Take(nil) {
-		entries = append(entries, e.Handoff())
 		ops = append(ops, e.Ops(now)...)
 	}
-	if heirOK && heir.Addr != n.Addr() {
-		if len(entries) > 0 {
-			_, _ = n.callIdem(heir.Addr, &wire.Handoff{Entries: entries}, n.cfg.CallTimeout)
+	if len(ops) > 0 { // an empty index has nothing to announce, no call to wait on
+		for _, t := range n.kern.ReplicaSet(n.self.ID, max(n.cfg.Replicas, 1)) {
+			n.sendOps(t.Addr, true, ops)
 		}
-		// Replicate the handed-off range past the new owner on its behalf:
-		// if the sole handoff target dies before republication kicks in,
-		// its replicas still hold the entries and promote them (the PR 3
-		// regression test pins exactly this failure).
-		if n.cfg.Replicas > 0 && len(ops) > 0 {
-			batch := &wire.ReplicateBatch{Owner: heir.Wire(), Full: true, Ops: ops}
-			sent := 0
-			// Members past the heir: ask for one extra, so that skipping the
-			// heir itself still leaves Replicas.
-			for _, s := range n.kern.ReplicaSet(heir.ID, n.cfg.Replicas+1) {
-				if s.Addr == n.Addr() || s.Addr == heir.Addr {
-					continue
-				}
-				if _, err := n.callIdem(s.Addr, batch, n.cfg.CallTimeout); err == nil {
-					sent++
-				}
-				if sent == n.cfg.Replicas {
-					break
-				}
-			}
-		}
-		n.kern.Leave()
 	}
+	n.kern.Leave()
 	return n.Close()
 }
 
@@ -738,7 +717,7 @@ func (n *Node) call(addr string, req wire.Message, timeout time.Duration) (wire.
 // callIdem performs a retried RPC for idempotent requests (every DCO
 // request except the maintenance probes is idempotent by construction:
 // inserts dedupe by address, lookups and fetches are reads, notify and
-// handoff are merges), timeout applying to each attempt. Transient
+// replicated ops are merges), timeout applying to each attempt. Transient
 // failures are absorbed by jittered backoff; the peer's circuit fails the
 // loop fast once the peer looks dead, and only the final failure purges it
 // from the routing tables. Remote wire.Errors retry only when their code
@@ -812,9 +791,7 @@ func (n *Node) noteCallFailure(addr string, err error) {
 	n.routes.Drop(addr)
 	n.kern.PeerFailed(addr)
 	n.traceEvent("ring.purge", "peer="+addr)
-	if promoted := n.promoteReplicas(addr); promoted > 0 {
-		n.traceEvent("replica.takeover", fmt.Sprintf("owner=%s entries=%d", addr, promoted))
-	}
+	n.promoteReplicas(addr)
 }
 
 // ---------------------------------------------------------------------------

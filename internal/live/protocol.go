@@ -34,8 +34,6 @@ func (n *Node) serve(from string, req wire.Message) wire.Message {
 		return n.onInsert(m)
 	case *wire.GetChunk:
 		return n.onGetChunk(m)
-	case *wire.Handoff:
-		return n.onHandoff(m)
 	case *wire.ReplicateBatch:
 		return n.onReplicateBatch(m)
 	case *wire.DigestReq:
@@ -206,22 +204,6 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 	n.lm.chunksServed.Inc()
 	n.traceSeq("chunk.serve", m.Seq)
 	return n.stampManifest(&wire.ChunkResp{Seq: m.Seq, OK: true, Data: data, LoadMilli: n.reportLoadMilli()})
-}
-
-func (n *Node) onHandoff(m *wire.Handoff) wire.Message {
-	n.lm.handoffEntries.Add(uint64(len(m.Entries)))
-	n.traceEvent("handoff.recv", fmt.Sprintf("entries=%d", len(m.Entries)))
-	// Handoffs carry no leases; restamp so inherited entries age out unless
-	// their providers keep republishing.
-	now := time.Now()
-	row := index.Row{LoadMilli: index.LoadUnknown, Expire: now.Add(indexTTL)}
-	for _, he := range m.Entries {
-		for _, pr := range he.Providers {
-			row.Ent = pr
-			n.register(he.Key, he.Seq, row, now)
-		}
-	}
-	return &wire.Ack{}
 }
 
 // FindOwner routes from this node to key's owner via the configured DHT

@@ -133,10 +133,38 @@ func (n *Node) replTargets() []dht.Member {
 	return n.kern.ReplicaSet(n.self.ID, n.cfg.Replicas)
 }
 
-// replicateFlush drains the pending-op queue into ReplicateBatch frames
-// for every replica target. A target that misses a batch is repaired by
-// the next anti-entropy round, so per-target failures are not retried
-// beyond what callIdem already does.
+// sendOps is the one way index rows travel between nodes — the replication
+// flush, an anti-entropy repair, a ceded range, a graceful leave: ops, to
+// addr, as ReplicateBatch frames this node owns. It sends one frame at
+// least, even empty, and splits at maxBatchOps. A Full frame replaces the
+// receiver's rows for each seq it names, so a Full send is split only
+// between seqs: back to the last seq boundary in the window, or, when one
+// seq fills the window, past that seq's end (it goes whole). It returns
+// the ops delivered.
+func (n *Node) sendOps(addr string, full bool, ops []wire.ReplicaOp) (delivered int) {
+	for {
+		cut := min(len(ops), maxBatchOps)
+		for full && cut > 0 && cut < len(ops) && ops[cut-1].Seq == ops[cut].Seq {
+			cut--
+		}
+		if cut == 0 && len(ops) > 0 { // one seq fills the window: it goes whole
+			for cut = maxBatchOps; cut < len(ops) && ops[cut].Seq == ops[0].Seq; cut++ {
+			}
+		}
+		batch := &wire.ReplicateBatch{Owner: n.wireSelf(), Full: full, Ops: ops[:cut]}
+		if _, err := n.callIdem(addr, batch, n.cfg.CallTimeout); err == nil {
+			delivered += cut
+			n.lm.replicateBatches.Inc()
+			n.lm.replicateBytes.Add(frameBytes(batch))
+		}
+		if ops = ops[cut:]; len(ops) == 0 {
+			return delivered
+		}
+	}
+}
+
+// replicateFlush drains the pending-op queue to every replica target. A
+// target that misses a batch is repaired by the next anti-entropy round.
 func (n *Node) replicateFlush() {
 	ops, since := n.replq.drain()
 	if len(ops) == 0 {
@@ -146,27 +174,19 @@ func (n *Node) replicateFlush() {
 	if len(targets) == 0 {
 		return // ring of one: nobody to replicate to yet
 	}
-	for start := 0; start < len(ops); start += maxBatchOps {
-		batch := &wire.ReplicateBatch{Owner: n.wireSelf(), Ops: ops[start:min(start+maxBatchOps, len(ops))]}
-		size := frameBytes(batch)
-		for _, t := range targets {
-			if _, err := n.callIdem(t.Addr, batch, n.cfg.CallTimeout); err != nil {
-				continue
-			}
-			n.lm.replicateBatches.Inc()
-			n.lm.replicateOps.Add(uint64(len(batch.Ops)))
-			n.lm.replicateBytes.Add(size)
-		}
+	for _, t := range targets {
+		n.lm.replicateOps.Add(uint64(n.sendOps(t.Addr, false, ops)))
 	}
 	n.lm.replicationLag.Observe(time.Since(since).Seconds())
 }
 
 // onReplicateBatch stores an owner's index ops in that owner's replica
 // slice — unless this node meanwhile owns the key outright (the batch is
-// the tail of a takeover, a graceful leave, or the sender's stale view),
-// in which case the op folds straight into the owned index.
+// the tail of a takeover, a range the sender ceded, or the sender's stale
+// view), in which case the op folds straight into the owned index. An
+// empty batch, a ceded range's reachability check, leaves no trace.
 func (n *Node) onReplicateBatch(m *wire.ReplicateBatch) wire.Message {
-	if m.Owner.Addr == n.self.Addr {
+	if m.Owner.Addr == n.self.Addr || len(m.Ops) == 0 {
 		return &wire.Ack{}
 	}
 	n.noteMembers(m.Owner)
@@ -237,21 +257,20 @@ func (n *Node) adopt(taken []index.Entry) (promoted int) {
 	return promoted
 }
 
-// promoteReplicas is the takeover step: the dead owner's replica slice
-// folds into this node's own index for every key it now owns, and the
-// promoted entries are re-replicated onward. Entries outside this node's
-// range stay in the slice (a farther successor owns them) until their
-// leases lapse. Returns entries promoted.
-func (n *Node) promoteReplicas(deadAddr string) int {
+// promoteReplicas is the takeover step, after an owner's abrupt death or
+// its graceful leave alike: the gone owner's replica slice folds into this
+// node's own index for every key it now owns, and the promoted entries are
+// re-replicated onward. Entries outside this node's range stay in the slice
+// (another member owns them) until their leases lapse.
+func (n *Node) promoteReplicas(goneAddr string) {
 	var taken []index.Entry
-	n.replicas.update(deadAddr, func(slice *index.Table) {
+	n.replicas.update(goneAddr, func(slice *index.Table) {
 		taken = slice.Take(func(key uint64) bool { return !n.kern.Owns(key) })
 	})
-	promoted := n.adopt(taken)
-	if promoted > 0 {
+	if promoted := n.adopt(taken); promoted > 0 {
 		n.lm.takeovers.Inc()
+		n.traceEvent("replica.takeover", fmt.Sprintf("owner=%s entries=%d", goneAddr, promoted))
 	}
-	return promoted
 }
 
 // promoteReplicaSeq is the lookup-path fallback: this node owns the key and
@@ -299,20 +318,19 @@ func (n *Node) antiEntropy() {
 			continue
 		}
 		// A Full batch for the seqs the replica reported missing or
-		// divergent.
-		repair := &wire.ReplicateBatch{Owner: req.Owner, Full: true}
+		// divergent, about maxBatchOps of them per round.
+		var repair []wire.ReplicaOp
 		for _, seq := range dr.Need {
-			if repair.Ops = append(repair.Ops, n.idx.Get(seq).Ops(now)...); len(repair.Ops) >= maxBatchOps {
+			if repair = append(repair, n.idx.Get(seq).Ops(now)...); len(repair) >= maxBatchOps {
 				break
 			}
 		}
-		if len(repair.Ops) == 0 {
+		if len(repair) == 0 {
 			continue
 		}
-		if _, err := n.callIdem(t.Addr, repair, n.cfg.CallTimeout); err == nil {
-			n.lm.digestRepairOps.Add(uint64(len(repair.Ops)))
-			n.lm.replicateBytes.Add(frameBytes(repair))
-			n.traceEvent("replica.repair", fmt.Sprintf("peer=%s ops=%d", t.Addr, len(repair.Ops)))
+		if sent := n.sendOps(t.Addr, true, repair); sent > 0 {
+			n.lm.digestRepairOps.Add(uint64(sent))
+			n.traceEvent("replica.repair", fmt.Sprintf("peer=%s ops=%d", t.Addr, sent))
 		}
 	}
 }

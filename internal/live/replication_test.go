@@ -148,11 +148,11 @@ func TestTakeoverAfterCoordinatorDeath(t *testing.T) {
 	}
 }
 
-// TestGracefulLeaveSurvivesSuccessorDeath is the PR 3 regression test for
-// the handoff-loss bug: before replication, a graceful leaver handed its
-// whole index to exactly one successor, and if that successor died before
-// the next republish the entries were simply gone. Replication sends the
-// handed-off range past the new owner, whose death now promotes it.
+// TestGracefulLeaveSurvivesSuccessorDeath pins the handoff-loss bug: a
+// leaver that handed its whole index to exactly one successor lost it when
+// that successor died before the next republish. The leaver's batch goes to
+// its whole replica set, and the members that do not inherit a key keep it
+// as a replica, which the new owner's death then promotes.
 func TestGracefulLeaveSurvivesSuccessorDeath(t *testing.T) {
 	nodes := ringOf(t, replConfig(), 5, (*Node).startMaint).Nodes
 
@@ -170,8 +170,8 @@ func TestGracefulLeaveSurvivesSuccessorDeath(t *testing.T) {
 	provEnt := wire.Entry{ID: uint64(prov.ID()), Addr: prov.Addr()}
 	owner.onInsert(&wire.Insert{Key: key, Seq: seq, Holder: provEnt, UpBps: 1000})
 
-	// Graceful leave: index hands off to the successor and replicates past
-	// it in the same breath.
+	// Graceful leave: the index goes to the replica set, and the successor
+	// takes over its range.
 	if err := owner.Leave(); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
@@ -186,8 +186,8 @@ func TestGracefulLeaveSurvivesSuccessorDeath(t *testing.T) {
 		return RingCorrect(survivors)
 	})
 
-	// Now the sole handoff successor dies abruptly — the pre-replication
-	// stack lost the entry here with RepublishEvery disabled.
+	// Now the heir dies abruptly — a stack that handed the index to it
+	// alone lost the entry here with RepublishEvery disabled.
 	heir.Close()
 	remaining := Without(survivors, heir)
 	waitFor(t, 15*time.Second, "ring to heal around the dead heir", func() bool {
@@ -472,4 +472,51 @@ func sortedRingOwner(nodes []*Node, key uint64) *Node {
 		}
 	}
 	return sorted[0] // wrapped
+}
+
+// TestSendOpsSplitsBetweenSeqs: a Full send longer than maxBatchOps is cut
+// between seqs, never inside one — the receiver replaces a seq's rows with
+// each frame that names it, so a seq split across two frames would keep only
+// the second frame's rows. A seq longer than the window goes whole in one
+// frame. A non-Full send is cut at the window, wherever that falls.
+func TestSendOpsSplitsBetweenSeqs(t *testing.T) {
+	cfg := replConfig()
+	cfg.MaxProvidersPerSeq = -1
+	s := testSwarm(t, SwarmSpec{N: 2, Base: cfg})
+	a, b := s.Nodes[0], s.Nodes[1]
+	type seqRows struct {
+		seq  int64
+		rows int
+	}
+	for _, tc := range []struct {
+		name   string
+		full   bool
+		seqs   []seqRows
+		frames uint64
+	}{
+		{"full, cut between seqs", true, []seqRows{{1, maxBatchOps - 48}, {2, 100}}, 2},
+		{"full, one seq over the window", true, []seqRows{{3, maxBatchOps + 100}, {4, 10}}, 2},
+		{"not full, cut inside a seq", false, []seqRows{{5, maxBatchOps + 100}}, 2},
+	} {
+		var ops []wire.ReplicaOp
+		for _, sr := range tc.seqs {
+			for i := 0; i < sr.rows; i++ {
+				holder := wire.Entry{ID: uint64(i), Addr: fmt.Sprintf("mem://holder/%d", i)}
+				ops = append(ops, wire.ReplicaOp{Key: uint64(sr.seq), Seq: sr.seq, Holder: holder, TTLMillis: 45_000})
+			}
+		}
+		before := a.lm.replicateBatches.Value()
+		if sent := a.sendOps(b.Addr(), tc.full, ops); sent != len(ops) {
+			t.Fatalf("%s: delivered %d of %d ops", tc.name, sent, len(ops))
+		}
+		if frames := a.lm.replicateBatches.Value() - before; frames != tc.frames {
+			t.Fatalf("%s: %d frames, want %d", tc.name, frames, tc.frames)
+		}
+		slice := replicaSlice(b, a.Addr())
+		for _, sr := range tc.seqs {
+			if got := len(slice.Get(sr.seq).Rows); got != sr.rows {
+				t.Errorf("%s: seq %d: the receiver holds %d rows, want %d", tc.name, sr.seq, got, sr.rows)
+			}
+		}
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"dco/internal/dht"
 	"dco/internal/faulty"
+	"dco/internal/wire"
 )
 
 // censusConfig is resilientConfig with the ring census sped up so
@@ -129,4 +131,47 @@ func TestLoneNodeRecoversViaCensus(t *testing.T) {
 	await(t, s, 60*time.Second, "recovered node to catch up on the stream", func() bool {
 		return MinDelivered([]*Node{isolated}, cfg.Channel.Count) >= 100
 	})
+}
+
+// confirmingKernel is a kernel whose census confirmation always names
+// owner — a second network that never closes — and that counts the merges
+// it is asked for.
+type confirmingKernel struct {
+	dht.Kernel
+	owner  dht.Member
+	merges int
+}
+
+func (k *confirmingKernel) FindOwnerFrom(string, uint64) (dht.Member, []dht.Member, error) {
+	return k.owner, nil, nil
+}
+
+func (k *confirmingKernel) Merge(dht.Member, []dht.Member) { k.merges++ }
+
+// TestConfirmedTargetMergesOnce: two confirmations against the same target
+// count one merge; the same target merges again once dht.PeerQuarantine has
+// passed, and another target at once.
+func TestConfirmedTargetMergesOnce(t *testing.T) {
+	n := soloNode(t, fastConfig())
+	k := &confirmingKernel{Kernel: n.kern, owner: dht.Member{ID: 3, Addr: "mem://owner"}}
+	n.kern = k
+	foreign := wire.Entry{ID: 2, Addr: "mem://foreign"}
+	check := func(want int) {
+		t.Helper()
+		if st := n.Stats(); k.merges != want || st.RingMerges != uint64(want) || st.SplitsDetected != uint64(want) {
+			t.Fatalf("%d kernel merges, %d counted, %d splits detected; want %d", k.merges, st.RingMerges, st.SplitsDetected, want)
+		}
+	}
+
+	n.maybeMerge(foreign, nil, false)
+	n.maybeMerge(foreign, nil, false)
+	check(1)
+
+	n.lastMergeAt = n.lastMergeAt.Add(-dht.PeerQuarantine)
+	n.maybeMerge(foreign, nil, false)
+	check(2)
+
+	k.owner = dht.Member{ID: 4, Addr: "mem://other"}
+	n.maybeMerge(foreign, nil, false)
+	check(3)
 }

@@ -26,7 +26,7 @@ func FuzzReadMessage(f *testing.F) {
 		&GetChunk{Seq: 9, WaitMs: 150, DeadlineMs: 800},
 		&ChunkResp{Seq: 10, OK: true, LoadMilli: 330, Data: []byte{1, 2}},
 		&ChunkResp{Seq: 11, Busy: true, RetryAfterMs: 60, LoadMilli: 1500},
-		&Handoff{Entries: []HandoffEntry{{Key: 1, Seq: 2, Providers: []Entry{e}}}},
+		&ReplicateBatch{Owner: e, Full: true, Ops: []ReplicaOp{{Key: 1, Seq: 2, Holder: e, TTLMillis: 4}, {Key: 1, Seq: 2, Holder: e}}},
 		&Leave{From: e, NewSucc: []Entry{e}},
 		&ReplicateBatch{Owner: e, Ops: []ReplicaOp{{Key: 1, Seq: 2, Holder: e, UpBps: 3, TTLMillis: 4}}},
 		&DigestReq{Owner: e, Digests: []SeqDigest{{Key: 1, Seq: 2, Hash: 3}}},
@@ -61,6 +61,7 @@ func FuzzReadMessage(f *testing.F) {
 	for _, frame := range forgedCountFrames() {
 		f.Add(frame)
 	}
+	f.Add(retiredHandoffFrame())
 	var buf bytes.Buffer
 	if err := WriteMessage(&buf, &LookupResp{Seq: 1, Providers: collidingEntries()}); err != nil {
 		f.Fatal(err)

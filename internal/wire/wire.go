@@ -1,14 +1,13 @@
 // Package wire defines the binary protocol the live (real-network) DCO
 // node speaks: a compact, length-prefixed framing with explicit field
 // encoding. Every RPC the simulated protocol performs — DHT routing steps,
-// stabilization, chunk index Insert/Lookup, chunk fetches, index handoff —
-// has a message pair here.
+// stabilization, chunk index Insert/Lookup, chunk fetches, index
+// replication — has a message pair here.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -37,6 +36,9 @@ const (
 	KindInsert
 	KindGetChunk
 	KindChunkResp
+	// KindHandoff is retired: index rows travel in ReplicateBatch frames,
+	// and a frame of this kind is rejected as unknown. The number is never
+	// reused.
 	KindHandoff
 	KindLeave
 	KindReplicateBatch
@@ -259,16 +261,6 @@ type ChunkResp struct {
 	ManifestHash []byte
 	ManifestTag  []byte
 }
-
-// HandoffEntry is one chunk's index rows in a Handoff.
-type HandoffEntry struct {
-	Key       uint64
-	Seq       int64
-	Providers []Entry
-}
-
-// Handoff transfers index entries to their new owner.
-type Handoff struct{ Entries []HandoffEntry }
 
 // Leave announces a graceful departure to a ring neighbor.
 type Leave struct {
@@ -627,8 +619,6 @@ func New(k Kind) (Message, error) {
 		return &GetChunk{}, nil
 	case KindChunkResp:
 		return &ChunkResp{}, nil
-	case KindHandoff:
-		return &Handoff{}, nil
 	case KindLeave:
 		return &Leave{}, nil
 	case KindReplicateBatch:
@@ -652,7 +642,9 @@ func New(k Kind) (Message, error) {
 	case KindPollutionReport:
 		return &PollutionReport{}, nil
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownKind, k)
+		// A sentinel, not a wrapped one: refusing a stray frame allocates
+		// nothing.
+		return nil, ErrUnknownKind
 	}
 }
 
@@ -1016,32 +1008,6 @@ func (m *ChunkResp) decode(r *reader) error {
 	m.ManifestDigest = r.u64()
 	m.ManifestHash = r.bytesCopy()
 	m.ManifestTag = r.bytesCopy()
-	return r.err
-}
-
-func (m *Handoff) Kind() Kind { return KindHandoff }
-func (m *Handoff) encode(b []byte) []byte {
-	b = putU32(b, uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = putU64(b, e.Key)
-		b = putI64(b, e.Seq)
-		b = putEntries(b, e.Providers)
-	}
-	return b
-}
-func (m *Handoff) decode(r *reader) error {
-	n := r.count(20) // key, seq and a provider count
-	if r.err != nil {
-		return r.err
-	}
-	m.Entries = make([]HandoffEntry, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		var e HandoffEntry
-		e.Key = r.u64()
-		e.Seq = r.i64()
-		e.Providers = r.entries()
-		m.Entries = append(m.Entries, e)
-	}
 	return r.err
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -59,7 +60,6 @@ func sampleMessages() []Message {
 		&ChunkResp{Seq: 5, OK: true, LoadMilli: 420, Data: []byte{9}},
 		&ChunkResp{Seq: 5, Busy: true},
 		&ChunkResp{Seq: 6, Busy: true, RetryAfterMs: 40, LoadMilli: 2250},
-		&Handoff{Entries: []HandoffEntry{{Key: 1, Seq: 2, Providers: []Entry{e1}}, {Key: 3, Seq: 4}}},
 		&Leave{From: e1, NewPred: e2, PredOK: true, NewSucc: []Entry{e1}},
 		&Leave{From: e2},
 		&ReplicateBatch{Owner: e1, Ops: []ReplicaOp{
@@ -111,7 +111,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		}
 	}
 	for k := KindError; k <= KindPollutionReport; k++ {
-		if !seen[k] {
+		if !seen[k] && k != KindHandoff {
 			t.Errorf("no sample message of kind %d", k)
 		}
 	}
@@ -214,6 +214,34 @@ func TestUnknownKindRejected(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 1, 0xEE})
 	if _, err := ReadMessage(&buf); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// retiredHandoffFrame is a frame of the retired KindHandoff, laid out as
+// its senders encoded it: one entry (key, seq) naming one provider.
+func retiredHandoffFrame() []byte {
+	fields := putEntries(putI64(putU64(putU32(nil, 1), 1), 2), []Entry{{ID: 7, Addr: "peer:1"}})
+	f := binary.BigEndian.AppendUint32(nil, uint32(1+len(fields)))
+	return append(append(f, byte(KindHandoff)), fields...)
+}
+
+// TestRetiredHandoffIsUnknown: a Handoff frame from a peer that still sends
+// one is refused as an unknown kind before anything is decoded or allocated.
+func TestRetiredHandoffIsUnknown(t *testing.T) {
+	frame := retiredHandoffFrame()
+	rd := bytes.NewReader(frame)
+	var err error
+	b, objs := allocsPerOp(100, func() {
+		rd.Reset(frame)
+		_, err = ReadMessage(rd)
+	})
+	if !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("retired Handoff frame: %v, want ErrUnknownKind", err)
+	}
+	// Fewer than one object per frame: a stray runtime allocation across the
+	// runs is not the decoder's.
+	if objs >= 1 && !israce.Enabled {
+		t.Fatalf("rejecting a retired Handoff frame allocated %.2f objects (%.0f B) per frame, want 0", objs, b)
 	}
 }
 
@@ -496,9 +524,11 @@ func TestAllocationBudgets(t *testing.T) {
 		t.Errorf("GetChunk round-trip: %.0f B in %.1f objects; budget: the decoded struct", b, objs)
 	}
 	// allocsPerOp's warm-up run decodes every member once; after that each
-	// address comes from the intern table.
+	// address comes from the intern table. The slack over 2 is ten stray
+	// runtime allocations across the 200 runs (a pool refilled after a GC);
+	// intern misses on more than one op in 20 fail it.
 	ms := members(9)
-	if _, objs := allocsPerOp(200, trip(&GetStateResp{Pred: ms[0], PredOK: true, Succs: ms[1:]})); objs > 2 {
+	if _, objs := allocsPerOp(200, trip(&GetStateResp{Pred: ms[0], PredOK: true, Succs: ms[1:]})); objs > 2.05 {
 		t.Errorf("GetStateResp of 9 seen members round-trip: %.1f objects; budget 2: the struct and its list", objs)
 	}
 }
@@ -616,13 +646,13 @@ func forgedCountFrames() map[string][]byte {
 	}
 	owner := putEntry(nil, Entry{})
 	return map[string][]byte{
-		"LookupResp providers":          frame(KindLookupResp, putU32(putI64(nil, 1), MaxFrame/9)),
-		"Handoff entries":               frame(KindHandoff, putU32(nil, MaxFrame/17)),
-		"ReplicateBatch ops":            frame(KindReplicateBatch, putU32(putBool(owner, false), MaxFrame/49)),
-		"DigestReq digests":             frame(KindDigestReq, putU32(owner, MaxFrame/24)),
-		"DigestResp seqs":               frame(KindDigestResp, putU32(nil, MaxFrame/8)),
-		"ManifestResp rows":             frame(KindManifestResp, putU32(putI64(nil, 1), MaxFrame/80)),
-		"Handoff one entry's providers": frame(KindHandoff, putU32(putI64(putU64(putU32(nil, 1), 2), 3), MaxFrame/9)),
+		"LookupResp providers":    frame(KindLookupResp, putU32(putI64(nil, 1), MaxFrame/9)),
+		"GetStateResp successors": frame(KindGetStateResp, putU32(putBool(owner, true), MaxFrame/12)),
+		"ReplicateBatch ops":      frame(KindReplicateBatch, putU32(putBool(owner, false), MaxFrame/49)),
+		"DigestReq digests":       frame(KindDigestReq, putU32(owner, MaxFrame/24)),
+		"DigestResp seqs":         frame(KindDigestResp, putU32(nil, MaxFrame/8)),
+		"ManifestResp rows":       frame(KindManifestResp, putU32(putI64(nil, 1), MaxFrame/80)),
+		"CensusProbe members":     frame(KindCensusProbe, putU32(putU64(owner, 6), MaxFrame/12)),
 	}
 }
 
