@@ -43,11 +43,10 @@ type liveResult struct {
 
 // amplificationBound is the most index bytes the ring may write per Insert
 // byte at replication factor r. Each op goes to the owner once and to at
-// most r replicas; a replicated op travels with its seq's 64-byte manifest
-// row, which makes it 121 bytes on the wire against the 78-byte Insert
-// that caused it — under twice the size, hence 2r+1. (Before the manifest
-// rows a replicated op was the smaller message and the bound was r+1.)
-func amplificationBound(r int) float64 { return float64(2*r + 1) }
+// most r replicas, and a replicated op (49 bytes on the wire with an
+// 8-character address) is smaller than the 78-byte Insert that caused it,
+// hence r+1.
+func amplificationBound(r int) float64 { return float64(r + 1) }
 
 // runLive executes the live-stack benchmark.
 func runLive(a liveArgs) (any, error) {

@@ -109,8 +109,7 @@ func (n *Node) cachedOwner(key uint64) (dht.Member, bool) {
 }
 
 // ownerOf resolves key's coordinator for requests that any node would
-// serve, so that a stale arc needs no handling: manifest fetches,
-// pollution reports.
+// serve, so that a stale arc needs no handling: pollution reports.
 func (n *Node) ownerOf(key uint64) (dht.Member, error) {
 	if owner, ok := n.cachedOwner(key); ok {
 		return owner, nil

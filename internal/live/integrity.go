@@ -6,13 +6,13 @@ package live
 // the integrity layer closing it:
 //
 //   - Chunk manifests: the source mints a (seq → SHA-256, tag) row per
-//     generated chunk. A row travels with its chunk (every ChunkResp
-//     carries the provider's row for that seq), rides replication batches
-//     with the chunk index, and can be asked for (ManifestReq/ManifestResp)
-//     by a viewer whose provider had none; coverage is advertised cheaply
-//     via ManifestHead/ManifestDigest piggybacked on Insert and ChunkResp.
-//     The tag authenticates a row against the channel parameters, so any
-//     peer can relay rows it did not mint.
+//     generated chunk. A row reaches a peer two ways: with its chunk (every
+//     ChunkResp carries the provider's row for that seq), and in the
+//     catch-up ManifestReq/ManifestResp a coverage ad triggers — ManifestHead,
+//     piggybacked on Insert and ChunkResp, tells a lagging peer (above all a
+//     coordinator, which sees Inserts rather than chunks) that rows exist
+//     past its verified head. The tag authenticates a row against the
+//     channel parameters, so any peer can relay rows it did not mint.
 //   - One verification choke point: storeChunk refuses any payload that
 //     fails manifest (or, uncovered, generator) verification — nothing
 //     enters the buffer map or gets re-served unverified.
@@ -34,7 +34,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -84,10 +83,9 @@ func (n *Node) addManifestEntrySource(seq int64, data []byte) {
 	n.manMu.Unlock()
 }
 
-// noteManifestEntry folds in a row learned from a peer (a ChunkResp, a
-// ManifestResp or a replication batch), verifying its tag first. Returns
-// false for rows that fail authentication — the caller decides whether
-// that is chargeable.
+// noteManifestEntry folds in a row learned from a peer (a ChunkResp or a
+// ManifestResp), verifying its tag first. Returns false for rows that fail
+// authentication — the caller decides whether that is chargeable.
 func (n *Node) noteManifestEntry(seq int64, hash, tag []byte) bool {
 	if seq < 0 || len(hash) != sha256.Size || len(tag) != sha256.Size {
 		return false
@@ -130,35 +128,13 @@ func (n *Node) manifestLookup(seq int64) (manifestRec, bool) {
 	return rec, ok
 }
 
-// manifestAd returns the coverage advertisement piggybacked on Insert and
-// ChunkResp: the exclusive head of this node's verified coverage and a
-// fingerprint of the newest row (0, 0 when the cache is empty).
-func (n *Node) manifestAd() (head int64, digest uint64) {
-	n.manMu.Lock()
-	defer n.manMu.Unlock()
-	return n.manifestAdLocked()
-}
-
-func (n *Node) manifestAdLocked() (head int64, digest uint64) {
-	if n.manHead == 0 {
-		return 0, 0
-	}
-	if rec, ok := n.manifest[n.manHead-1]; ok {
-		h := fnv.New64a()
-		h.Write(rec.hash[:])
-		digest = h.Sum64()
-	}
-	return n.manHead, digest
-}
-
 // stampManifest fills a ChunkResp's manifest fields in place: the coverage
-// advertisement always, and on a served chunk this node's row for that
-// seq, so the viewer can authenticate the payload without a second
-// exchange.
+// ad always, and on a served chunk this node's row for that seq, so the
+// viewer can authenticate the payload without a second exchange.
 func (n *Node) stampManifest(cr *wire.ChunkResp) *wire.ChunkResp {
 	n.manMu.Lock()
 	defer n.manMu.Unlock()
-	cr.ManifestHead, cr.ManifestDigest = n.manifestAdLocked()
+	cr.ManifestHead = n.manHead
 	if cr.OK {
 		if rec, ok := n.manifest[cr.Seq]; ok {
 			cr.ManifestHash, cr.ManifestTag = rec.hash[:], rec.tag[:]
@@ -167,18 +143,19 @@ func (n *Node) stampManifest(cr *wire.ChunkResp) *wire.ChunkResp {
 	return cr
 }
 
-// manifestHeadEstimate is the verified live-edge estimate the insert
-// horizon is measured from: the newest seq this node generated, buffered,
-// or holds an authenticated manifest row for. -1 = no idea.
-func (n *Node) manifestHeadEstimate() int64 {
+// manifestHead is the exclusive head of this node's verified rows: one past
+// the newest seq it generated or holds an authenticated row for (0 = none).
+// It is the coverage ad piggybacked on Insert and ChunkResp, and the live
+// edge the insert horizon is measured from.
+func (n *Node) manifestHead() int64 {
 	n.manMu.Lock()
-	head := n.manHead - 1
-	n.manMu.Unlock()
-	return head
+	defer n.manMu.Unlock()
+	return n.manHead
 }
 
-// manifestReqMax bounds how many rows one ManifestResp carries (80 bytes
-// encoded per row keeps a full response far under MaxFrame).
+// manifestReqMax bounds how many rows one ManifestResp carries, from the
+// request's FromSeq on (80 bytes encoded per row keeps a full response far
+// under MaxFrame).
 const manifestReqMax = 512
 
 // manFetchEvery rate-limits ad-triggered background manifest fetches: an
@@ -189,8 +166,9 @@ const manFetchEvery = time.Second
 // noteManifestAd reacts to a piggybacked coverage advertisement from addr:
 // when it claims rows past this node's verified head, fetch them (rows
 // self-authenticate, so the worst a lying ad costs is the rate-limited
-// round-trip). This is how coordinators that never fetch chunks still
-// build manifest coverage for the horizon check and replication piggyback.
+// round-trip). This catch-up fetch is how a coordinator, which never needs
+// the chunks it indexes, keeps the head its insert horizon is measured
+// from at the live edge.
 func (n *Node) noteManifestAd(addr string, head int64) {
 	if head <= 0 || addr == "" || addr == n.Addr() {
 		return
@@ -207,24 +185,20 @@ func (n *Node) noteManifestAd(addr string, head int64) {
 	}
 	// Untracked goroutine (fetchOnce precedent): call-timeout bounded.
 	go func() {
-		if resp, err := n.call(addr, &wire.ManifestReq{FromSeq: from, Max: manifestReqMax}, n.cfg.CallTimeout); err == nil {
+		if resp, err := n.call(addr, &wire.ManifestReq{FromSeq: from}, n.cfg.CallTimeout); err == nil {
 			n.noteManifestResp(resp)
 		}
 	}()
 }
 
 // onManifestReq serves this node's manifest rows for [FromSeq,
-// FromSeq+Max). Any node answers with whatever it holds — rows are
-// self-authenticating, so there is no owner check.
+// FromSeq+manifestReqMax). Any node answers with whatever it holds — rows
+// are self-authenticating, so there is no owner check.
 func (n *Node) onManifestReq(m *wire.ManifestReq) wire.Message {
-	max := int(m.Max)
-	if max <= 0 || max > manifestReqMax {
-		max = manifestReqMax
-	}
 	n.lm.manifestServes.Inc()
 	n.manMu.Lock()
-	resp := &wire.ManifestResp{Head: n.manHead}
-	for seq := m.FromSeq; seq < m.FromSeq+int64(max); seq++ {
+	resp := &wire.ManifestResp{}
+	for seq := m.FromSeq; seq < m.FromSeq+manifestReqMax; seq++ {
 		if rec, ok := n.manifest[seq]; ok {
 			resp.Entries = append(resp.Entries, wire.ManifestEntry{
 				Seq:  seq,
@@ -235,48 +209,6 @@ func (n *Node) onManifestReq(m *wire.ManifestReq) wire.Message {
 	}
 	n.manMu.Unlock()
 	return resp
-}
-
-// ensureManifest makes a best-effort attempt to cover seq with a manifest
-// row before cr's payload is verified. The row normally arrives with the
-// chunk; a provider that sent none (or one whose tag does not verify,
-// which is ignored, not charged: the payload check decides who pays) is
-// asked for its rows, and only if that leaves seq uncovered is the chunk's
-// coordinator routed to and asked. Verification does not depend on
-// success — the generator check covers uncovered seqs — so one round each
-// is plenty.
-func (n *Node) ensureManifest(seq int64, cr *wire.ChunkResp, provider string) {
-	if _, ok := n.manifestLookup(seq); ok {
-		return
-	}
-	if n.noteManifestEntry(seq, cr.ManifestHash, cr.ManifestTag) {
-		return
-	}
-	// Ask from this node's verified head, so the reply carries only rows it
-	// lacks — unless seq lies outside the window that would return.
-	n.manMu.Lock()
-	from := n.manHead
-	n.manMu.Unlock()
-	if seq < from || seq >= from+manifestReqMax {
-		from = seq
-	}
-	req := &wire.ManifestReq{FromSeq: from, Max: manifestReqMax}
-	covered := func(addr string) bool {
-		resp, err := n.call(addr, req, n.cfg.CallTimeout)
-		if err != nil {
-			return false
-		}
-		n.noteManifestResp(resp)
-		_, ok := n.manifestLookup(seq)
-		return ok
-	}
-	if provider != "" && provider != n.Addr() && covered(provider) {
-		return
-	}
-	key := uint64(n.cfg.Channel.Ref(seq).ID())
-	if owner, err := n.ownerOf(key); err == nil && owner.Addr != n.Addr() && owner.Addr != provider {
-		covered(owner.Addr)
-	}
 }
 
 // noteManifestResp folds the rows of a ManifestResp in (any other reply is
@@ -524,7 +456,9 @@ func (g *pollutionGuard) takeInsertToken(holder string, rate float64, now time.T
 // holders are refused, per-holder insert rates are capped, and registrations
 // past the live-edge horizon are rejected (the provider cap per entry is
 // index.Table's). nil = allowed. Unregisters only pay the rate limit —
-// removing rows is never refused.
+// removing rows is never refused. The live edge is the newest seq this node
+// generated, buffered or holds an authenticated manifest row for (-1 = no
+// idea).
 func (n *Node) insertAllowed(m *wire.Insert) *wire.Error {
 	if rate := n.cfg.InsertRate; rate > 0 && !n.guard.takeInsertToken(m.Holder.Addr, rate, time.Now()) {
 		n.lm.insertsRateLimited.Inc()
@@ -537,7 +471,7 @@ func (n *Node) insertAllowed(m *wire.Insert) *wire.Error {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: holder quarantined"}
 	}
-	if edge := max(n.LatestGenerated(), n.manifestHeadEstimate()); edge >= 0 && m.Seq > edge+insertHorizon {
+	if edge := max(n.LatestGenerated(), n.manifestHead()-1); edge >= 0 && m.Seq > edge+insertHorizon {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: seq beyond live-edge horizon"}
 	}

@@ -382,7 +382,7 @@ type Stats struct {
 	PollutionReportsSent uint64 // accusations this node sent to coordinators
 	PollutionReportsSeen uint64 // accusations this node received as a coordinator
 	LoadReportsClamped   uint64 // LoadMilli reports discounted as self-contradictory
-	ManifestFetches      uint64 // ManifestReq calls this node issued
+	ManifestFetches      uint64 // catch-up ManifestReqs this node had answered
 	ManifestServes       uint64 // ManifestReqs this node answered
 }
 

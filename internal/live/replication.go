@@ -109,18 +109,9 @@ func (n *Node) ReplicaCounts() (owners, entries int) {
 
 // enqueueReplica queues one accepted index op for the next flush.
 func (n *Node) enqueueReplica(op wire.ReplicaOp) {
-	if n.cfg.Replicas <= 0 {
-		return
+	if n.cfg.Replicas > 0 {
+		n.replq.push(op)
 	}
-	// Piggyback the seq's manifest row (integrity.go) so manifests
-	// replicate with the chunk index and survive coordinator failover.
-	if !op.Unregister {
-		if rec, ok := n.manifestLookup(op.Seq); ok {
-			op.ManifestHash = append([]byte(nil), rec.hash[:]...)
-			op.ManifestTag = append([]byte(nil), rec.tag[:]...)
-		}
-	}
-	n.replq.push(op)
 }
 
 // replTargets returns up to Replicas distinct live members that should
@@ -194,22 +185,14 @@ func (n *Node) onReplicateBatch(m *wire.ReplicateBatch) wire.Message {
 	n.replicas.update(m.Owner.Addr, func(slice *index.Table) {
 		for i := range m.Ops {
 			op := &m.Ops[i]
-			// Fold in the piggybacked manifest row first (tag-verified inside;
-			// a bogus row is simply ignored) — replicas learn manifest coverage
-			// with the index rows they mirror.
-			if len(op.ManifestHash) > 0 {
-				n.noteManifestEntry(op.Seq, op.ManifestHash, op.ManifestTag)
-			}
 			// OwnsSettled, not Owns: ownership here requires positive routing
 			// evidence — a freshly joined node with empty tables would
 			// otherwise claim every key it sees.
 			if n.kern.OwnsSettled(op.Key) {
 				// Lookups see it immediately, and it is passed on to this
-				// node's own replicas (with this node's manifest row).
+				// node's own replicas.
 				if applyOp(n.idx, op, now) {
-					fwd := *op
-					fwd.ManifestHash, fwd.ManifestTag = nil, nil
-					n.enqueueReplica(fwd)
+					n.enqueueReplica(*op)
 				}
 				continue
 			}

@@ -94,18 +94,17 @@ func (n *Node) republish() {
 // coordinator; routed forces a fresh route (see sendInsert).
 func (n *Node) insertIndex(seq int64, routed bool) {
 	msg := &wire.Insert{
-		Key:      uint64(n.cfg.Channel.Ref(seq).ID()),
-		Seq:      seq,
-		Holder:   n.wireSelf(),
-		UpBps:    n.cfg.UpBps,
-		BufCount: int64(n.ChunkCount()),
+		Key:    uint64(n.cfg.Channel.Ref(seq).ID()),
+		Seq:    seq,
+		Holder: n.wireSelf(),
+		UpBps:  n.cfg.UpBps,
 		// Piggybacked load report: republication doubles as the load
 		// heartbeat coordinators weight provider selection by.
 		LoadMilli: n.reportLoadMilli(),
+		// Piggybacked manifest-coverage ad (integrity.go): how coordinators
+		// learn the current window without extra round-trips.
+		ManifestHead: n.manifestHead(),
 	}
-	// Piggybacked manifest-coverage ad (integrity.go): how viewers and
-	// coordinators learn the current window without extra round-trips.
-	msg.ManifestHead, msg.ManifestDigest = n.manifestAd()
 	for attempt := 0; attempt < 2; attempt++ {
 		if n.sendInsert(msg, routed) == nil {
 			n.lm.indexInsertBytes.Add(frameBytes(msg))
@@ -284,15 +283,18 @@ func (n *Node) FetchChunk(seq int64) error {
 				}
 				continue
 			}
-			// Cover seq with the manifest row that came with the chunk (best
-			// effort — the generator check backstops uncovered seqs), then
-			// push the payload through the buffer choke point: storeChunk
-			// verifies, and a polluted payload charges the provider
-			// (integrity.go).
-			n.ensureManifest(seq, cr, from)
+			// Cover seq with the manifest row that came with the chunk, unless
+			// a row is held already. Its tag is checked first: a forged row
+			// is ignored, not charged — the payload check decides who pays —
+			// and a seq left uncovered is checked against the generator.
+			if _, ok := n.manifestLookup(seq); !ok {
+				n.noteManifestEntry(seq, cr.ManifestHash, cr.ManifestTag)
+			}
 			// The coverage ad is read after the row is folded in: a provider
 			// at the same live edge then advertises nothing new.
 			n.noteManifestAd(from, cr.ManifestHead)
+			// The buffer choke point: storeChunk verifies, and a polluted
+			// payload charges the provider (integrity.go).
 			if !n.storeChunk(seq, cr.Data, from) {
 				lastErr = fmt.Errorf("live: chunk %d failed verification", seq)
 				cooled = from // punished at the choke point

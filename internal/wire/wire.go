@@ -201,21 +201,23 @@ type LookupResp struct {
 // the budget); republish Inserts piggyback it so coordinators keep a
 // recent load report per provider and can answer Lookups with nodes that
 // actually have spare capacity (the paper's "sufficient bandwidth" rule).
+//
+// BufCount and ManifestDigest are reserved: they are still encoded, but no
+// node sets or reads them.
 type Insert struct {
 	Key        uint64
 	Seq        int64
 	Holder     Entry
 	UpBps      int64
-	BufCount   int64
+	BufCount   int64 // reserved
 	LoadMilli  uint32
 	Unregister bool
-	// ManifestHead/ManifestDigest piggyback the sender's chunk-manifest
-	// coverage (see ManifestResp): Head is the exclusive upper bound of
-	// the seqs its manifest covers (0 = none), Digest a cheap fingerprint
-	// of the newest entry so divergent manifests are detectable without a
-	// fetch. Advisory only — never trusted for anything destructive.
+	// ManifestHead piggybacks the sender's chunk-manifest coverage: the
+	// exclusive upper bound of the seqs its verified rows cover (0 =
+	// none). Advisory only — it can trigger a catch-up ManifestReq, never
+	// anything destructive.
 	ManifestHead   int64
-	ManifestDigest uint64
+	ManifestDigest uint64 // reserved
 }
 
 // GetChunk requests chunk data from a provider. WaitMs is how long the
@@ -249,11 +251,10 @@ type ChunkResp struct {
 	RetryAfterMs uint32
 	LoadMilli    uint32
 	Data         []byte
-	// ManifestHead/ManifestDigest mirror the fields on Insert: the
-	// provider's manifest coverage, so viewers learn the current window
-	// from the responses they are already receiving.
-	ManifestHead   int64
-	ManifestDigest uint64
+	// ManifestHead mirrors the field on Insert: the provider's manifest
+	// coverage, so viewers learn the current window from the responses
+	// they are already receiving.
+	ManifestHead int64
 	// ManifestHash/ManifestTag are the provider's manifest row for Seq (see
 	// ManifestEntry; both nil when it holds none), so the chunk and what
 	// authenticates it arrive in one exchange. The receiver verifies the
@@ -282,12 +283,6 @@ type ReplicaOp struct {
 	UpBps      int64
 	TTLMillis  uint32
 	Unregister bool
-	// ManifestHash/ManifestTag carry the owner's manifest entry for Seq
-	// (empty when the owner has none), so manifests replicate with the
-	// chunk index and survive coordinator failover. Receivers verify the
-	// tag before caching — a replica never stores an unauthenticated row.
-	ManifestHash []byte
-	ManifestTag  []byte
 }
 
 // ReplicateBatch mirrors a batch of index mutations from Owner onto a
@@ -332,17 +327,14 @@ type ManifestEntry struct {
 	Tag  []byte // channel-keyed authenticator over seq|hash (32 bytes)
 }
 
-// ManifestReq asks a peer for its manifest rows covering seqs in
-// [FromSeq, FromSeq+Max). Peers answer with whatever subset they hold.
+// ManifestReq asks a peer for its manifest rows from FromSeq on. The peer
+// answers with whatever rows it holds in a window of its own choosing.
 type ManifestReq struct {
 	FromSeq int64
-	Max     uint32
 }
 
-// ManifestResp returns manifest rows. Head is the exclusive upper bound of
-// the responder's total coverage (it may exceed the rows returned).
+// ManifestResp returns manifest rows.
 type ManifestResp struct {
-	Head    int64
 	Entries []ManifestEntry
 }
 
@@ -994,7 +986,6 @@ func (m *ChunkResp) encode(b []byte) []byte {
 	b = putU32(b, m.RetryAfterMs)
 	b = putU32(b, m.LoadMilli)
 	b = putI64(b, m.ManifestHead)
-	b = putU64(b, m.ManifestDigest)
 	b = putBytes(b, m.ManifestHash)
 	return putBytes(b, m.ManifestTag)
 }
@@ -1005,7 +996,6 @@ func (m *ChunkResp) decode(r *reader) error {
 	m.RetryAfterMs = r.u32()
 	m.LoadMilli = r.u32()
 	m.ManifestHead = r.i64()
-	m.ManifestDigest = r.u64()
 	m.ManifestHash = r.bytesCopy()
 	m.ManifestTag = r.bytesCopy()
 	return r.err
@@ -1038,15 +1028,13 @@ func (m *ReplicateBatch) encode(b []byte) []byte {
 		b = putI64(b, op.UpBps)
 		b = putU32(b, op.TTLMillis)
 		b = putBool(b, op.Unregister)
-		b = putBytes(b, op.ManifestHash)
-		b = putBytes(b, op.ManifestTag)
 	}
 	return b
 }
 func (m *ReplicateBatch) decode(r *reader) error {
 	m.Owner = r.entry()
 	m.Full = r.boolean()
-	n := r.count(49) // an op with an empty address and no manifest row
+	n := r.count(41) // an op with an empty address
 	if n == 0 {
 		return r.err
 	}
@@ -1059,8 +1047,6 @@ func (m *ReplicateBatch) decode(r *reader) error {
 		op.UpBps = r.i64()
 		op.TTLMillis = r.u32()
 		op.Unregister = r.boolean()
-		op.ManifestHash = r.bytesCopy()
-		op.ManifestTag = r.bytesCopy()
 		m.Ops = append(m.Ops, op)
 	}
 	return r.err
@@ -1166,18 +1152,15 @@ func (m *KadFindNodeResp) decode(r *reader) error {
 
 func (m *ManifestReq) Kind() Kind { return KindManifestReq }
 func (m *ManifestReq) encode(b []byte) []byte {
-	b = putI64(b, m.FromSeq)
-	return putU32(b, m.Max)
+	return putI64(b, m.FromSeq)
 }
 func (m *ManifestReq) decode(r *reader) error {
 	m.FromSeq = r.i64()
-	m.Max = r.u32()
 	return r.err
 }
 
 func (m *ManifestResp) Kind() Kind { return KindManifestResp }
 func (m *ManifestResp) encode(b []byte) []byte {
-	b = putI64(b, m.Head)
 	b = putU32(b, uint32(len(m.Entries)))
 	for _, e := range m.Entries {
 		b = putI64(b, e.Seq)
@@ -1187,7 +1170,6 @@ func (m *ManifestResp) encode(b []byte) []byte {
 	return b
 }
 func (m *ManifestResp) decode(r *reader) error {
-	m.Head = r.i64()
 	n := r.count(16) // a seq and two empty byte fields
 	if n == 0 {
 		return r.err

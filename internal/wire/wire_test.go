@@ -80,18 +80,14 @@ func sampleMessages() []Message {
 		&KadFindNodeResp{From: e2, Closest: []Entry{e1, e2}},
 		&KadFindNodeResp{From: e1},
 		&Insert{Key: 1, Seq: 2, Holder: e1, UpBps: 100, ManifestHead: 77, ManifestDigest: 0xABCDEF01},
-		&ChunkResp{Seq: 5, OK: true, Data: []byte{1}, ManifestHead: 42, ManifestDigest: 0xFEED},
-		&ReplicateBatch{Owner: e1, Ops: []ReplicaOp{
-			{Key: 7, Seq: 3, Holder: e2, UpBps: 500, TTLMillis: 45000,
-				ManifestHash: bytes.Repeat([]byte{0xAA}, 32), ManifestTag: bytes.Repeat([]byte{0xBB}, 32)},
-		}},
-		&ManifestReq{FromSeq: 100, Max: 512},
+		&ChunkResp{Seq: 5, OK: true, Data: []byte{1}, ManifestHead: 42},
+		&ManifestReq{FromSeq: 100},
 		&ManifestReq{},
-		&ManifestResp{Head: 200, Entries: []ManifestEntry{
+		&ManifestResp{Entries: []ManifestEntry{
 			{Seq: 198, Hash: bytes.Repeat([]byte{1}, 32), Tag: bytes.Repeat([]byte{2}, 32)},
 			{Seq: 199, Hash: bytes.Repeat([]byte{3}, 32), Tag: bytes.Repeat([]byte{4}, 32)},
 		}},
-		&ManifestResp{Head: -1},
+		&ManifestResp{},
 		&ChunkResp{Seq: 5, OK: true, Data: []byte{1, 2, 3}, ManifestHead: 6,
 			ManifestHash: bytes.Repeat([]byte{0xC1}, 32), ManifestTag: bytes.Repeat([]byte{0xC2}, 32)},
 		&ChunkResp{Seq: 5, OK: true,
@@ -531,6 +527,20 @@ func TestAllocationBudgets(t *testing.T) {
 	if _, objs := allocsPerOp(200, trip(&GetStateResp{Pred: ms[0], PredOK: true, Succs: ms[1:]})); objs > 2.05 {
 		t.Errorf("GetStateResp of 9 seen members round-trip: %.1f objects; budget 2: the struct and its list", objs)
 	}
+	// A replicated batch costs the same few objects whatever its op count:
+	// its holders' addresses come from the intern table, and an op has no
+	// byte field of its own to copy.
+	batch := func(ops int) Message {
+		b := &ReplicateBatch{Owner: ms[0]}
+		for i := 0; i < ops; i++ {
+			b.Ops = append(b.Ops, ReplicaOp{Key: uint64(i), Seq: int64(i), Holder: ms[1+i%8], UpBps: 1, TTLMillis: 45_000})
+		}
+		return b
+	}
+	_, few := allocsPerOp(200, trip(batch(8)))
+	if _, objs := allocsPerOp(200, trip(batch(64))); objs > 3.05 || objs > few+0.05 {
+		t.Errorf("ReplicateBatch of 64 ops from 8 seen holders round-trip: %.1f objects (8 ops: %.1f); budget 3, whatever the op count", objs, few)
+	}
 }
 
 // members returns n entries with distinct IDs and addresses shaped like
@@ -648,10 +658,10 @@ func forgedCountFrames() map[string][]byte {
 	return map[string][]byte{
 		"LookupResp providers":    frame(KindLookupResp, putU32(putI64(nil, 1), MaxFrame/9)),
 		"GetStateResp successors": frame(KindGetStateResp, putU32(putBool(owner, true), MaxFrame/12)),
-		"ReplicateBatch ops":      frame(KindReplicateBatch, putU32(putBool(owner, false), MaxFrame/49)),
+		"ReplicateBatch ops":      frame(KindReplicateBatch, putU32(putBool(owner, false), MaxFrame/41)),
 		"DigestReq digests":       frame(KindDigestReq, putU32(owner, MaxFrame/24)),
 		"DigestResp seqs":         frame(KindDigestResp, putU32(nil, MaxFrame/8)),
-		"ManifestResp rows":       frame(KindManifestResp, putU32(putI64(nil, 1), MaxFrame/80)),
+		"ManifestResp rows":       frame(KindManifestResp, putU32(nil, MaxFrame/80)),
 		"CensusProbe members":     frame(KindCensusProbe, putU32(putU64(owner, 6), MaxFrame/12)),
 	}
 }
@@ -772,25 +782,24 @@ func TestKadFindNodeRoundTrip(t *testing.T) {
 
 // TestManifestRoundTrip pins the chunk-authentication contract on the
 // wire: manifest rows carry the exact 32-byte hash and tag (verification
-// compares them bit-for-bit), the head survives, and the piggybacked
-// manifest ad on Insert/ChunkResp rides along without disturbing the
-// pre-existing fields.
+// compares them bit-for-bit), and the coverage ad on a ChunkResp rides
+// along without disturbing the other fields.
 func TestManifestRoundTrip(t *testing.T) {
 	rows := []ManifestEntry{
 		{Seq: 1000, Hash: bytes.Repeat([]byte{0x11}, 32), Tag: bytes.Repeat([]byte{0x22}, 32)},
 		{Seq: 1001, Hash: bytes.Repeat([]byte{0x33}, 32), Tag: bytes.Repeat([]byte{0x44}, 32)},
 	}
-	resp := &ManifestResp{Head: 1002, Entries: rows}
+	resp := &ManifestResp{Entries: rows}
 	got := roundTrip(t, resp).(*ManifestResp)
 	if !reflect.DeepEqual(resp, got) {
 		t.Fatalf("manifest resp mutated:\n  sent %#v\n  got  %#v", resp, got)
 	}
-	req := &ManifestReq{FromSeq: 990, Max: 512}
+	req := &ManifestReq{FromSeq: 990}
 	if gr := roundTrip(t, req).(*ManifestReq); *gr != *req {
 		t.Fatalf("manifest req mutated: %#v", gr)
 	}
-	// Piggybacked ad on a chunk response: old fields and new coexist.
-	cr := &ChunkResp{Seq: 9, OK: true, Data: []byte{5, 6}, LoadMilli: 300, ManifestHead: 1002, ManifestDigest: 0xDEAD}
+	// The coverage ad on a chunk response.
+	cr := &ChunkResp{Seq: 9, OK: true, Data: []byte{5, 6}, LoadMilli: 300, ManifestHead: 1002}
 	gc := roundTrip(t, cr).(*ChunkResp)
 	if !reflect.DeepEqual(cr, gc) {
 		t.Fatalf("chunk resp with manifest ad mutated:\n  sent %#v\n  got  %#v", cr, gc)
@@ -801,8 +810,9 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	// Bytes 4 (kind) + 8 (head): the row count lives at offset 13.
-	frame[13], frame[14], frame[15], frame[16] = 0xFF, 0xFF, 0xFF, 0xFF
+	// Bytes 0-3 hold the frame length and 4 the kind: the row count lives
+	// at offset 5.
+	frame[5], frame[6], frame[7], frame[8] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
 		t.Fatal("forged huge manifest row count accepted")
 	}
