@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dco/internal/faulty"
+	"dco/internal/health"
 	"dco/internal/live"
 	"dco/internal/retry"
 )
@@ -51,11 +52,9 @@ func runSplitBrain(a liveArgs) (any, error) {
 		MaxAttempts:    3,
 		InitialBackoff: 10 * time.Millisecond,
 		MaxBackoff:     80 * time.Millisecond,
-		Multiplier:     2,
-		Jitter:         0.5,
 		Budget:         time.Second,
 	}
-	cfg.Breaker = retry.BreakerConfig{Threshold: 5, Cooldown: 500 * time.Millisecond}
+	cfg.Breaker = health.CircuitConfig{Threshold: 5, Cooldown: 500 * time.Millisecond}
 	cfg.ProviderCooldown = 400 * time.Millisecond
 	cfg.CensusEvery = censusEvery
 

@@ -275,24 +275,6 @@ func (k *Kernel) quarantinedLocked(addr string) bool {
 	return true
 }
 
-// Observe is a no-op for Chord: ring pointers only move through the
-// Notify/stabilize protocol (arbitrary insertion would corrupt the ring
-// invariant), so passive sightings go to the host's member cache only.
-func (k *Kernel) Observe(dht.Member) bool { return false }
-
-// Stats reports the ring maintenance accounting.
-func (k *Kernel) Stats() dht.Stats {
-	k.mu.Lock()
-	changes, purged := k.cs.MaintenanceStats()
-	k.mu.Unlock()
-	return dht.Stats{
-		TableChanges:   changes,
-		FailuresPurged: purged,
-		Lookups:        k.lookups.Value(),
-		LookupHops:     k.lookupHops.Value(),
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Routing.
 

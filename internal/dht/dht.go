@@ -16,7 +16,7 @@
 //
 // Locking contract (what keeps the host's mutex and the kernel's internal
 // mutex from deadlocking): kernel methods the host may call while holding
-// its own lock — Self, Owns, View, ReplicaSet, Stats — are pure
+// its own lock — Self, Owns, OwnsSettled, View, ReplicaSet — are pure
 // local reads that never block, never call the Caller, and never fire
 // Events. Methods that do I/O (Join, Leave, FindOwner*, Merge, the Ticks)
 // and HandleRPC may fire Events and use the Caller, but never while
@@ -114,18 +114,6 @@ type Tick struct {
 	Fn    func()
 }
 
-// Stats is a kernel's maintenance accounting, backend-interpreted:
-// TableChanges counts routing-table repairs (Chord: successor changes;
-// Kademlia: bucket insertions), FailuresPurged counts dead peers removed,
-// Lookups and LookupHops aggregate FindOwner routing work (hops per lookup
-// is also exported as the dco_dht_lookup_hops histogram).
-type Stats struct {
-	TableChanges   uint64
-	FailuresPurged uint64
-	Lookups        uint64
-	LookupHops     uint64
-}
-
 // Options carries the host-supplied plumbing every backend needs; backend
 // tuning lives in each backend's own Config struct.
 type Options struct {
@@ -206,12 +194,6 @@ type Kernel interface {
 	// re-adds the peer if it was only a hiccup after all.
 	PeerFailed(addr string)
 
-	// Observe passively records a sighted member (Kademlia: bucket
-	// insert; Chord: no-op — its ring pointers only move through the
-	// Notify/stabilize protocol). Returns whether the tables changed.
-	// Local only, no RPCs.
-	Observe(m Member) bool
-
 	// View is this node's bounded membership view (self always included)
 	// — the census exchanges and compares it to detect split networks.
 	// Pure read.
@@ -232,9 +214,6 @@ type Kernel interface {
 	// message is not this kernel's (the host dispatches it elsewhere).
 	// Runs on transport goroutines.
 	HandleRPC(from string, req wire.Message) (resp wire.Message, ok bool)
-
-	// Stats reports maintenance accounting. Pure read.
-	Stats() Stats
 }
 
 // ErrNoRoute is returned by FindOwner when routing cannot reach an owner

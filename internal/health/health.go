@@ -21,50 +21,28 @@ import (
 	"time"
 )
 
-// Config parameterizes a Tracker. The zero value derives all defaults.
+// CircuitConfig parameterizes the per-address circuit.
+type CircuitConfig struct {
+	// Threshold is how many consecutive transport failures open a peer's
+	// circuit. Values below 1 disable circuits (Allow is always true, Open
+	// always false).
+	Threshold int
+	// Cooldown is how long an open circuit rejects calls before it admits
+	// one half-open probe.
+	Cooldown time.Duration
+}
+
+// DefaultCircuit trips after a burst of failures and probes again two
+// seconds later — long enough for stabilization to have purged a dead peer,
+// short enough that a rebooted peer rejoins service quickly.
+func DefaultCircuit() CircuitConfig {
+	return CircuitConfig{Threshold: 5, Cooldown: 2 * time.Second}
+}
+
+// Config parameterizes a Tracker: its circuit, and who hears the circuit
+// move.
 type Config struct {
-	// HalfLife is the decay half-life of the suspicion score: with no new
-	// evidence, a peer's suspicion halves every HalfLife (aging back to
-	// neutral so a recovered peer regains traffic). 0 derives 5s.
-	HalfLife time.Duration
-
-	// SuspectThreshold is the suspicion score at or above which a peer
-	// counts as suspected (Suspected returns true and selection
-	// deprioritizes it). One conclusive error contributes errBump (1.0);
-	// the default threshold of 3 therefore needs a short burst of bad
-	// evidence, not a single hiccup. 0 derives 3.
-	SuspectThreshold float64
-
-	// MaxPeers bounds the per-address table; beyond it the least recently
-	// observed peer is evicted. 0 derives 1024.
-	MaxPeers int
-
-	// IntegrityHalfLife is the decay half-life of the integrity demerit
-	// score. Deliberately much slower than suspicion's — integrity demerits
-	// decay only with time, never on good responses, so a selective
-	// poisoner cannot wash its record out by serving clean chunks in
-	// between. 0 derives 30s.
-	IntegrityHalfLife time.Duration
-
-	// QuarantineThreshold is the integrity score at or above which a peer
-	// is quarantined: excluded from provider selection outright (unlike
-	// suspicion, which only deprioritizes). Each verification failure
-	// contributes one unit. 0 derives 3; negative disables quarantine.
-	QuarantineThreshold float64
-
-	// QuarantineTTL is how long a quarantine lasts. On expiry the peer
-	// starts from a clean integrity slate (repeat offenses re-accumulate).
-	// 0 derives 30s.
-	QuarantineTTL time.Duration
-
-	// CircuitThreshold is how many consecutive transport failures open a
-	// peer's circuit. Values below 1 disable circuits (Allow is always
-	// true, Open always false).
-	CircuitThreshold int
-
-	// CircuitCooldown is how long an open circuit rejects calls before it
-	// admits one half-open probe.
-	CircuitCooldown time.Duration
+	Circuit CircuitConfig
 
 	// OnCircuit, if set, is called after a circuit opens (opened=true) or
 	// closes again after having been open (opened=false) — the telemetry
@@ -72,27 +50,40 @@ type Config struct {
 	OnCircuit func(addr string, opened bool)
 }
 
-func (c Config) withDefaults() Config {
-	if c.HalfLife <= 0 {
-		c.HalfLife = 5 * time.Second
-	}
-	if c.SuspectThreshold <= 0 {
-		c.SuspectThreshold = 3
-	}
-	if c.MaxPeers <= 0 {
-		c.MaxPeers = 1024
-	}
-	if c.IntegrityHalfLife <= 0 {
-		c.IntegrityHalfLife = 30 * time.Second
-	}
-	if c.QuarantineThreshold == 0 {
-		c.QuarantineThreshold = 3
-	}
-	if c.QuarantineTTL <= 0 {
-		c.QuarantineTTL = 30 * time.Second
-	}
-	return c
-}
+// The table's own tuning. Tests reach other timings through SetNow.
+const (
+	// halfLife is the decay half-life of the suspicion score: with no new
+	// evidence, a peer's suspicion halves every halfLife (aging back to
+	// neutral so a recovered peer regains traffic).
+	halfLife = 5 * time.Second
+
+	// suspectThreshold is the suspicion score at or above which a peer
+	// counts as suspected (Suspected returns true and selection
+	// deprioritizes it). One conclusive error contributes errBump (1.0), so
+	// it takes a short burst of bad evidence, not a single hiccup.
+	suspectThreshold = 3.0
+
+	// MaxPeers bounds the per-address table; beyond it the least recently
+	// observed peer is evicted.
+	MaxPeers = 1024
+
+	// integrityHalfLife is the decay half-life of the integrity demerit
+	// score. Deliberately much slower than suspicion's — integrity demerits
+	// decay only with time, never on good responses, so a selective
+	// poisoner cannot wash its record out by serving clean chunks in
+	// between.
+	integrityHalfLife = 30 * time.Second
+
+	// quarantineThreshold is the integrity score at or above which a peer
+	// is quarantined: excluded from provider selection outright (unlike
+	// suspicion, which only deprioritizes). Each verification failure
+	// contributes one unit.
+	quarantineThreshold = 3.0
+
+	// QuarantineTTL is how long a quarantine lasts. On expiry the peer
+	// starts from a clean integrity slate (repeat offenses re-accumulate).
+	QuarantineTTL = 30 * time.Second
+)
 
 // Evidence weights. An error is worth one full unit of suspicion; a slow
 // response contributes up to slowBumpMax depending on how many deviations
@@ -169,8 +160,7 @@ type peer struct {
 	loadAt    time.Time
 }
 
-// Tracker is the per-peer table. All methods are safe for concurrent use;
-// a nil *Tracker is a valid no-op that reports every peer neutral.
+// Tracker is the per-peer table. All methods are safe for concurrent use.
 type Tracker struct {
 	cfg Config
 
@@ -181,13 +171,13 @@ type Tracker struct {
 	now func() time.Time
 }
 
-// NewTracker builds a tracker with cfg (zero-value cfg derives defaults).
+// NewTracker builds a tracker with cfg (the zero value has no circuits).
 func NewTracker(cfg Config) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), peers: make(map[string]*peer), now: time.Now}
+	return &Tracker{cfg: cfg, peers: make(map[string]*peer), now: time.Now}
 }
 
 // decayedLocked returns p's suspicion decayed to t.
-func (p *peer) decayedLocked(t time.Time, halfLife time.Duration) float64 {
+func (p *peer) decayedLocked(t time.Time) float64 {
 	dt := t.Sub(p.at)
 	if dt <= 0 {
 		return p.susp
@@ -202,7 +192,7 @@ func (t *Tracker) rowLocked(addr string, now time.Time) *peer {
 	if p != nil {
 		return p
 	}
-	if len(t.peers) >= t.cfg.MaxPeers {
+	if len(t.peers) >= MaxPeers {
 		var oldestAddr string
 		var oldest time.Time
 		for a, q := range t.peers {
@@ -227,13 +217,13 @@ func (t *Tracker) rowLocked(addr string, now time.Time) *peer {
 // when it was the half-open probe), an answer closes it and resets the
 // count.
 func (t *Tracker) Observe(addr string, rtt time.Duration, ok bool) {
-	if t == nil || addr == "" {
+	if addr == "" {
 		return
 	}
 	now := t.now()
 	t.mu.Lock()
 	p := t.rowLocked(addr, now)
-	susp := p.decayedLocked(now, t.cfg.HalfLife)
+	susp := p.decayedLocked(now)
 	if !ok {
 		susp += errBump
 	} else {
@@ -267,10 +257,10 @@ func (t *Tracker) Observe(addr string, rtt time.Duration, ok bool) {
 	if ok {
 		moved = p.phase != closed
 		p.phase, p.fails, p.probing = closed, 0, false
-	} else if t.cfg.CircuitThreshold >= 1 {
+	} else if t.cfg.Circuit.Threshold >= 1 {
 		p.fails++
 		p.probing = false
-		if p.phase == halfOpen || p.fails >= t.cfg.CircuitThreshold {
+		if p.phase == halfOpen || p.fails >= t.cfg.Circuit.Threshold {
 			moved, opened = p.phase != open, true
 			p.phase, p.openedAt, p.fails = open, now, 0
 		}
@@ -282,13 +272,10 @@ func (t *Tracker) Observe(addr string, rtt time.Duration, ok bool) {
 }
 
 // Allow reports whether a call to addr may proceed. While the circuit is
-// open it returns false until CircuitCooldown has elapsed, then admits
+// open it returns false until the circuit's Cooldown has elapsed, then admits
 // exactly one half-open probe; the probe's observation decides whether the
 // circuit closes again or re-opens.
 func (t *Tracker) Allow(addr string) bool {
-	if t == nil {
-		return true
-	}
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -297,7 +284,7 @@ func (t *Tracker) Allow(addr string) bool {
 		return true
 	}
 	if p.phase == open {
-		if now.Sub(p.openedAt) < t.cfg.CircuitCooldown {
+		if now.Sub(p.openedAt) < t.cfg.Circuit.Cooldown {
 			return false
 		}
 		p.phase = halfOpen
@@ -311,46 +298,34 @@ func (t *Tracker) Allow(addr string) bool {
 
 // Open reports whether addr's circuit is currently open (rejecting).
 func (t *Tracker) Open(addr string) bool {
-	if t == nil {
-		return false
-	}
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.peers[addr]
-	return p != nil && p.phase == open && now.Sub(p.openedAt) < t.cfg.CircuitCooldown
+	return p != nil && p.phase == open && now.Sub(p.openedAt) < t.cfg.Circuit.Cooldown
 }
 
 // Suspicion returns addr's current suspicion score, decayed to now
 // (0 = neutral; unknown peers are neutral).
 func (t *Tracker) Suspicion(addr string) float64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.peers[addr]
 	if p == nil {
 		return 0
 	}
-	return p.decayedLocked(t.now(), t.cfg.HalfLife)
+	return p.decayedLocked(t.now())
 }
 
-// Suspected reports whether addr's suspicion is at or above the
-// configured threshold.
+// Suspected reports whether addr's suspicion is at or above the suspicion
+// threshold.
 func (t *Tracker) Suspected(addr string) bool {
-	if t == nil {
-		return false
-	}
-	return t.Suspicion(addr) >= t.cfg.SuspectThreshold
+	return t.Suspicion(addr) >= suspectThreshold
 }
 
 // ExpectedLatency returns addr's latency EWMA (ok=false for peers with no
 // answered calls yet).
 func (t *Tracker) ExpectedLatency(addr string) (time.Duration, bool) {
-	if t == nil {
-		return 0, false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.peers[addr]
@@ -367,9 +342,6 @@ func (t *Tracker) ExpectedLatency(addr string) (time.Duration, bool) {
 func (t *Tracker) HedgeAfter(addr string, min, max time.Duration) time.Duration {
 	if max < min {
 		max = min
-	}
-	if t == nil {
-		return max
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -400,14 +372,11 @@ func factorMilli(susp float64) uint32 { return uint32(min(1000*(1+susp), 16000))
 // Counts returns how many tracked peers are currently at or above the
 // suspicion threshold, quarantined, and on fetch cooldown (gauges).
 func (t *Tracker) Counts() (suspected, quarantined, cooling int) {
-	if t == nil {
-		return 0, 0, 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
 	for _, p := range t.peers {
-		if p.decayedLocked(now, t.cfg.HalfLife) >= t.cfg.SuspectThreshold {
+		if p.decayedLocked(now) >= suspectThreshold {
 			suspected++
 		}
 		if now.Before(p.quarUntil) {
@@ -422,9 +391,6 @@ func (t *Tracker) Counts() (suspected, quarantined, cooling int) {
 
 // Len returns how many peers the tracker holds state for.
 func (t *Tracker) Len() int {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.peers)
@@ -444,12 +410,12 @@ func (t *Tracker) SetNow(now func() time.Time) {
 // whether its bytes can be trusted at all, so the response is categorical.
 
 // integLocked returns p's integrity score decayed to t.
-func (p *peer) integLocked(t time.Time, halfLife time.Duration) float64 {
+func (p *peer) integLocked(t time.Time) float64 {
 	dt := t.Sub(p.integAt)
 	if dt <= 0 {
 		return p.integ
 	}
-	return p.integ * math.Exp2(-float64(dt)/float64(halfLife))
+	return p.integ * math.Exp2(-float64(dt)/float64(integrityHalfLife))
 }
 
 // IntegrityDemerit charges addr one unit of integrity evidence (a chunk it
@@ -458,17 +424,17 @@ func (p *peer) integLocked(t time.Time, halfLife time.Duration) float64 {
 // quarantine and resets the score, so a peer that reoffends after release
 // must accumulate fresh evidence to be quarantined again.
 func (t *Tracker) IntegrityDemerit(addr string) (quarantined bool) {
-	if t == nil || addr == "" {
+	if addr == "" {
 		return false
 	}
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.rowLocked(addr, now)
-	integ := p.integLocked(now, t.cfg.IntegrityHalfLife) + 1
+	integ := p.integLocked(now) + 1
 	p.integAt = now
-	if t.cfg.QuarantineThreshold > 0 && integ >= t.cfg.QuarantineThreshold && now.After(p.quarUntil) {
-		p.quarUntil = now.Add(t.cfg.QuarantineTTL)
+	if integ >= quarantineThreshold && now.After(p.quarUntil) {
+		p.quarUntil = now.Add(QuarantineTTL)
 		p.integ = 0
 		return true
 	}
@@ -480,22 +446,19 @@ func (t *Tracker) IntegrityDemerit(addr string) (quarantined bool) {
 // of its accumulated score (coordinator-side verdicts from corroborated
 // pollution reports land here). Extends an existing quarantine.
 func (t *Tracker) ForceQuarantine(addr string) {
-	if t == nil || addr == "" || t.cfg.QuarantineThreshold < 0 {
+	if addr == "" {
 		return
 	}
 	now := t.now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.rowLocked(addr, now)
-	p.quarUntil = now.Add(t.cfg.QuarantineTTL)
+	p.quarUntil = now.Add(QuarantineTTL)
 	p.integ = 0
 }
 
 // Quarantined reports whether addr is currently quarantined.
 func (t *Tracker) Quarantined(addr string) bool {
-	if t == nil {
-		return false
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.peers[addr]
@@ -505,31 +468,25 @@ func (t *Tracker) Quarantined(addr string) bool {
 // IntegrityScore returns addr's integrity demerit score decayed to now
 // (0 = clean; unknown peers are clean).
 func (t *Tracker) IntegrityScore(addr string) float64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.peers[addr]
 	if p == nil {
 		return 0
 	}
-	return p.integLocked(t.now(), t.cfg.IntegrityHalfLife)
+	return p.integLocked(t.now())
 }
 
 // MaxIntegrityScore returns the highest current integrity score across all
 // tracked peers (the per-peer demerit gauge's aggregate: the registry has
 // no labels, so the gauge surfaces the worst offender).
 func (t *Tracker) MaxIntegrityScore() float64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
 	max := 0.0
 	for _, p := range t.peers {
-		if s := p.integLocked(now, t.cfg.IntegrityHalfLife); s > max {
+		if s := p.integLocked(now); s > max {
 			max = s
 		}
 	}
@@ -538,9 +495,6 @@ func (t *Tracker) MaxIntegrityScore() float64 {
 
 // QuarantinedPeers lists the addresses currently under quarantine.
 func (t *Tracker) QuarantinedPeers() []string {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
@@ -560,7 +514,7 @@ func (t *Tracker) QuarantinedPeers() []string {
 // Cool takes addr out of Rank's answers for d — the fetch blacklist a
 // failed or corrupt chunk transfer earns.
 func (t *Tracker) Cool(addr string, d time.Duration) {
-	if t == nil || addr == "" {
+	if addr == "" {
 		return
 	}
 	now := t.now()
@@ -574,7 +528,7 @@ func (t *Tracker) Cool(addr string, d time.Duration) {
 // itself below saturation contradicts its own nack, so it is recorded as
 // saturated (and reported as clamped) — the lie cannot buy it traffic.
 func (t *Tracker) NoteLoad(addr string, loadMilli uint32, busy bool) (clamped bool) {
-	if t == nil || addr == "" {
+	if addr == "" {
 		return false
 	}
 	if clamped = busy && loadMilli < loadSaturated; clamped {
@@ -605,15 +559,6 @@ func (t *Tracker) NoteLoad(addr string, loadMilli uint32, busy bool) (clamped bo
 // measuring wrong — its report is discounted to saturated. clamped counts
 // those. Only the first MaxRank distinct addresses are considered.
 func (t *Tracker) Rank(self string, addrs []string) (order [MaxRank]string, n, clamped int) {
-	if t == nil {
-		for _, a := range addrs {
-			if n < MaxRank && a != self {
-				order[n] = a
-				n++
-			}
-		}
-		return order, n, 0
-	}
 	var load, factor [MaxRank]uint64
 	var lat [MaxRank]float64 // latency EWMA, 0 = no answered call yet
 	best, known := 0.0, 0    // the cohort's lowest EWMA, and how many have one
@@ -641,7 +586,7 @@ func (t *Tracker) Rank(self string, addrs []string) (order [MaxRank]string, n, c
 			if p.samples > 0 {
 				lat[n] = p.ewma
 			}
-			factor[n] = uint64(factorMilli(p.decayedLocked(now, t.cfg.HalfLife)))
+			factor[n] = uint64(factorMilli(p.decayedLocked(now)))
 		}
 		order[n] = a
 		n++

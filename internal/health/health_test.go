@@ -34,17 +34,6 @@ func newTestTracker(cfg Config) (*Tracker, *fakeClock) {
 	return tr, clk
 }
 
-func TestNilTrackerIsNeutral(t *testing.T) {
-	var tr *Tracker
-	tr.Observe("a", time.Millisecond, true)
-	if tr.Suspicion("a") != 0 || tr.Suspected("a") || tr.FactorMilli("a") != 1000 {
-		t.Fatal("nil tracker must be neutral")
-	}
-	if d := tr.HedgeAfter("a", 10*time.Millisecond, 100*time.Millisecond); d != 100*time.Millisecond {
-		t.Fatalf("nil tracker HedgeAfter = %v, want max", d)
-	}
-}
-
 func TestUnknownPeerNeutral(t *testing.T) {
 	tr, _ := newTestTracker(Config{})
 	if tr.Suspicion("ghost") != 0 || tr.Suspected("ghost") {
@@ -56,7 +45,7 @@ func TestUnknownPeerNeutral(t *testing.T) {
 }
 
 func TestErrorsRaiseSuspicionAndDecayBackToNeutral(t *testing.T) {
-	tr, clk := newTestTracker(Config{HalfLife: time.Second, SuspectThreshold: 3})
+	tr, clk := newTestTracker(Config{})
 	for i := 0; i < 3; i++ {
 		tr.Observe("p", 0, false)
 	}
@@ -71,7 +60,7 @@ func TestErrorsRaiseSuspicionAndDecayBackToNeutral(t *testing.T) {
 	}
 	// Two half-lives with no evidence: suspicion quarters — back under
 	// threshold, aging toward neutral.
-	clk.advance(2 * time.Second)
+	clk.advance(2 * halfLife)
 	if s := tr.Suspicion("p"); s >= 1 {
 		t.Fatalf("suspicion after 2 half-lives = %v, want < 1", s)
 	}
@@ -81,7 +70,7 @@ func TestErrorsRaiseSuspicionAndDecayBackToNeutral(t *testing.T) {
 }
 
 func TestTimelyResponsesClearSuspicionFast(t *testing.T) {
-	tr, _ := newTestTracker(Config{HalfLife: time.Hour}) // isolate the ok-decay
+	tr, _ := newTestTracker(Config{}) // the clock stands still: only the ok-decay acts
 	// Establish a latency baseline.
 	for i := 0; i < 5; i++ {
 		tr.Observe("p", 10*time.Millisecond, true)
@@ -99,7 +88,7 @@ func TestTimelyResponsesClearSuspicionFast(t *testing.T) {
 }
 
 func TestSlowResponsesRaiseSuspicion(t *testing.T) {
-	tr, _ := newTestTracker(Config{HalfLife: time.Hour})
+	tr, _ := newTestTracker(Config{})
 	for i := 0; i < 10; i++ {
 		tr.Observe("p", 10*time.Millisecond, true)
 	}
@@ -165,16 +154,16 @@ func TestHedgeAfterClampsAndDefaults(t *testing.T) {
 }
 
 func TestMaxPeersEvictsOldest(t *testing.T) {
-	tr, clk := newTestTracker(Config{MaxPeers: 4})
-	for i := 0; i < 8; i++ {
+	tr, clk := newTestTracker(Config{})
+	for i := 0; i <= MaxPeers; i++ {
 		tr.Observe(fmt.Sprintf("p%d", i), time.Millisecond, true)
 		clk.advance(time.Millisecond)
 	}
-	if n := tr.Len(); n != 4 {
-		t.Fatalf("tracker holds %d peers, want 4", n)
+	if n := tr.Len(); n != MaxPeers {
+		t.Fatalf("tracker holds %d peers, want %d", n, MaxPeers)
 	}
 	// Newest survives, oldest evicted.
-	if _, ok := tr.ExpectedLatency("p7"); !ok {
+	if _, ok := tr.ExpectedLatency(fmt.Sprintf("p%d", MaxPeers)); !ok {
 		t.Fatal("newest peer evicted")
 	}
 	if _, ok := tr.ExpectedLatency("p0"); ok {
@@ -183,9 +172,11 @@ func TestMaxPeersEvictsOldest(t *testing.T) {
 }
 
 func TestSuspectedCount(t *testing.T) {
-	tr, _ := newTestTracker(Config{SuspectThreshold: 1})
-	tr.Observe("bad", 0, false)
-	tr.Observe("bad", 0, false)
+	tr, _ := newTestTracker(Config{})
+	for i := 0; i < suspectThreshold; i++ {
+		tr.Observe("bad", 0, false)
+	}
+	tr.Observe("meh", 0, false)
 	tr.Observe("good", time.Millisecond, true)
 	if c, _, _ := tr.Counts(); c != 1 {
 		t.Fatalf("suspected count = %d, want 1", c)
@@ -214,7 +205,7 @@ func TestConcurrentObserve(t *testing.T) {
 // --- Integrity / quarantine state machine ---
 
 func TestIntegrityDemeritAccrualAndQuarantineEntry(t *testing.T) {
-	tr, _ := newTestTracker(Config{QuarantineThreshold: 3})
+	tr, _ := newTestTracker(Config{})
 	if tr.IntegrityScore("p") != 0 || tr.Quarantined("p") {
 		t.Fatal("unknown peer must start clean")
 	}
@@ -245,12 +236,12 @@ func TestIntegrityDemeritAccrualAndQuarantineEntry(t *testing.T) {
 }
 
 func TestIntegrityDecayPreventsQuarantine(t *testing.T) {
-	tr, clk := newTestTracker(Config{QuarantineThreshold: 3, IntegrityHalfLife: 10 * time.Second})
+	tr, clk := newTestTracker(Config{})
 	tr.IntegrityDemerit("p")
 	tr.IntegrityDemerit("p")
 	// Two half-lives: 2.0 decays to 0.5; the next demerit lands at 1.5,
 	// well under the threshold.
-	clk.advance(20 * time.Second)
+	clk.advance(2 * integrityHalfLife)
 	if tr.IntegrityDemerit("p") {
 		t.Fatal("decayed demerits must not trip quarantine")
 	}
@@ -260,7 +251,7 @@ func TestIntegrityDecayPreventsQuarantine(t *testing.T) {
 }
 
 func TestIntegrityNotWashedOutByGoodResponses(t *testing.T) {
-	tr, _ := newTestTracker(Config{QuarantineThreshold: 3})
+	tr, _ := newTestTracker(Config{})
 	tr.IntegrityDemerit("p")
 	tr.IntegrityDemerit("p")
 	// A selective poisoner serves plenty of clean chunks between poisoned
@@ -277,19 +268,24 @@ func TestIntegrityNotWashedOutByGoodResponses(t *testing.T) {
 }
 
 func TestQuarantineExpiryAndReentry(t *testing.T) {
-	tr, clk := newTestTracker(Config{QuarantineThreshold: 2, QuarantineTTL: 5 * time.Second})
-	tr.IntegrityDemerit("p")
-	tr.IntegrityDemerit("p")
+	tr, clk := newTestTracker(Config{})
+	for i := 0; i < quarantineThreshold; i++ {
+		tr.IntegrityDemerit("p")
+	}
 	if !tr.Quarantined("p") {
 		t.Fatal("want quarantined")
 	}
-	clk.advance(6 * time.Second)
+	clk.advance(QuarantineTTL - time.Second)
+	if !tr.Quarantined("p") {
+		t.Fatal("quarantine lapsed before its TTL")
+	}
+	clk.advance(2 * time.Second)
 	if tr.Quarantined("p") {
 		t.Fatal("quarantine must expire after TTL")
 	}
-	// Clean slate after release: one demerit is not enough again.
-	if tr.IntegrityDemerit("p") {
-		t.Fatal("single demerit after release must not re-quarantine")
+	// Clean slate after release: two demerits are not enough again.
+	if tr.IntegrityDemerit("p") || tr.IntegrityDemerit("p") {
+		t.Fatal("demerits under the threshold after release must not re-quarantine")
 	}
 	if !tr.IntegrityDemerit("p") {
 		t.Fatal("fresh accumulation must re-quarantine")
@@ -300,47 +296,26 @@ func TestQuarantineExpiryAndReentry(t *testing.T) {
 }
 
 func TestForceQuarantine(t *testing.T) {
-	tr, clk := newTestTracker(Config{QuarantineTTL: 5 * time.Second})
+	tr, clk := newTestTracker(Config{})
 	tr.ForceQuarantine("p")
 	if !tr.Quarantined("p") {
 		t.Fatal("ForceQuarantine must quarantine immediately")
 	}
-	clk.advance(3 * time.Second)
+	step := QuarantineTTL * 3 / 5
+	clk.advance(step)
 	tr.ForceQuarantine("p") // extend
-	clk.advance(3 * time.Second)
+	clk.advance(step)
 	if !tr.Quarantined("p") {
 		t.Fatal("second ForceQuarantine must extend the window")
 	}
-	clk.advance(3 * time.Second)
+	clk.advance(step)
 	if tr.Quarantined("p") {
 		t.Fatal("extended quarantine must still expire")
 	}
 }
 
-func TestQuarantineDisabledByNegativeThreshold(t *testing.T) {
-	tr, _ := newTestTracker(Config{QuarantineThreshold: -1})
-	for i := 0; i < 10; i++ {
-		if tr.IntegrityDemerit("p") {
-			t.Fatal("negative threshold must disable quarantine")
-		}
-	}
-	tr.ForceQuarantine("p")
-	if tr.Quarantined("p") {
-		t.Fatal("ForceQuarantine must be a no-op when quarantine is disabled")
-	}
-}
-
-func TestNilTrackerIntegrityNeutral(t *testing.T) {
-	var tr *Tracker
-	if tr.IntegrityDemerit("a") || tr.Quarantined("a") || tr.IntegrityScore("a") != 0 ||
-		tr.MaxIntegrityScore() != 0 || tr.QuarantinedPeers() != nil {
-		t.Fatal("nil tracker must be neutral for integrity APIs")
-	}
-	tr.ForceQuarantine("a")
-}
-
 func TestMaxIntegrityScore(t *testing.T) {
-	tr, _ := newTestTracker(Config{QuarantineThreshold: 10})
+	tr, _ := newTestTracker(Config{})
 	tr.IntegrityDemerit("a")
 	tr.IntegrityDemerit("b")
 	tr.IntegrityDemerit("b")

@@ -351,16 +351,6 @@ func (k *Kernel) View() []dht.Member {
 	return append([]dht.Member{k.self}, k.closestLocked(k.self.ID, k.cfg.K)...)
 }
 
-// Stats reports the table maintenance accounting.
-func (k *Kernel) Stats() dht.Stats {
-	return dht.Stats{
-		TableChanges:   k.tableChanges.Value(),
-		FailuresPurged: k.failuresPurged.Value(),
-		Lookups:        k.lookups.Value(),
-		LookupHops:     k.lookupHops.Value(),
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Iterative lookup.
 

@@ -276,8 +276,8 @@ func TestIterativeLookupConverges(t *testing.T) {
 	if learned < 3 {
 		t.Fatalf("table after lookup has %d contacts, want the walk to verify several", learned)
 	}
-	if st := kerns[0].Stats(); st.Lookups != 1 || st.LookupHops == 0 {
-		t.Fatalf("stats after lookup = %+v", st)
+	if l, h := kerns[0].lookups.Value(), kerns[0].lookupHops.Value(); l != 1 || h == 0 {
+		t.Fatalf("after one lookup: %d lookups, %d hops", l, h)
 	}
 }
 
@@ -403,7 +403,7 @@ func TestRefreshTickWalksBuckets(t *testing.T) {
 	b := newTestKernel(c, member(0x80), Config{})
 	a.Observe(b.self)
 	b.Observe(a.self)
-	before := a.Stats().Lookups
+	before := a.lookups.Value()
 	for i := 0; i < 64; i++ {
 		a.refreshTick()
 	}
@@ -412,7 +412,7 @@ func TestRefreshTickWalksBuckets(t *testing.T) {
 	}
 	// Refresh lookups are maintenance: they must not count as demand
 	// lookups (the dhtcompare hop distribution would be polluted).
-	if a.Stats().Lookups != before {
+	if a.lookups.Value() != before {
 		t.Fatal("refresh counted toward dco_dht_lookups_total")
 	}
 	ticks := a.Ticks()

@@ -266,8 +266,8 @@ func (n *Node) reconcile() {
 	n.replicateFlush()
 	n.antiEntropy()
 	n.mu.Lock()
-	seqs := make([]int64, 0, len(n.registered))
-	for seq := range n.registered {
+	seqs := make([]int64, 0, len(n.chunks))
+	for seq := range n.chunks {
 		seqs = append(seqs, seq)
 	}
 	n.mu.Unlock()

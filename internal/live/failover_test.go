@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dco/internal/health"
 	"dco/internal/index"
 	"dco/internal/retry"
 	"dco/internal/telemetry"
@@ -27,11 +28,9 @@ func resilientConfig() Config {
 		MaxAttempts:    3,
 		InitialBackoff: 10 * time.Millisecond,
 		MaxBackoff:     80 * time.Millisecond,
-		Multiplier:     2,
-		Jitter:         0.5,
 		Budget:         time.Second,
 	}
-	cfg.Breaker = retry.BreakerConfig{Threshold: 5, Cooldown: 500 * time.Millisecond}
+	cfg.Breaker = health.CircuitConfig{Threshold: 5, Cooldown: 500 * time.Millisecond}
 	cfg.ProviderCooldown = 400 * time.Millisecond
 	return cfg
 }
@@ -161,7 +160,6 @@ func TestPeerStateStaysBounded(t *testing.T) {
 	cfg := resilientConfig()
 	cfg.ProviderCooldown = time.Hour
 	n := soloNode(t, cfg)
-	const maxPeers = 1024 // health.Config.MaxPeers' default
 	for i := 0; i < 5000; i++ {
 		addr := fmt.Sprintf("mem://dead-%d", i)
 		for f := 0; f < cfg.Breaker.Threshold; f++ {
@@ -172,12 +170,12 @@ func TestPeerStateStaysBounded(t *testing.T) {
 	if got := n.Stats().BreakerOpens; got != 5000 {
 		t.Fatalf("BreakerOpens = %d, want one per dead peer", got)
 	}
-	if rows := n.health.Len(); rows > maxPeers {
-		t.Fatalf("peer table holds %d rows, want <= %d", rows, maxPeers)
+	if rows := n.health.Len(); rows > health.MaxPeers {
+		t.Fatalf("peer table holds %d rows, want <= %d", rows, health.MaxPeers)
 	}
 	size := n.lm.reg.Snapshot().Gauges["dco_live_blacklist_size"]
-	if size < 1 || size > maxPeers {
-		t.Fatalf("dco_live_blacklist_size = %v, want in [1, %d]", size, maxPeers)
+	if size < 1 || size > health.MaxPeers {
+		t.Fatalf("dco_live_blacklist_size = %v, want in [1, %d]", size, health.MaxPeers)
 	}
 }
 
@@ -185,7 +183,7 @@ func TestPeerStateStaysBounded(t *testing.T) {
 // its circuit; once open, calls stop hitting the transport.
 func TestBreakerFailsFastOnDeadPeer(t *testing.T) {
 	cfg := resilientConfig()
-	cfg.Breaker = retry.BreakerConfig{Threshold: 3, Cooldown: time.Hour}
+	cfg.Breaker = health.CircuitConfig{Threshold: 3, Cooldown: time.Hour}
 	s := testSwarm(t, SwarmSpec{N: 2, Base: cfg})
 	n, dead := s.Nodes[0], s.Nodes[1]
 	deadAddr := dead.Addr()
@@ -210,12 +208,40 @@ func TestBreakerFailsFastOnDeadPeer(t *testing.T) {
 	}
 }
 
+// TestCallRetriesCountsRetriesMade: Stats().CallRetries is the registry's
+// dco_retry_attempts_total, so a retry the budget refuses — its first pause
+// alone overruns it — is no retry at all.
+func TestCallRetriesCountsRetriesMade(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		retry retry.Policy
+		want  uint64
+	}{
+		{"budget refuses the first pause", retry.Policy{MaxAttempts: 3, InitialBackoff: time.Second, Budget: 10 * time.Millisecond}, 0},
+		{"attempts run out", retry.Policy{MaxAttempts: 3, InitialBackoff: time.Millisecond}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastConfig()
+			cfg.Retry = tc.retry
+			n := soloNode(t, cfg)
+			if _, err := n.callIdem("mem://dead", &wire.Ping{}, cfg.CallTimeout); err == nil {
+				t.Fatal("a call to a dead peer succeeded")
+			}
+			got := n.Stats().CallRetries
+			if reg := n.lm.reg.Snapshot().Counters["dco_retry_attempts_total"]; got != reg || got != tc.want {
+				t.Fatalf("CallRetries = %d, dco_retry_attempts_total = %d, want both %d", got, reg, tc.want)
+			}
+		})
+	}
+}
+
 // TestPeerStateLivesInThePeerTable keeps the next feature from growing its
 // own address-keyed map of deadlines or load again (the provider blacklist
-// and the load cache were two), and the circuit from moving back into the
-// retry package: a viewer's per-peer state is a row of health.Tracker. The
-// pollution guard (integrity.go) is the one exemption: its maps are a
-// coordinator's ledger of accusations, not a verdict on how good a peer is.
+// and the load cache were two), and the circuit or its parameters from
+// moving back into the retry package: a viewer's per-peer state is a row of
+// health.Tracker. The pollution guard (integrity.go) is the one exemption:
+// its maps are a coordinator's ledger of accusations, not a verdict on how
+// good a peer is.
 func TestPeerStateLivesInThePeerTable(t *testing.T) {
 	perPeerMap := regexp.MustCompile(`map\[string\](time\.Time|\*?\w*([lL]oad|[cC]ool|[bB]reaker)\w*)`)
 	files, err := filepath.Glob("*.go")
@@ -238,7 +264,7 @@ func TestPeerStateLivesInThePeerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := regexp.MustCompile(`(?m)^type Breaker\b`).Find(src); m != nil {
-		t.Errorf("internal/retry declares %q again: the circuit is a row of health.Tracker", m)
+	if m := regexp.MustCompile(`(?m)^type Breaker\w*\b|\b(Threshold|Cooldown)\b`).Find(src); m != nil {
+		t.Errorf("internal/retry declares %q again: the circuit and its parameters are health's", m)
 	}
 }

@@ -117,41 +117,46 @@ func TestHedgeDisabledWaitsOutStall(t *testing.T) {
 
 // TestGetChunkDeadlineShed pins deadline propagation on the serve path: a
 // GetChunk whose propagated DeadlineMs budget cannot cover the pacer's
-// projected wait is shed immediately and counted as a deadline shed — while
-// the same backlog with only a WaitMs patience sheds without the deadline
-// attribution.
+// projected wait is shed immediately and counted as a deadline shed — also
+// when it equals the declared WaitMs, as a viewer's request does once its
+// playback horizon binds — while the same backlog with only a WaitMs
+// patience sheds without the deadline attribution.
 func TestGetChunkDeadlineShed(t *testing.T) {
 	cfg := fastConfig()
 	cfg.UpBps = 8 * 1024 // 1 KiB/s drain: one 1 KiB chunk ≈ 1s of budget
-	n := soloNode(t, cfg)
-	data := MakeChunkPayload(cfg.Channel, 3)
-	n.storeChunk(3, data, "")
-	// Commit the whole burst: every serve now projects a ~1s wait.
-	if _, _, ok := n.pace.admit(int(n.pace.burst), 0); !ok {
-		t.Fatal("burst-sized reservation refused")
-	}
-
-	// Deadline-bound: 100ms of budget against a ~1s projected wait.
-	resp := n.onGetChunk(&wire.GetChunk{Seq: 3, DeadlineMs: 100})
-	cr, ok := resp.(*wire.ChunkResp)
-	if !ok || !cr.Busy {
-		t.Fatalf("deadline-starved GetChunk returned %T (busy=%v), want Busy nack", resp, ok && cr.Busy)
-	}
-	if cr.RetryAfterMs == 0 {
-		t.Fatal("Busy nack carried no RetryAfterMs hint")
-	}
-	if got := n.Stats().DeadlineSheds; got != 1 {
-		t.Fatalf("DeadlineSheds = %d, want 1", got)
-	}
-
-	// Same starvation expressed as plain WaitMs patience: still shed, but
-	// not attributed to the deadline.
-	resp = n.onGetChunk(&wire.GetChunk{Seq: 3, WaitMs: 100})
-	if cr, ok = resp.(*wire.ChunkResp); !ok || !cr.Busy {
-		t.Fatalf("patience-starved GetChunk returned %T, want Busy nack", resp)
-	}
-	if got := n.Stats().DeadlineSheds; got != 1 {
-		t.Fatalf("DeadlineSheds = %d after a non-deadline shed, want still 1", got)
+	for _, tc := range []struct {
+		name     string
+		req      wire.GetChunk
+		deadline bool // the shed counts as a deadline shed
+	}{
+		{"deadline only", wire.GetChunk{DeadlineMs: 100}, true},
+		{"deadline equal to patience", wire.GetChunk{WaitMs: 100, DeadlineMs: 100}, true},
+		{"patience only", wire.GetChunk{WaitMs: 100}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := soloNode(t, cfg)
+			n.storeChunk(3, MakeChunkPayload(cfg.Channel, 3), "")
+			// Commit the whole burst: every serve now projects a ~1s wait.
+			if _, _, ok := n.pace.admit(int(n.pace.burst), 0); !ok {
+				t.Fatal("burst-sized reservation refused")
+			}
+			req := tc.req
+			req.Seq = 3
+			cr, ok := n.onGetChunk(&req).(*wire.ChunkResp)
+			if !ok || !cr.Busy {
+				t.Fatalf("starved GetChunk %+v was not answered with a Busy nack", tc.req)
+			}
+			if cr.RetryAfterMs == 0 {
+				t.Fatal("Busy nack carried no RetryAfterMs hint")
+			}
+			want := uint64(0)
+			if tc.deadline {
+				want = 1
+			}
+			if got := n.Stats().DeadlineSheds; got != want {
+				t.Fatalf("DeadlineSheds = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

@@ -101,14 +101,14 @@ func TestFullBatchRespectsProviderCap(t *testing.T) {
 	}
 }
 
-// TestRepublishRotatesThroughEverything: m registered seqs are all
+// TestRepublishRotatesThroughEverything: m buffered seqs are all
 // re-inserted within ⌈m/republishBatch⌉ ticks, none twice before that.
 func TestRepublishRotatesThroughEverything(t *testing.T) {
 	n := soloNode(t, fastConfig())
 	const m = 40
 	n.mu.Lock()
 	for seq := int64(100); seq < 100+m; seq++ {
-		n.registered[seq] = true
+		n.chunks[seq] = MakeChunkPayload(n.cfg.Channel, seq)
 	}
 	n.mu.Unlock()
 	for tick := 0; tick < (m+republishBatch-1)/republishBatch; tick++ {

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"dco/internal/dht"
+	"dco/internal/health"
 	"dco/internal/stream"
 	"dco/internal/wire"
 )
@@ -348,7 +349,7 @@ func (n *Node) onPollutionReport(m *wire.PollutionReport) wire.Message {
 	}
 	reporters[m.From.Addr] = now
 	for a, at := range reporters {
-		if now.Sub(at) >= quarantineTTL {
+		if now.Sub(at) >= health.QuarantineTTL {
 			delete(reporters, a)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dco/internal/faulty"
+	"dco/internal/health"
 	"dco/internal/transport"
 	"dco/internal/wire"
 )
@@ -132,9 +133,9 @@ func TestPunishPoisonerQuarantines(t *testing.T) {
 		t.Fatalf("EverQuarantined missing %s: %v", evil, n.EverQuarantined())
 	}
 	// Quarantine expires; the permanent log does not.
-	skew.Store(int64(quarantineTTL))
+	skew.Store(int64(health.QuarantineTTL))
 	if n.health.Quarantined(evil) {
-		t.Fatalf("still quarantined %v later", quarantineTTL)
+		t.Fatalf("still quarantined %v later", health.QuarantineTTL)
 	}
 	if len(n.EverQuarantined()) == 0 {
 		t.Fatal("quarantine log forgot the offender after expiry")
@@ -422,7 +423,7 @@ func TestPoisonerQuarantinedEndToEnd(t *testing.T) {
 	// jumps a quarantine ahead); the stream completes and everything
 	// buffered verifies.
 	in.SetPoisoner(src.Addr(), 0)
-	skew.Store(int64(quarantineTTL))
+	skew.Store(int64(health.QuarantineTTL))
 	want := int(cfg.Channel.Count)
 	waitFor(t, 60*time.Second, "viewer to complete the stream after the poison clears", func() bool {
 		return v.ChunkCount() >= want
@@ -462,7 +463,7 @@ func rowTrio(t *testing.T, withRow bool, wrap func(transport.Transport) transpor
 	if !provider.storeChunk(seq, data, "") {
 		t.Fatal("provider refused a clean chunk")
 	}
-	provider.registerChunk(seq)
+	provider.insertIndex(seq, false)
 	return viewer, provider, coord, seq
 }
 

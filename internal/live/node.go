@@ -129,7 +129,7 @@ type Config struct {
 	// Breaker opens a per-address circuit after consecutive transport
 	// failures, so calls to a dead peer fail fast and the caller fails
 	// over instead of waiting out timeouts.
-	Breaker retry.BreakerConfig
+	Breaker health.CircuitConfig
 
 	// ProviderCooldown is how long a provider that failed a chunk fetch
 	// is blacklisted before this node asks it again. Zero disables the
@@ -189,7 +189,7 @@ func DefaultNodeConfig() Config {
 		AntiEntropyEvery:   3 * time.Second,
 		CensusEvery:        2 * time.Second,
 		Retry:              retry.DefaultPolicy(),
-		Breaker:            retry.DefaultBreakerConfig(),
+		Breaker:            health.DefaultCircuit(),
 		ProviderCooldown:   2 * time.Second,
 		Hedge:              true,
 		InsertRate:         200,
@@ -199,9 +199,9 @@ func DefaultNodeConfig() Config {
 
 // Parameters of the live node that are not configuration: nothing in the
 // repository ever ran them at another value (DESIGN.md, "Configuration").
-// The health tracker's half-lives, suspicion threshold and quarantine
-// threshold and Kademlia's k and alpha are likewise their packages' own
-// defaults.
+// The peer table's half-lives, thresholds, size and quarantine length are
+// likewise constants of internal/health, and Kademlia's k and alpha its
+// package's own defaults.
 const (
 	succListSize       = 8    // Chord successor-list length
 	fetchWorkers       = 3    // concurrent chunk fetches per viewer
@@ -230,10 +230,6 @@ const (
 	// republish rotation period (RepublishEvery × registered chunks /
 	// republishBatch) or live providers expire between refreshes.
 	indexTTL = 45 * time.Second
-
-	// quarantineTTL is how long a quarantined peer stays excluded, and the
-	// window in which pollution reports against one peer add up.
-	quarantineTTL = 30 * time.Second
 )
 
 // Node is a live DCO participant.
@@ -252,16 +248,16 @@ type Node struct {
 	// arc of the key space when a lookup was last routed there.
 	routes *dht.ArcCache
 
-	// mu guards exactly the buffer: chunks, registered, latestGen and
-	// republishCursor. Everything else a request touches has a lock of its
-	// own (idx, replicas, replq, guard, health, members, routes, manMu), and
-	// no path holds mu together with any of them.
+	// mu guards exactly the buffer: chunks, latestGen and republishCursor.
+	// Everything else a request touches has a lock of its own (idx,
+	// replicas, replq, guard, health, members, routes, manMu), and no path
+	// holds mu together with any of them.
 	mu sync.Mutex
-	// chunks holds every buffered payload. A stored slice is immutable: it
-	// is the slice the wire decoder allocated (or the generator made), and
+	// chunks holds every buffered payload, and its keys are the seqs this
+	// node registers as a provider of. A stored slice is immutable: it is
+	// the slice the wire decoder allocated (or the generator made), and
 	// onGetChunk hands that same slice to every caller.
 	chunks          map[int64][]byte
-	registered      map[int64]bool
 	latestGen       int64 // source: newest generated seq
 	republishCursor int64 // newest seq the republish rotation re-inserted
 
@@ -412,7 +408,6 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	n := &Node{
 		cfg:             cfg,
 		chunks:          make(map[int64][]byte),
-		registered:      make(map[int64]bool),
 		idx:             index.New(cfg.MaxProvidersPerSeq),
 		replicas:        replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
 		manifest:        make(map[int64]manifestRec),
@@ -430,12 +425,7 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	n.tr = tr
 	n.self = dht.Member{ID: dht.IDOf(tr.Addr()), Addr: tr.Addr()}
 	n.lm = newLiveMetrics(cfg.Telemetry, cfg.Trace)
-	n.health = health.NewTracker(health.Config{
-		QuarantineTTL:    quarantineTTL,
-		CircuitThreshold: cfg.Breaker.Threshold,
-		CircuitCooldown:  cfg.Breaker.Cooldown,
-		OnCircuit:        n.onCircuit,
-	})
+	n.health = health.NewTracker(health.Config{Circuit: cfg.Breaker, OnCircuit: n.onCircuit})
 	n.members = dht.NewMemberCache(n.self.Addr, memberCacheSize)
 	seed := cfg.RetrySeed
 	if seed == 0 {
@@ -468,7 +458,7 @@ func (n *Node) ID() uint64 { return n.self.ID }
 func (n *Node) DHTName() string { return n.kern.Name() }
 
 // Stats returns a snapshot of the node's counters, assembled lock-free
-// from the telemetry registry (and the retrier's own accounting).
+// from the telemetry registry.
 func (n *Node) Stats() Stats {
 	suspected, quarantined, _ := n.health.Counts()
 	return Stats{
@@ -484,7 +474,7 @@ func (n *Node) Stats() Stats {
 		BusyNacksSeen:        n.lm.busyNacks.Value(),
 		BusyNacksHintless:    n.lm.busyNacksHintless.Value(),
 		PacedServes:          n.lm.pacedServes.Value(),
-		CallRetries:          n.retrier.Retries(),
+		CallRetries:          n.lm.rpcRetries.Value(),
 		BreakerOpens:         n.lm.breakerOpens.Value(),
 		LookupFailovers:      n.lm.lookupFailovers.Value(),
 		ProvidersBlacklisted: n.lm.providersBlacklisted.Value(),

@@ -165,9 +165,11 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 			patience = p
 		}
 	}
+	// A viewer whose playback horizon binds sends WaitMs = DeadlineMs, so a
+	// tie is the deadline's.
 	deadlineBound := false
 	if m.DeadlineMs > 0 {
-		if p := time.Duration(m.DeadlineMs) * time.Millisecond; p < patience {
+		if p := time.Duration(m.DeadlineMs) * time.Millisecond; p <= patience {
 			patience = p
 			deadlineBound = true
 		}

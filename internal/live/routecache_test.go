@@ -191,7 +191,7 @@ func TestStaleArcRedirectsWithinTheCall(t *testing.T) {
 	if !provider.storeChunk(seq, MakeChunkPayload(provider.cfg.Channel, seq), "") {
 		t.Fatal("storeChunk refused a generator payload")
 	}
-	provider.registerChunk(seq)
+	provider.insertIndex(seq, false)
 	var bystander *Node // alive, neither the key's owner nor the viewer
 	for _, nd := range s.Nodes[2:] {
 		if nd.Addr() != owner.Addr {

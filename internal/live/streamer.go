@@ -32,7 +32,7 @@ func (n *Node) generateLoop() {
 		// anywhere: no consumer should ever see a chunk its row lags.
 		n.addManifestEntrySource(seq, data)
 		n.buffer(seq, data)
-		n.registerChunk(seq)
+		n.insertIndex(seq, false)
 		seq++
 	}
 }
@@ -45,23 +45,9 @@ func (n *Node) LatestGenerated() int64 {
 	return n.latestGen
 }
 
-// registerChunk inserts this node's index for seq at the chunk's
-// coordinator (Algorithm 1, line 8). Routing errors are retried once after
-// a short pause; beyond that the republish loop repairs availability.
-func (n *Node) registerChunk(seq int64) {
-	n.mu.Lock()
-	if n.registered[seq] {
-		n.mu.Unlock()
-		return
-	}
-	n.registered[seq] = true
-	n.mu.Unlock()
-	n.insertIndex(seq, false)
-}
-
-// republish re-inserts a few registered indices (soft state): when a
+// republish re-inserts a few buffered chunks' indices (soft state): when a
 // coordinator fails, the entries it held reappear at the key's new owner
-// within a couple of periods. The cursor walks the registered seqs in
+// within a couple of periods. The cursor walks the buffered seqs in
 // ascending order and wraps, so a set of m registrations is covered in
 // ⌈m/republishBatch⌉ ticks whichever of them the sliding window replaces
 // meanwhile. Its inserts are always routed, never sent along a cached arc:
@@ -69,8 +55,8 @@ func (n *Node) registerChunk(seq int64) {
 // rides on.
 func (n *Node) republish() {
 	n.mu.Lock()
-	seqs := make([]int64, 0, len(n.registered))
-	for seq := range n.registered {
+	seqs := make([]int64, 0, len(n.chunks))
+	for seq := range n.chunks {
 		seqs = append(seqs, seq)
 	}
 	cursor := n.republishCursor
@@ -91,7 +77,9 @@ func (n *Node) republish() {
 }
 
 // insertIndex registers this node as a provider of seq at the chunk's
-// coordinator; routed forces a fresh route (see sendInsert).
+// coordinator (Algorithm 1, line 8); routed forces a fresh route (see
+// sendInsert). A failed insert is retried once after a short pause; beyond
+// that the republish loop repairs availability.
 func (n *Node) insertIndex(seq int64, routed bool) {
 	msg := &wire.Insert{
 		Key:    uint64(n.cfg.Channel.Ref(seq).ID()),
@@ -300,7 +288,7 @@ func (n *Node) FetchChunk(seq int64) error {
 				cooled = from // punished at the choke point
 				continue
 			}
-			n.registerChunk(seq)
+			n.insertIndex(seq, false)
 			n.lm.chunkFetchSeconds.Observe(time.Since(start).Seconds())
 			n.traceSeqPeer("chunk.fetch", seq, "peer", from)
 			return nil
@@ -706,7 +694,6 @@ func (n *Node) trimActiveWindowLocked() []int64 {
 	for seq := range n.chunks {
 		if seq < cut {
 			delete(n.chunks, seq)
-			delete(n.registered, seq)
 			expired = append(expired, seq)
 		}
 	}

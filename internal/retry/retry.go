@@ -28,11 +28,6 @@ type Policy struct {
 	InitialBackoff time.Duration
 	// MaxBackoff caps the grown pause.
 	MaxBackoff time.Duration
-	// Multiplier grows the pause between attempts (values <= 1 mean 2).
-	Multiplier float64
-	// Jitter is the fraction of each pause that is randomized, in [0, 1].
-	// 0.5 turns a 100ms pause into uniform [50ms, 100ms].
-	Jitter float64
 	// Budget bounds the operation's total wall-clock spend across
 	// attempts and pauses. Zero means attempts alone limit the loop.
 	Budget time.Duration
@@ -45,11 +40,16 @@ func DefaultPolicy() Policy {
 		MaxAttempts:    3,
 		InitialBackoff: 30 * time.Millisecond,
 		MaxBackoff:     500 * time.Millisecond,
-		Multiplier:     2,
-		Jitter:         0.5,
 		Budget:         3 * time.Second,
 	}
 }
+
+// The pause doubles after each failure, and the Retrier draws each one
+// uniformly from [d*(1-jitter), d]: 100ms becomes [50ms, 100ms].
+const (
+	multiplier = 2
+	jitter     = 0.5
+)
 
 // Pause returns the unjittered pause before retry number n (n = 1 is the
 // pause after the first failure) — for callers pacing their own loops.
@@ -62,12 +62,8 @@ func (p Policy) backoff(n int, rng *rand.Rand) time.Duration {
 	if d <= 0 {
 		d = 10 * time.Millisecond
 	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	for i := 1; i < n; i++ {
-		d = time.Duration(float64(d) * mult)
+		d *= multiplier
 		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
 			d = p.MaxBackoff
 			break
@@ -76,36 +72,10 @@ func (p Policy) backoff(n int, rng *rand.Rand) time.Duration {
 	if p.MaxBackoff > 0 && d > p.MaxBackoff {
 		d = p.MaxBackoff
 	}
-	if rng != nil && p.Jitter > 0 {
-		j := p.Jitter
-		if j > 1 {
-			j = 1
-		}
-		// Uniform in [d*(1-j), d].
-		d = d - time.Duration(rng.Float64()*j*float64(d))
+	if rng != nil {
+		d -= time.Duration(rng.Float64() * jitter * float64(d))
 	}
 	return d
-}
-
-// ---------------------------------------------------------------------------
-// Circuit parameters. The circuit's state lives in the peer table
-// (internal/health), fed by every call attempt; the Retrier only asks it.
-
-// BreakerConfig parameterizes the per-address circuit.
-type BreakerConfig struct {
-	// Threshold is how many consecutive failures open the circuit.
-	// Values below 1 disable the breaker (always closed).
-	Threshold int
-	// Cooldown is how long an open circuit rejects calls before allowing
-	// a half-open probe.
-	Cooldown time.Duration
-}
-
-// DefaultBreakerConfig trips after a burst of failures and probes again
-// two seconds later — long enough for stabilization to have purged a dead
-// peer, short enough that a rebooted peer rejoins service quickly.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{Threshold: 5, Cooldown: 2 * time.Second}
 }
 
 // ErrOpen is returned when the gate rejects a call without trying the
@@ -121,11 +91,9 @@ type Retrier struct {
 	policy Policy
 	allow  func(addr string) bool
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	attempts uint64        // total retry attempts beyond the first try
-	slept    time.Duration // total backoff pause scheduled
-	onRetry  func(addr string, attempt int, pause time.Duration, err error)
+	mu      sync.Mutex
+	rng     *rand.Rand
+	onRetry func(addr string, attempt int, pause time.Duration, err error)
 }
 
 // New builds a Retrier. allow is the gate Do consults before every attempt
@@ -133,22 +101,6 @@ type Retrier struct {
 // the jitter sequence; equal seeds give equal backoff schedules.
 func New(policy Policy, allow func(addr string) bool, seed int64) *Retrier {
 	return &Retrier{policy: policy, allow: allow, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Retries returns the total number of retry attempts performed (attempts
-// beyond each operation's first try).
-func (r *Retrier) Retries() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.attempts
-}
-
-// BackoffTotal returns the cumulative pause time scheduled between
-// attempts (the wall-clock cost of the retry discipline).
-func (r *Retrier) BackoffTotal() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.slept
 }
 
 // SetOnRetry installs a hook invoked each time Do schedules a retry:
@@ -164,10 +116,7 @@ func (r *Retrier) SetOnRetry(fn func(addr string, attempt int, pause time.Durati
 func (r *Retrier) pause(n int) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.attempts++
-	d := r.policy.backoff(n, r.rng)
-	r.slept += d
-	return d
+	return r.policy.backoff(n, r.rng)
 }
 
 // Do runs op against addr until it succeeds, exhausts the policy, hits an

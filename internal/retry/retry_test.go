@@ -10,7 +10,7 @@ import (
 )
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	p := Policy{InitialBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond, Multiplier: 2}
+	p := Policy{InitialBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 80, 80}
 	for i, w := range want {
 		if got := p.backoff(i+1, nil); got != w*time.Millisecond {
@@ -20,7 +20,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 }
 
 func TestBackoffJitterSeeded(t *testing.T) {
-	p := Policy{InitialBackoff: 100 * time.Millisecond, MaxBackoff: time.Second, Multiplier: 2, Jitter: 0.5}
+	p := Policy{InitialBackoff: 100 * time.Millisecond, MaxBackoff: time.Second}
 	a := New(p, nil, 42)
 	b := New(p, nil, 42)
 	c := New(p, nil, 43)
@@ -38,7 +38,7 @@ func TestBackoffJitterSeeded(t *testing.T) {
 		if sa[i] != sc[i] {
 			diff = true
 		}
-		lo := time.Duration(float64(p.backoff(i+1, nil)) * 0.5)
+		lo := time.Duration(float64(p.backoff(i+1, nil)) * (1 - jitter))
 		if sa[i] < lo-time.Millisecond || sa[i] > p.backoff(i+1, nil) {
 			t.Fatalf("jittered pause %v outside [%v, %v]", sa[i], lo, p.backoff(i+1, nil))
 		}
@@ -123,7 +123,7 @@ func TestDoAbortsWhenDoneCloses(t *testing.T) {
 func TestDoGateIgnoresApplicationErrors(t *testing.T) {
 	// An answered call (the peer replied, it just said no) must never open
 	// the circuit, however often it repeats.
-	tr := health.NewTracker(health.Config{CircuitThreshold: 2, CircuitCooldown: time.Hour})
+	tr := health.NewTracker(health.Config{Circuit: health.CircuitConfig{Threshold: 2, Cooldown: time.Hour}})
 	r := New(Policy{MaxAttempts: 1}, tr.Allow, 1)
 	appErr := errors.New("rejected")
 	rejected := func() error { tr.Observe("x", time.Millisecond, true); return appErr }
@@ -145,7 +145,7 @@ func TestDoGateIgnoresApplicationErrors(t *testing.T) {
 }
 
 func TestDoFailsFastWhenOpen(t *testing.T) {
-	tr := health.NewTracker(health.Config{CircuitThreshold: 1, CircuitCooldown: time.Hour})
+	tr := health.NewTracker(health.Config{Circuit: health.CircuitConfig{Threshold: 1, Cooldown: time.Hour}})
 	r := New(Policy{MaxAttempts: 3, InitialBackoff: time.Millisecond}, tr.Allow, 1)
 	calls := 0
 	down := errors.New("down")
