@@ -26,7 +26,7 @@ func run(name string, mutate func(*dco.Config)) {
 	cfg := dco.DefaultConfig()
 	cfg.Stream.Count = chunks
 	cfg.Neighbors = 16
-	cfg.Playback.Enabled = true
+	cfg.Playback = true
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -67,9 +67,6 @@ func (s *State[A]) SuccessorList() []Entry[A] {
 // call that changes the state, and must not be modified.
 func (s *State[A]) Successors() []Entry[A] { return s.succ }
 
-// SuccessorListSize returns the configured capacity.
-func (s *State[A]) SuccessorListSize() int { return s.succSize }
-
 // Predecessor returns the predecessor entry (OK=false if unknown).
 func (s *State[A]) Predecessor() Entry[A] { return s.pred }
 
@@ -256,11 +253,9 @@ func (s *State[A]) LocalSuccessor(k ID) (Entry[A], bool) {
 	return Entry[A]{}, false
 }
 
-// ClosestPreceding returns the finger or successor-list entry whose ID most
-// closely precedes k, falling back to the immediate successor. This is
-// Chord's closest_preceding_node.
-func (s *State[A]) ClosestPreceding(k ID) Entry[A] { return s.closestPreceding(k, true) }
-
+// closestPreceding returns the finger (when useFingers) or successor-list
+// entry whose ID most closely precedes k, falling back to the immediate
+// successor. This is Chord's closest_preceding_node.
 func (s *State[A]) closestPreceding(k ID, useFingers bool) Entry[A] {
 	best := Entry[A]{}
 	consider := func(e Entry[A]) {

@@ -300,12 +300,12 @@ func (k *Kernel) FindOwner(key uint64) (dht.Route, error) {
 
 // FindOwnerFrom is FindOwner routed through start's tables instead of this
 // node's own (census confirmation through a foreign member).
-func (k *Kernel) FindOwnerFrom(start string, key uint64) (dht.Member, []dht.Member, error) {
-	owner, succs, _, _, err := k.findOwnerFrom(start, key)
+func (k *Kernel) FindOwnerFrom(start string, key uint64) (dht.Member, error) {
+	owner, _, _, _, err := k.findOwnerFrom(start, key)
 	if err != nil {
-		return dht.Member{}, nil, err
+		return dht.Member{}, err
 	}
-	return dht.FromWire(owner), membersFromWire(succs), nil
+	return dht.FromWire(owner), nil
 }
 
 func membersFromWire(es []wire.Entry) []dht.Member {

@@ -316,7 +316,7 @@ func TestFindOwnerLoopFailsFast(t *testing.T) {
 	} {
 		c := &scriptedCaller{next: tc.next}
 		k := New(Config{}, dht.Options{Self: dht.Member{ID: 7, Addr: "self"}, Caller: c})
-		owner, _, err := k.FindOwnerFrom("h0", 42)
+		owner, err := k.FindOwnerFrom("h0", 42)
 		switch {
 		case tc.loops && !errors.Is(err, dht.ErrNoRoute):
 			t.Errorf("%s: err = %v, want dht.ErrNoRoute", tc.name, err)

@@ -23,8 +23,6 @@ type Config struct {
 	MeanLife     time.Duration // exponential mean session length
 	MeanJoin     time.Duration // exponential mean inter-arrival gap
 	GracefulFrac float64       // fraction of departures that are graceful (rest fail abruptly)
-	Start        time.Duration // churn begins at this virtual time
-	Stop         time.Duration // no new churn events after this time (0 = forever)
 }
 
 // Driver schedules departures for existing peers and arrivals of new ones.
@@ -60,13 +58,8 @@ func (d *Driver) Seed(peers []Peer) {
 func (d *Driver) Track(p Peer) { d.scheduleDeparture(p) }
 
 func (d *Driver) scheduleDeparture(p Peer) {
-	life := d.K.Exponential(d.Cfg.MeanLife)
-	at := d.K.Now() + life
-	if at < d.Cfg.Start {
-		at = d.Cfg.Start + d.K.Exponential(d.Cfg.MeanLife)
-	}
-	d.K.At(at, func() {
-		if d.stopped || (d.Cfg.Stop > 0 && d.K.Now() > d.Cfg.Stop) {
+	d.K.After(d.K.Exponential(d.Cfg.MeanLife), func() {
+		if d.stopped {
 			return
 		}
 		graceful := d.K.Rand().Float64() < d.Cfg.GracefulFrac
@@ -75,14 +68,15 @@ func (d *Driver) scheduleDeparture(p Peer) {
 	})
 }
 
-// StartArrivals begins the exponential arrival process at Cfg.Start.
+// StartArrivals begins the exponential arrival process; the first arrival
+// comes one exponential gap after virtual time zero.
 func (d *Driver) StartArrivals() {
 	if d.Spawn == nil {
 		return
 	}
 	var arrive func()
 	arrive = func() {
-		if d.stopped || (d.Cfg.Stop > 0 && d.K.Now() > d.Cfg.Stop) {
+		if d.stopped {
 			return
 		}
 		if p := d.Spawn(); p != nil {
@@ -91,10 +85,10 @@ func (d *Driver) StartArrivals() {
 		}
 		d.K.After(d.K.Exponential(d.Cfg.MeanJoin), arrive)
 	}
-	d.K.At(d.Cfg.Start+d.K.Exponential(d.Cfg.MeanJoin), arrive)
+	d.K.At(d.K.Exponential(d.Cfg.MeanJoin), arrive)
 }
 
-// Stop halts all future churn events.
+// Stop halts all future churn events; k.At(t, d.Stop) ends churn at t.
 func (d *Driver) Stop() { d.stopped = true }
 
 // Stats reports how many departures and arrivals the driver has executed.

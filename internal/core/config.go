@@ -26,7 +26,46 @@ const (
 	SelectRandom
 )
 
-// Config parameterizes a DCO deployment.
+// Protocol timing fixed at the values every figure, ablation and example
+// runs with. The paper (§IV) varies only the neighbor count, the network
+// size and the churn lifetime; nothing else is a setting.
+const (
+	tickPeriod       = 500 * time.Millisecond // fetch-scheduler period
+	lookupTimeout    = 4 * time.Second        // resend a Lookup that got no answer
+	fetchTimeout     = 6 * time.Second        // declare a provider failed
+	retryInterval    = time.Second            // pause after a not-found Lookup (no pending queue)
+	maxParallelFetch = 8                      // concurrent chunk fetches per node
+
+	// leaseTime is the assignment lease: it reclaims capacity if a
+	// requester vanishes.
+	leaseTime = 2500 * time.Millisecond
+	// Provider-side admission control: a provider whose uplink queue
+	// exceeds busyQueueLimit turns requesters away with a busy nack; the
+	// coordinator then skips it for providerCooldown instead of evicting it.
+	busyQueueLimit   = 700 * time.Millisecond
+	providerCooldown = 700 * time.Millisecond
+
+	// DHT maintenance cadences (Config.Maintenance). republishEvery
+	// re-inserts republishBatch of a node's chunk indices (DHT soft-state
+	// refresh): it heals registrations lost to dead hops and follows key
+	// ranges as ownership moves under churn.
+	stabilizeEvery  = time.Second
+	fixFingersEvery = 500 * time.Millisecond // one finger refresh per interval (only if UseFingers)
+	republishEvery  = 2 * time.Second
+	republishBatch  = 3
+
+	// evalEvery is how often a lower-tier client re-evaluates its
+	// longevity (hierarchy mode).
+	evalEvery = 5 * time.Second
+	// startupChunks is how many consecutive chunks (from the viewer's first
+	// expected sequence) must be buffered before playback starts — the
+	// initial buffering spinner.
+	startupChunks = 3
+)
+
+// Config parameterizes a DCO deployment. Each field is one a figure, an
+// ablation or an example sets; DESIGN.md's "Configuration" section names
+// who.
 type Config struct {
 	Stream stream.Params
 
@@ -43,55 +82,25 @@ type Config struct {
 	// neighbor-count semantics; tests and the live node use true.
 	UseFingers bool
 
-	// Bandwidths (bits/s). Paper §IV: server 4000 kbps, peers 600 kbps.
-	ServerUpBps, ServerDownBps int64
-	PeerUpBps, PeerDownBps     int64
-
 	// PeerClasses, when non-empty, draws each viewer's bandwidth from a
-	// weighted mix instead of the flat PeerUpBps/PeerDownBps — the
+	// weighted mix instead of the paper's flat simnet.PeerBps — the
 	// heterogeneous populations the paper's related work (§II) discusses.
 	// Fractions should sum to 1; the last class absorbs rounding.
 	PeerClasses []BandwidthClass
-
-	// Client-side timing.
-	TickPeriod       time.Duration // fetch-scheduler period
-	LookupTimeout    time.Duration // resend a Lookup that got no answer
-	FetchTimeout     time.Duration // declare a provider failed
-	RetryInterval    time.Duration // pause after a not-found Lookup (no pending queue)
-	MaxParallelFetch int           // concurrent chunk fetches per node
 
 	Prefetch stream.PrefetchConfig
 
 	// Coordinator behavior.
 	PendingQueue bool            // hold unanswerable lookups until a provider registers (paper behavior)
 	Selection    SelectionPolicy //
-	LeaseTime    time.Duration   // assignment lease; reclaims capacity if a requester vanishes
 
-	// Provider-side admission control: a provider whose uplink queue
-	// exceeds BusyQueueLimit turns requesters away with a busy nack; the
-	// coordinator then skips it for ProviderCooldown instead of evicting it.
-	BusyQueueLimit   time.Duration
-	ProviderCooldown time.Duration
+	// Maintenance runs DHT upkeep (needed under churn; static runs skip
+	// it, mirroring the paper's churn-free overhead accounting).
+	Maintenance bool
 
-	// DHT maintenance (needed under churn; static runs skip it, mirroring
-	// the paper's churn-free overhead accounting).
-	Maintenance    bool
-	StabilizeEvery time.Duration
-	FixFingersOp   time.Duration // one finger refresh per interval (only if UseFingers)
-	// RepublishEvery re-inserts a few of a node's chunk indices (DHT
-	// soft-state refresh): heals registrations lost to dead hops and
-	// follows key ranges as ownership moves under churn.
-	RepublishEvery time.Duration
-	RepublishBatch int
-
-	// MaxHops drops a routed message after this many forwards (loop guard
-	// during ring convergence). BuildStatic sets it from the network size
-	// when zero.
-	MaxHops int
-
-	// Playback, when enabled, drives a playhead over every viewer's buffer
-	// and reports startup delay / continuity (the QoS the paper motivates).
-	Playback PlaybackConfig
+	// Playback drives a playhead over every viewer's buffer and reports
+	// startup delay / continuity (the QoS the paper motivates).
+	Playback bool
 
 	// Hierarchy enables the two-tier infrastructure of §III-B1: only
 	// coordinators sit in the DHT; other nodes attach to a coordinator and
@@ -130,42 +139,20 @@ type HierarchyConfig struct {
 	// LongevityThreshold is the stay-probability a client needs before
 	// volunteering as a coordinator.
 	LongevityThreshold float64
-	// EvalEvery is how often clients re-evaluate their longevity.
-	EvalEvery time.Duration
 }
 
 // DefaultConfig returns the paper's §IV settings.
 func DefaultConfig() Config {
 	return Config{
-		Stream:           stream.DefaultParams(),
-		Neighbors:        32,
-		UseFingers:       false,
-		ServerUpBps:      4_000_000,
-		ServerDownBps:    4_000_000,
-		PeerUpBps:        600_000,
-		PeerDownBps:      600_000,
-		TickPeriod:       500 * time.Millisecond,
-		LookupTimeout:    4 * time.Second,
-		FetchTimeout:     6 * time.Second,
-		RetryInterval:    time.Second,
-		MaxParallelFetch: 8,
-		Prefetch:         stream.DefaultPrefetchConfig(),
-		PendingQueue:     true,
-		Selection:        SelectLeastLoaded,
-		LeaseTime:        2500 * time.Millisecond,
-		BusyQueueLimit:   700 * time.Millisecond,
-		ProviderCooldown: 700 * time.Millisecond,
-		Maintenance:      false,
-		StabilizeEvery:   time.Second,
-		RepublishEvery:   2 * time.Second,
-		RepublishBatch:   3,
-		FixFingersOp:     500 * time.Millisecond,
-		Playback:         PlaybackConfig{Enabled: false, StartupChunks: 3},
+		Stream:       stream.DefaultParams(),
+		Neighbors:    32,
+		Prefetch:     stream.DefaultPrefetchConfig(),
+		PendingQueue: true,
+		Selection:    SelectLeastLoaded,
 		Hierarchy: HierarchyConfig{
 			InitialCoordinators: 8,
 			OverloadOpsPerSec:   50,
 			LongevityThreshold:  0.8,
-			EvalEvery:           5 * time.Second,
 		},
 	}
 }
@@ -185,11 +172,12 @@ func (c Config) providerCap(upBps int64) int {
 	return n
 }
 
-// drawPeerBandwidth picks a viewer's capacities: the flat defaults, or a
-// class sampled from PeerClasses with the run's deterministic RNG.
+// drawPeerBandwidth picks a viewer's capacities: the paper's flat
+// simnet.PeerBps, or a class sampled from PeerClasses with the run's
+// deterministic RNG.
 func (c Config) drawPeerBandwidth(pick float64) (up, down int64) {
 	if len(c.PeerClasses) == 0 {
-		return c.PeerUpBps, c.PeerDownBps
+		return simnet.PeerBps, simnet.PeerBps
 	}
 	acc := 0.0
 	for _, cl := range c.PeerClasses {

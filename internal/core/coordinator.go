@@ -141,7 +141,7 @@ func (p *Peer) onFail(m *failMsg) {
 	e := p.indexEntry(m.Seq)
 	if m.Busy {
 		if _, pr := e.findProvider(m.Provider); pr != nil {
-			pr.coolUntil = p.sys.K.Now() + p.sys.Cfg.ProviderCooldown
+			pr.coolUntil = p.sys.K.Now() + providerCooldown
 		}
 	} else {
 		e.removeProvider(m.Provider)
@@ -187,7 +187,7 @@ func (p *Peer) selectProvider(e *indexEntry, origin simnet.NodeID) *providerInfo
 
 // assignProvider charges one outstanding slot against pr and leases it: if
 // the requester never completes (it died, or its chunk message was lost),
-// the slot is reclaimed after LeaseTime so a vanished requester cannot pin
+// the slot is reclaimed after leaseTime so a vanished requester cannot pin
 // provider capacity forever.
 func (p *Peer) assignProvider(e *indexEntry, origin simnet.NodeID, pr *providerInfo) {
 	pr.outstanding++
@@ -197,7 +197,7 @@ func (p *Peer) assignProvider(e *indexEntry, origin simnet.NodeID, pr *providerI
 	a := &assignment{pr: pr, gen: e.genCounter}
 	e.assignedTo[origin] = a
 	gen := a.gen
-	p.sys.K.After(p.sys.Cfg.LeaseTime, func() {
+	p.sys.K.After(leaseTime, func() {
 		if cur, ok := e.assignedTo[origin]; ok && cur.gen == gen {
 			p.sys.Counters.LeaseExpiries++
 			delete(e.assignedTo, origin)
@@ -219,7 +219,7 @@ func (p *Peer) flushPending(e *indexEntry) {
 		if pr == nil {
 			if len(e.providers) > 0 && !e.flushScheduled {
 				e.flushScheduled = true
-				p.sys.K.After(p.sys.Cfg.ProviderCooldown, func() {
+				p.sys.K.After(providerCooldown, func() {
 					e.flushScheduled = false
 					if p.alive {
 						p.flushPending(e)

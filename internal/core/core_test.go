@@ -351,10 +351,9 @@ func TestHeterogeneousClassesAssigned(t *testing.T) {
 }
 
 func TestMaxHopsDropsRunawayRoutes(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MaxHops = 1 // absurdly tight: multi-hop routes must be dropped
 	k := sim.NewKernel(17)
-	s := NewSystem(k, cfg, 64)
+	s := NewSystem(k, smallConfig(), 64)
+	s.maxHops = 1 // absurdly tight: multi-hop routes must be dropped
 	s.DisableCompletionStop()
 	s.Run(30 * time.Second)
 	if s.DroppedRoutes() == 0 {
@@ -371,5 +370,18 @@ func TestSimAllocationBudgets(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.chunkKey(seq) }); allocs != 0 {
 		t.Errorf("memoized chunk key: %.1f allocations after first use, budget 0", allocs)
+	}
+}
+
+// TestZonedNetWithoutBaseLatency: a Net that sets zones but leaves the base
+// latency at zero is taken as given; only the zero Net means simnet's flat
+// default.
+func TestZonedNetWithoutBaseLatency(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Net.Zones = 4
+	cfg.Net.InterZone = 80 * time.Millisecond
+	s := NewSystem(sim.NewKernel(1), cfg, 8)
+	if z := s.Net.Zone(1); z != 1 {
+		t.Fatalf("node 1 is in zone %d, want 1: the zoned Net was replaced by the flat default", z)
 	}
 }

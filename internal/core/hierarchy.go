@@ -55,10 +55,6 @@ func (p *Peer) loadTick() {
 	p.opsThisSec = 0
 }
 
-// Overloaded reports whether the coordinator exceeded its op-rate threshold
-// during the last accounting second.
-func (p *Peer) Overloaded() bool { return p.overloaded }
-
 // ClientCount reports attached lower-tier clients.
 func (p *Peer) ClientCount() int { return len(p.clients) }
 

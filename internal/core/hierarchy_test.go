@@ -56,7 +56,6 @@ func TestOverloadPromotesStableClient(t *testing.T) {
 	// first second, and stable clients volunteer early.
 	cfg.Hierarchy.OverloadOpsPerSec = 1
 	cfg.Hierarchy.LongevityThreshold = 0.5
-	cfg.Hierarchy.EvalEvery = 2 * time.Second
 	cfg.Stream.Count = 40
 	k := sim.NewKernel(47)
 	s := NewSystem(k, cfg, 48)

@@ -77,23 +77,11 @@ func newPeer(sys *System, id simnet.NodeID, cid chord.ID, upBps, downBps int64) 
 // ID returns the peer's network identity.
 func (p *Peer) ID() simnet.NodeID { return p.id }
 
-// ChordID returns the peer's position on the identifier circle.
-func (p *Peer) ChordID() chord.ID { return p.cs.Self.ID }
-
 // Alive reports liveness.
 func (p *Peer) Alive() bool { return p.alive }
 
-// InDHT reports upper-tier membership.
-func (p *Peer) InDHT() bool { return p.inDHT }
-
 // HasChunk reports whether the peer buffered chunk seq.
 func (p *Peer) HasChunk(seq int64) bool { return p.buf.Has(seq) }
-
-// ChunkCount returns how many chunks the peer holds.
-func (p *Peer) ChunkCount() int { return p.buf.Count() }
-
-// FailureProb exposes the node's p_f estimate (drives Eq. 2).
-func (p *Peer) FailureProb() float64 { return p.ft.Prob() }
 
 // PrefetchWindow returns the node's current adaptive window size.
 func (p *Peer) PrefetchWindow() int {
@@ -173,7 +161,7 @@ func (p *Peer) HandleMessage(m *simnet.Message) {
 // ---------------------------------------------------------------------------
 // Viewer: the chunk-sharing client loop (Algorithm 1, lines 1–9).
 
-// tick is the fetch scheduler: it keeps up to MaxParallelFetch chunk
+// tick is the fetch scheduler: it keeps up to maxParallelFetch chunk
 // acquisitions in flight inside the adaptive prefetching window.
 func (p *Peer) tick() {
 	if !p.alive || p.isSource || !p.joined {
@@ -195,7 +183,7 @@ func (p *Peer) tick() {
 	if hi > latest {
 		hi = latest
 	}
-	free := cfg.MaxParallelFetch - len(p.fetches)
+	free := maxParallelFetch - len(p.fetches)
 	if free <= 0 {
 		return
 	}
@@ -237,7 +225,6 @@ func (p *Peer) startFetch(seq int64) {
 func (p *Peer) sendLookup(f *fetch) {
 	f.attempts++
 	p.sys.Counters.Lookups++
-	cfg := &p.sys.Cfg
 	if p.inDHT {
 		msg := &lookupMsg{Key: p.sys.chunkKey(f.seq), Seq: f.seq, Origin: p.id}
 		p.routeLookup(msg)
@@ -250,7 +237,7 @@ func (p *Peer) sendLookup(f *fetch) {
 		}
 	}
 	seq := f.seq
-	f.setTimeout(p.sys.K, cfg.LookupTimeout, func() { p.onLookupTimeout(seq) })
+	f.setTimeout(p.sys.K, lookupTimeout, func() { p.onLookupTimeout(seq) })
 }
 
 func (p *Peer) onLookupTimeout(seq int64) {
@@ -289,12 +276,12 @@ func (p *Peer) onLookupResp(r *lookupResp) {
 			// when a provider registers. Keep a slow re-lookup timer as
 			// insurance against the coordinator dying with our queue slot.
 			f.coord = r.Coord
-			f.setTimeout(p.sys.K, 2*p.sys.Cfg.LookupTimeout, func() { p.onLookupTimeout(seq) })
+			f.setTimeout(p.sys.K, 2*lookupTimeout, func() { p.onLookupTimeout(seq) })
 			return
 		}
 		// No provider registered yet and the coordinator doesn't queue
 		// (ablation mode): back off and re-ask.
-		f.setTimeout(p.sys.K, p.sys.Cfg.RetryInterval, func() {
+		f.setTimeout(p.sys.K, retryInterval, func() {
 			if ff := p.fetches[seq]; ff != nil && ff.phase == phaseLookup && p.alive {
 				p.sendLookup(ff)
 			}
@@ -312,7 +299,7 @@ func (p *Peer) onLookupResp(r *lookupResp) {
 		return
 	}
 	seq := r.Seq
-	f.setTimeout(p.sys.K, p.sys.Cfg.FetchTimeout, func() { p.onFetchTimeout(seq) })
+	f.setTimeout(p.sys.K, fetchTimeout, func() { p.onFetchTimeout(seq) })
 }
 
 func (p *Peer) onFetchTimeout(seq int64) {
@@ -355,7 +342,7 @@ func (p *Peer) reportProviderProblem(f *fetch, busy bool) {
 	f.phase = phaseLookup
 	f.provider = simnet.Invalid
 	seq := f.seq
-	f.setTimeout(p.sys.K, p.sys.Cfg.LookupTimeout, func() { p.onLookupTimeout(seq) })
+	f.setTimeout(p.sys.K, lookupTimeout, func() { p.onLookupTimeout(seq) })
 }
 
 // onGet serves a chunk request if the chunk is buffered (Algorithm 1,
@@ -371,7 +358,7 @@ func (p *Peer) onGet(g *getMsg) {
 	// uplink queue already exceeds the limit, turn the requester away as
 	// "busy" rather than letting the transfer crawl past its fetch timeout.
 	queued := p.sys.Net.UploadBusyUntil(p.id) - p.sys.K.Now()
-	if queued > p.sys.Cfg.BusyQueueLimit {
+	if queued > busyQueueLimit {
 		p.send(g.From, kGetNack, &getNack{Seq: g.Seq, Busy: true})
 		return
 	}

@@ -9,15 +9,6 @@ import (
 // viewer's buffer and report startup delay and continuity — the
 // user-visible counterparts of mesh delay and fill ratio.
 
-// PlaybackConfig enables playhead simulation on every viewer.
-type PlaybackConfig struct {
-	Enabled bool
-	// StartupChunks is how many consecutive chunks (from the viewer's
-	// first expected sequence) must be buffered before playback starts —
-	// the initial buffering spinner.
-	StartupChunks int
-}
-
 // playbackState tracks one viewer's playhead.
 type playbackState struct {
 	playing   bool
@@ -35,18 +26,11 @@ func (p *Peer) playbackTick() {
 	}
 	pb := &p.playback
 	if !pb.playing {
-		need := p.sys.Cfg.Playback.StartupChunks
-		if need < 1 {
-			need = 1
-		}
 		run := 0
-		for p.buf.Has(p.startSeq + int64(run)) {
+		for run < startupChunks && p.buf.Has(p.startSeq+int64(run)) {
 			run++
-			if run >= need {
-				break
-			}
 		}
-		if run < need {
+		if run < startupChunks {
 			return // still buffering; not a stall (playback never started)
 		}
 		pb.playing = true

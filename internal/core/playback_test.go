@@ -10,8 +10,7 @@ import (
 func TestPlaybackQoS(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Stream.Count = 30
-	cfg.Playback.Enabled = true
-	cfg.Playback.StartupChunks = 3
+	cfg.Playback = true
 	k := sim.NewKernel(71)
 	s := NewSystem(k, cfg, 48)
 	// Run past full delivery: the playhead consumes chunks at stream rate
@@ -46,7 +45,7 @@ func TestPlaybackQoS(t *testing.T) {
 
 func TestPlaybackStartupDelayBeforeStart(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Playback.Enabled = true
+	cfg.Playback = true
 	k := sim.NewKernel(73)
 	s := NewSystem(k, cfg, 16)
 	// Before running, nobody has started.
@@ -74,14 +73,14 @@ func TestPlaybackDisabledCostsNothing(t *testing.T) {
 
 func TestPlaybackStallsUnderScarcity(t *testing.T) {
 	// Starve the swarm: a tiny upload-constrained population watching a
-	// fast stream must stall at least occasionally. (The server alone can
-	// serve ~2 viewers at full rate; we give it 6.)
+	// fat stream must stall at least occasionally. Each viewer uploads half
+	// the stream rate, and the server alone can serve 2 viewers at full
+	// rate; we give it 6.
 	cfg := smallConfig()
 	cfg.Stream.Count = 40
-	cfg.Playback.Enabled = true
-	cfg.Playback.StartupChunks = 1
-	cfg.PeerUpBps = 150_000 // quarter of the stream rate
-	cfg.ServerUpBps = 600_000
+	cfg.Stream.ChunkBits = 2_000_000 // 2 Mbit/s at one chunk a second
+	cfg.PeerClasses = []BandwidthClass{{Frac: 1, UpBps: 1_000_000, DownBps: 4_000_000}}
+	cfg.Playback = true
 	k := sim.NewKernel(83)
 	s := NewSystem(k, cfg, 7)
 	s.Run(120 * time.Second)

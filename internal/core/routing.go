@@ -26,7 +26,7 @@ func sortedKeys(m map[int64]bool) []int64 {
 // Returns mine=true when this node is the owner.
 func (p *Peer) forward(key chord.ID, hops *int, kind string, payload any) (mine bool) {
 	for tries := 0; ; tries++ {
-		if *hops > p.sys.Cfg.MaxHops || tries > p.sys.Cfg.Neighbors+2 {
+		if *hops > p.sys.maxHops || tries > p.sys.Cfg.Neighbors+2 {
 			p.sys.droppedRoutes++
 			return false
 		}
@@ -251,15 +251,14 @@ func (p *Peer) republishTick() {
 	if !p.alive || !p.joined {
 		return
 	}
-	n := p.sys.Cfg.RepublishBatch
-	if n <= 0 || len(p.registered) == 0 {
+	if len(p.registered) == 0 {
 		return
 	}
 	// Sample from a sorted snapshot so the kernel RNG, not map iteration
 	// order, decides the picks (reproducibility).
 	seqs := sortedKeys(p.registered)
-	picks := make([]int64, 0, n)
-	for len(picks) < n && len(seqs) > 0 {
+	picks := make([]int64, 0, republishBatch)
+	for len(picks) < republishBatch && len(seqs) > 0 {
 		i := p.sys.K.Rand().Intn(len(seqs))
 		picks = append(picks, seqs[i])
 		seqs[i] = seqs[len(seqs)-1]

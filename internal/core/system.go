@@ -30,6 +30,9 @@ type System struct {
 	nameSeq    int
 	keys       []chord.ID // chunkKey memo, indexed by seq
 
+	// maxHops drops a routed message after this many forwards (loop guard
+	// during ring convergence): max(4n, 256) for an n-node build.
+	maxHops       int
 	droppedRoutes uint64
 	received      int64
 	target        int64 // K.Stop() once this many first-receipts happen (0 = run to horizon)
@@ -75,22 +78,13 @@ func NewSystem(k *sim.Kernel, cfg Config, n int) *System {
 	if n < 2 {
 		panic("core: need at least a server and one viewer")
 	}
-	if cfg.MaxHops == 0 {
-		cfg.MaxHops = 4 * n
-		if cfg.MaxHops < 256 {
-			cfg.MaxHops = 256
-		}
-	}
-	netCfg := cfg.Net
-	if netCfg.BaseLatency <= 0 {
-		netCfg = simnet.DefaultConfig()
-	}
 	s := &System{
 		K:          k,
-		Net:        simnet.New(k, netCfg),
+		Net:        simnet.New(k, cfg.Net),
 		Cfg:        cfg,
 		Classifier: stable.NewClassifier(cfg.Hierarchy.LongevityThreshold),
 		peers:      make(map[simnet.NodeID]*Peer, n),
+		maxHops:    max(4*n, 256),
 	}
 
 	// Create hosts. Node 0 is the server.
@@ -98,7 +92,7 @@ func NewSystem(k *sim.Kernel, cfg Config, n int) *System {
 	for i := 0; i < n; i++ {
 		up, down := cfg.drawPeerBandwidth(k.Rand().Float64())
 		if i == 0 {
-			up, down = cfg.ServerUpBps, cfg.ServerDownBps
+			up, down = simnet.ServerBps, simnet.ServerBps
 		}
 		id := s.Net.AddNode(up, down)
 		p := newPeer(s, id, s.freshChordID(), up, down)
@@ -194,27 +188,25 @@ func (s *System) startTickers(p *Peer) {
 	cfg := &s.Cfg
 	add := func(t *sim.Ticker) { p.tickers = append(p.tickers, t) }
 	if !p.isSource {
-		add(s.K.Every(s.K.Uniform(0, cfg.TickPeriod), cfg.TickPeriod, p.tick))
-		if cfg.Playback.Enabled {
+		add(s.K.Every(s.K.Uniform(0, tickPeriod), tickPeriod, p.tick))
+		if cfg.Playback {
 			add(s.K.Every(s.K.Uniform(0, cfg.Stream.Period), cfg.Stream.Period, p.playbackTick))
 		}
 	}
 	if cfg.Maintenance {
-		add(s.K.Every(s.K.Uniform(0, cfg.StabilizeEvery), cfg.StabilizeEvery, p.stabilizeTick))
+		add(s.K.Every(s.K.Uniform(0, stabilizeEvery), stabilizeEvery, p.stabilizeTick))
 		if cfg.UseFingers {
-			add(s.K.Every(s.K.Uniform(0, cfg.FixFingersOp), cfg.FixFingersOp, p.fixFingersTick))
+			add(s.K.Every(s.K.Uniform(0, fixFingersEvery), fixFingersEvery, p.fixFingersTick))
 		}
-		if cfg.RepublishEvery > 0 {
-			// The source republishes too: it is the only holder of a
-			// brand-new chunk, and if its insert dies with a failing
-			// coordinator nobody else can ever restore that index entry.
-			add(s.K.Every(s.K.Uniform(0, cfg.RepublishEvery), cfg.RepublishEvery, p.republishTick))
-		}
+		// The source republishes too: it is the only holder of a brand-new
+		// chunk, and if its insert dies with a failing coordinator nobody
+		// else can ever restore that index entry.
+		add(s.K.Every(s.K.Uniform(0, republishEvery), republishEvery, p.republishTick))
 	}
 	if cfg.Hierarchy.Enabled {
 		add(s.K.Every(s.K.Uniform(0, time.Second), time.Second, p.loadTick))
 		if !p.isSource {
-			add(s.K.Every(s.K.Uniform(0, cfg.Hierarchy.EvalEvery), cfg.Hierarchy.EvalEvery, p.longevityTick))
+			add(s.K.Every(s.K.Uniform(0, evalEvery), evalEvery, p.longevityTick))
 		}
 	}
 }

@@ -170,8 +170,9 @@ type Kernel interface {
 
 	// FindOwnerFrom is FindOwner routed through start instead of this
 	// node's own tables — the census uses it to probe a foreign network
-	// through one of its members. Performs RPCs.
-	FindOwnerFrom(start string, key uint64) (owner Member, fallbacks []Member, err error)
+	// through one of its members. It reports the owner alone: no range,
+	// no fallbacks. Performs RPCs.
+	FindOwnerFrom(start string, key uint64) (Member, error)
 
 	// ReplicaSet returns up to r distinct live members (never self) that
 	// should mirror key's index entries. Only meaningful on the key's

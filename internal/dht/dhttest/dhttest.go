@@ -324,7 +324,7 @@ func Run(t *testing.T, factory Factory) {
 		for i, h := range hosts {
 			via := hosts[(i+1)%len(hosts)]
 			self := h.kern.Self()
-			owner, _, err := h.kern.FindOwnerFrom(via.tr.Addr(), self.ID)
+			owner, err := h.kern.FindOwnerFrom(via.tr.Addr(), self.ID)
 			if err != nil {
 				t.Fatalf("FindOwnerFrom(%s) for %s: %v", via.tr.Addr(), h.tr.Addr(), err)
 			}

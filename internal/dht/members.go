@@ -38,9 +38,6 @@ func NewMemberCache(self string, capacity int) *MemberCache {
 	return &MemberCache{self: self, cap: capacity, recs: make(map[string]*memberRec)}
 }
 
-// Cap returns the configured capacity.
-func (c *MemberCache) Cap() int { return c.cap }
-
 // Len returns the number of cached members.
 func (c *MemberCache) Len() int {
 	c.mu.Lock()

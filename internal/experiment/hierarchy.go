@@ -24,7 +24,6 @@ func HierarchyGrowth(p Params) *Result {
 	cfg.Hierarchy.InitialCoordinators = 4
 	cfg.Hierarchy.OverloadOpsPerSec = 120
 	cfg.Hierarchy.LongevityThreshold = 0.6
-	cfg.Hierarchy.EvalEvery = 5 * time.Second
 
 	k := sim.NewKernel(p.Seed)
 	s := core.NewSystem(k, cfg, p.N)

@@ -545,14 +545,14 @@ func (k *Kernel) FindOwner(key uint64) (dht.Route, error) {
 // census leans on exactly that: in a single network the confirmation
 // lookup for this node's own ID lands back on self (distance zero always
 // wins), while a split network answers with a stranger.
-func (k *Kernel) FindOwnerFrom(start string, key uint64) (dht.Member, []dht.Member, error) {
+func (k *Kernel) FindOwnerFrom(start string, key uint64) (dht.Member, error) {
 	resp, err := k.call.CallIdem(start, &wire.KadFindNode{From: k.selfWire(), Key: key})
 	if err != nil {
-		return dht.Member{}, nil, err
+		return dht.Member{}, err
 	}
 	kr, ok := resp.(*wire.KadFindNodeResp)
 	if !ok {
-		return dht.Member{}, nil, fmt.Errorf("kademlia: unexpected response kind")
+		return dht.Member{}, fmt.Errorf("kademlia: unexpected response kind")
 	}
 	seeds := []lkCand{{m: dht.FromWire(kr.From), queried: true}}
 	var sighted []dht.Member
@@ -576,12 +576,12 @@ func (k *Kernel) FindOwnerFrom(start string, key uint64) (dht.Member, []dht.Memb
 	k.seen(sighted...)
 	ranked, rounds := k.lookup(key, seeds, false)
 	if len(ranked) == 0 {
-		return dht.Member{}, nil, fmt.Errorf("%w (kademlia: every candidate failed)", dht.ErrNoRoute)
+		return dht.Member{}, fmt.Errorf("%w (kademlia: every candidate failed)", dht.ErrNoRoute)
 	}
 	k.lookups.Inc()
 	k.lookupHops.Add(uint64(rounds + 1))
 	k.hopHist.Observe(float64(rounds + 1))
-	return ranked[0], ranked[1:], nil
+	return ranked[0], nil
 }
 
 // ---------------------------------------------------------------------------

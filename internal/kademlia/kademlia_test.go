@@ -316,7 +316,7 @@ func TestFindOwnerFromIgnoresLocalTable(t *testing.T) {
 	// route exclusively through b's network, which has never heard of a's
 	// neighbors (only of a itself, once the query arrives).
 	a.Observe(member(0x80))
-	owner, _, err := a.FindOwnerFrom(member(0x80).Addr, 0x11)
+	owner, err := a.FindOwnerFrom(member(0x80).Addr, 0x11)
 	if err != nil {
 		t.Fatalf("FindOwnerFrom: %v", err)
 	}

@@ -221,7 +221,7 @@ func (n *Node) maybeMerge(foreign wire.Entry, theirs []wire.Entry, lone bool) {
 		// answering proves the foreign member is on another network, and
 		// that stranger is exactly the node whose claimed range covers our
 		// ID — the one node guaranteed to adopt us into its tables.
-		owner, _, err := n.kern.FindOwnerFrom(foreign.Addr, n.self.ID)
+		owner, err := n.kern.FindOwnerFrom(foreign.Addr, n.self.ID)
 		if err != nil {
 			return // unreachable or mid-churn: the next census round retries
 		}

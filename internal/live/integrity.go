@@ -512,6 +512,3 @@ func (n *Node) EverQuarantined() []string {
 	}
 	return out
 }
-
-// QuarantinedPeers lists the peers currently under quarantine.
-func (n *Node) QuarantinedPeers() []string { return n.health.QuarantinedPeers() }

@@ -142,8 +142,8 @@ type confirmingKernel struct {
 	merges int
 }
 
-func (k *confirmingKernel) FindOwnerFrom(string, uint64) (dht.Member, []dht.Member, error) {
-	return k.owner, nil, nil
+func (k *confirmingKernel) FindOwnerFrom(string, uint64) (dht.Member, error) {
+	return k.owner, nil
 }
 
 func (k *confirmingKernel) Merge(dht.Member, []dht.Member) { k.merges++ }

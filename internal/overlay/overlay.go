@@ -47,8 +47,40 @@ func (k Kind) String() string {
 	}
 }
 
+// Protocol settings fixed at the values every figure, ablation and example
+// runs with; the paper (§IV) varies only the neighbor count.
+const (
+	exchangeEvery = time.Second // buffer-map gossip period (paper: 1 s)
+
+	// requestTimeout (pull): give up on a neighbor and re-request elsewhere.
+	requestTimeout = 4 * time.Second
+	// serveQueueLimit is the responder-side admission gate: requests are
+	// ignored while the uplink backlog exceeds it (the requester's timeout
+	// rotates to another holder).
+	serveQueueLimit = 2 * time.Second
+	// maxParallelRequests (pull): outstanding chunk requests per node.
+	maxParallelRequests = 8
+	// window limits how far ahead of its first missing chunk a pull node
+	// requests, and how far behind its newest chunk a push node offers
+	// fresh chunks (mirrors DCO's prefetch window).
+	window = 20
+
+	// maxOfferDegree (push): fresh offers of one chunk go to at most this
+	// many of a holder's neighbors (a per-chunk pseudo-random subset); the
+	// repair pass remains uncapped.
+	maxOfferDegree = 12
+	// offerLease (push): how long an unanswered offer stays charged against
+	// the sender's uplink budget.
+	offerLease = 1500 * time.Millisecond
+	// acceptLease (push): how long the receiver reserves a chunk for its
+	// accepted sender before it will accept a different offer. Must exceed
+	// the worst queued-transfer time or duplicate accepts spiral.
+	acceptLease = 5 * time.Second
+)
+
 // Config parameterizes a baseline overlay run. The zero value is unusable;
-// start from DefaultConfig.
+// start from DefaultConfig. Hosts get the paper's bandwidths,
+// simnet.ServerBps and simnet.PeerBps.
 type Config struct {
 	Kind   Kind
 	Stream stream.Params
@@ -61,62 +93,14 @@ type Config struct {
 	// out-degree of every internal node (the paper's default tree uses
 	// neighbors/8, i.e. 3 when others use 24; "tree*" uses the full count).
 	Neighbors int
-
-	// ExchangeEvery is the buffer-map gossip period (paper: 1 s).
-	ExchangeEvery time.Duration
-
-	// Bandwidths (bits/s), as in the paper: server 4000 kbps, peers 600.
-	ServerUpBps, ServerDownBps int64
-	PeerUpBps, PeerDownBps     int64
-
-	// RequestTimeout (pull): give up on a neighbor and re-request elsewhere.
-	RequestTimeout time.Duration
-
-	// ServeQueueLimit is the responder-side admission gate: requests are
-	// ignored while the uplink backlog exceeds it (the requester's timeout
-	// rotates to another holder).
-	ServeQueueLimit time.Duration
-
-	// MaxOfferDegree (push): fresh offers of one chunk go to at most this
-	// many of a holder's neighbors (a per-chunk pseudo-random subset); the
-	// repair pass remains uncapped.
-	MaxOfferDegree int
-
-	// OfferLease (push): how long an unanswered offer stays charged against
-	// the sender's uplink budget.
-	OfferLease time.Duration
-
-	// AcceptLease (push): how long the receiver reserves a chunk for its
-	// accepted sender before it will accept a different offer. Must exceed
-	// the worst queued-transfer time or duplicate accepts spiral.
-	AcceptLease time.Duration
-
-	// MaxParallelRequests (pull): outstanding chunk requests per node.
-	MaxParallelRequests int
-
-	// Window limits how far ahead of its first missing chunk a pull node
-	// requests (mirrors DCO's prefetch window).
-	Window int
 }
 
 // DefaultConfig returns the paper's §IV settings for the given kind.
 func DefaultConfig(kind Kind) Config {
 	return Config{
-		Kind:                kind,
-		Stream:              stream.DefaultParams(),
-		Neighbors:           32,
-		ExchangeEvery:       time.Second,
-		ServerUpBps:         4_000_000,
-		ServerDownBps:       4_000_000,
-		PeerUpBps:           600_000,
-		PeerDownBps:         600_000,
-		RequestTimeout:      4 * time.Second,
-		ServeQueueLimit:     2 * time.Second,
-		MaxOfferDegree:      12,
-		OfferLease:          1500 * time.Millisecond,
-		AcceptLease:         5 * time.Second,
-		MaxParallelRequests: 8,
-		Window:              20,
+		Kind:      kind,
+		Stream:    stream.DefaultParams(),
+		Neighbors: 32,
 	}
 }
 

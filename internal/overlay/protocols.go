@@ -44,7 +44,7 @@ func (nd *node) HandleMessage(m *simnet.Message) {
 		// stays silent and the requester's timeout rotates it to another
 		// holder. Without this gate the first holders of a popular chunk
 		// accumulate unbounded upload queues and the swarm collapses.
-		busy := nd.sys.Net.UploadBusyUntil(nd.id)-nd.sys.K.Now() > nd.sys.Cfg.ServeQueueLimit
+		busy := nd.sys.Net.UploadBusyUntil(nd.id)-nd.sys.K.Now() > serveQueueLimit
 		if nd.buf.Has(req.Seq) && !busy {
 			nd.sys.Net.SendData(nd.id, req.From, kChunk, &chunkMsg{Seq: req.Seq}, nd.sys.Cfg.Stream.ChunkBits)
 		}
@@ -118,12 +118,12 @@ func (nd *node) pullTick() {
 	for nd.cursor <= latest && nd.buf.Has(nd.cursor) {
 		nd.cursor++
 	}
-	hi := nd.cursor + int64(cfg.Window) - 1
+	hi := nd.cursor + window - 1
 	if hi > latest {
 		hi = latest
 	}
 	for seq := nd.cursor; seq <= hi; seq++ {
-		if len(nd.outstanding) >= cfg.MaxParallelRequests {
+		if len(nd.outstanding) >= maxParallelRequests {
 			return
 		}
 		if nd.buf.Has(seq) || nd.outstanding[seq] != nil {
@@ -153,7 +153,7 @@ func (nd *node) requestChunk(seq int64, tried map[simnet.NodeID]bool) {
 	tried[target] = true
 	nd.sys.Net.Send(nd.id, target, kRequest, &requestMsg{Seq: seq, From: nd.id})
 	r := &pullReq{seq: seq, target: target, tried: tried}
-	r.timeout = nd.sys.K.After(nd.sys.Cfg.RequestTimeout, func() {
+	r.timeout = nd.sys.K.After(requestTimeout, func() {
 		if cur, ok := nd.outstanding[seq]; ok && cur == r && nd.alive {
 			delete(nd.outstanding, seq)
 			nd.requestChunk(seq, r.tried)
@@ -234,7 +234,7 @@ func (nd *node) drainOffers() {
 		key := offKey{nid: nid, seq: seq}
 		nd.offerCharges[key] = true
 		nd.sys.Net.Send(nd.id, nid, kOffer, &offerMsg{Seq: seq, From: nd.id})
-		nd.sys.K.After(nd.sys.Cfg.OfferLease, func() { nd.settleOffer(key) })
+		nd.sys.K.After(offerLease, func() { nd.settleOffer(key) })
 		budget--
 	}
 }
@@ -251,8 +251,7 @@ func (nd *node) drainOffers() {
 // uncapped and guarantees completion regardless.
 func (nd *node) newestOfferFor(nid simnet.NodeID, st *neighborState) (int64, bool) {
 	pushed := nd.pushedTo[nid]
-	cfg := &nd.sys.Cfg
-	floor := nd.newest - int64(cfg.Window) // older holes belong to the repair pass
+	floor := nd.newest - window // older holes belong to the repair pass
 	if floor < 0 {
 		floor = 0
 	}
@@ -276,7 +275,7 @@ func (nd *node) newestOfferFor(nid simnet.NodeID, st *neighborState) (int64, boo
 // neighbor set per (holder, chunk).
 func (nd *node) offerCandidate(nid simnet.NodeID, seq int64) bool {
 	deg := len(nd.neighbors)
-	max := nd.sys.Cfg.MaxOfferDegree
+	max := maxOfferDegree
 	if nd.isSource || max <= 0 || deg <= max {
 		return true
 	}
@@ -315,7 +314,7 @@ func (nd *node) onOffer(m *offerMsg) {
 	if nd.offerPending == nil {
 		nd.offerPending = make(map[int64]time.Duration)
 	}
-	nd.offerPending[m.Seq] = nd.sys.K.Now() + nd.sys.Cfg.AcceptLease
+	nd.offerPending[m.Seq] = nd.sys.K.Now() + acceptLease
 	nd.sys.Net.Send(nd.id, m.From, kAccept, &acceptMsg{Seq: m.Seq})
 }
 
@@ -371,7 +370,7 @@ func (nd *node) drainPush() {
 			key := offKey{nid: nid, seq: seq}
 			nd.offerCharges[key] = true
 			nd.sys.Net.Send(nd.id, nid, kOffer, &offerMsg{Seq: seq, From: nd.id})
-			nd.sys.K.After(nd.sys.Cfg.OfferLease, func() { nd.settleOffer(key) })
+			nd.sys.K.After(offerLease, func() { nd.settleOffer(key) })
 			budget--
 		}
 	}
@@ -402,9 +401,9 @@ func (nd *node) uplinkBudget() int {
 
 func (nd *node) upBps() int64 {
 	if nd.isSource {
-		return nd.sys.Cfg.ServerUpBps
+		return simnet.ServerBps
 	}
-	return nd.sys.Cfg.PeerUpBps
+	return simnet.PeerBps
 }
 
 // ---------------------------------------------------------------------------

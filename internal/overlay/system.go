@@ -15,21 +15,17 @@ func NewSystem(k *sim.Kernel, cfg Config, n int) *System {
 	if n < 2 {
 		panic("overlay: need at least a server and one viewer")
 	}
-	netCfg := cfg.Net
-	if netCfg.BaseLatency <= 0 {
-		netCfg = simnet.DefaultConfig()
-	}
 	s := &System{
 		K:   k,
-		Net: simnet.New(k, netCfg),
+		Net: simnet.New(k, cfg.Net),
 		Cfg: cfg,
 	}
 	for i := 0; i < n; i++ {
-		up, down := cfg.PeerUpBps, cfg.PeerDownBps
+		bps := simnet.PeerBps
 		if i == 0 {
-			up, down = cfg.ServerUpBps, cfg.ServerDownBps
+			bps = simnet.ServerBps
 		}
-		id := s.Net.AddNode(up, down)
+		id := s.Net.AddNode(bps, bps)
 		nd := &node{
 			sys:          s,
 			id:           id,
@@ -123,9 +119,9 @@ func (s *System) startTickers(nd *node) {
 	add := func(t *sim.Ticker) { nd.tickers = append(nd.tickers, t) }
 	switch cfg.Kind {
 	case Pull, Push:
-		add(s.K.Every(s.K.Uniform(0, cfg.ExchangeEvery), cfg.ExchangeEvery, nd.exchangeTick))
+		add(s.K.Every(s.K.Uniform(0, exchangeEvery), exchangeEvery, nd.exchangeTick))
 		if cfg.Kind == Pull && !nd.isSource {
-			period := cfg.ExchangeEvery / 2
+			period := exchangeEvery / 2
 			add(s.K.Every(s.K.Uniform(0, period), period, nd.pullTick))
 		}
 		if cfg.Kind == Push {
@@ -142,7 +138,7 @@ func (s *System) startTickers(nd *node) {
 // out-degree (orphaned subtrees are NOT repaired, matching the fragility
 // the paper attributes to tree overlays).
 func (s *System) SpawnPeer() *node {
-	id := s.Net.AddNode(s.Cfg.PeerUpBps, s.Cfg.PeerDownBps)
+	id := s.Net.AddNode(simnet.PeerBps, simnet.PeerBps)
 	nd := &node{
 		sys:          s,
 		id:           id,

@@ -65,6 +65,14 @@ type Config struct {
 	InterZone time.Duration
 }
 
+// The paper's §IV bandwidths (bits/s), up and down alike: the streaming
+// server has 4000 kbps and every viewer 600 kbps. Both simulators build
+// their hosts from these.
+const (
+	ServerBps int64 = 4_000_000
+	PeerBps   int64 = 600_000
+)
+
 // DefaultConfig matches the paper's assumptions: per-hop delays below 0.1 s.
 func DefaultConfig() Config {
 	return Config{BaseLatency: 30 * time.Millisecond, LatencySpread: 60 * time.Millisecond}
@@ -112,9 +120,11 @@ type Network struct {
 	dropDead uint64 // messages dropped because destination was dead
 }
 
-// New creates an empty network on top of kernel k.
+// New creates an empty network on top of kernel k. The zero Config means
+// DefaultConfig(); any other is taken as given, so zones without a base
+// latency stay zoned.
 func New(k *sim.Kernel, cfg Config) *Network {
-	if cfg.BaseLatency <= 0 {
+	if cfg == (Config{}) {
 		cfg = DefaultConfig()
 	}
 	return &Network{
@@ -156,9 +166,6 @@ func (n *Network) Revive(id NodeID) {
 	nd.alive = true
 	nd.upFree, nd.downFree = 0, 0
 }
-
-// NumNodes returns how many node slots exist (alive or dead).
-func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // Zone returns the zone a host lives in (0 when zoning is off).
 func (n *Network) Zone(id NodeID) int {

@@ -109,9 +109,6 @@ func NewPlaybackBuffer(p Params) *PlaybackBuffer {
 // Receive marks a chunk as buffered.
 func (b *PlaybackBuffer) Receive(seq int64) { b.Map.Set(seq) }
 
-// Playhead returns the next sequence to be played.
-func (b *PlaybackBuffer) Playhead() int64 { return b.playhead }
-
 // BufferingLevel is the consecutive-run length from the playhead — covariate
 // z1 of the longevity model.
 func (b *PlaybackBuffer) BufferingLevel() int { return b.Map.ConsecutiveFrom(b.playhead) }

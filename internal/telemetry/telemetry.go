@@ -143,10 +143,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSeconds records d expressed in seconds — the conventional unit
-// for latency histograms.
-func (h *Histogram) ObserveSeconds(d float64) { h.Observe(d) }
-
 // Snapshot returns a consistent-enough copy for exposition: per-bucket
 // counts (non-cumulative, +Inf last), total count, and sum. Buckets are
 // read without a global lock, so a snapshot taken mid-Observe may be off

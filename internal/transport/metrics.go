@@ -117,10 +117,3 @@ func (m *Metrics) noteCall(start time.Time, err error) {
 	}
 	m.CallSeconds.Observe(time.Since(start).Seconds())
 }
-
-func kindOf(msg wire.Message) wire.Kind {
-	if msg == nil {
-		return wire.KindInvalid
-	}
-	return msg.Kind()
-}
