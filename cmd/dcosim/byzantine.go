@@ -74,7 +74,7 @@ func runByzantineRun(backend string, n int, chunks, seed int64) (*byzRunResult, 
 	cfg.AntiEntropyEvery = 250 * time.Millisecond
 	cfg.FetchDeadlineChunks = 200
 	// Pollution-defense knobs: a modest insert rate is still far above
-	// honest republish traffic per coordinator, and the provider cap
+	// honest re-registration traffic per coordinator, and the provider cap
 	// backstops entry growth while leaving room for the whole swarm — a
 	// tight cap would let the early-registrant elite crowd everyone else
 	// (the adversaries included) out of the serve rotation entirely.

@@ -120,7 +120,7 @@ func runGrayRun(backend string, hedge bool, n int, chunks, seed int64) (*grayRun
 		in.SetSlowLane(v.Addr(), 150*time.Millisecond)
 	}
 	// One-way: everyone else loses the path TO these viewers while the
-	// viewers' own outbound calls (fetches, republishes — which re-advertise
+	// viewers' own outbound calls (fetches, re-registrations — which re-advertise
 	// them as providers nobody can actually reach) keep flowing.
 	var others, onewayDst []string
 	for i, nd := range s.Nodes {

@@ -57,6 +57,9 @@ func (a *arc) holds(key uint64) bool {
 	return chord.InOC(chord.ID(a.lo), chord.ID(key), chord.ID(a.hi))
 }
 
+// Holds reports whether the route's proof reaches key.
+func (r Route) Holds(key uint64) bool { return (&arc{lo: r.Lo, hi: r.Hi}).holds(key) }
+
 // nearest returns the index of the arc that ends nearest clockwise of key
 // — the only arc that may answer for it. An arc beginning before a nearer
 // one ends is stale there: an owner sits inside it. Caller holds c.mu and

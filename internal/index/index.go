@@ -203,6 +203,14 @@ func (t *Table) Upsert(key uint64, seq int64, r Row, now time.Time) (added, ok b
 	return true, true
 }
 
+// Has reports whether addr holds a row for seq.
+func (t *Table) Has(seq int64, addr string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[seq]
+	return e != nil && e.find(addr) >= 0
+}
+
 // Remove drops addr's row for seq, reporting whether there was one.
 func (t *Table) Remove(seq int64, addr string) bool {
 	t.mu.Lock()

@@ -141,7 +141,7 @@ func (p *pacer) refund(n int, waited bool) {
 // loadMilli reports the current load factor in thousandths of the burst
 // allowance: 0 idle, loadSaturatedMilli when the committed backlog equals
 // one full burst, clamped at loadCeilingMilli. This is the number
-// piggybacked on republish Inserts and every ChunkResp.
+// piggybacked on every Insert and ChunkResp.
 func (p *pacer) loadMilli() uint32 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -168,7 +168,7 @@ func (p *pacer) queueDepth() int {
 // Node-side glue: what goes on the wire. The coordinator weighs its answer
 // by it (index.Table.Select), the viewer its fetch order (health.Rank).
 
-// reportLoadMilli is the load factor this node piggybacks on republish
+// reportLoadMilli is the load factor this node piggybacks on its
 // Inserts and ChunkResps: what lets coordinators weight provider selection
 // by capacity and viewers prefer the least-loaded provider.
 func (n *Node) reportLoadMilli() uint32 { return n.pace.loadMilli() }

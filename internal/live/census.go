@@ -24,21 +24,16 @@ package live
 //     seeds the backend's convergence cascade (Chord: monotone candidate
 //     folds + notifies; Kademlia: bucket inserts + an advertising
 //     self-lookup). Post-merge, index reconciliation (replication flush +
-//     anti-entropy + bounded re-registration) repairs ownership ranges
-//     immediately instead of waiting for republish rotation.
+//     anti-entropy, then every registration due) repairs ownership ranges
+//     within a re-registration tick instead of a refresh period.
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"dco/internal/dht"
 	"dco/internal/wire"
 )
-
-// maxReconcileInserts bounds how many chunk registrations one post-merge
-// reconciliation re-sends; the republish rotation covers the remainder.
-const maxReconcileInserts = 512
 
 // noteMembers records sightings of overlay members in the census member
 // cache. Deliberately NOT fed to the kernel: live-plane entries (insert
@@ -258,34 +253,17 @@ func (n *Node) maybeMerge(foreign wire.Entry, theirs []wire.Entry, lone bool) {
 
 // reconcile is the post-merge index repair: push pending replication ops to
 // the (possibly new) replica set, run an anti-entropy round across the new
-// replica relationships, and re-register this node's held chunks with
-// their (possibly changed) coordinators — all immediately, instead of
-// waiting out the periodic ticks, so ownership ranges and replica sets
-// repair within the merge instead of the next republish window.
+// replica relationships, and make every registration of this node due, so
+// the next re-registration tick refreshes each with its (possibly changed)
+// coordinator.
 func (n *Node) reconcile() {
 	n.replicateFlush()
 	n.antiEntropy()
 	n.mu.Lock()
-	seqs := make([]int64, 0, len(n.chunks))
-	for seq := range n.chunks {
-		seqs = append(seqs, seq)
-	}
+	n.refreshed = time.Time{}
+	due := len(n.regs)
 	n.mu.Unlock()
-	if len(seqs) > maxReconcileInserts {
-		// Bounded: newest first (the live edge is what viewers are fetching
-		// right now); the republish rotation covers the tail.
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-		seqs = seqs[:maxReconcileInserts]
-	}
-	for _, seq := range seqs {
-		select {
-		case <-n.closed:
-			return
-		default:
-		}
-		n.insertIndex(seq, true) // a repair path, like republish: route, and re-prove the arc
-	}
-	n.traceEvent("ring.reconcile", fmt.Sprintf("inserts=%d", len(seqs)))
+	n.traceEvent("ring.reconcile", fmt.Sprintf("due=%d", due))
 }
 
 // ForeignMembers reports how many cached members are outside the current

@@ -101,29 +101,6 @@ func TestFullBatchRespectsProviderCap(t *testing.T) {
 	}
 }
 
-// TestRepublishRotatesThroughEverything: m buffered seqs are all
-// re-inserted within ⌈m/republishBatch⌉ ticks, none twice before that.
-func TestRepublishRotatesThroughEverything(t *testing.T) {
-	n := soloNode(t, fastConfig())
-	const m = 40
-	n.mu.Lock()
-	for seq := int64(100); seq < 100+m; seq++ {
-		n.chunks[seq] = MakeChunkPayload(n.cfg.Channel, seq)
-	}
-	n.mu.Unlock()
-	for tick := 0; tick < (m+republishBatch-1)/republishBatch; tick++ {
-		n.republish()
-	}
-	for seq := int64(100); seq < 100+m; seq++ {
-		if len(n.idx.Get(seq).Rows) != 1 {
-			t.Fatalf("seq %d was not republished within one rotation", seq)
-		}
-	}
-	if got := n.lm.republishes.Value(); got != m {
-		t.Fatalf("%d republishes for %d registrations", got, m)
-	}
-}
-
 // TestServeNeverWaitsOnIndexWork: with a lookup parked, an insert storm
 // queued and every lock of the index side held, the buffer's serve path
 // still completes — it takes nothing the index holds.

@@ -433,9 +433,10 @@ type insertBucket struct {
 	last   time.Time
 }
 
-// takeInsertToken charges holder's bucket (rate per second, burst 2x) for
-// one insert, reporting whether it had a token.
-func (g *pollutionGuard) takeInsertToken(holder string, rate float64, now time.Time) bool {
+// takeInsertToken charges holder's bucket (rate per second, burst 2x) cost
+// tokens, reporting whether it had one: the rest of the cost is paid in
+// arrears.
+func (g *pollutionGuard) takeInsertToken(holder string, cost int, rate float64, now time.Time) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	b := g.insRate[holder]
@@ -449,30 +450,32 @@ func (g *pollutionGuard) takeInsertToken(holder string, rate float64, now time.T
 	if b.tokens < 1 {
 		return false
 	}
-	b.tokens--
+	b.tokens -= float64(cost)
 	return true
 }
 
-// insertAllowed vets one Insert against the pollution defenses: quarantined
-// holders are refused, per-holder insert rates are capped, and registrations
-// past the live-edge horizon are rejected (the provider cap per entry is
-// index.Table's). nil = allowed. Unregisters only pay the rate limit —
-// removing rows is never refused. The live edge is the newest seq this node
-// generated, buffered or holds an authenticated manifest row for (-1 = no
-// idea).
-func (n *Node) insertAllowed(m *wire.Insert) *wire.Error {
-	if rate := n.cfg.InsertRate; rate > 0 && !n.guard.takeInsertToken(m.Holder.Addr, rate, time.Now()) {
+// errRateLimited refuses an insert past its holder's rate.
+var errRateLimited = &wire.Error{Code: wire.CodeBusy, Msg: "live: insert rate limited"}
+
+// insertToken charges holder cost tokens against the per-holder rate limit.
+func (n *Node) insertToken(holder string, cost int) bool {
+	if rate := n.cfg.InsertRate; rate > 0 && !n.guard.takeInsertToken(holder, cost, rate, time.Now()) {
 		n.lm.insertsRateLimited.Inc()
-		return &wire.Error{Code: wire.CodeBusy, Msg: "live: insert rate limited"}
+		return false
 	}
-	if m.Unregister {
-		return nil
-	}
-	if n.health.Quarantined(m.Holder.Addr) {
+	return true
+}
+
+// rowRefused is the gate every row passes into the owned index: quarantined
+// holders are refused, and so are seqs past the live-edge horizon — the
+// newest seq this node generated, buffered or holds an authenticated
+// manifest row for (-1 = no idea). nil = allowed.
+func (n *Node) rowRefused(holder string, seq int64) *wire.Error {
+	if n.health.Quarantined(holder) {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: holder quarantined"}
 	}
-	if edge := max(n.LatestGenerated(), n.manifestHead()-1); edge >= 0 && m.Seq > edge+insertHorizon {
+	if edge := max(n.LatestGenerated(), n.manifestHead()-1); edge >= 0 && seq > edge+insertHorizon {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: seq beyond live-edge horizon"}
 	}

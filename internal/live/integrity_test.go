@@ -463,7 +463,7 @@ func rowTrio(t *testing.T, withRow bool, wrap func(transport.Transport) transpor
 	if !provider.storeChunk(seq, data, "") {
 		t.Fatal("provider refused a clean chunk")
 	}
-	provider.insertIndex(seq, false)
+	provider.insertIndex(seq)
 	return viewer, provider, coord, seq
 }
 

@@ -76,9 +76,9 @@ type Config struct {
 	// behavior, fine for bounded archival pulls).
 	FetchDeadlineChunks int
 
-	// RepublishEvery re-inserts a few of this node's chunk indices (DHT
-	// soft state): a coordinator that dies abruptly takes its index table
-	// with it, and republication is what restores availability.
+	// RepublishEvery is the re-registration tick (DHT soft state): how often
+	// this node looks for registrations due at their coordinators
+	// (reregister). Zero disables re-registration.
 	RepublishEvery time.Duration
 
 	// Replicas is the index replication factor r: every Insert/Unregister
@@ -86,8 +86,8 @@ type Config struct {
 	// first r live successors, a successor that detects its predecessor's
 	// death promotes the replicated entries to owned state immediately
 	// (takeover), and a periodic anti-entropy round reconciles divergence.
-	// 0 disables replication entirely (republication alone restores
-	// availability, at the cost of the full republish-window outage).
+	// 0 disables replication entirely (re-registration alone restores
+	// availability, at the cost of an outage until the holders' next refresh).
 	Replicas int
 
 	// ReplicateEvery is the flush cadence of the replication queue:
@@ -205,12 +205,13 @@ func DefaultNodeConfig() Config {
 const (
 	succListSize       = 8    // Chord successor-list length
 	fetchWorkers       = 3    // concurrent chunk fetches per viewer
-	republishBatch     = 4    // chunk indices re-inserted per republish tick
 	censusProbes       = 2    // cached members probed per census round: a safety net, not gossip
 	memberCacheSize    = 128  // members remembered for the census, reachable or not
 	manifestWindow     = 4096 // verified manifest rows cached, oldest aged out first
 	pollutionReporters = 2    // distinct accusers that quarantine a peer: one slanderer is never enough
 	insertHorizon      = 1024 // chunks past the live edge a registration may claim: nobody holds what the source has not produced
+	maxInsertSeqs      = 1024 // seqs one Insert may name; a holder splits a bigger group
+	refreshesPerToken  = 16   // further seqs of an Insert one rate-limit token pays for
 	joinAttempts       = 3    // rounds JoinAny makes over the bootstrap list
 
 	// The hedge trigger is the primary's latency estimate clamped to
@@ -224,11 +225,9 @@ const (
 	// backlog cannot hold transport goroutines for whole call timeouts.
 	admitMaxWait = 600 * time.Millisecond
 
-	// indexTTL is the lease on a provider registration. Republication
-	// refreshes it; a provider that dies without unregistering ages out of
-	// lookup answers once it lapses. It must comfortably exceed the
-	// republish rotation period (RepublishEvery × registered chunks /
-	// republishBatch) or live providers expire between refreshes.
+	// indexTTL is the lease on a provider registration. Re-registration
+	// refreshes it at every coordinator each indexTTL/3; a provider that dies
+	// without unregistering ages out of lookup answers once it lapses.
 	indexTTL = 45 * time.Second
 )
 
@@ -248,7 +247,7 @@ type Node struct {
 	// arc of the key space when a lookup was last routed there.
 	routes *dht.ArcCache
 
-	// mu guards exactly the buffer: chunks, latestGen and republishCursor.
+	// mu guards exactly the buffer: chunks, regs, refreshed and latestGen.
 	// Everything else a request touches has a lock of its own (idx,
 	// replicas, replq, guard, health, members, routes, manMu), and no path
 	// holds mu together with any of them.
@@ -257,9 +256,12 @@ type Node struct {
 	// node registers as a provider of. A stored slice is immutable: it is
 	// the slice the wire decoder allocated (or the generator made), and
 	// onGetChunk hands that same slice to every caller.
-	chunks          map[int64][]byte
-	latestGen       int64 // source: newest generated seq
-	republishCursor int64 // newest seq the republish rotation re-inserted
+	chunks map[int64][]byte
+	// regs is where each buffered seq this node registered was last taken,
+	// and refreshed when reregister last refreshed them all.
+	regs      map[int64]registration
+	refreshed time.Time
+	latestGen int64 // source: newest generated seq
 
 	// idx is the coordinator's index table for the keys this node owns
 	// (internal/index; DESIGN.md "Index table").
@@ -324,15 +326,14 @@ type Node struct {
 // snapshot assembled from the telemetry counters — the registry is the
 // single source of truth.
 type Stats struct {
-	LookupsServed  uint64
-	InsertsServed  uint64
-	ChunksServed   uint64
-	ChunksFetched  uint64
-	FetchRetries   uint64
-	BusyRejections uint64
+	LookupsServed uint64
+	InsertsServed uint64
+	ChunksServed  uint64
+	ChunksFetched uint64
+	FetchRetries  uint64
 	// Overload-control counters.
 	ChunksMissed      uint64 // GetChunk for a seq this node has not buffered
-	ChunksShedBusy    uint64 // serves turned away by the admission pacer (= BusyRejections)
+	ChunksShedBusy    uint64 // serves turned away by the admission pacer
 	ChunksAbandoned   uint64 // fetches given up past their playback horizon
 	BusyNacksSeen     uint64 // Busy responses this node's fetches received
 	BusyNacksHintless uint64 // of those, responses carrying no RetryAfterMs hint (should be 0)
@@ -356,11 +357,9 @@ type Stats struct {
 	LookupFailures    uint64 // lookups that exhausted every candidate coordinator
 	// Owner-arc cache counters (backend.go).
 	RouteCacheHits      uint64 // index requests sent along a cached arc
-	RouteCacheMisses    uint64 // index requests that routed because no arc covered the key
 	RouteCacheRedirects uint64 // requests a cached owner bounced: one extra round trip each
-	IndexInsertFailures uint64 // index inserts given up on: the chunk is registered nowhere until republished
+	IndexInsertFailures uint64 // fresh index inserts that failed twice: the chunk is registered nowhere until the next re-registration tick
 	// Ring-census counters (census.go).
-	CensusProbes   uint64 // census probes sent to members outside the ring view
 	SplitsDetected uint64 // confirmed split-brain detections
 	RingMerges     uint64 // merge protocol completions (incl. lone-node re-bootstraps)
 	// Byte meters for the write-amplification benchmark (dcosim -method live):
@@ -382,9 +381,9 @@ type Stats struct {
 	ManifestServes       uint64 // ManifestReqs this node answered
 }
 
-// errNotOwner is returned (over the wire as wire.Error) when an index op
-// reaches a node that does not own the key; callers re-route.
-var errNotOwner = errors.New("live: not the key owner")
+// errNotOwner answers an index op that reaches a node that does not own
+// the key; callers re-route.
+var errNotOwner = &wire.Error{Code: wire.CodeNotOwner, Msg: "live: not the key owner"}
 
 // NewNode creates a node bound to a transport factory. attach is called
 // with the node's handler and must return the listening transport (this
@@ -406,17 +405,18 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		cfg.ActiveWindow = manifestWindow
 	}
 	n := &Node{
-		cfg:             cfg,
-		chunks:          make(map[int64][]byte),
-		idx:             index.New(cfg.MaxProvidersPerSeq),
-		replicas:        replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
-		manifest:        make(map[int64]manifestRec),
-		guard:           newPollutionGuard(),
-		pace:            newPacer(cfg.UpBps, admitBurst(cfg.Channel, cfg.UpBps), cfg.AdmitQueue),
-		routes:          dht.NewArcCache(routeCacheSize),
-		closed:          make(chan struct{}),
-		latestGen:       -1,
-		republishCursor: -1,
+		cfg:       cfg,
+		chunks:    make(map[int64][]byte),
+		regs:      make(map[int64]registration),
+		idx:       index.New(cfg.MaxProvidersPerSeq),
+		replicas:  replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
+		manifest:  make(map[int64]manifestRec),
+		guard:     newPollutionGuard(),
+		pace:      newPacer(cfg.UpBps, admitBurst(cfg.Channel, cfg.UpBps), cfg.AdmitQueue),
+		routes:    dht.NewArcCache(routeCacheSize),
+		closed:    make(chan struct{}),
+		latestGen: -1,
+		refreshed: time.Now(),
 	}
 	tr, err := attach(transport.HandlerFunc(n.serve))
 	if err != nil {
@@ -467,7 +467,6 @@ func (n *Node) Stats() Stats {
 		ChunksServed:         n.lm.chunksServed.Value(),
 		ChunksFetched:        n.lm.chunksFetched.Value(),
 		FetchRetries:         n.lm.fetchRetries.Value(),
-		BusyRejections:       n.lm.busyRejections.Value(),
 		ChunksMissed:         n.lm.chunksMissed.Value(),
 		ChunksShedBusy:       n.lm.busyRejections.Value(),
 		ChunksAbandoned:      n.lm.chunksAbandoned.Value(),
@@ -489,10 +488,8 @@ func (n *Node) Stats() Stats {
 		ProvidersExpired:     n.lm.indexExpired.Value(),
 		LookupFailures:       n.lm.lookupFailures.Value(),
 		RouteCacheHits:       n.lm.routeHits.Value(),
-		RouteCacheMisses:     n.lm.routeMisses.Value(),
 		RouteCacheRedirects:  n.lm.routeRedirects.Value(),
 		IndexInsertFailures:  n.lm.indexInsertFailures.Value(),
-		CensusProbes:         n.lm.censusProbes.Value(),
 		SplitsDetected:       n.lm.splitsDetected.Value(),
 		RingMerges:           n.lm.ringMerges.Value(),
 		IndexInsertBytes:     n.lm.indexInsertBytes.Value(),
@@ -549,12 +546,13 @@ func (n *Node) startRingMaint() {
 }
 
 // startMaint launches what keeps a member's ring position and index alive
-// — kernel maintenance, republication, replication, and the anti-entropy
+// — kernel maintenance, re-registration, replication, and the anti-entropy
 // round that also ages out lapsed leases (so it runs unreplicated too) —
 // but neither the census nor the stream.
 func (n *Node) startMaint() {
 	n.startRingMaint()
-	n.loop(n.cfg.RepublishEvery, n.republish)
+	var regs []registration // the tick's snapshot, reused
+	n.loop(n.cfg.RepublishEvery, func() { regs = n.reregister(time.Now(), regs) })
 	if n.cfg.Replicas > 0 {
 		n.loop(n.cfg.ReplicateEvery, n.replicateFlush)
 	}

@@ -62,7 +62,7 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 	deadline := time.Now().Add(time.Duration(waitMs) * time.Millisecond)
 	for first := true; ; first = false {
 		if !n.kern.Owns(m.Key) {
-			return &wire.Error{Code: wire.CodeNotOwner, Msg: errNotOwner.Error()}
+			return errNotOwner
 		}
 		if first {
 			n.lm.lookupsServed.Inc()
@@ -100,35 +100,74 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 	}
 }
 
+// onInsert serves a registration: of the seq whose key routed it, and of
+// every further seq whose key it owns (it derives them). Index hardening
+// (integrity.go) comes first: the frame pays the per-holder rate limit — a
+// token, and one more per refreshesPerToken further seqs — and names at
+// most maxInsertSeqs distinct seqs in ascending order; each row passes
+// rowRefused, and a further row pays again if it is new. A final verdict
+// (bad request) is answered only if nothing else went wrong.
 func (n *Node) onInsert(m *wire.Insert) wire.Message {
 	if !n.kern.Owns(m.Key) {
-		return &wire.Error{Code: wire.CodeNotOwner, Msg: errNotOwner.Error()}
+		return errNotOwner
 	}
 	n.lm.insertsServed.Inc()
 	n.noteMembers(m.Holder)
-	// Index hardening (integrity.go): rate limits, quarantined holders and
-	// the live-edge horizon run before the index mutates; the per-entry
-	// provider cap is the table's own.
-	if werr := n.insertAllowed(m); werr != nil {
-		return werr
+	if !n.insertToken(m.Holder.Addr, 1+len(m.More)/refreshesPerToken) {
+		return errRateLimited
 	}
-	n.noteManifestAd(m.Holder.Addr, m.ManifestHead)
+	for i, seq := range m.More {
+		if len(m.More) >= maxInsertSeqs || seq == m.Seq || i > 0 && seq <= m.More[i-1] {
+			return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: insert seqs not distinct and ascending, or too many"}
+		}
+	}
+	if !n.health.Quarantined(m.Holder.Addr) {
+		n.noteManifestAd(m.Holder.Addr, m.ManifestHead)
+	}
 	if m.Unregister {
 		if n.idx.Remove(m.Seq, m.Holder.Addr) {
 			n.enqueueReplica(wire.ReplicaOp{Key: m.Key, Seq: m.Seq, Holder: m.Holder, Unregister: true})
 		}
 		return &wire.Ack{}
 	}
-	// A re-insert of a known provider refreshes its row: republication is
+	// A re-insert of a known provider refreshes its row: re-registration is
 	// the lease heartbeat, and the piggybacked load report keeps selection
-	// current between republishes.
+	// current between refreshes.
 	now := time.Now()
 	row := index.Row{Ent: m.Holder, UpBps: m.UpBps, LoadMilli: m.LoadMilli, Expire: now.Add(indexTTL)}
-	if _, ok := n.register(m.Key, m.Seq, row, now); !ok {
+	refusal := n.rowRefused(m.Holder.Addr, m.Seq)
+	if refusal == nil {
+		refusal = n.insertRow(m.Key, m.Seq, row, now, false)
+	}
+	for _, seq := range m.More {
+		werr := n.rowRefused(m.Holder.Addr, seq)
+		if werr == nil {
+			werr = errNotOwner
+			if key := uint64(n.cfg.Channel.Ref(seq).ID()); n.kern.Owns(key) {
+				werr = n.insertRow(key, seq, row, now, !n.idx.Has(seq, m.Holder.Addr))
+			}
+		}
+		if werr != nil && (refusal == nil || refusal.Code == wire.CodeBadRequest) {
+			refusal = werr
+		}
+	}
+	if refusal != nil {
+		return refusal
+	}
+	return &wire.Ack{}
+}
+
+// insertRow registers row for seq in the owned index, past the rate limit
+// when charge is set and the provider cap.
+func (n *Node) insertRow(key uint64, seq int64, row index.Row, now time.Time, charge bool) *wire.Error {
+	if charge && !n.insertToken(row.Ent.Addr, 1) {
+		return errRateLimited
+	}
+	if _, ok := n.register(key, seq, row, now); !ok {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: provider cap reached"}
 	}
-	return &wire.Ack{}
+	return nil
 }
 
 // register upserts row into the owned index and, when the index then holds

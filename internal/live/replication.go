@@ -6,7 +6,7 @@ package live
 // ReplicateBatch to the coordinator's first r live successors. A successor
 // that detects its predecessor's death promotes the dead owner's replica
 // slice into its own index (takeover), so lookups keep being answered from
-// the replica instead of stalling for the republish window. A periodic
+// the replica instead of stalling until the holders re-register. A periodic
 // anti-entropy round exchanges per-range digests to reconcile whatever
 // replication missed: dropped batches, partitions, and ownership moved by
 // concurrent joins.
@@ -174,8 +174,9 @@ func (n *Node) replicateFlush() {
 // onReplicateBatch stores an owner's index ops in that owner's replica
 // slice — unless this node meanwhile owns the key outright (the batch is
 // the tail of a takeover, a range the sender ceded, or the sender's stale
-// view), in which case the op folds straight into the owned index. An
-// empty batch, a ceded range's reachability check, leaves no trace.
+// view), in which case the op folds straight into the owned index, past
+// the gate an Insert's row passes (rowRefused). An empty batch, a ceded
+// range's reachability check, leaves no trace.
 func (n *Node) onReplicateBatch(m *wire.ReplicateBatch) wire.Message {
 	if m.Owner.Addr == n.self.Addr || len(m.Ops) == 0 {
 		return &wire.Ack{}
@@ -191,7 +192,7 @@ func (n *Node) onReplicateBatch(m *wire.ReplicateBatch) wire.Message {
 			if n.kern.OwnsSettled(op.Key) {
 				// Lookups see it immediately, and it is passed on to this
 				// node's own replicas.
-				if applyOp(n.idx, op, now) {
+				if (op.Unregister || n.rowRefused(op.Holder.Addr, op.Seq) == nil) && applyOp(n.idx, op, now) {
 					n.enqueueReplica(*op)
 				}
 				continue

@@ -150,7 +150,7 @@ func TestTakeoverAfterCoordinatorDeath(t *testing.T) {
 
 // TestGracefulLeaveSurvivesSuccessorDeath pins the handoff-loss bug: a
 // leaver that handed its whole index to exactly one successor lost it when
-// that successor died before the next republish. The leaver's batch goes to
+// that successor died before the next re-registration. The leaver's batch goes to
 // its whole replica set, and the members that do not inherit a key keep it
 // as a replica, which the new owner's death then promotes.
 func TestGracefulLeaveSurvivesSuccessorDeath(t *testing.T) {
@@ -241,7 +241,7 @@ func TestAntiEntropyRepairsMissedReplication(t *testing.T) {
 	})
 }
 
-// TestIndexLeaseExpiry: a provider that stops republishing ages out of
+// TestIndexLeaseExpiry: a provider that stops re-registering ages out of
 // lookup answers once its lease lapses (satellite: coordinator-side TTL).
 // Registrations are backdated through the index table's clock argument
 // instead of waiting out indexTTL.
@@ -359,7 +359,7 @@ func TestConcurrentJoinsOwnershipTransfer(t *testing.T) {
 				return
 			default:
 			}
-			inserter.insertIndex(seq, false)
+			inserter.insertIndex(seq)
 			insMu.Lock()
 			inserted = append(inserted, seq)
 			insMu.Unlock()

@@ -32,7 +32,7 @@ func (n *Node) generateLoop() {
 		// anywhere: no consumer should ever see a chunk its row lags.
 		n.addManifestEntrySource(seq, data)
 		n.buffer(seq, data)
-		n.insertIndex(seq, false)
+		n.insertIndex(seq)
 		seq++
 	}
 }
@@ -45,93 +45,143 @@ func (n *Node) LatestGenerated() int64 {
 	return n.latestGen
 }
 
-// republish re-inserts a few buffered chunks' indices (soft state): when a
-// coordinator fails, the entries it held reappear at the key's new owner
-// within a couple of periods. The cursor walks the buffered seqs in
-// ascending order and wraps, so a set of m registrations is covered in
-// ⌈m/republishBatch⌉ ticks whichever of them the sliding window replaces
-// meanwhile. Its inserts are always routed, never sent along a cached arc:
-// the repair path is what re-proves the arcs the rest of the node's traffic
-// rides on.
-func (n *Node) republish() {
+// registration is which coordinator last took this node's registration
+// of a buffered seq ("" when nobody has it yet).
+type registration struct {
+	seq int64
+	key uint64
+	by  string
+}
+
+// reregister is the one re-registration path (DESIGN.md "Leases"). Every
+// indexTTL/3 it refreshes every registration of this node; on the ticks in
+// between, only the due ones: those nobody has, and those this node has but
+// no longer owns the key of. Each group goes in one Insert to the freshly
+// routed owner of its first key — the route re-proves the arc the node's
+// other traffic rides on — with the due seqs that owner took or that the
+// proved arc covers. It snapshots the registrations into buf and returns
+// buf for the next tick.
+func (n *Node) reregister(now time.Time, buf []registration) []registration {
 	n.mu.Lock()
-	seqs := make([]int64, 0, len(n.chunks))
-	for seq := range n.chunks {
-		seqs = append(seqs, seq)
+	refresh := now.Sub(n.refreshed) >= indexTTL/3
+	if refresh {
+		n.refreshed = now
 	}
-	cursor := n.republishCursor
+	due := buf[:0]
+	for _, r := range n.regs {
+		due = append(due, r)
+	}
 	n.mu.Unlock()
-	if len(seqs) == 0 {
-		return
+	buf = due
+	due = slices.DeleteFunc(due, func(r registration) bool { // keep the due ones
+		return !refresh && r.by != "" && (r.by != n.self.Addr || n.kern.Owns(r.key))
+	})
+	for len(due) > 0 {
+		select {
+		case <-n.closed:
+			return buf[:0]
+		default:
+		}
+		// A route that fails takes the rest of the tick with it: due again
+		// at the next one.
+		first := due[0]
+		route, err := n.routeTo(first.key)
+		covers := route.Holds
+		if route.Owner.Addr == n.self.Addr {
+			covers = n.kern.Owns // a ring of one proves no arc
+		}
+		var more []int64
+		due = slices.DeleteFunc(due[1:], func(r registration) bool {
+			in := err != nil || len(more) < maxInsertSeqs-1 && (r.by == route.Owner.Addr || covers(r.key))
+			if in {
+				more = append(more, r.seq)
+			}
+			return in
+		})
+		msg := n.insertFor(first.key, first.seq, more)
+		if err == nil {
+			slices.Sort(more)
+			n.lm.republishes.Inc()
+			if _, err = n.askOwner(route.Owner.Addr, msg, n.cfg.CallTimeout); ownerGone(err) {
+				n.routes.Drop(route.Owner.Addr) // ownership is still moving
+			}
+		}
+		n.noteAnswer(msg, route.Owner.Addr, err)
 	}
-	slices.Sort(seqs) // outside n.mu: the serve path must not wait for it
-	next, _ := slices.BinarySearch(seqs, cursor+1)
-	for i := 0; i < min(republishBatch, len(seqs)); i++ {
-		cursor = seqs[(next+i)%len(seqs)]
-		n.lm.republishes.Inc()
-		n.insertIndex(cursor, true)
-	}
-	n.mu.Lock()
-	n.republishCursor = cursor
-	n.mu.Unlock()
+	return buf[:0]
 }
 
 // insertIndex registers this node as a provider of seq at the chunk's
-// coordinator (Algorithm 1, line 8); routed forces a fresh route (see
-// sendInsert). A failed insert is retried once after a short pause; beyond
-// that the republish loop repairs availability.
-func (n *Node) insertIndex(seq int64, routed bool) {
-	msg := &wire.Insert{
-		Key:    uint64(n.cfg.Channel.Ref(seq).ID()),
-		Seq:    seq,
-		Holder: n.wireSelf(),
-		UpBps:  n.cfg.UpBps,
-		// Piggybacked load report: republication doubles as the load
-		// heartbeat coordinators weight provider selection by.
-		LoadMilli: n.reportLoadMilli(),
-		// Piggybacked manifest-coverage ad (integrity.go): how coordinators
-		// learn the current window without extra round-trips.
-		ManifestHead: n.manifestHead(),
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		if n.sendInsert(msg, routed) == nil {
-			n.lm.indexInsertBytes.Add(frameBytes(msg))
-			return
-		}
+// coordinator (Algorithm 1, line 8). A failed insert is retried once after
+// a short pause — a forming ring can disown a key it routed to itself — and
+// is then due at the next re-registration tick.
+func (n *Node) insertIndex(seq int64) {
+	msg := n.insertFor(uint64(n.cfg.Channel.Ref(seq).ID()), seq, nil)
+	owner, err := n.sendInsert(msg)
+	if err != nil {
 		select {
 		case <-n.closed:
 			return
 		case <-time.After(200 * time.Millisecond):
 		}
+		if owner, err = n.sendInsert(msg); err != nil {
+			n.lm.indexInsertFailures.Inc()
+		}
 	}
-	// The republish loop will retry later; until then nobody can find this
-	// copy of the chunk, which is worth a counter.
-	n.lm.indexInsertFailures.Inc()
+	n.noteAnswer(msg, owner, err)
+}
+
+// insertFor registers seq, whose key is key, and the seqs in more at the
+// same coordinator, piggybacking the load report coordinators weight
+// provider selection by and the manifest-coverage ad (integrity.go).
+func (n *Node) insertFor(key uint64, seq int64, more []int64) *wire.Insert {
+	return &wire.Insert{Key: key, Seq: seq, More: more, Holder: n.wireSelf(), UpBps: n.cfg.UpBps,
+		LoadMilli: n.reportLoadMilli(), ManifestHead: n.manifestHead()}
+}
+
+// noteAnswer records owner's answer to msg for each seq it names that is
+// still buffered. A refusal is final (horizon, cap, quarantine) unless the
+// owner is gone, disowns a key or rate-limits: then the seqs are due again.
+func (n *Node) noteAnswer(msg *wire.Insert, owner string, err error) {
+	if err == nil {
+		n.lm.indexInsertBytes.Add(frameBytes(msg))
+	} else if we := (*wire.Error)(nil); !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+		owner = ""
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, ok := n.chunks[msg.Seq]; ok {
+		n.regs[msg.Seq] = registration{msg.Seq, msg.Key, owner}
+	}
+	for _, seq := range msg.More {
+		if r, ok := n.regs[seq]; ok {
+			r.by = owner
+			n.regs[seq] = r
+		}
+	}
 }
 
 // sendInsert delivers an index op to its key's coordinator: along the
-// cached arc when one covers the key and routed is false, and — when the
-// cached owner bounces it, or there is none — to the freshly routed owner,
-// in the same call. A stale arc therefore costs one extra round trip and
-// none of the caller's attempts. Any other error is the coordinator's own
-// verdict on the op (rate limit, horizon, provider cap).
-func (n *Node) sendInsert(msg *wire.Insert, routed bool) error {
-	if !routed {
-		if owner, ok := n.cachedOwner(msg.Key); ok {
-			_, err := n.askOwner(owner.Addr, msg, n.cfg.CallTimeout)
-			if !n.bounced(owner.Addr, err) {
-				return err
-			}
+// cached arc when one covers the key, and — when the cached owner bounces
+// it, or there is none — to the freshly routed owner, in the same call. A
+// stale arc therefore costs one extra round trip. It returns the owner that
+// answered; any error but ownerGone's is that owner's verdict on the op
+// (rate limit, horizon, provider cap).
+func (n *Node) sendInsert(msg *wire.Insert) (string, error) {
+	if owner, ok := n.cachedOwner(msg.Key); ok {
+		_, err := n.askOwner(owner.Addr, msg, n.cfg.CallTimeout)
+		if !n.bounced(owner.Addr, err) {
+			return owner.Addr, err
 		}
 	}
 	r, err := n.routeTo(msg.Key)
 	if err != nil {
-		return err
+		return "", err
 	}
 	if _, err = n.askOwner(r.Owner.Addr, msg, n.cfg.CallTimeout); ownerGone(err) {
 		n.routes.Drop(r.Owner.Addr) // ownership is still moving: do not keep what was just stored
 	}
-	return err
+	return r.Owner.Addr, err
 }
 
 // fetchLoop drives a viewer: fetchWorkers goroutines consume sequence
@@ -288,7 +338,7 @@ func (n *Node) FetchChunk(seq int64) error {
 				cooled = from // punished at the choke point
 				continue
 			}
-			n.insertIndex(seq, false)
+			n.insertIndex(seq)
 			n.lm.chunkFetchSeconds.Observe(time.Since(start).Seconds())
 			n.traceSeqPeer("chunk.fetch", seq, "peer", from)
 			return nil
@@ -694,6 +744,7 @@ func (n *Node) trimActiveWindowLocked() []int64 {
 	for seq := range n.chunks {
 		if seq < cut {
 			delete(n.chunks, seq)
+			delete(n.regs, seq)
 			expired = append(expired, seq)
 		}
 	}
@@ -706,12 +757,9 @@ func (n *Node) trimActiveWindowLocked() []int64 {
 func (n *Node) unregisterExpired(seqs []int64) {
 	for _, seq := range seqs {
 		// Best effort; a stale entry only costs a nack later.
-		_ = n.sendInsert(&wire.Insert{
-			Key:        uint64(n.cfg.Channel.Ref(seq).ID()),
-			Seq:        seq,
-			Holder:     n.wireSelf(),
-			Unregister: true,
-		}, false)
+		msg := n.insertFor(uint64(n.cfg.Channel.Ref(seq).ID()), seq, nil)
+		msg.Unregister = true
+		_, _ = n.sendInsert(msg)
 	}
 }
 

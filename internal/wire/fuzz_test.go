@@ -66,6 +66,12 @@ func FuzzReadMessage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// A re-registration naming several seqs.
+	var more bytes.Buffer
+	if err := WriteMessage(&more, &Insert{Key: 5, Seq: 6, Holder: e, More: []int64{7, 8}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(more.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadMessage(bytes.NewReader(data))
 		if err != nil {

@@ -198,8 +198,8 @@ type LookupResp struct {
 // Insert registers (or withdraws) a chunk index with its coordinator.
 // LoadMilli is the holder's upload load factor in thousandths (0 = idle,
 // 1000 = the advertised UpBps is fully committed, >1000 = backlog beyond
-// the budget); republish Inserts piggyback it so coordinators keep a
-// recent load report per provider and can answer Lookups with nodes that
+// the budget); every Insert piggybacks it so coordinators keep a recent
+// load report per provider and can answer Lookups with nodes that
 // actually have spare capacity (the paper's "sufficient bandwidth" rule).
 //
 // BufCount and ManifestDigest are reserved: they are still encoded, but no
@@ -218,6 +218,9 @@ type Insert struct {
 	// anything destructive.
 	ManifestHead   int64
 	ManifestDigest uint64 // reserved
+	// More names further seqs the holder registers at the same coordinator
+	// (a re-registration); the coordinator derives each one's key itself.
+	More []int64
 }
 
 // GetChunk requests chunk data from a provider. WaitMs is how long the
@@ -667,6 +670,14 @@ func putBytes(b, v []byte) []byte {
 
 func putString(b []byte, s string) []byte { return putBytes(b, []byte(s)) }
 
+func putI64s(b []byte, vs []int64) []byte {
+	b = putU32(b, uint32(len(vs)))
+	for _, v := range vs {
+		b = putI64(b, v)
+	}
+	return b
+}
+
 func putEntry(b []byte, e Entry) []byte {
 	b = putU64(b, e.ID)
 	return putString(b, e.Addr)
@@ -771,6 +782,18 @@ func (r *reader) count(minSize int) int {
 func (r *reader) entry() Entry {
 	id := r.u64()
 	return Entry{ID: id, Addr: internAddr(id, r.bytes())}
+}
+
+func (r *reader) i64s() []int64 {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int64, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		out = append(out, r.i64())
+	}
+	return out
 }
 
 func (r *reader) entries() []Entry {
@@ -947,7 +970,8 @@ func (m *Insert) encode(b []byte) []byte {
 	b = putU32(b, m.LoadMilli)
 	b = putBool(b, m.Unregister)
 	b = putI64(b, m.ManifestHead)
-	return putU64(b, m.ManifestDigest)
+	b = putU64(b, m.ManifestDigest)
+	return putI64s(b, m.More)
 }
 func (m *Insert) decode(r *reader) error {
 	m.Key = r.u64()
@@ -959,6 +983,7 @@ func (m *Insert) decode(r *reader) error {
 	m.Unregister = r.boolean()
 	m.ManifestHead = r.i64()
 	m.ManifestDigest = r.u64()
+	m.More = r.i64s()
 	return r.err
 }
 
@@ -1080,23 +1105,10 @@ func (m *DigestReq) decode(r *reader) error {
 	return r.err
 }
 
-func (m *DigestResp) Kind() Kind { return KindDigestResp }
-func (m *DigestResp) encode(b []byte) []byte {
-	b = putU32(b, uint32(len(m.Need)))
-	for _, seq := range m.Need {
-		b = putI64(b, seq)
-	}
-	return b
-}
+func (m *DigestResp) Kind() Kind             { return KindDigestResp }
+func (m *DigestResp) encode(b []byte) []byte { return putI64s(b, m.Need) }
 func (m *DigestResp) decode(r *reader) error {
-	n := r.count(8)
-	if n == 0 {
-		return r.err
-	}
-	m.Need = make([]int64, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Need = append(m.Need, r.i64())
-	}
+	m.Need = r.i64s()
 	return r.err
 }
 

@@ -94,6 +94,7 @@ func sampleMessages() []Message {
 			ManifestHash: bytes.Repeat([]byte{0xC3}, 32), ManifestTag: bytes.Repeat([]byte{0xC4}, 32)},
 		&PollutionReport{From: e1, Key: 9, Seq: 10, Target: e2},
 		&PollutionReport{},
+		&Insert{Key: 1, Seq: 2, Holder: e1, UpBps: 100, LoadMilli: 300, ManifestHead: 9, More: []int64{5, -1, 1 << 40}},
 	}
 }
 
