@@ -17,6 +17,9 @@ import (
 type testNet struct {
 	kerns map[string]*Kernel
 	calls map[wire.Kind]int
+	// drop, if set, loses the calls it returns true for: counted, never
+	// delivered.
+	drop func(to string, req wire.Message) bool
 }
 
 // endpoint is one kernel's dht.Caller on a testNet.
@@ -27,6 +30,9 @@ type endpoint struct {
 
 func (e endpoint) Call(addr string, req wire.Message) (wire.Message, error) {
 	e.net.calls[req.Kind()]++
+	if e.net.drop != nil && e.net.drop(addr, req) {
+		return nil, fmt.Errorf("testNet: %T to %s lost", req, addr)
+	}
 	k := e.net.kerns[addr]
 	if k == nil {
 		return nil, fmt.Errorf("testNet: no endpoint at %s", addr)
@@ -116,10 +122,13 @@ func exact(members []*Kernel) bool {
 
 // TestStabilizeIsOneExchange pins what a round costs and how fast it
 // converges. Settled: one Ping to the predecessor and one Notify to the
-// successor per member, nothing else. A member joining between two others:
-// the member behind it learns of it from the reply to its own Notify, adopts
-// it, and notifies it in the same round — and has the newcomer's list from
-// that second reply, where ask-then-notify needed another round for it.
+// successor per member, nothing else. A member joining between two others
+// is already the successor of the member behind it when Join returns, so
+// that member's next round is one Notify, to the newcomer, whose reply
+// brings the newcomer's list. If the joiner's notify to its predecessor was
+// lost, the member behind it learns of it from the reply to its own Notify
+// to the old successor, adopts it, and notifies it in the same round: two
+// Notifies, and the same state at the end.
 func TestStabilizeIsOneExchange(t *testing.T) {
 	const n, listSize = 8, 4
 	tn, members := settledRing(t, n, listSize)
@@ -133,33 +142,135 @@ func TestStabilizeIsOneExchange(t *testing.T) {
 		t.Fatal("a settled round changed the ring")
 	}
 
+	joinBetween := func(before, after *Kernel, notifies int) *Kernel {
+		t.Helper()
+		mid := tn.add(t, before.self.ID+(after.self.ID-before.self.ID)/2, listSize, members[0].self.Addr)
+		tn.calls = map[wire.Kind]int{}
+		before.stabilize()
+		if got := tn.calls[wire.KindNotify]; got != notifies {
+			t.Fatalf("the round behind the newcomer made %d Notify calls, want %d", got, notifies)
+		}
+		if tn.calls[wire.KindGetState] != 0 {
+			t.Fatalf("stabilize sent GetState: %v", tn.calls)
+		}
+		list := before.cs.Successors()
+		if len(list) < 2 || list[0].Addr != mid.self.Addr || list[1].Addr != after.self.Addr {
+			t.Fatalf("one round after the join, the member behind the newcomer holds %v, want the newcomer and then its successor", list)
+		}
+		if p := mid.cs.Predecessor(); p.Addr != before.self.Addr {
+			t.Fatalf("the newcomer's predecessor is %v, want %s", p, before.self.Addr)
+		}
+		if p := after.cs.Predecessor(); p.Addr != mid.self.Addr {
+			t.Fatalf("the newcomer's successor has predecessor %v, want the newcomer", p)
+		}
+		return mid
+	}
+	mid := joinBetween(members[3], members[4], 1)
+	// The joiner's best-effort notify to its predecessor is lost: the
+	// closer-successor branch does the adopting.
+	tn.drop = func(to string, req wire.Message) bool {
+		return to == members[5].self.Addr && req.Kind() == wire.KindNotify
+	}
+	mid2 := joinBetween(members[5], members[6], 2)
+	tn.drop = nil
+
+	with := append(append(append(append(append([]*Kernel{}, members[:4]...), mid), members[4:6]...), mid2), members[6:]...)
+	for r := 0; r < listSize; r++ { // a newcomer moves one member further back in the lists each round
+		tn.round(with)
+	}
+	if !exact(with) {
+		t.Fatalf("%d rounds after two joins between members the ring is not exact again", listSize)
+	}
+}
+
+// TestJoinIsAdoptedInOneRoundTrip: when Join returns, the newcomer is its
+// predecessor's successor and its successor's predecessor, at the cost of
+// one Notify to each and no stabilize round. A predecessor that lost its
+// own predecessor takes the newcomer as successor, never as predecessor; a
+// quarantined newcomer is adopted by neither; a notifier outside (self,
+// successor) and outside (predecessor, self) changes nothing; and a ring
+// of one takes its first member as predecessor only: the successor waits
+// for its stabilize tick.
+func TestJoinIsAdoptedInOneRoundTrip(t *testing.T) {
+	const n, listSize = 8, 4
+	tn, members := settledRing(t, n, listSize)
+	runs := func() (sum uint64) {
+		for _, k := range tn.kerns {
+			sum += k.stabilizeRuns.Value()
+		}
+		return sum
+	}
+	stabilized := runs()
+
 	before, after := members[3], members[4]
-	mid := tn.add(t, before.self.ID+(after.self.ID-before.self.ID)/2, listSize, members[0].self.Addr)
 	tn.calls = map[wire.Kind]int{}
-	before.stabilize()
+	mid := tn.add(t, before.self.ID+(after.self.ID-before.self.ID)/2, listSize, members[0].self.Addr)
 	if got := tn.calls[wire.KindNotify]; got != 2 {
-		t.Fatalf("the round that finds a closer successor made %d Notify calls, want 2 (old successor, new successor)", got)
+		t.Fatalf("Join made %d Notify calls, want 2 (successor, predecessor)", got)
 	}
-	if tn.calls[wire.KindGetState] != 0 {
-		t.Fatalf("stabilize sent GetState: %v", tn.calls)
+	if got := runs(); got != stabilized {
+		t.Fatalf("%d stabilize rounds ran during Join", got-stabilized)
 	}
-	list := before.cs.Successors()
-	if len(list) < 2 || list[0].Addr != mid.self.Addr || list[1].Addr != after.self.Addr {
-		t.Fatalf("one round after the join, the member behind the newcomer holds %v, want the newcomer and then its successor", list)
+	if s := before.cs.Successor(); s.Addr != mid.self.Addr {
+		t.Fatalf("after Join the member behind the newcomer has successor %v, want %s", s, mid.self.Addr)
+	}
+	if p := after.cs.Predecessor(); p.Addr != mid.self.Addr {
+		t.Fatalf("after Join the member ahead of the newcomer has predecessor %v, want %s", p, mid.self.Addr)
 	}
 	if p := mid.cs.Predecessor(); p.Addr != before.self.Addr {
 		t.Fatalf("the newcomer's predecessor is %v, want %s", p, before.self.Addr)
 	}
-	if p := after.cs.Predecessor(); p.Addr != mid.self.Addr {
-		t.Fatalf("the newcomer's successor has predecessor %v, want the newcomer", p)
+	if s := mid.cs.Successor(); s.Addr != after.self.Addr {
+		t.Fatalf("the newcomer's successor is %v, want %s", s, after.self.Addr)
 	}
 
-	with := append(append(append([]*Kernel{}, members[:4]...), mid), members[4:]...)
-	for r := 0; r < listSize; r++ { // the newcomer moves one member further back in the lists each round
-		tn.round(with)
+	// A predecessor that knows no predecessor of its own takes the
+	// newcomer as successor only.
+	before, after = members[1], members[2]
+	before.cs.ClearPredecessor()
+	mid = tn.add(t, before.self.ID+(after.self.ID-before.self.ID)/2, listSize, members[0].self.Addr)
+	if s := before.cs.Successor(); s.Addr != mid.self.Addr {
+		t.Fatalf("a member with no predecessor did not take the newcomer ahead of it as successor: %v", s)
 	}
-	if !exact(with) {
-		t.Fatalf("%d rounds after a join between two members the ring is not exact again", listSize)
+	if p := before.cs.Predecessor(); p.OK {
+		t.Fatalf("a member with no predecessor took the newcomer ahead of it as predecessor: %v", p)
+	}
+
+	// A quarantined newcomer: both neighbours condemned its address.
+	before, after = members[5], members[6]
+	id := before.self.ID + (after.self.ID-before.self.ID)/2
+	addr := fmt.Sprintf("n%x", id)
+	before.PeerFailed(addr)
+	after.PeerFailed(addr)
+	tn.add(t, id, listSize, members[0].self.Addr)
+	if s := before.cs.Successor(); s.Addr != after.self.Addr {
+		t.Fatalf("a quarantined newcomer became its predecessor's successor: %v", s)
+	}
+	if p := after.cs.Predecessor(); p.Addr != before.self.Addr {
+		t.Fatalf("a quarantined newcomer became its successor's predecessor: %v", p)
+	}
+
+	// A notifier outside both intervals: a settled member is unmoved, and
+	// answers with the reply it had cached.
+	k := members[0]
+	st := k.getState()
+	far := members[2].self.ID + (members[3].self.ID-members[2].self.ID)/2
+	if got := k.onNotify(&wire.Notify{From: wire.Entry{ID: far, Addr: "far"}}); got != st {
+		t.Fatalf("a notifier outside (self, successor) changed the state: %+v, was %+v", got, st)
+	}
+
+	// A ring of one.
+	solo := tn.add(t, 1<<40, listSize, "")
+	first := tn.add(t, 1<<41, listSize, solo.self.Addr)
+	if p := solo.cs.Predecessor(); p.Addr != first.self.Addr {
+		t.Fatalf("a ring of one did not take its first member as predecessor: %v", p)
+	}
+	if s := solo.cs.Successor(); s.Addr != solo.self.Addr {
+		t.Fatalf("a ring of one adopted its first member as successor in onNotify: %v", s)
+	}
+	solo.stabilize()
+	if s := solo.cs.Successor(); s.Addr != first.self.Addr {
+		t.Fatalf("a ring of one did not adopt its first member at its tick: successor %v", s)
 	}
 }
 

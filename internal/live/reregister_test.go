@@ -140,8 +140,10 @@ func TestReregisterRestoresDeletedRow(t *testing.T) {
 }
 
 // TestReregisterFollowsAJoin: once a join moved a key of the holder's seqs
-// to the newcomer, the newcomer has the holder's row within two ticks — the
-// range the old owner ceded carries it there, and the ticks keep it.
+// to the newcomer, the newcomer has the holder's row within two ticks of
+// the ceded range's arrival — the range the old owner ceded carries it
+// there, and the ticks keep it. The ring holds the joiner when Join
+// returns, before that batch lands, so the test waits for the batch.
 func TestReregisterFollowsAJoin(t *testing.T) {
 	cfg := reregConfig(200)
 	s := ringOf(t, cfg, 4, (*Node).startRingMaint)
@@ -154,6 +156,15 @@ func TestReregisterFollowsAJoin(t *testing.T) {
 	start := time.Now()
 	hold(holder, start, seqs...)
 	holder.reregister(start, nil)
+	// With only ring upkeep running, a range change's cession is the one
+	// ReplicateBatch anyone sends.
+	ceded := func() (sum uint64) {
+		for _, nd := range s.Nodes {
+			sum += nd.lm.replicateBatches.Value()
+		}
+		return sum
+	}
+	before := ceded()
 	if err := s.add(len(s.Nodes)); err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +174,7 @@ func TestReregisterFollowsAJoin(t *testing.T) {
 	}
 	joiner.startRingMaint()
 	await(t, s, 10*time.Second, "the ring to take the joiner in", func() bool { return RingCorrect(s.Nodes) })
+	await(t, s, 10*time.Second, "the ceded range to reach the joiner", func() bool { return ceded() > before })
 	var moved []int64
 	for _, seq := range seqs {
 		if r := regOf(holder, seq); joiner.kern.OwnsSettled(r.key) && r.by != joiner.Addr() {

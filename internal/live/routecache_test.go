@@ -394,6 +394,39 @@ func TestMaintenanceCallBudget(t *testing.T) {
 	}
 }
 
+// TestSequentialJoinsNeedNoStabilize: with no upkeep running, the ring is
+// correct — every successor and every predecessor — after each of fourteen
+// joins in turn, once one stabilize tick of the source has linked it to the
+// first viewer. A joiner's Notifies to both neighbours are the whole of its
+// adoption.
+func TestSequentialJoinsNeedNoStabilize(t *testing.T) {
+	t.Parallel()
+	s := testSwarm(t, SwarmSpec{N: 16, Base: fastConfig()})
+	if s.Source().DHTName() != "chord" {
+		t.Skip("a join's adoption by both neighbours is the Chord kernel's")
+	}
+	src := s.Source()
+	if err := s.Nodes[1].Join(src.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range src.kern.Ticks() {
+		if tk.Name == "stabilize" {
+			tk.Fn()
+		}
+	}
+	if !RingCorrect(s.Nodes[:2]) {
+		t.Fatal("one stabilize tick of a ring of one did not link it to its first member")
+	}
+	for i := 2; i < len(s.Nodes); i++ {
+		if err := s.Nodes[i].Join(src.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if !RingCorrect(s.Nodes[:i+1]) {
+			t.Fatalf("after node %d joined, the ring of %d is not correct", i, i+1)
+		}
+	}
+}
+
 // TestUntracedNodeAllocatesNothingForTracing pins what a chunk may cost in
 // trace strings on a node without a trace: nothing. The serve path is held
 // to its whole budget — the reply, and the copy of the manifest row a
