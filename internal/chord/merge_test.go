@@ -138,6 +138,25 @@ func TestMergeCandidateOnlyTightens(t *testing.T) {
 	}
 }
 
+// TestTightenSuccessor: only a member inside (self, successor) is adopted,
+// the predecessor is never touched, and a ring of one takes no successor.
+func TestTightenSuccessor(t *testing.T) {
+	s := NewState(e(100, 1), 4)
+	if s.TightenSuccessor(e(200, 2)) || s.Successor().Addr != 1 {
+		t.Fatalf("a ring of one must keep itself as successor, got %v", s.Successor())
+	}
+	s.SetSuccessor(e(200, 2))
+	if s.TightenSuccessor(e(300, 3)) || s.TightenSuccessor(e(200, 2)) || s.TightenSuccessor(s.Self) {
+		t.Fatal("a candidate outside (self, successor) must be a no-op")
+	}
+	if !s.TightenSuccessor(e(150, 4)) || s.Successor().Addr != 4 {
+		t.Fatalf("successor = %v, want the closer candidate", s.Successor())
+	}
+	if s.Predecessor().OK {
+		t.Fatalf("predecessor = %v, want none", s.Predecessor())
+	}
+}
+
 func TestTwoRingsMergeViaSingleDetector(t *testing.T) {
 	states, a, b := twoRings(8)
 	// One detector in ring A learns of one member of ring B.

@@ -183,15 +183,33 @@ func (s *State[A]) MergeCandidate(e Entry[A]) bool {
 		return false
 	}
 	changed := false
-	succ := s.Successor()
-	if succ.Addr == s.Self.Addr || InOO(s.Self.ID, e.ID, succ.ID) {
+	if s.Successor().Addr == s.Self.Addr {
 		s.SetSuccessor(e)
+		changed = true
+	} else if s.TightenSuccessor(e) {
 		changed = true
 	}
 	if s.Notify(e) {
 		changed = true
 	}
 	return changed
+}
+
+// TightenSuccessor adopts e as successor when it lies inside
+// (self, successor) on a ring of more than one: the repair only ever moves
+// the pointer closer. A ring of one is left alone — whether a lone node
+// takes its first member as successor is the caller's decision. Returns
+// true if the successor changed.
+func (s *State[A]) TightenSuccessor(e Entry[A]) bool {
+	if !e.OK || e.Addr == s.Self.Addr {
+		return false
+	}
+	succ := s.Successor()
+	if succ.Addr == s.Self.Addr || !InOO(s.Self.ID, e.ID, succ.ID) {
+		return false
+	}
+	s.SetSuccessor(e)
+	return true
 }
 
 // OwnsKey reports whether this node is the owner (the paper's "owner of the

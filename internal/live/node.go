@@ -537,6 +537,17 @@ func (n *Node) Successor() (id uint64, addr string) {
 	return n.self.ID, n.self.Addr
 }
 
+// Predecessor exposes the previous member along the key space (tests,
+// RingCorrect); ok=false while none is known or the backend keeps no
+// predecessor.
+func (n *Node) Predecessor() (addr string, ok bool) {
+	if p, ok := n.kern.(interface{ Predecessor() (dht.Member, bool) }); ok {
+		m, ok := p.Predecessor()
+		return m.Addr, ok
+	}
+	return "", false
+}
+
 // startRingMaint schedules the kernel's periodic maintenance (Chord:
 // stabilize + fix-fingers; Kademlia: bucket refresh + liveness probe).
 func (n *Node) startRingMaint() {
