@@ -236,9 +236,9 @@ func main() {
 			if o.verbosity >= 1 {
 				st := node.Stats()
 				_, succ := node.Successor()
-				fmt.Printf("buffered=%d fetched=%d served=%d retries=%d shed=%d paced=%d abandoned=%d rpcretries=%d opens=%d failovers=%d blacklisted=%d replops=%d takeovers=%d hedges=%d/%d suspected=%d badchunks=%d quarantined=%d/%d ratelimited=%d succ=%s\n",
+				fmt.Printf("buffered=%d fetched=%d served=%d retries=%d held=%d shed=%d paced=%d abandoned=%d rpcretries=%d opens=%d failovers=%d blacklisted=%d replops=%d takeovers=%d hedges=%d/%d suspected=%d badchunks=%d quarantined=%d/%d ratelimited=%d succ=%s\n",
 					node.ChunkCount(), st.ChunksFetched, st.ChunksServed,
-					st.FetchRetries, st.ChunksShedBusy, st.PacedServes, st.ChunksAbandoned,
+					st.FetchRetries, st.LookupsHeld, st.ChunksShedBusy, st.PacedServes, st.ChunksAbandoned,
 					st.CallRetries, st.BreakerOpens, st.LookupFailovers, st.ProvidersBlacklisted,
 					st.ReplicaOpsApplied, st.IndexTakeovers, st.HedgeWins, st.HedgesLaunched,
 					st.SuspectedPeers, st.IntegrityRejects, st.QuarantinedPeers, st.PeersQuarantined,

@@ -4,9 +4,10 @@ package main
 // real node stack: n-1 viewers all join a 1-source stream within one chunk
 // period while the source's upload budget covers only a couple of chunk
 // serves per period. The run reports how the overload was absorbed —
-// source bytes vs its paced budget, sheds and the retry hints they
-// carried, and the delivered percentage the crowd still reached by feeding
-// itself. This is what `dcosim -method flashcrowd -json <file>` writes.
+// lookups the coordinators held at a provider's cap, source bytes vs its
+// paced budget, sheds and the retry hints they carried, and the delivered
+// percentage the crowd still reached by feeding itself. This is what
+// `dcosim -method flashcrowd -json <file>` writes.
 
 import (
 	"fmt"
@@ -29,6 +30,7 @@ type flashResult struct {
 	SourceServed     uint64  `json:"source_served_chunks"`
 	SourceBytes      uint64  `json:"source_served_bytes"`
 	BudgetBytes      float64 `json:"source_budget_bytes"` // UpBps x wall + burst
+	LookupsHeld      uint64  `json:"lookups_held"`        // lookups coordinators held at a provider's cap
 	Sheds            uint64  `json:"sheds"`               // Busy rejections at the source
 	PacedServes      uint64  `json:"paced_serves"`
 	BusyNacks        uint64  `json:"busy_nacks"`          // Busy responses seen by viewers
@@ -91,6 +93,7 @@ func runFlashCrowd(a liveArgs) (any, error) {
 		SourceServed:     srcStats.ChunksServed,
 		SourceBytes:      srcStats.ChunksServed * chunkBytes,
 		BudgetBytes:      float64(srcUpBps)/8*wall.Seconds() + burst,
+		LookupsHeld:      live.SumStats(s.Nodes).LookupsHeld,
 		Sheds:            srcStats.ChunksShedBusy,
 		PacedServes:      srcStats.PacedServes,
 		BusyNacks:        crowd.BusyNacksSeen,
@@ -104,6 +107,7 @@ func runFlashCrowd(a liveArgs) (any, error) {
 	fmt.Printf("delivered (min viewer):  %.2f%%\n", res.DeliveredPercent)
 	fmt.Printf("source served:           %d chunks (%d bytes; paced budget %.0f bytes)\n",
 		res.SourceServed, res.SourceBytes, res.BudgetBytes)
+	fmt.Printf("lookups held at cap:     %d\n", res.LookupsHeld)
 	fmt.Printf("sheds at source:         %d (paced serves: %d)\n", res.Sheds, res.PacedServes)
 	fmt.Printf("busy nacks at viewers:   %d (%d without retry hint)\n", res.BusyNacks, res.HintlessNacks)
 	fmt.Printf("chunks abandoned:        %d\n", res.Abandoned)

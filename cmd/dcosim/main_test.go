@@ -24,7 +24,7 @@ func TestLiveMethodsGateAndSchema(t *testing.T) {
 	}{
 		{"flashcrowd", liveArgs{n: 8, chunks: 20, srcUpBps: 120_000}, []string{
 			"busy_nacks", "busy_nacks_hintless", "chunks", "chunks_abandoned", "delivered_percent",
-			"join_seconds", "method", "n", "paced_serves", "sheds", "source_budget_bytes",
+			"join_seconds", "lookups_held", "method", "n", "paced_serves", "sheds", "source_budget_bytes",
 			"source_served_bytes", "source_served_chunks", "source_up_bps", "wall_seconds",
 		}},
 		{"live", liveArgs{n: 8, chunks: 30, kill: true}, []string{

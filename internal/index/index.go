@@ -13,9 +13,18 @@
 // The one lease rule, applied by every path that adds a row: the longer
 // lease wins and a zero deadline (no lease) beats any finite one. A holder's
 // own re-Insert at now+TTL is a special case of it.
+//
+// The one bandwidth rule (the paper's "sufficient upload bandwidth"): Select
+// names a row that advertises an upload bandwidth only while fewer answers
+// for that seq are unsettled than the row's uplink serves in one chunk
+// period (Budget). Each new holder Upsert adds settles the oldest unsettled
+// answer; an answer nobody settles lapses after Budget.Lapse.
 package index
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -93,6 +102,33 @@ func Restamp(ttlMs uint32, now time.Time) time.Time {
 	return now.Add(time.Duration(ttlMs) * time.Millisecond)
 }
 
+// Budget sizes the bandwidth rule. The zero Budget caps nothing.
+type Budget struct {
+	Period    time.Duration // one chunk period
+	ChunkBits int64         // one chunk's size
+	Lapse     time.Duration // how long an unsettled handout counts against its row
+}
+
+// cap is how many unsettled handouts r may have: what its uplink serves in
+// one chunk period, at least one. 0 means unlimited: r advertises no
+// bandwidth, or b is the zero Budget.
+func (b Budget) cap(r *Row) int {
+	if r.UpBps <= 0 || b.Period <= 0 || b.ChunkBits <= 0 {
+		return 0
+	}
+	c := float64(r.UpBps) * b.Period.Seconds() / float64(b.ChunkBits)
+	return int(min(max(c, 1), math.MaxInt32))
+}
+
+// handout is one answer's charge against a row it named. It is unsettled
+// until a new holder settles it or until passes. row is where the row stood
+// when it was named, a hint that holds until a row before it leaves.
+type handout struct {
+	addr  string
+	row   int
+	until time.Time
+}
+
 type entry struct {
 	key  uint64
 	rows []Row
@@ -101,6 +137,9 @@ type entry struct {
 	// (and forgotten) when a new provider registers.
 	wake   chan struct{}
 	parked int
+	// out is the FIFO of unsettled handouts, oldest (and soonest to lapse)
+	// first; nil until a row with a cap is named.
+	out []handout
 }
 
 // find is the one provider-by-address search.
@@ -114,6 +153,22 @@ func (e *entry) find(addr string) int {
 }
 
 func (e *entry) remove(i int) { e.rows = append(e.rows[:i], e.rows[i+1:]...) }
+
+// lapse drops the handouts whose time ran out by now.
+func (e *entry) lapse(now time.Time) {
+	i := 0
+	for i < len(e.out) && !now.Before(e.out[i].until) {
+		i++
+	}
+	e.drop(i)
+}
+
+// drop forgets the oldest k handouts, keeping the FIFO's array.
+func (e *entry) drop(k int) {
+	if k > 0 {
+		e.out = e.out[:copy(e.out, e.out[k:])]
+	}
+}
 
 func (e *entry) wakeParked() {
 	if e.wake != nil {
@@ -139,13 +194,18 @@ func (e *entry) prune(now time.Time) int {
 type Table struct {
 	mu      sync.Mutex
 	maxRows int
+	budget  Budget
 	entries map[int64]*entry
+	// cand and held are pick's scratch, reused under mu.
+	cand []int
+	held []int
 }
 
 // New returns an empty table whose entries hold at most maxRows provider
-// rows each (<= 0: no cap).
-func New(maxRows int) *Table {
-	return &Table{maxRows: maxRows, entries: make(map[int64]*entry)}
+// rows each (<= 0: no cap), and whose answers name rows as often as b
+// allows.
+func New(maxRows int, b Budget) *Table {
+	return &Table{maxRows: maxRows, budget: b, entries: make(map[int64]*entry)}
 }
 
 // Len returns the number of entries.
@@ -164,9 +224,10 @@ func (t *Table) dropIdle(seq int64, e *entry) {
 
 // Upsert registers r as a provider of seq, or refreshes its row by the lease
 // rule (a nonzero UpBps and a known LoadMilli replace the stored ones). A new
-// row wakes the lookups parked on seq. It reports whether a row was added and
-// whether r is in the table at all: a row already expired at now is refused,
-// and so is a new row for an entry at the cap — a refresh never is.
+// row settles seq's oldest unsettled handout and wakes the lookups parked on
+// seq. It reports whether a row was added and whether r is in the table at
+// all: a row already expired at now is refused, and so is a new row for an
+// entry at the cap — a refresh never is.
 func (t *Table) Upsert(key uint64, seq int64, r Row, now time.Time) (added, ok bool) {
 	if r.expired(now) {
 		return false, false
@@ -199,6 +260,8 @@ func (t *Table) Upsert(key uint64, seq int64, r Row, now time.Time) (added, ok b
 		r.LoadMilli = 0
 	}
 	e.rows = append(e.rows, r)
+	e.lapse(now)
+	e.drop(min(1, len(e.out)))
 	e.wakeParked()
 	return true, true
 }
@@ -358,15 +421,22 @@ func hashRows(rows []Row) (sum uint64) {
 // what it promises), dropping the entry's lapsed leases first and reporting
 // how many. With nothing to offer it parks the caller instead: wake is
 // non-nil, is closed when a new provider registers for seq, and the caller
-// must call Unpark once it stops waiting.
-func (t *Table) Select(key uint64, seq int64, max int, now time.Time, exclude func(addr string) bool) (provs []wire.Entry, expired int, wake <-chan struct{}) {
+// must call Unpark once it stops waiting. When it parks because every
+// usable row is at its cap, reopen is the earliest time a handout lapses
+// (zero otherwise): the caller should look again then.
+func (t *Table) Select(key uint64, seq int64, max int, now time.Time, exclude func(addr string) bool) (provs []wire.Entry, expired int, wake <-chan struct{}, reopen time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entries[seq]
 	if e != nil {
 		expired = e.prune(now)
-		if provs = e.pick(max, exclude); len(provs) > 0 {
-			return provs, expired, nil
+		e.lapse(now)
+		var capped bool
+		if provs, capped = t.pick(e, max, now, exclude); len(provs) > 0 {
+			return provs, expired, nil, time.Time{}
+		}
+		if capped {
+			reopen = e.out[0].until
 		}
 	} else {
 		e = &entry{key: key}
@@ -376,7 +446,7 @@ func (t *Table) Select(key uint64, seq int64, max int, now time.Time, exclude fu
 		e.wake = make(chan struct{})
 	}
 	e.parked++
-	return nil, expired, e.wake
+	return nil, expired, e.wake, reopen
 }
 
 // Unpark ends a wait Select started.
@@ -389,6 +459,23 @@ func (t *Table) Unpark(seq int64) {
 	}
 }
 
+// countHeld counts each row's unsettled handouts, by row index, into t.held.
+func (t *Table) countHeld(e *entry) []int {
+	held := slices.Grow(t.held[:0], len(e.rows))[:len(e.rows)]
+	clear(held)
+	for j := range e.out {
+		h := &e.out[j]
+		if h.row < 0 || h.row >= len(e.rows) || e.rows[h.row].Ent.Addr != h.addr {
+			h.row = e.find(h.addr) // a row before it left
+		}
+		if h.row >= 0 {
+			held[h.row]++
+		}
+	}
+	t.held = held
+	return held
+}
+
 // pick is the capacity-weighted provider selection: saturated providers are
 // skipped while any unsaturated one exists, the answer is drawn round-robin
 // from the low-load cohort, and backfilled with the next-least-loaded
@@ -397,42 +484,50 @@ func (t *Table) Unpark(seq int64) {
 // providers are registered than the answer carries, the last slot is an
 // exploration pick from outside the chosen set (see below). exclude (nil =
 // none) drops providers outright — quarantined peers never appear in
-// answers, even degraded ones.
-func (e *entry) pick(max int, exclude func(addr string) bool) []wire.Entry {
+// answers, even degraded ones — and so does the bandwidth rule: a row at
+// its cap is skipped (capped reports that one was), and every row named
+// that has a cap is charged a handout lapsing at now + Lapse. The answer
+// is pick's one allocation.
+func (t *Table) pick(e *entry, max int, now time.Time, exclude func(addr string) bool) (out []wire.Entry, capped bool) {
 	if len(e.rows) == 0 || max <= 0 {
-		return nil
+		return nil, false
 	}
-	usable := func(i int) bool {
-		return exclude == nil || !exclude(e.rows[i].Ent.Addr)
-	}
-	cand := make([]int, 0, len(e.rows))
+	held := t.countHeld(e)
+	cand := t.cand[:0]
+	unsaturated := 0
 	for i := range e.rows {
-		if e.rows[i].LoadMilli < LoadSaturatedMilli && usable(i) {
-			cand = append(cand, i)
+		r := &e.rows[i]
+		if exclude != nil && exclude(r.Ent.Addr) {
+			continue
+		}
+		if c := t.budget.cap(r); c > 0 && held[i] >= c {
+			capped = true
+			continue
+		}
+		cand = append(cand, i)
+		if r.LoadMilli < LoadSaturatedMilli {
+			unsaturated++
 		}
 	}
-	if len(cand) == 0 {
-		for i := range e.rows {
-			if usable(i) {
-				cand = append(cand, i)
-			}
-		}
+	t.cand = cand
+	if unsaturated > 0 {
+		cand = slices.DeleteFunc(cand, func(i int) bool { return e.rows[i].LoadMilli >= LoadSaturatedMilli })
 	}
 	if len(cand) == 0 {
-		return nil
+		return nil, capped
 	}
-	sort.SliceStable(cand, func(a, b int) bool {
-		pa, pb := &e.rows[cand[a]], &e.rows[cand[b]]
+	slices.SortStableFunc(cand, func(a, b int) int {
+		pa, pb := &e.rows[a], &e.rows[b]
 		if pa.LoadMilli != pb.LoadMilli {
-			return pa.LoadMilli < pb.LoadMilli
+			return cmp.Compare(pa.LoadMilli, pb.LoadMilli)
 		}
-		return pa.UpBps > pb.UpBps // ties: bigger pipes first
+		return cmp.Compare(pb.UpBps, pa.UpBps) // ties: bigger pipes first
 	})
 	floor := e.rows[cand[0]].LoadMilli
-	cohort := cand
+	nc := len(cand) // the cohort is cand[:nc]
 	for i, ci := range cand {
 		if e.rows[ci].LoadMilli > floor+cohortSpreadMilli {
-			cohort = cand[:i]
+			nc = i
 			break
 		}
 	}
@@ -449,40 +544,53 @@ func (e *entry) pick(max int, exclude func(addr string) bool) []wire.Entry {
 	if explore {
 		fill = max - 1
 	}
-	out := make([]wire.Entry, 0, max)
-	picked := make(map[int]bool, fill)
-	start := e.rr % len(cohort)
-	for i := 0; i < len(cohort) && len(out) < fill; i++ {
-		ci := cohort[(start+i)%len(cohort)]
-		out = append(out, e.rows[ci].Ent)
-		picked[ci] = true
+	// The chosen set: a rotating window of the cohort, then the head of
+	// what follows it.
+	start, fromCohort := e.rr%nc, min(nc, fill)
+	backfill := 0
+	if fromCohort == nc {
+		backfill = min(len(cand)-nc, fill-nc)
 	}
-	for i := len(cohort); i < len(cand) && len(out) < fill; i++ {
-		out = append(out, e.rows[cand[i]].Ent)
-		picked[cand[i]] = true
+	chosen := func(pos int) bool {
+		if pos >= nc {
+			return pos < nc+backfill
+		}
+		return (pos-start+nc)%nc < fromCohort
+	}
+	out = make([]wire.Entry, 0, max)
+	name := func(ci int) {
+		r := &e.rows[ci]
+		out = append(out, r.Ent)
+		if t.budget.cap(r) > 0 {
+			e.out = append(e.out, handout{addr: r.Ent.Addr, row: ci, until: now.Add(t.budget.Lapse)})
+		}
+	}
+	for i := 0; i < fromCohort; i++ {
+		name(cand[(start+i)%nc])
+	}
+	for pos := nc; pos < nc+backfill; pos++ {
+		name(cand[pos])
 	}
 	if explore {
 		// Prefer exploring outside the cohort — that is where a reachable
 		// provider a stale-idle cohort is hiding will be — falling back to
 		// unchosen cohort members when the cohort is the whole candidate set.
-		remOut := make([]int, 0, len(cand))
-		remIn := make([]int, 0, len(cohort))
-		for i, ci := range cand {
-			if picked[ci] {
+		lo, hi, free := nc, len(cand), len(cand)-nc-backfill
+		if free == 0 {
+			lo, hi, free = 0, nc, nc-fromCohort
+		}
+		k := e.rr % free
+		for pos := lo; pos < hi; pos++ {
+			if chosen(pos) {
 				continue
 			}
-			if i < len(cohort) {
-				remIn = append(remIn, ci)
-			} else {
-				remOut = append(remOut, ci)
+			if k == 0 {
+				name(cand[pos])
+				break
 			}
+			k--
 		}
-		rem := remOut
-		if len(rem) == 0 {
-			rem = remIn
-		}
-		out = append(out, e.rows[rem[e.rr%len(rem)]].Ent)
 	}
 	e.rr++
-	return out
+	return out, capped
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dco/internal/israce"
 	"dco/internal/wire"
 )
 
@@ -47,7 +48,7 @@ func TestTableLeaseMerge(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tb := New(0)
+			tb := New(0, Budget{})
 			if added, ok := tb.Upsert(1, 7, row("a", tc.have), t0); !added || !ok {
 				t.Fatalf("first upsert: added=%v ok=%v", added, ok)
 			}
@@ -65,7 +66,7 @@ func TestTableLeaseMerge(t *testing.T) {
 		})
 	}
 	// A new row that is already expired never enters, and leaves no entry.
-	tb := New(0)
+	tb := New(0, Budget{})
 	if _, ok := tb.Upsert(1, 7, row("a", time.Second), t0.Add(2*time.Second)); ok || tb.Len() != 0 {
 		t.Fatalf("expired new row: ok=%v entries=%d", ok, tb.Len())
 	}
@@ -74,7 +75,7 @@ func TestTableLeaseMerge(t *testing.T) {
 // TestTableRefreshKeepsWhatHearsayLacks: a first-hand refresh replaces
 // bandwidth and load; hearsay (UpBps 0, LoadUnknown) keeps both.
 func TestTableRefreshKeepsWhatHearsayLacks(t *testing.T) {
-	tb := New(0)
+	tb := New(0, Budget{})
 	tb.Upsert(1, 7, Row{Ent: wire.Entry{Addr: "a"}, UpBps: 100, LoadMilli: 400}, t0)
 	tb.Upsert(1, 7, Row{Ent: wire.Entry{Addr: "a"}, LoadMilli: LoadUnknown}, t0)
 	if r := tb.Get(7).Rows[0]; r.UpBps != 100 || r.LoadMilli != 400 {
@@ -93,7 +94,7 @@ func TestTableRefreshKeepsWhatHearsayLacks(t *testing.T) {
 // TestTableCap: the per-entry cap refuses growth on every path, never a
 // refresh, and never another entry.
 func TestTableCap(t *testing.T) {
-	tb := New(2)
+	tb := New(2, Budget{})
 	for _, a := range []string{"a", "b"} {
 		if added, ok := tb.Upsert(1, 7, row(a, 0), t0); !added || !ok {
 			t.Fatalf("%s refused under the cap", a)
@@ -113,7 +114,7 @@ func TestTableCap(t *testing.T) {
 // TestTableRemoveScrubPrune: rows leave by holder, by holder everywhere and
 // by lease, and an entry nothing refers to leaves with its last row.
 func TestTableRemoveScrubPrune(t *testing.T) {
-	tb := New(0)
+	tb := New(0, Budget{})
 	tb.Upsert(10, 1, row("a", 0), t0)
 	tb.Upsert(10, 1, row("b", 0), t0)
 	tb.Upsert(20, 2, row("a", 0), t0)
@@ -148,7 +149,7 @@ func TestTableRemoveScrubPrune(t *testing.T) {
 // TestTableTake: Take exports and deletes exactly the entries keep
 // rejects, rows and keys intact.
 func TestTableTake(t *testing.T) {
-	tb := New(0)
+	tb := New(0, Budget{})
 	for seq := int64(1); seq <= 6; seq++ {
 		tb.Upsert(uint64(seq), seq, Row{Ent: wire.Entry{Addr: "a"}, UpBps: seq, Expire: t0.Add(time.Minute)}, t0)
 	}
@@ -182,8 +183,8 @@ func TestTableParkAndWake(t *testing.T) {
 			return false
 		}
 	}
-	tb := New(0)
-	provs, _, wake := tb.Select(1, 7, 3, t0, nil)
+	tb := New(0, Budget{})
+	provs, _, wake, _ := tb.Select(1, 7, 3, t0, nil)
 	if len(provs) != 0 || wake == nil || tb.Len() != 1 {
 		t.Fatalf("empty select: provs=%v wake=%v entries=%d", provs, wake, tb.Len())
 	}
@@ -195,8 +196,8 @@ func TestTableParkAndWake(t *testing.T) {
 		t.Fatal("the entry outlived its only (timed-out) lookup")
 	}
 
-	_, _, wake = tb.Select(1, 7, 3, t0, nil)
-	_, _, wake2 := tb.Select(1, 7, 3, t0, nil)
+	_, _, wake, _ = tb.Select(1, 7, 3, t0, nil)
+	_, _, wake2, _ := tb.Select(1, 7, 3, t0, nil)
 	tb.Upsert(1, 7, row("a", 0), t0)
 	if !woken(wake) || !woken(wake2) {
 		t.Fatal("the first provider did not wake every parked lookup")
@@ -205,7 +206,7 @@ func TestTableParkAndWake(t *testing.T) {
 	tb.Unpark(7)
 
 	// Everything registered is excluded: park like an empty entry.
-	_, _, wake = tb.Select(1, 7, 3, t0, func(string) bool { return true })
+	_, _, wake, _ = tb.Select(1, 7, 3, t0, func(string) bool { return true })
 	if wake == nil {
 		t.Fatal("a fully excluded entry did not park")
 	}
@@ -218,14 +219,14 @@ func TestTableParkAndWake(t *testing.T) {
 		t.Fatal("a new provider did not wake the parked lookup")
 	}
 	tb.Unpark(7)
-	if provs, _, wake := tb.Select(1, 7, 3, t0, nil); len(provs) != 2 || wake != nil {
+	if provs, _, wake, _ := tb.Select(1, 7, 3, t0, nil); len(provs) != 2 || wake != nil {
 		t.Fatalf("select after registrations: provs=%v wake=%v", provs, wake)
 	}
 
 	// A lookup parked on an entry that is taken away stays parked, and its
 	// entry leaves with it.
 	tb.Upsert(2, 8, row("a", 0), t0)
-	_, _, wake = tb.Select(2, 8, 3, t0, func(string) bool { return true })
+	_, _, wake, _ = tb.Select(2, 8, 3, t0, func(string) bool { return true })
 	if taken := tb.Take(nil); len(taken) != 2 || woken(wake) || tb.Len() != 1 {
 		t.Fatalf("take: %d taken, woken=%v, entries=%d; want 2, false, the parked one", len(taken), woken(wake), tb.Len())
 	}
@@ -238,10 +239,10 @@ func TestTableParkAndWake(t *testing.T) {
 // TestTableSelectPrunesLapsedLeases: a lapsed lease never appears in an
 // answer, and the drop is reported.
 func TestTableSelectPrunesLapsedLeases(t *testing.T) {
-	tb := New(0)
+	tb := New(0, Budget{})
 	tb.Upsert(1, 7, row("dead", time.Second), t0)
 	tb.Upsert(1, 7, row("alive", time.Minute), t0)
-	provs, expired, _ := tb.Select(1, 7, 3, t0.Add(2*time.Second), nil)
+	provs, expired, _, _ := tb.Select(1, 7, 3, t0.Add(2*time.Second), nil)
 	if expired != 1 || len(provs) != 1 || provs[0].Addr != "alive" {
 		t.Fatalf("provs=%v expired=%d", provs, expired)
 	}
@@ -251,7 +252,7 @@ func TestTableSelectPrunesLapsedLeases(t *testing.T) {
 // owner's digests drops what they no longer mention and asks for what is
 // missing or differs — and for nothing once it matches.
 func TestTableDigestsAndReconcile(t *testing.T) {
-	owner, replica := New(0), New(0)
+	owner, replica := New(0, Budget{}), New(0, Budget{})
 	owner.Upsert(1, 1, row("a", 0), t0)
 	owner.Upsert(2, 2, row("a", 0), t0)
 	owner.Upsert(2, 2, row("b", 0), t0)
@@ -328,7 +329,7 @@ func TestTableTTLWireRoundTrip(t *testing.T) {
 // TestTableConcurrentUse drives every method from several goroutines at
 // once; the race detector is the oracle.
 func TestTableConcurrentUse(t *testing.T) {
-	tb := New(4)
+	tb := New(4, budget)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -340,9 +341,11 @@ func TestTableConcurrentUse(t *testing.T) {
 				now := t0.Add(time.Duration(i) * time.Millisecond)
 				switch (g + i) % 8 {
 				case 0, 1:
-					tb.Upsert(uint64(seq), seq, row(addr, time.Second), now)
+					r := row(addr, time.Second)
+					r.UpBps = int64(g) * 80_000 // capped rows, and one unlimited
+					tb.Upsert(uint64(seq), seq, r, now)
 				case 2:
-					_, _, wake := tb.Select(uint64(seq), seq, 3, now, func(a string) bool { return a == "p3" })
+					_, _, wake, _ := tb.Select(uint64(seq), seq, 1+g%3, now, func(a string) bool { return a == "p3" })
 					if wake != nil {
 						tb.Unpark(seq)
 					}
@@ -373,13 +376,13 @@ func TestTableConcurrentUse(t *testing.T) {
 // TestTableSelectSkipsSaturatedProviders: while any provider is under the
 // saturation threshold, saturated ones must not appear in the answer.
 func TestTableSelectSkipsSaturatedProviders(t *testing.T) {
-	e := &entry{}
+	tb, e := New(0, Budget{}), &entry{}
 	e.rows = []Row{
 		{Ent: wire.Entry{Addr: "idle:1"}, LoadMilli: 100},
 		{Ent: wire.Entry{Addr: "busy:1"}, LoadMilli: 2000},
 		{Ent: wire.Entry{Addr: "idle:2"}, LoadMilli: 150},
 	}
-	got := e.pick(3, nil)
+	got, _ := tb.pick(e, 3, t0, nil)
 	if len(got) != 2 {
 		t.Fatalf("selected %d providers, want the 2 unsaturated ones: %v", len(got), got)
 	}
@@ -393,12 +396,12 @@ func TestTableSelectSkipsSaturatedProviders(t *testing.T) {
 // TestTableSelectAllSaturatedDegrades: when every provider is saturated, the
 // least-loaded ones are returned anyway — a degraded answer beats none.
 func TestTableSelectAllSaturatedDegrades(t *testing.T) {
-	e := &entry{}
+	tb, e := New(0, Budget{}), &entry{}
 	e.rows = []Row{
 		{Ent: wire.Entry{Addr: "busy:1"}, LoadMilli: 3000},
 		{Ent: wire.Entry{Addr: "busy:2"}, LoadMilli: 1500},
 	}
-	got := e.pick(3, nil)
+	got, _ := tb.pick(e, 3, t0, nil)
 	if len(got) != 2 {
 		t.Fatalf("selected %d providers, want 2", len(got))
 	}
@@ -411,7 +414,7 @@ func TestTableSelectAllSaturatedDegrades(t *testing.T) {
 // across successive lookups, so a flash crowd is spread instead of herded
 // onto one report.
 func TestTableSelectCohortRotation(t *testing.T) {
-	e := &entry{}
+	tb, e := New(0, Budget{}), &entry{}
 	e.rows = []Row{
 		{Ent: wire.Entry{Addr: "a"}},
 		{Ent: wire.Entry{Addr: "b"}},
@@ -419,7 +422,7 @@ func TestTableSelectCohortRotation(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for i := 0; i < 3; i++ {
-		got := e.pick(1, nil)
+		got, _ := tb.pick(e, 1, t0, nil)
 		if len(got) != 1 {
 			t.Fatalf("selected %d providers, want 1", len(got))
 		}
@@ -436,7 +439,7 @@ func TestTableSelectCohortRotation(t *testing.T) {
 // must still rotate across the rest of the registered set — otherwise
 // three zombies capture every answer forever.
 func TestTableSelectExplorationEscapesIdleCohort(t *testing.T) {
-	e := &entry{}
+	tb, e := New(0, Budget{}), &entry{}
 	e.rows = []Row{
 		{Ent: wire.Entry{Addr: "zombie:1"}},
 		{Ent: wire.Entry{Addr: "zombie:2"}},
@@ -446,7 +449,7 @@ func TestTableSelectExplorationEscapesIdleCohort(t *testing.T) {
 	}
 	seenHealthy := make(map[string]bool)
 	for i := 0; i < 4; i++ {
-		got := e.pick(3, nil)
+		got, _ := tb.pick(e, 3, t0, nil)
 		if len(got) != 3 {
 			t.Fatalf("selected %d providers, want 3: %v", len(got), got)
 		}
@@ -463,5 +466,156 @@ func TestTableSelectExplorationEscapesIdleCohort(t *testing.T) {
 	}
 	if len(seenHealthy) != 2 {
 		t.Fatalf("4 answers explored %d distinct loaded providers, want both", len(seenHealthy))
+	}
+}
+
+// budget caps a row at UpBps/80,000 handouts (one chunk of 8,000 bits a
+// 100-ms period) that lapse after 700 ms.
+var budget = Budget{Period: 100 * time.Millisecond, ChunkBits: 8000, Lapse: 700 * time.Millisecond}
+
+func finite(addr string, upBps int64) Row {
+	return Row{Ent: wire.Entry{Addr: addr}, UpBps: upBps}
+}
+
+func names(provs []wire.Entry) (out []string) {
+	for _, p := range provs {
+		out = append(out, p.Addr)
+	}
+	return out
+}
+
+// TestTableCapHoldsUntilANewHolder: a row is named only while fewer answers
+// are unsettled than its uplink serves in one period, and each new holder
+// settles one of them.
+func TestTableCapHoldsUntilANewHolder(t *testing.T) {
+	tb := New(0, budget)
+	tb.Upsert(1, 7, finite("src", 160_000), t0) // cap 2
+	for i := 0; i < 2; i++ {
+		if provs, _, wake, _ := tb.Select(1, 7, 3, t0, nil); len(provs) != 1 || wake != nil {
+			t.Fatalf("answer %d under the cap: %v", i, names(provs))
+		}
+	}
+	provs, _, wake, reopen := tb.Select(1, 7, 3, t0, nil)
+	if len(provs) != 0 || wake == nil || reopen.IsZero() {
+		t.Fatalf("third answer at cap 2: provs=%v wake=%v reopen=%v", names(provs), wake, reopen)
+	}
+	tb.Upsert(1, 7, finite("v1", 80_000), t0) // settles one; cap 1
+	select {
+	case <-wake:
+	default:
+		t.Fatal("a new holder did not wake the held lookup")
+	}
+	tb.Unpark(7)
+	// Both rows are under their caps now, and both are charged.
+	if provs, _, _, _ := tb.Select(1, 7, 3, t0, nil); len(provs) != 2 {
+		t.Fatalf("after one settle: %v, want src and v1", names(provs))
+	}
+	if provs, _, wake, _ := tb.Select(1, 7, 3, t0, nil); len(provs) != 0 || wake == nil {
+		t.Fatalf("both rows back at their caps, yet answered %v", names(provs))
+	}
+	tb.Unpark(7)
+}
+
+// TestTableRefreshSettlesNothing: only a holder the entry did not have
+// settles a handout; a known holder's refresh does not.
+func TestTableRefreshSettlesNothing(t *testing.T) {
+	tb := New(0, budget)
+	tb.Upsert(1, 7, finite("src", 80_000), t0) // cap 1
+	if provs, _, _, _ := tb.Select(1, 7, 3, t0, nil); len(provs) != 1 {
+		t.Fatalf("first answer: %v", names(provs))
+	}
+	r := finite("src", 80_000)
+	r.Expire = t0.Add(time.Minute)
+	if added, ok := tb.Upsert(1, 7, r, t0); added || !ok {
+		t.Fatalf("refresh: added=%v ok=%v", added, ok)
+	}
+	provs, _, wake, _ := tb.Select(1, 7, 3, t0, nil)
+	if len(provs) != 0 || wake == nil {
+		t.Fatalf("a refresh settled a handout: answered %v", names(provs))
+	}
+	tb.Unpark(7)
+}
+
+// TestTableLapseReopensTheRow: an unsettled handout stops counting after
+// Lapse, and the held lookup is told when.
+func TestTableLapseReopensTheRow(t *testing.T) {
+	tb := New(0, budget)
+	tb.Upsert(1, 7, finite("src", 80_000), t0)
+	tb.Select(1, 7, 3, t0, nil)
+	at := t0.Add(300 * time.Millisecond)
+	_, _, _, reopen := tb.Select(1, 7, 3, at, nil)
+	tb.Unpark(7)
+	if want := t0.Add(budget.Lapse); !reopen.Equal(want) {
+		t.Fatalf("reopen = %v, want the handout's lapse %v", reopen, want)
+	}
+	if provs, _, _, _ := tb.Select(1, 7, 3, reopen.Add(-time.Nanosecond), nil); len(provs) != 0 {
+		t.Fatalf("answered %v before the lapse", names(provs))
+	}
+	tb.Unpark(7)
+	if provs, _, _, _ := tb.Select(1, 7, 3, reopen, nil); len(provs) != 1 {
+		t.Fatalf("the lapse did not reopen the row: %v", names(provs))
+	}
+}
+
+// TestTableUnlimitedRowIsNeverCapped: a row advertising no bandwidth, and
+// any row of a table with the zero Budget, is named on every answer and
+// charged nothing.
+func TestTableUnlimitedRowIsNeverCapped(t *testing.T) {
+	capped, open := New(0, budget), New(0, Budget{})
+	capped.Upsert(1, 7, finite("any", 0), t0)
+	open.Upsert(1, 7, finite("src", 80_000), t0)
+	for i := 0; i < 100; i++ {
+		for _, tb := range []*Table{capped, open} {
+			if provs, _, wake, _ := tb.Select(1, 7, 3, t0, nil); len(provs) != 1 || wake != nil {
+				t.Fatalf("answer %d: %v", i, names(provs))
+			}
+		}
+	}
+	for _, tb := range []*Table{capped, open} {
+		if out := tb.entries[7].out; out != nil {
+			t.Fatalf("an uncapped row was charged %d handouts", len(out))
+		}
+	}
+}
+
+// TestTableEveryRowAtCapParks: when the rows left after exclusion are all at
+// their caps, Select parks and reports the earliest lapse; a row that is only
+// excluded reports none.
+func TestTableEveryRowAtCapParks(t *testing.T) {
+	tb := New(0, budget)
+	tb.Upsert(1, 7, finite("a", 80_000), t0)
+	tb.Upsert(1, 7, finite("b", 80_000), t0)
+	tb.Select(1, 7, 1, t0, nil)                           // a, lapsing at t0+700ms
+	tb.Select(1, 7, 1, t0.Add(100*time.Millisecond), nil) // b, at t0+800ms
+	provs, _, wake, reopen := tb.Select(1, 7, 3, t0.Add(200*time.Millisecond), nil)
+	if len(provs) != 0 || wake == nil {
+		t.Fatalf("every row at cap, yet answered %v", names(provs))
+	}
+	if want := t0.Add(budget.Lapse); !reopen.Equal(want) {
+		t.Fatalf("reopen = %v, want the earliest lapse %v", reopen, want)
+	}
+	tb.Unpark(7)
+	tb.Upsert(2, 8, finite("a", 80_000), t0)
+	_, _, wake, reopen = tb.Select(2, 8, 3, t0, func(string) bool { return true })
+	if wake == nil || !reopen.IsZero() {
+		t.Fatalf("an excluded row: wake=%v reopen=%v, want a park with no lapse", wake, reopen)
+	}
+	tb.Unpark(8)
+}
+
+// TestTableSelectAllocatesOnlyItsAnswer: an answered Select allocates the
+// answer and nothing else — pick's candidates and counts live in the
+// table's scratch.
+func TestTableSelectAllocatesOnlyItsAnswer(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	tb := New(0, budget)
+	for i := 0; i < 6; i++ {
+		tb.Upsert(1, 7, Row{Ent: wire.Entry{Addr: fmt.Sprintf("p%d", i)}, LoadMilli: uint32(i * 200)}, t0)
+	}
+	quarantined := func(addr string) bool { return addr == "p1" }
+	if n := testing.AllocsPerRun(100, func() { tb.Select(1, 7, 3, t0, quarantined) }); n != 1 {
+		t.Fatalf("Select allocated %v objects per answer, want 1", n)
 	}
 }

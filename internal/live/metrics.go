@@ -25,6 +25,7 @@ type liveMetrics struct {
 	trace *telemetry.Trace
 
 	lookupsServed  *telemetry.Counter
+	lookupsHeld    *telemetry.Counter // lookups parked because every usable provider was at its cap
 	insertsServed  *telemetry.Counter
 	chunksServed   *telemetry.Counter
 	chunksFetched  *telemetry.Counter
@@ -142,6 +143,7 @@ func newLiveMetrics(reg *telemetry.Registry, tr *telemetry.Trace) *liveMetrics {
 		trace: tr,
 
 		lookupsServed:  reg.Counter("dco_live_lookups_served_total"),
+		lookupsHeld:    reg.Counter("dco_live_lookups_held_total"),
 		insertsServed:  reg.Counter("dco_live_inserts_served_total"),
 		chunksServed:   reg.Counter("dco_live_chunks_served_total"),
 		chunksFetched:  reg.Counter("dco_live_chunks_fetched_total"),

@@ -327,6 +327,7 @@ type Node struct {
 // single source of truth.
 type Stats struct {
 	LookupsServed uint64
+	LookupsHeld   uint64 // lookups held because every usable provider was at its cap (index.Budget)
 	InsertsServed uint64
 	ChunksServed  uint64
 	ChunksFetched uint64
@@ -408,7 +409,7 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		cfg:       cfg,
 		chunks:    make(map[int64][]byte),
 		regs:      make(map[int64]registration),
-		idx:       index.New(cfg.MaxProvidersPerSeq),
+		idx:       index.New(cfg.MaxProvidersPerSeq, index.Budget{Period: cfg.Channel.Period, ChunkBits: cfg.Channel.ChunkBits, Lapse: admitMaxWait + cfg.Channel.Period}),
 		replicas:  replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
 		manifest:  make(map[int64]manifestRec),
 		guard:     newPollutionGuard(),
@@ -463,6 +464,7 @@ func (n *Node) Stats() Stats {
 	suspected, quarantined, _ := n.health.Counts()
 	return Stats{
 		LookupsServed:        n.lm.lookupsServed.Value(),
+		LookupsHeld:          n.lm.lookupsHeld.Value(),
 		InsertsServed:        n.lm.insertsServed.Value(),
 		ChunksServed:         n.lm.chunksServed.Value(),
 		ChunksFetched:        n.lm.chunksFetched.Value(),

@@ -53,13 +53,22 @@ func (n *Node) serve(from string, req wire.Message) wire.Message {
 // to MaxWait for the first registration (the paper's pending queue). The
 // requester's propagated DeadlineMs budget clamps the hold — parking a
 // lookup past the caller's deadline only produces an answer nobody is
-// waiting for, while occupying a pending-queue slot.
+// waiting for, while occupying a pending-queue slot. A lookup whose every
+// provider is at its cap (index.Budget) is held the same way, and also
+// looks again when the earliest handout lapses.
 func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 	waitMs := m.MaxWait
 	if m.DeadlineMs > 0 && m.DeadlineMs < waitMs {
 		waitMs = m.DeadlineMs
 	}
 	deadline := time.Now().Add(time.Duration(waitMs) * time.Millisecond)
+	held := false
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for first := true; ; first = false {
 		if !n.kern.Owns(m.Key) {
 			return errNotOwner
@@ -68,26 +77,45 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 			n.lm.lookupsServed.Inc()
 		}
 		// Capacity-weighted selection (index.Table.Select): skip saturated
-		// providers, rotate through the low-load cohort; quarantined
-		// providers are excluded outright (integrity.go). An entry whose
-		// every provider is quarantined parks like an empty one — a clean
-		// provider may register before the deadline.
-		providers, expired, wake := n.idx.Select(m.Key, m.Seq, 3, time.Now(), n.health.Quarantined)
+		// providers and those at their cap, rotate through the low-load
+		// cohort; quarantined providers are excluded outright (integrity.go).
+		// An entry whose every provider is quarantined parks like an empty
+		// one — a clean provider may register before the deadline.
+		providers, expired, wake, reopen := n.idx.Select(m.Key, m.Seq, 3, time.Now(), n.health.Quarantined)
 		if expired > 0 {
 			n.lm.indexExpired.Add(uint64(expired))
 		}
 		if len(providers) > 0 {
 			return &wire.LookupResp{Seq: m.Seq, Providers: providers}
 		}
+		if !held && !reopen.IsZero() {
+			held = true
+			n.lm.lookupsHeld.Inc()
+		}
 		// Nothing owned to offer, but a replica slice may hold the entry —
 		// e.g. both the old owner and its first successor died before any
 		// takeover or anti-entropy round reached this node.
 		woken := n.promoteReplicaSeq(m.Key, m.Seq)
 		if remain := time.Until(deadline); !woken && remain > 0 {
+			if !reopen.IsZero() {
+				remain = min(remain, time.Until(reopen))
+			}
+			if timer == nil {
+				timer = time.NewTimer(remain)
+			} else {
+				timer.Reset(remain)
+			}
 			select {
 			case <-wake:
 				woken = true
-			case <-time.After(remain):
+				if !timer.Stop() {
+					select { // fired meanwhile: drain it for the next Reset
+					case <-timer.C:
+					default:
+					}
+				}
+			case <-timer.C:
+				woken = time.Now().Before(deadline) // a handout lapsed: look again
 			case <-n.closed:
 				n.idx.Unpark(m.Seq)
 				return &wire.Error{Code: wire.CodeShutdown, Msg: "shutting down"}

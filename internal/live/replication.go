@@ -75,7 +75,7 @@ func (s *replicaStore) update(owner string, fn func(slice *index.Table)) {
 	defer s.mu.Unlock()
 	slice := s.slices[owner]
 	if slice == nil {
-		slice = index.New(s.maxRows)
+		slice = index.New(s.maxRows, index.Budget{})
 		s.slices[owner] = slice
 	}
 	fn(slice)

@@ -196,11 +196,14 @@ type LookupResp struct {
 }
 
 // Insert registers (or withdraws) a chunk index with its coordinator.
+// UpBps is the holder's advertised upload bandwidth (0 = unlimited): the
+// coordinator names the holder in at most UpBps x period / chunk bits of a
+// seq's unsettled Lookup answers, and an Insert that adds a new holder
+// settles the oldest one (the paper's "sufficient bandwidth" rule).
 // LoadMilli is the holder's upload load factor in thousandths (0 = idle,
 // 1000 = the advertised UpBps is fully committed, >1000 = backlog beyond
 // the budget); every Insert piggybacks it so coordinators keep a recent
-// load report per provider and can answer Lookups with nodes that
-// actually have spare capacity (the paper's "sufficient bandwidth" rule).
+// load report per provider and answer Lookups with the least-loaded ones.
 //
 // BufCount and ManifestDigest are reserved: they are still encoded, but no
 // node sets or reads them.
