@@ -143,6 +143,61 @@ func TestActiveWindowRetention(t *testing.T) {
 	}
 }
 
+// TestWindowTrimsOnlyWhatExpired: a node on an endless stream that buffers
+// ten windows' worth of chunks holds exactly the newest window, withdraws
+// each expired seq exactly once (the node is its own coordinator, so every
+// withdrawal is one Insert it serves), drops a late seq that lands below the
+// window at once, and caches at most manifestWindow manifest rows — the
+// newest ones — however far the rows run past it.
+func TestWindowTrimsOnlyWhatExpired(t *testing.T) {
+	const window = 16
+	cfg := fastConfig()
+	cfg.Channel.Count, cfg.Channel.ChunkBits = 0, 8*64
+	cfg.ActiveWindow = window
+	n := soloNode(t, cfg)
+	held := func(lo, hi int64) {
+		t.Helper()
+		if got := n.ChunkCount(); got != int(hi-lo) {
+			t.Fatalf("holds %d chunks, want %d (seqs %d..%d)", got, hi-lo, lo, hi-1)
+		}
+		for seq := lo; seq < hi; seq++ {
+			if !n.HasChunk(seq) {
+				t.Fatalf("seq %d of the window %d..%d is missing", seq, lo, hi-1)
+			}
+		}
+	}
+	for seq := int64(0); seq < 10*window; seq++ {
+		n.buffer(seq, MakeChunkPayload(cfg.Channel, seq))
+	}
+	held(9*window, 10*window)
+	if got := n.Stats().InsertsServed; got != 9*window {
+		t.Fatalf("%d withdrawals for %d expired seqs", got, 9*window)
+	}
+	if n.buffer(3, MakeChunkPayload(cfg.Channel, 3)); n.HasChunk(3) {
+		t.Fatal("a late seq below the window stayed buffered")
+	}
+	held(9*window, 10*window)
+	if got := n.Stats().InsertsServed; got != 9*window+1 {
+		t.Fatalf("%d withdrawals after the late seq, want %d", got, 9*window+1)
+	}
+
+	const rows = 3 * manifestWindow
+	for seq := int64(0); seq < rows; seq++ {
+		n.addManifestEntrySource(seq, nil)
+	}
+	n.addManifestEntrySource(5, nil) // a late row, below the window
+	n.manMu.Lock()
+	defer n.manMu.Unlock()
+	if len(n.manifest) != manifestWindow {
+		t.Fatalf("caches %d manifest rows, want %d", len(n.manifest), manifestWindow)
+	}
+	for seq := int64(rows - manifestWindow); seq < rows; seq++ {
+		if _, ok := n.manifest[seq]; !ok {
+			t.Fatalf("manifest row %d of the newest %d is missing", seq, manifestWindow)
+		}
+	}
+}
+
 // TestLateViewerStartSeq: a viewer that tunes in mid-stream only fetches
 // from its start sequence onward.
 func TestLateViewerStartSeq(t *testing.T) {

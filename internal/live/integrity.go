@@ -76,11 +76,7 @@ func (n *Node) addManifestEntrySource(seq int64, data []byte) {
 	hash := sha256.Sum256(data)
 	rec := manifestRec{hash: hash, tag: manifestTag(n.cfg.Channel, seq, hash)}
 	n.manMu.Lock()
-	n.manifest[seq] = rec
-	if seq+1 > n.manHead {
-		n.manHead = seq + 1
-	}
-	n.trimManifestLocked()
+	n.keepManifestLocked(seq, rec)
 	n.manMu.Unlock()
 }
 
@@ -98,26 +94,19 @@ func (n *Node) noteManifestEntry(seq int64, hash, tag []byte) bool {
 		return false
 	}
 	n.manMu.Lock()
-	n.manifest[seq] = rec
-	if seq+1 > n.manHead {
-		n.manHead = seq + 1
-	}
-	n.trimManifestLocked()
+	n.keepManifestLocked(seq, rec)
 	n.manMu.Unlock()
 	return true
 }
 
-// trimManifestLocked ages the oldest rows out once the cache exceeds the
-// configured window. Caller holds manMu.
-func (n *Node) trimManifestLocked() {
-	if len(n.manifest) <= manifestWindow {
-		return
-	}
-	cut := n.manHead - manifestWindow
-	for seq := range n.manifest {
-		if seq < cut {
-			delete(n.manifest, seq)
-		}
+// keepManifestLocked caches seq's row, advances the verified head and ages
+// the oldest rows out past manifestWindow rows. Caller holds manMu.
+func (n *Node) keepManifestLocked(seq int64, rec manifestRec) {
+	n.manifest[seq] = rec
+	n.manHead = max(n.manHead, seq+1)
+	n.manLow = min(n.manLow, seq)
+	if len(n.manifest) > manifestWindow {
+		trimBelow(n.manifest, &n.manLow, n.manHead-manifestWindow, func(int64) {})
 	}
 }
 

@@ -11,7 +11,6 @@ package live
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -247,7 +246,7 @@ type Node struct {
 	// arc of the key space when a lookup was last routed there.
 	routes *dht.ArcCache
 
-	// mu guards exactly the buffer: chunks, regs, refreshed and latestGen.
+	// mu guards exactly the buffer: chunks, low, regs, refreshed, latestGen.
 	// Everything else a request touches has a lock of its own (idx,
 	// replicas, replq, guard, health, members, routes, manMu), and no path
 	// holds mu together with any of them.
@@ -257,6 +256,7 @@ type Node struct {
 	// the slice the wire decoder allocated (or the generator made), and
 	// onGetChunk hands that same slice to every caller.
 	chunks map[int64][]byte
+	low    int64 // no buffered seq is below it: where a window trim starts
 	// regs is where each buffered seq this node registered was last taken,
 	// and refreshed when reregister last refreshed them all.
 	regs      map[int64]registration
@@ -308,6 +308,7 @@ type Node struct {
 	manMu      sync.Mutex
 	manifest   map[int64]manifestRec
 	manHead    int64     // exclusive upper bound of verified coverage
+	manLow     int64     // no cached row is below it: where a trim starts
 	manFetchAt time.Time // last ad-triggered background fetch
 
 	// guard is the index-pollution defense state (integrity.go).
@@ -800,14 +801,17 @@ func (n *Node) noteCallFailure(addr string, err error) {
 // integrity end-to-end.
 
 // MakeChunkPayload builds the synthetic chunk body for seq: an 8-byte
-// big-endian seq header followed by SHA-256 keystream bytes.
+// big-endian seq header, then payloadWord(seq, i) for i = 0, 1, ... in
+// little-endian order, the last word cut short by the payload's end.
 func MakeChunkPayload(p stream.Params, seq int64) []byte {
 	out := make([]byte, payloadSize(p))
 	binary.BigEndian.PutUint64(out, uint64(seq))
-	for off := 8; off < len(out); off += sha256.Size {
-		block := keystreamBlock(seq, off)
-		copy(out[off:], block[:])
+	body, i := out[8:], uint64(0)
+	for ; len(body) >= 8; body, i = body[8:], i+1 {
+		binary.LittleEndian.PutUint64(body, payloadWord(seq, i))
 	}
+	last := payloadTail(seq, i)
+	copy(body, last[:])
 	return out
 }
 
@@ -817,26 +821,36 @@ func payloadSize(p stream.Params) int {
 	return max(int(p.ChunkBits/8), 8)
 }
 
-// keystreamBlock is the 32-byte block of seq's payload that starts at
-// offset off (the last one may be cut short by the payload's end).
-func keystreamBlock(seq int64, off int) [sha256.Size]byte {
-	var in [16]byte
-	binary.BigEndian.PutUint64(in[:8], uint64(seq))
-	binary.BigEndian.PutUint64(in[8:], uint64(off-8)/sha256.Size)
-	return sha256.Sum256(in[:])
+// payloadWord is body word i of seq, the stand-in for encoded media: the
+// splitmix64 finalizer of seq·φ + (i+1)·c. φ is odd and the finalizer a
+// bijection, so word i differs between any two seqs and a body never
+// verifies under another seq's header; being non-cryptographic loses
+// nothing (DESIGN.md "One choke point").
+func payloadWord(seq int64, i uint64) uint64 {
+	z := uint64(seq)*0x9e3779b97f4a7c15 + (i+1)*0xd1b54a32d192ed03
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-// VerifyChunkPayload checks a received body against the generator, block
-// by block and in place: nothing is allocated.
+// payloadTail is word i encoded whole; a partial last word keeps its prefix.
+func payloadTail(seq int64, i uint64) (b [8]byte) {
+	binary.LittleEndian.PutUint64(b[:], payloadWord(seq, i))
+	return b
+}
+
+// VerifyChunkPayload checks a received body against the generator, word by
+// word and in place: nothing is allocated.
 func VerifyChunkPayload(p stream.Params, seq int64, data []byte) bool {
 	if len(data) != payloadSize(p) || int64(binary.BigEndian.Uint64(data)) != seq {
 		return false
 	}
-	for off := 8; off < len(data); off += sha256.Size {
-		block := keystreamBlock(seq, off)
-		if got := data[off:min(off+sha256.Size, len(data))]; !bytes.Equal(got, block[:len(got)]) {
+	body, i := data[8:], uint64(0)
+	for ; len(body) >= 8; body, i = body[8:], i+1 {
+		if binary.LittleEndian.Uint64(body) != payloadWord(seq, i) {
 			return false
 		}
 	}
-	return true
+	last := payloadTail(seq, i)
+	return bytes.Equal(body, last[:len(body)])
 }

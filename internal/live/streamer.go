@@ -722,6 +722,7 @@ func (n *Node) buffer(seq int64, data []byte) (stored bool) {
 	if !dup {
 		n.chunks[seq] = data
 		n.latestGen = max(n.latestGen, seq)
+		n.low = min(n.low, seq)
 	}
 	expired := n.trimActiveWindowLocked()
 	n.mu.Unlock()
@@ -734,21 +735,36 @@ func (n *Node) buffer(seq int64, data []byte) (stored bool) {
 
 // trimActiveWindowLocked drops chunks that fell out of the active window
 // and returns their sequence numbers for unregistration. Caller holds mu.
-func (n *Node) trimActiveWindowLocked() []int64 {
-	w := n.cfg.ActiveWindow
-	if w <= 0 || len(n.chunks) <= w {
-		return nil
-	}
-	cut := n.latestGen - int64(w) + 1
-	var expired []int64
-	for seq := range n.chunks {
-		if seq < cut {
-			delete(n.chunks, seq)
+func (n *Node) trimActiveWindowLocked() (expired []int64) {
+	if w := n.cfg.ActiveWindow; w > 0 && len(n.chunks) > w {
+		trimBelow(n.chunks, &n.low, n.latestGen-int64(w)+1, func(seq int64) {
 			delete(n.regs, seq)
 			expired = append(expired, seq)
-		}
+		})
 	}
 	return expired
+}
+
+// trimBelow deletes the keys of m under cut, handing each to drop, given
+// that none is under *low, and raises *low to cut. It probes the seqs from
+// *low up unless they outnumber m's keys, so a window that slides by one
+// seq costs one probe, not a scan of the window.
+func trimBelow[V any](m map[int64]V, low *int64, cut int64, drop func(seq int64)) {
+	if cut > *low && uint64(cut-*low) > uint64(len(m)) {
+		for seq := range m {
+			if seq < cut {
+				delete(m, seq)
+				drop(seq)
+			}
+		}
+		*low = cut
+	}
+	for ; *low < cut; *low++ {
+		if _, ok := m[*low]; ok {
+			delete(m, *low)
+			drop(*low)
+		}
+	}
 }
 
 // unregisterExpired withdraws provider records for chunks this node no
