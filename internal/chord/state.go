@@ -273,27 +273,29 @@ func (s *State[A]) LocalSuccessor(k ID) (Entry[A], bool) {
 
 // closestPreceding returns the finger (when useFingers) or successor-list
 // entry whose ID most closely precedes k, falling back to the immediate
-// successor. This is Chord's closest_preceding_node.
+// successor. This is Chord's closest_preceding_node, in clockwise distance
+// from self: a candidate lies at 0 < e.ID-self < k-self (k == self spans
+// the whole circle), and the one farthest along wins, the first seen on a
+// tie. Subtracting one from both sides turns that into a single unsigned
+// compare: k == self wraps span to the largest ID.
 func (s *State[A]) closestPreceding(k ID, useFingers bool) Entry[A] {
-	best := Entry[A]{}
-	consider := func(e Entry[A]) {
-		if !e.OK || e.Addr == s.Self.Addr {
-			return
-		}
-		if !InOO(s.Self.ID, e.ID, k) {
-			return
-		}
-		if !best.OK || InOO(best.ID, e.ID, k) {
-			best = e
-		}
-	}
+	self := s.Self.ID
+	span := k - self - 1
+	var best Entry[A]
+	var bestOff ID
 	if useFingers {
 		for i := M - 1; i >= 0; i-- {
-			consider(s.finger[i])
+			e := &s.finger[i]
+			if off := e.ID - self - 1; e.OK && off < span && (!best.OK || off > bestOff) && e.Addr != s.Self.Addr {
+				best, bestOff = *e, off
+			}
 		}
 	}
-	for _, e := range s.succ {
-		consider(e)
+	for i := range s.succ {
+		e := &s.succ[i]
+		if off := e.ID - self - 1; e.OK && off < span && (!best.OK || off > bestOff) && e.Addr != s.Self.Addr {
+			best, bestOff = *e, off
+		}
 	}
 	if best.OK {
 		return best

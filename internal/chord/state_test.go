@@ -369,3 +369,109 @@ func TestConcurrentJoinsConvergeAndPartitionKeys(t *testing.T) {
 		})
 	}
 }
+
+// closestPrecedingInOO is closest_preceding_node as first written: every
+// candidate is tested with InOO against self and against the best so far.
+// TestClosestPrecedingMatchesInOO holds the distance form to it.
+func closestPrecedingInOO(s *State[int], k ID, useFingers bool) Entry[int] {
+	best := Entry[int]{}
+	consider := func(e Entry[int]) {
+		if !e.OK || e.Addr == s.Self.Addr {
+			return
+		}
+		if !InOO(s.Self.ID, e.ID, k) {
+			return
+		}
+		if !best.OK || InOO(best.ID, e.ID, k) {
+			best = e
+		}
+	}
+	if useFingers {
+		for i := M - 1; i >= 0; i-- {
+			consider(s.finger[i])
+		}
+	}
+	for _, e := range s.succ {
+		consider(e)
+	}
+	if best.OK {
+		return best
+	}
+	return s.Successor()
+}
+
+// TestClosestPrecedingMatchesInOO compares the two forms over random
+// states built to reach the edge cases: IDs that wrap past zero, k == self,
+// fingers out of ring order (stale), duplicate IDs under different
+// addresses, unset entries (some with a leftover ID) and entries carrying
+// self's address.
+func TestClosestPrecedingMatchesInOO(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	const selfAddr = 0
+	for trial := 0; trial < 20000; trial++ {
+		self := ID(rng.Uint64())
+		if trial%4 == 0 {
+			self = ^ID(0) - ID(rng.Intn(3)) // near the top, so candidates wrap
+		}
+		k := ID(rng.Uint64())
+		switch trial % 5 {
+		case 0:
+			k = self
+		case 1:
+			k = self + ID(rng.Intn(3)) // an empty or one-point interval
+		case 2:
+			k = self + ID(rng.Intn(64)) - 32
+		}
+		// A small pool of IDs near self, near k and at the circle's ends
+		// makes duplicates and boundary hits common.
+		pool := []ID{self, self + 1, self - 1, k, k - 1, k + 1, 0, ^ID(0), ID(rng.Uint64()), ID(rng.Uint64())}
+		draw := func() Entry[int] {
+			id := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 {
+				id = ID(rng.Uint64())
+			}
+			en := Entry[int]{ID: id, Addr: rng.Intn(8), OK: rng.Intn(6) != 0}
+			if rng.Intn(8) == 0 {
+				en = Entry[int]{} // never set
+			}
+			return en
+		}
+		s := NewState(e(self, selfAddr), 8)
+		s.succ = s.succ[:0]
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			s.succ = append(s.succ, draw())
+		}
+		for i := range s.finger {
+			if rng.Intn(3) != 0 {
+				s.finger[i] = draw()
+			}
+		}
+		for _, useFingers := range []bool{false, true} {
+			got, want := s.closestPreceding(k, useFingers), closestPrecedingInOO(s, k, useFingers)
+			if got != want {
+				t.Fatalf("trial %d: self %v k %v fingers=%v: got %+v, want %+v\nsucc %+v\nfingers %+v",
+					trial, self, k, useFingers, got, want, s.succ, s.finger)
+			}
+		}
+	}
+}
+
+// nextHopSink keeps BenchmarkNextHop's calls from being optimised away.
+var nextHopSink Entry[int]
+
+// BenchmarkNextHop routes random keys from one member of a settled
+// 512-member ring, fingers included: mostly closest_preceding_node.
+func BenchmarkNextHop(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	states := BuildRing(randomMembers(rng, 512), 32)
+	st := states[0]
+	keys := make([]ID, 1024)
+	for i := range keys {
+		keys[i] = ID(rng.Uint64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nextHopSink, _ = st.NextHop(keys[i&(len(keys)-1)])
+	}
+}

@@ -157,15 +157,18 @@ func (p *Peer) onFail(m *failMsg) {
 }
 
 // selectProvider picks a provider with spare capacity for origin, or nil.
+// The candidates are gathered in the System's scratch slice, which no call
+// keeps past its return.
 func (p *Peer) selectProvider(e *indexEntry, origin simnet.NodeID) *providerInfo {
 	now := p.sys.K.Now()
-	var candidates []*providerInfo
+	candidates := p.sys.candidates[:0]
 	for _, pr := range e.providers {
 		if pr.node == origin || pr.outstanding >= pr.cap || pr.coolUntil > now {
 			continue
 		}
 		candidates = append(candidates, pr)
 	}
+	p.sys.candidates = candidates
 	if len(candidates) == 0 {
 		return nil
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"dco/internal/chord"
 	"dco/internal/churn"
 	"dco/internal/sim"
+	"dco/internal/simnet"
 	"dco/internal/telemetry"
 )
 
@@ -370,6 +373,34 @@ func TestSimAllocationBudgets(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.chunkKey(seq) }); allocs != 0 {
 		t.Errorf("memoized chunk key: %.1f allocations after first use, budget 0", allocs)
+	}
+
+	// A coordinator entry with several providers: the origin itself, one
+	// at its cap and three with spare slots, the least loaded of them at
+	// 1 of 4.
+	p := s.Server()
+	e := p.indexEntry(seq)
+	for i, load := range []int{4, 2, 1, 3, 0} {
+		e.providers = append(e.providers, &providerInfo{node: simnet.NodeID(10 + i), cap: 4, outstanding: load})
+	}
+	origin := simnet.NodeID(14)
+	if pr := p.selectProvider(e, origin); pr == nil || pr.node != 12 {
+		t.Fatalf("selectProvider picked %+v, want node 12 (least loaded, not the origin)", pr)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.selectProvider(e, origin) }); allocs != 0 {
+		t.Errorf("selectProvider over %d providers: %.1f allocations, budget 0", len(e.providers), allocs)
+	}
+}
+
+// TestFreshChordIDSkipsIssuedIDs: a name whose hash was already issued is
+// skipped for the next name.
+func TestFreshChordIDSkipsIssuedIDs(t *testing.T) {
+	s := NewSystem(sim.NewKernel(1), smallConfig(), 4)
+	next := s.nameSeq
+	taken := chord.HashString(fmt.Sprintf("dco-node-%d", next))
+	s.ringIDs[taken] = true
+	if got, want := s.freshChordID(), chord.HashString(fmt.Sprintf("dco-node-%d", next+1)); got != want {
+		t.Fatalf("freshChordID = %v, want %v (the name after the taken one)", got, want)
 	}
 }
 

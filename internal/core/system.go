@@ -28,7 +28,11 @@ type System struct {
 	alivePeers int
 	rr         int
 	nameSeq    int
-	keys       []chord.ID // chunkKey memo, indexed by seq
+	ringIDs    map[chord.ID]bool // every ring ID freshChordID issued
+	keys       []chord.ID        // chunkKey memo, indexed by seq
+
+	// candidates is selectProvider's scratch slice, reused across calls.
+	candidates []*providerInfo
 
 	// maxHops drops a routed message after this many forwards (loop guard
 	// during ring convergence): max(4n, 256) for an n-node build.
@@ -84,6 +88,7 @@ func NewSystem(k *sim.Kernel, cfg Config, n int) *System {
 		Cfg:        cfg,
 		Classifier: stable.NewClassifier(cfg.Hierarchy.LongevityThreshold),
 		peers:      make(map[simnet.NodeID]*Peer, n),
+		ringIDs:    make(map[chord.ID]bool, n),
 		maxHops:    max(4*n, 256),
 	}
 
@@ -166,19 +171,14 @@ func (s *System) chunkKey(seq int64) chord.ID {
 	return s.keys[seq]
 }
 
-// freshChordID derives a collision-free ring ID from a process-unique name.
+// freshChordID derives a collision-free ring ID from a process-unique name:
+// a name whose hash some earlier peer already holds is skipped.
 func (s *System) freshChordID() chord.ID {
 	for {
 		id := chord.HashString(fmt.Sprintf("dco-node-%d", s.nameSeq))
 		s.nameSeq++
-		collision := false
-		for _, p := range s.peers {
-			if p.cs != nil && p.cs.Self.ID == id {
-				collision = true
-				break
-			}
-		}
-		if !collision {
+		if !s.ringIDs[id] {
+			s.ringIDs[id] = true
 			return id
 		}
 	}

@@ -38,7 +38,10 @@ type Message struct {
 	SentAt   time.Duration
 }
 
-// Handler receives messages addressed to a node.
+// Handler receives messages addressed to a node. The *Message is valid only
+// during HandleMessage: its record is reused for a later send once the
+// handler returns, so a handler copies out what it keeps (Payload, From)
+// rather than the pointer.
 type Handler interface {
 	HandleMessage(m *Message)
 }
@@ -111,7 +114,10 @@ type Network struct {
 	// tree-push transfers, matching the paper's definition.
 	overhead       uint64
 	overheadByKind map[string]uint64
-	overheadSeries map[int64]uint64 // virtual second -> units
+	overheadSeries []uint64 // indexed by virtual second, grown on demand
+
+	// free holds delivery records that have fired, for the next send.
+	free []*delivery
 
 	// Data accounting for diagnostics.
 	dataMsgs uint64
@@ -131,7 +137,6 @@ func New(k *sim.Kernel, cfg Config) *Network {
 		K:              k,
 		cfg:            cfg,
 		overheadByKind: make(map[string]uint64),
-		overheadSeries: make(map[int64]uint64),
 	}
 }
 
@@ -214,9 +219,7 @@ func (n *Network) Send(src, dst NodeID, kind string, payload any) {
 func (n *Network) TrySend(src, dst NodeID, kind string, payload any) bool {
 	if !n.Alive(dst) {
 		if n.Alive(src) {
-			n.overhead++
-			n.overheadByKind[kind]++
-			n.overheadSeries[int64(n.K.Now()/time.Second)]++
+			n.countOverhead(kind, n.K.Now())
 		}
 		return false
 	}
@@ -264,29 +267,50 @@ func (n *Network) send(src, dst NodeID, kind string, payload any, bits int64, da
 		d.downFree = rStart + downTx
 		arrive = d.downFree + n.latency(src, dst)
 	} else {
-		n.overhead++
-		n.overheadByKind[kind]++
-		n.overheadSeries[int64(now/time.Second)]++
+		n.countOverhead(kind, now)
 	}
 
-	n.K.Schedule(arrive, &delivery{net: n, m: Message{From: src, To: dst, Kind: kind, Payload: payload, Bits: bits, Data: data, SentAt: now}})
+	var rec *delivery
+	if last := len(n.free) - 1; last >= 0 {
+		rec = n.free[last]
+		n.free = n.free[:last]
+	} else {
+		rec = &delivery{net: n}
+	}
+	rec.m = Message{From: src, To: dst, Kind: kind, Payload: payload, Bits: bits, Data: data, SentAt: now}
+	n.K.Schedule(arrive, rec)
+}
+
+// countOverhead accounts one control-message forwarding operation at now.
+func (n *Network) countOverhead(kind string, now time.Duration) {
+	n.overhead++
+	n.overheadByKind[kind]++
+	sec := int(now / time.Second)
+	for len(n.overheadSeries) <= sec {
+		n.overheadSeries = append(n.overheadSeries, 0)
+	}
+	n.overheadSeries[sec]++
 }
 
 // delivery is one message in flight and the kernel action that hands it
-// over on arrival: one allocation per send, the handler's *Message included.
+// over on arrival. Records are recycled: once fired, a record goes back to
+// its Network's free list, so a warm network sends without allocating.
 type delivery struct {
 	net *Network
 	m   Message
 }
 
-// Fire delivers the message, or drops it if the destination died meanwhile.
+// Fire delivers the message, or drops it if the destination died meanwhile,
+// then clears the record (releasing the payload) and frees it for reuse.
 func (d *delivery) Fire() {
 	dd := d.net.nodes[d.m.To]
 	if !dd.alive || dd.handler == nil {
 		d.net.dropDead++
-		return
+	} else {
+		dd.handler.HandleMessage(&d.m)
 	}
-	dd.handler.HandleMessage(&d.m)
+	d.m = Message{}
+	d.net.free = append(d.net.free, d)
 }
 
 // Overhead returns the total extra-overhead units accrued so far.
@@ -302,7 +326,12 @@ func (n *Network) OverheadByKind() map[string]uint64 {
 }
 
 // OverheadAtSecond returns overhead units accrued during virtual second s.
-func (n *Network) OverheadAtSecond(s int64) uint64 { return n.overheadSeries[s] }
+func (n *Network) OverheadAtSecond(s int64) uint64 {
+	if s < 0 || s >= int64(len(n.overheadSeries)) {
+		return 0
+	}
+	return n.overheadSeries[s]
+}
 
 // DataStats returns the number of data messages and total data bits sent.
 func (n *Network) DataStats() (msgs uint64, bits int64) { return n.dataMsgs, n.dataBits }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -13,14 +14,16 @@ func newNet(t *testing.T) (*sim.Kernel, *Network) {
 	return k, New(k, Config{BaseLatency: 50 * time.Millisecond, LatencySpread: 0})
 }
 
+// capture records every message it receives. It copies *m: the record
+// behind the pointer is reused once HandleMessage returns.
 type capture struct {
-	got []*Message
+	got []Message
 	at  []time.Duration
 	k   *sim.Kernel
 }
 
 func (c *capture) HandleMessage(m *Message) {
-	c.got = append(c.got, m)
+	c.got = append(c.got, *m)
 	c.at = append(c.at, c.k.Now())
 }
 
@@ -258,8 +261,74 @@ func TestSimAllocationBudgets(t *testing.T) {
 		n.Send(a, b, "ping", nil)
 		k.Run()
 	}
-	send() // the queue's backing array and the overhead maps' first rows
-	if allocs := testing.AllocsPerRun(1000, send); allocs > 1 {
-		t.Errorf("Send plus its delivery: %.1f allocations, budget 1 (the in-flight record)", allocs)
+	send() // the queue's backing array, the overhead rows and the first record
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Errorf("Send plus its delivery: %.1f allocations, budget 0 (the record is recycled)", allocs)
+	}
+}
+
+// relay answers every "ping" with a "pong" to the sender, sent from inside
+// HandleMessage, and checks the message it is handling survives that send.
+type relay struct {
+	t   *testing.T
+	n   *Network
+	got []any
+}
+
+func (r *relay) HandleMessage(m *Message) {
+	before := *m
+	if m.Kind == "ping" {
+		r.n.Send(m.To, m.From, "pong", m.Payload.(int)+100)
+	}
+	if *m != before {
+		r.t.Errorf("message changed to %+v by a send made while handling %+v", *m, before)
+	}
+	r.got = append(r.got, m.Payload)
+}
+
+func TestRecycledDeliveryRecords(t *testing.T) {
+	k, n := newNet(t)
+	a := n.AddNode(1e6, 1e6)
+	b := n.AddNode(1e6, 1e6)
+	ra, rb := &relay{t: t, n: n}, &relay{t: t, n: n}
+	n.SetHandler(a, ra)
+	n.SetHandler(b, rb)
+	for round := 0; round < 3; round++ {
+		ra.got, rb.got = nil, nil
+		// Two pings in flight at once; after the first round both ride on
+		// records an earlier round freed.
+		n.Send(a, b, "ping", 2*round)
+		n.Send(a, b, "ping", 2*round+1)
+		k.Run()
+		if want := []any{2 * round, 2*round + 1}; !slices.Equal(rb.got, want) {
+			t.Fatalf("round %d: b saw pings %v, want %v", round, rb.got, want)
+		}
+		if want := []any{2*round + 100, 2*round + 101}; !slices.Equal(ra.got, want) {
+			t.Fatalf("round %d: a saw pongs %v, want %v", round, ra.got, want)
+		}
+		for _, d := range n.free {
+			if d.m != (Message{}) {
+				t.Fatalf("round %d: a fired record still holds %+v", round, d.m)
+			}
+		}
+	}
+	// Two pings and two pongs at most in flight: four records serve every round.
+	if len(n.free) > 4 {
+		t.Fatalf("%d records allocated for at most 4 messages in flight", len(n.free))
+	}
+}
+
+func TestOverheadAtSecondOutsideTheSeries(t *testing.T) {
+	k, n := newNet(t)
+	a := n.AddNode(1e6, 1e6)
+	b := n.AddNode(1e6, 1e6)
+	n.SetHandler(b, discard{})
+	k.RunUntil(3 * time.Second)
+	n.Send(a, b, "x", nil)
+	k.Run()
+	for s, want := range map[int64]uint64{-1: 0, 0: 0, 2: 0, 3: 1, 4: 0, 1 << 40: 0} {
+		if got := n.OverheadAtSecond(s); got != want {
+			t.Errorf("OverheadAtSecond(%d) = %d, want %d", s, got, want)
+		}
 	}
 }
