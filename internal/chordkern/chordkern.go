@@ -23,9 +23,11 @@ type entryT = chord.Entry[string]
 type Config struct {
 	// SuccListSize is the successor-list length (the paper varies it 8-64).
 	SuccListSize int
-	// StabilizeEvery is the stabilize + check-predecessor cadence.
+	// StabilizeEvery is the stabilize + check-predecessor base cadence: a
+	// quiet ring stretches it up to dht.UpkeepBackoff times (dht.Tick.Run).
 	StabilizeEvery time.Duration
-	// FixFingersEvery is the finger-repair cadence (one finger per tick).
+	// FixFingersEvery is the finger-repair base cadence (one finger per
+	// tick), stretched the same way.
 	FixFingersEvery time.Duration
 }
 
@@ -50,9 +52,15 @@ type Kernel struct {
 	// a change to the predecessor or the list builds a new one, so a reply
 	// already handed to a transport stays what it was.
 	state *wire.GetStateResp
+	// stabilized is the state the last stabilize round ended with.
+	stabilized *wire.GetStateResp
 	// adopt is notifySuccessor's scratch for the list it adopts;
 	// AdoptSuccessorList copies out of it.
 	adopt []entryT
+
+	// wakeStabilize and wakeFix hold one pending wake each for the two
+	// ticks: news learned between rounds cuts a backed-off wait short.
+	wakeStabilize, wakeFix chan struct{}
 
 	stabilizeRuns *telemetry.Counter
 	fingerFixes   *telemetry.Counter
@@ -79,6 +87,9 @@ func New(cfg Config, opts dht.Options) *Kernel {
 		ev:    opts.Events,
 		trace: opts.Trace,
 		done:  opts.Done,
+
+		wakeStabilize: make(chan struct{}, 1),
+		wakeFix:       make(chan struct{}, 1),
 
 		stabilizeRuns: reg.Counter("dco_ring_stabilize_runs_total"),
 		fingerFixes:   reg.Counter("dco_ring_finger_fixes_total"),
@@ -147,6 +158,16 @@ func (k *Kernel) seen(one wire.Entry, more []wire.Entry) {
 	}
 	*buf = ms
 	seenScratch.Put(buf)
+}
+
+// wake tells both ticks the ring changed between rounds (see dht.Tick).
+func (k *Kernel) wake() {
+	for _, c := range [...]chan struct{}{k.wakeStabilize, k.wakeFix} {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
 }
 
 func (k *Kernel) traceEvent(kind, detail string) {
@@ -261,12 +282,17 @@ func (k *Kernel) View() []dht.Member {
 // the partition healed.
 func (k *Kernel) PeerFailed(addr string) {
 	k.mu.Lock()
+	_, before := k.cs.MaintenanceStats()
 	k.cs.RemoveFailed(addr)
+	_, after := k.cs.MaintenanceStats()
 	if k.quarantined == nil {
 		k.quarantined = make(map[string]time.Time)
 	}
 	k.quarantined[addr] = time.Now().Add(dht.PeerQuarantine)
 	k.mu.Unlock()
+	if after != before {
+		k.wake()
+	}
 }
 
 // quarantinedLocked reports whether addr is still barred from passive
@@ -481,6 +507,7 @@ func (k *Kernel) Merge(target dht.Member, others []dht.Member) {
 	}
 	succ := k.cs.Successor()
 	k.mu.Unlock()
+	k.wake()
 	if succ.OK && succ.Addr != k.self.Addr {
 		_, _ = k.call.Call(succ.Addr, k.notify)
 	}
@@ -493,18 +520,35 @@ func (k *Kernel) Merge(target dht.Member, others []dht.Member) {
 // Maintenance ticks.
 
 // Ticks lists the Chord maintenance steps: stabilize (which includes the
-// predecessor liveness probe) and one-finger-per-tick repair.
+// predecessor liveness probe) and one-finger-per-tick repair. Both back off
+// while their rounds change nothing; PeerFailed, Merge, a Leave and a
+// Notify that changed the state wake them.
 func (k *Kernel) Ticks() []dht.Tick {
 	return []dht.Tick{
-		{Name: "stabilize", Every: k.cfg.StabilizeEvery, Fn: k.stabilize},
-		{Name: "fix_fingers", Every: k.cfg.FixFingersEvery, Fn: k.fixFinger},
+		{Name: "stabilize", Every: k.cfg.StabilizeEvery, Fn: k.stabilize, Wake: k.wakeStabilize},
+		{Name: "fix_fingers", Every: k.cfg.FixFingersEvery, Fn: k.fixFinger, Wake: k.wakeFix},
 	}
 }
 
-func (k *Kernel) stabilize() {
+// stabilize runs one round and reports whether anything changed: the probe
+// or an exchange failed, or the predecessor or successor list differ from
+// what the last round ended with (so a change between rounds counts too).
+// stateLocked rebuilds only on change, so the last is a pointer compare.
+func (k *Kernel) stabilize() (changed bool) {
 	k.stabilizeRuns.Inc()
 	k.traceEvent("ring.stabilize", "")
-	k.checkPredecessor()
+	pinged := k.checkPredecessor()
+	exchanged := k.exchange()
+	k.mu.Lock()
+	st := k.stateLocked()
+	changed = !pinged || !exchanged || st != k.stabilized
+	k.stabilized = st
+	k.mu.Unlock()
+	return changed
+}
+
+// exchange is stabilize's successor half; false means a Notify failed.
+func (k *Kernel) exchange() bool {
 	k.mu.Lock()
 	succ := k.cs.Successor()
 	if succ.Addr == k.self.Addr {
@@ -515,7 +559,7 @@ func (k *Kernel) stabilize() {
 		p := k.cs.Predecessor()
 		if !p.OK || p.Addr == k.self.Addr {
 			k.mu.Unlock()
-			return
+			return true
 		}
 		k.cs.SetSuccessor(p)
 		succ = p
@@ -527,10 +571,11 @@ func (k *Kernel) stabilize() {
 	for exchanges := 0; exchanges < 2 && succ.OK; exchanges++ {
 		closer, ok := k.notifySuccessor(succ)
 		if !ok {
-			return
+			return false
 		}
 		succ = closer
 	}
+	return true
 }
 
 // notifySuccessor is stabilize's exchange: tell succ we may be its
@@ -581,38 +626,44 @@ func (k *Kernel) notifySuccessor(succ entryT) (closer entryT, ok bool) {
 // node behind it and the ring never heals. The predecessor's own Notify
 // arriving every round is no substitute: it proves the predecessor can
 // reach us, not that we can reach it, and a one-way partition is exactly
-// the case where the two differ (see PeerFailed).
-func (k *Kernel) checkPredecessor() {
+// the case where the two differ (see PeerFailed). false means the ping
+// failed.
+func (k *Kernel) checkPredecessor() bool {
 	k.mu.Lock()
 	pred := k.cs.Predecessor()
 	k.mu.Unlock()
 	if !pred.OK || pred.Addr == k.self.Addr {
-		return
+		return true
 	}
-	_, _ = k.call.Call(pred.Addr, &wire.Ping{})
+	_, err := k.call.Call(pred.Addr, &wire.Ping{})
+	return err == nil
 }
 
-// fixFinger refreshes one finger per tick. A start the successor list
-// reaches is answered from the list (chord.State.LocalSuccessor): only a
-// finger beyond the list's span is worth a routed lookup.
-func (k *Kernel) fixFinger() {
+// fixFinger refreshes one finger per tick and reports whether it moved or
+// its lookup failed. A start the successor list reaches is answered from
+// the list (chord.State.LocalSuccessor): only a finger beyond the list's
+// span is worth a routed lookup.
+func (k *Kernel) fixFinger() (changed bool) {
 	k.mu.Lock()
 	i, start := k.cs.NextFingerToFix()
-	local, ok := k.cs.LocalSuccessor(start)
+	old := k.cs.Finger(i)
+	f, ok := k.cs.LocalSuccessor(start)
 	if ok {
-		k.cs.SetFinger(i, local)
+		k.cs.SetFinger(i, f)
 	}
 	k.mu.Unlock()
 	if !ok {
 		owner, _, _, _, err := k.findOwner(uint64(start))
 		if err != nil {
-			return
+			return true
 		}
+		f = entryT{ID: chord.ID(owner.ID), Addr: owner.Addr, OK: true}
 		k.mu.Lock()
-		k.cs.SetFinger(i, entryT{ID: chord.ID(owner.ID), Addr: owner.Addr, OK: true})
+		k.cs.SetFinger(i, f)
 		k.mu.Unlock()
 	}
 	k.fingerFixes.Inc()
+	return f != old
 }
 
 // ---------------------------------------------------------------------------
@@ -699,18 +750,23 @@ func sameEntries(ws []wire.Entry, es []entryT) bool {
 // it for one. A ring of one leaves its first member to its stabilize tick:
 // that joiner learned no predecessor, so it routes every key outside
 // (self, owner] back to the owner, and an owner already holding it as
-// successor would send those keys straight back — a routing loop.
+// successor would send those keys straight back — a routing loop. Either
+// pointer moving wakes both ticks: a ring of one links its first member at
+// once rather than after a backed-off wait.
 func (k *Kernel) onNotify(m *wire.Notify) wire.Message {
 	cand := entryT{ID: chord.ID(m.From.ID), Addr: m.From.Addr, OK: true}
 	k.mu.Lock()
-	adopted := false
+	tightened, adopted := false, false
 	if !k.quarantinedLocked(cand.Addr) {
-		if !k.cs.TightenSuccessor(cand) {
+		if tightened = k.cs.TightenSuccessor(cand); !tightened {
 			adopted = k.cs.Notify(cand)
 		}
 	}
 	st := k.stateLocked()
 	k.mu.Unlock()
+	if tightened || adopted {
+		k.wake()
+	}
 	k.seen(m.From, nil)
 	if adopted && k.ev.RangeChanged != nil {
 		// Part of our range now belongs to the new predecessor; the host
@@ -743,6 +799,7 @@ func (k *Kernel) onLeave(m *wire.Leave) wire.Message {
 		}
 	}
 	k.mu.Unlock()
+	k.wake()
 	if k.ev.Departed != nil {
 		// Graceful departure is the one conclusive "gone for good" signal;
 		// the host takes over what of the leaver's index it now owns.

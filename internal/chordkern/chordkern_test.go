@@ -320,7 +320,7 @@ func TestUpkeepAllocations(t *testing.T) {
 	}
 	_, members := settledRing(t, 8, 4) // every finger start lies inside four of eight evenly spaced members
 	k := members[0]
-	if a := testing.AllocsPerRun(2*chord.M, k.fixFinger); a != 0 {
+	if a := testing.AllocsPerRun(2*chord.M, func() { k.fixFinger() }); a != 0 {
 		t.Errorf("a locally resolved fix_fingers tick allocates %.0f times", a)
 	}
 	if a := testing.AllocsPerRun(100, func() { k.getState() }); a != 0 {
@@ -437,5 +437,122 @@ func TestFindOwnerLoopFailsFast(t *testing.T) {
 		if c.calls > tc.maxCalls {
 			t.Errorf("%s: %d calls, want at most %d", tc.name, c.calls, tc.maxCalls)
 		}
+	}
+}
+
+// TestUpkeepReportsChange pins what a round reports to the host's backoff
+// (dht.Tick.Run): a settled round changes nothing; a round after a Notify
+// that moved the predecessor, or one whose Ping or Notify failed, is a
+// change; a fix_fingers tick is a change only when its finger moved or its
+// lookup failed.
+func TestUpkeepReportsChange(t *testing.T) {
+	const n, listSize = 16, 4 // some finger starts lie beyond the list's span
+	tn, members := settledRing(t, n, listSize)
+	for _, k := range members {
+		k.stabilize() // the first round has no earlier one to compare with
+	}
+	for i, k := range members {
+		if k.stabilize() {
+			t.Fatalf("a settled round of member %d reported a change", i)
+		}
+	}
+	k := members[0]
+
+	// A newcomer between k's predecessor and k notifies it.
+	last := members[n-1]
+	mid := tn.add(t, last.self.ID+(k.self.ID-last.self.ID)/2, listSize, "")
+	k.onNotify(mid.notify)
+	if p := k.cs.Predecessor(); p.Addr != mid.self.Addr {
+		t.Fatalf("the notify did not move the predecessor: %v", p)
+	}
+	if !k.stabilize() {
+		t.Fatal("the round after a Notify that moved the predecessor reported no change")
+	}
+	if k.stabilize() {
+		t.Fatal("the round after that reported a change")
+	}
+
+	for _, kind := range []wire.Kind{wire.KindPing, wire.KindNotify} {
+		tn.drop = func(_ string, req wire.Message) bool { return req.Kind() == kind }
+		if !k.stabilize() {
+			t.Fatalf("a round whose %v failed reported no change", kind)
+		}
+		tn.drop = nil
+		if k.stabilize() {
+			t.Fatalf("the clean round after a failed %v reported a change", kind)
+		}
+	}
+
+	// Fingers: one pass fills the table, the next moves nothing.
+	for i := 0; i < chord.M; i++ {
+		k.fixFinger()
+	}
+	for i := 0; i < chord.M; i++ {
+		if k.fixFinger() {
+			t.Fatalf("refreshing settled finger %d reported a change", i)
+		}
+	}
+	k.cs.SetFinger(0, toEntry(members[5].self)) // the cursor is back at 0
+	if !k.fixFinger() {
+		t.Fatal("a finger that moved reported no change")
+	}
+	// A finger start beyond the list's span, whose lookup fails.
+	span := chord.Dist(k.cs.Self.ID, k.cs.Successors()[listSize-1].ID)
+	for i := 1; chord.Dist(k.cs.Self.ID, chord.FingerStart(k.cs.Self.ID, i)) <= span; i++ {
+		k.cs.NextFingerToFix()
+	}
+	tn.drop = func(_ string, req wire.Message) bool { return req.Kind() == wire.KindFindSuccessor }
+	if !k.fixFinger() {
+		t.Fatal("a finger whose lookup failed reported no change")
+	}
+	tn.drop = nil
+}
+
+// TestUpkeepWakes: news learned between rounds wakes both ticks — a Notify
+// that moved a pointer, PeerFailed of a member in the tables, Merge and a
+// Leave — and a Notify that changed nothing does not.
+func TestUpkeepWakes(t *testing.T) {
+	const n, listSize = 8, 4
+	_, members := settledRing(t, n, listSize)
+	k := members[0]
+	ticks := k.Ticks()
+	woken := func() bool {
+		all := true
+		for _, tk := range ticks {
+			select {
+			case <-tk.Wake:
+			default:
+				all = false
+			}
+		}
+		return all
+	}
+	woken() // the settling rounds' news
+
+	k.onNotify(members[n-1].notify)
+	if woken() {
+		t.Fatal("a Notify from the settled predecessor woke the ticks")
+	}
+	last := members[n-1]
+	k.onNotify(&wire.Notify{From: wire.Entry{ID: last.self.ID + (k.self.ID-last.self.ID)/2, Addr: "newcomer"}})
+	if !woken() {
+		t.Fatal("a Notify that moved the predecessor did not wake both ticks")
+	}
+	for _, tc := range []struct {
+		what string
+		news func()
+	}{
+		{"PeerFailed", func() { k.PeerFailed(members[2].self.Addr) }},
+		{"Merge", func() { k.Merge(members[3].self, nil) }},
+		{"a Leave", func() { k.onLeave(&wire.Leave{From: members[1].self.Wire(), NewPred: k.selfWire(), PredOK: true}) }},
+	} {
+		tc.news()
+		if !woken() {
+			t.Fatalf("%s did not wake both ticks", tc.what)
+		}
+	}
+	k.PeerFailed("never-seen")
+	if woken() {
+		t.Fatal("PeerFailed of a peer in no table woke the ticks")
 	}
 }

@@ -107,11 +107,66 @@ type Events struct {
 }
 
 // Tick is one periodic maintenance step the host schedules on the kernel's
-// behalf (the host owns goroutine lifecycle; kernels stay passive).
+// behalf (the host owns goroutine lifecycle; kernels stay passive). Every
+// host schedules it with Run.
 type Tick struct {
-	Name  string
+	Name string
+	// Every is the base cadence: the first wait, and the wait after any
+	// round that changed something.
 	Every time.Duration
-	Fn    func()
+	// Fn runs one round and reports whether it changed anything (a failed
+	// probe counts). A tick whose rounds always report a change keeps the
+	// base cadence.
+	Fn func() (changed bool)
+	// Wake, if non-nil, receives when the kernel learns news between
+	// rounds; it cuts a stretched wait short. The kernel sends without
+	// blocking, so one pending wake stands for any number.
+	Wake <-chan struct{}
+}
+
+// UpkeepBackoff caps how far Run stretches a quiet tick: a round that
+// changed nothing doubles the wait, up to UpkeepBackoff × Every.
+const UpkeepBackoff = 8
+
+// nextWait is the backoff rule: back to the base cadence after a change,
+// twice the last wait (capped) after a quiet round.
+func nextWait(wait, every time.Duration, changed bool) time.Duration {
+	if changed {
+		return every
+	}
+	return min(2*wait, UpkeepBackoff*every)
+}
+
+// Run runs t's rounds until done is closed. It waits Every before the
+// first round and nextWait after each; a wake during a stretched wait runs
+// the round at once, a wake at the base cadence changes nothing. Every <= 0
+// means never.
+func (t Tick) Run(done <-chan struct{}) {
+	if t.Every <= 0 {
+		return
+	}
+	wait := t.Every
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		select {
+		case <-done:
+			return
+		case <-t.Wake:
+			if wait == t.Every {
+				continue
+			}
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+		case <-timer.C:
+		}
+		wait = nextWait(wait, t.Every, t.Fn())
+		timer.Reset(wait)
+	}
 }
 
 // Options carries the host-supplied plumbing every backend needs; backend
@@ -208,7 +263,7 @@ type Kernel interface {
 	Merge(target Member, others []Member)
 
 	// Ticks lists the kernel's periodic maintenance steps for the host to
-	// schedule.
+	// schedule with Tick.Run.
 	Ticks() []Tick
 
 	// HandleRPC serves one inbound protocol message. ok=false means the

@@ -92,21 +92,7 @@ func (h *host) CallIdem(addr string, req wire.Message) (wire.Message, error) {
 
 func (h *host) start() {
 	for _, tk := range h.kern.Ticks() {
-		if tk.Every <= 0 {
-			continue
-		}
-		go func(tk dht.Tick) {
-			t := time.NewTicker(tk.Every)
-			defer t.Stop()
-			for {
-				select {
-				case <-h.done:
-					return
-				case <-t.C:
-					tk.Fn()
-				}
-			}
-		}(tk)
+		go tk.Run(h.done)
 	}
 }
 

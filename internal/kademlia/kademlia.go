@@ -676,11 +676,12 @@ func (k *Kernel) Merge(target dht.Member, others []dht.Member) {
 
 // Ticks lists the Kademlia maintenance steps: bucket refresh (one bucket
 // per tick, random key in its range) and the stale-head liveness probe
-// that lets replacement candidates in.
+// that lets replacement candidates in. Both keep their fixed cadence:
+// every round reports a change.
 func (k *Kernel) Ticks() []dht.Tick {
 	return []dht.Tick{
-		{Name: "refresh", Every: k.cfg.RefreshEvery, Fn: k.refreshTick},
-		{Name: "probe", Every: k.cfg.ProbeEvery, Fn: k.probeTick},
+		{Name: "refresh", Every: k.cfg.RefreshEvery, Fn: func() bool { k.refreshTick(); return true }},
+		{Name: "probe", Every: k.cfg.ProbeEvery, Fn: func() bool { k.probeTick(); return true }},
 	}
 }
 

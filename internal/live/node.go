@@ -46,9 +46,10 @@ type Config struct {
 	// DCO_DHT environment variable, then falls back to "chord".
 	DHT string
 
-	// Maintenance cadence. Chord runs stabilize/fix-fingers at these
-	// periods; Kademlia probes at StabilizeEvery and refreshes one bucket
-	// every 4 x StabilizeEvery.
+	// Maintenance base cadence. Chord runs stabilize/fix-fingers at these
+	// periods while its ring changes and stretches them up to
+	// dht.UpkeepBackoff times while it is quiet; Kademlia probes at
+	// StabilizeEvery and refreshes one bucket every 4 x StabilizeEvery.
 	StabilizeEvery  time.Duration
 	FixFingersEvery time.Duration
 
@@ -552,10 +553,15 @@ func (n *Node) Predecessor() (addr string, ok bool) {
 }
 
 // startRingMaint schedules the kernel's periodic maintenance (Chord:
-// stabilize + fix-fingers; Kademlia: bucket refresh + liveness probe).
+// stabilize + fix-fingers, backing off while the ring is quiet; Kademlia:
+// bucket refresh + liveness probe) with dht.Tick.Run.
 func (n *Node) startRingMaint() {
 	for _, t := range n.kern.Ticks() {
-		n.loop(t.Every, t.Fn)
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			t.Run(n.closed)
+		}()
 	}
 }
 

@@ -336,27 +336,37 @@ func TestRoutingCallBudget(t *testing.T) {
 	}
 }
 
-// TestMaintenanceCallBudget holds ring upkeep to what it learns: on a
-// settled 8-node ring with no stream, a stabilize round is one Ping to the
-// predecessor and one Notify to the successor — whose reply carries what
-// GetState used to be asked for — and a fix_fingers tick answers from the
-// successor list unless the finger starts beyond it. A round cost
-// Ping + GetState + Notify, and a tick 1.3 FindSuccessor calls, before.
+// TestMaintenanceCallBudget holds ring upkeep to what it learns. Per
+// round: on a settled 8-node ring with no stream, a stabilize round is one
+// Ping to the predecessor and one Notify to the successor — whose reply
+// carries what GetState used to be asked for — and a fix_fingers tick
+// answers from the successor list unless the finger starts beyond it. A
+// round cost Ping + GetState + Notify, and a tick 1.3 FindSuccessor calls,
+// before. Per second: the settled ring's rounds change nothing, so each
+// node's stabilize has backed off to one round per dht.UpkeepBackoff base
+// intervals, with a quarter of slack; at a fixed cadence it ran eight times
+// that. The ring runs at fastConfig's base cadence, not the shipped one,
+// so the capped rounds of the window fit in a few seconds.
 func TestMaintenanceCallBudget(t *testing.T) {
 	t.Parallel()
 	const n = 8
 	calls, wrap := countKinds()
-	s := testSwarm(t, SwarmSpec{N: n, Base: DefaultNodeConfig(), Wrap: wrap})
+	cfg := fastConfig()
+	s := testSwarm(t, SwarmSpec{N: n, Base: cfg, Wrap: wrap})
 	if s.Source().DHTName() != "chord" {
 		t.Skip("stabilize and fix_fingers are the Chord kernel's ticks")
 	}
 	if err := s.up((*Node).startMaint); err != nil {
 		t.Fatal(err)
 	}
-	await(t, s, 30*time.Second, "ring to converge", func() bool { return RingCorrect(s.Nodes) })
+	awaitBackedOff(t, s)
 
-	type sample struct{ rounds, fixes, ping, notify, getState, route float64 }
+	type sample struct {
+		at                                           time.Time
+		rounds, fixes, ping, notify, getState, route float64
+	}
 	take := func() (v sample) {
+		v.at = time.Now()
 		for i := range s.Nodes {
 			v.rounds += float64(s.Registry(i).Counter("dco_ring_stabilize_runs_total").Value())
 			v.fixes += float64(s.Registry(i).Counter("dco_ring_finger_fixes_total").Value())
@@ -365,18 +375,19 @@ func TestMaintenanceCallBudget(t *testing.T) {
 		v.getState, v.route = float64(calls[wire.KindGetState].Load()), float64(calls[wire.KindFindSuccessor].Load())
 		return v
 	}
-	// Two rounds for the lists behind the last pointer that moved, then a
-	// window of ten.
-	settled := take().rounds + 2*n
-	await(t, s, 10*time.Second, "the lists to settle", func() bool { return take().rounds >= settled })
+	// A window of fifteen capped rounds.
+	capped := dht.UpkeepBackoff * cfg.StabilizeEvery
 	a := take()
-	await(t, s, 20*time.Second, "ten stabilize rounds", func() bool { return take().rounds >= a.rounds+10*n })
+	time.Sleep(15 * capped)
 	b := take()
-	rounds, fixes := b.rounds-a.rounds, b.fixes-a.fixes
-	t.Logf("%d nodes, %.0f stabilize rounds, %.0f finger fixes: Ping %.0f, Notify %.0f, GetState %.0f, FindSuccessor %.0f",
-		n, rounds, fixes, b.ping-a.ping, b.notify-a.notify, b.getState-a.getState, b.route-a.route)
+	rounds, fixes, secs := b.rounds-a.rounds, b.fixes-a.fixes, b.at.Sub(a.at).Seconds()
+	t.Logf("%d nodes, %.2f s: %.0f stabilize rounds, %.0f finger fixes: Ping %.0f, Notify %.0f, GetState %.0f, FindSuccessor %.0f",
+		n, secs, rounds, fixes, b.ping-a.ping, b.notify-a.notify, b.getState-a.getState, b.route-a.route)
 	if fixes == 0 {
 		t.Fatal("fix_fingers did not run inside the window")
+	}
+	if perSec, budget := rounds/n/secs, 1.25/capped.Seconds(); perSec > budget {
+		t.Errorf("%.2f stabilize rounds per node per second on a settled ring, budget %.2f (1.25 per %v)", perSec, budget, capped)
 	}
 	// A round that straddles either end of the window has its run counted on
 	// one side and its calls on the other: one round per node of slack.
