@@ -45,7 +45,6 @@ type byzRunResult struct {
 	InsertsRejected    uint64   `json:"inserts_rejected"`
 	PollutionReports   uint64   `json:"pollution_reports"`
 	LoadReportsClamped uint64   `json:"load_reports_clamped"`
-	ManifestFetches    uint64   `json:"manifest_fetches"`
 	WedgedWorkers      int      `json:"wedged_workers"`
 	Injected           uint64   `json:"injected"`
 }
@@ -175,7 +174,6 @@ func runByzantineRun(backend string, n int, chunks, seed int64) (*byzRunResult, 
 		InsertsRejected:        tot.InsertsRejected,
 		PollutionReports:       tot.PollutionReportsSeen,
 		LoadReportsClamped:     honestTot.LoadReportsClamped,
-		ManifestFetches:        honestTot.ManifestFetches,
 		Injected:               in.Injected(),
 	}
 	// The absolute gate: nothing polluted in any buffer, anywhere — the
@@ -234,7 +232,7 @@ func runByzantine(a liveArgs) (any, error) {
 		fmt.Printf("poisoners quarantined:    %d/%d (union %v)\n", r.PoisonersCaught, r.PoisonersTotal, r.QuarantinedUnion)
 		fmt.Printf("inserts rate-limited:     %d  rejected: %d  pollution reports: %d\n",
 			r.InsertsRateLimited, r.InsertsRejected, r.PollutionReports)
-		fmt.Printf("load reports clamped:     %d  manifest fetches: %d\n", r.LoadReportsClamped, r.ManifestFetches)
+		fmt.Printf("load reports clamped:     %d\n", r.LoadReportsClamped)
 		fmt.Printf("wedged workers:           %d  injected: %d\n", r.WedgedWorkers, r.Injected)
 		res.Runs = append(res.Runs, *r)
 	}

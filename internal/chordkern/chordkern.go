@@ -336,7 +336,7 @@ func (k *Kernel) FindOwner(key uint64) (dht.Route, error) {
 // FindOwnerFrom is FindOwner routed through start's tables instead of this
 // node's own (census confirmation through a foreign member).
 func (k *Kernel) FindOwnerFrom(start string, key uint64) (dht.Member, error) {
-	owner, _, _, _, err := k.findOwnerFrom(start, key)
+	owner, _, _, _, err := k.findOwnerFrom(start, key, false)
 	if err != nil {
 		return dht.Member{}, err
 	}
@@ -362,7 +362,7 @@ func (k *Kernel) findOwner(key uint64) (owner wire.Entry, succs []wire.Entry, pr
 			k.lookups.Inc()
 			return k.selfWire(), st.Succs, st.Pred, st.PredOK, nil
 		}
-		owner, succs, pred, predOK, err = k.findOwnerFrom(hop.Addr, key)
+		owner, succs, pred, predOK, err = k.findOwnerFrom(hop.Addr, key, false)
 		if err == nil {
 			return owner, succs, pred, predOK, nil
 		}
@@ -378,16 +378,24 @@ func (k *Kernel) findOwner(key uint64) (owner wire.Entry, succs []wire.Entry, pr
 // findOwnerFrom iterates FindSuccessor starting at a remote node. Each hop
 // is retried by the Caller (routing reads are idempotent); a hop that stays
 // dead surfaces as an error and findOwner re-routes around it.
-func (k *Kernel) findOwnerFrom(start string, key uint64) (owner wire.Entry, succs []wire.Entry, pred wire.Entry, predOK bool, err error) {
+//
+// A route that loops fails, unless it is a join's and some hop answered
+// Final: then the last owner so named is the answer, with the hop that
+// named it as its predecessor (when that hop is not start, whose ID is not
+// known). That is Chord's own join, which takes successor =
+// find_successor(n) unconfirmed; stabilize tightens both pointers. A
+// lookup must reach the real owner, so it keeps the strict rule.
+func (k *Kernel) findOwnerFrom(start string, key uint64, join bool) (owner wire.Entry, succs []wire.Entry, pred wire.Entry, predOK bool, err error) {
 	// The last few hops, to fail at the first one a route comes back to: a
 	// route through half-merged pointers (a partition, two rings merging)
 	// goes round in a small circle, and would otherwise do so until the hop
 	// bound.
 	var visited [16]string
-	cur := start
+	cur := wire.Entry{Addr: start}
+	var final, namer wire.Entry // the last Final answer, and who gave it
 	for hops := 0; hops < 2*chord.M; hops++ {
-		visited[hops%len(visited)] = cur
-		resp, cerr := k.call.CallIdem(cur, &wire.FindSuccessor{Key: key})
+		visited[hops%len(visited)] = cur.Addr
+		resp, cerr := k.call.CallIdem(cur.Addr, &wire.FindSuccessor{Key: key})
 		if cerr != nil {
 			return wire.Entry{}, nil, wire.Entry{}, false, cerr
 		}
@@ -406,14 +414,21 @@ func (k *Kernel) findOwnerFrom(start string, key uint64) (owner wire.Entry, succ
 			return fs.Owner, fs.Succs, fs.Pred, fs.OK, nil
 		}
 		if fs.Owner.Addr == "" {
-			return wire.Entry{}, nil, wire.Entry{}, false, fmt.Errorf("%w (chord: no progress at %s)", dht.ErrNoRoute, cur)
+			return wire.Entry{}, nil, wire.Entry{}, false, fmt.Errorf("%w (chord: no progress at %s)", dht.ErrNoRoute, cur.Addr)
+		}
+		if fs.Final && fs.Owner.Addr != k.self.Addr {
+			final, namer = fs.Owner, cur
 		}
 		for _, v := range visited[:min(hops+1, len(visited))] {
-			if v == fs.Owner.Addr {
-				return wire.Entry{}, nil, wire.Entry{}, false, fmt.Errorf("%w (chord: routing loop through %s)", dht.ErrNoRoute, v)
+			if v != fs.Owner.Addr {
+				continue
 			}
+			if join && final.Addr != "" {
+				return final, nil, namer, namer.Addr != start, nil
+			}
+			return wire.Entry{}, nil, wire.Entry{}, false, fmt.Errorf("%w (chord: routing loop through %s)", dht.ErrNoRoute, v)
 		}
-		cur = fs.Owner.Addr
+		cur = fs.Owner
 	}
 	return wire.Entry{}, nil, wire.Entry{}, false, fmt.Errorf("%w (chord: hop bound exceeded)", dht.ErrNoRoute)
 }
@@ -428,9 +443,11 @@ var errUnexpected = fmt.Errorf("chordkern: unexpected response kind")
 // The owner adopts us as predecessor by the notify rule; the predecessor its
 // reply named adopts us as successor by onNotify's tightening rule. So the
 // ring holds us on both sides when Join returns, not one stabilize tick
-// later.
+// later. A route that loops through pointers the ring has not yet tightened
+// (a crowd joining at once) ends at the last owner a hop named Final
+// (findOwnerFrom).
 func (k *Kernel) Join(bootstrap string) error {
-	owner, succs, pred, predOK, err := k.findOwnerFrom(bootstrap, k.self.ID)
+	owner, succs, pred, predOK, err := k.findOwnerFrom(bootstrap, k.self.ID, true)
 	if err != nil {
 		return err
 	}
@@ -697,9 +714,9 @@ func (k *Kernel) onFindSuccessor(m *wire.FindSuccessor) wire.Message {
 	if resp.Done {
 		st := k.stateLocked()
 		resp.Succs, resp.Pred, resp.OK = st.Succs, st.Pred, st.PredOK
-	} else if done {
+	} else {
 		// The successor owns the key: the caller should finish there.
-		resp.Done = false
+		resp.Final = done
 	}
 	return resp
 }

@@ -556,3 +556,40 @@ func TestUpkeepWakes(t *testing.T) {
 		t.Fatal("PeerFailed of a peer in no table woke the ticks")
 	}
 }
+
+// TestJoinThroughALoopTakesTheNamedOwner builds the crowd-join loop from
+// constructed states: the bootstrap S knows no predecessor and forwards
+// the joiner's ID to its successor B, and B, whose successor is still S,
+// answers Final naming S — so the route goes back to S. A lookup fails
+// there, as it must; the join takes S as its successor and B as its
+// predecessor, and two stabilize rounds make the ring exact.
+func TestJoinThroughALoopTakesTheNamedOwner(t *testing.T) {
+	const listSize = 4
+	tn := &testNet{kerns: map[string]*Kernel{}, calls: map[wire.Kind]int{}}
+	b := tn.add(t, 1<<60, listSize, "")
+	s := tn.add(t, 3<<60, listSize, "")
+	entry := func(k *Kernel) entryT { return entryT{ID: chord.ID(k.self.ID), Addr: k.self.Addr, OK: true} }
+	s.cs.SetSuccessor(entry(b))
+	b.cs.SetSuccessor(entry(s))
+	const joinID = 2 << 60
+
+	probe := New(Config{}, dht.Options{Self: dht.Member{ID: 5 << 60, Addr: "probe"}, Caller: endpoint{tn, "probe"}})
+	if _, err := probe.FindOwnerFrom(s.self.Addr, joinID); !errors.Is(err, dht.ErrNoRoute) {
+		t.Fatalf("a lookup through the loop: err = %v, want dht.ErrNoRoute", err)
+	}
+
+	j := tn.add(t, joinID, listSize, s.self.Addr)
+	if got := j.cs.Successor(); got.Addr != s.self.Addr {
+		t.Fatalf("the joiner's successor is %v, want %s", got, s.self.Addr)
+	}
+	if got := j.cs.Predecessor(); got.Addr != b.self.Addr {
+		t.Fatalf("the joiner's predecessor is %v, want %s", got, b.self.Addr)
+	}
+	members := []*Kernel{b, j, s}
+	for r := 0; r < 2; r++ {
+		tn.round(members)
+	}
+	if !exact(members) {
+		t.Fatal("two stabilize rounds did not make the ring exact")
+	}
+}

@@ -132,8 +132,8 @@ const (
 // peer is one address's row. Latencies are kept in seconds. Each group
 // names who writes it and which decision reads it.
 type peer struct {
-	// Observe writes; Rank, HedgeAfter, ExpectedLatency and the coordinator
-	// failover order (Suspicion) read.
+	// Observe writes; Rank, HedgeAfter and the coordinator failover order
+	// (Suspicion) read.
 	ewma    float64 // latency EWMA
 	dev     float64 // EWMA of |sample - ewma| (mean absolute deviation)
 	susp    float64 // suspicion score at the time of `at`
@@ -321,18 +321,6 @@ func (t *Tracker) Suspicion(addr string) float64 {
 // threshold.
 func (t *Tracker) Suspected(addr string) bool {
 	return t.Suspicion(addr) >= suspectThreshold
-}
-
-// ExpectedLatency returns addr's latency EWMA (ok=false for peers with no
-// answered calls yet).
-func (t *Tracker) ExpectedLatency(addr string) (time.Duration, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.peers[addr]
-	if p == nil || p.samples == 0 {
-		return 0, false
-	}
-	return time.Duration(p.ewma * float64(time.Second)), true
 }
 
 // HedgeAfter returns how long a caller should wait on addr before

@@ -146,9 +146,8 @@ func TestActiveWindowRetention(t *testing.T) {
 // TestWindowTrimsOnlyWhatExpired: a node on an endless stream that buffers
 // ten windows' worth of chunks holds exactly the newest window, withdraws
 // each expired seq exactly once (the node is its own coordinator, so every
-// withdrawal is one Insert it serves), drops a late seq that lands below the
-// window at once, and caches at most manifestWindow manifest rows — the
-// newest ones — however far the rows run past it.
+// withdrawal is one Insert it serves), and drops a late seq that lands below
+// the window at once.
 func TestWindowTrimsOnlyWhatExpired(t *testing.T) {
 	const window = 16
 	cfg := fastConfig()
@@ -179,22 +178,6 @@ func TestWindowTrimsOnlyWhatExpired(t *testing.T) {
 	held(9*window, 10*window)
 	if got := n.Stats().InsertsServed; got != 9*window+1 {
 		t.Fatalf("%d withdrawals after the late seq, want %d", got, 9*window+1)
-	}
-
-	const rows = 3 * manifestWindow
-	for seq := int64(0); seq < rows; seq++ {
-		n.addManifestEntrySource(seq, nil)
-	}
-	n.addManifestEntrySource(5, nil) // a late row, below the window
-	n.manMu.Lock()
-	defer n.manMu.Unlock()
-	if len(n.manifest) != manifestWindow {
-		t.Fatalf("caches %d manifest rows, want %d", len(n.manifest), manifestWindow)
-	}
-	for seq := int64(rows - manifestWindow); seq < rows; seq++ {
-		if _, ok := n.manifest[seq]; !ok {
-			t.Fatalf("manifest row %d of the newest %d is missing", seq, manifestWindow)
-		}
 	}
 }
 

@@ -5,17 +5,11 @@ package live
 // entries — the paper's openness is also its attack surface. This file is
 // the integrity layer closing it:
 //
-//   - Chunk manifests: the source mints a (seq → SHA-256, tag) row per
-//     generated chunk. A row reaches a peer two ways: with its chunk (every
-//     ChunkResp carries the provider's row for that seq), and in the
-//     catch-up ManifestReq/ManifestResp a coverage ad triggers — ManifestHead,
-//     piggybacked on Insert and ChunkResp, tells a lagging peer (above all a
-//     coordinator, which sees Inserts rather than chunks) that rows exist
-//     past its verified head. The tag authenticates a row against the
-//     channel parameters, so any peer can relay rows it did not mint.
 //   - One verification choke point: storeChunk refuses any payload that
-//     fails manifest (or, uncovered, generator) verification — nothing
-//     enters the buffer map or gets re-served unverified.
+//     fails the generator check (VerifyChunkPayload) — nothing enters the
+//     buffer map or gets re-served unverified. The generator is the trust
+//     anchor: it yields exactly one valid body per seq, so any peer checks
+//     any chunk on its own, with nothing to fetch first.
 //   - Quarantine: a peer that serves polluted bytes is charged integrity
 //     demerits (internal/health); repeat offenders are excluded from
 //     provider selection outright, reported to the chunk's coordinator,
@@ -24,205 +18,19 @@ package live
 //     entry, and a live-edge horizon bound what a spammer can register.
 //
 // What is deliberately NOT defended: Sybil identities and eclipse
-// placement. The tag is keyed on public channel parameters (a stand-in
-// for real source signatures), reporter identities are unauthenticated
-// (hence the distinct-reporter threshold), and a spammer can mint holder
-// addresses faster than any per-address limit can bind. DESIGN.md says so
-// out loud.
+// placement. Reporter identities are unauthenticated (hence the
+// distinct-reporter threshold), and a spammer can mint holder addresses
+// faster than any per-address limit can bind. DESIGN.md says so out loud.
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
 
 	"dco/internal/dht"
 	"dco/internal/health"
-	"dco/internal/stream"
 	"dco/internal/wire"
 )
-
-// manifestRec is one cached manifest row: the chunk's payload hash and the
-// channel-keyed tag that makes the row relayable.
-type manifestRec struct {
-	hash [sha256.Size]byte
-	tag  [sha256.Size]byte
-}
-
-// manifestTag authenticates a manifest row against the channel parameters:
-// SHA-256 over a domain tag, the channel identity, seq, and the payload
-// hash. It is a stand-in for a source signature — anyone who knows the
-// channel parameters can mint tags, which is exactly the Sybil limitation
-// DESIGN.md documents; what it does buy is that rows cannot be corrupted
-// or replayed across channels/seqs while being relayed peer-to-peer.
-func manifestTag(p stream.Params, seq int64, hash [sha256.Size]byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte("dco/manifest/v1\x00"))
-	h.Write([]byte(p.Channel))
-	var num [16]byte
-	binary.BigEndian.PutUint64(num[:8], uint64(p.ChunkBits))
-	binary.BigEndian.PutUint64(num[8:], uint64(seq))
-	h.Write(num[:])
-	h.Write(hash[:])
-	var tag [sha256.Size]byte
-	h.Sum(tag[:0])
-	return tag
-}
-
-// addManifestEntrySource mints and caches the manifest row for a chunk the
-// source just generated (the one place rows originate).
-func (n *Node) addManifestEntrySource(seq int64, data []byte) {
-	hash := sha256.Sum256(data)
-	rec := manifestRec{hash: hash, tag: manifestTag(n.cfg.Channel, seq, hash)}
-	n.manMu.Lock()
-	n.keepManifestLocked(seq, rec)
-	n.manMu.Unlock()
-}
-
-// noteManifestEntry folds in a row learned from a peer (a ChunkResp or a
-// ManifestResp), verifying its tag first. Returns false for rows that fail
-// authentication — the caller decides whether that is chargeable.
-func (n *Node) noteManifestEntry(seq int64, hash, tag []byte) bool {
-	if seq < 0 || len(hash) != sha256.Size || len(tag) != sha256.Size {
-		return false
-	}
-	var rec manifestRec
-	copy(rec.hash[:], hash)
-	copy(rec.tag[:], tag)
-	if manifestTag(n.cfg.Channel, seq, rec.hash) != rec.tag {
-		return false
-	}
-	n.manMu.Lock()
-	n.keepManifestLocked(seq, rec)
-	n.manMu.Unlock()
-	return true
-}
-
-// keepManifestLocked caches seq's row, advances the verified head and ages
-// the oldest rows out past manifestWindow rows. Caller holds manMu.
-func (n *Node) keepManifestLocked(seq int64, rec manifestRec) {
-	n.manifest[seq] = rec
-	n.manHead = max(n.manHead, seq+1)
-	n.manLow = min(n.manLow, seq)
-	if len(n.manifest) > manifestWindow {
-		trimBelow(n.manifest, &n.manLow, n.manHead-manifestWindow, func(int64) {})
-	}
-}
-
-// manifestLookup returns the cached row for seq.
-func (n *Node) manifestLookup(seq int64) (manifestRec, bool) {
-	n.manMu.Lock()
-	rec, ok := n.manifest[seq]
-	n.manMu.Unlock()
-	return rec, ok
-}
-
-// stampManifest fills a ChunkResp's manifest fields in place: the coverage
-// ad always, and on a served chunk this node's row for that seq, so the
-// viewer can authenticate the payload without a second exchange.
-func (n *Node) stampManifest(cr *wire.ChunkResp) *wire.ChunkResp {
-	n.manMu.Lock()
-	defer n.manMu.Unlock()
-	cr.ManifestHead = n.manHead
-	if cr.OK {
-		if rec, ok := n.manifest[cr.Seq]; ok {
-			cr.ManifestHash, cr.ManifestTag = rec.hash[:], rec.tag[:]
-		}
-	}
-	return cr
-}
-
-// manifestHead is the exclusive head of this node's verified rows: one past
-// the newest seq it generated or holds an authenticated row for (0 = none).
-// It is the coverage ad piggybacked on Insert and ChunkResp, and the live
-// edge the insert horizon is measured from.
-func (n *Node) manifestHead() int64 {
-	n.manMu.Lock()
-	defer n.manMu.Unlock()
-	return n.manHead
-}
-
-// manifestReqMax bounds how many rows one ManifestResp carries, from the
-// request's FromSeq on (80 bytes encoded per row keeps a full response far
-// under MaxFrame).
-const manifestReqMax = 512
-
-// manFetchEvery rate-limits ad-triggered background manifest fetches: an
-// ad is an unauthenticated hint, so it may cost this node at most one
-// round-trip per second no matter who advertises what.
-const manFetchEvery = time.Second
-
-// noteManifestAd reacts to a piggybacked coverage advertisement from addr:
-// when it claims rows past this node's verified head, fetch them (rows
-// self-authenticate, so the worst a lying ad costs is the rate-limited
-// round-trip). This catch-up fetch is how a coordinator, which never needs
-// the chunks it indexes, keeps the head its insert horizon is measured
-// from at the live edge.
-func (n *Node) noteManifestAd(addr string, head int64) {
-	if head <= 0 || addr == "" || addr == n.Addr() {
-		return
-	}
-	n.manMu.Lock()
-	trigger := head > n.manHead && time.Since(n.manFetchAt) >= manFetchEvery
-	from := n.manHead
-	if trigger {
-		n.manFetchAt = time.Now()
-	}
-	n.manMu.Unlock()
-	if !trigger {
-		return
-	}
-	// Untracked goroutine (fetchOnce precedent): call-timeout bounded.
-	go func() {
-		if resp, err := n.call(addr, &wire.ManifestReq{FromSeq: from}, n.cfg.CallTimeout); err == nil {
-			n.noteManifestResp(resp)
-		}
-	}()
-}
-
-// onManifestReq serves this node's manifest rows for [FromSeq,
-// FromSeq+manifestReqMax). Any node answers with whatever it holds — rows
-// are self-authenticating, so there is no owner check.
-func (n *Node) onManifestReq(m *wire.ManifestReq) wire.Message {
-	n.lm.manifestServes.Inc()
-	n.manMu.Lock()
-	resp := &wire.ManifestResp{}
-	for seq := m.FromSeq; seq < m.FromSeq+manifestReqMax; seq++ {
-		if rec, ok := n.manifest[seq]; ok {
-			resp.Entries = append(resp.Entries, wire.ManifestEntry{
-				Seq:  seq,
-				Hash: append([]byte(nil), rec.hash[:]...),
-				Tag:  append([]byte(nil), rec.tag[:]...),
-			})
-		}
-	}
-	n.manMu.Unlock()
-	return resp
-}
-
-// noteManifestResp folds the rows of a ManifestResp in (any other reply is
-// ignored) and counts the fetch.
-func (n *Node) noteManifestResp(resp wire.Message) {
-	mr, ok := resp.(*wire.ManifestResp)
-	if !ok {
-		return
-	}
-	n.lm.manifestFetches.Inc()
-	for _, e := range mr.Entries {
-		n.noteManifestEntry(e.Seq, e.Hash, e.Tag)
-	}
-}
-
-// chunkOK is the verification predicate behind the buffer choke point:
-// manifest hash when the seq is covered (authoritative — no fallback on
-// mismatch), the deterministic generator otherwise.
-func (n *Node) chunkOK(seq int64, data []byte) bool {
-	if rec, ok := n.manifestLookup(seq); ok {
-		return sha256.Sum256(data) == rec.hash
-	}
-	return VerifyChunkPayload(n.cfg.Channel, seq, data)
-}
 
 // punishPoisoner charges addr for serving a polluted chunk: blacklist (it
 // is not asked again this cooldown), an integrity demerit (enough of them
@@ -457,14 +265,13 @@ func (n *Node) insertToken(holder string, cost int) bool {
 
 // rowRefused is the gate every row passes into the owned index: quarantined
 // holders are refused, and so are seqs past the live-edge horizon — the
-// newest seq this node generated, buffered or holds an authenticated
-// manifest row for (-1 = no idea). nil = allowed.
+// newest seq this node generated or buffered (-1 = no idea). nil = allowed.
 func (n *Node) rowRefused(holder string, seq int64) *wire.Error {
 	if n.health.Quarantined(holder) {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: holder quarantined"}
 	}
-	if edge := max(n.LatestGenerated(), n.manifestHead()-1); edge >= 0 && seq > edge+insertHorizon {
+	if edge := n.LatestGenerated(); edge >= 0 && seq > edge+insertHorizon {
 		n.lm.insertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: seq beyond live-edge horizon"}
 	}

@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,48 +12,14 @@ import (
 
 	"dco/internal/faulty"
 	"dco/internal/health"
+	"dco/internal/stream"
 	"dco/internal/transport"
 	"dco/internal/wire"
 )
 
-// TestManifestTagAuthenticatesRows pins the row-relay contract: a row the
-// source minted folds in anywhere, while any bit of tampering — hash, tag,
-// or seq reassignment — is rejected before the row can shadow verification.
-func TestManifestTagAuthenticatesRows(t *testing.T) {
-	src := soloNode(t, fastConfig())
-	peer := soloNode(t, fastConfig())
-	data := MakeChunkPayload(src.cfg.Channel, 7)
-	src.addManifestEntrySource(7, data)
-	rec, ok := src.manifestLookup(7)
-	if !ok {
-		t.Fatal("source did not cache its own manifest row")
-	}
-
-	if !peer.noteManifestEntry(7, rec.hash[:], rec.tag[:]) {
-		t.Fatal("authentic row rejected")
-	}
-	if _, ok := peer.manifestLookup(7); !ok {
-		t.Fatal("accepted row not cached")
-	}
-	// Tampered hash: the tag no longer matches.
-	badHash := append([]byte(nil), rec.hash[:]...)
-	badHash[0] ^= 1
-	if peer.noteManifestEntry(8, badHash, rec.tag[:]) {
-		t.Fatal("tampered hash accepted")
-	}
-	// Replayed to a different seq: the tag binds the seq.
-	if peer.noteManifestEntry(9, rec.hash[:], rec.tag[:]) {
-		t.Fatal("row replayed across seqs accepted")
-	}
-	// Truncated fields.
-	if peer.noteManifestEntry(7, rec.hash[:16], rec.tag[:]) {
-		t.Fatal("short hash accepted")
-	}
-}
-
 // TestStoreChunkChokePointRejectsPollution pins the single verification
-// choke point: a polluted payload never enters the buffer (manifest-covered
-// or not), is counted, and charges the serving peer.
+// choke point: a polluted payload never enters the buffer, is counted, and
+// charges the serving peer.
 func TestStoreChunkChokePointRejectsPollution(t *testing.T) {
 	n := soloNode(t, fastConfig())
 	good := MakeChunkPayload(n.cfg.Channel, 3)
@@ -69,25 +37,6 @@ func TestStoreChunkChokePointRejectsPollution(t *testing.T) {
 	}
 	if !n.storeChunk(3, good, "honest:1") {
 		t.Fatal("clean chunk rejected")
-	}
-
-	// Manifest-covered seq: the manifest hash is authoritative, so even a
-	// payload that passes the generator check is refused when it does not
-	// match the row (and vice versa the row authenticates an exact match).
-	src := soloNode(t, fastConfig())
-	d4 := MakeChunkPayload(n.cfg.Channel, 4)
-	src.addManifestEntrySource(4, d4)
-	rec, _ := src.manifestLookup(4)
-	if !n.noteManifestEntry(4, rec.hash[:], rec.tag[:]) {
-		t.Fatal("row rejected")
-	}
-	bad4 := append([]byte(nil), d4...)
-	bad4[len(bad4)-1] ^= 1
-	if n.storeChunk(4, bad4, "evil:1") {
-		t.Fatal("polluted chunk accepted against its manifest row")
-	}
-	if !n.storeChunk(4, d4, "honest:1") {
-		t.Fatal("manifest-matching chunk rejected")
 	}
 	if bad := n.VerifyBuffered(); bad != 0 {
 		t.Fatalf("VerifyBuffered found %d bad chunks in a clean buffer", bad)
@@ -190,12 +139,12 @@ func TestInsertRateLimit(t *testing.T) {
 }
 
 // TestInsertHorizonRejectsFutureSeqs pins the live-edge horizon: with a
-// verified head at seq 100, a registration insertHorizon chunks past the
+// buffered head at seq 100, a registration insertHorizon chunks past the
 // edge passes and one a chunk further is terminal-rejected.
 func TestInsertHorizonRejectsFutureSeqs(t *testing.T) {
 	n := soloNode(t, fastConfig())
-	// Give the node a verified head: an authenticated manifest row at 100.
-	n.addManifestEntrySource(100, MakeChunkPayload(n.cfg.Channel, 100))
+	// Give the node a live edge: a buffered chunk at 100.
+	n.buffer(100, MakeChunkPayload(n.cfg.Channel, 100))
 	holder := wire.Entry{ID: 1, Addr: "prov:1"}
 	key := uint64(n.cfg.Channel.Ref(1).ID())
 	const far = 100 + insertHorizon + 1
@@ -433,123 +382,113 @@ func TestPoisonerQuarantinedEndToEnd(t *testing.T) {
 	}
 }
 
-// rowTrio is a converged, unstarted three-node ring with replication off
-// and a seq whose coordinator is neither the viewer nor the provider. The
-// provider holds and has registered the chunk; withRow says whether it
-// also holds the chunk's manifest row.
-func rowTrio(t *testing.T, withRow bool, wrap func(transport.Transport) transport.Transport) (viewer, provider, coord *Node, seq int64) {
-	t.Helper()
+// mintedRowFrame is a ChunkResp frame laid out the way a provider once
+// sent a chunk together with a manifest row: after the fixed fields, a
+// coverage head and the row — the SHA-256 of rowOf and its tag, each
+// length-prefixed — then body. The tag is a SHA-256 over public channel
+// parameters, so any peer can mint one for any hash.
+func mintedRowFrame(p stream.Params, seq int64, body, rowOf []byte) []byte {
+	hash := sha256.Sum256(rowOf)
+	h := sha256.New()
+	h.Write([]byte("dco/manifest/v1\x00"))
+	h.Write([]byte(p.Channel))
+	h.Write(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, uint64(p.ChunkBits)), uint64(seq)))
+	h.Write(hash[:])
+	head := binary.BigEndian.AppendUint64(nil, uint64(seq))
+	head = append(head, 1, 0)                                 // OK, not Busy
+	head = binary.BigEndian.AppendUint64(head, 0)             // RetryAfterMs, LoadMilli
+	head = binary.BigEndian.AppendUint64(head, uint64(seq+1)) // the coverage head
+	for _, f := range [][]byte{hash[:], h.Sum(nil)} {
+		head = append(binary.BigEndian.AppendUint32(head, uint32(len(f))), f...)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, uint32(1+4+len(head)+len(body)))
+	frame = binary.BigEndian.AppendUint32(append(frame, byte(wire.KindChunkResp)), uint32(len(body)))
+	return append(append(frame, head...), body...)
+}
+
+// mintingPeer answers every GetChunk the node sends to addr itself, with
+// the frame it holds for the seq, decoded; other calls go to the fabric.
+type mintingPeer struct {
+	transport.Transport
+	addr   string
+	frames map[int64][]byte
+}
+
+func (m mintingPeer) Call(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
+	if gc, ok := req.(*wire.GetChunk); ok && addr == m.addr {
+		return wire.ReadMessage(bytes.NewReader(m.frames[gc.Seq]))
+	}
+	return m.Transport.Call(addr, req, timeout)
+}
+
+// TestMintedRowForgesNothing: a manifest row is no evidence, since any peer
+// can mint one. A forged body that matches the row it came with is not
+// buffered, and a row minted for a seq does not cost the honest body of
+// that seq its place — nor its provider a demerit.
+func TestMintedRowForgesNothing(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Replicas = 0
-	s := testSwarm(t, SwarmSpec{N: 3, Base: cfg, Wrap: wrap})
-	if err := s.up((*Node).startRingMaint); err != nil {
-		t.Fatal(err)
+	cfg.FetchDeadlineChunks = 5
+	const evil = "evil:1"
+	forged := func(seq int64, bit int) []byte {
+		b := MakeChunkPayload(cfg.Channel, seq)
+		b[bit] ^= 1
+		return b
 	}
-	await(t, s, 10*time.Second, "ring convergence", func() bool { return RingCorrect(s.Nodes) })
-	coord, viewer, provider = s.Nodes[0], s.Nodes[1], s.Nodes[2]
-	for seq = 0; ; seq++ {
-		if seq == 256 {
-			t.Fatal("no seq in 256 whose coordinator is the third node")
-		}
-		owner, _, err := viewer.FindOwner(uint64(cfg.Channel.Ref(seq).ID()))
-		if err == nil && owner.Addr == coord.Addr() {
-			break
-		}
+	frames := map[int64][]byte{
+		7: mintedRowFrame(cfg.Channel, 7, forged(7, 0), forged(7, 0)), // a forged body and the row that matches it
+		8: mintedRowFrame(cfg.Channel, 8, forged(8, 1), forged(8, 0)), // a row for a body that no provider sends
 	}
-	data := MakeChunkPayload(cfg.Channel, seq)
-	if withRow {
-		provider.addManifestEntrySource(seq, data)
-	}
-	if !provider.storeChunk(seq, data, "") {
-		t.Fatal("provider refused a clean chunk")
-	}
-	provider.insertIndex(seq)
-	return viewer, provider, coord, seq
-}
-
-// TestManifestRowRidesWithChunk: one GetChunk brings the payload and the
-// row that authenticates it; the viewer stores the chunk without having
-// sent a single ManifestReq.
-func TestManifestRowRidesWithChunk(t *testing.T) {
-	viewer, provider, _, seq := rowTrio(t, true, nil)
-	if err := viewer.FetchChunk(seq); err != nil {
-		t.Fatal(err)
-	}
-	if !viewer.HasChunk(seq) {
-		t.Fatal("chunk not stored")
-	}
-	want, _ := provider.manifestLookup(seq)
-	if got, ok := viewer.manifestLookup(seq); !ok || got != want {
-		t.Fatal("the viewer did not learn the row from the chunk response")
-	}
-	if got := viewer.Stats().ManifestFetches; got != 0 {
-		t.Fatalf("viewer issued %d ManifestReqs with the row riding along, want 0", got)
-	}
-}
-
-// TestChunkWithoutRowCostsNoFetch: a provider without the row answers
-// without one, and the viewer stores the chunk on the generator check
-// without asking anybody for rows.
-func TestChunkWithoutRowCostsNoFetch(t *testing.T) {
-	viewer, provider, coord, seq := rowTrio(t, false, nil)
-	if err := viewer.FetchChunk(seq); err != nil {
-		t.Fatal(err)
-	}
-	if !viewer.HasChunk(seq) {
-		t.Fatal("chunk not stored")
-	}
-	if p, c := provider.Stats().ManifestServes, coord.Stats().ManifestServes; p != 0 || c != 0 {
-		t.Fatalf("ManifestReqs served: provider %d, coordinator %d; want none", p, c)
-	}
-	if got := viewer.Stats().ManifestFetches; got != 0 {
-		t.Fatalf("viewer ManifestFetches = %d, want 0", got)
-	}
-}
-
-// forgeRowTags flips a bit in the tag of every manifest row that arrives
-// in a ChunkResp. The reply is the caller's own decoded copy.
-type forgeRowTags struct{ transport.Transport }
-
-func (f forgeRowTags) Call(addr string, req wire.Message, timeout time.Duration) (wire.Message, error) {
-	resp, err := f.Transport.Call(addr, req, timeout)
-	if cr, ok := resp.(*wire.ChunkResp); ok && len(cr.ManifestTag) > 0 {
-		cr.ManifestTag[0] ^= 1
-	}
-	return resp, err
-}
-
-// TestForgedPiggybackedRowIsIgnored: a row whose tag does not verify is
-// dropped and nobody is charged for it; the chunk is stored all the same,
-// and the coordinator is never asked for the row.
-func TestForgedPiggybackedRowIsIgnored(t *testing.T) {
-	viewer, provider, coord, seq := rowTrio(t, true, func(tr transport.Transport) transport.Transport {
-		return forgeRowTags{tr}
+	f := transport.NewFabric()
+	viewer, err := NewNode(cfg, func(h transport.Handler) (transport.Transport, error) {
+		return mintingPeer{f.Attach(h), evil, frames}, nil
 	})
-	if err := viewer.FetchChunk(seq); err != nil {
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !viewer.HasChunk(seq) {
-		t.Fatal("chunk not stored")
+	t.Cleanup(func() { viewer.Close() })
+	honest, err := NewNode(cfg, func(h transport.Handler) (transport.Transport, error) { return f.Attach(h), nil })
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The provider's coverage ad may have fetched the authentic row by now;
-	// the forged one is never held.
-	want, _ := provider.manifestLookup(seq)
-	if got, ok := viewer.manifestLookup(seq); ok && got != want {
-		t.Fatal("the viewer holds the forged row")
+	t.Cleanup(func() { honest.Close() })
+	// The viewer is a ring of one: it coordinates every seq.
+	register := func(seq int64, holder string, unregister bool) {
+		t.Helper()
+		key := uint64(cfg.Channel.Ref(seq).ID())
+		ins := &wire.Insert{Key: key, Seq: seq, Holder: wire.Entry{ID: key, Addr: holder}, Unregister: unregister}
+		resp := viewer.onInsert(ins)
+		if _, ok := resp.(*wire.Ack); !ok {
+			t.Fatalf("insert %+v: %v", ins, resp)
+		}
 	}
-	st := viewer.Stats()
-	if st.IntegrityRejects != 0 || st.ProvidersBlacklisted != 0 || st.PeersQuarantined != 0 || st.PollutionReportsSent != 0 {
-		t.Fatalf("somebody was charged for a forged row: %+v", st)
+
+	register(7, evil, false)
+	_ = viewer.FetchChunk(7)
+	if viewer.HasChunk(7) || viewer.VerifyBuffered() != 0 {
+		t.Fatal("a forged body was buffered on the strength of a peer-minted row")
 	}
-	if got := coord.Stats().ManifestServes; got != 0 {
-		t.Fatalf("the coordinator was asked for rows %d times", got)
+
+	register(8, evil, false)
+	_ = viewer.FetchChunk(8) // the minted row arrives, the body is refused
+	register(8, evil, true)
+	if !honest.storeChunk(8, MakeChunkPayload(cfg.Channel, 8), "") {
+		t.Fatal("honest provider refused a clean chunk")
+	}
+	register(8, honest.Addr(), false)
+	if err := viewer.FetchChunk(8); err != nil || !viewer.HasChunk(8) {
+		t.Fatalf("the honest body of seq 8 was refused after a minted row (%v)", err)
+	}
+	if d := viewer.health.IntegrityScore(honest.Addr()); d != 0 {
+		t.Fatalf("the honest provider was charged %.2f demerits", d)
+	}
+	if d := viewer.health.IntegrityScore(evil); d == 0 {
+		t.Fatal("the minting peer was never charged")
 	}
 }
 
 // TestProviderServesStoredSliceToConcurrentCallers: storeChunk keeps the
 // very slice it was given and onGetChunk serves that slice, unmodified, to
-// eight TCP callers at once (the race detector watches it) — each of whom
-// gets the payload and its row in one exchange.
+// eight TCP callers at once (the race detector watches it).
 func TestProviderServesStoredSliceToConcurrentCallers(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Channel.ChunkBits = 64 * 1024 * 8
@@ -563,11 +502,9 @@ func TestProviderServesStoredSliceToConcurrentCallers(t *testing.T) {
 	t.Cleanup(func() { n.Close() })
 	const seq = 5
 	data := MakeChunkPayload(cfg.Channel, seq)
-	n.addManifestEntrySource(seq, data)
 	if !n.storeChunk(seq, data, "") {
 		t.Fatal("clean chunk rejected")
 	}
-	rec, _ := n.manifestLookup(seq)
 
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
@@ -588,10 +525,6 @@ func TestProviderServesStoredSliceToConcurrentCallers(t *testing.T) {
 				cr, ok := resp.(*wire.ChunkResp)
 				if !ok || !cr.OK || !VerifyChunkPayload(cfg.Channel, seq, cr.Data) {
 					t.Errorf("damaged reply: %T", resp)
-					return
-				}
-				if !bytes.Equal(cr.ManifestHash, rec.hash[:]) || !bytes.Equal(cr.ManifestTag, rec.tag[:]) {
-					t.Error("reply carries no (or a wrong) manifest row")
 					return
 				}
 			}

@@ -91,7 +91,7 @@ func fetchOrder(n *Node, addrs ...string) []string {
 }
 
 // TestActiveWindowDerivedForEndlessStreams: a node on an endless channel
-// that was given no window gets the manifest window instead of buffering
+// that was given no window gets the endless window instead of buffering
 // every chunk forever; a counted stream keeps everything, and a window
 // that was set stays.
 func TestActiveWindowDerivedForEndlessStreams(t *testing.T) {
@@ -100,7 +100,7 @@ func TestActiveWindowDerivedForEndlessStreams(t *testing.T) {
 		count        int64
 		window, want int
 	}{
-		{"endless", 0, 0, manifestWindow},
+		{"endless", 0, 0, endlessWindow},
 		{"counted", 20, 0, 0},
 		{"endless, explicit window", 0, 64, 64},
 		{"counted, explicit window", 20, 64, 64},
@@ -111,8 +111,8 @@ func TestActiveWindowDerivedForEndlessStreams(t *testing.T) {
 			t.Errorf("%s: ActiveWindow = %d, want %d", tc.name, got, tc.want)
 		}
 	}
-	if manifestWindow != 4096 {
-		t.Errorf("manifestWindow = %d; README and dconode -h say 4096", manifestWindow)
+	if endlessWindow != 4096 {
+		t.Errorf("endlessWindow = %d; README and dconode -h say 4096", endlessWindow)
 	}
 }
 

@@ -96,8 +96,7 @@ type liveMetrics struct {
 	// Pollution defense (integrity.go): chunks dropped at the buffer choke
 	// point, peers this node quarantined, index inserts rejected by the
 	// hardening gate (rate limit counted separately), pollution reports in
-	// both directions, load reports the contradiction clamps discounted,
-	// and manifest traffic.
+	// both directions, and load reports the contradiction clamps discounted.
 	integrityRejects     *telemetry.Counter
 	peersQuarantined     *telemetry.Counter
 	insertsRateLimited   *telemetry.Counter
@@ -105,8 +104,6 @@ type liveMetrics struct {
 	pollutionReportsSent *telemetry.Counter
 	pollutionReportsSeen *telemetry.Counter
 	loadReportsClamped   *telemetry.Counter
-	manifestFetches      *telemetry.Counter
-	manifestServes       *telemetry.Counter
 
 	// chunkFetchSeconds is the per-chunk acquisition latency — from the
 	// moment a viewer starts working on a chunk until it is buffered,
@@ -200,8 +197,6 @@ func newLiveMetrics(reg *telemetry.Registry, tr *telemetry.Trace) *liveMetrics {
 		pollutionReportsSent: reg.Counter("dco_live_pollution_reports_sent_total"),
 		pollutionReportsSeen: reg.Counter("dco_live_pollution_reports_total"),
 		loadReportsClamped:   reg.Counter("dco_live_load_reports_discounted_total"),
-		manifestFetches:      reg.Counter("dco_live_manifest_fetches_total"),
-		manifestServes:       reg.Counter("dco_live_manifest_serves_total"),
 
 		chunkFetchSeconds: reg.Histogram("dco_live_chunk_fetch_seconds", telemetry.DefLatencyBuckets),
 		lookupSeconds:     reg.Histogram("dco_live_lookup_seconds", telemetry.DefLatencyBuckets),
@@ -272,11 +267,6 @@ func (n *Node) registerGauges() {
 	// is surfaced as the worst score across peers — enough to alarm on.
 	reg.GaugeFunc("dco_live_integrity_demerits_max", func() float64 {
 		return n.health.MaxIntegrityScore()
-	})
-	reg.GaugeFunc("dco_live_manifest_entries", func() float64 {
-		n.manMu.Lock()
-		defer n.manMu.Unlock()
-		return float64(len(n.manifest))
 	})
 	reg.GaugeFunc("dco_live_replica_owners", func() float64 {
 		owners, _ := n.ReplicaCounts()

@@ -112,8 +112,7 @@ type Config struct {
 	// older chunks are dropped and unregistered as the stream moves on —
 	// the paper's sliding active-chunk window (§III-A1). Zero keeps
 	// everything on a counted stream; on an endless one (Channel.Count == 0)
-	// it derives the manifest window, 4096 chunks — an older chunk cannot be
-	// checked against a manifest row anyway.
+	// it derives the endless window, 4096 chunks.
 	ActiveWindow int
 
 	// OnChunk, if set, is invoked for every chunk received or generated
@@ -207,7 +206,7 @@ const (
 	fetchWorkers       = 3    // concurrent chunk fetches per viewer
 	censusProbes       = 2    // cached members probed per census round: a safety net, not gossip
 	memberCacheSize    = 128  // members remembered for the census, reachable or not
-	manifestWindow     = 4096 // verified manifest rows cached, oldest aged out first
+	endlessWindow      = 4096 // ActiveWindow an endless stream gets when none is set
 	pollutionReporters = 2    // distinct accusers that quarantine a peer: one slanderer is never enough
 	insertHorizon      = 1024 // chunks past the live edge a registration may claim: nobody holds what the source has not produced
 	maxInsertSeqs      = 1024 // seqs one Insert may name; a holder splits a bigger group
@@ -249,7 +248,7 @@ type Node struct {
 
 	// mu guards exactly the buffer: chunks, low, regs, refreshed, latestGen.
 	// Everything else a request touches has a lock of its own (idx,
-	// replicas, replq, guard, health, members, routes, manMu), and no path
+	// replicas, replq, guard, health, members, routes), and no path
 	// holds mu together with any of them.
 	mu sync.Mutex
 	// chunks holds every buffered payload, and its keys are the seqs this
@@ -302,15 +301,6 @@ type Node struct {
 	merging      atomic.Bool
 	lastMerge    string
 	lastMergeAt  time.Time
-
-	// Manifest cache (integrity.go): the source-anchored seq → payload
-	// hash rows every received chunk is verified against. manMu is a leaf
-	// lock: nothing else is taken under it.
-	manMu      sync.Mutex
-	manifest   map[int64]manifestRec
-	manHead    int64     // exclusive upper bound of verified coverage
-	manLow     int64     // no cached row is below it: where a trim starts
-	manFetchAt time.Time // last ad-triggered background fetch
 
 	// guard is the index-pollution defense state (integrity.go).
 	guard pollutionGuard
@@ -380,8 +370,6 @@ type Stats struct {
 	PollutionReportsSent uint64 // accusations this node sent to coordinators
 	PollutionReportsSeen uint64 // accusations this node received as a coordinator
 	LoadReportsClamped   uint64 // LoadMilli reports discounted as self-contradictory
-	ManifestFetches      uint64 // catch-up ManifestReqs this node had answered
-	ManifestServes       uint64 // ManifestReqs this node answered
 }
 
 // errNotOwner answers an index op that reaches a node that does not own
@@ -405,7 +393,7 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	}
 	if cfg.Channel.Count == 0 && cfg.ActiveWindow == 0 {
 		// An endless stream with no window would buffer every chunk forever.
-		cfg.ActiveWindow = manifestWindow
+		cfg.ActiveWindow = endlessWindow
 	}
 	n := &Node{
 		cfg:       cfg,
@@ -413,7 +401,6 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		regs:      make(map[int64]registration),
 		idx:       index.New(cfg.MaxProvidersPerSeq, index.Budget{Period: cfg.Channel.Period, ChunkBits: cfg.Channel.ChunkBits, Lapse: admitMaxWait + cfg.Channel.Period}),
 		replicas:  replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
-		manifest:  make(map[int64]manifestRec),
 		guard:     newPollutionGuard(),
 		pace:      newPacer(cfg.UpBps, admitBurst(cfg.Channel, cfg.UpBps), cfg.AdmitQueue),
 		routes:    dht.NewArcCache(routeCacheSize),
@@ -507,8 +494,6 @@ func (n *Node) Stats() Stats {
 		PollutionReportsSent: n.lm.pollutionReportsSent.Value(),
 		PollutionReportsSeen: n.lm.pollutionReportsSeen.Value(),
 		LoadReportsClamped:   n.lm.loadReportsClamped.Value(),
-		ManifestFetches:      n.lm.manifestFetches.Value(),
-		ManifestServes:       n.lm.manifestServes.Value(),
 	}
 }
 

@@ -200,7 +200,7 @@ func TestFetchDeadlineAbandons(t *testing.T) {
 func TestSleepBusyAbortsOnClose(t *testing.T) {
 	n := soloNode(t, fastConfig())
 	done := make(chan bool, 1)
-	go func() { done <- n.sleepBusy("peer:1", 60_000, time.Time{}) }()
+	go func() { done <- n.sleepBusy(60_000, time.Time{}) }()
 	time.Sleep(20 * time.Millisecond)
 	n.Close()
 	select {

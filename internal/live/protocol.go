@@ -40,8 +40,6 @@ func (n *Node) serve(from string, req wire.Message) wire.Message {
 		return n.onDigestReq(m)
 	case *wire.CensusProbe:
 		return n.onCensusProbe(m)
-	case *wire.ManifestReq:
-		return n.onManifestReq(m)
 	case *wire.PollutionReport:
 		return n.onPollutionReport(m)
 	default:
@@ -149,9 +147,6 @@ func (n *Node) onInsert(m *wire.Insert) wire.Message {
 			return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: insert seqs not distinct and ascending, or too many"}
 		}
 	}
-	if !n.health.Quarantined(m.Holder.Addr) {
-		n.noteManifestAd(m.Holder.Addr, m.ManifestHead)
-	}
 	if m.Unregister {
 		if n.idx.Remove(m.Seq, m.Holder.Addr) {
 			n.enqueueReplica(wire.ReplicaOp{Key: m.Key, Seq: m.Seq, Holder: m.Holder, Unregister: true})
@@ -219,7 +214,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 	if !ok {
 		n.lm.chunksMissed.Inc()
 		n.traceSeq("chunk.miss", m.Seq)
-		return n.stampManifest(&wire.ChunkResp{Seq: m.Seq, LoadMilli: n.reportLoadMilli()})
+		return &wire.ChunkResp{Seq: m.Seq, LoadMilli: n.reportLoadMilli()}
 	}
 	// The requester declares its patience; zero (old clients, direct
 	// callers) means "the server's default". Clamp to admitMaxWait so a
@@ -252,12 +247,12 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 		if n.lm.trace != nil {
 			n.traceEvent("chunk.shed", fmt.Sprintf("seq=%d retry=%s", m.Seq, retry))
 		}
-		return n.stampManifest(&wire.ChunkResp{
+		return &wire.ChunkResp{
 			Seq:          m.Seq,
 			Busy:         true,
 			RetryAfterMs: uint32((retry + time.Millisecond - 1) / time.Millisecond),
 			LoadMilli:    n.reportLoadMilli(),
-		})
+		}
 	}
 	if wait > 0 {
 		n.lm.pacedServes.Inc()
@@ -272,7 +267,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 	}
 	n.lm.chunksServed.Inc()
 	n.traceSeq("chunk.serve", m.Seq)
-	return n.stampManifest(&wire.ChunkResp{Seq: m.Seq, OK: true, Data: data, LoadMilli: n.reportLoadMilli()})
+	return &wire.ChunkResp{Seq: m.Seq, OK: true, Data: data, LoadMilli: n.reportLoadMilli()}
 }
 
 // FindOwner routes from this node to key's owner via the configured DHT

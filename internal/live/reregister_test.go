@@ -287,7 +287,7 @@ func TestInsertNamesSeveralSeqs(t *testing.T) {
 	cfg := fastConfig()
 	cfg.InsertRate = 3 // a burst of 6
 	n := soloNode(t, cfg)
-	n.addManifestEntrySource(10, MakeChunkPayload(n.cfg.Channel, 10))
+	n.buffer(10, MakeChunkPayload(n.cfg.Channel, 10))
 	holder := wire.Entry{ID: 1, Addr: "prov:1"}
 	key := func(seq int64) uint64 { return uint64(n.cfg.Channel.Ref(seq).ID()) }
 	const far = 10 + insertHorizon + 1
@@ -332,7 +332,7 @@ func TestReplicatedRowsPassTheInsertGate(t *testing.T) {
 			}
 		}
 	}
-	coord.addManifestEntrySource(100, MakeChunkPayload(coord.cfg.Channel, 100))
+	coord.buffer(100, MakeChunkPayload(coord.cfg.Channel, 100))
 	evil, honest := wire.Entry{ID: 9, Addr: "evil:1"}, wire.Entry{ID: 8, Addr: "honest:1"}
 	coord.health.ForceQuarantine(evil.Addr)
 	quarantined, far, clean := owned(0), owned(100+insertHorizon+1), owned(200)

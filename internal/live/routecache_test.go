@@ -440,8 +440,7 @@ func TestSequentialJoinsNeedNoStabilize(t *testing.T) {
 
 // TestUntracedNodeAllocatesNothingForTracing pins what a chunk may cost in
 // trace strings on a node without a trace: nothing. The serve path is held
-// to its whole budget — the reply, and the copy of the manifest row a
-// served chunk's reply points into — so a detail string built before the
+// to its whole budget — the reply — so a detail string built before the
 // trace check shows up here.
 func TestUntracedNodeAllocatesNothingForTracing(t *testing.T) {
 	if israce.Enabled {
@@ -461,8 +460,8 @@ func TestUntracedNodeAllocatesNothingForTracing(t *testing.T) {
 		t.Errorf("the fetch and serve paths' trace calls allocate %.0f times on an untraced node", a)
 	}
 	hit, miss := &wire.GetChunk{Seq: 7}, &wire.GetChunk{Seq: 123456}
-	if a := testing.AllocsPerRun(200, func() { n.onGetChunk(hit) }); a > 2 {
-		t.Errorf("an untraced serve allocates %.0f times, budget 2 (the reply and its manifest row)", a)
+	if a := testing.AllocsPerRun(200, func() { n.onGetChunk(hit) }); a > 1 {
+		t.Errorf("an untraced serve allocates %.0f times, budget 1 (the reply)", a)
 	}
 	if a := testing.AllocsPerRun(200, func() { n.onGetChunk(miss) }); a > 1 {
 		t.Errorf("an untraced miss allocates %.0f times, budget 1 (the reply)", a)

@@ -27,18 +27,15 @@ func (n *Node) generateLoop() {
 		if n.cfg.Channel.Count > 0 && seq >= n.cfg.Channel.Count {
 			return
 		}
-		data := MakeChunkPayload(n.cfg.Channel, seq)
-		// Mint the chunk's manifest row before the chunk is visible
-		// anywhere: no consumer should ever see a chunk its row lags.
-		n.addManifestEntrySource(seq, data)
-		n.buffer(seq, data)
+		n.buffer(seq, MakeChunkPayload(n.cfg.Channel, seq))
 		n.insertIndex(seq)
 		seq++
 	}
 }
 
 // LatestGenerated returns the newest chunk the source produced (-1 before
-// the first). Viewers return their newest buffered chunk.
+// the first). Viewers return their newest buffered chunk. It is the live
+// edge the insert horizon is measured from (integrity.go).
 func (n *Node) LatestGenerated() int64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -133,10 +130,10 @@ func (n *Node) insertIndex(seq int64) {
 
 // insertFor registers seq, whose key is key, and the seqs in more at the
 // same coordinator, piggybacking the load report coordinators weight
-// provider selection by and the manifest-coverage ad (integrity.go).
+// provider selection by.
 func (n *Node) insertFor(key uint64, seq int64, more []int64) *wire.Insert {
 	return &wire.Insert{Key: key, Seq: seq, More: more, Holder: n.wireSelf(), UpBps: n.cfg.UpBps,
-		LoadMilli: n.reportLoadMilli(), ManifestHead: n.manifestHead()}
+		LoadMilli: n.reportLoadMilli()}
 }
 
 // noteAnswer records owner's answer to msg for each seq it names that is
@@ -306,7 +303,6 @@ func (n *Node) FetchChunk(seq int64) error {
 				n.lm.loadReportsClamped.Inc() // Busy-contradiction clamp
 			}
 			if !cr.OK {
-				n.noteManifestAd(from, cr.ManifestHead)
 				if cr.Busy {
 					// Busy is an admission nack from a live provider: honor
 					// its RetryAfterMs hint (jittered, so viewers shed
@@ -315,22 +311,12 @@ func (n *Node) FetchChunk(seq int64) error {
 					if cr.RetryAfterMs == 0 {
 						n.lm.busyNacksHintless.Inc()
 					}
-					if !n.sleepBusy(from, cr.RetryAfterMs, deadline) {
+					if !n.sleepBusy(cr.RetryAfterMs, deadline) {
 						return fmt.Errorf("live: node closed (provider %s busy)", from)
 					}
 				}
 				continue
 			}
-			// Cover seq with the manifest row that came with the chunk, unless
-			// a row is held already. Its tag is checked first: a forged row
-			// is ignored, not charged — the payload check decides who pays —
-			// and a seq left uncovered is checked against the generator.
-			if _, ok := n.manifestLookup(seq); !ok {
-				n.noteManifestEntry(seq, cr.ManifestHash, cr.ManifestTag)
-			}
-			// The coverage ad is read after the row is folded in: a provider
-			// at the same live edge then advertises nothing new.
-			n.noteManifestAd(from, cr.ManifestHead)
 			// The buffer choke point: storeChunk verifies, and a polluted
 			// payload charges the provider (integrity.go).
 			if !n.storeChunk(seq, cr.Data, from) {
@@ -464,29 +450,19 @@ func (n *Node) fetchPatienceMs(deadline time.Time) uint32 {
 // but a live viewer is better off re-looking-up for another provider.
 const maxBusySleep = time.Second
 
-// sleepBusy honors a Busy nack's RetryAfterMs hint with +/-25% seeded
-// jitter (decorrelating viewers that were shed together). A hintless Busy
-// (should not happen with this repo's providers, but old or foreign ones
-// may send them) backs off health-aware: a few of the provider's own
-// round-trips, clamped — so a slow peer is not hammered on a cadence
-// tuned for a fast one — with a 75ms default against strangers. The sleep
-// never extends past the playback horizon and aborts when the node closes
-// (returns false) — a closing node must never sit out a backoff.
-func (n *Node) sleepBusy(addr string, retryAfterMs uint32, deadline time.Time) bool {
-	var d time.Duration
-	if retryAfterMs > 0 {
-		d = time.Duration(retryAfterMs) * time.Millisecond
-	} else {
-		d = 75 * time.Millisecond
-		if ewma, ok := n.health.ExpectedLatency(addr); ok {
-			d = 4 * ewma
-			if d < 20*time.Millisecond {
-				d = 20 * time.Millisecond
-			}
-			if d > 250*time.Millisecond {
-				d = 250 * time.Millisecond
-			}
-		}
+// hintlessBusyPause is the hint a Busy nack without one is taken to carry.
+// This repo's providers always send a hint; old or foreign ones may not.
+const hintlessBusyPause = 75 * time.Millisecond
+
+// sleepBusy honors a Busy nack's RetryAfterMs hint (hintlessBusyPause when
+// it has none) with +/-25% seeded jitter, decorrelating viewers that were
+// shed together. The sleep never extends past the playback horizon and
+// aborts when the node closes (returns false) — a closing node must never
+// sit out a backoff.
+func (n *Node) sleepBusy(retryAfterMs uint32, deadline time.Time) bool {
+	d := time.Duration(retryAfterMs) * time.Millisecond
+	if retryAfterMs == 0 {
+		d = hintlessBusyPause
 	}
 	if d > maxBusySleep {
 		d = maxBusySleep
@@ -694,12 +670,12 @@ func (n *Node) emptySecondOpinion(fallbacks []dht.Member, key uint64, seq int64,
 
 // storeChunk is the buffer choke point: the ONLY path by which a received
 // chunk enters the buffer map (and thereby becomes re-servable). It
-// verifies the payload first — against the manifest when covered, the
-// deterministic generator otherwise — and refuses polluted bytes, charging
-// the serving peer when one is named (from may be "" for local/test
-// stores, which skips the punishment but never the verification).
+// verifies the payload against the deterministic generator first and
+// refuses polluted bytes, charging the serving peer when one is named
+// (from may be "" for local/test stores, which skips the punishment but
+// never the verification).
 func (n *Node) storeChunk(seq int64, data []byte, from string) bool {
-	if !n.chunkOK(seq, data) {
+	if !VerifyChunkPayload(n.cfg.Channel, seq, data) {
 		n.lm.integrityRejects.Inc()
 		n.traceSeqPeer("chunk.reject", seq, "peer", from)
 		if from != "" {

@@ -48,6 +48,10 @@ const (
 	KindCensusResp
 	KindKadFindNode
 	KindKadFindNodeResp
+	// KindManifestReq and KindManifestResp are retired: every chunk is
+	// checked against the generator, so no node fetches manifest rows,
+	// and a frame of either kind is rejected as unknown. The numbers are
+	// never reused.
 	KindManifestReq
 	KindManifestResp
 	KindPollutionReport
@@ -147,9 +151,13 @@ type Pong struct{}
 type FindSuccessor struct{ Key uint64 }
 
 // FindSuccessorResp: if Done, Owner is the key's owner; otherwise the
-// caller should continue at Owner (the closest preceding node).
+// caller should continue at Owner (the closest preceding node). Final
+// marks a reply that is not Done because Owner is the receiver's successor,
+// which owns the key: a joiner whose route loops takes the last such Owner
+// as its successor, as Chord's own join does (chordkern.Join).
 type FindSuccessorResp struct {
 	Done  bool
+	Final bool
 	Owner Entry
 	// Populated when Done (join support):
 	Succs []Entry
@@ -205,21 +213,17 @@ type LookupResp struct {
 // the budget); every Insert piggybacks it so coordinators keep a recent
 // load report per provider and answer Lookups with the least-loaded ones.
 //
-// BufCount and ManifestDigest are reserved: they are still encoded, but no
-// node sets or reads them.
+// BufCount, ManifestHead and ManifestDigest are reserved: they are still
+// encoded, but no node sets or reads them.
 type Insert struct {
-	Key        uint64
-	Seq        int64
-	Holder     Entry
-	UpBps      int64
-	BufCount   int64 // reserved
-	LoadMilli  uint32
-	Unregister bool
-	// ManifestHead piggybacks the sender's chunk-manifest coverage: the
-	// exclusive upper bound of the seqs its verified rows cover (0 =
-	// none). Advisory only — it can trigger a catch-up ManifestReq, never
-	// anything destructive.
-	ManifestHead   int64
+	Key            uint64
+	Seq            int64
+	Holder         Entry
+	UpBps          int64
+	BufCount       int64 // reserved
+	LoadMilli      uint32
+	Unregister     bool
+	ManifestHead   int64  // reserved
 	ManifestDigest uint64 // reserved
 	// More names further seqs the holder registers at the same coordinator
 	// (a re-registration); the coordinator derives each one's key itself.
@@ -257,16 +261,6 @@ type ChunkResp struct {
 	RetryAfterMs uint32
 	LoadMilli    uint32
 	Data         []byte
-	// ManifestHead mirrors the field on Insert: the provider's manifest
-	// coverage, so viewers learn the current window from the responses
-	// they are already receiving.
-	ManifestHead int64
-	// ManifestHash/ManifestTag are the provider's manifest row for Seq (see
-	// ManifestEntry; both nil when it holds none), so the chunk and what
-	// authenticates it arrive in one exchange. The receiver verifies the
-	// tag before trusting the row, exactly as for a ManifestResp row.
-	ManifestHash []byte
-	ManifestTag  []byte
 }
 
 // Leave announces a graceful departure to a ring neighbor.
@@ -321,27 +315,6 @@ type DigestReq struct {
 // the owner follows up with a Full ReplicateBatch for them.
 type DigestResp struct {
 	Need []int64
-}
-
-// ManifestEntry is one row of the source's chunk manifest: the SHA-256 of
-// the chunk payload plus the source's authenticator tag over (seq, hash).
-// The tag lets any peer relay and cache rows it did not mint — a receiver
-// verifies the tag against the channel parameters before trusting the row.
-type ManifestEntry struct {
-	Seq  int64
-	Hash []byte // SHA-256 of the chunk payload (32 bytes)
-	Tag  []byte // channel-keyed authenticator over seq|hash (32 bytes)
-}
-
-// ManifestReq asks a peer for its manifest rows from FromSeq on. The peer
-// answers with whatever rows it holds in a window of its own choosing.
-type ManifestReq struct {
-	FromSeq int64
-}
-
-// ManifestResp returns manifest rows.
-type ManifestResp struct {
-	Entries []ManifestEntry
 }
 
 // PollutionReport accuses Target of serving a chunk under Key/Seq whose
@@ -633,10 +606,6 @@ func New(k Kind) (Message, error) {
 		return &KadFindNode{}, nil
 	case KindKadFindNodeResp:
 		return &KadFindNodeResp{}, nil
-	case KindManifestReq:
-		return &ManifestReq{}, nil
-	case KindManifestResp:
-		return &ManifestResp{}, nil
 	case KindPollutionReport:
 		return &PollutionReport{}, nil
 	default:
@@ -756,16 +725,6 @@ func (r *reader) bytes() []byte {
 }
 
 func (r *reader) str() string { return string(r.bytes()) }
-
-// bytesCopy is bytes() with an owned copy, for fields a message keeps (nil
-// when empty, so round-trips DeepEqual).
-func (r *reader) bytesCopy() []byte {
-	v := r.bytes()
-	if len(v) == 0 {
-		return nil
-	}
-	return append([]byte(nil), v...)
-}
 
 // count reads a collection's length prefix and rejects one that claims
 // more items than the rest of the frame can hold at minSize bytes each, so
@@ -898,6 +857,7 @@ func (m *FindSuccessor) decode(r *reader) error { m.Key = r.u64(); return r.err 
 func (m *FindSuccessorResp) Kind() Kind { return KindFindSuccessorResp }
 func (m *FindSuccessorResp) encode(b []byte) []byte {
 	b = putBool(b, m.Done)
+	b = putBool(b, m.Final)
 	b = putEntry(b, m.Owner)
 	b = putEntries(b, m.Succs)
 	b = putEntry(b, m.Pred)
@@ -905,6 +865,7 @@ func (m *FindSuccessorResp) encode(b []byte) []byte {
 }
 func (m *FindSuccessorResp) decode(r *reader) error {
 	m.Done = r.boolean()
+	m.Final = r.boolean()
 	m.Owner = r.entry()
 	m.Succs = r.entries()
 	m.Pred = r.entry()
@@ -1012,10 +973,7 @@ func (m *ChunkResp) encode(b []byte) []byte {
 	b = putBool(b, m.OK)
 	b = putBool(b, m.Busy)
 	b = putU32(b, m.RetryAfterMs)
-	b = putU32(b, m.LoadMilli)
-	b = putI64(b, m.ManifestHead)
-	b = putBytes(b, m.ManifestHash)
-	return putBytes(b, m.ManifestTag)
+	return putU32(b, m.LoadMilli)
 }
 func (m *ChunkResp) decode(r *reader) error {
 	m.Seq = r.i64()
@@ -1023,9 +981,6 @@ func (m *ChunkResp) decode(r *reader) error {
 	m.Busy = r.boolean()
 	m.RetryAfterMs = r.u32()
 	m.LoadMilli = r.u32()
-	m.ManifestHead = r.i64()
-	m.ManifestHash = r.bytesCopy()
-	m.ManifestTag = r.bytesCopy()
 	return r.err
 }
 
@@ -1162,41 +1117,6 @@ func (m *KadFindNodeResp) encode(b []byte) []byte {
 func (m *KadFindNodeResp) decode(r *reader) error {
 	m.From = r.entry()
 	m.Closest = r.entries()
-	return r.err
-}
-
-func (m *ManifestReq) Kind() Kind { return KindManifestReq }
-func (m *ManifestReq) encode(b []byte) []byte {
-	return putI64(b, m.FromSeq)
-}
-func (m *ManifestReq) decode(r *reader) error {
-	m.FromSeq = r.i64()
-	return r.err
-}
-
-func (m *ManifestResp) Kind() Kind { return KindManifestResp }
-func (m *ManifestResp) encode(b []byte) []byte {
-	b = putU32(b, uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = putI64(b, e.Seq)
-		b = putBytes(b, e.Hash)
-		b = putBytes(b, e.Tag)
-	}
-	return b
-}
-func (m *ManifestResp) decode(r *reader) error {
-	n := r.count(16) // a seq and two empty byte fields
-	if n == 0 {
-		return r.err
-	}
-	m.Entries = make([]ManifestEntry, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		var e ManifestEntry
-		e.Seq = r.i64()
-		e.Hash = r.bytesCopy()
-		e.Tag = r.bytesCopy()
-		m.Entries = append(m.Entries, e)
-	}
 	return r.err
 }
 

@@ -43,6 +43,7 @@ func sampleMessages() []Message {
 		&FindSuccessor{Key: 0xFFFFFFFFFFFFFFFF},
 		&FindSuccessorResp{Done: true, Owner: e1, Succs: []Entry{e1, e2}, Pred: e2, OK: true},
 		&FindSuccessorResp{Done: false, Owner: e2},
+		&FindSuccessorResp{Final: true, Owner: e1},
 		&GetState{},
 		&GetStateResp{Pred: e1, PredOK: true, Succs: []Entry{e2}},
 		&Notify{From: e1},
@@ -80,18 +81,7 @@ func sampleMessages() []Message {
 		&KadFindNodeResp{From: e2, Closest: []Entry{e1, e2}},
 		&KadFindNodeResp{From: e1},
 		&Insert{Key: 1, Seq: 2, Holder: e1, UpBps: 100, ManifestHead: 77, ManifestDigest: 0xABCDEF01},
-		&ChunkResp{Seq: 5, OK: true, Data: []byte{1}, ManifestHead: 42},
-		&ManifestReq{FromSeq: 100},
-		&ManifestReq{},
-		&ManifestResp{Entries: []ManifestEntry{
-			{Seq: 198, Hash: bytes.Repeat([]byte{1}, 32), Tag: bytes.Repeat([]byte{2}, 32)},
-			{Seq: 199, Hash: bytes.Repeat([]byte{3}, 32), Tag: bytes.Repeat([]byte{4}, 32)},
-		}},
-		&ManifestResp{},
-		&ChunkResp{Seq: 5, OK: true, Data: []byte{1, 2, 3}, ManifestHead: 6,
-			ManifestHash: bytes.Repeat([]byte{0xC1}, 32), ManifestTag: bytes.Repeat([]byte{0xC2}, 32)},
-		&ChunkResp{Seq: 5, OK: true,
-			ManifestHash: bytes.Repeat([]byte{0xC3}, 32), ManifestTag: bytes.Repeat([]byte{0xC4}, 32)},
+		&ChunkResp{Seq: 5, OK: true},
 		&PollutionReport{From: e1, Key: 9, Seq: 10, Target: e2},
 		&PollutionReport{},
 		&Insert{Key: 1, Seq: 2, Holder: e1, UpBps: 100, LoadMilli: 300, ManifestHead: 9, More: []int64{5, -1, 1 << 40}},
@@ -108,7 +98,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		}
 	}
 	for k := KindError; k <= KindPollutionReport; k++ {
-		if !seen[k] && k != KindHandoff {
+		if !seen[k] && !retired(k) {
 			t.Errorf("no sample message of kind %d", k)
 		}
 	}
@@ -214,18 +204,38 @@ func TestUnknownKindRejected(t *testing.T) {
 	}
 }
 
+// retired reports whether k is a kind no node sends any more.
+func retired(k Kind) bool {
+	return k == KindHandoff || k == KindManifestReq || k == KindManifestResp
+}
+
+// rawFrame frames fields under kind k.
+func rawFrame(k Kind, fields []byte) []byte {
+	f := binary.BigEndian.AppendUint32(nil, uint32(1+len(fields)))
+	return append(append(f, byte(k)), fields...)
+}
+
 // retiredHandoffFrame is a frame of the retired KindHandoff, laid out as
 // its senders encoded it: one entry (key, seq) naming one provider.
 func retiredHandoffFrame() []byte {
-	fields := putEntries(putI64(putU64(putU32(nil, 1), 1), 2), []Entry{{ID: 7, Addr: "peer:1"}})
-	f := binary.BigEndian.AppendUint32(nil, uint32(1+len(fields)))
-	return append(append(f, byte(KindHandoff)), fields...)
+	return rawFrame(KindHandoff, putEntries(putI64(putU64(putU32(nil, 1), 1), 2), []Entry{{ID: 7, Addr: "peer:1"}}))
 }
 
-// TestRetiredHandoffIsUnknown: a Handoff frame from a peer that still sends
-// one is refused as an unknown kind before anything is decoded or allocated.
-func TestRetiredHandoffIsUnknown(t *testing.T) {
-	frame := retiredHandoffFrame()
+// retiredManifestFrames are frames of the retired manifest kinds, laid out
+// as their senders encoded them: a request from seq 100, and a reply with
+// one row (seq, 32-byte hash, 32-byte tag).
+func retiredManifestFrames() map[string][]byte {
+	row := putBytes(putBytes(putI64(putU32(nil, 1), 100), make([]byte, 32)), make([]byte, 32))
+	return map[string][]byte{
+		"ManifestReq":  rawFrame(KindManifestReq, putI64(nil, 100)),
+		"ManifestResp": rawFrame(KindManifestResp, row),
+	}
+}
+
+// refusedAsUnknown fails t unless frame is refused as an unknown kind
+// before anything is decoded or allocated.
+func refusedAsUnknown(t *testing.T, name string, frame []byte) {
+	t.Helper()
 	rd := bytes.NewReader(frame)
 	var err error
 	b, objs := allocsPerOp(100, func() {
@@ -233,12 +243,26 @@ func TestRetiredHandoffIsUnknown(t *testing.T) {
 		_, err = ReadMessage(rd)
 	})
 	if !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("retired Handoff frame: %v, want ErrUnknownKind", err)
+		t.Fatalf("retired %s frame: %v, want ErrUnknownKind", name, err)
 	}
 	// Fewer than one object per frame: a stray runtime allocation across the
 	// runs is not the decoder's.
 	if objs >= 1 && !israce.Enabled {
-		t.Fatalf("rejecting a retired Handoff frame allocated %.2f objects (%.0f B) per frame, want 0", objs, b)
+		t.Fatalf("rejecting a retired %s frame allocated %.2f objects (%.0f B) per frame, want 0", name, objs, b)
+	}
+}
+
+// TestRetiredHandoffIsUnknown: a Handoff frame from a peer that still sends
+// one is refused as an unknown kind before anything is decoded or allocated.
+func TestRetiredHandoffIsUnknown(t *testing.T) {
+	refusedAsUnknown(t, "Handoff", retiredHandoffFrame())
+}
+
+// TestRetiredManifestKindsAreUnknown: so are the manifest-row frames, now
+// that every chunk is checked against the generator.
+func TestRetiredManifestKindsAreUnknown(t *testing.T) {
+	for name, frame := range retiredManifestFrames() {
+		refusedAsUnknown(t, name, frame)
 	}
 }
 
@@ -345,10 +369,9 @@ func TestReadMessageLimit(t *testing.T) {
 // touching any other message — faulty.corrupt and poisonChunk flip bytes
 // of a reply in place and rely on exactly that.
 func TestChunkRespDataIsOwned(t *testing.T) {
-	row := func(b byte) []byte { return bytes.Repeat([]byte{b}, 32) }
 	sent := []*ChunkResp{
-		{Seq: 1, OK: true, Data: bytes.Repeat([]byte{0x11}, 1000), ManifestHash: row(1), ManifestTag: row(2)},
-		{Seq: 2, OK: true, Data: bytes.Repeat([]byte{0x22}, 64*1024), ManifestHash: row(3), ManifestTag: row(4)},
+		{Seq: 1, OK: true, Data: bytes.Repeat([]byte{0x11}, 1000)},
+		{Seq: 2, OK: true, Data: bytes.Repeat([]byte{0x22}, 64*1024)},
 		{Seq: 3, OK: true, Data: bytes.Repeat([]byte{0x33}, 1000)},
 	}
 	var stream bytes.Buffer
@@ -395,7 +418,6 @@ func TestChunkRespDataIsOwned(t *testing.T) {
 	for i := range got[0].Data {
 		got[0].Data[i] ^= 0xFF
 	}
-	got[0].ManifestTag[0] ^= 0xFF
 	for i, cr := range got[1:] {
 		if !reflect.DeepEqual(cr, sent[i+1]) {
 			t.Fatalf("mutating seq 1 changed seq %d", cr.Seq)
@@ -439,7 +461,7 @@ func TestWriteShape(t *testing.T) {
 }
 
 // chunkFrame hand-builds a ChunkResp frame: n and tail as declared, the
-// fields with the given OK and Busy and no manifest row, then body.
+// fields with the given OK and Busy, then body.
 func chunkFrame(n, tail uint32, ok, busy bool, body []byte) []byte {
 	f := []byte{0, 0, 0, 0, byte(KindChunkResp)}
 	binary.BigEndian.PutUint32(f, n)
@@ -493,7 +515,7 @@ func allocsPerOp(runs int, f func()) (bytesPerOp, objsPerOp float64) {
 
 // TestAllocationBudgets holds the codec to what a hop is allowed to cost:
 // a 64 KiB chunk response crosses encode and decode with one payload-sized
-// allocation (the reader's exact-size Data) and small change, and a
+// allocation (the reader's exact-size Data) and its struct, and a
 // fixed-size control message allocates its decoded struct and nothing
 // for framing.
 func TestAllocationBudgets(t *testing.T) {
@@ -512,10 +534,9 @@ func TestAllocationBudgets(t *testing.T) {
 			}
 		}
 	}
-	chunk := &ChunkResp{Seq: 42, OK: true, Data: make([]byte, 64*1024),
-		ManifestHash: make([]byte, 32), ManifestTag: make([]byte, 32)}
-	if b, objs := allocsPerOp(200, trip(chunk)); b > 70_000 || objs >= 5 {
-		t.Errorf("64 KiB ChunkResp round-trip: %.0f B in %.1f objects; budget 70,000 B (one payload) in 4: struct, hash, tag, data", b, objs)
+	chunk := &ChunkResp{Seq: 42, OK: true, Data: make([]byte, 64*1024)}
+	if b, objs := allocsPerOp(200, trip(chunk)); b > 66_560 || objs >= 3 {
+		t.Errorf("64 KiB ChunkResp round-trip: %.0f B in %.1f objects; budget 66,560 B (one payload and 1 KiB) in 2: struct, data", b, objs)
 	}
 	if b, objs := allocsPerOp(200, trip(&GetChunk{Seq: 1, WaitMs: 2, DeadlineMs: 3})); objs >= 2 || b > 64 {
 		t.Errorf("GetChunk round-trip: %.0f B in %.1f objects; budget: the decoded struct", b, objs)
@@ -662,7 +683,6 @@ func forgedCountFrames() map[string][]byte {
 		"ReplicateBatch ops":      frame(KindReplicateBatch, putU32(putBool(owner, false), MaxFrame/41)),
 		"DigestReq digests":       frame(KindDigestReq, putU32(owner, MaxFrame/24)),
 		"DigestResp seqs":         frame(KindDigestResp, putU32(nil, MaxFrame/8)),
-		"ManifestResp rows":       frame(KindManifestResp, putU32(nil, MaxFrame/80)),
 		"CensusProbe members":     frame(KindCensusProbe, putU32(putU64(owner, 6), MaxFrame/12)),
 	}
 }
@@ -778,44 +798,6 @@ func TestKadFindNodeRoundTrip(t *testing.T) {
 	empty := roundTrip(t, &KadFindNodeResp{From: caller}).(*KadFindNodeResp)
 	if empty.From != caller || len(empty.Closest) != 0 {
 		t.Fatalf("empty-table response mutated: %#v", empty)
-	}
-}
-
-// TestManifestRoundTrip pins the chunk-authentication contract on the
-// wire: manifest rows carry the exact 32-byte hash and tag (verification
-// compares them bit-for-bit), and the coverage ad on a ChunkResp rides
-// along without disturbing the other fields.
-func TestManifestRoundTrip(t *testing.T) {
-	rows := []ManifestEntry{
-		{Seq: 1000, Hash: bytes.Repeat([]byte{0x11}, 32), Tag: bytes.Repeat([]byte{0x22}, 32)},
-		{Seq: 1001, Hash: bytes.Repeat([]byte{0x33}, 32), Tag: bytes.Repeat([]byte{0x44}, 32)},
-	}
-	resp := &ManifestResp{Entries: rows}
-	got := roundTrip(t, resp).(*ManifestResp)
-	if !reflect.DeepEqual(resp, got) {
-		t.Fatalf("manifest resp mutated:\n  sent %#v\n  got  %#v", resp, got)
-	}
-	req := &ManifestReq{FromSeq: 990}
-	if gr := roundTrip(t, req).(*ManifestReq); *gr != *req {
-		t.Fatalf("manifest req mutated: %#v", gr)
-	}
-	// The coverage ad on a chunk response.
-	cr := &ChunkResp{Seq: 9, OK: true, Data: []byte{5, 6}, LoadMilli: 300, ManifestHead: 1002}
-	gc := roundTrip(t, cr).(*ChunkResp)
-	if !reflect.DeepEqual(cr, gc) {
-		t.Fatalf("chunk resp with manifest ad mutated:\n  sent %#v\n  got  %#v", cr, gc)
-	}
-	// An oversized row count claim must be rejected before allocation.
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, resp); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
-	// Bytes 0-3 hold the frame length and 4 the kind: the row count lives
-	// at offset 5.
-	frame[5], frame[6], frame[7], frame[8] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
-		t.Fatal("forged huge manifest row count accepted")
 	}
 }
 
