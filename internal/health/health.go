@@ -18,6 +18,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -166,6 +167,9 @@ type Tracker struct {
 
 	mu    sync.Mutex
 	peers map[string]*peer
+	// everQuarantined is set wherever a quarUntil is written: until the
+	// first, Quarantined answers false without the lock or the clock.
+	everQuarantined atomic.Bool
 
 	// now is a test seam.
 	now func() time.Time
@@ -424,6 +428,7 @@ func (t *Tracker) IntegrityDemerit(addr string) (quarantined bool) {
 	if integ >= quarantineThreshold && now.After(p.quarUntil) {
 		p.quarUntil = now.Add(QuarantineTTL)
 		p.integ = 0
+		t.everQuarantined.Store(true)
 		return true
 	}
 	p.integ = integ
@@ -443,10 +448,16 @@ func (t *Tracker) ForceQuarantine(addr string) {
 	p := t.rowLocked(addr, now)
 	p.quarUntil = now.Add(QuarantineTTL)
 	p.integ = 0
+	t.everQuarantined.Store(true)
 }
 
-// Quarantined reports whether addr is currently quarantined.
+// Quarantined reports whether addr is currently quarantined. Until some
+// peer has ever been quarantined it takes neither the lock nor the clock:
+// the coordinator asks it once per row of every answer.
 func (t *Tracker) Quarantined(addr string) bool {
+	if !t.everQuarantined.Load() {
+		return false
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p := t.peers[addr]

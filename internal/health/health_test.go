@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -315,6 +316,48 @@ func TestForceQuarantine(t *testing.T) {
 	clk.advance(step)
 	if tr.Quarantined("p") {
 		t.Fatal("extended quarantine must still expire")
+	}
+}
+
+// TestQuarantinedFastPath: until some peer has been quarantined,
+// Quarantined answers false without reading the clock; the answers before
+// and after the first ForceQuarantine are the ones the locked path gives,
+// under any clock SetNow installs.
+func TestQuarantinedFastPath(t *testing.T) {
+	tr, clk := newTestTracker(Config{})
+	var reads atomic.Int64
+	tr.SetNow(func() time.Time { reads.Add(1); return clk.now() })
+	tr.Observe("p", time.Millisecond, true)
+	tr.IntegrityDemerit("p") // a demerit below the threshold quarantines nobody
+	reads.Store(0)
+	for _, a := range []string{"p", "q", ""} {
+		if tr.Quarantined(a) {
+			t.Fatalf("%q quarantined before anyone was", a)
+		}
+	}
+	if n := reads.Load(); n != 0 {
+		t.Fatalf("the fast path read the clock %d times", n)
+	}
+	tr.ForceQuarantine("q")
+	if !tr.Quarantined("q") || tr.Quarantined("p") {
+		t.Fatalf("after ForceQuarantine(q): q=%v p=%v, want true false", tr.Quarantined("q"), tr.Quarantined("p"))
+	}
+	clk.advance(QuarantineTTL + time.Second)
+	if tr.Quarantined("q") {
+		t.Fatal("the quarantine outlived its TTL")
+	}
+	// A clock set back inside the window answers from the row again.
+	tr.SetNow(func() time.Time { return clk.now().Add(-QuarantineTTL / 2) })
+	if !tr.Quarantined("q") || tr.Quarantined("p") {
+		t.Fatal("a clock inside the window lost the quarantine")
+	}
+	// The demerit path arms the slow path too.
+	tr2, _ := newTestTracker(Config{})
+	for i := 0; i < quarantineThreshold; i++ {
+		tr2.IntegrityDemerit("r")
+	}
+	if !tr2.Quarantined("r") || tr2.Quarantined("p") {
+		t.Fatal("a demerit quarantine is not seen")
 	}
 }
 

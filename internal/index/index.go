@@ -10,6 +10,11 @@
 // keep/owns/exclude predicates it is handed, so callers must not hold a lock
 // those predicates take.
 //
+// A lookup with nothing to offer parks as a Waiter (the paper's pending
+// queue). The Upsert that adds a row answers its seq's waiters, oldest
+// first, as if each had called Select in turn, and sends the answers once
+// it has unlocked.
+//
 // The one lease rule, applied by every path that adds a row: the longer
 // lease wins and a zero deadline (no lease) beats any finite one. A holder's
 // own re-Insert at now+TTL is a special case of it.
@@ -133,10 +138,6 @@ type entry struct {
 	key  uint64
 	rows []Row
 	rr   int // Select's rotation cursor
-	// wake is non-nil while a lookup is parked on the entry; it is closed
-	// (and forgotten) when a new provider registers.
-	wake   chan struct{}
-	parked int
 	// out is the FIFO of unsettled handouts, oldest (and soonest to lapse)
 	// first; nil until a row with a cap is named.
 	out []handout
@@ -170,13 +171,6 @@ func (e *entry) drop(k int) {
 	}
 }
 
-func (e *entry) wakeParked() {
-	if e.wake != nil {
-		close(e.wake)
-		e.wake = nil
-	}
-}
-
 // prune drops rows whose lease lapsed, returning how many.
 func (e *entry) prune(now time.Time) int {
 	kept := e.rows[:0]
@@ -190,12 +184,35 @@ func (e *entry) prune(now time.Time) int {
 	return dropped
 }
 
+// Waiter is a lookup parked on a seq. Its answer arrives once on C (empty
+// when a new row left every usable one at its cap: look again); the caller
+// then hands w back with Release, or ends the wait first with Unpark.
+type Waiter struct {
+	C    chan []wire.Entry
+	seq  int64
+	max  int
+	told bool    // the park reported a reopen
+	next *Waiter // the answering Upsert's send list
+	ans  []wire.Entry
+}
+
+// waiters recycles Waiters with their channels.
+var waiters = sync.Pool{New: func() any { return &Waiter{C: make(chan []wire.Entry, 1)} }}
+
+// Release hands w back once its answer was received from C.
+func (w *Waiter) Release() {
+	w.ans, w.next = nil, nil
+	waiters.Put(w)
+}
+
 // Table is a set of index entries keyed by seq. Safe for concurrent use.
 type Table struct {
 	mu      sync.Mutex
 	maxRows int
 	budget  Budget
+	exclude func(addr string) bool
 	entries map[int64]*entry
+	queue   []*Waiter // every parked lookup, oldest first
 	// cand and held are pick's scratch, reused under mu.
 	cand []int
 	held []int
@@ -203,9 +220,9 @@ type Table struct {
 
 // New returns an empty table whose entries hold at most maxRows provider
 // rows each (<= 0: no cap), and whose answers name rows as often as b
-// allows.
-func New(maxRows int, b Budget) *Table {
-	return &Table{maxRows: maxRows, budget: b, entries: make(map[int64]*entry)}
+// allows and never a provider exclude (nil = none) rejects.
+func New(maxRows int, b Budget, exclude func(addr string) bool) *Table {
+	return &Table{maxRows: maxRows, budget: b, exclude: exclude, entries: make(map[int64]*entry)}
 }
 
 // Len returns the number of entries.
@@ -215,25 +232,29 @@ func (t *Table) Len() int {
 	return len(t.entries)
 }
 
+// waiting reports whether a lookup is parked on seq.
+func (t *Table) waiting(seq int64) bool {
+	return slices.ContainsFunc(t.queue, func(w *Waiter) bool { return w.seq == seq })
+}
+
 // dropIdle forgets an entry nothing refers to: no rows, no parked lookup.
 func (t *Table) dropIdle(seq int64, e *entry) {
-	if len(e.rows) == 0 && e.parked == 0 {
+	if len(e.rows) == 0 && !t.waiting(seq) {
 		delete(t.entries, seq)
 	}
 }
 
 // Upsert registers r as a provider of seq, or refreshes its row by the lease
 // rule (a nonzero UpBps and a known LoadMilli replace the stored ones). A new
-// row settles seq's oldest unsettled handout and wakes the lookups parked on
-// seq. It reports whether a row was added and whether r is in the table at
-// all: a row already expired at now is refused, and so is a new row for an
-// entry at the cap — a refresh never is.
+// row settles seq's oldest unsettled handout and answers the lookups parked
+// on seq. It reports whether a row was added and whether r is in the table
+// at all: a row already expired at now is refused, and so is a new row for
+// an entry at the cap — a refresh never is.
 func (t *Table) Upsert(key uint64, seq int64, r Row, now time.Time) (added, ok bool) {
 	if r.expired(now) {
 		return false, false
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	e := t.entries[seq]
 	if e == nil {
 		e = &entry{}
@@ -251,9 +272,11 @@ func (t *Table) Upsert(key uint64, seq int64, r Row, now time.Time) (added, ok b
 		if r.LoadMilli != LoadUnknown {
 			have.LoadMilli = r.LoadMilli
 		}
+		t.mu.Unlock()
 		return false, true
 	}
 	if t.maxRows > 0 && len(e.rows) >= t.maxRows {
+		t.mu.Unlock()
 		return false, false
 	}
 	if r.LoadMilli == LoadUnknown {
@@ -262,8 +285,42 @@ func (t *Table) Upsert(key uint64, seq int64, r Row, now time.Time) (added, ok b
 	e.rows = append(e.rows, r)
 	e.lapse(now)
 	e.drop(min(1, len(e.out)))
-	e.wakeParked()
+	sends := t.answer(seq, e, now)
+	t.mu.Unlock()
+	for w := sends; w != nil; { // after the unlock: no answered lookup waits on it
+		next := w.next
+		w.C <- w.ans
+		w = next
+	}
 	return true, true
+}
+
+// answer runs pick for each waiter parked on seq, oldest first, as Select
+// would have in turn. It dequeues those it answers, and those held at a cap
+// their park did not report, to look again, and returns them linked through
+// next. An empty pick leaves the entry as it was: no later waiter is picked.
+func (t *Table) answer(seq int64, e *entry, now time.Time) (sends *Waiter) {
+	if !t.waiting(seq) {
+		return nil
+	}
+	e.prune(now)
+	last, kept := &sends, t.queue[:0]
+	var provs []wire.Entry
+	var capped, dry bool
+	for _, w := range t.queue {
+		if w.seq == seq && !dry {
+			provs, capped = t.pick(e, w.max, now)
+			dry = len(provs) == 0
+		}
+		if w.seq == seq && (!dry || capped && !w.told) {
+			w.ans, *last, last = provs, w, &w.next
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	clear(t.queue[len(kept):])
+	t.queue = kept
+	return sends
 }
 
 // Has reports whether addr holds a row for seq.
@@ -419,12 +476,11 @@ func hashRows(rows []Row) (sum uint64) {
 
 // Select answers a lookup for seq with up to max providers (see pick for
 // what it promises), dropping the entry's lapsed leases first and reporting
-// how many. With nothing to offer it parks the caller instead: wake is
-// non-nil, is closed when a new provider registers for seq, and the caller
-// must call Unpark once it stops waiting. When it parks because every
+// how many. With nothing to offer it parks the caller instead, as w, which
+// the next Upsert that can answer it answers. When it parks because every
 // usable row is at its cap, reopen is the earliest time a handout lapses
-// (zero otherwise): the caller should look again then.
-func (t *Table) Select(key uint64, seq int64, max int, now time.Time, exclude func(addr string) bool) (provs []wire.Entry, expired int, wake <-chan struct{}, reopen time.Time) {
+// (zero otherwise): the caller should Unpark and look again then.
+func (t *Table) Select(key uint64, seq int64, max int, now time.Time) (provs []wire.Entry, expired int, w *Waiter, reopen time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entries[seq]
@@ -432,7 +488,7 @@ func (t *Table) Select(key uint64, seq int64, max int, now time.Time, exclude fu
 		expired = e.prune(now)
 		e.lapse(now)
 		var capped bool
-		if provs, capped = t.pick(e, max, now, exclude); len(provs) > 0 {
+		if provs, capped = t.pick(e, max, now); len(provs) > 0 {
 			return provs, expired, nil, time.Time{}
 		}
 		if capped {
@@ -442,21 +498,27 @@ func (t *Table) Select(key uint64, seq int64, max int, now time.Time, exclude fu
 		e = &entry{key: key}
 		t.entries[seq] = e
 	}
-	if e.wake == nil {
-		e.wake = make(chan struct{})
-	}
-	e.parked++
-	return nil, expired, e.wake, reopen
+	w = waiters.Get().(*Waiter)
+	w.seq, w.max, w.told = seq, max, !reopen.IsZero()
+	t.queue = append(t.queue, w)
+	return nil, expired, w, reopen
 }
 
-// Unpark ends a wait Select started.
-func (t *Table) Unpark(seq int64) {
+// Unpark ends w's wait and hands w back, returning the answer an Upsert
+// claimed for w first, if one did.
+func (t *Table) Unpark(seq int64, w *Waiter) (provs []wire.Entry) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e := t.entries[seq]; e != nil {
-		e.parked--
-		t.dropIdle(seq, e)
+	i := slices.Index(t.queue, w)
+	if i >= 0 {
+		t.queue = slices.Delete(t.queue, i, i+1)
+		t.dropIdle(seq, t.entries[seq])
 	}
+	t.mu.Unlock()
+	if i < 0 {
+		provs = <-w.C // the claiming Upsert sends right after its unlock
+	}
+	w.Release()
+	return provs
 }
 
 // countHeld counts each row's unsettled handouts, by row index, into t.held.
@@ -482,13 +544,13 @@ func (t *Table) countHeld(e *entry) []int {
 // candidates. When every provider is saturated the least-loaded ones are
 // returned anyway — a degraded answer beats an empty one. When more
 // providers are registered than the answer carries, the last slot is an
-// exploration pick from outside the chosen set (see below). exclude (nil =
-// none) drops providers outright — quarantined peers never appear in
+// exploration pick from outside the chosen set (see below). The table's
+// exclude drops providers outright — quarantined peers never appear in
 // answers, even degraded ones — and so does the bandwidth rule: a row at
 // its cap is skipped (capped reports that one was), and every row named
 // that has a cap is charged a handout lapsing at now + Lapse. The answer
 // is pick's one allocation.
-func (t *Table) pick(e *entry, max int, now time.Time, exclude func(addr string) bool) (out []wire.Entry, capped bool) {
+func (t *Table) pick(e *entry, max int, now time.Time) (out []wire.Entry, capped bool) {
 	if len(e.rows) == 0 || max <= 0 {
 		return nil, false
 	}
@@ -497,7 +559,7 @@ func (t *Table) pick(e *entry, max int, now time.Time, exclude func(addr string)
 	unsaturated := 0
 	for i := range e.rows {
 		r := &e.rows[i]
-		if exclude != nil && exclude(r.Ent.Addr) {
+		if t.exclude != nil && t.exclude(r.Ent.Addr) {
 			continue
 		}
 		if c := t.budget.cap(r); c > 0 && held[i] >= c {

@@ -120,19 +120,19 @@ func TestServeNeverWaitsOnIndexWork(t *testing.T) {
 	}()
 	waitFor(t, 5*time.Second, "the lookup to park", func() bool { return n.idx.Len() == 1 })
 
-	// Hold the table's lock from inside a Select (the exclude predicate runs
+	// Hold the table's lock from inside a Digests (the owns predicate runs
 	// under it), and the other index-side locks directly.
 	n.idx.Upsert(key(7), 7, index.Row{Ent: wire.Entry{Addr: "mem://p"}}, time.Now())
 	inside, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		n.idx.Select(key(7), 7, 3, time.Now(), func(string) bool {
-			close(inside)
+		n.idx.Digests(func(uint64) bool {
+			once.Do(func() { close(inside) })
 			<-release
 			return false
 		})
-		n.idx.Unpark(7)
 	}()
 	<-inside
 	n.replicas.mu.Lock()

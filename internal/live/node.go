@@ -399,7 +399,6 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 		cfg:       cfg,
 		chunks:    make(map[int64][]byte),
 		regs:      make(map[int64]registration),
-		idx:       index.New(cfg.MaxProvidersPerSeq, index.Budget{Period: cfg.Channel.Period, ChunkBits: cfg.Channel.ChunkBits, Lapse: admitMaxWait + cfg.Channel.Period}),
 		replicas:  replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
 		guard:     newPollutionGuard(),
 		pace:      newPacer(cfg.UpBps, admitBurst(cfg.Channel, cfg.UpBps), cfg.AdmitQueue),
@@ -416,6 +415,8 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	n.self = dht.Member{ID: dht.IDOf(tr.Addr()), Addr: tr.Addr()}
 	n.lm = newLiveMetrics(cfg.Telemetry, cfg.Trace)
 	n.health = health.NewTracker(health.Config{Circuit: cfg.Breaker, OnCircuit: n.onCircuit})
+	// Quarantined providers are excluded from answers outright (integrity.go).
+	n.idx = index.New(cfg.MaxProvidersPerSeq, index.Budget{Period: cfg.Channel.Period, ChunkBits: cfg.Channel.ChunkBits, Lapse: admitMaxWait + cfg.Channel.Period}, n.health.Quarantined)
 	n.members = dht.NewMemberCache(n.self.Addr, memberCacheSize)
 	seed := cfg.RetrySeed
 	if seed == 0 {

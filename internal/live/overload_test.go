@@ -58,8 +58,9 @@ func TestLookupPendingQueueWokenByInsert(t *testing.T) {
 // TestLookupPendingQueueRace storms the two arms against each other:
 // short-MaxWait lookups racing Inserts on the same keys must always return
 // a well-formed answer — empty or filled are both legal outcomes of the
-// race, hanging or panicking is not. Run with -race, this also proves the
-// wake-channel replacement in wakeLocked is sound.
+// race, hanging or panicking is not. Run with -race, this also proves that
+// an answer an Insert claims for a lookup whose wait is ending reaches it
+// (index.Table.Unpark) and is never sent to a recycled waiter.
 func TestLookupPendingQueueRace(t *testing.T) {
 	n := soloNode(t, fastConfig())
 	var wg sync.WaitGroup

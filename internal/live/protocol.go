@@ -51,9 +51,10 @@ func (n *Node) serve(from string, req wire.Message) wire.Message {
 // to MaxWait for the first registration (the paper's pending queue). The
 // requester's propagated DeadlineMs budget clamps the hold — parking a
 // lookup past the caller's deadline only produces an answer nobody is
-// waiting for, while occupying a pending-queue slot. A lookup whose every
-// provider is at its cap (index.Budget) is held the same way, and also
-// looks again when the earliest handout lapses.
+// waiting for, while occupying a pending-queue slot. A parked lookup is
+// answered by the Upsert that registers a provider for its seq. A lookup
+// whose every provider is at its cap (index.Budget) is held the same way,
+// and also looks again when the earliest handout lapses.
 func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 	waitMs := m.MaxWait
 	if m.DeadlineMs > 0 && m.DeadlineMs < waitMs {
@@ -76,10 +77,10 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 		}
 		// Capacity-weighted selection (index.Table.Select): skip saturated
 		// providers and those at their cap, rotate through the low-load
-		// cohort; quarantined providers are excluded outright (integrity.go).
-		// An entry whose every provider is quarantined parks like an empty
-		// one — a clean provider may register before the deadline.
-		providers, expired, wake, reopen := n.idx.Select(m.Key, m.Seq, 3, time.Now(), n.health.Quarantined)
+		// cohort; quarantined providers are excluded outright. An entry
+		// whose every provider is quarantined parks like an empty one — a
+		// clean provider may register before the deadline.
+		providers, expired, w, reopen := n.idx.Select(m.Key, m.Seq, 3, time.Now())
 		if expired > 0 {
 			n.lm.indexExpired.Add(uint64(expired))
 		}
@@ -92,9 +93,10 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 		}
 		// Nothing owned to offer, but a replica slice may hold the entry —
 		// e.g. both the old owner and its first successor died before any
-		// takeover or anti-entropy round reached this node.
-		woken := n.promoteReplicaSeq(m.Key, m.Seq)
-		if remain := time.Until(deadline); !woken && remain > 0 {
+		// takeover or anti-entropy round reached this node. An adopted row
+		// answers w like any other registration.
+		n.promoteReplicaSeq(m.Key, m.Seq)
+		if remain := time.Until(deadline); remain > 0 {
 			if !reopen.IsZero() {
 				remain = min(remain, time.Until(reopen))
 			}
@@ -104,23 +106,28 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 				timer.Reset(remain)
 			}
 			select {
-			case <-wake:
-				woken = true
+			case providers = <-w.C:
+				w.Release()
+				w = nil
 				if !timer.Stop() {
 					select { // fired meanwhile: drain it for the next Reset
 					case <-timer.C:
 					default:
 					}
 				}
-			case <-timer.C:
-				woken = time.Now().Before(deadline) // a handout lapsed: look again
+			case <-timer.C: // the deadline, or a handout lapsed: look again
 			case <-n.closed:
-				n.idx.Unpark(m.Seq)
+				n.idx.Unpark(m.Seq, w)
 				return &wire.Error{Code: wire.CodeShutdown, Msg: "shutting down"}
 			}
 		}
-		n.idx.Unpark(m.Seq)
-		if !woken {
+		if w != nil {
+			providers = n.idx.Unpark(m.Seq, w)
+		}
+		if len(providers) > 0 {
+			return &wire.LookupResp{Seq: m.Seq, Providers: providers}
+		}
+		if !time.Now().Before(deadline) {
 			return &wire.LookupResp{Seq: m.Seq}
 		}
 	}

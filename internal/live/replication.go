@@ -75,7 +75,7 @@ func (s *replicaStore) update(owner string, fn func(slice *index.Table)) {
 	defer s.mu.Unlock()
 	slice := s.slices[owner]
 	if slice == nil {
-		slice = index.New(s.maxRows, index.Budget{})
+		slice = index.New(s.maxRows, index.Budget{}, nil)
 		s.slices[owner] = slice
 	}
 	fn(slice)
@@ -258,9 +258,8 @@ func (n *Node) promoteReplicas(goneAddr string) {
 }
 
 // promoteReplicaSeq is the lookup-path fallback: this node owns the key and
-// has no provider for it, but a replica slice may. It reports whether the
-// owned entry gained one.
-func (n *Node) promoteReplicaSeq(key uint64, seq int64) bool {
+// has no provider for it, but a replica slice may.
+func (n *Node) promoteReplicaSeq(key uint64, seq int64) {
 	var taken []index.Entry
 	n.replicas.each(func(slice *index.Table) {
 		if e := slice.Get(seq); len(e.Rows) > 0 && e.Key == key {
@@ -268,7 +267,7 @@ func (n *Node) promoteReplicaSeq(key uint64, seq int64) bool {
 			slice.Delete(seq)
 		}
 	})
-	return n.adopt(taken) > 0
+	n.adopt(taken)
 }
 
 // antiEntropy is the repair round. Both roles' housekeeping first: lapsed

@@ -281,7 +281,7 @@ func TestIndexLeaseExpiry(t *testing.T) {
 	then = time.Now().Add(-indexTTL / 2)
 	n.register(key, 5, index.Row{Ent: alive, Expire: then.Add(indexTTL)}, then)
 	n.onInsert(&wire.Insert{Key: key, Seq: 5, Holder: alive, UpBps: 1})
-	if p, _, _, _ := n.idx.Select(key, 5, 3, then.Add(indexTTL+time.Second), n.health.Quarantined); len(p) != 1 {
+	if p, _, _, _ := n.idx.Select(key, 5, 3, then.Add(indexTTL+time.Second)); len(p) != 1 {
 		t.Fatalf("refreshed registration: got %v, want exactly one provider", p)
 	}
 }
