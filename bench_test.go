@@ -14,7 +14,11 @@ import (
 	"time"
 
 	"dco"
+	"dco/internal/churn"
+	"dco/internal/core"
 	"dco/internal/experiment"
+	"dco/internal/overlay"
+	"dco/internal/sim"
 )
 
 func benchParams() experiment.Params {
@@ -227,5 +231,40 @@ func BenchmarkChunkHash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ref.Seq = int64(i)
 		_ = ref.ID()
+	}
+}
+
+// BenchmarkSimBuilds builds, and runs none of, the three systems the
+// bench's sim_paper512 workload times as its setup_s: DCO and the pull
+// mesh at n = 512 with 32 neighbours, and DCO with maintenance on and a
+// churn driver tracking every viewer.
+func BenchmarkSimBuilds(b *testing.B) {
+	const n, neighbors, life = 512, 32, 60 * time.Second
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dcoCfg := core.DefaultConfig()
+		dcoCfg.Neighbors = neighbors
+		dcoCfg.Stream.Count = 100
+		core.NewSystem(sim.NewKernel(42), dcoCfg, n)
+
+		pullCfg := overlay.DefaultConfig(overlay.Pull)
+		pullCfg.Neighbors = neighbors
+		pullCfg.Stream.Count = 100
+		overlay.NewSystem(sim.NewKernel(43), pullCfg, n)
+
+		churnCfg := dcoCfg
+		churnCfg.Stream.Count = 200
+		churnCfg.Maintenance = true
+		k := sim.NewKernel(44)
+		s := core.NewSystem(k, churnCfg, n)
+		s.DisableCompletionStop()
+		d := churn.NewDriver(k, churn.Config{MeanLife: life, MeanJoin: life / (n - 1), GracefulFrac: 0.5},
+			func() churn.Peer { return s.SpawnPeer() })
+		for _, p := range s.Peers() {
+			if p.Alive() && p.ID() != s.Server().ID() {
+				d.Track(p)
+			}
+		}
+		d.StartArrivals()
 	}
 }

@@ -34,6 +34,9 @@ func BuildRing[A comparable](members []Entry[A], succListSize int) map[A]*State[
 
 	out := make(map[A]*State[A], len(sorted))
 	n := len(sorted)
+	// list is every node's successor-list scratch: AdoptSuccessorList
+	// copies out of it.
+	list := make([]Entry[A], 0, min(succListSize, n-1))
 	for i, self := range sorted {
 		if _, dup := out[self.Addr]; dup {
 			panic("chord: duplicate address in BuildRing")
@@ -41,7 +44,7 @@ func BuildRing[A comparable](members []Entry[A], succListSize int) map[A]*State[
 		self.OK = true
 		st := NewState(self, succListSize)
 		// Successor list: the next succListSize members clockwise.
-		var list []Entry[A]
+		list = list[:0]
 		for j := 1; j <= succListSize && j < n; j++ {
 			list = append(list, sorted[(i+j)%n])
 		}

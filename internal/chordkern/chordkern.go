@@ -61,6 +61,9 @@ type Kernel struct {
 	// wakeStabilize and wakeFix hold one pending wake each for the two
 	// ticks: news learned between rounds cuts a backed-off wait short.
 	wakeStabilize, wakeFix chan struct{}
+	// firstMember holds the stabilize tick's one pending RunNow: a ring of
+	// one adopted its first member, and the round that links it runs at once.
+	firstMember chan struct{}
 
 	stabilizeRuns *telemetry.Counter
 	fingerFixes   *telemetry.Counter
@@ -90,6 +93,7 @@ func New(cfg Config, opts dht.Options) *Kernel {
 
 		wakeStabilize: make(chan struct{}, 1),
 		wakeFix:       make(chan struct{}, 1),
+		firstMember:   make(chan struct{}, 1),
 
 		stabilizeRuns: reg.Counter("dco_ring_stabilize_runs_total"),
 		fingerFixes:   reg.Counter("dco_ring_finger_fixes_total"),
@@ -163,10 +167,15 @@ func (k *Kernel) seen(one wire.Entry, more []wire.Entry) {
 // wake tells both ticks the ring changed between rounds (see dht.Tick).
 func (k *Kernel) wake() {
 	for _, c := range [...]chan struct{}{k.wakeStabilize, k.wakeFix} {
-		select {
-		case c <- struct{}{}:
-		default:
-		}
+		signal(c)
+	}
+}
+
+// signal leaves one pending value on c, unless one is pending already.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
 	}
 }
 
@@ -539,10 +548,11 @@ func (k *Kernel) Merge(target dht.Member, others []dht.Member) {
 // Ticks lists the Chord maintenance steps: stabilize (which includes the
 // predecessor liveness probe) and one-finger-per-tick repair. Both back off
 // while their rounds change nothing; PeerFailed, Merge, a Leave and a
-// Notify that changed the state wake them.
+// Notify that changed the state wake them, and a ring of one's first
+// member runs a stabilize round at once (onNotify).
 func (k *Kernel) Ticks() []dht.Tick {
 	return []dht.Tick{
-		{Name: "stabilize", Every: k.cfg.StabilizeEvery, Fn: k.stabilize, Wake: k.wakeStabilize},
+		{Name: "stabilize", Every: k.cfg.StabilizeEvery, Fn: k.stabilize, Wake: k.wakeStabilize, RunNow: k.firstMember},
 		{Name: "fix_fingers", Every: k.cfg.FixFingersEvery, Fn: k.fixFinger, Wake: k.wakeFix},
 	}
 }
@@ -764,15 +774,18 @@ func sameEntries(ws []wire.Entry, es []entryT) bool {
 // which only moves the pointer closer: it is how the member behind a joiner adopts it at
 // Join. Such a notifier is never the predecessor too (the successor lies
 // between it and us), so a node that knows no predecessor does not take
-// it for one. A ring of one leaves its first member to its stabilize tick:
+// it for one. A ring of one leaves its first member to a stabilize round:
 // that joiner learned no predecessor, so it routes every key outside
 // (self, owner] back to the owner, and an owner already holding it as
-// successor would send those keys straight back — a routing loop. Either
-// pointer moving wakes both ticks: a ring of one links its first member at
-// once rather than after a backed-off wait.
+// successor would send those keys straight back — a routing loop. That
+// round runs at once (the stabilize tick's RunNow), not after the tick's
+// wait; it takes the member as successor and tells it its predecessor.
+// Either pointer moving also wakes both ticks.
 func (k *Kernel) onNotify(m *wire.Notify) wire.Message {
 	cand := entryT{ID: chord.ID(m.From.ID), Addr: m.From.Addr, OK: true}
 	k.mu.Lock()
+	p := k.cs.Predecessor()
+	alone := k.cs.Successor().Addr == k.self.Addr && (!p.OK || p.Addr == k.self.Addr)
 	tightened, adopted := false, false
 	if !k.quarantinedLocked(cand.Addr) {
 		if tightened = k.cs.TightenSuccessor(cand); !tightened {
@@ -781,6 +794,9 @@ func (k *Kernel) onNotify(m *wire.Notify) wire.Message {
 	}
 	st := k.stateLocked()
 	k.mu.Unlock()
+	if alone && adopted {
+		signal(k.firstMember)
+	}
 	if tightened || adopted {
 		k.wake()
 	}

@@ -557,6 +557,68 @@ func TestUpkeepWakes(t *testing.T) {
 	}
 }
 
+// TestFirstMemberRunsStabilizeNow: the first Notify into a ring of one
+// raises the stabilize tick's RunNow, and the round it runs links the ring
+// of two. A second notifier does not raise it, and neither does a Notify
+// that moves a settled ring's predecessor.
+func TestFirstMemberRunsStabilizeNow(t *testing.T) {
+	const listSize = 4
+	tn := &testNet{kerns: map[string]*Kernel{}, calls: map[wire.Kind]int{}}
+	raised := func(k *Kernel) bool {
+		select {
+		case <-k.Ticks()[0].RunNow:
+			return true
+		default:
+			return false
+		}
+	}
+	solo := tn.add(t, 1<<40, listSize, "")
+	if raised(solo) {
+		t.Fatal("a fresh ring of one holds a RunNow")
+	}
+	first := tn.add(t, 1<<41, listSize, solo.self.Addr)
+	if !raised(solo) {
+		t.Fatal("the first Notify into a ring of one did not raise the RunNow")
+	}
+	second := tn.add(t, 1<<42, listSize, solo.self.Addr)
+	if p := solo.cs.Predecessor(); p.Addr != second.self.Addr {
+		t.Fatalf("the second notifier did not become the predecessor: %v", p)
+	}
+	if raised(solo) {
+		t.Fatal("a second notifier raised the RunNow")
+	}
+	// The round takes the predecessor as successor, and the reply names
+	// the first member, which lies between them.
+	solo.stabilize()
+	if s := solo.cs.Successor(); s.Addr != first.self.Addr {
+		t.Fatalf("the round did not link the ring: successor %v", s)
+	}
+	if p := first.cs.Predecessor(); p.Addr != solo.self.Addr {
+		t.Fatalf("the round did not tell the first member its predecessor: %v", p)
+	}
+	ring := []*Kernel{solo, first, second}
+	tn.round(ring)
+	if !exact(ring) {
+		t.Fatal("the ring of three is not exact one round later")
+	}
+	for _, k := range ring {
+		if raised(k) {
+			t.Fatalf("%s raised a RunNow while the ring grew", k.self.Addr)
+		}
+	}
+
+	_, members := settledRing(t, 8, listSize)
+	k, last := members[0], members[7]
+	raised(k) // member 0 was a ring of one once
+	k.onNotify(&wire.Notify{From: wire.Entry{ID: last.self.ID + (k.self.ID-last.self.ID)/2, Addr: "newcomer"}})
+	if p := k.cs.Predecessor(); p.Addr != "newcomer" {
+		t.Fatalf("the notify did not move the settled ring's predecessor: %v", p)
+	}
+	if raised(k) {
+		t.Fatal("a Notify to a settled ring raised the RunNow")
+	}
+}
+
 // TestJoinThroughALoopTakesTheNamedOwner builds the crowd-join loop from
 // constructed states: the bootstrap S knows no predecessor and forwards
 // the joiner's ID to its successor B, and B, whose successor is still S,

@@ -122,6 +122,10 @@ type Tick struct {
 	// rounds; it cuts a stretched wait short. The kernel sends without
 	// blocking, so one pending wake stands for any number.
 	Wake <-chan struct{}
+	// RunNow, if non-nil, receives when a round cannot wait: it runs the
+	// round at once, whatever the wait, the first one included. Sent the
+	// same way as Wake.
+	RunNow <-chan struct{}
 }
 
 // UpkeepBackoff caps how far Run stretches a quiet tick: a round that
@@ -139,8 +143,8 @@ func nextWait(wait, every time.Duration, changed bool) time.Duration {
 
 // Run runs t's rounds until done is closed. It waits Every before the
 // first round and nextWait after each; a wake during a stretched wait runs
-// the round at once, a wake at the base cadence changes nothing. Every <= 0
-// means never.
+// the round at once, a wake at the base cadence changes nothing, and a
+// RunNow runs it at once at any wait. Every <= 0 means never.
 func (t Tick) Run(done <-chan struct{}) {
 	if t.Every <= 0 {
 		return
@@ -156,13 +160,14 @@ func (t Tick) Run(done <-chan struct{}) {
 			if wait == t.Every {
 				continue
 			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
+		case <-t.RunNow:
 		case <-timer.C:
+		}
+		if !timer.Stop() { // fired: drain the value unless it was received
+			select {
+			case <-timer.C:
+			default:
+			}
 		}
 		wait = nextWait(wait, t.Every, t.Fn())
 		timer.Reset(wait)

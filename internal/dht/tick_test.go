@@ -53,3 +53,32 @@ func TestTickRunBacksOffAndWakes(t *testing.T) {
 		t.Fatal("Run did not return after done closed")
 	}
 }
+
+// TestTickRunRunsNowAtTheBase: at the base cadence, before the first
+// round, a wake still changes nothing, and a RunNow runs the round at once.
+func TestTickRunRunsNowAtTheBase(t *testing.T) {
+	const every = time.Second
+	rounds := make(chan time.Time, 4)
+	wake, now := make(chan struct{}, 1), make(chan struct{}, 1)
+	done := make(chan struct{})
+	defer close(done)
+	tk := Tick{Every: every, Fn: func() bool { rounds <- time.Now(); return false }, Wake: wake, RunNow: now}
+	go tk.Run(done)
+
+	wake <- struct{}{}
+	select {
+	case <-rounds:
+		t.Fatal("a wake at the base cadence ran a round")
+	case <-time.After(every / 10):
+	}
+	sent := time.Now()
+	now <- struct{}{}
+	select {
+	case r := <-rounds:
+		if r.Sub(sent) > every/2 {
+			t.Fatalf("a RunNow at the base cadence ran the round %v later", r.Sub(sent))
+		}
+	case <-time.After(every / 2):
+		t.Fatal("a RunNow at the base cadence did not run the round at once")
+	}
+}

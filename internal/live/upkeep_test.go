@@ -101,3 +101,24 @@ func TestBackedOffRingAdoptsAJoin(t *testing.T) {
 		t.Fatalf("the source routes the joiner's ID to %s, want the joiner %s", owner.Addr, joiner.Addr())
 	}
 }
+
+// TestLoneNodeTakesItsFirstMemberAtOnce: at DefaultNodeConfig's cadences,
+// a lone node whose upkeep runs and its first joiner are a correct ring
+// within firstMemberBound, well inside the 300 ms stabilize wait: the
+// joiner's Notify runs the lone node's round at once.
+func TestLoneNodeTakesItsFirstMemberAtOnce(t *testing.T) {
+	t.Parallel()
+	const firstMemberBound = 50 * time.Millisecond
+	s := testSwarm(t, SwarmSpec{N: 2, Base: DefaultNodeConfig()})
+	if s.Source().DHTName() != "chord" {
+		t.Skip("a ring of one is the Chord kernel's")
+	}
+	s.Source().startRingMaint()
+	start := time.Now()
+	if err := s.Viewers()[0].Join(s.Source().Addr()); err != nil {
+		t.Fatal(err)
+	}
+	s.Viewers()[0].startRingMaint()
+	await(t, s, firstMemberBound, "the ring of two", func() bool { return RingCorrect(s.Nodes) })
+	t.Logf("a lone node took its first member in %v (bound %v, stabilize every %v)", time.Since(start), firstMemberBound, DefaultNodeConfig().StabilizeEvery)
+}

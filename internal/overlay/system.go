@@ -31,7 +31,7 @@ func NewSystem(k *sim.Kernel, cfg Config, n int) *System {
 			id:           id,
 			alive:        true,
 			buf:          stream.NewBufferMap(0),
-			neighbors:    make(map[simnet.NodeID]*neighborState),
+			neighbors:    make(map[simnet.NodeID]*neighborState, cfg.Neighbors+2),
 			outstanding:  make(map[int64]*pullReq),
 			pushedTo:     make(map[simnet.NodeID]*stream.BufferMap),
 			offerCharges: make(map[offKey]bool),
@@ -145,7 +145,7 @@ func (s *System) SpawnPeer() *node {
 		alive:        true,
 		joinAt:       s.K.Now(),
 		buf:          stream.NewBufferMap(0),
-		neighbors:    make(map[simnet.NodeID]*neighborState),
+		neighbors:    make(map[simnet.NodeID]*neighborState, s.Cfg.Neighbors+2),
 		outstanding:  make(map[int64]*pullReq),
 		pushedTo:     make(map[simnet.NodeID]*stream.BufferMap),
 		offerCharges: make(map[offKey]bool),
