@@ -119,10 +119,8 @@ func TestPublicChurnAPI(t *testing.T) {
 		MeanLife: 60 * time.Second,
 		MeanJoin: 60 * time.Second / 31,
 	}, func() dco.ChurnPeer { return sys.SpawnPeer() })
-	for _, p := range sys.Peers() {
-		if p.Alive() && p.ID() != sys.Server().ID() {
-			d.Track(p)
-		}
+	for _, p := range sys.ViewerPeers() {
+		d.Track(p)
 	}
 	d.StartArrivals()
 	sys.Run(80 * time.Second)

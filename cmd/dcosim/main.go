@@ -16,12 +16,8 @@ import (
 	"os"
 	"time"
 
-	"dco/internal/churn"
 	"dco/internal/core"
-	"dco/internal/metrics"
-	"dco/internal/overlay"
-	"dco/internal/sim"
-	"dco/internal/simnet"
+	"dco/internal/experiment"
 	"dco/internal/telemetry"
 )
 
@@ -63,41 +59,25 @@ func main() {
 		return
 	}
 
-	k := sim.NewKernel(*seed)
-	var (
-		log      *metrics.DeliveryLog
-		net      *simnet.Network
-		end      time.Duration
-		received int64
-	)
-
-	switch *method {
-	case "dco":
-		cfg := core.DefaultConfig()
-		cfg.Neighbors = *neighbors
-		cfg.Stream.Count = *chunks
-		cfg.UseFingers = *fingers
-		cfg.Maintenance = *doChurn
-		cfg.Hierarchy.Enabled = *hier
-		cfg.Hierarchy.InitialCoordinators = *coords
-		s := core.NewSystem(k, cfg, *n)
-		if *showTrace {
-			s.Trace = telemetry.NewTrace(4096)
-			s.Trace.SetClock(func() time.Time { return time.Unix(0, 0).Add(k.Now()) })
-		}
-		if *doChurn {
-			s.DisableCompletionStop()
-			d := churn.NewDriver(k, churn.Config{MeanLife: *life, MeanJoin: *life / time.Duration(*n-1), GracefulFrac: 0.5},
-				func() churn.Peer { return s.SpawnPeer() })
-			for _, p := range s.Peers() {
-				if p.Alive() && p.ID() != s.Server().ID() {
-					d.Track(p)
-				}
-			}
-			d.StartArrivals()
-		}
-		end = s.Run(*horizon)
-		log, net, received = s.Log, s.Net, s.ReceivedTotal()
+	m, ok := simMethods[*method]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "dcosim: unknown method %q\n", *method)
+		os.Exit(2)
+	}
+	spec := experiment.Spec{Method: m, N: *n, Neighbors: *neighbors, Chunks: *chunks, Seed: *seed, Horizon: *horizon}
+	if *doChurn {
+		spec.ChurnLife = *life
+	}
+	spec.Tune = func(c *core.Config) {
+		c.UseFingers = *fingers
+		c.Hierarchy.Enabled = *hier
+		c.Hierarchy.InitialCoordinators = *coords
+	}
+	if *showTrace {
+		spec.Trace = telemetry.NewTrace(4096)
+	}
+	o := experiment.Run(spec)
+	if s := o.Core; s != nil {
 		fmt.Printf("coordinators: %d  dropped-routes: %d\n", len(s.Coordinators()), s.DroppedRoutes())
 		if s.Trace != nil {
 			fmt.Println("protocol events:")
@@ -106,46 +86,21 @@ func main() {
 				fmt.Printf("%10d  %s\n", counts[kind], kind)
 			}
 		}
-	case "pull", "push", "tree":
-		kind := overlay.Pull
-		switch *method {
-		case "push":
-			kind = overlay.Push
-		case "tree":
-			kind = overlay.Tree
-		}
-		cfg := overlay.DefaultConfig(kind)
-		cfg.Neighbors = *neighbors
-		cfg.Stream.Count = *chunks
-		s := overlay.NewSystem(k, cfg, *n)
-		if *doChurn {
-			s.DisableCompletionStop()
-			d := churn.NewDriver(k, churn.Config{MeanLife: *life, MeanJoin: *life / time.Duration(*n-1), GracefulFrac: 0.5},
-				func() churn.Peer { return s.SpawnPeer() })
-			for _, nd := range s.ViewerPeers() {
-				d.Track(nd)
-			}
-			d.StartArrivals()
-		}
-		end = s.Run(*horizon)
-		log, net, received = s.Log, s.Net, s.ReceivedTotal()
-		fmt.Printf("duplicate chunks: %d\n", s.Duplicates())
-	default:
-		fmt.Fprintf(os.Stderr, "dcosim: unknown method %q\n", *method)
-		os.Exit(2)
+	} else {
+		fmt.Printf("duplicate chunks: %d\n", o.Overlay.Duplicates())
 	}
 
-	mean, complete, total := log.MeshDelay()
-	dataMsgs, dataBits := net.DataStats()
+	mean, complete, total := o.Log.MeshDelay()
+	dataMsgs, dataBits := o.Net.DataStats()
 	fmt.Printf("method=%s n=%d neighbors=%d chunks=%d churn=%v\n", *method, *n, *neighbors, *chunks, *doChurn)
-	fmt.Printf("virtual end time:        %v\n", end)
-	fmt.Printf("chunk deliveries:        %d\n", received)
+	fmt.Printf("virtual end time:        %v\n", o.End)
+	fmt.Printf("chunk deliveries:        %d\n", o.Received)
 	fmt.Printf("mesh delay (complete):   %v over %d/%d chunks\n", mean, complete, total)
-	fmt.Printf("fill ratio @2s:          %.3f\n", log.MeanFillRatioAfter(2*time.Second))
-	fmt.Printf("fill ratio @10s:         %.3f\n", log.MeanFillRatioAfter(10*time.Second))
-	fmt.Printf("extra overhead:          %d messages\n", net.Overhead())
+	fmt.Printf("fill ratio @2s:          %.3f\n", o.Log.MeanFillRatioAfter(2*time.Second))
+	fmt.Printf("fill ratio @10s:         %.3f\n", o.Log.MeanFillRatioAfter(10*time.Second))
+	fmt.Printf("extra overhead:          %d messages\n", o.Net.Overhead())
 	fmt.Printf("chunk traffic:           %d transfers, %.1f Mbit\n", dataMsgs, float64(dataBits)/1e6)
-	fmt.Printf("%% received (at horizon): %.2f%%\n", log.ReceivedPercent(*horizon))
+	fmt.Printf("%% received (at horizon): %.2f%%\n", o.Log.ReceivedPercent(*horizon))
 
 	if *jsonOut != "" {
 		res := simResult{
@@ -155,17 +110,17 @@ func main() {
 			Chunks:          *chunks,
 			Seed:            *seed,
 			Churn:           *doChurn,
-			EndSeconds:      end.Seconds(),
-			Deliveries:      received,
+			EndSeconds:      o.End.Seconds(),
+			Deliveries:      o.Received,
 			MeshDelaySec:    mean.Seconds(),
 			CompleteChunks:  complete,
 			TotalChunks:     total,
-			FillRatio2s:     log.MeanFillRatioAfter(2 * time.Second),
-			FillRatio10s:    log.MeanFillRatioAfter(10 * time.Second),
-			OverheadMsgs:    net.Overhead(),
+			FillRatio2s:     o.Log.MeanFillRatioAfter(2 * time.Second),
+			FillRatio10s:    o.Log.MeanFillRatioAfter(10 * time.Second),
+			OverheadMsgs:    o.Net.Overhead(),
 			DataTransfers:   dataMsgs,
 			DataMbit:        float64(dataBits) / 1e6,
-			ReceivedPercent: log.ReceivedPercent(*horizon),
+			ReceivedPercent: o.Log.ReceivedPercent(*horizon),
 		}
 		if err := writeJSON(*jsonOut, res); err != nil {
 			fmt.Fprintf(os.Stderr, "dcosim: json: %v\n", err)
@@ -210,6 +165,16 @@ func writeJSON(path string, res any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(res)
+}
+
+// simMethods maps -method to the simulated series it runs. dcosim's tree
+// gives every internal node the full -neighbors as its out-degree: the
+// figures' tree*.
+var simMethods = map[string]experiment.Method{
+	"dco":  experiment.MethodDCO,
+	"pull": experiment.MethodPull,
+	"push": experiment.MethodPush,
+	"tree": experiment.MethodTreeX,
 }
 
 // liveArgs are the flags the live methods read.

@@ -84,3 +84,34 @@ func TestScenariosUseTheSwarmHarness(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulationsUseTheRunner keeps dcosim's simulated methods and the
+// quickstart and churnstorm examples on experiment.Run: none of them builds
+// a simulated system or a churn driver of its own.
+func TestSimulationsUseTheRunner(t *testing.T) {
+	var files []string
+	for _, pattern := range []string{"*.go", "../../examples/quickstart/*.go", "../../examples/churnstorm/*.go"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(matches) == 0 {
+			t.Fatalf("no files match %s", pattern)
+		}
+		files = append(files, matches...)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, banned := range []string{"core.NewSystem(", "overlay.NewSystem(", "churn.NewDriver("} {
+			if strings.Contains(string(src), banned) {
+				t.Errorf("%s contains %q: run the simulation through experiment.Run instead", name, banned)
+			}
+		}
+	}
+}

@@ -11,10 +11,7 @@ import (
 	"fmt"
 	"time"
 
-	"dco/internal/churn"
-	"dco/internal/core"
-	"dco/internal/overlay"
-	"dco/internal/sim"
+	"dco/internal/experiment"
 )
 
 const (
@@ -29,48 +26,12 @@ func main() {
 		nodes, meanLife, chunks, horizon)
 	fmt.Printf("%-6s %12s %12s %14s\n", "method", "%received", "departures", "arrivals")
 
-	// Arrival rate balances the death rate so the population stays stable.
-	ccfg := churn.Config{MeanLife: meanLife, MeanJoin: meanLife / (nodes - 1), GracefulFrac: 0.5}
-
-	// DCO with DHT maintenance on.
-	{
-		cfg := core.DefaultConfig()
-		cfg.Stream.Count = chunks
-		cfg.Neighbors = 16
-		cfg.Maintenance = true
-		k := sim.NewKernel(11)
-		s := core.NewSystem(k, cfg, nodes)
-		s.DisableCompletionStop()
-		d := churn.NewDriver(k, ccfg, func() churn.Peer { return s.SpawnPeer() })
-		for _, p := range s.Peers() {
-			if p.Alive() && p.ID() != s.Server().ID() {
-				d.Track(p)
-			}
-		}
-		d.StartArrivals()
-		s.Run(horizon)
-		dep, arr := d.Stats()
-		fmt.Printf("%-6s %11.2f%% %12d %14d\n", "dco", s.Log.ReceivedPercent(horizon), dep, arr)
-	}
-
-	for _, kind := range []overlay.Kind{overlay.Pull, overlay.Push, overlay.Tree} {
-		cfg := overlay.DefaultConfig(kind)
-		cfg.Stream.Count = chunks
-		cfg.Neighbors = 16
-		if kind == overlay.Tree {
-			cfg.Neighbors = 2
-		}
-		k := sim.NewKernel(11)
-		s := overlay.NewSystem(k, cfg, nodes)
-		s.DisableCompletionStop()
-		d := churn.NewDriver(k, ccfg, func() churn.Peer { return s.SpawnPeer() })
-		for _, nd := range s.ViewerPeers() {
-			d.Track(nd)
-		}
-		d.StartArrivals()
-		s.Run(horizon)
-		dep, arr := d.Stats()
-		fmt.Printf("%-6s %11.2f%% %12d %14d\n", kind, s.Log.ReceivedPercent(horizon), dep, arr)
+	// Arrivals balance departures so the population stays stable; DCO runs
+	// its DHT maintenance, and the tree's out-degree is 16/8 = 2.
+	for _, m := range experiment.AllMethods {
+		o := experiment.Run(experiment.Spec{Method: m, N: nodes, Neighbors: 16, Chunks: chunks, Seed: 11, Horizon: horizon, ChurnLife: meanLife})
+		dep, arr := o.Churn.Stats()
+		fmt.Printf("%-6s %11.2f%% %12d %14d\n", m, o.Log.ReceivedPercent(horizon), dep, arr)
 	}
 
 	fmt.Println("\nThe tree loses whole subtrees when an interior node dies; DCO keeps")

@@ -10,11 +10,7 @@ import (
 	"fmt"
 	"time"
 
-	"dco/internal/core"
-	"dco/internal/metrics"
-	"dco/internal/overlay"
-	"dco/internal/sim"
-	"dco/internal/simnet"
+	"dco/internal/experiment"
 )
 
 const (
@@ -28,45 +24,17 @@ func main() {
 	fmt.Printf("DCO quickstart: %d nodes watch a %d-chunk live channel (%d neighbors)\n\n",
 		nodes, chunks, neighbors)
 
-	type outcome struct {
-		name string
-		log  *metrics.DeliveryLog
-		net  *simnet.Network
-		end  time.Duration
-	}
-	var results []outcome
-
-	// DCO: every node joins the Chord ring; lookups find providers
-	// system-wide.
-	{
-		cfg := core.DefaultConfig()
-		cfg.Neighbors = neighbors
-		cfg.Stream.Count = chunks
-		k := sim.NewKernel(1)
-		s := core.NewSystem(k, cfg, nodes)
-		end := s.Run(horizon)
-		results = append(results, outcome{"dco", s.Log, s.Net, end})
-	}
-
-	// Pull mesh: the strongest baseline.
-	{
-		cfg := overlay.DefaultConfig(overlay.Pull)
-		cfg.Neighbors = neighbors
-		cfg.Stream.Count = chunks
-		k := sim.NewKernel(1)
-		s := overlay.NewSystem(k, cfg, nodes)
-		end := s.Run(horizon)
-		results = append(results, outcome{"pull", s.Log, s.Net, end})
-	}
-
 	fmt.Printf("%-6s %14s %12s %12s %14s\n", "method", "mesh delay", "fill@2s", "fill@10s", "overhead msgs")
-	for _, r := range results {
-		delay, complete, total := r.log.MeshDelay()
+	// DCO: every node joins the Chord ring; lookups find providers
+	// system-wide. Pull mesh: the strongest baseline.
+	for _, m := range []experiment.Method{experiment.MethodDCO, experiment.MethodPull} {
+		o := experiment.Run(experiment.Spec{Method: m, N: nodes, Neighbors: neighbors, Chunks: chunks, Seed: 1, Horizon: horizon})
+		delay, complete, total := o.Log.MeshDelay()
 		fmt.Printf("%-6s %14v %12.3f %12.3f %14d   (%d/%d chunks complete, done at t=%v)\n",
-			r.name, delay.Round(10*time.Millisecond),
-			r.log.MeanFillRatioAfter(2*time.Second),
-			r.log.MeanFillRatioAfter(10*time.Second),
-			r.net.Overhead(), complete, total, r.end.Round(time.Second))
+			m, delay.Round(10*time.Millisecond),
+			o.Log.MeanFillRatioAfter(2*time.Second),
+			o.Log.MeanFillRatioAfter(10*time.Second),
+			o.Net.Overhead(), complete, total, o.End.Round(time.Second))
 	}
 	fmt.Println("\nDCO reaches full dissemination with a fraction of the control traffic:")
 	fmt.Println("the DHT lookup replaces per-neighbor buffer-map gossip (paper §IV).")

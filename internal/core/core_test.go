@@ -274,15 +274,49 @@ func TestChurnComparableToStatic(t *testing.T) {
 	d := churn.NewDriver(k, churn.Config{
 		MeanLife: 60 * time.Second, MeanJoin: 60 * time.Second / 95, GracefulFrac: 0.5,
 	}, func() churn.Peer { return s.SpawnPeer() })
-	for _, p := range s.Peers() {
-		if p.Alive() && p.ID() != s.Server().ID() {
-			d.Track(p)
-		}
+	for _, p := range s.ViewerPeers() {
+		d.Track(p)
 	}
 	d.StartArrivals()
 	s.Run(150 * time.Second)
 	if pct := s.Log.ReceivedPercent(150 * time.Second); pct < 70 {
 		t.Fatalf("churn delivery too low: %.1f%%", pct)
+	}
+}
+
+// TestViewerPeersAreTheLiveViewers checks ViewerPeers against its
+// definition, every live peer but the server in network-ID order, after
+// churn has removed some and added others.
+func TestViewerPeersAreTheLiveViewers(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Maintenance = true
+	k := sim.NewKernel(33)
+	s := NewSystem(k, cfg, 24)
+	s.DisableCompletionStop()
+	d := churn.NewDriver(k, churn.Config{MeanLife: 20 * time.Second, MeanJoin: time.Second, GracefulFrac: 0.5},
+		func() churn.Peer { return s.SpawnPeer() })
+	for _, p := range s.ViewerPeers() {
+		d.Track(p)
+	}
+	d.StartArrivals()
+	s.Run(30 * time.Second)
+	if dep, arr := d.Stats(); dep == 0 || arr == 0 {
+		t.Fatalf("churn did not run: %d departures, %d arrivals", dep, arr)
+	}
+	var want []*Peer
+	for _, p := range s.Peers() {
+		if p.Alive() && p.ID() != s.Server().ID() {
+			want = append(want, p)
+		}
+	}
+	got := s.ViewerPeers()
+	if len(got) != len(want) || len(got) != s.AlivePeers()-1 {
+		t.Fatalf("ViewerPeers has %d, the filter %d, AlivePeers()-1 = %d", len(got), len(want), s.AlivePeers()-1)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("ViewerPeers[%d] = node %d, want node %d", i, got[i].ID(), want[i].ID())
+		}
 	}
 }
 

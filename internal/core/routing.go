@@ -310,7 +310,7 @@ func (p *Peer) Depart(graceful bool) {
 		p.tracef("peer.depart", "graceful=%v", graceful)
 	}
 	p.sys.Net.Kill(p.id)
-	p.sys.peerDeparted(p)
+	p.sys.peerDeparted()
 }
 
 func (p *Peer) gracefulLeave() {

@@ -272,10 +272,7 @@ func (s *System) noteReceived() {
 	}
 }
 
-func (s *System) peerDeparted(p *Peer) {
-	s.alivePeers--
-	_ = p
-}
+func (s *System) peerDeparted() { s.alivePeers-- }
 
 // DisableCompletionStop makes Run continue to the horizon even after every
 // static viewer has every chunk — required for churn runs, where the
@@ -303,6 +300,18 @@ func (s *System) Peers() []*Peer {
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// ViewerPeers returns the live viewers (every live peer but the server) in
+// network-ID order; churn drivers schedule their departures through them.
+func (s *System) ViewerPeers() []*Peer {
+	var out []*Peer
+	for _, p := range s.Peers() {
+		if p.alive && p != s.server {
+			out = append(out, p)
+		}
+	}
 	return out
 }
 

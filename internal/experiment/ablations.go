@@ -4,26 +4,19 @@ import (
 	"time"
 
 	"dco/internal/core"
-	"dco/internal/sim"
 )
 
 // Ablations quantify the design decisions DESIGN.md calls out, beyond the
 // paper's own figures. Each returns a Result shaped like the figures so
 // cmd/dcofig renders them the same way.
 
-// ablationRun executes one DCO run and returns (mesh delay s, overhead).
-func ablationRun(p Params, mutate func(*core.Config)) (float64, float64) {
-	cfg := core.DefaultConfig()
-	cfg.Stream.Count = p.Chunks
-	cfg.Neighbors = 32
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	k := sim.NewKernel(p.Seed)
-	s := core.NewSystem(k, cfg, p.N)
-	s.Run(p.Horizon)
-	o := runOutcome{Log: s.Log, Horizon: p.Horizon}
-	return meshDelayCapped(o), float64(s.Net.Overhead())
+// ablationRun executes one DCO run at 32 neighbors, tuned, and returns
+// (mesh delay s, overhead).
+func ablationRun(p Params, tune func(*core.Config)) (float64, float64) {
+	spec := p.spec(MethodDCO, 32)
+	spec.Tune = tune
+	o := Run(spec)
+	return meshDelayCapped(o.Log, p.Horizon), float64(o.Net.Overhead())
 }
 
 // variant names used as pseudo-x values in ablation tables.
@@ -32,7 +25,9 @@ const (
 	variantAlt  = 1
 )
 
-func twoVariant(figure, title, baseName, altName string, p Params, alt func(*core.Config)) *Result {
+// twoVariant runs the base and the alternative tune (nil: the defaults)
+// and tabulates both.
+func twoVariant(figure, title, baseName, altName string, p Params, base, alt func(*core.Config)) *Result {
 	p.fill(256, 60, 400*time.Second)
 	r := &Result{
 		Figure: figure,
@@ -41,7 +36,7 @@ func twoVariant(figure, title, baseName, altName string, p Params, alt func(*cor
 		YLabel: "mesh delay (s) / overhead",
 		Series: []Method{"delay_s", "overhead"},
 	}
-	d0, o0 := ablationRun(p, nil)
+	d0, o0 := ablationRun(p, base)
 	d1, o1 := ablationRun(p, alt)
 	r.Rows = []Row{
 		{X: variantBase, Y: map[Method]float64{"delay_s": d0, "overhead": o0}},
@@ -54,7 +49,7 @@ func twoVariant(figure, title, baseName, altName string, p Params, alt func(*cor
 // against a drop-and-retry coordinator.
 func AblationPendingQueue(p Params) *Result {
 	return twoVariant("Ablation A1", "Coordinator pending queue vs drop-and-retry",
-		"queue", "drop", p, func(c *core.Config) { c.PendingQueue = false })
+		"queue", "drop", p, nil, func(c *core.Config) { c.PendingQueue = false })
 }
 
 // AblationSelection compares bandwidth-aware provider selection against
@@ -62,56 +57,30 @@ func AblationPendingQueue(p Params) *Result {
 // random selection keeps handing requesters to capacity-starved DSL nodes
 // while fiber uplinks idle.
 func AblationSelection(p Params) *Result {
-	p.fill(256, 60, 400*time.Second)
-	r := &Result{
-		Figure: "Ablation A2",
-		Title:  "Provider selection on a heterogeneous population (least-loaded vs random)",
-		XLabel: "variant (0=least-loaded, 1=random)",
-		YLabel: "mesh delay (s) / overhead",
-		Series: []Method{"delay_s", "overhead"},
-	}
 	hetero := func(c *core.Config) { c.PeerClasses = core.HeterogeneousClasses() }
-	d0, o0 := ablationRun(p, hetero)
-	d1, o1 := ablationRun(p, func(c *core.Config) {
-		hetero(c)
-		c.Selection = core.SelectRandom
-	})
-	r.Rows = []Row{
-		{X: variantBase, Y: map[Method]float64{"delay_s": d0, "overhead": o0}},
-		{X: variantAlt, Y: map[Method]float64{"delay_s": d1, "overhead": o1}},
-	}
-	return r
+	return twoVariant("Ablation A2", "Provider selection on a heterogeneous population (least-loaded vs random)",
+		"least-loaded", "random", p, hetero, func(c *core.Config) {
+			hetero(c)
+			c.Selection = core.SelectRandom
+		})
 }
 
 // AblationFingers compares the evaluation's successor-list-only routing
 // with full Chord finger routing at a sparse neighbor count.
 func AblationFingers(p Params) *Result {
-	p.fill(256, 60, 400*time.Second)
-	r := &Result{
-		Figure: "Ablation A3",
-		Title:  "Routing tables at 8 neighbors (successor list vs fingers)",
-		XLabel: "variant (0=successor-list, 1=fingers)",
-		YLabel: "mesh delay (s) / overhead",
-		Series: []Method{"delay_s", "overhead"},
-	}
 	sparse := func(c *core.Config) { c.Neighbors = 8 }
-	d0, o0 := ablationRun(p, sparse)
-	d1, o1 := ablationRun(p, func(c *core.Config) {
-		sparse(c)
-		c.UseFingers = true
-	})
-	r.Rows = []Row{
-		{X: variantBase, Y: map[Method]float64{"delay_s": d0, "overhead": o0}},
-		{X: variantAlt, Y: map[Method]float64{"delay_s": d1, "overhead": o1}},
-	}
-	return r
+	return twoVariant("Ablation A3", "Routing tables at 8 neighbors (successor list vs fingers)",
+		"successor-list", "fingers", p, sparse, func(c *core.Config) {
+			sparse(c)
+			c.UseFingers = true
+		})
 }
 
 // AblationPrefetch compares Eq. (2)'s adaptive prefetching window against a
 // fixed narrow window.
 func AblationPrefetch(p Params) *Result {
 	return twoVariant("Ablation A4", "Adaptive prefetching window (Eq. 2) vs fixed 4-chunk window",
-		"adaptive", "fixed-4", p, func(c *core.Config) {
+		"adaptive", "fixed-4", p, nil, func(c *core.Config) {
 			c.Prefetch.MinWindow = 4
 			c.Prefetch.MaxWindow = 4
 		})

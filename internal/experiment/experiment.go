@@ -1,7 +1,7 @@
-// Package experiment regenerates every table and figure of the paper's
-// evaluation (§IV, Figs. 5–12). Each figure has a Config describing the
-// sweep and a Run function producing a Result whose rows mirror the
-// paper's plotted series.
+// Package experiment runs the paper's evaluation (§IV, Figs. 5–12). Run
+// executes one simulated method from a Spec; each figure sweeps Runs over
+// its Params and produces a Result whose rows mirror the paper's plotted
+// series.
 package experiment
 
 import (
@@ -16,6 +16,8 @@ import (
 	"dco/internal/metrics"
 	"dco/internal/overlay"
 	"dco/internal/sim"
+	"dco/internal/simnet"
+	"dco/internal/telemetry"
 )
 
 // Method identifies one plotted series.
@@ -127,47 +129,128 @@ func (r *Result) sortRows() {
 	sort.Slice(r.Rows, func(i, j int) bool { return r.Rows[i].X < r.Rows[j].X })
 }
 
-// runOutcome carries everything a figure needs from one simulation run.
-type runOutcome struct {
-	Log              *metrics.DeliveryLog
-	Overhead         uint64
-	OverheadAtSecond func(int64) uint64
-	End              time.Duration
-	Horizon          time.Duration
+// Spec is one simulated run of one method: the §IV comparison is a sweep
+// of these. Run is the one way this repository runs a simulated method.
+type Spec struct {
+	Method    Method
+	N         int           // network size, server included
+	Neighbors int           // mesh degree; the trees' out-degree follows from it (see Method.baseline)
+	Chunks    int64         // stream length
+	Seed      int64         // kernel seed
+	Horizon   time.Duration // simulation cutoff
+
+	// ChurnLife, when nonzero, runs §IV-D's churn at this mean lifetime:
+	// exponential lifetimes for every viewer, arrivals at the stationary
+	// rate (one per ChurnLife/(N−1)), half of departures graceful, DCO's
+	// DHT maintenance on, and the run goes on to the horizon.
+	ChurnLife time.Duration
+
+	// Tune adjusts DCO's config after the fields above are applied
+	// (ablations, dcosim's -fingers and -hierarchy). Baselines ignore it.
+	Tune func(*core.Config)
+
+	// Trace, when set, receives DCO's protocol events stamped in virtual
+	// time. Baselines ignore it.
+	Trace *telemetry.Trace
 }
 
-// runStatic executes one static (churn-free) run of the given method.
-func runStatic(method Method, neighbors, n int, chunks int64, seed int64, horizon time.Duration) runOutcome {
-	k := sim.NewKernel(seed)
-	switch method {
-	case MethodDCO:
+// Outcome is what one run leaves: the metrics' inputs, and the system
+// itself for callers that print more. Exactly one of Core and Overlay is
+// set.
+type Outcome struct {
+	Log      *metrics.DeliveryLog
+	Net      *simnet.Network
+	End      time.Duration // virtual time the run stopped at
+	Received int64         // first-receipt chunk deliveries
+	Core     *core.System
+	Overlay  *overlay.System
+	Churn    *churn.Driver // churn runs only
+}
+
+// Run builds the kernel and the method's system, wires churn when the spec
+// asks for it, and runs to the horizon (a static run stops early once every
+// viewer has every chunk).
+func Run(spec Spec) Outcome {
+	k := sim.NewKernel(spec.Seed)
+	var o Outcome
+	if spec.Method == MethodDCO {
 		cfg := core.DefaultConfig()
-		cfg.Neighbors = neighbors
-		cfg.Stream.Count = chunks
-		s := core.NewSystem(k, cfg, n)
-		end := s.Run(horizon)
-		return runOutcome{Log: s.Log, Overhead: s.Net.Overhead(), OverheadAtSecond: s.Net.OverheadAtSecond, End: end, Horizon: horizon}
-	case MethodPull, MethodPush, MethodTree, MethodTreeX:
-		kind := overlay.Pull
-		deg := neighbors
-		switch method {
-		case MethodPush:
-			kind = overlay.Push
-		case MethodTree:
-			kind = overlay.Tree
-			deg = treeDegree(neighbors)
-		case MethodTreeX:
-			kind = overlay.Tree
+		cfg.Neighbors = spec.Neighbors
+		cfg.Stream.Count = spec.Chunks
+		cfg.Maintenance = spec.ChurnLife > 0
+		if spec.Tune != nil {
+			spec.Tune(&cfg)
 		}
+		s := core.NewSystem(k, cfg, spec.N)
+		if spec.Trace != nil {
+			s.Trace = spec.Trace
+			s.Trace.SetClock(func() time.Time { return time.Unix(0, 0).Add(k.Now()) })
+		}
+		o.Churn = startChurn(k, spec, s)
+		o.End = s.Run(spec.Horizon)
+		o.Log, o.Net, o.Received, o.Core = s.Log, s.Net, s.ReceivedTotal(), s
+	} else {
+		kind, degree := spec.Method.baseline(spec.Neighbors)
 		cfg := overlay.DefaultConfig(kind)
-		cfg.Neighbors = deg
-		cfg.Stream.Count = chunks
-		s := overlay.NewSystem(k, cfg, n)
-		end := s.Run(horizon)
-		return runOutcome{Log: s.Log, Overhead: s.Net.Overhead(), OverheadAtSecond: s.Net.OverheadAtSecond, End: end, Horizon: horizon}
-	default:
-		panic("experiment: unknown method " + string(method))
+		cfg.Neighbors = degree
+		cfg.Stream.Count = spec.Chunks
+		s := overlay.NewSystem(k, cfg, spec.N)
+		o.Churn = startChurn(k, spec, s)
+		o.End = s.Run(spec.Horizon)
+		o.Log, o.Net, o.Received, o.Overlay = s.Log, s.Net, s.ReceivedTotal(), s
 	}
+	return o
+}
+
+// churnable is what startChurn needs of a system: core.System and
+// overlay.System alike.
+type churnable[P churn.Peer] interface {
+	DisableCompletionStop()
+	SpawnPeer() P
+	ViewerPeers() []P
+}
+
+// startChurn wires the spec's churn onto a freshly built system: the run no
+// longer stops at full delivery, every viewer gets a lifetime in
+// network-ID order, and arrivals begin. It returns nil for a static spec.
+func startChurn[P churn.Peer](k *sim.Kernel, spec Spec, s churnable[P]) *churn.Driver {
+	if spec.ChurnLife <= 0 {
+		return nil
+	}
+	s.DisableCompletionStop()
+	join := spec.ChurnLife
+	if spec.N > 1 {
+		join /= time.Duration(spec.N - 1)
+	}
+	d := churn.NewDriver(k, churn.Config{MeanLife: spec.ChurnLife, MeanJoin: join, GracefulFrac: 0.5},
+		func() churn.Peer { return s.SpawnPeer() })
+	for _, p := range s.ViewerPeers() {
+		d.Track(p)
+	}
+	d.StartArrivals()
+	return d
+}
+
+// baseline maps a baseline method to its overlay kind and its
+// Config.Neighbors: the mesh degree for pull and push, the out-degree for
+// the trees.
+func (m Method) baseline(neighbors int) (overlay.Kind, int) {
+	switch m {
+	case MethodPull:
+		return overlay.Pull, neighbors
+	case MethodPush:
+		return overlay.Push, neighbors
+	case MethodTree:
+		return overlay.Tree, treeDegree(neighbors)
+	case MethodTreeX:
+		return overlay.Tree, neighbors
+	}
+	panic("experiment: unknown method " + string(m))
+}
+
+// spec is the run of method m at this scale with the given neighbor count.
+func (p Params) spec(m Method, neighbors int) Spec {
+	return Spec{Method: m, N: p.N, Neighbors: neighbors, Chunks: p.Chunks, Seed: p.Seed, Horizon: p.Horizon}
 }
 
 // treeDegree maps a mesh neighbor count to the paper's tree out-degree
@@ -184,8 +267,7 @@ func treeDegree(neighbors int) int {
 // meshDelayCapped is Fig. 5's y value: the mean time for a chunk to reach
 // every node, charging chunks that never completed the full horizon (the
 // paper's "very high delay" regime, rendered finite).
-func meshDelayCapped(o runOutcome) float64 {
-	log := o.Log
+func meshDelayCapped(log *metrics.DeliveryLog, horizon time.Duration) float64 {
 	var sum float64
 	var n int
 	for seq := int64(0); seq < log.NumChunks(); seq++ {
@@ -194,94 +276,14 @@ func meshDelayCapped(o runOutcome) float64 {
 			continue
 		}
 		n++
-		if d, ok := chunkCompletion(log, seq); ok {
+		if d, ok := log.ChunkCompletion(seq); ok {
 			sum += d.Seconds()
 		} else {
-			sum += (o.Horizon - g).Seconds()
+			sum += (horizon - g).Seconds()
 		}
 	}
 	if n == 0 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// chunkCompletion finds when chunk seq reached every eligible node.
-func chunkCompletion(log *metrics.DeliveryLog, seq int64) (time.Duration, bool) {
-	return log.ChunkCompletion(seq)
-}
-
-// churnSpec configures the §IV-D churn model. MeanJoin == 0 derives the
-// stationary arrival rate (one arrival per MeanLife/population on average,
-// so departures and arrivals balance and "the network scale remains
-// relatively stable").
-type churnSpec struct {
-	MeanLife time.Duration
-	MeanJoin time.Duration
-	Graceful float64
-}
-
-func (c churnSpec) joinInterval(n int) time.Duration {
-	if c.MeanJoin > 0 {
-		return c.MeanJoin
-	}
-	if n <= 1 {
-		return c.MeanLife
-	}
-	return c.MeanLife / time.Duration(n-1)
-}
-
-// runChurn executes one run with exponential lifetimes/arrivals and returns
-// the delivery log plus a sampler usable at multiple horizons.
-func runChurn(method Method, neighbors, n int, chunks int64, seed int64, horizon time.Duration, spec churnSpec) runOutcome {
-	k := sim.NewKernel(seed)
-	ccfg := churn.Config{
-		MeanLife:     spec.MeanLife,
-		MeanJoin:     spec.joinInterval(n),
-		GracefulFrac: spec.Graceful,
-	}
-	switch method {
-	case MethodDCO:
-		cfg := core.DefaultConfig()
-		cfg.Neighbors = neighbors
-		cfg.Stream.Count = chunks
-		cfg.Maintenance = true
-		s := core.NewSystem(k, cfg, n)
-		s.DisableCompletionStop()
-		d := churn.NewDriver(k, ccfg, func() churn.Peer { return s.SpawnPeer() })
-		seedPeers(d, s)
-		d.StartArrivals()
-		end := s.Run(horizon)
-		return runOutcome{Log: s.Log, Overhead: s.Net.Overhead(), OverheadAtSecond: s.Net.OverheadAtSecond, End: end, Horizon: horizon}
-	default:
-		kind := overlay.Pull
-		deg := neighbors
-		switch method {
-		case MethodPush:
-			kind = overlay.Push
-		case MethodTree:
-			kind = overlay.Tree
-			deg = treeDegree(neighbors)
-		}
-		cfg := overlay.DefaultConfig(kind)
-		cfg.Neighbors = deg
-		cfg.Stream.Count = chunks
-		s := overlay.NewSystem(k, cfg, n)
-		s.DisableCompletionStop()
-		d := churn.NewDriver(k, ccfg, func() churn.Peer { return s.SpawnPeer() })
-		for _, nd := range s.ViewerPeers() {
-			d.Track(nd)
-		}
-		d.StartArrivals()
-		end := s.Run(horizon)
-		return runOutcome{Log: s.Log, Overhead: s.Net.Overhead(), OverheadAtSecond: s.Net.OverheadAtSecond, End: end, Horizon: horizon}
-	}
-}
-
-func seedPeers(d *churn.Driver, s *core.System) {
-	for _, p := range s.Peers() {
-		if p.Alive() && p.ID() != s.Server().ID() {
-			d.Track(p)
-		}
-	}
 }

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dco/internal/core"
+	"dco/internal/overlay"
 )
 
 // Scaled-down parameters: the shapes the paper reports must already appear
@@ -199,6 +202,46 @@ func TestTreeDegreeRule(t *testing.T) {
 		if got := treeDegree(nb); got != want {
 			t.Fatalf("treeDegree(%d) = %d, want %d", nb, got, want)
 		}
+	}
+}
+
+// TestRunMapsMethods pins the one method → overlay mapping: tree takes
+// neighbors/8 as its out-degree and tree* the full count, static or under
+// churn alike, and only churn runs get a driver.
+func TestRunMapsMethods(t *testing.T) {
+	for _, tc := range []struct {
+		m      Method
+		kind   overlay.Kind
+		degree int
+	}{
+		{MethodPull, overlay.Pull, 16},
+		{MethodPush, overlay.Push, 16},
+		{MethodTree, overlay.Tree, 2},
+		{MethodTreeX, overlay.Tree, 16},
+	} {
+		for _, life := range []time.Duration{0, 30 * time.Second} {
+			o := Run(Spec{Method: tc.m, N: 16, Neighbors: 16, Chunks: 3, Seed: 1, Horizon: 20 * time.Second, ChurnLife: life})
+			if o.Core != nil || o.Overlay == nil {
+				t.Fatalf("%s: want an overlay system", tc.m)
+			}
+			if got := o.Overlay.Cfg; got.Kind != tc.kind || got.Neighbors != tc.degree {
+				t.Errorf("%s (churn life %v): kind %v degree %d, want %v %d", tc.m, life, got.Kind, got.Neighbors, tc.kind, tc.degree)
+			}
+			if (o.Churn != nil) != (life > 0) {
+				t.Errorf("%s (churn life %v): churn driver %v", tc.m, life, o.Churn != nil)
+			}
+		}
+	}
+	o := Run(Spec{Method: MethodDCO, N: 16, Neighbors: 8, Chunks: 3, Seed: 1, Horizon: 20 * time.Second,
+		ChurnLife: 30 * time.Second, Tune: func(c *core.Config) { c.UseFingers = true }})
+	if o.Core == nil || o.Overlay != nil {
+		t.Fatal("dco: want a core system")
+	}
+	if cfg := o.Core.Cfg; !cfg.Maintenance || !cfg.UseFingers || cfg.Neighbors != 8 {
+		t.Errorf("dco config: maintenance %v fingers %v neighbors %d", cfg.Maintenance, cfg.UseFingers, cfg.Neighbors)
+	}
+	if dep, _ := o.Churn.Stats(); dep == 0 {
+		t.Error("dco churn run: no departures in 20 s at a 30 s mean life")
 	}
 }
 

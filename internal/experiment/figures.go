@@ -7,6 +7,20 @@ import (
 // NeighborSweep is the paper's x axis for Figs. 5, 6 and 8: 8..64 step 8.
 var NeighborSweep = []int{8, 16, 24, 32, 40, 48, 56, 64}
 
+// neighborSweep fills r with one row per NeighborSweep count: y of a
+// static run of each series at that count (Figs. 5, 6 and 8).
+func neighborSweep(p Params, r *Result, y func(Outcome) float64) *Result {
+	for _, nb := range NeighborSweep {
+		row := Row{X: float64(nb), Y: map[Method]float64{}}
+		for _, m := range r.Series {
+			row.Y[m] = y(Run(p.spec(m, nb)))
+		}
+		r.Rows = append(r.Rows, row)
+	}
+	r.sortRows()
+	return r
+}
+
 // Fig5 — mesh delay vs. number of neighbors per node. Series include both
 // tree settings: "tree" (out-degree = neighbors/8) and "tree*" (out-degree
 // = the full neighbor count), exactly as the paper plots them.
@@ -19,22 +33,13 @@ func Fig5(p Params) *Result {
 		YLabel: "mesh delay (s)",
 		Series: []Method{MethodDCO, MethodPull, MethodPush, MethodTree, MethodTreeX},
 	}
-	for _, nb := range NeighborSweep {
-		row := Row{X: float64(nb), Y: map[Method]float64{}}
-		for _, m := range r.Series {
-			o := runStatic(m, nb, p.N, p.Chunks, p.Seed, p.Horizon)
-			row.Y[m] = meshDelayCapped(o)
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	r.sortRows()
-	return r
+	return neighborSweep(p, r, func(o Outcome) float64 { return meshDelayCapped(o.Log, p.Horizon) })
 }
 
 // Fig6 — fill ratio measured two seconds after each chunk's generation,
 // vs. number of neighbors.
 func Fig6(p Params) *Result {
-	return figFillVsNeighbors(p, 2*time.Second)
+	return FillDelta(p, 2*time.Second)
 }
 
 // FillDelta is Fig. 6 generalized to any measurement offset; the 2 s the
@@ -42,10 +47,6 @@ func Fig6(p Params) *Result {
 // the swarm, so EXPERIMENTS.md also reports larger offsets where the
 // series separate.
 func FillDelta(p Params, delta time.Duration) *Result {
-	return figFillVsNeighbors(p, delta)
-}
-
-func figFillVsNeighbors(p Params, delta time.Duration) *Result {
 	p.fill(512, 100, 400*time.Second)
 	r := &Result{
 		Figure: "Fig. 6",
@@ -54,16 +55,7 @@ func figFillVsNeighbors(p Params, delta time.Duration) *Result {
 		YLabel: "fill ratio",
 		Series: AllMethods,
 	}
-	for _, nb := range NeighborSweep {
-		row := Row{X: float64(nb), Y: map[Method]float64{}}
-		for _, m := range r.Series {
-			o := runStatic(m, nb, p.N, p.Chunks, p.Seed, p.Horizon)
-			row.Y[m] = o.Log.MeanFillRatioAfter(delta)
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	r.sortRows()
-	return r
+	return neighborSweep(p, r, func(o Outcome) float64 { return o.Log.MeanFillRatioAfter(delta) })
 }
 
 // Fig7 — fill ratio vs. elapsed time, measured every second from the
@@ -86,7 +78,7 @@ func Fig7(p Params) *Result {
 		rows[i] = Row{X: (genEnd + time.Duration(i)*time.Second).Seconds(), Y: map[Method]float64{}}
 	}
 	for _, m := range r.Series {
-		o := runStatic(m, neighbors, p.N, p.Chunks, p.Seed, p.Horizon)
+		o := Run(p.spec(m, neighbors))
 		for i := range rows {
 			at := genEnd + time.Duration(i)*time.Second
 			rows[i].Y[m] = o.Log.MeanFillRatioAt(at)
@@ -108,16 +100,7 @@ func Fig8(p Params) *Result {
 		YLabel: "messages",
 		Series: AllMethods,
 	}
-	for _, nb := range NeighborSweep {
-		row := Row{X: float64(nb), Y: map[Method]float64{}}
-		for _, m := range r.Series {
-			o := runStatic(m, nb, p.N, p.Chunks, p.Seed, p.Horizon)
-			row.Y[m] = float64(o.Overhead)
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	r.sortRows()
-	return r
+	return neighborSweep(p, r, func(o Outcome) float64 { return float64(o.Net.Overhead()) })
 }
 
 // Fig9 — extra overhead vs. number of participants (neighbors fixed at 32).
@@ -141,8 +124,9 @@ func Fig9(p Params) *Result {
 		}
 		row := Row{X: float64(n), Y: map[Method]float64{}}
 		for _, m := range r.Series {
-			o := runStatic(m, 32, n, p.Chunks, p.Seed, p.Horizon)
-			row.Y[m] = float64(o.Overhead)
+			spec := p.spec(m, 32)
+			spec.N = n
+			row.Y[m] = float64(Run(spec).Net.Overhead())
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -167,13 +151,13 @@ func Fig10(p Params) *Result {
 		rows[i] = Row{X: (time.Duration(i+1) * step).Seconds(), Y: map[Method]float64{}}
 	}
 	for _, m := range r.Series {
-		o := runStatic(m, 32, p.N, p.Chunks, p.Seed, p.Horizon)
+		o := Run(p.spec(m, 32))
 		var cum float64
 		sec := int64(0)
 		for i := range rows {
 			until := int64((time.Duration(i+1) * step) / time.Second)
 			for ; sec < until; sec++ {
-				cum += float64(o.OverheadAtSecond(sec))
+				cum += float64(o.Net.OverheadAtSecond(sec))
 			}
 			rows[i].Y[m] = cum
 		}
@@ -187,7 +171,6 @@ func Fig10(p Params) *Result {
 // under churn with 60 s mean lifetime (200 chunks, horizons 200..300 s).
 func Fig11(p Params) *Result {
 	p.fill(512, 200, 300*time.Second)
-	spec := churnSpec{MeanLife: 60 * time.Second, Graceful: 0.5}
 	r := &Result{
 		Figure: "Fig. 11",
 		Title:  "% received chunks vs. dissemination time (mean life 60 s)",
@@ -208,7 +191,9 @@ func Fig11(p Params) *Result {
 		rows[i] = Row{X: h.Seconds(), Y: map[Method]float64{}}
 	}
 	for _, m := range r.Series {
-		o := runChurn(m, 32, p.N, p.Chunks, p.Seed, p.Horizon, spec)
+		spec := p.spec(m, 32)
+		spec.ChurnLife = 60 * time.Second
+		o := Run(spec)
 		for i, h := range horizons {
 			rows[i].Y[m] = o.Log.ReceivedPercent(h)
 		}
@@ -229,11 +214,11 @@ func Fig12(p Params) *Result {
 		Series: AllMethods,
 	}
 	for life := 60 * time.Second; life <= 120*time.Second; life += 10 * time.Second {
-		spec := churnSpec{MeanLife: life, Graceful: 0.5}
 		row := Row{X: life.Seconds(), Y: map[Method]float64{}}
 		for _, m := range r.Series {
-			o := runChurn(m, 32, p.N, p.Chunks, p.Seed, p.Horizon, spec)
-			row.Y[m] = o.Log.ReceivedPercent(p.Horizon)
+			spec := p.spec(m, 32)
+			spec.ChurnLife = life
+			row.Y[m] = Run(spec).Log.ReceivedPercent(p.Horizon)
 		}
 		r.Rows = append(r.Rows, row)
 	}

@@ -80,14 +80,10 @@ const (
 
 // Config parameterizes a baseline overlay run. The zero value is unusable;
 // start from DefaultConfig. Hosts get the paper's bandwidths,
-// simnet.ServerBps and simnet.PeerBps.
+// simnet.ServerBps and simnet.PeerBps, on simnet's default network.
 type Config struct {
 	Kind   Kind
 	Stream stream.Params
-
-	// Net sets the physical network model (latency, zones). The zero
-	// value takes simnet's defaults.
-	Net simnet.Config
 
 	// Neighbors is the mesh degree (pull/push). For Tree it is the
 	// out-degree of every internal node (the paper's default tree uses

@@ -17,7 +17,7 @@ func NewSystem(k *sim.Kernel, cfg Config, n int) *System {
 	}
 	s := &System{
 		K:   k,
-		Net: simnet.New(k, cfg.Net),
+		Net: simnet.New(k, simnet.Config{}),
 		Cfg: cfg,
 	}
 	for i := 0; i < n; i++ {
