@@ -199,15 +199,6 @@ func (k *Kernel) Owns(key uint64) bool {
 	return k.cs.OwnsKey(chord.ID(key))
 }
 
-// OwnsSettled is Owns with the no-predecessor claim removed: a freshly
-// joined node that has not yet learned its predecessor owns nothing for
-// replication purposes.
-func (k *Kernel) OwnsSettled(key uint64) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.cs.Predecessor().OK && k.cs.OwnsKey(chord.ID(key))
-}
-
 // Successor exposes the immediate successor (live status displays, ring
 // walk tests). Not part of the Kernel contract.
 func (k *Kernel) Successor() dht.Member {

@@ -16,7 +16,7 @@
 //
 // Locking contract (what keeps the host's mutex and the kernel's internal
 // mutex from deadlocking): kernel methods the host may call while holding
-// its own lock — Self, Owns, OwnsSettled, View, ReplicaSet — are pure
+// its own lock — Self, Owns, View, ReplicaSet — are pure
 // local reads that never block, never call the Caller, and never fire
 // Events. Methods that do I/O (Join, Leave, FindOwner*, Merge, the Ticks)
 // and HandleRPC may fire Events and use the Caller, but never while
@@ -214,14 +214,6 @@ type Kernel interface {
 	// known live contact XOR-closer than self). Pure read; conservative
 	// under incomplete tables — maintenance converges it.
 	Owns(key uint64) bool
-
-	// OwnsSettled is Owns minus the conservative bootstrap claim: false
-	// unless the routing tables hold positive evidence of ownership
-	// (Chord: a known predecessor bounding the range; Kademlia: at least
-	// one live contact, none of them closer). The replication layer uses
-	// it so a freshly joined node does not fold other owners' replicated
-	// entries into its own index. Pure read.
-	OwnsSettled(key uint64) bool
 
 	// FindOwner routes from this node to key's owner and reports, with the
 	// answer, the range of keys it was proved for (see Route). Performs

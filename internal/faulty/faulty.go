@@ -17,8 +17,8 @@
 // Gray-failure modes (peers alive but degraded, invisible to a breaker
 // that trips only on conclusive errors): mid-frame stalls (the callee
 // accepts the request and never finishes; the caller burns its full call
-// timeout — Rule.Stall for a probabilistic mix, SetStalled for a
-// persistent one), persistent per-destination slow lanes (SetSlowLane:
+// timeout — SetStalled for every call, SetMidFrameStall for chunk frames
+// alone), persistent per-destination slow lanes (SetSlowLane:
 // every otherwise-clean call pays a seeded-jitter delay), and asymmetric
 // one-way partitions (OneWay: src→dst fails while dst→src flows).
 //
@@ -51,11 +51,9 @@ import (
 type Rule struct {
 	// Refuse is P(call fails instantly, like a connection refused).
 	Refuse float64
-	// Drop is P(request is lost; the caller sees a transport error after
-	// DropLatency, modeling a timeout without paying real timeout waits).
+	// Drop is P(request is lost; the caller sees a transport error at
+	// once, modeling a timeout without paying real timeout waits).
 	Drop float64
-	// DropLatency is how long a dropped call appears to take (default 0).
-	DropLatency time.Duration
 	// Duplicate is P(request is delivered twice; the caller gets the
 	// second reply). Receivers must be idempotent — this verifies it.
 	Duplicate float64
@@ -70,12 +68,6 @@ type Rule struct {
 	// broken codec. The flipped byte index and XOR mask come from the
 	// seeded schedule, so a corrupted run is exactly reproducible.
 	Corrupt float64
-	// Stall is P(the callee accepts the request and never finishes the
-	// exchange — a mid-frame stall). The caller blocks for its full call
-	// timeout before seeing an error: the most expensive gray failure,
-	// since unlike Drop it cannot be compressed without lying about the
-	// wall-clock cost the defense layer must bound.
-	Stall float64
 }
 
 // Action is the outcome chosen for one call.
@@ -388,7 +380,6 @@ func (in *Injector) decide(src, dst string, dataFrame bool) Decision {
 		d.Action = Refused
 	case roll(in.seed, key, seq, 1) < rule.Drop:
 		d.Action = Dropped
-		d.Delay = rule.DropLatency
 	case roll(in.seed, key, seq, 2) < rule.Duplicate:
 		d.Action = Duplicated
 	case roll(in.seed, key, seq, 3) < rule.Delay:
@@ -396,8 +387,6 @@ func (in *Injector) decide(src, dst string, dataFrame bool) Decision {
 		d.Delay = time.Duration(roll(in.seed, key, seq, 4) * float64(rule.DelayBy))
 	case roll(in.seed, key, seq, 5) < rule.Corrupt:
 		d.Action = Corrupted
-	case roll(in.seed, key, seq, 8) < rule.Stall:
-		d.Action = Stalled
 	case slowLane > 0:
 		// Persistent slow lane: the call goes through, late. Jitter in
 		// [delay/2, delay] from the seeded schedule (lane 9).
@@ -405,15 +394,7 @@ func (in *Injector) decide(src, dst string, dataFrame bool) Decision {
 		d.Delay = slowLane/2 + time.Duration(roll(in.seed, key, seq, 9)*float64(slowLane/2))
 	}
 
-	in.mu.Lock()
-	if len(in.history) >= maxHistory {
-		in.history = in.history[1:]
-	}
-	in.history = append(in.history, d)
-	if d.Action != Pass {
-		in.injected++
-	}
-	in.mu.Unlock()
+	in.record(d)
 	return d
 }
 
@@ -593,9 +574,6 @@ func (f *faultTransport) inject(addr string, req wire.Message, timeout time.Dura
 	case Refused:
 		return nil, &Error{Action: Refused, Dst: addr}
 	case Dropped:
-		if d.Delay > 0 {
-			time.Sleep(d.Delay)
-		}
 		return nil, &Error{Action: Dropped, Dst: addr}
 	case Duplicated:
 		if _, err := f.inner.Call(addr, req, timeout); err != nil {

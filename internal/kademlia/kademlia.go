@@ -321,14 +321,6 @@ func (k *Kernel) ownsLocked(key uint64) bool {
 	return true
 }
 
-// OwnsSettled is Owns with the empty-table claim removed: a node that
-// knows nobody has no evidence it is the closest.
-func (k *Kernel) OwnsSettled(key uint64) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.addrIdx) > 0 && k.ownsLocked(key)
-}
-
 // ReplicaSet returns the r contacts nearest key (never self): the members
 // that should mirror the key's index entries. Unlike Chord, any node can
 // compute this locally for any key, but the answer is only as good as the

@@ -170,19 +170,16 @@ func TestRekeyedAddressReplacesStaleEntry(t *testing.T) {
 	}
 }
 
-func TestOwnsAndOwnsSettled(t *testing.T) {
+func TestOwns(t *testing.T) {
 	c := newStubCaller()
 	k := newTestKernel(c, member(8), Config{})
-	// Empty table: Owns claims everything, OwnsSettled claims nothing.
+	// Empty table: Owns claims everything.
 	if !k.Owns(0x7000) {
 		t.Fatal("lone node must claim every key")
 	}
-	if k.OwnsSettled(0x7000) {
-		t.Fatal("lone node must not be settled on any key")
-	}
 	k.Observe(member(0x1000))
 	// Key 9: 8^9=1, 0x1000^9 is much larger -> self is closest.
-	if !k.Owns(9) || !k.OwnsSettled(9) {
+	if !k.Owns(9) {
 		t.Fatal("self is XOR-closest to 9 and must own it")
 	}
 	// Key 0x1001: contact distance 1 beats self's -> not owned.

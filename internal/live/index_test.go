@@ -80,15 +80,14 @@ func TestFullBatchRespectsProviderCap(t *testing.T) {
 		holder := wire.Entry{ID: uint64(i), Addr: fmt.Sprintf("mem://spam/%d", i)}
 		batch.Ops = append(batch.Ops, wire.ReplicaOp{Key: key, Seq: 5, Holder: holder, TTLMillis: 45_000})
 	}
-	// A node that has never had a predecessor or a contact owns no key for
-	// replication purposes: the batch lands in the owner's replica slice.
+	// A batch that names another owner lands in that owner's replica slice.
 	if _, ok := n.onReplicateBatch(batch).(*wire.Ack); !ok {
 		t.Fatal("batch not acknowledged")
 	}
 	if rows := replicaSlice(n, owner.Addr).Get(5).Rows; len(rows) != cfg.MaxProvidersPerSeq {
 		t.Fatalf("the replica holds %d rows, want the cap %d", len(rows), cfg.MaxProvidersPerSeq)
 	}
-	n.promoteReplicas(owner.Addr)
+	n.promoteReplicas()
 	rows := n.idx.Get(5).Rows
 	if len(rows) != cfg.MaxProvidersPerSeq {
 		t.Fatalf("promotion left %d rows, want the cap %d", len(rows), cfg.MaxProvidersPerSeq)

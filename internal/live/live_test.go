@@ -167,17 +167,20 @@ func TestRingFormsOverFabric(t *testing.T) {
 }
 
 func TestEndToEndStreamingOverFabric(t *testing.T) {
-	s := testSwarm(t, SwarmSpec{N: 5, Base: fastConfig()})
+	// The source can upload one chunk a period, so its coordinators name it
+	// in one answer per seq (index.Budget): every other viewer must take
+	// each chunk from a peer, however the viewers' starts fall.
+	ch := fastConfig().Channel
+	s := testSwarm(t, SwarmSpec{N: 5, Base: fastConfig(), Tune: func(i int, cfg *Config) {
+		if i == 0 {
+			cfg.UpBps = int64(float64(ch.ChunkBits) / ch.Period.Seconds())
+		}
+	}})
 	if err := s.join(); err != nil {
 		t.Fatal(err)
 	}
 	s.Source().Start()
-	// Viewers tune in staggered, as real viewers do. On a zero-latency
-	// fabric, simultaneous starts can keep all viewers in perfect lockstep
-	// at the live edge — every lookup wakes on the source's registration
-	// with the source as the only provider yet — which is a measure-zero
-	// artifact, not a swarm property; the later viewers' backlog is what
-	// seeds peer-to-peer serving.
+	// Viewers tune in staggered, as real viewers do.
 	viewers := s.Viewers()
 	for _, v := range viewers {
 		v.Start()

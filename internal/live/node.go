@@ -666,7 +666,7 @@ func (n *Node) Leave() error {
 	}
 	if len(ops) > 0 { // an empty index has nothing to announce, no call to wait on
 		for _, t := range n.kern.ReplicaSet(n.self.ID, max(n.cfg.Replicas, 1)) {
-			n.sendOps(t.Addr, true, ops)
+			n.sendOps(t.Addr, n.wireSelf(), true, ops)
 		}
 	}
 	n.kern.Leave()
@@ -775,9 +775,9 @@ func (n *Node) peerCondemned(addr string, err error) bool {
 // noteCallFailure purges addr from the kernel's routing tables once the
 // failure evidence is conclusive; maintenance re-adds the peer if it was
 // only a hiccup after all. A condemned peer whose key range fell to this
-// node triggers index takeover: its replicated entries are promoted to
-// owned state on the spot (promoteReplicas checks Owns per key, so a dead
-// peer whose range went elsewhere promotes nothing).
+// node triggers index takeover: the promotion sweep moves every replicated
+// entry this node now owns into its own index on the spot (a dead peer
+// whose range went elsewhere promotes nothing).
 func (n *Node) noteCallFailure(addr string, err error) {
 	if !n.peerCondemned(addr, err) {
 		return
@@ -785,7 +785,7 @@ func (n *Node) noteCallFailure(addr string, err error) {
 	n.routes.Drop(addr)
 	n.kern.PeerFailed(addr)
 	n.traceEvent("ring.purge", "peer="+addr)
-	n.promoteReplicas(addr)
+	n.promoteReplicas()
 }
 
 // ---------------------------------------------------------------------------

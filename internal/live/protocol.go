@@ -91,11 +91,6 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 			held = true
 			n.lm.lookupsHeld.Inc()
 		}
-		// Nothing owned to offer, but a replica slice may hold the entry —
-		// e.g. both the old owner and its first successor died before any
-		// takeover or anti-entropy round reached this node. An adopted row
-		// answers w like any other registration.
-		n.promoteReplicaSeq(m.Key, m.Seq)
 		if remain := time.Until(deadline); remain > 0 {
 			if !reopen.IsZero() {
 				remain = min(remain, time.Until(reopen))

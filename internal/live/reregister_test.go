@@ -28,11 +28,12 @@ func regOf(n *Node, seq int64) registration {
 	return n.regs[seq]
 }
 
-// keyOwner is the node of s that owns key, knowing its predecessor.
+// keyOwner is the node of s that owns key. The ring has converged, so
+// every node knows its predecessor and exactly one owns it.
 func keyOwner(t *testing.T, s *Swarm, key uint64) *Node {
 	t.Helper()
 	for _, nd := range s.Nodes {
-		if nd.kern.OwnsSettled(key) {
+		if nd.kern.Owns(key) {
 			return nd
 		}
 	}
@@ -177,7 +178,7 @@ func TestReregisterFollowsAJoin(t *testing.T) {
 	await(t, s, 10*time.Second, "the ceded range to reach the joiner", func() bool { return ceded() > before })
 	var moved []int64
 	for _, seq := range seqs {
-		if r := regOf(holder, seq); joiner.kern.OwnsSettled(r.key) && r.by != joiner.Addr() {
+		if r := regOf(holder, seq); joiner.kern.Owns(r.key) && r.by != joiner.Addr() {
 			moved = append(moved, seq)
 		}
 	}
@@ -315,19 +316,16 @@ func TestInsertNamesSeveralSeqs(t *testing.T) {
 	}
 }
 
-// TestReplicatedRowsPassTheInsertGate: a ReplicateBatch naming rows for
-// keys the receiver owns cannot put into its owned index what an Insert
-// could not — a quarantined holder, a seq past the live-edge horizon —
-// while a clean row in the same batch still lands.
+// TestReplicatedRowsPassTheInsertGate: a handover naming rows for keys
+// the receiver owns cannot put into its owned index what an Insert could
+// not — a quarantined holder, a seq past the live-edge horizon — while a
+// clean row in the same batch still lands.
 func TestReplicatedRowsPassTheInsertGate(t *testing.T) {
 	s := ringOf(t, reregConfig(100), 2, (*Node).startRingMaint)
-	coord, sender := s.Nodes[0], s.Nodes[1]
-	await(t, s, 10*time.Second, "the coordinator to learn its predecessor", func() bool {
-		return coord.kern.OwnsSettled(coord.ID())
-	})
+	coord := s.Nodes[0]
 	owned := func(from int64) int64 {
 		for seq := from; ; seq++ {
-			if coord.kern.OwnsSettled(uint64(coord.cfg.Channel.Ref(seq).ID())) {
+			if coord.kern.Owns(uint64(coord.cfg.Channel.Ref(seq).ID())) {
 				return seq
 			}
 		}
@@ -339,7 +337,7 @@ func TestReplicatedRowsPassTheInsertGate(t *testing.T) {
 	op := func(seq int64, holder wire.Entry) wire.ReplicaOp {
 		return wire.ReplicaOp{Key: uint64(coord.cfg.Channel.Ref(seq).ID()), Seq: seq, Holder: holder, TTLMillis: 10_000}
 	}
-	coord.onReplicateBatch(&wire.ReplicateBatch{Owner: sender.wireSelf(), Full: true, Ops: []wire.ReplicaOp{
+	coord.onReplicateBatch(&wire.ReplicateBatch{Owner: coord.wireSelf(), Full: true, Ops: []wire.ReplicaOp{
 		op(quarantined, evil), op(far, honest), op(clean, honest),
 	}})
 	if coord.idx.Has(quarantined, evil.Addr) {

@@ -90,37 +90,19 @@ func (l *DeliveryLog) Received(id simnet.NodeID, seq int64, t time.Duration) {
 // GenerationTime returns when seq was generated (Never if it wasn't).
 func (l *DeliveryLog) GenerationTime(seq int64) time.Duration { return l.gen[seq] }
 
-// MeshDelay returns the mean, over chunks that reached every eligible node,
-// of (time last node received it − generation time), plus how many chunks
-// completed. A node is eligible for a chunk if it was a member for the
-// chunk's entire propagation (joined before generation, never left). This is
-// the paper's metric 1.
+// MeshDelay returns the mean, over chunks that reached every eligible node
+// (ChunkCompletion), of (time last node received it − generation time),
+// plus how many chunks completed. This is the paper's metric 1.
 func (l *DeliveryLog) MeshDelay() (mean time.Duration, complete, total int64) {
 	var sum time.Duration
 	for seq := int64(0); seq < l.numChunks; seq++ {
-		g := l.gen[seq]
-		if g == Never {
+		if l.gen[seq] == Never {
 			continue
 		}
 		total++
-		var last time.Duration
-		done := true
-		for _, r := range l.nodes {
-			if r.join > g || r.leave != Never {
-				continue // not an eligible receiver for this chunk
-			}
-			t, ok := r.recv[seq]
-			if !ok {
-				done = false
-				break
-			}
-			if t > last {
-				last = t
-			}
-		}
-		if done {
+		if d, ok := l.ChunkCompletion(seq); ok {
 			complete++
-			sum += last - g
+			sum += d
 		}
 	}
 	if complete == 0 {
@@ -129,14 +111,17 @@ func (l *DeliveryLog) MeshDelay() (mean time.Duration, complete, total int64) {
 	return sum / time.Duration(complete), complete, total
 }
 
-// ChunkCompletion returns when chunk seq had reached every eligible node
-// (joined before generation, never left), or ok=false if it never did.
+// ChunkCompletion returns how long after its generation chunk seq had
+// reached every eligible node — one that was a member for the chunk's
+// entire propagation (joined before generation, never left) — or ok=false
+// if it never did. A chunk with no eligible node never completes.
 func (l *DeliveryLog) ChunkCompletion(seq int64) (delay time.Duration, ok bool) {
 	g := l.gen[seq]
 	if g == Never {
 		return 0, false
 	}
 	var last time.Duration
+	eligible := false
 	for _, r := range l.nodes {
 		if r.join > g || r.leave != Never {
 			continue
@@ -145,9 +130,11 @@ func (l *DeliveryLog) ChunkCompletion(seq int64) (delay time.Duration, ok bool) 
 		if !got {
 			return 0, false
 		}
-		if t > last {
-			last = t
-		}
+		eligible = true
+		last = max(last, t)
+	}
+	if !eligible {
+		return 0, false
 	}
 	return last - g, true
 }

@@ -53,6 +53,28 @@ func TestMeshDelayIncomplete(t *testing.T) {
 	}
 }
 
+// TestChunkWithNoEligibleReceiverNeverCompletes: a chunk generated before
+// every viewer joined, or only to viewers that later left, has no one it
+// could reach. It counts toward the total and never as complete — not as
+// complete with a delay of minus its generation time.
+func TestChunkWithNoEligibleReceiverNeverCompletes(t *testing.T) {
+	l := NewDeliveryLog(2, server)
+	l.NodeJoined(1, sec(5))
+	l.NodeJoined(2, 0)
+	l.Generated(0, sec(2))
+	l.Generated(1, sec(9))
+	l.Received(1, 0, sec(6))
+	l.Received(1, 1, sec(10))
+	l.NodeLeft(2, sec(3))
+	if d, ok := l.ChunkCompletion(0); ok {
+		t.Fatalf("chunk 0 reached no eligible node, yet completed after %v", d)
+	}
+	mean, complete, total := l.MeshDelay()
+	if complete != 1 || total != 2 || mean != sec(1) {
+		t.Fatalf("mesh delay %v over %d/%d chunks, want 1s over 1/2", mean, complete, total)
+	}
+}
+
 func TestServerExcluded(t *testing.T) {
 	l := newLog(1, 1)
 	l.Generated(0, 0)

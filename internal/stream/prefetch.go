@@ -1,7 +1,5 @@
 package stream
 
-import "time"
-
 // PrefetchConfig parameterizes the adaptive prefetching window of §III-B2.
 type PrefetchConfig struct {
 	// BaseWindow is W in Eq. (2): the system-wide predefined prefetching
@@ -87,59 +85,3 @@ func (f *FailureTracker) Prob() float64 { return f.p }
 
 // Samples returns how many fetches have been recorded.
 func (f *FailureTracker) Samples() int { return f.n }
-
-// PlaybackBuffer tracks a viewer's playhead against its received chunks,
-// supplying the "streaming quality" covariate for the stable-node model and
-// the play/stall accounting examples report.
-type PlaybackBuffer struct {
-	Map      *BufferMap
-	playhead int64 // next sequence to play
-	params   Params
-	started  bool
-	startAt  time.Duration // virtual time playback began
-	played   int64
-	stalls   int64
-}
-
-// NewPlaybackBuffer returns a buffer for one viewer of channel p.
-func NewPlaybackBuffer(p Params) *PlaybackBuffer {
-	return &PlaybackBuffer{Map: NewBufferMap(0), params: p}
-}
-
-// Receive marks a chunk as buffered.
-func (b *PlaybackBuffer) Receive(seq int64) { b.Map.Set(seq) }
-
-// BufferingLevel is the consecutive-run length from the playhead — covariate
-// z1 of the longevity model.
-func (b *PlaybackBuffer) BufferingLevel() int { return b.Map.ConsecutiveFrom(b.playhead) }
-
-// Tick advances playback by one chunk interval at virtual time now: if the
-// next chunk is buffered it plays (the window slides), otherwise the viewer
-// stalls. Returns true if a chunk played.
-func (b *PlaybackBuffer) Tick(now time.Duration) bool {
-	if !b.started {
-		b.started = true
-		b.startAt = now
-	}
-	if b.Map.Has(b.playhead) {
-		b.playhead++
-		b.played++
-		b.Map.Advance(b.playhead - 1) // keep one played chunk for re-sharing
-		return true
-	}
-	b.stalls++
-	return false
-}
-
-// Stats returns chunks played and stall ticks so far.
-func (b *PlaybackBuffer) Stats() (played, stalls int64) { return b.played, b.stalls }
-
-// ContinuityIndex is played/(played+stalls), a standard streaming QoS
-// summary derived from the paper's availability goal.
-func (b *PlaybackBuffer) ContinuityIndex() float64 {
-	total := b.played + b.stalls
-	if total == 0 {
-		return 1
-	}
-	return float64(b.played) / float64(total)
-}

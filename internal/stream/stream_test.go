@@ -294,41 +294,6 @@ func TestFailureTracker(t *testing.T) {
 	}
 }
 
-func TestPlaybackBuffer(t *testing.T) {
-	p := Params{Channel: "X", ChunkBits: 1000, Period: time.Second, Count: 10}
-	pb := NewPlaybackBuffer(p)
-	pb.Receive(0)
-	pb.Receive(1)
-	pb.Receive(3)
-	if pb.BufferingLevel() != 2 {
-		t.Fatalf("buffering level = %d, want 2", pb.BufferingLevel())
-	}
-	if !pb.Tick(0) || !pb.Tick(time.Second) {
-		t.Fatal("buffered chunks should play")
-	}
-	if pb.Tick(2 * time.Second) {
-		t.Fatal("missing chunk 2 should stall")
-	}
-	pb.Receive(2)
-	if !pb.Tick(3 * time.Second) {
-		t.Fatal("after refill playback should resume")
-	}
-	played, stalls := pb.Stats()
-	if played != 3 || stalls != 1 {
-		t.Fatalf("stats = %d played, %d stalls", played, stalls)
-	}
-	if ci := pb.ContinuityIndex(); ci != 0.75 {
-		t.Fatalf("continuity = %f, want 0.75", ci)
-	}
-}
-
-func TestPlaybackContinuityEmpty(t *testing.T) {
-	pb := NewPlaybackBuffer(DefaultParams())
-	if pb.ContinuityIndex() != 1 {
-		t.Fatal("no playback yet means perfect continuity")
-	}
-}
-
 func BenchmarkBufferMapSetHas(b *testing.B) {
 	bm := NewBufferMap(0)
 	for i := 0; i < b.N; i++ {
