@@ -96,8 +96,8 @@ type Events struct {
 	// ms is the kernel's scratch: read it during the call, do not keep it.
 	Seen func(ms ...Member)
 	// RangeChanged reports that part of this node's key range now belongs
-	// to newOwner (a closer member appeared). The host sends it the index
-	// entries it no longer owns.
+	// to newOwner (a closer member appeared). It prompts the host's custody
+	// pass, which sends newOwner the rows; the pass has other triggers too.
 	RangeChanged func(newOwner Member)
 	// Departed reports a member's graceful leave — the one conclusive
 	// "gone for good" signal (abrupt unreachability may be a partition).

@@ -4,7 +4,7 @@ package live
 // the Config.DHT -> dht.Kernel factory, the Caller adapter that routes
 // kernel RPCs through the node's retry stack and peer table, the Events
 // handlers that feed kernel membership activity back into the census
-// cache, the ceded range and the departed member's takeover — and the
+// cache, the custody passes ownership events prompt — and the
 // owner-arc cache every index request of this node consults before it
 // asks the kernel to route (DESIGN.md, "Owner-arc cache").
 
@@ -109,7 +109,7 @@ func (n *Node) cachedOwner(key uint64) (dht.Member, bool) {
 }
 
 // ownerOf resolves key's coordinator for requests that any node would
-// serve, so that a stale arc needs no handling: pollution reports, handovers.
+// serve, so that a stale arc needs no handling: pollution reports, custody.
 func (n *Node) ownerOf(key uint64) (dht.Member, error) {
 	if owner, ok := n.cachedOwner(key); ok {
 		return owner, nil
@@ -166,36 +166,28 @@ func (n *Node) onKernSeen(ms ...dht.Member) {
 	}
 }
 
-// onKernRangeChanged sends the index entries this node no longer owns to
-// newOwner, after part of its key range moved there (Chord: a Notify
-// adopted a closer predecessor; Kademlia: a closer contact joined): a Full
-// batch addressed to newOwner's index, leases and all (handOver). A lost
-// batch only delays re-registration. It is sent even when nothing moved:
-// the call is also this node's check that the member it cedes the range to
-// can be reached. One that cannot (the far end of a one-way partition that
+// onKernRangeChanged runs a custody pass after part of this node's key
+// range moved to newOwner (Chord: a Notify adopted a closer predecessor;
+// Kademlia: a closer contact joined), which gets the ceded rows first. A
+// newOwner the pass cannot reach (the far end of a one-way partition that
 // keeps announcing itself) is condemned by the failing call, and the range
 // comes back instead of answering not-the-owner for as long as it lingers.
+// Like every event's pass, it runs on its own goroutine: the event fires on
+// the kernel's serving path.
 func (n *Node) onKernRangeChanged(newOwner dht.Member) {
-	if newOwner.Addr == "" || newOwner.Addr == n.self.Addr {
-		return
+	if newOwner.Addr != n.self.Addr {
+		go n.custody(newOwner)
 	}
-	now := time.Now()
-	var moved []wire.ReplicaOp
-	for _, e := range n.idx.Take(n.kern.Owns) {
-		moved = append(moved, e.Ops(now)...)
-	}
-	go n.handOver(newOwner, moved)
-	n.promoteReplicas()
 }
 
 // onKernDeparted reacts to a member's graceful leave — the one conclusive
 // "gone for good" signal (abrupt unreachability may be a partition). The
 // leaver sent its index here beforehand, so this is the takeover an abrupt
-// death gets (promoteReplicas); the rows this node does not own stay in the
+// death gets (a custody pass); the rows this node does not own stay in the
 // slice, a backup for their owner, until their leases lapse. The member is
 // forgotten in the census cache, and so is the arc it owned.
 func (n *Node) onKernDeparted(m dht.Member) {
 	n.routes.Drop(m.Addr)
-	n.promoteReplicas()
+	go n.custody(dht.Member{})
 	n.members.Forget(m.Addr)
 }

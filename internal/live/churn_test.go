@@ -125,8 +125,13 @@ func TestNotOwnerRejected(t *testing.T) {
 func TestActiveWindowRetention(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Channel.Count = 30
-	cfg.ActiveWindow = 5
-	s := upSwarm(t, SwarmSpec{N: 2, Base: cfg})
+	s := testSwarm(t, SwarmSpec{N: 2, Base: cfg})
+	for _, nd := range s.Nodes {
+		nd.window = 5
+	}
+	if err := s.Up(); err != nil {
+		t.Fatal(err)
+	}
 	src, viewer := s.Nodes[0], s.Nodes[1]
 
 	waitFor(t, 30*time.Second, "viewer to reach the stream tail", func() bool {
@@ -152,8 +157,8 @@ func TestWindowTrimsOnlyWhatExpired(t *testing.T) {
 	const window = 16
 	cfg := fastConfig()
 	cfg.Channel.Count, cfg.Channel.ChunkBits = 0, 8*64
-	cfg.ActiveWindow = window
 	n := soloNode(t, cfg)
+	n.window = window
 	held := func(lo, hi int64) {
 		t.Helper()
 		if got := n.ChunkCount(); got != int(hi-lo) {

@@ -24,11 +24,16 @@ func TestIndexEntriesStayWithinTheWindow(t *testing.T) {
 	cfg.Channel.ChunkBits = 8 * 64
 	cfg.Channel.Period = 2 * time.Millisecond
 	cfg.Channel.Count = seqs
-	cfg.ActiveWindow = window
 	cfg.FetchDeadlineChunks = window
 	cfg.InsertRate = -1 // 500 chunks/s is far past any real holder's rate
 	cfg.AntiEntropyEvery = 200 * time.Millisecond
-	s := upSwarm(t, SwarmSpec{N: 3, Base: cfg})
+	s := testSwarm(t, SwarmSpec{N: 3, Base: cfg})
+	for _, nd := range s.Nodes {
+		nd.window = window
+	}
+	if err := s.Up(); err != nil {
+		t.Fatal(err)
+	}
 
 	await(t, s, 60*time.Second, "the source to generate the whole stream", func() bool {
 		return s.Source().LatestGenerated() == seqs-1
@@ -87,7 +92,7 @@ func TestFullBatchRespectsProviderCap(t *testing.T) {
 	if rows := replicaSlice(n, owner.Addr).Get(5).Rows; len(rows) != cfg.MaxProvidersPerSeq {
 		t.Fatalf("the replica holds %d rows, want the cap %d", len(rows), cfg.MaxProvidersPerSeq)
 	}
-	n.promoteReplicas()
+	n.custody(dht.Member{})
 	rows := n.idx.Get(5).Rows
 	if len(rows) != cfg.MaxProvidersPerSeq {
 		t.Fatalf("promotion left %d rows, want the cap %d", len(rows), cfg.MaxProvidersPerSeq)

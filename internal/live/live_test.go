@@ -91,24 +91,21 @@ func fetchOrder(n *Node, addrs ...string) []string {
 }
 
 // TestActiveWindowDerivedForEndlessStreams: a node on an endless channel
-// that was given no window gets the endless window instead of buffering
-// every chunk forever; a counted stream keeps everything, and a window
-// that was set stays.
+// keeps the endless window instead of buffering every chunk forever; a
+// counted stream keeps all of it.
 func TestActiveWindowDerivedForEndlessStreams(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		count        int64
-		window, want int
+		name  string
+		count int64
+		want  int
 	}{
-		{"endless", 0, 0, endlessWindow},
-		{"counted", 20, 0, 0},
-		{"endless, explicit window", 0, 64, 64},
-		{"counted, explicit window", 20, 64, 64},
+		{"endless", 0, endlessWindow},
+		{"counted", 20, 20},
 	} {
 		cfg := fastConfig()
-		cfg.Channel.Count, cfg.ActiveWindow = tc.count, tc.window
-		if got := soloNode(t, cfg).cfg.ActiveWindow; got != tc.want {
-			t.Errorf("%s: ActiveWindow = %d, want %d", tc.name, got, tc.want)
+		cfg.Channel.Count = tc.count
+		if got := soloNode(t, cfg).window; got != tc.want {
+			t.Errorf("%s: window = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 	if endlessWindow != 4096 {

@@ -291,15 +291,10 @@ func (n *Node) fillState() (have, want int64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	have = int64(len(n.chunks))
-	latest := n.latestGen
-	if latest < n.cfg.StartSeq {
+	if n.latestGen < n.cfg.StartSeq {
 		return have, 0
 	}
-	want = latest - n.cfg.StartSeq + 1
-	if w := int64(n.cfg.ActiveWindow); w > 0 && want > w {
-		want = w
-	}
-	return have, want
+	return have, min(n.latestGen-n.cfg.StartSeq+1, int64(n.window))
 }
 
 // onRetry and onCircuit are the retrier's and the peer table's observer

@@ -11,6 +11,7 @@ package live
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -108,13 +109,6 @@ type Config struct {
 	// and lone-node re-bootstrap.
 	CensusEvery time.Duration
 
-	// ActiveWindow bounds how many chunks a node retains (and advertises);
-	// older chunks are dropped and unregistered as the stream moves on —
-	// the paper's sliding active-chunk window (§III-A1). Zero keeps
-	// everything on a counted stream; on an endless one (Channel.Count == 0)
-	// it derives the endless window, 4096 chunks.
-	ActiveWindow int
-
 	// OnChunk, if set, is invoked for every chunk received or generated
 	// (after it is buffered), in seq order per worker but not globally.
 	// data is the buffered slice itself, which later callers are served
@@ -206,7 +200,7 @@ const (
 	fetchWorkers       = 3    // concurrent chunk fetches per viewer
 	censusProbes       = 2    // cached members probed per census round: a safety net, not gossip
 	memberCacheSize    = 128  // members remembered for the census, reachable or not
-	endlessWindow      = 4096 // ActiveWindow an endless stream gets when none is set
+	endlessWindow      = 4096 // chunks a node of an endless stream keeps
 	pollutionReporters = 2    // distinct accusers that quarantine a peer: one slanderer is never enough
 	insertHorizon      = 1024 // chunks past the live edge a registration may claim: nobody holds what the source has not produced
 	maxInsertSeqs      = 1024 // seqs one Insert may name; a holder splits a bigger group
@@ -257,6 +251,9 @@ type Node struct {
 	// onGetChunk hands that same slice to every caller.
 	chunks map[int64][]byte
 	low    int64 // no buffered seq is below it: where a window trim starts
+	// window is how many chunks the node keeps (§III-A1's active window):
+	// the stream's Count, or endlessWindow on an endless stream.
+	window int
 	// regs is where each buffered seq this node registered was last taken,
 	// and refreshed when reregister last refreshed them all.
 	regs      map[int64]registration
@@ -351,7 +348,7 @@ type Stats struct {
 	// Owner-arc cache counters (backend.go).
 	RouteCacheHits      uint64 // index requests sent along a cached arc
 	RouteCacheRedirects uint64 // requests a cached owner bounced: one extra round trip each
-	IndexInsertFailures uint64 // fresh index inserts that failed twice: the chunk is registered nowhere until the next re-registration tick
+	IndexInsertFailures uint64 // fresh index inserts that failed: the chunk is registered nowhere until the next re-registration tick
 	// Ring-census counters (census.go).
 	SplitsDetected uint64 // confirmed split-brain detections
 	RingMerges     uint64 // merge protocol completions (incl. lone-node re-bootstraps)
@@ -391,13 +388,10 @@ func NewNode(cfg Config, attach func(transport.Handler) (transport.Transport, er
 	if cfg.MaxProvidersPerSeq == 0 {
 		cfg.MaxProvidersPerSeq = def.MaxProvidersPerSeq
 	}
-	if cfg.Channel.Count == 0 && cfg.ActiveWindow == 0 {
-		// An endless stream with no window would buffer every chunk forever.
-		cfg.ActiveWindow = endlessWindow
-	}
 	n := &Node{
 		cfg:       cfg,
 		chunks:    make(map[int64][]byte),
+		window:    cmp.Or(int(cfg.Channel.Count), endlessWindow),
 		regs:      make(map[int64]registration),
 		replicas:  replicaStore{maxRows: cfg.MaxProvidersPerSeq, slices: make(map[string]*index.Table)},
 		guard:     newPollutionGuard(),
@@ -775,9 +769,9 @@ func (n *Node) peerCondemned(addr string, err error) bool {
 // noteCallFailure purges addr from the kernel's routing tables once the
 // failure evidence is conclusive; maintenance re-adds the peer if it was
 // only a hiccup after all. A condemned peer whose key range fell to this
-// node triggers index takeover: the promotion sweep moves every replicated
-// entry this node now owns into its own index on the spot (a dead peer
-// whose range went elsewhere promotes nothing).
+// node triggers index takeover: a custody pass moves every replicated entry
+// this node now owns into its own index (a dead peer whose range went
+// elsewhere promotes nothing). A send of that pass can fail and land here.
 func (n *Node) noteCallFailure(addr string, err error) {
 	if !n.peerCondemned(addr, err) {
 		return
@@ -785,7 +779,7 @@ func (n *Node) noteCallFailure(addr string, err error) {
 	n.routes.Drop(addr)
 	n.kern.PeerFailed(addr)
 	n.traceEvent("ring.purge", "peer="+addr)
-	n.promoteReplicas()
+	go n.custody(dht.Member{})
 }
 
 // ---------------------------------------------------------------------------

@@ -124,15 +124,15 @@ func (n *Node) replTargets() []dht.Member {
 }
 
 // sendOps is the one way index rows travel between nodes — the replication
-// flush, an anti-entropy repair, a ceded range, a graceful leave: ops, to
+// flush, an anti-entropy repair, a custody pass, a graceful leave: ops, to
 // addr, as ReplicateBatch frames naming owner, the member whose index the
 // rows go to (onReplicateBatch). It sends one frame at least, even empty,
 // and splits at maxBatchOps. A Full frame replaces the receiver's rows for
 // each seq it names, so a Full send is split only between seqs: back to the
 // last seq boundary in the window, or, when one seq fills the window, past
-// that seq's end (it goes whole). It returns the ops delivered, and the ops
-// of the frames a receiver turned away as not their keys' owner.
-func (n *Node) sendOps(addr string, owner wire.Entry, full bool, ops []wire.ReplicaOp) (delivered int, notOwned []wire.ReplicaOp) {
+// that seq's end (it goes whole). It returns the ops of the frames that were
+// not delivered: turned away as not their keys' owner, or failed.
+func (n *Node) sendOps(addr string, owner wire.Entry, full bool, ops []wire.ReplicaOp) (undelivered []wire.ReplicaOp) {
 	for {
 		cut := min(len(ops), maxBatchOps)
 		for full && cut > 0 && cut < len(ops) && ops[cut-1].Seq == ops[cut].Seq {
@@ -145,15 +145,16 @@ func (n *Node) sendOps(addr string, owner wire.Entry, full bool, ops []wire.Repl
 		batch := &wire.ReplicateBatch{Owner: owner, Full: full, Ops: ops[:cut]}
 		switch _, err := n.callIdem(addr, batch, n.cfg.CallTimeout); {
 		case err == nil:
-			delivered += cut
 			n.lm.replicateBatches.Inc()
 			n.lm.replicateBytes.Add(frameBytes(batch))
 		case wire.IsNotOwner(err): // its arc, if cached, is stale
 			n.routes.Drop(addr)
-			notOwned = append(notOwned, batch.Ops...)
+			fallthrough
+		default:
+			undelivered = append(undelivered, batch.Ops...)
 		}
 		if ops = ops[cut:]; len(ops) == 0 {
-			return delivered, notOwned
+			return undelivered
 		}
 	}
 }
@@ -170,8 +171,7 @@ func (n *Node) replicateFlush() {
 		return // ring of one: nobody to replicate to yet
 	}
 	for _, t := range targets {
-		sent, _ := n.sendOps(t.Addr, n.wireSelf(), false, ops)
-		n.lm.replicateOps.Add(uint64(sent))
+		n.lm.replicateOps.Add(uint64(len(ops) - len(n.sendOps(t.Addr, n.wireSelf(), false, ops))))
 	}
 	n.lm.replicationLag.Observe(time.Since(since).Seconds())
 }
@@ -179,9 +179,9 @@ func (n *Node) replicateFlush() {
 // onReplicateBatch files a batch's rows in the index its Owner names.
 // Another member's — a replication flush, an anti-entropy repair, a
 // leaver's index — is its replica slice here. This node's own names a
-// handover, a range ceded to it: the rows whose keys it owns join its index
+// handover, from a custody pass: the rows whose keys it owns join its index
 // past the gate an Insert's row passes (rowRefused); if it does not own
-// them all, it says so and leaves the rest to the sender (handOver). An
+// them all, it says so and the sender keeps them for its next pass. An
 // empty batch, a ceded range's reachability check, leaves no trace.
 func (n *Node) onReplicateBatch(m *wire.ReplicateBatch) wire.Message {
 	if len(m.Ops) == 0 {
@@ -217,35 +217,6 @@ func (n *Node) onReplicateBatch(m *wire.ReplicateBatch) wire.Message {
 	return &wire.Ack{}
 }
 
-// handoverRounds bounds how often a handover's turned-away rows are routed
-// again: in a crowd an arc is ceded to one joiner after another.
-const handoverRounds = 3
-
-// handOver sends ops, a ceded range, to the index of to. A receiver that has
-// ceded part of the arc in turn keeps what it owns and turns the frame away;
-// this node then routes each of the frame's keys and sends the rows to the
-// routed owners, for at most handoverRounds rounds, so a handover ends. Who
-// owns a key is the kernel's answer alone (Owns there, FindOwner here). A
-// row no round places waits for its holder's refresh.
-func (n *Node) handOver(to dht.Member, ops []wire.ReplicaOp) {
-	parts := map[dht.Member][]wire.ReplicaOp{to: ops}
-	for round := 0; len(parts) > 0; round++ {
-		next := map[dht.Member][]wire.ReplicaOp{}
-		for m, part := range parts {
-			_, turned := n.sendOps(m.Addr, m.Wire(), true, part)
-			if round == handoverRounds {
-				continue // the last round routes nothing
-			}
-			for _, op := range turned {
-				if owner, err := n.ownerOf(op.Key); err == nil && owner.Addr != n.self.Addr {
-					next[owner] = append(next[owner], op)
-				}
-			}
-		}
-		parts = next
-	}
-}
-
 // applyOp folds a replicated op into a table — the owned index or a replica
 // slice — and reports whether the table holds what the op says.
 func applyOp(t *index.Table, op *wire.ReplicaOp, now time.Time) bool {
@@ -258,12 +229,17 @@ func applyOp(t *index.Table, op *wire.ReplicaOp, now time.Time) bool {
 	return ok
 }
 
-// promoteReplicas is the one promotion sweep, run on every ownership event
-// — a condemned peer, a departed member, a ceded range: every entry of a
-// replica slice whose key this node now owns folds into its own index, and
-// goes on to its replicas. The rest stays (another member owns it) until
-// its lease lapses.
-func (n *Node) promoteReplicas() {
+// custody is the one pass that settles this node's rows with what the
+// kernel says it owns (DESIGN.md, "One custody pass"). Takeover first: each
+// replica-slice entry whose key this node owns folds into its index and
+// goes on to its replicas; the rest lapses in place. Then the owned-index
+// rows whose keys it no longer Owns go as handovers to hint, the member a
+// range change names — called even when nothing moved, to check that it
+// can be reached — or else to the owner routing names. A row turned away,
+// or left by a failed send, goes back into the index for the next pass;
+// one no pass places lapses with its lease. A failed route ends the
+// routing, as it ends a reregister tick.
+func (n *Node) custody(hint dht.Member) {
 	var taken []index.Entry
 	n.replicas.each(func(slice *index.Table) {
 		taken = append(taken, slice.Take(func(key uint64) bool { return !n.kern.Owns(key) })...)
@@ -284,6 +260,35 @@ func (n *Node) promoteReplicas() {
 		n.lm.takeoverEntries.Add(uint64(promoted))
 		n.lm.takeovers.Inc()
 		n.traceEvent("replica.takeover", fmt.Sprintf("entries=%d", promoted))
+	}
+
+	var stray, back []wire.ReplicaOp
+	for _, e := range n.idx.Take(n.kern.Owns) {
+		stray = append(stray, e.Ops(now)...)
+	}
+	parts := map[dht.Member][]wire.ReplicaOp{}
+	if hint.Addr != "" {
+		parts[hint], stray = stray, nil
+	}
+	var owner dht.Member
+	var err error
+	for i, op := range stray {
+		if i == 0 || op.Key != stray[i-1].Key {
+			if owner, err = n.ownerOf(op.Key); err != nil {
+				back = stray[i:]
+				break
+			}
+		}
+		parts[owner] = append(parts[owner], op)
+	}
+	for m, ops := range parts {
+		if m.Addr != n.self.Addr {
+			ops = n.sendOps(m.Addr, m.Wire(), true, ops)
+		}
+		back = append(back, ops...)
+	}
+	for i := range back {
+		applyOp(n.idx, &back[i], now)
 	}
 }
 
@@ -328,7 +333,7 @@ func (n *Node) antiEntropy() {
 		if len(repair) == 0 {
 			continue
 		}
-		if sent, _ := n.sendOps(t.Addr, n.wireSelf(), true, repair); sent > 0 {
+		if sent := len(repair) - len(n.sendOps(t.Addr, n.wireSelf(), true, repair)); sent > 0 {
 			n.lm.digestRepairOps.Add(uint64(sent))
 			n.traceEvent("replica.repair", fmt.Sprintf("peer=%s ops=%d", t.Addr, sent))
 		}

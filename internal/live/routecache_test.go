@@ -198,8 +198,8 @@ func TestStaleArcRedirectsWithinTheCall(t *testing.T) {
 			bystander = nd
 		}
 	}
-	// settle is the shortest pause a call that gave up on an attempt would
-	// have slept (lookupProviders 100 ms, insertIndex 200 ms).
+	// settle is the pause a lookupProviders call that gave up on an attempt
+	// would have slept.
 	const settle = 100 * time.Millisecond
 
 	for i, wrong := range []dht.Member{
@@ -227,7 +227,7 @@ func TestStaleArcRedirectsWithinTheCall(t *testing.T) {
 		start = time.Now()
 		viewer.insertIndex(seq)
 		if d := time.Since(start); d >= 2*settle && wrong.Addr == bystander.Addr() {
-			t.Errorf("wrong arc %d: the redirected insert took %v: it used up an attempt", i, d)
+			t.Errorf("wrong arc %d: the redirected insert took %v: it waited instead of routing at once", i, d)
 		}
 		st := viewer.Stats()
 		if st.RouteCacheRedirects-redirects != 2 || st.IndexInsertFailures != 0 {

@@ -57,8 +57,9 @@ type registration struct {
 // routed owner of its first key — the route re-proves the arc the node's
 // other traffic rides on — with the due seqs that owner took or that the
 // proved arc covers. It snapshots the registrations into buf and returns
-// buf for the next tick.
+// buf for the next tick. A tick starts with a custody pass (replication.go).
 func (n *Node) reregister(now time.Time, buf []registration) []registration {
+	n.custody(dht.Member{})
 	n.mu.Lock()
 	refresh := now.Sub(n.refreshed) >= indexTTL/3
 	if refresh {
@@ -109,21 +110,13 @@ func (n *Node) reregister(now time.Time, buf []registration) []registration {
 }
 
 // insertIndex registers this node as a provider of seq at the chunk's
-// coordinator (Algorithm 1, line 8). A failed insert is retried once after
-// a short pause — a forming ring can disown a key it routed to itself — and
-// is then due at the next re-registration tick.
+// coordinator (Algorithm 1, line 8). A failed insert is due at the next
+// re-registration tick (noteAnswer).
 func (n *Node) insertIndex(seq int64) {
 	msg := n.insertFor(uint64(n.cfg.Channel.Ref(seq).ID()), seq, nil)
 	owner, err := n.sendInsert(msg)
 	if err != nil {
-		select {
-		case <-n.closed:
-			return
-		case <-time.After(200 * time.Millisecond):
-		}
-		if owner, err = n.sendInsert(msg); err != nil {
-			n.lm.indexInsertFailures.Inc()
-		}
+		n.lm.indexInsertFailures.Inc()
 	}
 	n.noteAnswer(msg, owner, err)
 }
@@ -712,8 +705,8 @@ func (n *Node) buffer(seq int64, data []byte) (stored bool) {
 // trimActiveWindowLocked drops chunks that fell out of the active window
 // and returns their sequence numbers for unregistration. Caller holds mu.
 func (n *Node) trimActiveWindowLocked() (expired []int64) {
-	if w := n.cfg.ActiveWindow; w > 0 && len(n.chunks) > w {
-		trimBelow(n.chunks, &n.low, n.latestGen-int64(w)+1, func(seq int64) {
+	if len(n.chunks) > n.window {
+		trimBelow(n.chunks, &n.low, n.latestGen-int64(n.window)+1, func(seq int64) {
 			delete(n.regs, seq)
 			expired = append(expired, seq)
 		})

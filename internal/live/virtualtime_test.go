@@ -25,38 +25,39 @@ import (
 // whole of it within a bound of virtual time after it starts — no seq's
 // rows sit where its owner cannot find them until the holders' next
 // refresh. Runs differ only in the order goroutines woken at the same
-// instant run in, so each size runs many times. It runs on Chord: on
-// Kademlia a crowd's row can still miss its owner (ROADMAP item 2).
+// instant run in, so each size runs many times, on each backend.
 func TestCrowdHoldsEveryChunk(t *testing.T) {
-	for _, tc := range []struct {
-		n, runs int
-		within  time.Duration
-	}{
-		{n: 32, runs: 20, within: 2 * time.Second},
-		{n: 128, runs: 5, within: 4 * time.Second},
-	} {
-		failed := 0
-		for run := 0; run < tc.runs; run++ {
-			var err error
-			synctest.Run(func() { err = crowdRun(tc.n, tc.within) })
-			if err != nil {
-				failed++
-				t.Errorf("n=%d run %d: %v", tc.n, run, err)
+	for _, dht := range []string{"chord", "kademlia"} {
+		for _, tc := range []struct {
+			n, runs int
+			within  time.Duration
+		}{
+			{n: 32, runs: 20, within: 2 * time.Second},
+			{n: 128, runs: 5, within: 4 * time.Second},
+		} {
+			failed := 0
+			for run := 0; run < tc.runs; run++ {
+				var err error
+				synctest.Run(func() { err = crowdRun(dht, tc.n, tc.within) })
+				if err != nil {
+					failed++
+					t.Errorf("%s n=%d run %d: %v", dht, tc.n, run, err)
+				}
 			}
-		}
-		if failed > 0 {
-			t.Errorf("n=%d: %d of %d runs left a viewer short after %v", tc.n, failed, tc.runs, tc.within)
+			if failed > 0 {
+				t.Errorf("%s n=%d: %d of %d runs left a viewer short after %v", dht, tc.n, failed, tc.runs, tc.within)
+			}
 		}
 	}
 }
 
-// crowdRun streams 40 × 1 KiB chunks at 40 ms from a source that runs
+// crowdRun streams, on the dht backend, 40 × 1 KiB chunks at 40 ms from a source that runs
 // alone for 1 s, then joins n-1 viewers at once and starts them, and
 // reports the seqs some viewer still lacks once within has passed.
-func crowdRun(n int, within time.Duration) error {
+func crowdRun(dht string, n int, within time.Duration) error {
 	cfg := DefaultNodeConfig()
 	FastLocalTimings(&cfg)
-	cfg.DHT = "chord"
+	cfg.DHT = dht
 	cfg.Channel = stream.Params{Channel: "V", ChunkBits: 8 * 1024, Period: 40 * time.Millisecond, Count: 40}
 	s, err := NewSwarm(SwarmSpec{N: n, Base: cfg})
 	if err != nil {
