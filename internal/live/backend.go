@@ -101,9 +101,9 @@ func (n *Node) routeTo(key uint64) (dht.Route, error) {
 func (n *Node) cachedOwner(key uint64) (dht.Member, bool) {
 	owner, ok := n.routes.Owner(key)
 	if ok {
-		n.lm.routeHits.Inc()
+		n.lm.RouteCacheHits.Inc()
 	} else {
-		n.lm.routeMisses.Inc()
+		n.lm.RouteCacheMisses.Inc()
 	}
 	return owner, ok
 }
@@ -137,7 +137,7 @@ func (n *Node) bounced(owner string, err error) bool {
 		return false
 	}
 	n.routes.Drop(owner)
-	n.lm.routeRedirects.Inc()
+	n.lm.RouteCacheRedirects.Inc()
 	return true
 }
 

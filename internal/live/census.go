@@ -131,7 +131,7 @@ func (n *Node) census() {
 	probe := &wire.CensusProbe{From: self, Digest: digest, Members: view}
 	for i := 0; i < min(censusProbes, len(cands)); i++ {
 		t := cands[(n.censusCursor.Add(1)-1)%uint64(len(cands))]
-		n.lm.censusProbes.Inc()
+		n.lm.CensusProbes.Inc()
 		resp, err := n.call(t.Addr, probe, n.cfg.CallTimeout)
 		if err != nil {
 			continue
@@ -140,7 +140,7 @@ func (n *Node) census() {
 		if !ok {
 			continue
 		}
-		n.lm.censusAnswered.Inc()
+		n.lm.CensusAnswered.Inc()
 		n.noteMembers(cr.From)
 		n.noteMembers(cr.Members...)
 		if lone {
@@ -228,7 +228,7 @@ func (n *Node) maybeMerge(foreign wire.Entry, theirs []wire.Entry, lone bool) {
 	if target.Addr == n.lastMerge && time.Since(n.lastMergeAt) < dht.PeerQuarantine {
 		return // merged with it already; the next census round looks again
 	}
-	n.lm.splitsDetected.Inc()
+	n.lm.SplitsDetected.Inc()
 	n.traceEvent("ring.split", fmt.Sprintf("via=%s owner=%s lone=%v", foreign.Addr, target.Addr, lone))
 
 	// Fold the foreign members into the kernel's tables and let the
@@ -244,8 +244,8 @@ func (n *Node) maybeMerge(foreign wire.Entry, theirs []wire.Entry, lone bool) {
 	}
 	n.kern.Merge(target, others)
 	n.lastMerge, n.lastMergeAt = target.Addr, time.Now()
-	n.lm.ringMerges.Inc()
-	n.lm.mergeSeconds.Observe(time.Since(start).Seconds())
+	n.lm.RingMerges.Inc()
+	n.lm.MergeSeconds.Observe(time.Since(start).Seconds())
 	n.traceEvent("ring.merge", fmt.Sprintf("target=%s lone=%v", target.Addr, lone))
 
 	n.reconcile()

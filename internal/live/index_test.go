@@ -202,7 +202,7 @@ func TestRangeChangeBatchIsSentEvenEmpty(t *testing.T) {
 	a, b := s.Nodes[0], s.Nodes[1]
 	a.onKernRangeChanged(dht.Member{ID: b.ID(), Addr: b.Addr()})
 	// Neither node runs maintenance: the one batch a delivered is this one.
-	waitFor(t, 5*time.Second, "the empty batch to be acknowledged", func() bool { return a.lm.replicateBatches.Value() == 1 })
+	waitFor(t, 5*time.Second, "the empty batch to be acknowledged", func() bool { return a.lm.ReplicateBatches.Value() == 1 })
 	if owners, _ := b.ReplicaCounts(); owners != 0 || replicaSlice(b, a.Addr()) != nil {
 		t.Fatalf("the empty batch left %d replica slices at the new owner", owners)
 	}

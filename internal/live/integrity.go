@@ -49,7 +49,7 @@ func (n *Node) punishPoisoner(addr string, seq int64) {
 
 // noteQuarantined records a quarantine entry (either trigger path).
 func (n *Node) noteQuarantined(addr, why string) {
-	n.lm.peersQuarantined.Inc()
+	n.lm.PeersQuarantined.Inc()
 	n.traceEvent("peer.quarantine", "peer="+addr+" why="+why)
 	n.guard.mu.Lock()
 	n.guard.quarLog[addr] = true
@@ -93,7 +93,7 @@ func (n *Node) reportPollution(target string, seq int64) {
 		Seq:    seq,
 		Target: wire.Entry{ID: dht.IDOf(target), Addr: target},
 	}
-	n.lm.pollutionReportsSent.Inc()
+	n.lm.PollutionReportsSent.Inc()
 	// Untracked goroutine by design (like fetchOnce's hedge legs): it is
 	// bounded by the call timeouts and a closed transport fails it fast.
 	go func() {
@@ -126,7 +126,7 @@ func (n *Node) onPollutionReport(m *wire.PollutionReport) wire.Message {
 	if m.Target.Addr == "" || m.From.Addr == "" || m.From.Addr == m.Target.Addr {
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed pollution report"}
 	}
-	n.lm.pollutionReportsSeen.Inc()
+	n.lm.PollutionReportsSeen.Inc()
 	if m.Target.Addr == n.Addr() {
 		// Accusations against this node are noted (counter above) but it
 		// will not quarantine itself; honest nodes never serve polluted
@@ -257,7 +257,7 @@ var errRateLimited = &wire.Error{Code: wire.CodeBusy, Msg: "live: insert rate li
 // insertToken charges holder cost tokens against the per-holder rate limit.
 func (n *Node) insertToken(holder string, cost int) bool {
 	if rate := n.cfg.InsertRate; rate > 0 && !n.guard.takeInsertToken(holder, cost, rate, time.Now()) {
-		n.lm.insertsRateLimited.Inc()
+		n.lm.InsertsRateLimited.Inc()
 		return false
 	}
 	return true
@@ -268,11 +268,11 @@ func (n *Node) insertToken(holder string, cost int) bool {
 // newest seq this node generated or buffered (-1 = no idea). nil = allowed.
 func (n *Node) rowRefused(holder string, seq int64) *wire.Error {
 	if n.health.Quarantined(holder) {
-		n.lm.insertsRejected.Inc()
+		n.lm.InsertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: holder quarantined"}
 	}
 	if edge := n.LatestGenerated(); edge >= 0 && seq > edge+insertHorizon {
-		n.lm.insertsRejected.Inc()
+		n.lm.InsertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: seq beyond live-edge horizon"}
 	}
 	return nil

@@ -260,7 +260,7 @@ func TestGracefulLeaveWithEmptyIndexSendsNothing(t *testing.T) {
 	if err := leaver.Leave(); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
-	if sent := leaver.lm.replicateBatches.Value(); sent != 0 {
+	if sent := leaver.lm.ReplicateBatches.Value(); sent != 0 {
 		t.Fatalf("an empty leave sent %d batches", sent)
 	}
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -16,272 +17,209 @@ import (
 // dco_kad_* (Kademlia table state, internal/kademlia). Counters end in
 // _total; histograms carry base units (_seconds); gauges are bare nouns.
 
-// liveMetrics is the node's metric set on one telemetry registry. A node
+// liveMetrics is the node's metric set on one telemetry registry. Each
+// counter and histogram is declared once, here: the field's tag is its
+// metric name, newLiveMetrics registers every tagged field, and Stats()
+// copies each counter whose field name matches a Stats field. A node
 // without a configured registry gets a private one, so every counter is
 // always a real atomic — Stats() reads them lock-free either way, and the
-// chunk serve path never takes n.mu just to count.
+// chunk serve path never takes n.mu just to count. Every histogram uses
+// telemetry.DefLatencyBuckets.
 type liveMetrics struct {
 	reg   *telemetry.Registry
 	trace *telemetry.Trace
 
-	lookupsServed  *telemetry.Counter
-	lookupsHeld    *telemetry.Counter // lookups parked because every usable provider was at its cap
-	insertsServed  *telemetry.Counter
-	chunksServed   *telemetry.Counter
-	chunksFetched  *telemetry.Counter
-	fetchRetries   *telemetry.Counter
-	busyRejections *telemetry.Counter
+	LookupsServed  *telemetry.Counter `metric:"dco_live_lookups_served_total"`
+	LookupsHeld    *telemetry.Counter `metric:"dco_live_lookups_held_total"` // lookups parked because every usable provider was at its cap
+	InsertsServed  *telemetry.Counter `metric:"dco_live_inserts_served_total"`
+	ChunksServed   *telemetry.Counter `metric:"dco_live_chunks_served_total"`
+	ChunksFetched  *telemetry.Counter `metric:"dco_live_chunks_fetched_total"`
+	FetchRetries   *telemetry.Counter `metric:"dco_live_fetch_retries_total"`
+	ChunksShedBusy *telemetry.Counter `metric:"dco_live_busy_rejections_total"`
 
 	// Admission control (admission.go): serves that found the chunk gone,
 	// serves paced by the upload budget, chunks a viewer gave up on past
 	// its playback horizon, and Busy nacks seen from the viewer side
 	// (split by whether the provider attached a RetryAfterMs hint).
-	chunksMissed      *telemetry.Counter
-	pacedServes       *telemetry.Counter
-	chunksAbandoned   *telemetry.Counter
-	busyNacks         *telemetry.Counter
-	busyNacksHintless *telemetry.Counter
+	ChunksMissed      *telemetry.Counter `metric:"dco_live_chunks_missed_total"`
+	PacedServes       *telemetry.Counter `metric:"dco_live_paced_serves_total"`
+	ChunksAbandoned   *telemetry.Counter `metric:"dco_live_chunks_abandoned_total"`
+	BusyNacksSeen     *telemetry.Counter `metric:"dco_live_busy_nacks_total"`
+	BusyNacksHintless *telemetry.Counter `metric:"dco_live_busy_nacks_hintless_total"`
 
 	// Gray-failure defense (streamer.go hedging + protocol.go deadline
 	// sheds): hedges launched past the primary's latency estimate, hedges
 	// whose duplicate answered first, losers left in flight after a win,
 	// and serves shed because the requester's propagated deadline could no
 	// longer be met.
-	hedgesLaunched  *telemetry.Counter
-	hedgeWins       *telemetry.Counter
-	hedgesCancelled *telemetry.Counter
-	deadlineSheds   *telemetry.Counter
+	HedgesLaunched  *telemetry.Counter `metric:"dco_live_hedges_launched_total"`
+	HedgeWins       *telemetry.Counter `metric:"dco_live_hedge_wins_total"`
+	HedgesCancelled *telemetry.Counter `metric:"dco_live_hedges_cancelled_total"`
+	DeadlineSheds   *telemetry.Counter `metric:"dco_live_deadline_sheds_total"`
 
-	lookupFailovers      *telemetry.Counter
-	providersBlacklisted *telemetry.Counter
-	rpcRetries           *telemetry.Counter
-	retryBackoffNs       *telemetry.Counter
-	breakerOpens         *telemetry.Counter
-	breakerCloses        *telemetry.Counter
+	LookupFailovers      *telemetry.Counter `metric:"dco_live_lookup_failovers_total"`
+	ProvidersBlacklisted *telemetry.Counter `metric:"dco_live_providers_blacklisted_total"`
+	CallRetries          *telemetry.Counter `metric:"dco_retry_attempts_total"`
+	RetryBackoffNs       *telemetry.Counter `metric:"dco_retry_backoff_ns_total"`
+	BreakerOpens         *telemetry.Counter `metric:"dco_breaker_opens_total"`
+	BreakerCloses        *telemetry.Counter `metric:"dco_breaker_closes_total"`
 
-	republishes *telemetry.Counter
+	Republishes *telemetry.Counter `metric:"dco_live_republishes_total"`
 
 	// Owner-arc cache (backend.go): index requests sent along a cached arc,
 	// requests that had to route first, requests a cached owner bounced (a
-	// stale arc: one extra round trip) — and index inserts given up on
-	// after both attempts.
-	routeHits           *telemetry.Counter
-	routeMisses         *telemetry.Counter
-	routeRedirects      *telemetry.Counter
-	indexInsertFailures *telemetry.Counter
+	// stale arc: one extra round trip) — and fresh index inserts that
+	// failed.
+	RouteCacheHits      *telemetry.Counter `metric:"dco_live_route_cache_hits_total"`
+	RouteCacheMisses    *telemetry.Counter `metric:"dco_live_route_cache_misses_total"`
+	RouteCacheRedirects *telemetry.Counter `metric:"dco_live_route_cache_redirects_total"`
+	IndexInsertFailures *telemetry.Counter `metric:"dco_live_index_insert_failures_total"`
 
 	// Replication layer (replication.go): batch/op volume out, ops folded
 	// in, takeover promotions, anti-entropy repair volume, lease expiry,
 	// and the byte meters the write-amplification benchmark reads.
-	replicateOps      *telemetry.Counter
-	replicateBatches  *telemetry.Counter
-	replicaOpsApplied *telemetry.Counter
-	takeovers         *telemetry.Counter
-	takeoverEntries   *telemetry.Counter
-	digestRounds      *telemetry.Counter
-	digestRepairOps   *telemetry.Counter
-	indexExpired      *telemetry.Counter
-	lookupFailures    *telemetry.Counter
-	indexInsertBytes  *telemetry.Counter
-	replicateBytes    *telemetry.Counter
-	digestBytes       *telemetry.Counter
+	ReplicateOps      *telemetry.Counter `metric:"dco_live_replicate_ops_total"`
+	ReplicateBatches  *telemetry.Counter `metric:"dco_live_replicate_batches_total"`
+	ReplicaOpsApplied *telemetry.Counter `metric:"dco_live_replica_ops_applied_total"`
+	IndexTakeovers    *telemetry.Counter `metric:"dco_live_takeovers_total"`
+	TakeoverEntries   *telemetry.Counter `metric:"dco_live_takeover_entries_total"`
+	DigestRounds      *telemetry.Counter `metric:"dco_live_digest_rounds_total"`
+	DigestRepairs     *telemetry.Counter `metric:"dco_live_digest_repair_ops_total"`
+	ProvidersExpired  *telemetry.Counter `metric:"dco_live_index_expired_total"`
+	LookupFailures    *telemetry.Counter `metric:"dco_live_lookup_failures_total"`
+	IndexInsertBytes  *telemetry.Counter `metric:"dco_live_index_insert_bytes_total"`
+	ReplicateBytes    *telemetry.Counter `metric:"dco_live_replicate_bytes_total"`
+	DigestBytes       *telemetry.Counter `metric:"dco_live_digest_bytes_total"`
 
 	// Ring census & split-brain merge (census.go): probes sent/answered,
 	// confirmed split detections, and completed merge protocols.
-	censusProbes   *telemetry.Counter
-	censusAnswered *telemetry.Counter
-	splitsDetected *telemetry.Counter
-	ringMerges     *telemetry.Counter
+	CensusProbes   *telemetry.Counter `metric:"dco_live_census_probes_total"`
+	CensusAnswered *telemetry.Counter `metric:"dco_live_census_answered_total"`
+	SplitsDetected *telemetry.Counter `metric:"dco_live_splits_detected_total"`
+	RingMerges     *telemetry.Counter `metric:"dco_live_ring_merges_total"`
 
 	// Pollution defense (integrity.go): chunks dropped at the buffer choke
 	// point, peers this node quarantined, index inserts rejected by the
 	// hardening gate (rate limit counted separately), pollution reports in
 	// both directions, and load reports the contradiction clamps discounted.
-	integrityRejects     *telemetry.Counter
-	peersQuarantined     *telemetry.Counter
-	insertsRateLimited   *telemetry.Counter
-	insertsRejected      *telemetry.Counter
-	pollutionReportsSent *telemetry.Counter
-	pollutionReportsSeen *telemetry.Counter
-	loadReportsClamped   *telemetry.Counter
+	IntegrityRejects     *telemetry.Counter `metric:"dco_live_integrity_rejects_total"`
+	PeersQuarantined     *telemetry.Counter `metric:"dco_live_peers_quarantined_total"`
+	InsertsRateLimited   *telemetry.Counter `metric:"dco_live_inserts_rate_limited_total"`
+	InsertsRejected      *telemetry.Counter `metric:"dco_live_inserts_rejected_total"`
+	PollutionReportsSent *telemetry.Counter `metric:"dco_live_pollution_reports_sent_total"`
+	PollutionReportsSeen *telemetry.Counter `metric:"dco_live_pollution_reports_total"`
+	LoadReportsClamped   *telemetry.Counter `metric:"dco_live_load_reports_discounted_total"`
 
-	// chunkFetchSeconds is the per-chunk acquisition latency — from the
+	// ChunkFetchSeconds is the per-chunk acquisition latency — from the
 	// moment a viewer starts working on a chunk until it is buffered,
 	// lookup wait and provider failovers included. This is the live
 	// analogue of the paper's mesh-delay metric (metric 1), observed as a
 	// distribution instead of the simulator's whole-network mean.
-	chunkFetchSeconds *telemetry.Histogram
-	lookupSeconds     *telemetry.Histogram
+	ChunkFetchSeconds *telemetry.Histogram `metric:"dco_live_chunk_fetch_seconds"`
+	LookupSeconds     *telemetry.Histogram `metric:"dco_live_lookup_seconds"`
 
-	// replicationLag is the queue-to-flush delay of replicated index ops:
+	// ReplicationLag is the queue-to-flush delay of replicated index ops:
 	// how stale a replica can be when its owner dies (the takeover window).
-	replicationLag *telemetry.Histogram
+	ReplicationLag *telemetry.Histogram `metric:"dco_live_replication_lag_seconds"`
 
-	// serveQueueSeconds is the pace delay admitted chunk serves sat out
+	// ServeQueueSeconds is the pace delay admitted chunk serves sat out
 	// before sending — the provider-side half of admission latency.
-	serveQueueSeconds *telemetry.Histogram
+	ServeQueueSeconds *telemetry.Histogram `metric:"dco_live_serve_queue_seconds"`
 
-	// mergeSeconds is the duration of one split-brain merge protocol run:
+	// MergeSeconds is the duration of one split-brain merge protocol run:
 	// confirmation lookup through table folding, notifies, and post-merge
 	// index reconciliation.
-	mergeSeconds *telemetry.Histogram
+	MergeSeconds *telemetry.Histogram `metric:"dco_live_merge_seconds"`
 }
 
-// newLiveMetrics registers the node's metric set on reg (creating a
-// private registry when nil — counters must exist for Stats() even on
-// uninstrumented nodes). Registries are per node: two nodes sharing one
-// would share counters.
+// newLiveMetrics registers every tagged field of the node's metric set on
+// reg (creating a private registry when nil — counters must exist for
+// Stats() even on uninstrumented nodes). Registries are per node: two
+// nodes sharing one would share counters.
 func newLiveMetrics(reg *telemetry.Registry, tr *telemetry.Trace) *liveMetrics {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	return &liveMetrics{
-		reg:   reg,
-		trace: tr,
-
-		lookupsServed:  reg.Counter("dco_live_lookups_served_total"),
-		lookupsHeld:    reg.Counter("dco_live_lookups_held_total"),
-		insertsServed:  reg.Counter("dco_live_inserts_served_total"),
-		chunksServed:   reg.Counter("dco_live_chunks_served_total"),
-		chunksFetched:  reg.Counter("dco_live_chunks_fetched_total"),
-		fetchRetries:   reg.Counter("dco_live_fetch_retries_total"),
-		busyRejections: reg.Counter("dco_live_busy_rejections_total"),
-
-		chunksMissed:      reg.Counter("dco_live_chunks_missed_total"),
-		pacedServes:       reg.Counter("dco_live_paced_serves_total"),
-		chunksAbandoned:   reg.Counter("dco_live_chunks_abandoned_total"),
-		busyNacks:         reg.Counter("dco_live_busy_nacks_total"),
-		busyNacksHintless: reg.Counter("dco_live_busy_nacks_hintless_total"),
-
-		hedgesLaunched:  reg.Counter("dco_live_hedges_launched_total"),
-		hedgeWins:       reg.Counter("dco_live_hedge_wins_total"),
-		hedgesCancelled: reg.Counter("dco_live_hedges_cancelled_total"),
-		deadlineSheds:   reg.Counter("dco_live_deadline_sheds_total"),
-
-		lookupFailovers:      reg.Counter("dco_live_lookup_failovers_total"),
-		providersBlacklisted: reg.Counter("dco_live_providers_blacklisted_total"),
-		rpcRetries:           reg.Counter("dco_retry_attempts_total"),
-		retryBackoffNs:       reg.Counter("dco_retry_backoff_ns_total"),
-		breakerOpens:         reg.Counter("dco_breaker_opens_total"),
-		breakerCloses:        reg.Counter("dco_breaker_closes_total"),
-
-		republishes: reg.Counter("dco_live_republishes_total"),
-
-		routeHits:           reg.Counter("dco_live_route_cache_hits_total"),
-		routeMisses:         reg.Counter("dco_live_route_cache_misses_total"),
-		routeRedirects:      reg.Counter("dco_live_route_cache_redirects_total"),
-		indexInsertFailures: reg.Counter("dco_live_index_insert_failures_total"),
-
-		replicateOps:      reg.Counter("dco_live_replicate_ops_total"),
-		replicateBatches:  reg.Counter("dco_live_replicate_batches_total"),
-		replicaOpsApplied: reg.Counter("dco_live_replica_ops_applied_total"),
-		takeovers:         reg.Counter("dco_live_takeovers_total"),
-		takeoverEntries:   reg.Counter("dco_live_takeover_entries_total"),
-		digestRounds:      reg.Counter("dco_live_digest_rounds_total"),
-		digestRepairOps:   reg.Counter("dco_live_digest_repair_ops_total"),
-		indexExpired:      reg.Counter("dco_live_index_expired_total"),
-		lookupFailures:    reg.Counter("dco_live_lookup_failures_total"),
-		indexInsertBytes:  reg.Counter("dco_live_index_insert_bytes_total"),
-		replicateBytes:    reg.Counter("dco_live_replicate_bytes_total"),
-		digestBytes:       reg.Counter("dco_live_digest_bytes_total"),
-
-		censusProbes:   reg.Counter("dco_live_census_probes_total"),
-		censusAnswered: reg.Counter("dco_live_census_answered_total"),
-		splitsDetected: reg.Counter("dco_live_splits_detected_total"),
-		ringMerges:     reg.Counter("dco_live_ring_merges_total"),
-
-		integrityRejects:     reg.Counter("dco_live_integrity_rejects_total"),
-		peersQuarantined:     reg.Counter("dco_live_peers_quarantined_total"),
-		insertsRateLimited:   reg.Counter("dco_live_inserts_rate_limited_total"),
-		insertsRejected:      reg.Counter("dco_live_inserts_rejected_total"),
-		pollutionReportsSent: reg.Counter("dco_live_pollution_reports_sent_total"),
-		pollutionReportsSeen: reg.Counter("dco_live_pollution_reports_total"),
-		loadReportsClamped:   reg.Counter("dco_live_load_reports_discounted_total"),
-
-		chunkFetchSeconds: reg.Histogram("dco_live_chunk_fetch_seconds", telemetry.DefLatencyBuckets),
-		lookupSeconds:     reg.Histogram("dco_live_lookup_seconds", telemetry.DefLatencyBuckets),
-		replicationLag:    reg.Histogram("dco_live_replication_lag_seconds", telemetry.DefLatencyBuckets),
-		serveQueueSeconds: reg.Histogram("dco_live_serve_queue_seconds", telemetry.DefLatencyBuckets),
-		mergeSeconds:      reg.Histogram("dco_live_merge_seconds", telemetry.DefLatencyBuckets),
+	lm := &liveMetrics{reg: reg, trace: tr}
+	v := reflect.ValueOf(lm).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Tag.Get("metric"); name != "" {
+			switch p := v.Field(i).Addr().Interface().(type) {
+			case **telemetry.Counter:
+				*p = reg.Counter(name)
+			case **telemetry.Histogram:
+				*p = reg.Histogram(name, telemetry.DefLatencyBuckets)
+			}
+		}
 	}
+	return lm
+}
+
+// statCounters pairs the index of each Stats field with that of the
+// liveMetrics counter of the same name, resolved once; Stats() copies the
+// counters along these pairs.
+var statCounters = func() (pairs [][2]int) {
+	lm, st := reflect.TypeOf(liveMetrics{}), reflect.TypeOf(Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		if f, ok := lm.FieldByName(st.Field(i).Name); ok {
+			pairs = append(pairs, [2]int{i, f.Index[0]})
+		}
+	}
+	return pairs
+}()
+
+// Stats returns a snapshot of the node's counters, read lock-free from
+// the telemetry registry, and of the peer table's current counts.
+func (n *Node) Stats() Stats {
+	suspected, quarantined, _ := n.health.Counts()
+	st := Stats{SuspectedPeers: uint64(suspected), QuarantinedPeers: uint64(quarantined)}
+	out, lm := reflect.ValueOf(&st).Elem(), reflect.ValueOf(n.lm).Elem()
+	for _, p := range statCounters {
+		out.Field(p[0]).SetUint(lm.Field(p[1]).Interface().(*telemetry.Counter).Value())
+	}
+	return st
 }
 
 // registerGauges installs the scrape-time computed gauges: the node's view
 // of the paper's fill-ratio and delivered-percentage metrics plus table
 // sizes. They lock n.mu only when scraped.
 func (n *Node) registerGauges() {
-	reg := n.lm.reg
-	reg.GaugeFunc("dco_live_buffered_chunks", func() float64 {
-		return float64(n.ChunkCount())
-	})
-	reg.GaugeFunc("dco_live_fill_ratio", func() float64 {
-		have, want := n.fillState()
-		if want == 0 {
-			return 0
-		}
-		r := float64(have) / float64(want)
-		if r > 1 {
-			r = 1
-		}
-		return r
-	})
-	reg.GaugeFunc("dco_live_delivered_percent", func() float64 {
-		_, want := n.fillState()
-		if want == 0 {
-			return 0
-		}
-		var got uint64
-		if n.cfg.Source {
-			got = uint64(want) // the source holds everything it generated
-		} else {
-			got = n.lm.chunksFetched.Value()
-		}
-		p := 100 * float64(got) / float64(want)
-		if p > 100 {
-			p = 100
-		}
-		return p
-	})
-	reg.GaugeFunc("dco_live_load_milli", func() float64 {
-		return float64(n.pace.loadMilli())
-	})
-	reg.GaugeFunc("dco_live_admit_queue_depth", func() float64 {
-		return float64(n.pace.queueDepth())
-	})
-	reg.GaugeFunc("dco_live_index_entries", func() float64 {
-		return float64(n.idx.Len())
-	})
-	reg.GaugeFunc("dco_live_blacklist_size", func() float64 {
-		_, _, cooling := n.health.Counts()
-		return float64(cooling)
-	})
-	reg.GaugeFunc("dco_live_suspected_peers", func() float64 {
-		suspected, _, _ := n.health.Counts()
-		return float64(suspected)
-	})
-	reg.GaugeFunc("dco_live_quarantined_peers", func() float64 {
-		_, quarantined, _ := n.health.Counts()
-		return float64(quarantined)
-	})
-	// The registry has no labels, so the per-peer integrity demerit gauge
-	// is surfaced as the worst score across peers — enough to alarm on.
-	reg.GaugeFunc("dco_live_integrity_demerits_max", func() float64 {
-		return n.health.MaxIntegrityScore()
-	})
-	reg.GaugeFunc("dco_live_replica_owners", func() float64 {
-		owners, _ := n.ReplicaCounts()
-		return float64(owners)
-	})
-	reg.GaugeFunc("dco_live_replica_entries", func() float64 {
-		_, entries := n.ReplicaCounts()
-		return float64(entries)
-	})
-	reg.GaugeFunc("dco_live_member_cache_size", func() float64 {
-		return float64(n.MemberCacheLen())
-	})
-	reg.GaugeFunc("dco_live_foreign_members", func() float64 {
-		return float64(n.ForeignMembers())
-	})
+	for name, fn := range map[string]func() float64{
+		"dco_live_buffered_chunks": func() float64 { return float64(n.ChunkCount()) },
+		"dco_live_fill_ratio":      func() float64 { return share(n.fillState()) },
+		"dco_live_delivered_percent": func() float64 {
+			_, want := n.fillState()
+			got := int64(n.lm.ChunksFetched.Value())
+			if n.cfg.Source {
+				got = want // the source holds everything it generated
+			}
+			return 100 * share(got, want)
+		},
+		"dco_live_load_milli":        func() float64 { return float64(n.pace.loadMilli()) },
+		"dco_live_admit_queue_depth": func() float64 { return float64(n.pace.queueDepth()) },
+		"dco_live_index_entries":     func() float64 { return float64(n.idx.Len()) },
+		"dco_live_blacklist_size":    func() float64 { _, _, c := n.health.Counts(); return float64(c) },
+		"dco_live_suspected_peers":   func() float64 { s, _, _ := n.health.Counts(); return float64(s) },
+		"dco_live_quarantined_peers": func() float64 { _, q, _ := n.health.Counts(); return float64(q) },
+		// The registry has no labels, so the per-peer integrity demerit
+		// gauge is surfaced as the worst score across peers — enough to
+		// alarm on.
+		"dco_live_integrity_demerits_max": n.health.MaxIntegrityScore,
+		"dco_live_replica_owners":         func() float64 { o, _ := n.ReplicaCounts(); return float64(o) },
+		"dco_live_replica_entries":        func() float64 { _, e := n.ReplicaCounts(); return float64(e) },
+		"dco_live_member_cache_size":      func() float64 { return float64(n.MemberCacheLen()) },
+		"dco_live_foreign_members":        func() float64 { return float64(n.ForeignMembers()) },
+	} {
+		n.lm.reg.GaugeFunc(name, fn)
+	}
+}
+
+// share is got/want capped at 1, and 0 while nothing is wanted.
+func share(got, want int64) float64 {
+	if want == 0 {
+		return 0
+	}
+	return min(float64(got)/float64(want), 1)
 }
 
 // fillState returns (chunks held, chunks the node should currently hold):
@@ -300,8 +238,8 @@ func (n *Node) fillState() (have, want int64) {
 // onRetry and onCircuit are the retrier's and the peer table's observer
 // seams: retries and circuit transitions, counted and traced.
 func (n *Node) onRetry(addr string, attempt int, pause time.Duration, err error) {
-	n.lm.rpcRetries.Inc()
-	n.lm.retryBackoffNs.Add(uint64(pause))
+	n.lm.CallRetries.Inc()
+	n.lm.RetryBackoffNs.Add(uint64(pause))
 	if n.lm.trace != nil {
 		n.traceEvent("rpc.retry", fmt.Sprintf("peer=%s attempt=%d pause=%s err=%v", addr, attempt, pause, err))
 	}
@@ -309,10 +247,10 @@ func (n *Node) onRetry(addr string, attempt int, pause time.Duration, err error)
 
 func (n *Node) onCircuit(addr string, opened bool) {
 	if opened {
-		n.lm.breakerOpens.Inc()
+		n.lm.BreakerOpens.Inc()
 		n.traceEvent("breaker.open", addr)
 	} else {
-		n.lm.breakerCloses.Inc()
+		n.lm.BreakerCloses.Inc()
 		n.traceEvent("breaker.close", addr)
 	}
 }

@@ -132,9 +132,8 @@ type Config struct {
 	// Hedge enables hedged chunk fetches (gray-failure defense): when a
 	// GetChunk to the chosen provider runs past the peer's p95-ish latency
 	// estimate, one duplicate request is launched at the next-best
-	// provider and the first response wins. Off by default so explicitly
-	// constructed configs keep their exact pre-hedging call pattern;
-	// DefaultNodeConfig turns it on.
+	// provider and the first response wins. DefaultNodeConfig turns it on;
+	// graychaos runs the same faults with it off and on.
 	Hedge bool
 
 	// InsertRate caps how many index Inserts per second a coordinator
@@ -311,8 +310,9 @@ type Node struct {
 	lm *liveMetrics
 }
 
-// Stats aggregates a node's protocol activity. It is a compatibility
-// snapshot assembled from the telemetry counters — the registry is the
+// Stats aggregates a node's protocol activity. Each field but the two
+// peer-table counts (SuspectedPeers, QuarantinedPeers) is read from the
+// liveMetrics counter of the same name (metrics.go): the registry is the
 // single source of truth.
 type Stats struct {
 	LookupsServed uint64
@@ -441,56 +441,6 @@ func (n *Node) ID() uint64 { return n.self.ID }
 
 // DHTName identifies the routing backend this node runs on.
 func (n *Node) DHTName() string { return n.kern.Name() }
-
-// Stats returns a snapshot of the node's counters, assembled lock-free
-// from the telemetry registry.
-func (n *Node) Stats() Stats {
-	suspected, quarantined, _ := n.health.Counts()
-	return Stats{
-		LookupsServed:        n.lm.lookupsServed.Value(),
-		LookupsHeld:          n.lm.lookupsHeld.Value(),
-		InsertsServed:        n.lm.insertsServed.Value(),
-		ChunksServed:         n.lm.chunksServed.Value(),
-		ChunksFetched:        n.lm.chunksFetched.Value(),
-		FetchRetries:         n.lm.fetchRetries.Value(),
-		ChunksMissed:         n.lm.chunksMissed.Value(),
-		ChunksShedBusy:       n.lm.busyRejections.Value(),
-		ChunksAbandoned:      n.lm.chunksAbandoned.Value(),
-		BusyNacksSeen:        n.lm.busyNacks.Value(),
-		BusyNacksHintless:    n.lm.busyNacksHintless.Value(),
-		PacedServes:          n.lm.pacedServes.Value(),
-		CallRetries:          n.lm.rpcRetries.Value(),
-		BreakerOpens:         n.lm.breakerOpens.Value(),
-		LookupFailovers:      n.lm.lookupFailovers.Value(),
-		ProvidersBlacklisted: n.lm.providersBlacklisted.Value(),
-		HedgesLaunched:       n.lm.hedgesLaunched.Value(),
-		HedgeWins:            n.lm.hedgeWins.Value(),
-		HedgesCancelled:      n.lm.hedgesCancelled.Value(),
-		DeadlineSheds:        n.lm.deadlineSheds.Value(),
-		SuspectedPeers:       uint64(suspected),
-		ReplicaOpsApplied:    n.lm.replicaOpsApplied.Value(),
-		IndexTakeovers:       n.lm.takeovers.Value(),
-		DigestRepairs:        n.lm.digestRepairOps.Value(),
-		ProvidersExpired:     n.lm.indexExpired.Value(),
-		LookupFailures:       n.lm.lookupFailures.Value(),
-		RouteCacheHits:       n.lm.routeHits.Value(),
-		RouteCacheRedirects:  n.lm.routeRedirects.Value(),
-		IndexInsertFailures:  n.lm.indexInsertFailures.Value(),
-		SplitsDetected:       n.lm.splitsDetected.Value(),
-		RingMerges:           n.lm.ringMerges.Value(),
-		IndexInsertBytes:     n.lm.indexInsertBytes.Value(),
-		ReplicateBytes:       n.lm.replicateBytes.Value(),
-		DigestBytes:          n.lm.digestBytes.Value(),
-		IntegrityRejects:     n.lm.integrityRejects.Value(),
-		PeersQuarantined:     n.lm.peersQuarantined.Value(),
-		QuarantinedPeers:     uint64(quarantined),
-		InsertsRateLimited:   n.lm.insertsRateLimited.Value(),
-		InsertsRejected:      n.lm.insertsRejected.Value(),
-		PollutionReportsSent: n.lm.pollutionReportsSent.Value(),
-		PollutionReportsSeen: n.lm.pollutionReportsSeen.Value(),
-		LoadReportsClamped:   n.lm.loadReportsClamped.Value(),
-	}
-}
 
 // HasChunk reports whether the node buffered seq.
 func (n *Node) HasChunk(seq int64) bool {
@@ -770,8 +720,8 @@ func (n *Node) peerCondemned(addr string, err error) bool {
 // failure evidence is conclusive; maintenance re-adds the peer if it was
 // only a hiccup after all. A condemned peer whose key range fell to this
 // node triggers index takeover: a custody pass moves every replicated entry
-// this node now owns into its own index (a dead peer whose range went
-// elsewhere promotes nothing). A send of that pass can fail and land here.
+// this node now owns into its own index. A dead peer whose range went
+// elsewhere starts no pass. A send of that pass can fail and land here.
 func (n *Node) noteCallFailure(addr string, err error) {
 	if !n.peerCondemned(addr, err) {
 		return
@@ -779,7 +729,9 @@ func (n *Node) noteCallFailure(addr string, err error) {
 	n.routes.Drop(addr)
 	n.kern.PeerFailed(addr)
 	n.traceEvent("ring.purge", "peer="+addr)
-	go n.custody(dht.Member{})
+	if n.kern.Owns(dht.IDOf(addr)) {
+		go n.custody(dht.Member{})
+	}
 }
 
 // ---------------------------------------------------------------------------

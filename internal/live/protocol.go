@@ -73,7 +73,7 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 			return errNotOwner
 		}
 		if first {
-			n.lm.lookupsServed.Inc()
+			n.lm.LookupsServed.Inc()
 		}
 		// Capacity-weighted selection (index.Table.Select): skip saturated
 		// providers and those at their cap, rotate through the low-load
@@ -82,14 +82,14 @@ func (n *Node) onLookup(m *wire.Lookup) wire.Message {
 		// clean provider may register before the deadline.
 		providers, expired, w, reopen := n.idx.Select(m.Key, m.Seq, 3, time.Now())
 		if expired > 0 {
-			n.lm.indexExpired.Add(uint64(expired))
+			n.lm.ProvidersExpired.Add(uint64(expired))
 		}
 		if len(providers) > 0 {
 			return &wire.LookupResp{Seq: m.Seq, Providers: providers}
 		}
 		if !held && !reopen.IsZero() {
 			held = true
-			n.lm.lookupsHeld.Inc()
+			n.lm.LookupsHeld.Inc()
 		}
 		if remain := time.Until(deadline); remain > 0 {
 			if !reopen.IsZero() {
@@ -139,7 +139,7 @@ func (n *Node) onInsert(m *wire.Insert) wire.Message {
 	if !n.kern.Owns(m.Key) {
 		return errNotOwner
 	}
-	n.lm.insertsServed.Inc()
+	n.lm.InsertsServed.Inc()
 	n.noteMembers(m.Holder)
 	if !n.insertToken(m.Holder.Addr, 1+len(m.More)/refreshesPerToken) {
 		return errRateLimited
@@ -189,7 +189,7 @@ func (n *Node) insertRow(key uint64, seq int64, row index.Row, now time.Time, ch
 		return errRateLimited
 	}
 	if _, ok := n.register(key, seq, row, now); !ok {
-		n.lm.insertsRejected.Inc()
+		n.lm.InsertsRejected.Inc()
 		return &wire.Error{Code: wire.CodeBadRequest, Msg: "live: provider cap reached"}
 	}
 	return nil
@@ -214,7 +214,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 	data, ok := n.chunks[m.Seq]
 	n.mu.Unlock()
 	if !ok {
-		n.lm.chunksMissed.Inc()
+		n.lm.ChunksMissed.Inc()
 		n.traceSeq("chunk.miss", m.Seq)
 		return &wire.ChunkResp{Seq: m.Seq, LoadMilli: n.reportLoadMilli()}
 	}
@@ -240,11 +240,11 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 	}
 	wait, retry, admitted := n.pace.admit(len(data), patience)
 	if !admitted {
-		n.lm.busyRejections.Inc()
+		n.lm.ChunksShedBusy.Inc()
 		if deadlineBound {
 			// The deadline budget was the binding constraint: this serve was
 			// shed specifically because the answer could not arrive in time.
-			n.lm.deadlineSheds.Inc()
+			n.lm.DeadlineSheds.Inc()
 		}
 		if n.lm.trace != nil {
 			n.traceEvent("chunk.shed", fmt.Sprintf("seq=%d retry=%s", m.Seq, retry))
@@ -257,8 +257,8 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 		}
 	}
 	if wait > 0 {
-		n.lm.pacedServes.Inc()
-		n.lm.serveQueueSeconds.Observe(wait.Seconds())
+		n.lm.PacedServes.Inc()
+		n.lm.ServeQueueSeconds.Observe(wait.Seconds())
 		select {
 		case <-time.After(wait):
 			n.pace.release(true)
@@ -267,7 +267,7 @@ func (n *Node) onGetChunk(m *wire.GetChunk) wire.Message {
 			return &wire.Error{Code: wire.CodeShutdown, Msg: "shutting down"}
 		}
 	}
-	n.lm.chunksServed.Inc()
+	n.lm.ChunksServed.Inc()
 	n.traceSeq("chunk.serve", m.Seq)
 	return &wire.ChunkResp{Seq: m.Seq, OK: true, Data: data, LoadMilli: n.reportLoadMilli()}
 }

@@ -145,8 +145,8 @@ func (n *Node) sendOps(addr string, owner wire.Entry, full bool, ops []wire.Repl
 		batch := &wire.ReplicateBatch{Owner: owner, Full: full, Ops: ops[:cut]}
 		switch _, err := n.callIdem(addr, batch, n.cfg.CallTimeout); {
 		case err == nil:
-			n.lm.replicateBatches.Inc()
-			n.lm.replicateBytes.Add(frameBytes(batch))
+			n.lm.ReplicateBatches.Inc()
+			n.lm.ReplicateBytes.Add(frameBytes(batch))
 		case wire.IsNotOwner(err): // its arc, if cached, is stale
 			n.routes.Drop(addr)
 			fallthrough
@@ -171,9 +171,9 @@ func (n *Node) replicateFlush() {
 		return // ring of one: nobody to replicate to yet
 	}
 	for _, t := range targets {
-		n.lm.replicateOps.Add(uint64(len(ops) - len(n.sendOps(t.Addr, n.wireSelf(), false, ops))))
+		n.lm.ReplicateOps.Add(uint64(len(ops) - len(n.sendOps(t.Addr, n.wireSelf(), false, ops))))
 	}
-	n.lm.replicationLag.Observe(time.Since(since).Seconds())
+	n.lm.ReplicationLag.Observe(time.Since(since).Seconds())
 }
 
 // onReplicateBatch files a batch's rows in the index its Owner names.
@@ -187,7 +187,7 @@ func (n *Node) onReplicateBatch(m *wire.ReplicateBatch) wire.Message {
 	if len(m.Ops) == 0 {
 		return &wire.Ack{}
 	}
-	n.lm.replicaOpsApplied.Add(uint64(len(m.Ops)))
+	n.lm.ReplicaOpsApplied.Add(uint64(len(m.Ops)))
 	now := time.Now()
 	if m.Owner.Addr == n.self.Addr {
 		var resp wire.Message = &wire.Ack{}
@@ -257,8 +257,8 @@ func (n *Node) custody(hint dht.Member) {
 		}
 	}
 	if promoted > 0 {
-		n.lm.takeoverEntries.Add(uint64(promoted))
-		n.lm.takeovers.Inc()
+		n.lm.TakeoverEntries.Add(uint64(promoted))
+		n.lm.IndexTakeovers.Inc()
 		n.traceEvent("replica.takeover", fmt.Sprintf("entries=%d", promoted))
 	}
 
@@ -302,7 +302,7 @@ func (n *Node) custody(hint dht.Member) {
 func (n *Node) antiEntropy() {
 	now := time.Now()
 	if expired := n.idx.Prune(now); expired > 0 {
-		n.lm.indexExpired.Add(uint64(expired))
+		n.lm.ProvidersExpired.Add(uint64(expired))
 	}
 	n.replicas.each(func(slice *index.Table) { slice.Prune(now) })
 	targets := n.replTargets()
@@ -311,13 +311,13 @@ func (n *Node) antiEntropy() {
 	}
 	req := &wire.DigestReq{Owner: n.wireSelf(), Digests: n.idx.Digests(n.kern.Owns)}
 	reqSize := frameBytes(req)
-	n.lm.digestRounds.Inc()
+	n.lm.DigestRounds.Inc()
 	for _, t := range targets {
 		resp, err := n.callIdem(t.Addr, req, n.cfg.CallTimeout)
 		if err != nil {
 			continue
 		}
-		n.lm.digestBytes.Add(reqSize)
+		n.lm.DigestBytes.Add(reqSize)
 		dr, ok := resp.(*wire.DigestResp)
 		if !ok || len(dr.Need) == 0 {
 			continue
@@ -334,7 +334,7 @@ func (n *Node) antiEntropy() {
 			continue
 		}
 		if sent := len(repair) - len(n.sendOps(t.Addr, n.wireSelf(), true, repair)); sent > 0 {
-			n.lm.digestRepairOps.Add(uint64(sent))
+			n.lm.DigestRepairs.Add(uint64(sent))
 			n.traceEvent("replica.repair", fmt.Sprintf("peer=%s ops=%d", t.Addr, sent))
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"dco/internal/chord"
 	"dco/internal/dht"
 	"dco/internal/index"
+	"dco/internal/retry"
 	"dco/internal/transport"
 	"dco/internal/wire"
 )
@@ -143,7 +144,7 @@ func TestTakeoverAfterCoordinatorDeath(t *testing.T) {
 	}
 	var takeoverEntries uint64
 	for _, nd := range survivors {
-		takeoverEntries += nd.lm.takeoverEntries.Value()
+		takeoverEntries += nd.lm.TakeoverEntries.Value()
 	}
 	if takeoverEntries == 0 {
 		t.Fatal("no replica entry was ever promoted; lookup must have been answered some other way")
@@ -507,11 +508,11 @@ func TestSendOpsSplitsBetweenSeqs(t *testing.T) {
 				ops = append(ops, wire.ReplicaOp{Key: uint64(sr.seq), Seq: sr.seq, Holder: holder, TTLMillis: 45_000})
 			}
 		}
-		before := a.lm.replicateBatches.Value()
+		before := a.lm.ReplicateBatches.Value()
 		if left := a.sendOps(b.Addr(), a.wireSelf(), tc.full, ops); len(left) > 0 {
 			t.Fatalf("%s: %d of %d ops undelivered", tc.name, len(left), len(ops))
 		}
-		if frames := a.lm.replicateBatches.Value() - before; frames != tc.frames {
+		if frames := a.lm.ReplicateBatches.Value() - before; frames != tc.frames {
 			t.Fatalf("%s: %d frames, want %d", tc.name, frames, tc.frames)
 		}
 		slice := replicaSlice(b, a.Addr())
@@ -659,6 +660,47 @@ func TestCustodyKeepsATurnedAwayRow(t *testing.T) {
 			t.Fatalf("pass %d dropped a row no member took", pass)
 		}
 	}
+}
+
+// TestCustodyRunsOnlyForACondemnedPredecessor: condemning a peer starts a
+// custody pass only when the peer's range fell to this node. With the
+// re-registration tick off, a stray row stays where it is after a
+// non-neighbour is condemned, and a replica row of the predecessor is
+// promoted as soon as the predecessor is condemned. Chord is pinned: its
+// range changes only when the predecessor goes.
+func TestCustodyRunsOnlyForACondemnedPredecessor(t *testing.T) {
+	cfg := replConfig()
+	cfg.DHT = "chord"
+	s := ringOf(t, cfg, 5, (*Node).startRingMaint)
+	const seq = 17
+	owner, key := ownerOf(t, s.Nodes, seq)
+	x := Without(s.Nodes, owner)[0]
+	predM, ok := x.kern.(interface{ Predecessor() (dht.Member, bool) }).Predecessor()
+	_, succ := x.Successor()
+	if !ok {
+		t.Fatal("a converged ring left a member without a predecessor")
+	}
+	var pred, far *Node
+	for _, nd := range Without(s.Nodes, x) {
+		switch nd.Addr() {
+		case predM.Addr:
+			pred = nd
+		case succ: // a neighbour, but not the one whose range falls to x
+		default:
+			far = nd
+		}
+	}
+
+	holder := strayRow(x, key, seq)
+	x.noteCallFailure(far.Addr(), retry.ErrOpen)
+	time.Sleep(200 * time.Millisecond)
+	if !x.idx.Has(seq, holder.Addr) || owner.idx.Has(seq, holder.Addr) {
+		t.Fatalf("condemning %s, not a neighbour of %s, moved a stray row: a custody pass ran", far.Addr(), x.Addr())
+	}
+
+	x.onReplicateBatch(&wire.ReplicateBatch{Owner: pred.wireSelf(), Ops: []wire.ReplicaOp{{Key: pred.ID(), Seq: seq + 1, Holder: holder, TTLMillis: 45_000}}})
+	x.noteCallFailure(pred.Addr(), retry.ErrOpen)
+	waitFor(t, time.Second, "the predecessor's replica row to be promoted", func() bool { return x.idx.Has(seq+1, holder.Addr) })
 }
 
 // TestForgedHandoverForwardsNothing: a burst of handovers a peer addresses

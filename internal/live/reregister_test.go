@@ -98,7 +98,7 @@ func TestReregisterKeepsEveryLease(t *testing.T) {
 		t.Fatalf("%d seqs landed at %d coordinators, want at least %d", m, len(by), coords)
 	}
 
-	frames := holder.lm.republishes.Value()
+	frames := holder.lm.Republishes.Value()
 	tick := cfg.RepublishEvery
 	var buf []registration // reused from tick to tick, as the node's loop does
 	for now := start.Add(tick); now.Sub(start) <= 3*indexTTL; now = now.Add(tick) {
@@ -106,7 +106,7 @@ func TestReregisterKeepsEveryLease(t *testing.T) {
 		taken(now)
 	}
 	rounds := int(3 * indexTTL / (indexTTL / 3))
-	if got := holder.lm.republishes.Value() - frames; got > uint64(rounds*len(by)) {
+	if got := holder.lm.Republishes.Value() - frames; got > uint64(rounds*len(by)) {
 		t.Errorf("%d re-registration frames in %d refresh rounds over %d coordinators", got, rounds, len(by))
 	}
 	for _, seq := range seqs {
@@ -129,9 +129,9 @@ func TestReregisterRestoresDeletedRow(t *testing.T) {
 	if !coord.idx.Remove(seq, holder.Addr()) {
 		t.Fatal("the first tick registered nothing")
 	}
-	frames := holder.lm.republishes.Value()
+	frames := holder.lm.Republishes.Value()
 	holder.reregister(start.Add(indexTTL/3-time.Second), nil)
-	if holder.lm.republishes.Value() != frames || coord.idx.Has(seq, holder.Addr()) {
+	if holder.lm.Republishes.Value() != frames || coord.idx.Has(seq, holder.Addr()) {
 		t.Fatal("re-registered before the coordinator was due")
 	}
 	holder.reregister(start.Add(indexTTL/3), nil)
@@ -161,7 +161,7 @@ func TestReregisterFollowsAJoin(t *testing.T) {
 	// ReplicateBatch anyone sends.
 	ceded := func() (sum uint64) {
 		for _, nd := range s.Nodes {
-			sum += nd.lm.replicateBatches.Value()
+			sum += nd.lm.ReplicateBatches.Value()
 		}
 		return sum
 	}
@@ -222,11 +222,11 @@ func TestReregisterStopsAtAFailedRoute(t *testing.T) {
 		}
 	}
 	lookups := func() uint64 { return holder.lm.reg.Snapshot().Counters["dco_dht_lookups_total"] }
-	before, frames := lookups(), holder.lm.republishes.Value()
+	before, frames := lookups(), holder.lm.Republishes.Value()
 	holder.reregister(start.Add(indexTTL/3), nil)
 	// The tick routes at most once per frame plus the route that failed;
 	// ring upkeep routes a few fingers meanwhile.
-	sent, routed := holder.lm.republishes.Value()-frames, lookups()-before
+	sent, routed := holder.lm.Republishes.Value()-frames, lookups()-before
 	if sent > uint64(len(s.Nodes)) || routed > sent+16 {
 		t.Errorf("one tick sent %d frames over %d lookups", sent, routed)
 	}

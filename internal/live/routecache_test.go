@@ -77,7 +77,7 @@ func TestStaleArcCostsOneRedirect(t *testing.T) {
 			healed := time.Now()
 			await(t, s, 30*time.Second, "census to merge the rings", func() bool { return RingCorrect(s.Nodes) })
 			// A request that set out during the cut can take until two
-			// seconds after it to give up (an insert's two attempts, a
+			// seconds after it to give up (an insert's one attempt, a
 			// lookup's three, each a routing retry loop).
 			time.Sleep(time.Until(healed.Add(2500 * time.Millisecond)))
 			mark()

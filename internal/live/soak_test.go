@@ -95,7 +95,7 @@ func TestReplicatedSoakCoordinatorKill(t *testing.T) {
 	// Acceptance: zero exhausted lookups across every survivor.
 	var takeovers uint64
 	for _, nd := range survivors {
-		takeovers += nd.lm.takeoverEntries.Value()
+		takeovers += nd.lm.TakeoverEntries.Value()
 	}
 	if failures := SumStats(survivors).LookupFailures; failures != 0 {
 		t.Fatalf("%d lookups exhausted their candidates; replication must make the kill invisible", failures)

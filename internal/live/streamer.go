@@ -99,7 +99,7 @@ func (n *Node) reregister(now time.Time, buf []registration) []registration {
 		msg := n.insertFor(first.key, first.seq, more)
 		if err == nil {
 			slices.Sort(more)
-			n.lm.republishes.Inc()
+			n.lm.Republishes.Inc()
 			if _, err = n.askOwner(route.Owner.Addr, msg, n.cfg.CallTimeout); ownerGone(err) {
 				n.routes.Drop(route.Owner.Addr) // ownership is still moving
 			}
@@ -116,7 +116,7 @@ func (n *Node) insertIndex(seq int64) {
 	msg := n.insertFor(uint64(n.cfg.Channel.Ref(seq).ID()), seq, nil)
 	owner, err := n.sendInsert(msg)
 	if err != nil {
-		n.lm.indexInsertFailures.Inc()
+		n.lm.IndexInsertFailures.Inc()
 	}
 	n.noteAnswer(msg, owner, err)
 }
@@ -134,7 +134,7 @@ func (n *Node) insertFor(key uint64, seq int64, more []int64) *wire.Insert {
 // owner is gone, disowns a key or rate-limits: then the seqs are due again.
 func (n *Node) noteAnswer(msg *wire.Insert, owner string, err error) {
 	if err == nil {
-		n.lm.indexInsertBytes.Add(frameBytes(msg))
+		n.lm.IndexInsertBytes.Add(frameBytes(msg))
 	} else if we := (*wire.Error)(nil); !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
 		owner = ""
 	}
@@ -257,7 +257,7 @@ func (n *Node) FetchChunk(seq int64) error {
 			cand[nc] = providers[nc].Addr
 		}
 		order, usable, clamped := n.health.Rank(n.Addr(), cand[:nc])
-		n.lm.loadReportsClamped.Add(uint64(clamped))
+		n.lm.LoadReportsClamped.Add(uint64(clamped))
 		// cooled is the provider this pass blacklisted last: only a hedge's
 		// backup — the next in the order — can be one still ahead.
 		cooled := ""
@@ -293,16 +293,16 @@ func (n *Node) FetchChunk(seq int64) error {
 				continue
 			}
 			if n.health.NoteLoad(from, cr.LoadMilli, cr.Busy) {
-				n.lm.loadReportsClamped.Inc() // Busy-contradiction clamp
+				n.lm.LoadReportsClamped.Inc() // Busy-contradiction clamp
 			}
 			if !cr.OK {
 				if cr.Busy {
 					// Busy is an admission nack from a live provider: honor
 					// its RetryAfterMs hint (jittered, so viewers shed
 					// together do not return together) but do not blacklist.
-					n.lm.busyNacks.Inc()
+					n.lm.BusyNacksSeen.Inc()
 					if cr.RetryAfterMs == 0 {
-						n.lm.busyNacksHintless.Inc()
+						n.lm.BusyNacksHintless.Inc()
 					}
 					if !n.sleepBusy(cr.RetryAfterMs, deadline) {
 						return fmt.Errorf("live: node closed (provider %s busy)", from)
@@ -318,7 +318,7 @@ func (n *Node) FetchChunk(seq int64) error {
 				continue
 			}
 			n.insertIndex(seq)
-			n.lm.chunkFetchSeconds.Observe(time.Since(start).Seconds())
+			n.lm.ChunkFetchSeconds.Observe(time.Since(start).Seconds())
 			n.traceSeqPeer("chunk.fetch", seq, "peer", from)
 			return nil
 		}
@@ -374,7 +374,7 @@ func (n *Node) fetchOnce(seq int64, primary, backup string, deadline time.Time) 
 	case <-t.C:
 	}
 	// The primary ran past its estimate — the gray-failure signature.
-	n.lm.hedgesLaunched.Inc()
+	n.lm.HedgesLaunched.Inc()
 	if n.lm.trace != nil {
 		n.traceEvent("chunk.hedge", seqDetail(seq)+" primary="+primary+" hedge="+backup)
 	}
@@ -389,12 +389,12 @@ func (n *Node) fetchOnce(seq int64, primary, backup string, deadline time.Time) 
 		case r := <-ch:
 			if r.err == nil {
 				if r.addr == backup {
-					n.lm.hedgeWins.Inc()
+					n.lm.HedgeWins.Inc()
 				}
 				if i == 0 {
 					// The other request is still in flight; it finishes into
 					// the buffered channel and is discarded.
-					n.lm.hedgesCancelled.Inc()
+					n.lm.HedgesCancelled.Inc()
 				}
 				return r.resp, r.addr, nil
 			}
@@ -413,7 +413,7 @@ func pastDeadline(d time.Time) bool { return !d.IsZero() && time.Now().After(d) 
 
 // abandonChunk gives up on a chunk whose playback horizon passed.
 func (n *Node) abandonChunk(seq int64, lastErr error) error {
-	n.lm.chunksAbandoned.Inc()
+	n.lm.ChunksAbandoned.Inc()
 	n.traceSeq("chunk.abandon", seq)
 	return fmt.Errorf("live: chunk %d abandoned past playback horizon (last error: %v)", seq, lastErr)
 }
@@ -488,7 +488,7 @@ func (n *Node) blacklistProvider(addr string) {
 		return
 	}
 	n.health.Cool(addr, n.cfg.ProviderCooldown)
-	n.lm.providersBlacklisted.Inc()
+	n.lm.ProvidersBlacklisted.Inc()
 	n.traceEvent("provider.blacklist", "peer="+addr)
 }
 
@@ -599,7 +599,7 @@ func (n *Node) lookupProviders(key uint64, seq int64, deadline time.Time) ([]wir
 				}
 			}
 			if ci > 0 {
-				n.lm.lookupFailovers.Inc()
+				n.lm.LookupFailovers.Inc()
 				n.traceSeqPeer("lookup.failover", seq, "coordinator", c.Addr)
 			}
 			return n.lookupAnswered(start, lr), nil
@@ -608,7 +608,7 @@ func (n *Node) lookupProviders(key uint64, seq int64, deadline time.Time) ([]wir
 	// Every candidate coordinator (owner plus its successor list) failed
 	// across every re-route attempt: this is the outage replication exists
 	// to prevent, so it gets its own counter (soak tests assert zero).
-	n.lm.lookupFailures.Inc()
+	n.lm.LookupFailures.Inc()
 	n.traceSeq("lookup.fail", seq)
 	return nil, lastErr
 }
@@ -632,7 +632,7 @@ func (n *Node) lookupAt(addr string, req *wire.Lookup, deadline time.Time, timeo
 // lookupAnswered closes the books on an answered lookup and returns its
 // providers.
 func (n *Node) lookupAnswered(start time.Time, lr *wire.LookupResp) []wire.Entry {
-	n.lm.lookupSeconds.Observe(time.Since(start).Seconds())
+	n.lm.LookupSeconds.Observe(time.Since(start).Seconds())
 	n.noteMembers(lr.Providers...)
 	return lr.Providers
 }
@@ -669,7 +669,7 @@ func (n *Node) emptySecondOpinion(fallbacks []dht.Member, key uint64, seq int64,
 // never the verification).
 func (n *Node) storeChunk(seq int64, data []byte, from string) bool {
 	if !VerifyChunkPayload(n.cfg.Channel, seq, data) {
-		n.lm.integrityRejects.Inc()
+		n.lm.IntegrityRejects.Inc()
 		n.traceSeqPeer("chunk.reject", seq, "peer", from)
 		if from != "" {
 			n.punishPoisoner(from, seq)
@@ -677,7 +677,7 @@ func (n *Node) storeChunk(seq int64, data []byte, from string) bool {
 		return false
 	}
 	if n.buffer(seq, data) {
-		n.lm.chunksFetched.Inc()
+		n.lm.ChunksFetched.Inc()
 	}
 	return true
 }
@@ -749,7 +749,7 @@ func (n *Node) unregisterExpired(seqs []int64) {
 }
 
 func (n *Node) bumpRetry() {
-	n.lm.fetchRetries.Inc()
+	n.lm.FetchRetries.Inc()
 	select {
 	case <-n.closed:
 	case <-time.After(150 * time.Millisecond):
